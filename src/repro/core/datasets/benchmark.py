@@ -1,5 +1,6 @@
 """Benchmark: a single program to optimize."""
 
+import threading
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional
 
 from repro.core.datasets.uri import BenchmarkUri
@@ -16,6 +17,12 @@ class BenchmarkSource(NamedTuple):
         return f"BenchmarkSource(filename={self.filename!r}, {len(self.contents)} bytes)"
 
 
+# Guards first-read generation of lazy programs. One lock for all benchmarks
+# (as ``llvm.service._BASELINES_LOCK``): generation is interpreter-bound, and a
+# lock per object would make every ``Benchmark`` unpicklable.
+_PROGRAM_LOCK = threading.Lock()
+
+
 class Benchmark:
     """A program to optimize, identified by URI.
 
@@ -25,6 +32,19 @@ class Benchmark:
     a list of validation callbacks used by ``env.validate()`` and a dynamic
     configuration describing how to execute the compiled program (for the
     runtime reward signal).
+
+    ``program`` is the *pristine*, unoptimized program and nobody may mutate
+    it: the service's benchmark cache, the O0/Oz/O3 baselines, the
+    differential-testing reference and every compilation session read the
+    same object, and whoever needs to transform it takes its own copy first
+    (``benchmark.program.clone()`` for LLVM modules).
+
+    A benchmark made by :meth:`from_program_factory` — every dataset-resolved
+    LLVM benchmark — builds its program on the first read of ``program`` and
+    keeps it: resolving a URI (``datasets.benchmark(uri)``, ``env.benchmark =
+    uri``, ``env.reset(benchmark=uri)``) validates the URI but generates
+    nothing, so a client that only names a benchmark to a service never pays
+    for a program it does not read.
     """
 
     def __init__(
@@ -35,7 +55,8 @@ class Benchmark:
         dynamic_config: Optional[dict] = None,
     ):
         self._uri = BenchmarkUri.from_string(str(uri))
-        self.program = program
+        self._program = program
+        self._program_factory: Optional[Callable[[], Any]] = None
         self.sources: List[BenchmarkSource] = list(sources or [])
         self.dynamic_config = dict(dynamic_config or {})
         self._validation_callbacks: List[Callable] = []
@@ -43,6 +64,33 @@ class Benchmark:
     @property
     def uri(self) -> BenchmarkUri:
         return self._uri
+
+    @classmethod
+    def from_program_factory(cls, uri: str, factory: Callable[[], Any]) -> "Benchmark":
+        """A benchmark whose program is ``factory()``, called on first read."""
+        benchmark = cls(uri=uri)
+        benchmark._program_factory = factory
+        return benchmark
+
+    @property
+    def program(self) -> Any:
+        """The pristine program (read-only by contract, see the class docs)."""
+        if self._program_factory is not None:
+            with _PROGRAM_LOCK:
+                # Concurrent first readers: one generates, the rest wait and
+                # find the factory gone. The program is published before the
+                # factory is cleared, so a reader that skips the lock because
+                # it saw no factory always sees the program.
+                if self._program_factory is not None:
+                    self._program = self._program_factory()
+                    self._program_factory = None
+        return self._program
+
+    @program.setter
+    def program(self, program: Any) -> None:
+        with _PROGRAM_LOCK:
+            self._program = program
+            self._program_factory = None
 
     @classmethod
     def from_file_contents(cls, uri: str, data: bytes) -> "Benchmark":

@@ -89,14 +89,14 @@ class CompilerEnv:
         if verify_ir is None:
             verify_ir = os.environ.get("REPRO_VERIFY_IR", "") not in ("", "0", "false", "False")
         self.verify_ir = verify_ir
+        # Benchmark *objects* assigned by the user, by URI — and only those:
+        # dataset URIs resolve through ``self.datasets`` and are retained by
+        # the runtime's byte-bounded BenchmarkCache, not here. A remote daemon
+        # resolves benchmarks from its own datasets and can never see these —
+        # reset() fails fast on the combination instead of retrying an
+        # unresolvable URI. _daemon_checked_uris memoizes the (successful)
+        # probes so the reset hot path resolves each URI at most once.
         self._custom_benchmarks = {}
-        # URIs of Benchmark *objects* assigned by the user (rather than
-        # resolved from the datasets). A remote daemon resolves benchmarks
-        # from its own datasets and can never see these — reset() fails fast
-        # on the combination instead of retrying an unresolvable URI.
-        # _daemon_checked_uris memoizes the (successful) probes so the reset
-        # hot path resolves each URI at most once.
-        self._user_benchmark_uris = set()
         self._daemon_checked_uris = set()
 
         if service_connection is None:
@@ -216,7 +216,6 @@ class CompilerEnv:
     def benchmark(self, benchmark: Union[str, Benchmark]) -> None:
         if isinstance(benchmark, Benchmark):
             self._custom_benchmarks[str(benchmark.uri)] = benchmark
-            self._user_benchmark_uris.add(str(benchmark.uri))
             self._next_benchmark = benchmark
         else:
             self._next_benchmark = self.datasets.benchmark(str(benchmark))
@@ -344,14 +343,6 @@ class CompilerEnv:
             self._next_benchmark = None
         if self._benchmark_in_use is None:
             self._benchmark_in_use = self.datasets.random_benchmark()
-            if isinstance(self._benchmark_in_use, Benchmark):
-                self._custom_benchmarks[str(self._benchmark_in_use.uri)] = self._benchmark_in_use
-
-        # Custom benchmark objects must be visible to the service resolver.
-        if isinstance(self._benchmark_in_use, Benchmark):
-            self._custom_benchmarks.setdefault(
-                str(self._benchmark_in_use.uri), self._benchmark_in_use
-            )
 
         # A remote daemon resolves benchmarks from its own datasets; a
         # user-supplied Benchmark object only exists in this process. Fail
@@ -360,7 +351,7 @@ class CompilerEnv:
         # not the local object. Probed once per URI, not per reset.
         if (
             self.service_url is not None
-            and str(self._benchmark_in_use.uri) in self._user_benchmark_uris
+            and str(self._benchmark_in_use.uri) in self._custom_benchmarks
             and str(self._benchmark_in_use.uri) not in self._daemon_checked_uris
         ):
             uri = str(self._benchmark_in_use.uri)
@@ -610,8 +601,6 @@ class CompilerEnv:
         this environment's. Forking is much cheaper than replaying the action
         history, enabling efficient backtracking searches.
         """
-        import copy
-
         if self._session_id is None:
             self.reset()
         reply = self.service.fork_session(ForkSessionRequest(session_id=self._session_id))
@@ -624,7 +613,6 @@ class CompilerEnv:
             }
         )
         forked._custom_benchmarks = dict(self._custom_benchmarks)
-        forked._user_benchmark_uris = set(self._user_benchmark_uris)
         forked._daemon_checked_uris = set(self._daemon_checked_uris)
         # Forks share the service connection; reference counting ensures the
         # connection stays alive until the last sharer is closed. The socket
@@ -644,10 +632,7 @@ class CompilerEnv:
         forked.observation = ObservationView(
             forked._raw_observations, self.observation_space_specs
         )
-        forked_rewards = [copy.deepcopy(reward) for reward in self.reward.spaces.values()]
-        forked.reward = RewardView(forked_rewards, forked.observation)
-        forked.reward._benchmark = self.reward._benchmark
-        forked.reward._reset_spaces = set(self.reward._reset_spaces)
+        forked.reward = self.reward.fork(forked.observation)
         if self._observation_space_spec is not None:
             forked._observation_space_spec = forked.observation.spaces[
                 self._observation_space_spec.id

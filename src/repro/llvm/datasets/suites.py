@@ -136,9 +136,14 @@ def _stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
-def _make_differential_testing_callback(reference_module):
+def _make_differential_testing_callback(benchmark: Benchmark):
     """Build a semantics-validation callback: differential testing against the
-    unoptimized module's interpreter output."""
+    interpreter output of the benchmark's unoptimized module.
+
+    The reference is ``benchmark.program`` itself — the pristine module nobody
+    mutates — read when validation runs, so attaching the callback generates
+    nothing.
+    """
 
     def callback(env):
         from repro.llvm.interpreter import ExecutionError, run_module
@@ -146,7 +151,7 @@ def _make_differential_testing_callback(reference_module):
 
         errors = []
         try:
-            expected = run_module(reference_module, max_steps=500_000)
+            expected = run_module(benchmark.program, max_steps=500_000)
         except ExecutionError as error:
             return [ValidationError(type="Reference execution failed", data={"error": str(error)})]
         try:
@@ -217,18 +222,25 @@ class LlvmSyntheticDataset(Dataset):
             if not path.isdigit() or not 0 <= int(path) < self.spec.benchmark_count:
                 raise LookupError(f"Unknown benchmark: {uri}")
         seed, size_scale, num_functions = self._profile(path)
-        module = generate_module(
-            seed=seed,
-            size_scale=size_scale,
-            num_functions=num_functions,
-            num_helpers=2 + seed % 3,
-            runnable=self.spec.runnable,
-            name=f"{self._uri.dataset}/{path}",
+        runnable = self.spec.runnable
+        name = f"{self._uri.dataset}/{path}"
+        # The URI is validated above; the program is generated on first read.
+        # ``generate_module`` is looked up at call time, so instrumentation
+        # that rebinds this module's name counts the call.
+        benchmark = Benchmark.from_program_factory(
+            str(uri),
+            lambda: generate_module(
+                seed=seed,
+                size_scale=size_scale,
+                num_functions=num_functions,
+                num_helpers=2 + seed % 3,
+                runnable=runnable,
+                name=name,
+            ),
         )
-        benchmark = Benchmark(uri=str(uri), program=module)
-        if self.spec.runnable:
+        if runnable:
             benchmark.dynamic_config["runnable"] = True
-            benchmark.add_validation_callback(_make_differential_testing_callback(module.clone()))
+            benchmark.add_validation_callback(_make_differential_testing_callback(benchmark))
         return benchmark
 
     def _random_benchmark(self, random_state: np.random.Generator) -> Benchmark:
@@ -268,20 +280,24 @@ class LlvmGeneratorDataset(Dataset):
         if not 0 <= seed < self.seed_max:
             raise LookupError(f"Seed out of range: {seed}")
         if self.generator == "csmith":
-            module = generate_module(
-                seed=seed,
-                size_scale=5 + seed % 8,
-                num_functions=2 + seed % 3,
-                num_helpers=2,
-                runnable=True,
-                name=f"csmith/{seed}",
+            benchmark = Benchmark.from_program_factory(
+                str(uri),
+                lambda: generate_module(
+                    seed=seed,
+                    size_scale=5 + seed % 8,
+                    num_functions=2 + seed % 3,
+                    num_helpers=2,
+                    runnable=True,
+                    name=f"csmith/{seed}",
+                ),
             )
-            benchmark = Benchmark(uri=str(uri), program=module)
             benchmark.dynamic_config["runnable"] = True
-            benchmark.add_validation_callback(_make_differential_testing_callback(module.clone()))
+            benchmark.add_validation_callback(_make_differential_testing_callback(benchmark))
             return benchmark
-        module = llvm_stress_module(seed=seed, num_instructions=80 + seed % 120)
-        return Benchmark(uri=str(uri), program=module)
+        return Benchmark.from_program_factory(
+            str(uri),
+            lambda: llvm_stress_module(seed=seed, num_instructions=80 + seed % 120),
+        )
 
     def _random_benchmark(self, random_state: np.random.Generator) -> Benchmark:
         return self.benchmark(f"{self.name}/{int(random_state.integers(self.seed_max))}")

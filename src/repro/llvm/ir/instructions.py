@@ -55,7 +55,9 @@ class Instruction(Value):
             ``[condition, true_block, false_block]``; for ``switch`` it is
             ``[value, default_block, const, block, const, block, ...]``.
         attrs: Opcode-specific attributes such as the ``icmp`` predicate, the
-            ``call`` callee name, or the ``alloca`` element type.
+            ``call`` callee name, or the ``alloca`` element type. Values are
+            immutable (strings, booleans, interned types): ``Module.clone()``
+            copies the dict and shares what it holds.
         parent: The :class:`BasicBlock` containing the instruction.
     """
 

@@ -1,11 +1,11 @@
 """Modules: the top-level IR container."""
 
-import copy
 from typing import Dict, Iterator, List, Optional
 
+from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
-from repro.llvm.ir.values import GlobalVariable
+from repro.llvm.ir.values import GlobalVariable, Value
 
 
 class Module:
@@ -75,15 +75,134 @@ class Module:
         return self.instruction_count
 
     def clone(self) -> "Module":
-        """Deep copy of the module (used by fork() and baseline computation).
+        """An independent structural copy (sessions, forks, baselines, lint).
 
-        The clone keeps the parent's ``version``: it describes identical IR,
-        so version-keyed caches carried across a fork stay valid.
+        *Copied* — one new object per source object, so nothing mutable is
+        shared and either side may be optimised without the other noticing:
+        the module, its ``globals``/``functions``/``metadata`` dicts, every
+        :class:`GlobalVariable`, :class:`Function` (with its ``args`` and
+        ``attributes``), :class:`BasicBlock` and :class:`Instruction` (with
+        its ``operands`` list and ``attrs`` dict), and every operand the
+        module does not own — constants, ``undef``, a value detached from its
+        block — once per clone, however many instructions reference it.
+        ``parent`` links and operands point at the clone's own objects.
+
+        *Shared* — only immutable things: interned :class:`Type` singletons
+        (identity comparisons keep working), names, opcodes, and the scalar
+        values held in ``attrs``, ``metadata`` and global initializers.
+
+        *Carried over unchanged* — ``version`` (the clone describes identical
+        IR, so version-keyed caches taken across a fork stay valid), each
+        function's ``_next_value_id``/``_next_block_id`` (fresh names keep
+        being unique and identical on both sides), and dict/list orders, so
+        ``print_module(clone) == print_module(source)``.
         """
-        return copy.deepcopy(self)
+        return _Cloner().clone_module(self)
 
     def __repr__(self) -> str:
         return (
             f"Module({self.name!r}, {len(self.functions)} functions, "
             f"{self.instruction_count} instructions)"
         )
+
+
+def _shell(source):
+    """A new object of ``source``'s class holding the same attribute values.
+
+    Fields that are scalars or interned types are final as copied; the caller
+    replaces every mutable field and every reference to another IR object.
+    """
+    shell = object.__new__(type(source))
+    shell.__dict__.update(source.__dict__)
+    return shell
+
+
+class _Cloner:
+    """One :meth:`Module.clone` call: an identity map from source objects to
+    their copies, filled in two passes.
+
+    The first pass walks the ownership tree (module -> functions -> arguments,
+    blocks -> instructions) allocating a shell per object and pointing
+    ``parent`` at the new owner. Operands may refer to anything — a later
+    instruction, a block of a later function, a function, a global — so they
+    are rewritten in a second pass, once every owned object has its copy.
+    """
+
+    def __init__(self):
+        # Keyed by id(): Constant defines value equality, and two equal
+        # constants must stay two objects exactly when they were two before.
+        # Every key's object is kept alive by the source module for the
+        # duration of the call.
+        self.copies: Dict[int, Value] = {}
+        self.instructions: List[tuple] = []
+
+    def clone_module(self, source: "Module") -> "Module":
+        module = _shell(source)
+        module.metadata = dict(source.metadata)
+        module.globals = {name: self.value(g) for name, g in source.globals.items()}
+        module.functions = {name: self.value(f) for name, f in source.functions.items()}
+        self.remap_operands()
+        return module
+
+    def function(self, source: Function) -> Function:
+        function = _shell(source)
+        self.copies[id(source)] = function
+        function.attributes = list(source.attributes)
+        function.args = [self.value(arg) for arg in source.args]
+        function.blocks = [self.block(block, function) for block in source.blocks]
+        return function
+
+    def block(self, source: BasicBlock, parent) -> BasicBlock:
+        block = _shell(source)
+        self.copies[id(source)] = block
+        block.parent = parent
+        block.instructions = [self.instruction(inst, block) for inst in source.instructions]
+        return block
+
+    def instruction(self, source: Instruction, parent) -> Instruction:
+        instruction = _shell(source)
+        self.copies[id(source)] = instruction
+        instruction.parent = parent
+        instruction.attrs = dict(source.attrs)
+        self.instructions.append((source, instruction))
+        return instruction
+
+    def value(self, source):
+        """The copy of ``source``, made now if this is its first sighting.
+
+        Called for what the module's dicts and argument lists hold and for
+        operands (or ``parent`` links) that turn out not to be owned by the
+        module: leaves (constants, ``undef``, arguments, globals) are a single
+        shell; a detached instruction, block or function is copied with
+        whatever hangs off it, through the same map.
+        """
+        copy = self.copies.get(id(source))
+        if copy is not None or source is None:
+            return copy
+        if isinstance(source, Function):
+            return self.function(source)
+        if isinstance(source, (BasicBlock, Instruction)):
+            # Copying the owner first may copy ``source`` along with it.
+            parent = self.value(source.parent)
+            copy = self.copies.get(id(source))
+            if copy is None:
+                make = self.block if isinstance(source, BasicBlock) else self.instruction
+                copy = make(source, parent)
+            return copy
+        copy = self.copies[id(source)] = _shell(source)
+        return copy
+
+    def remap_operands(self) -> None:
+        copies = self.copies
+        # The list grows while it is walked: copying a detached operand
+        # queues the instructions that come with it.
+        for source, instruction in self.instructions:
+            operands = []
+            for operand in source.operands:
+                # ``is None``, not truthiness: an empty block or a
+                # declaration has ``len() == 0``.
+                copy = copies.get(id(operand))
+                if copy is None:
+                    copy = self.value(operand)
+                operands.append(copy)
+            instruction.operands = operands

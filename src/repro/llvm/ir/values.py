@@ -63,7 +63,8 @@ class GlobalVariable(Value):
     """A module-level global variable.
 
     Globals are always of pointer type (they denote an address); the
-    ``initializer`` and ``element_type`` describe the pointed-to storage.
+    ``initializer`` (one scalar, replicated ``array_size`` times) and
+    ``element_type`` describe the pointed-to storage.
     """
 
     def __init__(

@@ -71,3 +71,94 @@ def small_module() -> Module:
 def generated_module() -> Module:
     """A deterministic generated module of moderate size."""
     return generate_module(seed=7, size_scale=5)
+
+
+def _owned_objects(module: Module) -> dict:
+    """Every mutable IR object reachable from ``module``, by id: what its dicts
+    and lists own, plus whatever operands and ``parent`` links point at."""
+    seen = {}
+
+    def visit(value):
+        if value is None or id(value) in seen:
+            return
+        seen[id(value)] = value
+        fields = vars(value)
+        for field in ("args", "blocks", "instructions", "operands"):
+            for child in fields.get(field, ()):
+                visit(child)
+        visit(fields.get("parent"))
+
+    for global_var in module.globals.values():
+        visit(global_var)
+    for function in module.functions.values():
+        visit(function)
+    return seen
+
+
+def _assert_clone_is_exact_and_independent(source: Module, clone: Module) -> None:
+    from repro.llvm.ir.printer import print_module
+    from repro.llvm.ir.verifier import verify_module
+
+    assert clone is not source
+    assert print_module(clone) == print_module(source)
+    assert verify_module(clone, raise_on_error=False) == verify_module(source, raise_on_error=False)
+    assert (clone.name, clone.version) == (source.name, source.version)
+    assert clone.metadata == source.metadata and clone.metadata is not source.metadata
+    assert list(clone.globals) == list(source.globals)
+    assert list(clone.functions) == list(source.functions)
+
+    # No object of one side is reachable from the other.
+    source_objects, clone_objects = _owned_objects(source), _owned_objects(clone)
+    assert not source_objects.keys() & clone_objects.keys()
+    assert len(clone_objects) == len(source_objects)
+
+    # One copy per source object, wherever it is referenced from: a second
+    # copy of anything (an operand duplicated instead of remapped) breaks the
+    # one-to-one correspondence.
+    forward, backward = {}, {}
+
+    def pair(original, copy):
+        assert type(copy) is type(original)
+        assert forward.setdefault(id(original), copy) is copy
+        assert backward.setdefault(id(copy), original) is original
+        assert copy.type is original.type and copy.name == original.name
+
+    for name, original in source.globals.items():
+        copy = clone.globals[name]
+        pair(original, copy)
+        assert vars(copy) == vars(original)
+    for name, original in source.functions.items():
+        copy = clone.functions[name]
+        pair(original, copy)
+        assert copy.return_type is original.return_type
+        assert copy.attributes == original.attributes
+        assert copy.attributes is not original.attributes
+        assert copy._next_value_id == original._next_value_id
+        assert copy._next_block_id == original._next_block_id
+        assert len(copy.args) == len(original.args) and len(copy.blocks) == len(original.blocks)
+        for original_arg, copy_arg in zip(original.args, copy.args):
+            pair(original_arg, copy_arg)
+        for original_block, copy_block in zip(original.blocks, copy.blocks):
+            pair(original_block, copy_block)
+            assert copy_block.parent is copy
+            assert len(copy_block.instructions) == len(original_block.instructions)
+            for original_inst, copy_inst in zip(original_block.instructions, copy_block.instructions):
+                pair(original_inst, copy_inst)
+                assert copy_inst.parent is copy_block
+                assert copy_inst.opcode == original_inst.opcode
+                assert copy_inst.attrs == original_inst.attrs
+                assert copy_inst.attrs is not original_inst.attrs
+                assert all(a is b for a, b in zip(copy_inst.attrs.values(), original_inst.attrs.values()))
+                assert copy_inst.operands is not original_inst.operands
+                assert len(copy_inst.operands) == len(original_inst.operands)
+                for original_operand, copy_operand in zip(original_inst.operands, copy_inst.operands):
+                    pair(original_operand, copy_operand)
+
+
+@pytest.fixture(scope="session")
+def check_clone():
+    """``check_clone(source, clone)``: the whole contract of ``Module.clone()``
+    short of running passes — identical printed IR and verifier verdict, every
+    scalar carried over, types shared, no mutable object shared, and exactly
+    one copy per source object however many places reference it."""
+    return _assert_clone_is_exact_and_independent

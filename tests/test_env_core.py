@@ -1,5 +1,8 @@
 """Integration tests of the CompilerEnv Gym interface (on the LLVM backend)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,30 @@ class TestEpisodeLifecycle:
         assert str(fresh_llvm_env.benchmark.uri) == "benchmark://cbench-v1/sha"
         fresh_llvm_env.reset()
         assert str(fresh_llvm_env.benchmark.uri) == "benchmark://cbench-v1/sha"
+
+    def test_dataset_benchmarks_are_retained_only_by_the_bounded_cache(self, fresh_llvm_env):
+        """A long run over a program generator must not grow without bound:
+        the env registers only Benchmark objects the user handed it, and what
+        the service retains is the byte-bounded, evicting BenchmarkCache."""
+        env = fresh_llvm_env
+        env.observation_space = "IrInstructionCount"
+        cache = env.service.transport._runtime.benchmark_cache
+        first = None
+        for seed in range(50):
+            assert env.reset(benchmark=f"generator://csmith-v0/{seed}") > 0
+            if first is None:
+                first = weakref.ref(env.benchmark)
+                # Room for about three programs of this size.
+                cache.max_size_in_bytes = 3 * cache.size_in_bytes
+        assert env._custom_benchmarks == {}
+        assert cache.size_in_bytes <= cache.max_size_in_bytes
+        assert cache.size < 10 and cache.evictions > 40
+        gc.collect()
+        assert first() is None
+
+        mine = env.make_benchmark(env.ir, uri="benchmark://user-v0/mine")
+        env.reset(benchmark=mine)
+        assert env._custom_benchmarks == {"benchmark://user-v0/mine": mine}
 
 
 class TestMultistep:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.spaces.reward import Reward
 from repro.core.wrappers import (
     CommandlineWithTerminalAction,
     ConcatActionsHistogram,
@@ -39,6 +40,22 @@ def _make_env():
         observation_space="Autophase",
         reward_space="IrInstructionCount",
     )
+
+
+class HistoryReward(Reward):
+    """Code-size delta that also keeps every count it has seen in a list — the
+    kind of mutable reward state a fork must never share with its parent."""
+
+    def __init__(self, name):
+        super().__init__(name, observation_spaces=["IrInstructionCount"], deterministic=True)
+        self.history = []
+
+    def reset(self, benchmark, observation_view):
+        self.history = [observation_view["IrInstructionCount"]]
+
+    def update(self, actions, observations, observation_view):
+        self.history.append(observations[0])
+        return float(self.history[-2] - self.history[-1])
 
 
 def _replay(env, actions):
@@ -111,6 +128,63 @@ class TestRawEnvForkEquivalence:
             finally:
                 fork.close()
         finally:
+            env.close()
+
+
+    def test_fork_never_shares_mutable_reward_state(self):
+        """Reward spaces are copied per fork — the episode's live ones at fork
+        time, the rest when the fork first reads them — and never shared."""
+        env = _make_env()
+        env.reward_space = HistoryReward("Live")
+        env.reward.add_space(HistoryReward("Idle"))
+        forks = []
+        try:
+            env.reset()
+            env.multistep([env.action_space["mem2reg"], env.action_space["dce"]])
+            live = env.reward.spaces["Live"]
+            # reset() primes the selected reward: [initial, initial, after].
+            assert len(live.history) == 3 and live.history[0] > live.history[-1]
+
+            fork = env.fork()
+            forks.append(fork)
+            # Forking copies the spaces the episode has live and nothing else.
+            assert set(fork.reward.spaces.maps[0]) == {"Live"}
+            assert list(fork.reward.spaces) == list(env.reward.spaces)
+            for name, space in env.reward.spaces.items():
+                assert fork.reward.spaces[name] is not space
+            fork_live = fork.reward_space
+            assert fork_live is fork.reward.spaces["Live"]
+            assert fork_live.history == live.history and fork_live.history is not live.history
+
+            # The live space continues from the parent's state, on its own list.
+            snapshot = list(live.history)
+            _assert_fork_replays_like_parent(env, fork, [env.action_space["instcombine"]])
+            assert len(live.history) == len(fork_live.history) == 4
+            env.step(env.action_space["gvn"])
+            assert len(fork_live.history) == 4 and fork_live.history[:3] == snapshot
+
+            # A space nobody had read at fork time: the parent reading it (and
+            # filling its list) leaves nothing behind in the fork's copy, which
+            # is reset against the fork's own state before its first update.
+            assert env.reward["Idle"] == 0.0 and env.reward["Idle"] == 0.0
+            assert len(env.reward.spaces["Idle"].history) == 3
+            assert fork.reward["Idle"] == 0.0
+            idle = fork.reward.spaces["Idle"]
+            assert idle.history == [fork.observation["IrInstructionCount"]] * 2
+            assert len(env.reward.spaces["Idle"].history) == 3
+
+            # A fork of the fork copies from the fork, not from the root.
+            grandchild = fork.fork()
+            forks.append(grandchild)
+            assert set(grandchild.reward.spaces.maps[0]) == {"Live", "Idle"}
+            assert grandchild.reward.spaces["Idle"].history == idle.history
+            assert grandchild.reward.spaces["Idle"] is not idle
+            assert grandchild.reward_space.history == fork_live.history
+            grandchild.step(env.action_space["gvn"])
+            assert len(fork_live.history) == 4 and len(idle.history) == 2
+        finally:
+            for fork in forks:
+                fork.close()
             env.close()
 
 

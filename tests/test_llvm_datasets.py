@@ -1,9 +1,16 @@
 """Tests for the LLVM benchmark generators and dataset suites."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 
+import repro
+from repro.core.datasets import Benchmark
+from repro.core.service.runtime.server import make_env_server
+from repro.errors import BenchmarkInitError
+from repro.llvm.datasets import generators
 from repro.llvm.datasets.generators import generate_module, llvm_stress_module
 from repro.llvm.datasets.suites import (
     CBENCH_PROGRAMS,
@@ -141,3 +148,136 @@ class TestDatasetInventory:
         datasets = make_llvm_datasets()
         assert datasets.benchmark("benchmark://cbench-v1/qsort").is_validatable()
         assert not datasets.benchmark("benchmark://npb-v0/0").is_validatable()
+
+
+@pytest.fixture()
+def generations(monkeypatch):
+    """The thread of every ``generate_module``/``llvm_stress_module`` call made
+    while the test runs, counted at every binding site: ``from m import f``
+    copies the binding, so patching the defining module alone would miss the
+    datasets' calls (the pitfall ``bench/trace.py`` documents)."""
+    calls = []
+    for name in ("generate_module", "llvm_stress_module"):
+        original = vars(generators)[name]
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for bound, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, bound, counted)
+    return calls
+
+
+LAZY_URIS = [
+    "benchmark://cbench-v1/crc32",
+    "benchmark://npb-v0/5",
+    "generator://csmith-v0/17",
+    "generator://llvm-stress-v0/9",
+]
+
+
+class TestLazyPrograms:
+    @pytest.mark.parametrize("uri", LAZY_URIS)
+    def test_resolving_generates_nothing_and_first_read_generates_once(self, generations, uri):
+        datasets = make_llvm_datasets()
+        benchmark = datasets.benchmark(uri)
+        assert datasets[uri].benchmark(uri) == benchmark
+        assert str(benchmark.uri) == uri
+        benchmark.is_validatable(), benchmark.dynamic_config, repr(benchmark), hash(benchmark)
+        assert generations == []
+        program = benchmark.program
+        assert len(generations) == 1 and program.instruction_count > 0
+        assert benchmark.program is program and len(generations) == 1
+        # A second resolve is a second benchmark: sharing one pristine module
+        # per URI is the service's BenchmarkCache's job, not the dataset's.
+        assert datasets.benchmark(uri).program is not program
+
+    def test_selecting_a_benchmark_on_an_env_generates_nothing(self, generations):
+        with repro.make("llvm-v0") as env:
+            for uri in LAZY_URIS:
+                env.benchmark = uri
+                assert str(env.benchmark.uri) == uri
+            assert generations == []
+            # reset() does generate: the in-process service reads the program.
+            env.reset(benchmark=LAZY_URIS[0])
+            env.reset(benchmark=LAZY_URIS[0])
+            assert len(generations) == 1
+
+    def test_racing_first_reads_generate_once(self, generations):
+        benchmark = make_llvm_datasets().benchmark("benchmark://cbench-v1/susan")
+        barrier = threading.Barrier(8)
+        programs = []
+
+        def read():
+            barrier.wait(timeout=30)
+            programs.append(benchmark.program)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(programs) == 8 and all(program is programs[0] for program in programs)
+        assert len(generations) == 1
+
+    @pytest.mark.parametrize(
+        "uri, error",
+        [
+            ("benchmark://cbench-v1/not-a-benchmark", LookupError),
+            ("benchmark://npb-v0/99999", LookupError),
+            ("benchmark://npb-v0/x", LookupError),
+            ("generator://csmith-v0/abc", LookupError),
+            ("generator://csmith-v0/4294967296", LookupError),
+            ("generator://llvm-stress-v0/-1", LookupError),
+            ("benchmark://nope-v0/1", LookupError),
+            ("benchmark://cbench-v1", BenchmarkInitError),
+        ],
+    )
+    def test_unknown_uris_still_fail_when_resolved(self, llvm_env, uri, error):
+        """Laziness defers generation, not validation: same call, same type."""
+        with pytest.raises(error):
+            make_llvm_datasets().benchmark(uri)
+        in_use = llvm_env.benchmark
+        with pytest.raises(error):
+            llvm_env.benchmark = uri
+        assert llvm_env.benchmark is in_use
+
+    def test_explicit_and_dict_programs_are_untouched(self, generations, gcc_env, loop_tool_env):
+        module = generate_module(seed=1, size_scale=2)
+        del generations[:]
+        benchmark = Benchmark("benchmark://user-v0/mine", program=module)
+        assert benchmark.program is module
+        benchmark.program = b"bytes"
+        assert benchmark.program == b"bytes"
+        assert Benchmark("benchmark://user-v0/none").program is None
+        assert Benchmark.from_file_contents("benchmark://user-v0/f", b"abc").program == b"abc"
+        assert gcc_env.datasets.benchmark("benchmark://chstone-v0/adpcm").program == {
+            "benchmark_id": "chstone/adpcm"
+        }
+        assert set(loop_tool_env.benchmark.program) == {"size"}
+        assert generations == []
+
+    def test_daemon_client_generates_nothing(self, generations):
+        """Over a daemon the client only names the benchmark: the one
+        generation happens on a server thread, none on the caller's."""
+        server = make_env_server("llvm-v0").start()
+        try:
+            with repro.make("llvm-v0", service_url=server.url) as env:
+                env.observation_space = "IrInstructionCount"
+                for _ in range(3):
+                    assert env.reset(benchmark="cbench-v1/qsort") > 0
+                assert env.step(0)[0] > 0
+        finally:
+            server.shutdown()
+        assert len(generations) == 1
+        assert generations[0] is not threading.current_thread()

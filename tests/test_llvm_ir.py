@@ -16,9 +16,12 @@ from repro.llvm.ir import (
     Module,
     Type,
 )
+from repro.llvm.datasets.generators import generate_module, llvm_stress_module
 from repro.llvm.ir.cfg import dominates, dominators, loop_depths, natural_loops, predecessors, reachable_blocks
 from repro.llvm.ir.values import Argument, GlobalVariable, UndefValue
+from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import VerificationError, verify_module
+from repro.llvm.passes.registry import OZ_PIPELINE, run_pipeline
 
 
 class TestTypes:
@@ -150,6 +153,129 @@ class TestStructure:
     def test_declaration(self):
         function = Function("printf", arg_types=[I32])
         assert function.is_declaration
+
+
+class TestModuleClone:
+    """The structural cloner; ``check_clone`` (conftest) holds the contract."""
+
+    def _forward_references(self) -> Module:
+        """Operands that a single in-order pass meets before their definition:
+        a value defined in a later block, a later function used as a value,
+        and a phi that uses itself."""
+        module = Module("forward")
+        module.add_global(GlobalVariable("table", I32, initializer=3, array_size=4))
+        main = Function("main", return_type=I32)
+        entry, use, define = (main.add_block(name) for name in ("entry", "use", "define"))
+        IRBuilder(main, entry).br(define)
+        # Listed before the block that defines %late, executed after it.
+        result = use.append(Instruction("add", [], type=I32, name="early"))
+        callee = use.append(Instruction("ptrtoint", [], type=I64, name="fnaddr"))
+        use.append(Instruction("ret", [result], type=VOID))
+        loop = define.append(Instruction("phi", [], type=I32, name="loop"))
+        late = define.append(Instruction("add", [loop, Constant(I32, 1)], type=I32, name="late"))
+        loop.set_phi_incoming([(Constant(I32, 0), entry), (loop, define)])
+        define.append(Instruction("br", [use], type=VOID))
+        result.operands = [late, module.globals["table"]]
+        module.add_function(main)
+        helper = module.add_function(Function("helper", arg_types=[I32], attributes=["noinline"]))
+        IRBuilder(helper, helper.add_block("entry")).ret(helper.args[0])
+        callee.operands = [helper]
+        return module
+
+    def test_hand_built_modules(self, check_clone, small_module, generated_module):
+        for module in (small_module, generated_module, Module("empty"), self._forward_references()):
+            module.metadata["origin"] = "test"
+            check_clone(module, module.clone())
+
+    def test_llvm_stress_module(self, check_clone):
+        module = llvm_stress_module(seed=3, num_instructions=120)
+        assert verify_module(module, raise_on_error=False) == []
+        check_clone(module, module.clone())
+
+    def test_forward_references_are_remapped_not_duplicated(self):
+        clone = self._forward_references().clone()
+        use, define = clone.function("main").blocks[1:]
+        early, fnaddr = use.instructions[:2]
+        loop, late = define.instructions[:2]
+        assert early.operands[0] is late
+        assert early.operands[1] is clone.globals["table"]
+        assert fnaddr.operands[0] is clone.function("helper")
+        assert loop.operands[2] is loop and loop.operands[3] is define
+        assert define.instructions[-1].operands[0] is use
+
+    def test_unowned_operands_are_copied_once_per_clone(self):
+        module = self._forward_references()
+        block = module.function("main").blocks[1]
+        shared, undef = Constant(I32, 7), UndefValue(I32)
+        detached = Instruction("add", [shared, module.globals["table"]], type=I32, name="gone")
+        first = block.insert(0, Instruction("add", [shared, Constant(I32, 7)], type=I32, name="a"))
+        block.insert(1, Instruction("add", [shared, undef], type=I32, name="b"))
+        block.insert(2, Instruction("add", [detached, undef], type=I32, name="c"))
+
+        clone = module.clone()
+        a, b, c = clone.function("main").blocks[1].instructions[:3]
+        # One object in the source is one object in the clone ...
+        assert a.operands[0] is b.operands[0] and a.operands[0] is not shared
+        assert b.operands[1] is c.operands[1] and b.operands[1] is not undef
+        # ... and two equal constants stay two.
+        assert a.operands[1] == a.operands[0] and a.operands[1] is not a.operands[0]
+        assert a.operands[1] is not first.operands[1]
+        # A value detached from its block comes along, pointing into the clone.
+        gone = c.operands[0]
+        assert gone is not detached and gone.name == "gone" and gone.parent is None
+        assert gone.operands[0] is a.operands[0]
+        assert gone.operands[1] is clone.globals["table"]
+
+    def test_detached_block_comes_along_with_its_instructions(self, check_clone):
+        """A phi may still name a block that was unlinked from the function
+        (its ``parent`` cleared or stale): the block is copied once, whichever
+        of its instructions or the block itself is met first."""
+        module = self._forward_references()
+        main = module.function("main")
+        orphan = BasicBlock("orphan")
+        inner = orphan.append(Instruction("add", [Constant(I32, 1), main.blocks[2].instructions[1]],
+                                          type=I32, name="inner"))
+        orphan.parent = main  # Stale link: main.blocks does not list it.
+        phi = main.blocks[2].instructions[0]
+        phi.operands += [inner, orphan]
+
+        clone = module.clone()
+        twin = clone.function("main")
+        copied_inner, copied_orphan = twin.blocks[2].instructions[0].operands[4:]
+        assert copied_orphan is not orphan and copied_orphan.parent is twin
+        assert copied_orphan not in twin.blocks
+        assert copied_orphan.instructions == [copied_inner]
+        assert copied_inner.parent is copied_orphan
+        assert copied_inner.operands[1] is twin.blocks[2].instructions[1]
+        check_clone(module, clone)
+
+    def test_scalars_carry_over_and_fresh_names_agree(self, generated_module):
+        generated_module.version = 41
+        function = generated_module.defined_functions()[0]
+        function.new_value_name(), function.new_block_name()
+        clone = generated_module.clone()
+        assert clone.version == 41 and clone.bump_version() == 42
+        assert generated_module.version == 41
+        twin = clone.function(function.name)
+        assert twin.new_value_name() == function.new_value_name()
+        assert twin.new_block_name() == function.new_block_name()
+
+    def test_optimising_one_side_leaves_the_other_untouched(self, check_clone):
+        source = generate_module(seed=11, size_scale=6, runnable=True)
+        pristine = print_module(source)
+        clone = source.clone()
+        assert run_pipeline(clone, OZ_PIPELINE)
+        assert print_module(source) == pristine
+        assert print_module(clone) != pristine
+        # The other direction, against a copy taken before either changed.
+        untouched = source.clone()
+        run_pipeline(source, OZ_PIPELINE)
+        assert print_module(untouched) == pristine
+        # Both sides started from identical IR, so they optimise identically,
+        # and an optimised module clones as exactly as a generated one.
+        assert print_module(source) == print_module(clone)
+        assert source.version == clone.version
+        check_clone(source, source.clone())
 
 
 class TestBuilder:

@@ -15,7 +15,8 @@ from repro.llvm.interpreter import run_module
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import verify_module
-from repro.llvm.passes.registry import ACTION_SPACE_PASSES, run_pass
+from repro.llvm.datasets.suites import make_llvm_datasets
+from repro.llvm.passes.registry import ACTION_SPACE_PASSES, OZ_PIPELINE, run_pass, run_pipeline
 from repro.loop_tool.cost import gp100_flops
 from repro.loop_tool.ir import LoopTree
 from repro.util.statistics import geometric_mean, percentile
@@ -160,6 +161,61 @@ class TestIrProperties:
         for name in passes:
             run_pass(module, name)
         assert module.instruction_count <= original * 6 + 50
+
+
+class TestCloneProperties:
+    """``Module.clone()`` over generator seeds and every builtin dataset; the
+    structural contract itself is conftest's ``check_clone``."""
+
+    @_SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        size_scale=st.integers(min_value=1, max_value=6),
+        runnable=st.booleans(),
+    )
+    def test_clone_of_generated_module_is_exact_and_independent(
+        self, check_clone, seed, size_scale, runnable
+    ):
+        module = generate_module(seed, size_scale=size_scale, runnable=runnable)
+        clone = module.clone()
+        assert verify_module(clone, raise_on_error=False) == []
+        check_clone(module, clone)
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=5_000),
+        passes=st.lists(st.sampled_from(sorted(ACTION_SPACE_PASSES)), max_size=6),
+        optimise_clone=st.booleans(),
+    )
+    def test_either_side_optimises_without_disturbing_the_other(
+        self, check_clone, seed, passes, optimise_clone
+    ):
+        """Clone mid-episode (after arbitrary passes), run -Oz on one side: the
+        other side's IR does not move, and then optimises to the same IR."""
+        source = generate_module(seed, size_scale=3)
+        for name in passes:
+            run_pass(source, name)
+        clone = source.clone()
+        check_clone(source, clone)
+        before = print_module(source)
+        first, second = (clone, source) if optimise_clone else (source, clone)
+        run_pipeline(first, OZ_PIPELINE)
+        assert print_module(second) == before
+        run_pipeline(second, OZ_PIPELINE)
+        assert print_module(second) == print_module(first)
+        assert second.version == first.version
+
+    @pytest.mark.parametrize("dataset", [d.name for d in make_llvm_datasets()])
+    @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_clone_of_every_builtin_dataset(self, check_clone, dataset, data):
+        dataset = make_llvm_datasets()[dataset]
+        index = data.draw(st.integers(min_value=0, max_value=min(len(dataset) or 2**32, 50) - 1))
+        uri = next(uri for i, uri in enumerate(dataset.benchmark_uris()) if i == index)
+        module = dataset.benchmark(uri).program
+        clone = module.clone()
+        assert verify_module(clone, raise_on_error=False) == []
+        check_clone(module, clone)
 
 
 class TestGccProperties:

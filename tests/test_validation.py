@@ -44,6 +44,30 @@ class TestStateValidation:
         assert result.benchmark_semantics_validated
         assert not result.benchmark_semantics_validation_failed
 
+    def test_differential_test_catches_a_miscompilation(self, env, monkeypatch):
+        """The reference is the benchmark's own pristine program: a pass that
+        changes what ``main`` returns in the session's copy is reported, and
+        the reference it is compared against never saw that pass."""
+        from repro.llvm.interpreter import run_module
+        from repro.llvm.ir.values import Constant
+        from repro.llvm.passes.registry import PASS_REGISTRY
+
+        def miscompile(module):
+            for instruction in module.function("main").instructions():
+                if instruction.opcode == "ret" and instruction.operands:
+                    instruction.operands[0] = Constant(instruction.operands[0].type, 424242)
+            return True
+
+        monkeypatch.setitem(PASS_REGISTRY, "dce", miscompile)
+        env.reset()
+        env.step(env.action_space["dce"])
+        result = env.validate()
+        assert result.benchmark_semantics_validated
+        assert result.benchmark_semantics_validation_failed
+        assert "Differential test failed" in result.error_details
+        assert result.errors[-1].data["actual_return"] == 424242
+        assert run_module(env.benchmark.program).return_value != 424242
+
     def test_unparseable_commandline_is_replay_failure(self, env):
         state = CompilerEnvState(
             benchmark="benchmark://cbench-v1/crc32", commandline="-not-a-real-pass", reward=0.0

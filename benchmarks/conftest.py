@@ -1,15 +1,17 @@
 """Shared helpers for the benchmark/experiment harness.
 
 Every module in this directory regenerates one table or figure from the
-paper's evaluation section (see DESIGN.md for the index). Budgets are scaled
+paper's evaluation section (each module's docstring says which; README.md
+describes the system they measure). Budgets are scaled
 down from the paper's (which used hour-long searches and 100k-episode
 training runs) so the whole suite completes offline; set the
 ``REPRO_BENCH_SCALE`` environment variable to a value > 1 to run longer,
 higher-fidelity versions.
 
 Each experiment writes its results table to ``benchmarks/results/`` so the
-numbers can be inspected after the run (and are summarized in
-EXPERIMENTS.md).
+numbers can be inspected after the run. The repo's own benchmark — the
+end-to-end and per-layer metrics a perf PR quotes — is not here but in
+``bench/`` (see bench/README.md).
 """
 
 import json

@@ -38,6 +38,11 @@ from repro.core.service.connection import ConnectionOpts
 from repro.core.vector import VecCompilerEnv
 
 BENCHMARK = "cbench-v1/crc32"
+# The result-cache measurement divides an uncached step by a cache-hit step
+# (~0.02 ms whatever the program). It runs on a mid-sized program so that the
+# numerator is compute the cache removes, not per-call overhead: on crc32 an
+# uncached step is ~0.15 ms, a ratio of 6-7x with no headroom over the 5x floor.
+RESULT_CACHE_BENCHMARK = "cbench-v1/blowfish"
 # Simulated RPC round-trip latency, in the range the paper measures for its
 # gRPC transport (single-digit milliseconds per call).
 RPC_LATENCY = 0.005
@@ -326,7 +331,7 @@ def _measure_result_cache(sequences: int = 8, length: int = 10, repeats: int = 4
         return (time.perf_counter() - start) / steps
 
     env_kwargs = dict(
-        benchmark=BENCHMARK,
+        benchmark=RESULT_CACHE_BENCHMARK,
         observation_space="Autophase",
         reward_space="IrInstructionCount",
     )
@@ -344,6 +349,7 @@ def _measure_result_cache(sequences: int = 8, length: int = 10, repeats: int = 4
     uncached = run_passes(uncached_env, seqs, repeats)
     uncached_env.close()
     return {
+        "benchmark": RESULT_CACHE_BENCHMARK,
         "sequences": sequences,
         "sequence_length": length,
         "repeats": repeats,

@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-The project metadata lives in pyproject.toml; this shim exists so the package
-can be installed with ``pip install -e .`` in offline environments that lack
-the ``wheel`` package required by PEP 517 editable builds.
+This file holds the project metadata (there is no pyproject.toml), so the
+package installs with ``pip install -e .`` in offline environments that lack
+the ``wheel`` package required by PEP 517 editable builds. README.md describes
+the package; bench/README.md the repo benchmark.
 """
 
 from setuptools import find_packages, setup

@@ -595,7 +595,8 @@ def _cmd_lint(args) -> int:
     )
     print(
         f"lint: {report.benchmarks} benchmark(s), {report.checks} pass-checks, "
-        f"{len(report.failures)} failure(s)"
+        f"{len(report.failures)} failure(s), {report.over_stamped} function(s) "
+        "stamped without a change to their text"
     )
     for failure in report.failures:
         print(f"FAIL {failure}")

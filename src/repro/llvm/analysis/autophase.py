@@ -10,7 +10,7 @@ from typing import List
 
 import numpy as np
 
-from repro.llvm.ir.instructions import Instruction
+from repro.llvm.ir.instructions import BINARY_OPCODES
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.values import Argument, Constant
 
@@ -102,100 +102,145 @@ _OPCODE_FEATURES = {
 }
 
 
+# Counter positions in the feature vector, by name and by opcode.
+_INDEX = {name: index for index, name in enumerate(AUTOPHASE_FEATURE_NAMES)}
+_OPCODE_INDEX = {opcode: _INDEX[name] for opcode, name in _OPCODE_FEATURES.items()}
+_MEMORY_OPCODES = frozenset({"load", "store", "alloca", "getelementptr"})
+
+
 def autophase_function_features(function) -> np.ndarray:
     """One defined function's contribution to the 56-D Autophase vector.
 
     Every Autophase feature is a plain counter, so the module vector is the
     elementwise sum of the per-function vectors — which lets the session
     cache features per function and recompute only what a pass touched.
+
+    This is the session's hot analysis, so it is one sweep over the blocks
+    for the CFG shape (successor lists taken once, predecessors only counted)
+    and one over the instructions, bumping positions of a flat list.
+    ``tests/test_llvm_analysis.py`` holds the readable dict-of-names version
+    and checks the two agree on every function of every dataset.
     """
-    from repro.llvm.ir.cfg import predecessors
+    counts = [0] * AUTOPHASE_DIMS
+    blocks = function.blocks
+    if not blocks:
+        return np.array(counts, dtype=np.int64)
+    index = _INDEX
+    opcode_index = _OPCODE_INDEX
+    counts[index["TotalFuncs"]] = 1
+    counts[index["TotalBlocks"]] = len(blocks)
 
-    features = {name: 0 for name in AUTOPHASE_FEATURE_NAMES}
+    # An edge counts once per terminator slot that names the target, and only
+    # towards blocks of this function (as cfg.predecessors does).
+    successors = [
+        block.instructions[-1].successors() if block.instructions else ()
+        for block in blocks
+    ]
+    num_preds = dict.fromkeys(blocks, 0)
+    for targets in successors:
+        for target in targets:
+            if target in num_preds:
+                num_preds[target] += 1
 
-    if not function.is_declaration:
-        features["TotalFuncs"] += 1
-        preds = predecessors(function)
-        for block in function.blocks:
-            features["TotalBlocks"] += 1
-            num_preds = len(preds.get(block, []))
-            successors = block.successors()
-            num_succs = len(successors)
-            features["NumEdges"] += num_succs
-            if num_succs >= 2 and any(len(preds.get(s, [])) >= 2 for s in successors):
-                features["CriticalCount"] += 1
-            if num_preds == 1:
-                features["onePred"] += 1
-                if num_succs == 1:
-                    features["onePredOneSuc"] += 1
-                if num_succs == 2:
-                    features["onePredTwoSuc"] += 1
-            if num_preds == 2:
-                features["twoPred"] += 1
-                if num_succs == 1:
-                    features["twoPredOneSuc"] += 1
-                if num_succs == 2:
-                    features["twoEach"] += 1
-            if num_preds > 2:
-                features["morePreds"] += 1
-            if num_succs == 1:
-                features["oneSuccessor"] += 1
-            if num_succs == 2:
-                features["twoSuccessor"] += 1
+    # Integer constant type -> the counter for its width (None: not an integer).
+    width_index = {}
+    for block, targets in zip(blocks, successors):
+        preds = num_preds[block]
+        succs = len(targets)
+        counts[index["NumEdges"]] += succs
+        if succs >= 2 and any(num_preds.get(target, 0) >= 2 for target in targets):
+            counts[index["CriticalCount"]] += 1
+        if preds == 1:
+            counts[index["onePred"]] += 1
+            if succs == 1:
+                counts[index["onePredOneSuc"]] += 1
+            elif succs == 2:
+                counts[index["onePredTwoSuc"]] += 1
+        elif preds == 2:
+            counts[index["twoPred"]] += 1
+            if succs == 1:
+                counts[index["twoPredOneSuc"]] += 1
+            elif succs == 2:
+                counts[index["twoEach"]] += 1
+        elif preds > 2:
+            counts[index["morePreds"]] += 1
+        if succs == 1:
+            counts[index["oneSuccessor"]] += 1
+        elif succs == 2:
+            counts[index["twoSuccessor"]] += 1
 
-            phis = block.phis()
-            if not phis:
-                features["BBNoPhi"] += 1
-            elif len(phis) <= 3:
-                features["BB03Phi"] += 1
-            else:
-                features["BBHiPhi"] += 1
-            if phis:
-                features["BeginPhi"] += len(phis)
-                max_args = max(len(list(phi.phi_incoming())) for phi in phis)
-                if max_args >= 2:
-                    features["BBNumArgsHi"] += 1
-                else:
-                    features["BBNumArgsLo"] += 1
+        instructions = block.instructions
+        if len(instructions) < 15:
+            counts[index["BlockLow"]] += 1
+        elif len(instructions) <= 500:
+            counts[index["BlockMid"]] += 1
 
-            block_size = len(block.instructions)
-            if block_size < 15:
-                features["BlockLow"] += 1
-            elif block_size <= 500:
-                features["BlockMid"] += 1
+        phis = max_phi_args = 0
+        for inst in instructions:
+            opcode = inst.opcode
+            operands = inst.operands
+            num_operands = len(operands)
+            position = opcode_index.get(opcode)
+            if position is not None:
+                counts[position] += 1
 
-            for inst in block.instructions:
-                features["TotalInsts"] += 1
-                feature_name = _OPCODE_FEATURES.get(inst.opcode)
-                if feature_name:
-                    features[feature_name] += 1
-                if inst.opcode in ("load", "store", "alloca", "getelementptr"):
-                    features["TotalMemInst"] += 1
-                if inst.opcode == "br":
-                    features["BranchCount"] += 1
-                    if len(inst.operands) == 1:
-                        features["UncondBranches"] += 1
-                if inst.opcode == "ret" and inst.operands and isinstance(inst.operands[0], Constant):
-                    features["returnInt"] += 1
-                if inst.opcode == "phi":
-                    features["ArgsPhi"] += len(inst.operands) // 2
-                if inst.is_binary:
-                    if any(isinstance(op, Constant) for op in inst.operands):
-                        features["binaryConstArg"] += 1
-                if len(inst.value_operands()) == 1 and inst.opcode != "ret":
-                    features["testUnary"] += 1
-                for operand in inst.operands:
-                    if isinstance(operand, Constant) and operand.type.is_integer:
-                        if operand.type.bits <= 32:
-                            features["const32Bit"] += 1
-                        else:
-                            features["const64Bit"] += 1
+            has_constant = False
+            for operand in operands:
+                if isinstance(operand, Constant):
+                    has_constant = True
+                    type_ = operand.type
+                    if type_ not in width_index:
+                        width_index[type_] = (
+                            index["const32Bit" if type_.bits <= 32 else "const64Bit"]
+                            if type_.is_integer
+                            else None
+                        )
+                    position = width_index[type_]
+                    if position is not None:
+                        counts[position] += 1
                         if operand.value == 0:
-                            features["numConstZeroes"] += 1
+                            counts[index["numConstZeroes"]] += 1
                         elif operand.value == 1:
-                            features["numConstOnes"] += 1
+                            counts[index["numConstOnes"]] += 1
 
-    return np.array([features[name] for name in AUTOPHASE_FEATURE_NAMES], dtype=np.int64)
+            # testUnary counts instructions with exactly one operand that is a
+            # value rather than a block reference: blocks sit at every operand
+            # of an unconditional br, at all but the first of a conditional
+            # one, and at the odd positions of phi and switch.
+            if opcode == "phi":
+                phis += 1
+                counts[index["ArgsPhi"]] += num_operands // 2
+                max_phi_args = max(max_phi_args, num_operands // 2)
+                unary = 1 <= num_operands <= 2
+            elif opcode == "br":
+                counts[index["BranchCount"]] += 1
+                if num_operands == 1:
+                    counts[index["UncondBranches"]] += 1
+                unary = num_operands >= 2
+            elif opcode == "ret":
+                if num_operands and isinstance(operands[0], Constant):
+                    counts[index["returnInt"]] += 1
+                unary = False
+            elif opcode == "switch":
+                unary = 1 <= num_operands <= 2
+            else:
+                unary = num_operands == 1
+                if opcode in _MEMORY_OPCODES:
+                    counts[index["TotalMemInst"]] += 1
+                elif has_constant and opcode in BINARY_OPCODES:
+                    counts[index["binaryConstArg"]] += 1
+            if unary:
+                counts[index["testUnary"]] += 1
+
+        counts[index["TotalInsts"]] += len(instructions)
+        if not phis:
+            counts[index["BBNoPhi"]] += 1
+        else:
+            counts[index["BB03Phi" if phis <= 3 else "BBHiPhi"]] += 1
+            counts[index["BeginPhi"]] += phis
+            counts[index["BBNumArgsHi" if max_phi_args >= 2 else "BBNumArgsLo"]] += 1
+
+    return np.array(counts, dtype=np.int64)
 
 
 def autophase_features(module: Module) -> np.ndarray:

@@ -35,6 +35,9 @@ class Function(Value):
         self.attributes: List[str] = list(attributes or [])
         self._next_value_id = 0
         self._next_block_id = 0
+        # The owning module's ``version`` as of the last pass that changed
+        # (or created) this function; see :meth:`Module.bump_version`.
+        self.stamp = 0
 
     # -- structure -----------------------------------------------------------
 

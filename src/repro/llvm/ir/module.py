@@ -1,6 +1,6 @@
 """Modules: the top-level IR container."""
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.function import Function
@@ -27,9 +27,19 @@ class Module:
         # that mutate while reporting ``changed=False`` are lint failures.
         self.version: int = 0
 
-    def bump_version(self) -> int:
-        """Record a mutation. Returns the new version."""
+    def bump_version(self, touched: Optional[Iterable[Function]] = None) -> int:
+        """Record a mutation. Returns the new version.
+
+        ``touched`` names the functions the mutation changed or created; each
+        gets the new version as its ``stamp``, which is what per-function
+        observation caches key on. Without it nobody knows what changed, so
+        every function is stamped. Stamps are only ever drawn from this one
+        counter: a function deleted and re-created under its old name carries
+        a stamp no cache has seen.
+        """
         self.version += 1
+        for function in self.functions.values() if touched is None else touched:
+            function.stamp = self.version
         return self.version
 
     # -- construction ---------------------------------------------------------
@@ -91,9 +101,10 @@ class Module:
         (identity comparisons keep working), names, opcodes, and the scalar
         values held in ``attrs``, ``metadata`` and global initializers.
 
-        *Carried over unchanged* — ``version`` (the clone describes identical
-        IR, so version-keyed caches taken across a fork stay valid), each
-        function's ``_next_value_id``/``_next_block_id`` (fresh names keep
+        *Carried over unchanged* — ``version`` and each function's ``stamp``
+        (the clone describes identical IR, so caches keyed on either stay
+        valid across a fork), each function's
+        ``_next_value_id``/``_next_block_id`` (fresh names keep
         being unique and identical on both sides), and dict/list orders, so
         ``print_module(clone) == print_module(source)``.
         """

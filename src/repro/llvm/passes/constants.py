@@ -1,21 +1,16 @@
 """Constant propagation passes: -constprop, -sccp, -ipsccp, -constmerge."""
 
-from typing import Dict
+from typing import Dict, Set
 
 from repro.llvm.ir.function import Function
-from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.values import Constant
-from repro.llvm.passes.utils import (
-    collect_uses,
-    fold_instruction,
-    make_unconditional,
-    replace_all_uses,
-)
+from repro.llvm.passes.utils import fold_instruction, make_unconditional, replace_all_uses
 
 
-def _propagate_constants_function(function: Function) -> bool:
-    """Fold instructions with constant operands and propagate the results."""
+def constant_propagation(function: Function) -> bool:
+    """-constprop: fold instructions with constant operands and propagate the
+    results."""
     changed = False
     progress = True
     while progress:
@@ -32,16 +27,7 @@ def _propagate_constants_function(function: Function) -> bool:
     return changed
 
 
-def constant_propagation(module: Module) -> bool:
-    """-constprop: fold and propagate constant expressions."""
-    changed = False
-    for function in module.defined_functions():
-        if _propagate_constants_function(function):
-            changed = True
-    return changed
-
-
-def _fold_constant_branches_function(function: Function) -> bool:
+def fold_constant_branches(function: Function) -> bool:
     """Rewrite conditional branches and switches on constants."""
     changed = False
     for block in function.blocks:
@@ -68,25 +54,25 @@ def _fold_constant_branches_function(function: Function) -> bool:
     return changed
 
 
-def sparse_conditional_constant_propagation(module: Module) -> bool:
+def sparse_conditional_constant_propagation(function: Function) -> bool:
     """-sccp: constant propagation plus folding of branches on constants."""
-    changed = constant_propagation(module)
-    for function in module.defined_functions():
-        if _fold_constant_branches_function(function):
-            changed = True
+    changed = constant_propagation(function)
+    if fold_constant_branches(function):
+        changed = True
     return changed
 
 
-def interprocedural_sccp(module: Module) -> bool:
+def interprocedural_sccp(module: Module, touched: Set[Function]) -> bool:
     """-ipsccp: SCCP plus propagation of constant arguments into callees.
 
     If every call site of an internal function passes the same constant for an
     argument, the argument is replaced by that constant inside the callee.
     """
-    changed = sparse_conditional_constant_propagation(module)
+    functions = module.defined_functions()
+    touched.update(f for f in functions if sparse_conditional_constant_propagation(f))
     # Gather call sites per callee.
     call_args: Dict[str, list] = {}
-    for function in module.defined_functions():
+    for function in functions:
         for inst in function.instructions():
             if inst.opcode == "call":
                 call_args.setdefault(inst.attrs.get("callee", ""), []).append(inst.operands)
@@ -108,13 +94,13 @@ def interprocedural_sccp(module: Module) -> bool:
                 type_name, value = next(iter(values))
                 constant = Constant(arg.type, value)
                 if replace_all_uses(callee, arg, constant):
-                    changed = True
-    if changed:
-        constant_propagation(module)
-    return changed
+                    touched.add(callee)
+    if touched:
+        touched.update(f for f in functions if constant_propagation(f))
+    return bool(touched)
 
 
-def constant_merge(module: Module) -> bool:
+def constant_merge(module: Module, touched: Set[Function]) -> bool:
     """-constmerge: merge duplicate constant globals."""
     changed = False
     seen: Dict[tuple, str] = {}
@@ -131,7 +117,8 @@ def constant_merge(module: Module) -> bool:
         old = module.globals[old_name]
         new = module.globals[new_name]
         for function in module.defined_functions():
-            replace_all_uses(function, old, new)
+            if replace_all_uses(function, old, new):
+                touched.add(function)
         del module.globals[old_name]
         changed = True
     return changed

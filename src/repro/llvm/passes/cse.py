@@ -2,10 +2,9 @@
 
 from typing import Dict, Tuple
 
-from repro.llvm.ir.cfg import dominates, dominators, reverse_postorder
+from repro.llvm.ir.cfg import dominates, dominators, predecessors, reverse_postorder
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
-from repro.llvm.ir.module import Module
 from repro.llvm.ir.values import Constant, Value
 from repro.llvm.passes.utils import collect_uses, is_pure, replace_all_uses
 
@@ -31,8 +30,8 @@ def _value_key(inst: Instruction) -> Tuple:
     )
 
 
-def _cse_block_local(function: Function) -> bool:
-    """Block-local common subexpression elimination (early-cse)."""
+def early_cse(function: Function) -> bool:
+    """-early-cse: block-local common subexpression elimination."""
     changed = False
     for block in function.blocks:
         available: Dict[Tuple, Instruction] = {}
@@ -50,17 +49,8 @@ def _cse_block_local(function: Function) -> bool:
     return changed
 
 
-def early_cse(module: Module) -> bool:
-    """-early-cse: block-local redundancy elimination."""
-    changed = False
-    for function in module.defined_functions():
-        if _cse_block_local(function):
-            changed = True
-    return changed
-
-
-def _gvn_function(function: Function) -> bool:
-    """Dominance-based global value numbering.
+def global_value_numbering(function: Function) -> bool:
+    """-gvn: dominance-based global value numbering.
 
     An instruction is redundant if an identical computation exists in a block
     that dominates it (or earlier in the same block).
@@ -86,54 +76,42 @@ def _gvn_function(function: Function) -> bool:
     return changed
 
 
-def global_value_numbering(module: Module) -> bool:
-    """-gvn."""
-    changed = False
-    for function in module.defined_functions():
-        if _gvn_function(function):
-            changed = True
-    return changed
-
-
-def new_gvn(module: Module) -> bool:
+def new_gvn(function: Function) -> bool:
     """-newgvn: iterate GVN to a fixpoint (value numbers refine each round)."""
     changed = False
-    while global_value_numbering(module):
+    while global_value_numbering(function):
         changed = True
     return changed
 
 
-def sink(module: Module) -> bool:
+def sink(function: Function) -> bool:
     """-sink: move pure computations into the single successor block that uses
     them, reducing work on paths that do not need the value."""
     changed = False
-    for function in module.defined_functions():
-        uses = collect_uses(function)
-        for block in function.blocks:
-            successors = block.successors()
-            if len(successors) != 2:
+    uses = collect_uses(function)
+    for block in function.blocks:
+        successors = block.successors()
+        if len(successors) != 2:
+            continue
+        for inst in list(block.instructions):
+            if not is_pure(inst) or not inst.has_result:
                 continue
-            for inst in list(block.instructions):
-                if not is_pure(inst) or not inst.has_result:
-                    continue
-                users = uses.get(inst, [])
-                if not users:
-                    continue
-                user_blocks = {user.parent for user, _ in users}
-                if len(user_blocks) != 1:
-                    continue
-                (target,) = user_blocks
-                if target is block or target not in successors:
-                    continue
-                # Do not sink into a block with multiple predecessors (the
-                # value would not dominate all paths into it).
-                from repro.llvm.ir.cfg import predecessors as _preds
-
-                if len(_preds(function)[target]) != 1:
-                    continue
-                if any(user.opcode == "phi" for user, _ in users):
-                    continue
-                block.remove(inst)
-                target.insert(len(target.phis()), inst)
-                changed = True
+            users = uses.get(inst, [])
+            if not users:
+                continue
+            user_blocks = {user.parent for user, _ in users}
+            if len(user_blocks) != 1:
+                continue
+            (target,) = user_blocks
+            if target is block or target not in successors:
+                continue
+            # Do not sink into a block with multiple predecessors (the
+            # value would not dominate all paths into it).
+            if len(predecessors(function)[target]) != 1:
+                continue
+            if any(user.opcode == "phi" for user, _ in users):
+                continue
+            block.remove(inst)
+            target.insert(len(target.phis()), inst)
+            changed = True
     return changed

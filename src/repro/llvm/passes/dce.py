@@ -3,34 +3,32 @@
 from typing import Set
 
 from repro.llvm.ir.function import Function
-from repro.llvm.ir.module import Module
 from repro.llvm.ir.values import Value
 from repro.llvm.passes.utils import collect_uses, is_trivially_dead
 
 
-def dead_instruction_elimination(module: Module) -> bool:
+def dead_instruction_elimination(function: Function) -> bool:
     """-die: a single sweep removing trivially dead instructions."""
     changed = False
-    for function in module.defined_functions():
-        uses = collect_uses(function)
-        for block in function.blocks:
-            for inst in list(block.instructions):
-                if is_trivially_dead(inst, uses):
-                    block.remove(inst)
-                    changed = True
+    uses = collect_uses(function)
+    for block in function.blocks:
+        for inst in list(block.instructions):
+            if is_trivially_dead(inst, uses):
+                block.remove(inst)
+                changed = True
     return changed
 
 
-def dead_code_elimination(module: Module) -> bool:
+def dead_code_elimination(function: Function) -> bool:
     """-dce: iterate trivially-dead removal to a fixpoint."""
     changed = False
-    while dead_instruction_elimination(module):
+    while dead_instruction_elimination(function):
         changed = True
     return changed
 
 
-def _aggressive_dce_function(function: Function) -> bool:
-    """Mark-and-sweep DCE: everything not transitively required by a
+def aggressive_dce(function: Function) -> bool:
+    """-adce: mark-and-sweep DCE. Everything not transitively required by a
     side-effecting or terminator instruction is removed.
 
     Unlike iterative trivial DCE this removes dead cycles (e.g. a phi that
@@ -55,13 +53,4 @@ def _aggressive_dce_function(function: Function) -> bool:
             if inst not in live:
                 block.remove(inst)
                 changed = True
-    return changed
-
-
-def aggressive_dce(module: Module) -> bool:
-    """-adce."""
-    changed = False
-    for function in module.defined_functions():
-        if _aggressive_dce_function(function):
-            changed = True
     return changed

@@ -5,7 +5,6 @@ from typing import Optional
 
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
-from repro.llvm.ir.module import Module
 from repro.llvm.ir.values import Constant, Value
 from repro.llvm.passes.utils import fold_instruction, replace_all_uses
 
@@ -109,7 +108,8 @@ def _canonicalize_commutative(inst: Instruction) -> bool:
     return False
 
 
-def _instcombine_function(function: Function) -> bool:
+def instruction_combining(function: Function) -> bool:
+    """-instcombine."""
     changed = False
     progress = True
     while progress:
@@ -127,69 +127,58 @@ def _instcombine_function(function: Function) -> bool:
     return changed
 
 
-def instruction_combining(module: Module) -> bool:
-    """-instcombine."""
-    changed = False
-    for function in module.defined_functions():
-        if _instcombine_function(function):
-            changed = True
-    return changed
-
-
-def instruction_simplify(module: Module) -> bool:
+def instruction_simplify(function: Function) -> bool:
     """-instsimplify: a single, non-iterative simplification sweep."""
     changed = False
-    for function in module.defined_functions():
-        for block in function.blocks:
-            for inst in list(block.instructions):
-                simplified = _simplify(inst)
-                if simplified is not None and simplified is not inst:
-                    replace_all_uses(function, inst, simplified)
-                    block.remove(inst)
-                    changed = True
+    for block in function.blocks:
+        for inst in list(block.instructions):
+            simplified = _simplify(inst)
+            if simplified is not None and simplified is not inst:
+                replace_all_uses(function, inst, simplified)
+                block.remove(inst)
+                changed = True
     return changed
 
 
-def aggressive_instcombine(module: Module) -> bool:
-    """-aggressive-instcombine: instcombine run to a global fixpoint."""
+def aggressive_instcombine(function: Function) -> bool:
+    """-aggressive-instcombine: instcombine run to a fixpoint."""
     changed = False
-    while instruction_combining(module):
+    while instruction_combining(function):
         changed = True
     return changed
 
 
-def reassociate(module: Module) -> bool:
+def reassociate(function: Function) -> bool:
     """-reassociate: reassociate commutative chains to expose constant folding.
 
     ``(x + c1) + c2`` becomes ``x + (c1 + c2)`` (and similarly for mul/and/or/
     xor), enabling instcombine/constprop to fold the constants.
     """
     changed = False
-    for function in module.defined_functions():
-        for block in function.blocks:
-            for inst in block.instructions:
-                if not inst.is_commutative or len(inst.operands) != 2:
-                    continue
-                lhs, rhs = inst.operands
-                if not isinstance(rhs, Constant):
-                    continue
-                if (
-                    isinstance(lhs, Instruction)
-                    and lhs.opcode == inst.opcode
-                    and len(lhs.operands) == 2
-                    and isinstance(lhs.operands[1], Constant)
-                ):
-                    inner = Instruction(
-                        inst.opcode, [lhs.operands[1], rhs], type=inst.type
-                    )
-                    folded = fold_instruction(inner)
-                    if folded is not None:
-                        inst.operands = [lhs.operands[0], folded]
-                        changed = True
+    for block in function.blocks:
+        for inst in block.instructions:
+            if not inst.is_commutative or len(inst.operands) != 2:
+                continue
+            lhs, rhs = inst.operands
+            if not isinstance(rhs, Constant):
+                continue
+            if (
+                isinstance(lhs, Instruction)
+                and lhs.opcode == inst.opcode
+                and len(lhs.operands) == 2
+                and isinstance(lhs.operands[1], Constant)
+            ):
+                inner = Instruction(
+                    inst.opcode, [lhs.operands[1], rhs], type=inst.type
+                )
+                folded = fold_instruction(inner)
+                if folded is not None:
+                    inst.operands = [lhs.operands[0], folded]
+                    changed = True
     return changed
 
 
-def div_rem_pairs(module: Module) -> bool:
+def div_rem_pairs(function: Function) -> bool:
     """-div-rem-pairs: hoist matching sdiv/srem pairs next to each other.
 
     On this IR the transformation is a reordering with no effect on the cost
@@ -197,20 +186,19 @@ def div_rem_pairs(module: Module) -> bool:
     usually a no-op action.
     """
     changed = False
-    for function in module.defined_functions():
-        for block in function.blocks:
-            divs = {}
-            for inst in block.instructions:
-                if inst.opcode in ("sdiv", "udiv"):
-                    divs[(id(inst.operands[0]), id(inst.operands[1]))] = inst
-            for inst in list(block.instructions):
-                if inst.opcode in ("srem", "urem"):
-                    key = (id(inst.operands[0]), id(inst.operands[1]))
-                    partner = divs.get(key)
-                    if partner is not None and partner.parent is block:
-                        index = block.instructions.index(partner)
-                        if block.instructions.index(inst) != index + 1:
-                            block.remove(inst)
-                            block.insert(index + 1, inst)
-                            changed = True
+    for block in function.blocks:
+        divs = {}
+        for inst in block.instructions:
+            if inst.opcode in ("sdiv", "udiv"):
+                divs[(id(inst.operands[0]), id(inst.operands[1]))] = inst
+        for inst in list(block.instructions):
+            if inst.opcode in ("srem", "urem"):
+                key = (id(inst.operands[0]), id(inst.operands[1]))
+                partner = divs.get(key)
+                if partner is not None and partner.parent is block:
+                    index = block.instructions.index(partner)
+                    if block.instructions.index(inst) != index + 1:
+                        block.remove(inst)
+                        block.insert(index + 1, inst)
+                        changed = True
     return changed

@@ -1,6 +1,9 @@
 """Interprocedural passes: -inline, -always-inline, -partial-inliner,
 -deadargelim, -globaldce, -globalopt, -mergefunc, -tailcallelim,
--strip-dead-prototypes, -argpromotion."""
+-strip-dead-prototypes, -argpromotion.
+
+Module passes: each adds the functions it mutates to ``touched`` (see ``registry``).
+"""
 
 from typing import Dict, List, Optional, Set
 
@@ -110,8 +113,12 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
         replace_all_uses(caller, call, replacement)
 
 
-def _inline_functions(module: Module, threshold: int, require_attribute: Optional[str] = None) -> bool:
-    changed = False
+def _inline_functions(
+    module: Module,
+    touched: Set[Function],
+    threshold: int,
+    require_attribute: Optional[str] = None,
+) -> bool:
     # Collect call sites up front; inlining mutates the functions being walked.
     call_sites = []
     for caller in module.defined_functions():
@@ -134,33 +141,30 @@ def _inline_functions(module: Module, threshold: int, require_attribute: Optiona
         if call.parent is None:  # Removed by an earlier inline in this run.
             continue
         _inline_call_site(caller, call, callee)
-        changed = True
-    return changed
+        touched.add(caller)
+    return bool(touched)
 
 
-def inline_functions(module: Module) -> bool:
+def inline_functions(module: Module, touched: Set[Function]) -> bool:
     """-inline: inline small functions into their callers."""
-    return _inline_functions(module, INLINE_THRESHOLD)
+    return _inline_functions(module, touched, INLINE_THRESHOLD)
 
 
-def always_inline(module: Module) -> bool:
+def always_inline(module: Module, touched: Set[Function]) -> bool:
     """-always-inline: inline only functions marked ``alwaysinline``."""
-    return _inline_functions(module, 0, require_attribute="alwaysinline")
+    return _inline_functions(module, touched, 0, require_attribute="alwaysinline")
 
 
-def partial_inliner(module: Module) -> bool:
+def partial_inliner(module: Module, touched: Set[Function]) -> bool:
     """-partial-inliner: a higher-threshold inliner (outlining of cold regions
     is not modelled)."""
-    return _inline_functions(module, PARTIAL_INLINE_THRESHOLD)
+    return _inline_functions(module, touched, PARTIAL_INLINE_THRESHOLD)
 
 
-def dead_argument_elimination(module: Module) -> bool:
+def dead_argument_elimination(module: Module, touched: Set[Function]) -> bool:
     """-deadargelim: drop unused arguments of internal functions and update
     every call site."""
-    changed = False
     for function in module.defined_functions():
-        if function.name == "main" or "noinline" in function.attributes:
-            pass
         if function.name == "main":
             continue
         uses = collect_uses(function)
@@ -171,13 +175,14 @@ def dead_argument_elimination(module: Module) -> bool:
             continue
         keep = [i for i in range(len(function.args)) if i not in dead_indices]
         function.args = [function.args[i] for i in keep]
+        touched.add(function)
         for caller in module.defined_functions():
             for inst in caller.instructions():
                 if inst.opcode == "call" and inst.attrs.get("callee") == function.name:
                     if len(inst.operands) > len(keep):
                         inst.operands = [inst.operands[i] for i in keep if i < len(inst.operands)]
-        changed = True
-    return changed
+                        touched.add(caller)
+    return bool(touched)
 
 
 def _referenced_functions(module: Module) -> Set[str]:
@@ -192,16 +197,12 @@ def _referenced_functions(module: Module) -> Set[str]:
     return referenced
 
 
-def global_dce(module: Module) -> bool:
-    """-globaldce: remove unreferenced functions and globals."""
+def global_dce(module: Module, touched: Set[Function]) -> bool:
+    """-globaldce: remove unreferenced functions and globals. Mutates no function."""
     changed = False
     referenced = _referenced_functions(module)
     for name in list(module.functions):
-        function = module.functions[name]
-        if name not in referenced and not function.is_declaration:
-            del module.functions[name]
-            changed = True
-        elif name not in referenced and function.is_declaration:
+        if name not in referenced:
             del module.functions[name]
             changed = True
     used_globals: Set[str] = set()
@@ -217,7 +218,7 @@ def global_dce(module: Module) -> bool:
     return changed
 
 
-def strip_dead_prototypes(module: Module) -> bool:
+def strip_dead_prototypes(module: Module, touched: Set[Function]) -> bool:
     """-strip-dead-prototypes: remove unused external function declarations."""
     changed = False
     referenced = _referenced_functions(module)
@@ -228,9 +229,8 @@ def strip_dead_prototypes(module: Module) -> bool:
     return changed
 
 
-def global_opt(module: Module) -> bool:
+def global_opt(module: Module, touched: Set[Function]) -> bool:
     """-globalopt: replace loads of never-written globals with their initializer."""
-    changed = False
     written: Set[str] = set()
     escaped: Set[str] = set()
     for function in module.defined_functions():
@@ -257,11 +257,11 @@ def global_opt(module: Module) -> bool:
                     constant = Constant(inst.type, pointer.initializer)
                     replace_all_uses(function, inst, constant)
                     block.remove(inst)
-                    changed = True
-    return changed
+                    touched.add(function)
+    return bool(touched)
 
 
-def merge_functions(module: Module) -> bool:
+def merge_functions(module: Module, touched: Set[Function]) -> bool:
     """-mergefunc: merge structurally identical functions, redirecting calls."""
     from repro.llvm.ir.printer import print_function
 
@@ -282,31 +282,31 @@ def merge_functions(module: Module) -> bool:
             for inst in caller.instructions():
                 if inst.opcode == "call" and inst.attrs.get("callee") == function.name:
                     inst.attrs["callee"] = canonical.name
+                    touched.add(caller)
         del module.functions[function.name]
         changed = True
     return changed
 
 
-def tail_call_elimination(module: Module) -> bool:
-    """-tailcallelim: mark calls in tail position.
+def tail_call_elimination(function: Function) -> bool:
+    """-tailcallelim (a function pass): mark calls in tail position.
 
     The IR has no dedicated tail-call lowering, so this only annotates the
     call; it reports a change the first time a tail call is marked.
     """
     changed = False
-    for function in module.defined_functions():
-        for block in function.blocks:
-            instructions = block.instructions
-            for index, inst in enumerate(instructions[:-1]):
-                if inst.opcode != "call" or inst.attrs.get("tail"):
-                    continue
-                next_inst = instructions[index + 1]
-                is_tail = next_inst.opcode == "ret" and (
-                    not next_inst.operands or next_inst.operands[0] is inst
-                )
-                if is_tail:
-                    inst.attrs["tail"] = True
-                    changed = True
+    for block in function.blocks:
+        instructions = block.instructions
+        for index, inst in enumerate(instructions[:-1]):
+            if inst.opcode != "call" or inst.attrs.get("tail"):
+                continue
+            next_inst = instructions[index + 1]
+            is_tail = next_inst.opcode == "ret" and (
+                not next_inst.operands or next_inst.operands[0] is inst
+            )
+            if is_tail:
+                inst.attrs["tail"] = True
+                changed = True
     return changed
 
 

@@ -26,7 +26,7 @@ def _loop_preheader(function: Function, loop: Loop) -> Optional[BasicBlock]:
     return None
 
 
-def loop_simplify(module: Module) -> bool:
+def loop_simplify(function: Function) -> bool:
     """-loop-simplify: give every loop a dedicated preheader block.
 
     When the header has multiple predecessors from outside the loop, a new
@@ -35,71 +35,69 @@ def loop_simplify(module: Module) -> bool:
     change — but LICM depends on the canonical form it guarantees.
     """
     changed = False
-    for function in module.defined_functions():
-        for loop in natural_loops(function):
-            preds = predecessors(function)
-            outside = [p for p in preds.get(loop.header, []) if p not in loop.blocks]
-            if len(outside) <= 1:
+    for loop in natural_loops(function):
+        preds = predecessors(function)
+        outside = [p for p in preds.get(loop.header, []) if p not in loop.blocks]
+        if len(outside) <= 1:
+            continue
+        preheader = BasicBlock(function.new_block_name("preheader"))
+        preheader.append(Instruction("br", [loop.header], type=VOID))
+        function.add_block(preheader)
+        for pred in outside:
+            terminator = pred.terminator
+            if terminator is not None:
+                terminator.replace_successor(loop.header, preheader)
+        # Phi nodes in the header must now route their outside-incoming
+        # values through the preheader. With multiple outside values a new
+        # phi is needed in the preheader.
+        for phi in loop.header.phis():
+            outside_pairs = [
+                (value, block) for value, block in phi.phi_incoming() if block in outside
+            ]
+            inside_pairs = [
+                (value, block) for value, block in phi.phi_incoming() if block not in outside
+            ]
+            if not outside_pairs:
                 continue
-            preheader = BasicBlock(function.new_block_name("preheader"))
-            preheader.append(Instruction("br", [loop.header], type=VOID))
-            function.add_block(preheader)
-            for pred in outside:
-                terminator = pred.terminator
-                if terminator is not None:
-                    terminator.replace_successor(loop.header, preheader)
-            # Phi nodes in the header must now route their outside-incoming
-            # values through the preheader. With multiple outside values a new
-            # phi is needed in the preheader.
-            for phi in loop.header.phis():
-                outside_pairs = [
-                    (value, block) for value, block in phi.phi_incoming() if block in outside
-                ]
-                inside_pairs = [
-                    (value, block) for value, block in phi.phi_incoming() if block not in outside
-                ]
-                if not outside_pairs:
-                    continue
-                if len(outside_pairs) == 1:
-                    merged: Value = outside_pairs[0][0]
-                else:
-                    merged_phi = Instruction(
-                        "phi", type=phi.type, name=function.new_value_name("ph")
-                    )
-                    merged_phi.set_phi_incoming(outside_pairs)
-                    preheader.insert(0, merged_phi)
-                    merged = merged_phi
-                phi.set_phi_incoming(inside_pairs + [(merged, preheader)])
-            changed = True
+            if len(outside_pairs) == 1:
+                merged: Value = outside_pairs[0][0]
+            else:
+                merged_phi = Instruction(
+                    "phi", type=phi.type, name=function.new_value_name("ph")
+                )
+                merged_phi.set_phi_incoming(outside_pairs)
+                preheader.insert(0, merged_phi)
+                merged = merged_phi
+            phi.set_phi_incoming(inside_pairs + [(merged, preheader)])
+        changed = True
     return changed
 
 
-def loop_invariant_code_motion(module: Module) -> bool:
+def loop_invariant_code_motion(function: Function) -> bool:
     """-licm: hoist loop-invariant pure computations into the preheader."""
     changed = False
-    for function in module.defined_functions():
-        for loop in natural_loops(function):
-            preheader = _loop_preheader(function, loop)
-            if preheader is None or preheader.terminator is None:
-                continue
-            loop_values = {
-                inst for block in loop.blocks for inst in block.instructions
-            }
-            hoisted = True
-            while hoisted:
-                hoisted = False
-                for block in loop.blocks:
-                    for inst in list(block.instructions):
-                        if not is_pure(inst) or not inst.has_result:
-                            continue
-                        if any(op in loop_values for op in inst.value_operands()):
-                            continue
-                        # Hoist: insert before the preheader terminator.
-                        block.remove(inst)
-                        preheader.insert(len(preheader.instructions) - 1, inst)
-                        loop_values.discard(inst)
-                        changed = True
-                        hoisted = True
+    for loop in natural_loops(function):
+        preheader = _loop_preheader(function, loop)
+        if preheader is None or preheader.terminator is None:
+            continue
+        loop_values = {
+            inst for block in loop.blocks for inst in block.instructions
+        }
+        hoisted = True
+        while hoisted:
+            hoisted = False
+            for block in loop.blocks:
+                for inst in list(block.instructions):
+                    if not is_pure(inst) or not inst.has_result:
+                        continue
+                    if any(op in loop_values for op in inst.value_operands()):
+                        continue
+                    # Hoist: insert before the preheader terminator.
+                    block.remove(inst)
+                    preheader.insert(len(preheader.instructions) - 1, inst)
+                    loop_values.discard(inst)
+                    changed = True
+                    hoisted = True
     return changed
 
 
@@ -181,7 +179,7 @@ def _single_block_loop_trip_count(
     return induction_phi, start, step, count
 
 
-def loop_unroll(module: Module) -> bool:
+def loop_unroll(function: Function) -> bool:
     """-loop-unroll: fully unroll small constant-trip-count single-block loops.
 
     The loop body is replicated trip-count times in the preheader's successor
@@ -191,113 +189,111 @@ def loop_unroll(module: Module) -> bool:
     left unchanged, as in LLVM.
     """
     changed = False
-    for function in module.defined_functions():
-        for loop in natural_loops(function):
-            pattern = _single_block_loop_trip_count(loop)
-            if pattern is None:
-                continue
-            induction_phi, start, step, trip_count = pattern
-            if trip_count > FULL_UNROLL_MAX_TRIP_COUNT:
-                continue
-            preheader = _loop_preheader(function, loop)
-            if preheader is None:
-                continue
-            block = loop.header
-            terminator = block.terminator
-            exit_block = next(
-                (successor for successor in terminator.successors() if successor is not block), None
+    for loop in natural_loops(function):
+        pattern = _single_block_loop_trip_count(loop)
+        if pattern is None:
+            continue
+        induction_phi, start, step, trip_count = pattern
+        if trip_count > FULL_UNROLL_MAX_TRIP_COUNT:
+            continue
+        preheader = _loop_preheader(function, loop)
+        if preheader is None:
+            continue
+        block = loop.header
+        terminator = block.terminator
+        exit_block = next(
+            (successor for successor in terminator.successors() if successor is not block), None
+        )
+        if exit_block is None:
+            continue
+        phis = block.phis()
+        # For every loop-carried phi, its initial value and the value it
+        # carries around the back edge.
+        carried: Dict[Instruction, Value] = {}
+        current: Dict[Instruction, Value] = {}
+        for phi in phis:
+            incoming = dict((b, v) for v, b in phi.phi_incoming())
+            current[phi] = incoming[preheader] if preheader in incoming else next(
+                v for v, b in phi.phi_incoming() if b is not block
             )
-            if exit_block is None:
-                continue
-            phis = block.phis()
-            # For every loop-carried phi, its initial value and the value it
-            # carries around the back edge.
-            carried: Dict[Instruction, Value] = {}
-            current: Dict[Instruction, Value] = {}
-            for phi in phis:
-                incoming = dict((b, v) for v, b in phi.phi_incoming())
-                current[phi] = incoming[preheader] if preheader in incoming else next(
-                    v for v, b in phi.phi_incoming() if b is not block
-                )
-                carried[phi] = next(v for v, b in phi.phi_incoming() if b is block)
-            current[induction_phi] = Constant(induction_phi.type, start)
+            carried[phi] = next(v for v, b in phi.phi_incoming() if b is block)
+        current[induction_phi] = Constant(induction_phi.type, start)
 
-            body = [
-                inst for inst in block.instructions if inst not in phis and inst is not terminator
-            ]
-            unrolled: List[Instruction] = []
-            final_map: Dict[Value, Value] = {}
-            induction = start
-            for _ in range(trip_count):
-                iteration_map: Dict[Value, Value] = dict(current)
-                for inst in body:
-                    clone = inst.clone()
-                    clone.name = function.new_value_name(inst.name or "u")
-                    clone.operands = [iteration_map.get(op, op) for op in clone.operands]
-                    unrolled.append(clone)
-                    iteration_map[inst] = clone
-                # Advance the loop-carried values for the next iteration.
-                induction += step
-                next_current: Dict[Instruction, Value] = {}
-                for phi in phis:
-                    value = carried[phi]
-                    next_current[phi] = iteration_map.get(value, value)
-                next_current[induction_phi] = Constant(induction_phi.type, induction)
-                final_map = iteration_map
-                current = next_current
-            # Rewrite the loop block: unrolled body followed by a branch to
-            # the exit block.
-            new_instructions = unrolled + [Instruction("br", [exit_block], type=VOID)]
-            block.instructions = []
-            for inst in new_instructions:
-                block.append(inst)
-            # Outside uses of loop-defined values refer to their final copies.
-            for original, final in final_map.items():
-                if original not in phis:
-                    replace_all_uses(function, original, final)
+        body = [
+            inst for inst in block.instructions if inst not in phis and inst is not terminator
+        ]
+        unrolled: List[Instruction] = []
+        final_map: Dict[Value, Value] = {}
+        induction = start
+        for _ in range(trip_count):
+            iteration_map: Dict[Value, Value] = dict(current)
+            for inst in body:
+                clone = inst.clone()
+                clone.name = function.new_value_name(inst.name or "u")
+                clone.operands = [iteration_map.get(op, op) for op in clone.operands]
+                unrolled.append(clone)
+                iteration_map[inst] = clone
+            # Advance the loop-carried values for the next iteration.
+            induction += step
+            next_current: Dict[Instruction, Value] = {}
             for phi in phis:
-                replace_all_uses(function, phi, current[phi])
-            changed = True
+                value = carried[phi]
+                next_current[phi] = iteration_map.get(value, value)
+            next_current[induction_phi] = Constant(induction_phi.type, induction)
+            final_map = iteration_map
+            current = next_current
+        # Rewrite the loop block: unrolled body followed by a branch to
+        # the exit block.
+        new_instructions = unrolled + [Instruction("br", [exit_block], type=VOID)]
+        block.instructions = []
+        for inst in new_instructions:
+            block.append(inst)
+        # Outside uses of loop-defined values refer to their final copies.
+        for original, final in final_map.items():
+            if original not in phis:
+                replace_all_uses(function, original, final)
+        for phi in phis:
+            replace_all_uses(function, phi, current[phi])
+        changed = True
     return changed
 
 
-def loop_deletion(module: Module) -> bool:
+def loop_deletion(function: Function) -> bool:
     """-loop-deletion: delete side-effect-free loops whose values are unused
     outside the loop."""
     changed = False
-    for function in module.defined_functions():
-        uses = collect_uses(function)
-        for loop in natural_loops(function):
-            if len(loop.blocks) != 1:
-                continue
-            block = loop.header
-            # Deletion needs only a termination proof, not a small trip count,
-            # so the counted-loop check runs with a much larger bound.
-            pattern = _single_block_loop_trip_count(loop, max_iterations=1_000_000)
-            has_side_effects = any(
-                inst.has_side_effects() and not inst.is_terminator for inst in block.instructions
-            )
-            if has_side_effects or pattern is None:
-                continue
-            loop_insts = set(block.instructions)
-            used_outside = any(
-                user.parent is not block
-                for inst in loop_insts
-                for user, _ in uses.get(inst, [])
-            )
-            if used_outside:
-                continue
-            terminator = block.terminator
-            exit_block = next(
-                (successor for successor in terminator.successors() if successor is not block), None
-            )
-            preheader = _loop_preheader(function, loop)
-            if exit_block is None or preheader is None:
-                continue
-            preheader_terminator = preheader.terminator
-            preheader_terminator.replace_successor(block, exit_block)
-            function.remove_block(block)
-            changed = True
+    uses = collect_uses(function)
+    for loop in natural_loops(function):
+        if len(loop.blocks) != 1:
+            continue
+        block = loop.header
+        # Deletion needs only a termination proof, not a small trip count,
+        # so the counted-loop check runs with a much larger bound.
+        pattern = _single_block_loop_trip_count(loop, max_iterations=1_000_000)
+        has_side_effects = any(
+            inst.has_side_effects() and not inst.is_terminator for inst in block.instructions
+        )
+        if has_side_effects or pattern is None:
+            continue
+        loop_insts = set(block.instructions)
+        used_outside = any(
+            user.parent is not block
+            for inst in loop_insts
+            for user, _ in uses.get(inst, [])
+        )
+        if used_outside:
+            continue
+        terminator = block.terminator
+        exit_block = next(
+            (successor for successor in terminator.successors() if successor is not block), None
+        )
+        preheader = _loop_preheader(function, loop)
+        if exit_block is None or preheader is None:
+            continue
+        preheader_terminator = preheader.terminator
+        preheader_terminator.replace_successor(block, exit_block)
+        function.remove_block(block)
+        changed = True
     return changed
 
 

@@ -1,7 +1,7 @@
 """Lowering and utility passes: -lowerswitch, -loweratomic, -lowerinvoke,
 -strip, -break-crit-edges, and other structural canonicalizations."""
 
-from typing import List
+from typing import Set
 
 from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.cfg import predecessors
@@ -13,73 +13,71 @@ from repro.llvm.ir.values import Constant
 from repro.llvm.passes.utils import replace_phi_incoming_block
 
 
-def lower_switch(module: Module) -> bool:
+def lower_switch(function: Function) -> bool:
     """-lowerswitch: expand switch instructions into chains of conditional
     branches. This typically *increases* instruction count — one of several
     actions with negative code-size reward."""
     changed = False
-    for function in module.defined_functions():
-        for block in list(function.blocks):
-            terminator = block.terminator
-            if terminator is None or terminator.opcode != "switch":
-                continue
-            value = terminator.operands[0]
-            default = terminator.operands[1]
-            cases = [
-                (terminator.operands[i], terminator.operands[i + 1])
-                for i in range(2, len(terminator.operands), 2)
-            ]
-            block.instructions.pop()  # Drop the switch.
-            current = block
-            for index, (case_const, case_block) in enumerate(cases):
-                compare = Instruction(
-                    "icmp",
-                    [value, case_const],
-                    type=I1,
-                    name=function.new_value_name("switch.cmp"),
-                    attrs={"predicate": "eq"},
-                )
-                current.append(compare)
-                if index + 1 < len(cases):
-                    next_test = BasicBlock(function.new_block_name("switch.test"))
-                    next_test.parent = function
-                    function.blocks.insert(function.blocks.index(current) + 1, next_test)
-                    current.append(Instruction("br", [compare, case_block, next_test], type=VOID))
-                    replace_phi_incoming_block(case_block, block, current)
-                    current = next_test
-                else:
-                    current.append(Instruction("br", [compare, case_block, default], type=VOID))
-                    replace_phi_incoming_block(case_block, block, current)
-                    replace_phi_incoming_block(default, block, current)
-            if not cases:
-                current.append(Instruction("br", [default], type=VOID))
-            changed = True
+    for block in list(function.blocks):
+        terminator = block.terminator
+        if terminator is None or terminator.opcode != "switch":
+            continue
+        value = terminator.operands[0]
+        default = terminator.operands[1]
+        cases = [
+            (terminator.operands[i], terminator.operands[i + 1])
+            for i in range(2, len(terminator.operands), 2)
+        ]
+        block.instructions.pop()  # Drop the switch.
+        current = block
+        for index, (case_const, case_block) in enumerate(cases):
+            compare = Instruction(
+                "icmp",
+                [value, case_const],
+                type=I1,
+                name=function.new_value_name("switch.cmp"),
+                attrs={"predicate": "eq"},
+            )
+            current.append(compare)
+            if index + 1 < len(cases):
+                next_test = BasicBlock(function.new_block_name("switch.test"))
+                next_test.parent = function
+                function.blocks.insert(function.blocks.index(current) + 1, next_test)
+                current.append(Instruction("br", [compare, case_block, next_test], type=VOID))
+                replace_phi_incoming_block(case_block, block, current)
+                current = next_test
+            else:
+                current.append(Instruction("br", [compare, case_block, default], type=VOID))
+                replace_phi_incoming_block(case_block, block, current)
+                replace_phi_incoming_block(default, block, current)
+        if not cases:
+            current.append(Instruction("br", [default], type=VOID))
+        changed = True
     return changed
 
 
-def break_critical_edges(module: Module) -> bool:
+def break_critical_edges(function: Function) -> bool:
     """-break-crit-edges: split edges from multi-successor blocks into
     multi-predecessor blocks by inserting an empty forwarding block."""
     changed = False
-    for function in module.defined_functions():
-        preds = predecessors(function)
-        edges = []
-        for block in function.blocks:
-            successors = block.successors()
-            if len(successors) < 2:
-                continue
-            for successor in successors:
-                if len(preds.get(successor, [])) >= 2:
-                    edges.append((block, successor))
-        for source, destination in edges:
-            middle = BasicBlock(function.new_block_name("crit_edge"))
-            middle.parent = function
-            middle.append(Instruction("br", [destination], type=VOID))
-            function.blocks.insert(function.blocks.index(destination), middle)
-            terminator = source.terminator
-            terminator.replace_successor(destination, middle)
-            replace_phi_incoming_block(destination, source, middle)
-            changed = True
+    preds = predecessors(function)
+    edges = []
+    for block in function.blocks:
+        successors = block.successors()
+        if len(successors) < 2:
+            continue
+        for successor in successors:
+            if len(preds.get(successor, [])) >= 2:
+                edges.append((block, successor))
+    for source, destination in edges:
+        middle = BasicBlock(function.new_block_name("crit_edge"))
+        middle.parent = function
+        middle.append(Instruction("br", [destination], type=VOID))
+        function.blocks.insert(function.blocks.index(destination), middle)
+        terminator = source.terminator
+        terminator.replace_successor(destination, middle)
+        replace_phi_incoming_block(destination, source, middle)
+        changed = True
     return changed
 
 
@@ -101,8 +99,8 @@ def lower_expect(module: Module) -> bool:
     return False
 
 
-def strip_metadata(module: Module) -> bool:
-    """-strip: remove module metadata and call annotations."""
+def strip_metadata(module: Module, touched: Set[Function]) -> bool:
+    """-strip (a module pass): remove module metadata and call annotations."""
     changed = False
     if module.metadata:
         module.metadata.clear()
@@ -110,13 +108,13 @@ def strip_metadata(module: Module) -> bool:
     for function in module.defined_functions():
         for inst in function.instructions():
             if inst.attrs.pop("debug", None) is not None:
-                changed = True
-    return changed
+                touched.add(function)
+    return changed or bool(touched)
 
 
-def strip_debug_declare(module: Module) -> bool:
+def strip_debug_declare(module: Module, touched: Set[Function]) -> bool:
     """-strip-debug-declare: alias of -strip for this IR."""
-    return strip_metadata(module)
+    return strip_metadata(module, touched)
 
 
 def canonicalize_aliases(module: Module) -> bool:

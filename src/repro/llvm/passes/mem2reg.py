@@ -6,7 +6,7 @@ from repro.llvm.ir.cfg import dominates, dominators
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
-from repro.llvm.ir.types import VOID
+from repro.llvm.ir.types import PTR, VOID
 from repro.llvm.ir.values import UndefValue, Value
 from repro.llvm.passes.utils import collect_uses, replace_all_uses
 
@@ -78,7 +78,7 @@ def _promote_single_store(function: Function, alloca: Instruction) -> bool:
     return True
 
 
-def promote_memory_to_registers(module: Module) -> bool:
+def promote_memory_to_registers(function: Function) -> bool:
     """-mem2reg: promote stack slots to SSA values.
 
     Two promotion strategies are implemented: block-local promotion (loads
@@ -89,85 +89,76 @@ def promote_memory_to_registers(module: Module) -> bool:
     address-taken allocas.
     """
     changed = False
-    for function in module.defined_functions():
-        for alloca in _promotable_allocas(function):
-            if _promote_single_store(function, alloca):
-                changed = True
-            elif _promote_single_block(function, alloca):
-                changed = True
+    for alloca in _promotable_allocas(function):
+        if _promote_single_store(function, alloca):
+            changed = True
+        elif _promote_single_block(function, alloca):
+            changed = True
     return changed
 
 
-def scalar_replacement_of_aggregates(module: Module) -> bool:
+def scalar_replacement_of_aggregates(function: Function) -> bool:
     """-sroa: on this IR aggregates are modelled as scalar allocas, so SROA
     reduces to mem2reg promotion."""
-    return promote_memory_to_registers(module)
+    return promote_memory_to_registers(function)
 
 
-def demote_registers_to_memory(module: Module) -> bool:
+def demote_registers_to_memory(function: Function) -> bool:
     """-reg2mem: demote SSA values that cross block boundaries into stack slots.
 
     This is the inverse of mem2reg and exists (as in LLVM) mainly to make
     other transformations simpler; it increases instruction count.
     """
     changed = False
-    for function in module.defined_functions():
-        entry = function.entry
-        if entry is None:
-            continue
-        uses = collect_uses(function)
-        for block in function.blocks:
-            for inst in list(block.instructions):
-                if not inst.has_result or inst.opcode in ("alloca", "phi"):
-                    continue
-                users = uses.get(inst, [])
-                cross_block = [user for user, _ in users if user.parent is not block]
-                if not cross_block or any(user.opcode == "phi" for user, _ in users):
-                    continue
-                from repro.llvm.ir.types import PTR
-
-                alloca = Instruction(
-                    "alloca",
-                    [],
-                    type=PTR,
-                    name=function.new_value_name("slot"),
-                    attrs={"element_type": inst.type},
-                )
-                entry.insert(0, alloca)
-                store = Instruction("store", [inst, alloca], type=VOID)
-                block.insert(block.instructions.index(inst) + 1, store)
-                for user, index in users:
-                    if user.parent is not block and user.opcode != "phi":
-                        load = Instruction(
-                            "load", [alloca], type=inst.type, name=function.new_value_name("reload")
-                        )
-                        user.parent.insert(user.parent.instructions.index(user), load)
-                        user.operands[index] = load
-                changed = True
-        if changed:
-            uses = collect_uses(function)
+    entry = function.entry
+    uses = collect_uses(function)
+    for block in function.blocks:
+        for inst in list(block.instructions):
+            if not inst.has_result or inst.opcode in ("alloca", "phi"):
+                continue
+            users = uses.get(inst, [])
+            cross_block = [user for user, _ in users if user.parent is not block]
+            if not cross_block or any(user.opcode == "phi" for user, _ in users):
+                continue
+            alloca = Instruction(
+                "alloca",
+                [],
+                type=PTR,
+                name=function.new_value_name("slot"),
+                attrs={"element_type": inst.type},
+            )
+            entry.insert(0, alloca)
+            store = Instruction("store", [inst, alloca], type=VOID)
+            block.insert(block.instructions.index(inst) + 1, store)
+            for user, index in users:
+                if user.parent is not block and user.opcode != "phi":
+                    load = Instruction(
+                        "load", [alloca], type=inst.type, name=function.new_value_name("reload")
+                    )
+                    user.parent.insert(user.parent.instructions.index(user), load)
+                    user.operands[index] = load
+            changed = True
     return changed
 
 
-def dead_store_elimination(module: Module) -> bool:
+def dead_store_elimination(function: Function) -> bool:
     """-dse: remove stores that are overwritten before any intervening load."""
     changed = False
-    for function in module.defined_functions():
-        for block in function.blocks:
-            last_store: Dict[int, Instruction] = {}
-            for inst in list(block.instructions):
-                if inst.opcode == "store":
-                    pointer = inst.operands[1]
-                    previous = last_store.get(id(pointer))
-                    if previous is not None and previous.parent is block:
-                        block.remove(previous)
-                        changed = True
-                    last_store[id(pointer)] = inst
-                elif inst.opcode == "load":
-                    last_store.pop(id(inst.operands[0]), None)
-                elif inst.opcode == "call":
-                    # Calls may read any memory: invalidate everything.
-                    last_store.clear()
+    for block in function.blocks:
+        last_store: Dict[int, Instruction] = {}
+        for inst in list(block.instructions):
+            if inst.opcode == "store":
+                pointer = inst.operands[1]
+                previous = last_store.get(id(pointer))
+                if previous is not None and previous.parent is block:
+                    block.remove(previous)
+                    changed = True
+                last_store[id(pointer)] = inst
+            elif inst.opcode == "load":
+                last_store.pop(id(inst.operands[0]), None)
+            elif inst.opcode == "call":
+                # Calls may read any memory: invalidate everything.
+                last_store.clear()
     return changed
 
 

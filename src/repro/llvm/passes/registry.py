@@ -1,4 +1,4 @@
-"""The pass registry and the phase-ordering action space.
+"""The pass registry, the pass manager, and the phase-ordering action space.
 
 ``ACTION_SPACE_PASSES`` lists the 124 pass actions exposed by the LLVM
 phase-ordering environment, matching the count extracted automatically from
@@ -10,15 +10,65 @@ deliberately *excluded* from the action space: the paper reports removing it
 from CompilerGym after the state-validation machinery caught its
 nondeterministic output, and this reproduction keeps it around (outside the
 action space) so the validation tests can demonstrate the same detection.
+
+Registering a pass
+------------------
+:func:`run_pass` is the pass manager. Like LLVM's, it knows which functions a
+pass changed, and stamps exactly those with the module's new ``version`` (see
+:meth:`Module.bump_version`); the session's per-function observation memo
+recomputes a function only when its stamp moved. What a pass owes the manager
+depends on how it is registered:
+
+* **Function pass** — ``run(function) -> bool``, registered as
+  ``FunctionPass(run)``. It transforms one defined function and reads or
+  writes nothing outside it. The manager calls it on every defined function
+  and stamps those for which it returned ``True``; the pass has no other duty.
+* **Module pass** — ``run(module, touched) -> bool``, registered as
+  ``ModulePass(run)``: interprocedural passes and those that edit globals or
+  metadata. It must add every function it mutates or creates to the
+  ``touched`` set (deleting a function needs no report) and return whether it
+  changed anything at all — a pass that only drops a global returns ``True``
+  with ``touched`` empty.
+* A plain ``(module) -> bool`` callable is also accepted (never-firing
+  placeholders, passes that tests patch in): it cannot say what it touched, so
+  when it returns ``True`` every function is stamped.
+
+``repro-compilergym lint`` audits all of this against the printed IR: a
+function whose text changed (or which is new) must carry a stamp above the
+pre-pass version, ``changed=False`` must leave the text alone.
 """
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Set, Union
 
+from repro.llvm.ir.cfg import predecessors
+from repro.llvm.ir.function import Function
 from repro.llvm.ir.module import Module
 from repro.llvm.passes import constants, cse, dce, instcombine, ipo, loops, lowering, mem2reg, simplifycfg
-from repro.llvm.passes.utils import collect_uses, is_pure, replace_all_uses
+from repro.llvm.passes.utils import collect_uses, is_pure
 
 PassFn = Callable[[Module], bool]
+
+
+class StampingPass:
+    """Called as ``pass(module, touched)``: adds the functions it changed to ``touched``."""
+
+    def __init__(self, run: Callable[..., bool]):
+        self.run = run
+
+
+class ModulePass(StampingPass):
+    """``run(module, touched) -> bool``: the pass fills ``touched`` itself."""
+
+    def __call__(self, module: Module, touched: Set[Function]) -> bool:
+        return self.run(module, touched)
+
+
+class FunctionPass(StampingPass):
+    """``run(function) -> bool``, applied to every defined function."""
+
+    def __call__(self, module: Module, touched: Set[Function]) -> bool:
+        touched.update(f for f in module.defined_functions() if self.run(f))
+        return bool(touched)
 
 
 def _noop_pass(name: str) -> PassFn:
@@ -37,7 +87,7 @@ def _noop_pass(name: str) -> PassFn:
     return run
 
 
-def gvn_sink(module: Module) -> bool:
+def gvn_sink(function: Function) -> bool:
     """-gvn-sink: a deliberately nondeterministic sinking pass.
 
     Reproduces the reproducibility bug the paper describes: the real pass
@@ -48,100 +98,107 @@ def gvn_sink(module: Module) -> bool:
     and exists to exercise the validation machinery.
     """
     changed = False
-    for function in module.defined_functions():
-        uses = collect_uses(function)
-        candidates = []
-        for block in function.blocks:
-            successors = block.successors()
-            if len(successors) != 2:
+    uses = collect_uses(function)
+    candidates = []
+    for block in function.blocks:
+        successors = block.successors()
+        if len(successors) != 2:
+            continue
+        for inst in block.instructions:
+            if not is_pure(inst) or not inst.has_result:
                 continue
-            for inst in block.instructions:
-                if not is_pure(inst) or not inst.has_result:
-                    continue
-                users = uses.get(inst, [])
-                user_blocks = {user.parent for user, _ in users}
-                if len(user_blocks) == 1 and next(iter(user_blocks)) in successors:
-                    candidates.append(inst)
-        # The nondeterminism: candidates are processed in id() order, and only
-        # the first half are sunk.
-        candidates.sort(key=id)
-        for inst in candidates[: max(1, len(candidates) // 2)] if candidates else []:
-            target = next(iter({user.parent for user, _ in uses.get(inst, [])}))
-            from repro.llvm.ir.cfg import predecessors
-
-            if len(predecessors(function).get(target, [])) != 1:
-                continue
-            if inst.parent is None or any(user.opcode == "phi" for user, _ in uses.get(inst, [])):
-                continue
-            inst.parent.remove(inst)
-            target.insert(len(target.phis()), inst)
-            changed = True
+            users = uses.get(inst, [])
+            user_blocks = {user.parent for user, _ in users}
+            if len(user_blocks) == 1 and next(iter(user_blocks)) in successors:
+                candidates.append(inst)
+    # The nondeterminism: candidates are processed in id() order, and only
+    # the first half are sunk.
+    candidates.sort(key=id)
+    for inst in candidates[: max(1, len(candidates) // 2)] if candidates else []:
+        target = next(iter({user.parent for user, _ in uses.get(inst, [])}))
+        if len(predecessors(function).get(target, [])) != 1:
+            continue
+        if inst.parent is None or any(user.opcode == "phi" for user, _ in uses.get(inst, [])):
+            continue
+        inst.parent.remove(inst)
+        target.insert(len(target.phis()), inst)
+        changed = True
     return changed
 
 
 # Passes with real implementations on the simulated IR.
-_IMPLEMENTED: Dict[str, PassFn] = {
+_FUNCTION_PASSES: Dict[str, Callable[[Function], bool]] = {
     "adce": dce.aggressive_dce,
     "aggressive-instcombine": instcombine.aggressive_instcombine,
-    "always-inline": ipo.always_inline,
-    "argpromotion": ipo.argument_promotion,
-    "barrier": lowering.barrier,
     "break-crit-edges": lowering.break_critical_edges,
-    "canonicalize-aliases": lowering.canonicalize_aliases,
-    "constmerge": constants.constant_merge,
     "constprop": constants.constant_propagation,
     "correlated-propagation": simplifycfg.correlated_value_propagation,
     "dce": dce.dead_code_elimination,
-    "deadargelim": ipo.dead_argument_elimination,
     "die": dce.dead_instruction_elimination,
     "div-rem-pairs": instcombine.div_rem_pairs,
     "dse": mem2reg.dead_store_elimination,
     "early-cse": cse.early_cse,
     "early-cse-memssa": cse.early_cse,
-    "globaldce": ipo.global_dce,
-    "globalopt": ipo.global_opt,
     "gvn": cse.global_value_numbering,
     "gvn-hoist": cse.global_value_numbering,
-    "indvars": loops.induction_variable_simplify,
-    "inline": ipo.inline_functions,
     "instcombine": instcombine.instruction_combining,
     "instsimplify": instcombine.instruction_simplify,
-    "ipconstprop": constants.interprocedural_sccp,
-    "ipsccp": constants.interprocedural_sccp,
     "jump-threading": simplifycfg.jump_threading,
-    "lcssa": lowering.barrier,
     "licm": loops.loop_invariant_code_motion,
     "loop-deletion": loops.loop_deletion,
-    "loop-idiom": loops.loop_idiom,
     "loop-instsimplify": instcombine.instruction_simplify,
-    "loop-rotate": loops.loop_rotate,
     "loop-simplify": loops.loop_simplify,
     "loop-simplifycfg": simplifycfg.simplify_cfg,
     "loop-sink": cse.sink,
     "loop-unroll": loops.loop_unroll,
-    "loweratomic": lowering.lower_atomic,
-    "lower-expect": lowering.lower_expect,
-    "lowerinvoke": lowering.lower_invoke,
     "lowerswitch": lowering.lower_switch,
     "mem2reg": mem2reg.promote_memory_to_registers,
-    "memcpyopt": mem2reg.memcpy_optimization,
-    "mergefunc": ipo.merge_functions,
     "mergereturn": simplifycfg.merge_return,
-    "name-anon-globals": lowering.name_anon_globals,
     "newgvn": cse.new_gvn,
-    "partial-inliner": ipo.partial_inliner,
     "reassociate": instcombine.reassociate,
     "reg2mem": mem2reg.demote_registers_to_memory,
     "sccp": constants.sparse_conditional_constant_propagation,
     "simplifycfg": simplifycfg.simplify_cfg,
     "sink": cse.sink,
     "sroa": mem2reg.scalar_replacement_of_aggregates,
+    "tailcallelim": ipo.tail_call_elimination,
+}
+_MODULE_PASSES: Dict[str, Callable[[Module, Set[Function]], bool]] = {
+    "always-inline": ipo.always_inline,
+    "constmerge": constants.constant_merge,
+    "deadargelim": ipo.dead_argument_elimination,
+    "globaldce": ipo.global_dce,
+    "globalopt": ipo.global_opt,
+    "inline": ipo.inline_functions,
+    "ipconstprop": constants.interprocedural_sccp,
+    "ipsccp": constants.interprocedural_sccp,
+    "mergefunc": ipo.merge_functions,
+    "partial-inliner": ipo.partial_inliner,
     "strip": lowering.strip_metadata,
     "strip-dead-prototypes": ipo.strip_dead_prototypes,
     "strip-debug-declare": lowering.strip_debug_declare,
     "strip-nondebug": lowering.strip_metadata,
-    "tailcallelim": ipo.tail_call_elimination,
+}
+# Implemented as placeholders that never fire on this IR (see each docstring).
+_NEVER_FIRING: Dict[str, PassFn] = {
+    "argpromotion": ipo.argument_promotion,
+    "barrier": lowering.barrier,
+    "canonicalize-aliases": lowering.canonicalize_aliases,
+    "indvars": loops.induction_variable_simplify,
+    "lcssa": lowering.barrier,
+    "loop-idiom": loops.loop_idiom,
+    "loop-rotate": loops.loop_rotate,
+    "loweratomic": lowering.lower_atomic,
+    "lower-expect": lowering.lower_expect,
+    "lowerinvoke": lowering.lower_invoke,
+    "memcpyopt": mem2reg.memcpy_optimization,
+    "name-anon-globals": lowering.name_anon_globals,
     "verify": lowering.verify_pass,
+}
+_IMPLEMENTED: Dict[str, Union[StampingPass, PassFn]] = {
+    **{name: FunctionPass(run) for name, run in _FUNCTION_PASSES.items()},
+    **{name: ModulePass(run) for name, run in _MODULE_PASSES.items()},
+    **_NEVER_FIRING,
 }
 
 # Actions registered for action-space parity with the paper's 124-pass space
@@ -213,11 +270,11 @@ _NOOP_ACTION_NAMES: List[str] = [
 ]
 
 # The full registry: every pass that can be run by name.
-PASS_REGISTRY: Dict[str, PassFn] = dict(_IMPLEMENTED)
+PASS_REGISTRY: Dict[str, Union[StampingPass, PassFn]] = dict(_IMPLEMENTED)
 for _name in _NOOP_ACTION_NAMES:
     PASS_REGISTRY[_name] = _noop_pass(_name)
 # Registered but excluded from the action space (see module docstring).
-PASS_REGISTRY["gvn-sink"] = gvn_sink
+PASS_REGISTRY["gvn-sink"] = FunctionPass(gvn_sink)
 
 # The phase-ordering action space: 124 pass actions, as in the paper.
 ACTION_SPACE_PASSES: List[str] = sorted(_IMPLEMENTED) + sorted(_NOOP_ACTION_NAMES)
@@ -293,7 +350,7 @@ O3_PIPELINE: List[str] = [
 ]
 
 
-def get_pass(name: str) -> PassFn:
+def get_pass(name: str) -> Union[StampingPass, PassFn]:
     """Look up a pass by flag name (with or without the leading dash)."""
     key = name.lstrip("-")
     if key not in PASS_REGISTRY:
@@ -305,13 +362,15 @@ def run_pass(module: Module, name: str) -> bool:
     """Run a single named pass. Returns whether the module changed.
 
     A reported change bumps the module's monotonic ``version`` counter, which
-    is what invalidates version-keyed observation caches. Passes must
-    therefore be honest about ``changed`` — ``repro-compilergym lint``
-    cross-checks every registered pass against the printed IR.
+    is what invalidates version-keyed observation caches, and stamps the
+    functions the pass changed with it (every function, for a pass that cannot
+    say). Passes must therefore be honest about both: see the module docstring.
     """
-    changed = get_pass(name)(module)
+    run = get_pass(name)
+    touched: Optional[Set[Function]] = set() if isinstance(run, StampingPass) else None
+    changed = run(module) if touched is None else run(module, touched)
     if changed:
-        module.bump_version()
+        module.bump_version(touched)
     return changed
 
 

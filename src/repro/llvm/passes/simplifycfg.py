@@ -7,10 +7,9 @@ from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.cfg import predecessors, reachable_blocks
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
-from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import VOID
 from repro.llvm.ir.values import Constant
-from repro.llvm.passes.constants import _fold_constant_branches_function
+from repro.llvm.passes.constants import fold_constant_branches
 from repro.llvm.passes.utils import (
     remove_phi_incoming,
     replace_all_uses,
@@ -106,94 +105,80 @@ def _skip_empty_blocks(function: Function) -> bool:
     return changed
 
 
-def simplify_cfg(module: Module) -> bool:
+def simplify_cfg(function: Function) -> bool:
     """-simplifycfg."""
-    changed = False
-    for function in module.defined_functions():
-        local = False
-        local |= _fold_constant_branches_function(function)
-        local |= _skip_empty_blocks(function)
-        local |= _remove_unreachable_blocks(function)
-        local |= _merge_single_successor_blocks(function)
-        if local:
-            changed = True
+    changed = fold_constant_branches(function)
+    changed |= _skip_empty_blocks(function)
+    changed |= _remove_unreachable_blocks(function)
+    changed |= _merge_single_successor_blocks(function)
     return changed
 
 
-def jump_threading(module: Module) -> bool:
+def jump_threading(function: Function) -> bool:
     """-jump-threading (simplified): fold branches whose condition is constant
     and bypass trivial forwarding blocks."""
-    changed = False
-    for function in module.defined_functions():
-        local = False
-        local |= _fold_constant_branches_function(function)
-        local |= _skip_empty_blocks(function)
-        local |= _remove_unreachable_blocks(function)
-        if local:
-            changed = True
+    changed = fold_constant_branches(function)
+    changed |= _skip_empty_blocks(function)
+    changed |= _remove_unreachable_blocks(function)
     return changed
 
 
-def correlated_value_propagation(module: Module) -> bool:
+def correlated_value_propagation(function: Function) -> bool:
     """-correlated-propagation (simplified): in a block reached only via the
     true edge of ``br (icmp eq x, C)``, replace uses of x with C."""
     changed = False
-    for function in module.defined_functions():
-        preds = predecessors(function)
-        for block in function.blocks:
-            block_preds = preds.get(block, [])
-            if len(block_preds) != 1:
-                continue
-            pred = block_preds[0]
-            terminator = pred.terminator
-            if terminator is None or terminator.opcode != "br" or len(terminator.operands) != 3:
-                continue
-            condition, if_true, if_false = terminator.operands
-            if if_true is if_false or not isinstance(condition, Instruction):
-                continue
-            if condition.opcode != "icmp" or condition.attrs.get("predicate") != "eq":
-                continue
-            if block is not if_true:
-                continue
-            lhs, rhs = condition.operands
-            if isinstance(rhs, Constant) and not isinstance(lhs, Constant):
-                for inst in block.instructions:
-                    for index, operand in enumerate(inst.operands):
-                        if operand is lhs and inst.opcode != "phi":
-                            inst.operands[index] = rhs
-                            changed = True
-    return changed
-
-
-def merge_return(module: Module) -> bool:
-    """-mergereturn: funnel all returns through a single exit block."""
-    changed = False
-    for function in module.defined_functions():
-        ret_blocks = [
-            block
-            for block in function.blocks
-            if block.terminator is not None and block.terminator.opcode == "ret"
-        ]
-        if len(ret_blocks) <= 1:
+    preds = predecessors(function)
+    for block in function.blocks:
+        block_preds = preds.get(block, [])
+        if len(block_preds) != 1:
             continue
-        exit_block = BasicBlock(function.new_block_name("unified_return"))
-        returns_value = not function.return_type.is_void
-        incoming = []
-        for block in ret_blocks:
-            ret = block.terminator
-            value = ret.operands[0] if ret.operands else None
-            index = block.instructions.index(ret)
-            block.instructions[index] = Instruction("br", [exit_block], type=VOID)
-            block.instructions[index].parent = block
-            if returns_value:
-                incoming.append((value, block))
-        if returns_value:
-            phi = Instruction("phi", type=function.return_type, name=function.new_value_name("retval"))
-            phi.set_phi_incoming(incoming)
-            exit_block.append(phi)
-            exit_block.append(Instruction("ret", [phi], type=VOID))
-        else:
-            exit_block.append(Instruction("ret", [], type=VOID))
-        function.add_block(exit_block)
-        changed = True
+        pred = block_preds[0]
+        terminator = pred.terminator
+        if terminator is None or terminator.opcode != "br" or len(terminator.operands) != 3:
+            continue
+        condition, if_true, if_false = terminator.operands
+        if if_true is if_false or not isinstance(condition, Instruction):
+            continue
+        if condition.opcode != "icmp" or condition.attrs.get("predicate") != "eq":
+            continue
+        if block is not if_true:
+            continue
+        lhs, rhs = condition.operands
+        if isinstance(rhs, Constant) and not isinstance(lhs, Constant):
+            for inst in block.instructions:
+                for index, operand in enumerate(inst.operands):
+                    if operand is lhs and inst.opcode != "phi":
+                        inst.operands[index] = rhs
+                        changed = True
     return changed
+
+
+def merge_return(function: Function) -> bool:
+    """-mergereturn: funnel all returns through a single exit block."""
+    ret_blocks = [
+        block
+        for block in function.blocks
+        if block.terminator is not None and block.terminator.opcode == "ret"
+    ]
+    if len(ret_blocks) <= 1:
+        return False
+    exit_block = BasicBlock(function.new_block_name("unified_return"))
+    returns_value = not function.return_type.is_void
+    incoming = []
+    for block in ret_blocks:
+        ret = block.terminator
+        value = ret.operands[0] if ret.operands else None
+        index = block.instructions.index(ret)
+        block.instructions[index] = Instruction("br", [exit_block], type=VOID)
+        block.instructions[index].parent = block
+        if returns_value:
+            incoming.append((value, block))
+    if returns_value:
+        phi = Instruction("phi", type=function.return_type, name=function.new_value_name("retval"))
+        phi.set_phi_incoming(incoming)
+        exit_block.append(phi)
+        exit_block.append(Instruction("ret", [phi], type=VOID))
+    else:
+        exit_block.append(Instruction("ret", [], type=VOID))
+    function.add_block(exit_block)
+    return True

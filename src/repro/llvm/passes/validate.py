@@ -29,7 +29,7 @@ from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.parser import parse_module
-from repro.llvm.ir.printer import print_module
+from repro.llvm.ir.printer import print_function, print_module
 from repro.llvm.ir.types import I64
 from repro.llvm.ir.values import Constant
 from repro.llvm.ir.verifier import verify_module
@@ -173,16 +173,22 @@ def validate_pass(
     ``reference`` is the interpreter's output for the unoptimized module; pass
     ``None`` to skip the differential check (e.g. for non-runnable IR).
 
-    Beyond the verifier and differential checks, the pass's ``changed``
-    return value is audited against the module: the session-level observation
-    cache keys on the module version, which only bumps when a pass reports a
-    change — a pass that mutates IR while reporting ``changed=False`` would
-    silently serve stale cached observations.
+    Beyond the verifier and differential checks, what the pass told the pass
+    manager is audited against the printed IR, because the session's
+    observation caches believe it. The whole-module cache keys on the module
+    version, which only bumps when a pass reports a change — a pass that
+    mutates IR while reporting ``changed=False`` would silently serve stale
+    observations. The per-function cache keys on each function's stamp, so a
+    function whose text changed (or which is new) must carry a stamp above the
+    pre-pass version. The reverse — a stamp that moved over unchanged text —
+    only costs a recompute and is no failure; :func:`count_over_stamped`
+    counts those.
     """
     failures: List[ValidationFailure] = []
     clone = module.clone()
     ir_before = print_module(clone)
     version_before = clone.version
+    functions_before = {name: print_function(f) for name, f in clone.functions.items()}
     try:
         changed = run_pass(clone, pass_name)
     except Exception as error:  # noqa: BLE001 - any pass crash is a finding.
@@ -222,6 +228,19 @@ def validate_pass(
                     "observation caches would serve stale results",
                 )
             )
+    for name, function in clone.functions.items():
+        text_before = functions_before.get(name)
+        if function.stamp <= version_before and print_function(function) != text_before:
+            failures.append(
+                ValidationFailure(
+                    benchmark,
+                    pass_name,
+                    "cache",
+                    f"@{name} {'is new' if text_before is None else 'changed'} but its "
+                    f"stamp is {function.stamp}, not above the pre-pass version "
+                    f"{version_before} — its memoised observations would be stale",
+                )
+            )
     errors = verify_module(clone, raise_on_error=False)
     if errors:
         failures.append(
@@ -252,12 +271,31 @@ def validate_pass(
     return failures
 
 
+def count_over_stamped(module: Module, pass_name: str) -> int:
+    """How many functions ``pass_name`` stamped without changing their text:
+    each is a per-function observation recomputed for nothing."""
+    clone = module.clone()
+    try:
+        run_pass(clone, pass_name)
+    except Exception:  # noqa: BLE001 - validate_pass reports the crash.
+        return 0
+    before = module.functions
+    return sum(
+        name in before
+        and function.stamp != before[name].stamp
+        and print_function(function) == print_function(before[name])
+        for name, function in clone.functions.items()
+    )
+
+
 class LintReport(NamedTuple):
     """The outcome of a lint sweep."""
 
     benchmarks: int
     checks: int
     failures: List[ValidationFailure]
+    # Stamps that moved over unchanged text: wasted recomputes, not failures.
+    over_stamped: int
 
     @property
     def ok(self) -> bool:
@@ -355,6 +393,7 @@ def lint_datasets(
     benchmarks = 0
     checks = 0
     failures: List[ValidationFailure] = []
+    over_stamped = 0
     for dataset in datasets:
         taken = 0
         for bench in dataset.benchmarks():
@@ -368,9 +407,12 @@ def lint_datasets(
             bench_failures = lint_module(
                 bench.program, uri, passes=pass_list, differential=differential
             )
+            over_stamped += sum(count_over_stamped(bench.program, name) for name in pass_list)
             checks += len(pass_list) + 2  # +2 for the Oz/O3 pipelines.
             failures.extend(bench_failures)
             if progress:
                 for failure in bench_failures:
                     progress(f"  FAIL {failure}")
-    return LintReport(benchmarks=benchmarks, checks=checks, failures=failures)
+    return LintReport(
+        benchmarks=benchmarks, checks=checks, failures=failures, over_stamped=over_stamped
+    )

@@ -42,7 +42,7 @@ from repro.llvm.cost.binary_size import object_text_size_bytes
 from repro.llvm.cost.code_size import ir_instruction_count
 from repro.llvm.cost.runtime import measure_runtime
 from repro.llvm.ir.module import Module
-from repro.llvm.ir.printer import print_function, print_module
+from repro.llvm.ir.printer import print_module
 from repro.errors import ServiceError
 from repro.llvm.ir.verifier import verify_module
 from repro.llvm.passes.registry import (
@@ -209,12 +209,11 @@ class LlvmCompilationSession(CompilationSession):
         # counter bumped by run_pass on change.
         self._obs_memo: Dict[str, Tuple[int, Any]] = {}
         # Per-function feature memo for the summable feature spaces: maps
-        # space_id -> {function name -> (fingerprint key, feature value)}, so
-        # a pass that touched one function only recomputes that function.
+        # space_id -> {function name -> (key, feature value)}, where the key
+        # leads with the function's ``stamp`` (the module version at which the
+        # pass manager last saw it change), so a pass that touched one
+        # function only recomputes that function.
         self._function_memo: Dict[str, Dict[str, Tuple[tuple, Any]]] = {}
-        # Function fingerprints for the current module version, computed
-        # lazily and at most once per version.
-        self._fingerprint_state: Tuple[int, Dict[str, int]] = (-1, {})
 
     # -- baselines --------------------------------------------------------------
 
@@ -284,17 +283,6 @@ class LlvmCompilationSession(CompilationSession):
 
     # -- incremental per-function features ---------------------------------------
 
-    def _function_fingerprints(self) -> Dict[str, int]:
-        """A content fingerprint per function, computed once per version."""
-        version, fingerprints = self._fingerprint_state
-        if version != self.module.version:
-            fingerprints = {
-                name: hash(print_function(function))
-                for name, function in self.module.functions.items()
-            }
-            self._fingerprint_state = (self.module.version, fingerprints)
-        return fingerprints
-
     def _module_signature(self) -> int:
         """Hash of the module's (function name, is_declaration) set.
 
@@ -312,14 +300,13 @@ class LlvmCompilationSession(CompilationSession):
 
     def _per_function_values(self, space_id: str, compute, extra_key: tuple = ()) -> List[Any]:
         """Per-function feature values, recomputing only changed functions."""
-        fingerprints = self._function_fingerprints()
+        functions = self.module.functions
         memo = self._function_memo.setdefault(space_id, {})
-        for name in list(memo):
-            if name not in fingerprints:
-                del memo[name]
+        for name in [name for name in memo if name not in functions]:
+            del memo[name]
         values = []
-        for name, function in self.module.functions.items():
-            key = (fingerprints[name],) + extra_key
+        for name, function in functions.items():
+            key = (function.stamp,) + extra_key
             entry = memo.get(name)
             if entry is None or entry[0] != key:
                 entry = (key, compute(function))
@@ -402,7 +389,6 @@ class LlvmCompilationSession(CompilationSession):
         forked._function_memo = {
             space: dict(entries) for space, entries in self._function_memo.items()
         }
-        forked._fingerprint_state = self._fingerprint_state
         return forked
 
     def handle_session_parameter(self, key: str, value: str) -> Optional[str]:

@@ -135,6 +135,7 @@ def _assert_clone_is_exact_and_independent(source: Module, clone: Module) -> Non
         assert copy.attributes is not original.attributes
         assert copy._next_value_id == original._next_value_id
         assert copy._next_block_id == original._next_block_id
+        assert copy.stamp == original.stamp
         assert len(copy.args) == len(original.args) and len(copy.blocks) == len(original.blocks)
         for original_arg, copy_arg in zip(original.args, copy.args):
             pair(original_arg, copy_arg)

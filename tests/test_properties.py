@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.compiler_env_state import CompilerEnvState, CompilerEnvStateReader, CompilerEnvStateWriter
 from repro.core.datasets.uri import BenchmarkUri
 from repro.core.spaces import Commandline, CommandlineFlag, Discrete, NamedDiscrete, Permutation, Scalar
@@ -16,7 +17,14 @@ from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import verify_module
 from repro.llvm.datasets.suites import make_llvm_datasets
-from repro.llvm.passes.registry import ACTION_SPACE_PASSES, OZ_PIPELINE, run_pass, run_pipeline
+from repro.llvm.passes.registry import (
+    ACTION_SPACE_PASSES,
+    OZ_PIPELINE,
+    PASS_REGISTRY,
+    StampingPass,
+    run_pass,
+    run_pipeline,
+)
 from repro.loop_tool.cost import gp100_flops
 from repro.loop_tool.ir import LoopTree
 from repro.util.statistics import geometric_mean, percentile
@@ -216,6 +224,53 @@ class TestCloneProperties:
         clone = module.clone()
         assert verify_module(clone, raise_on_error=False) == []
         check_clone(module, clone)
+
+
+class TestIncrementalObservationProperties:
+    """The session recomputes per-function features only for functions whose
+    stamp moved. Whatever the episode did and whenever it looked, that must
+    read the same as a session that computes everything from scratch."""
+
+    SPACES = ["Autophase", "InstCount", "Liveness", "ReachingDefs", "DomTreeDepth"]
+    # The passes that can change a module (the rest of the action space never fires).
+    PASSES = [name for name in ACTION_SPACE_PASSES if isinstance(PASS_REGISTRY[name], StampingPass)]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        benchmark=st.sampled_from(["cbench-v1/crc32", "cbench-v1/qsort", "cbench-v1/dijkstra"]),
+        steps=st.lists(
+            st.tuples(st.sampled_from(PASSES), st.sets(st.sampled_from(SPACES))),
+            min_size=1,
+            max_size=10,
+        ),
+        data=st.data(),
+    )
+    def test_incremental_session_and_its_fork_equal_a_fresh_replay(self, benchmark, steps, data):
+        def observe(env):
+            return {space: np.asarray(env.observation[space]).tolist() for space in self.SPACES}
+
+        fork_at = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+        envs = [repro.make("llvm-v0", benchmark=benchmark, result_cache=False)]
+        try:
+            envs[0].reset()
+            actions = [envs[0].action_space.names.index(name) for name, _ in steps]
+            for index, (action, (_, reads)) in enumerate(zip(actions, steps)):
+                if index == fork_at:
+                    envs.append(envs[0].fork())
+                for env in envs:
+                    env.step(action)
+                    for space in reads:
+                        env.observation[space]
+            fresh = repro.make("llvm-v0", benchmark=benchmark, result_cache=False)
+            envs.append(fresh)
+            fresh.reset()
+            fresh.multistep(actions)
+            expected = observe(fresh)
+            assert observe(envs[0]) == expected
+            assert observe(envs[1]) == expected
+        finally:
+            for env in envs:
+                env.close()
 
 
 class TestGccProperties:

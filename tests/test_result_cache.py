@@ -9,7 +9,8 @@ store shared across sessions. The acceptance criteria covered here:
 - fork() inherits the parent's warm prefix (and stays lazy until a miss).
 - The LRU store evicts to its byte budget, oldest entries first.
 - Every registered pass honors the version-counter contract the layer-1
-  memo keys on (``changed`` return value <=> exactly one version bump).
+  memo keys on (``changed`` return value <=> exactly one version bump), and
+  per-function stamps are drawn from that one counter.
 """
 
 import numpy as np
@@ -20,8 +21,11 @@ from repro.core.service.gateway import ServiceGateway
 from repro.core.service.runtime.result_cache import ResultCache
 from repro.core.service.runtime.server import make_env_server
 from repro.llvm.datasets.generators import generate_module
+from repro.llvm.ir.function import Function
+from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.printer import print_module
-from repro.llvm.passes.registry import PASS_REGISTRY, run_pass
+from repro.llvm.ir.values import Constant
+from repro.llvm.passes.registry import PASS_REGISTRY, ModulePass, run_pass
 from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES
 
 BENCHMARK = "cbench-v1/crc32"
@@ -219,17 +223,100 @@ class TestVersionCounterContract:
             env.reset()
             session = env.service.runtime.sessions[env._session_id]
             version = session.module.version
-            # A mutating pass bumps the version and invalidates the memo.
+
+            def stamps():
+                return {name: f.stamp for name, f in session.module.functions.items()}
+
+            pristine = stamps()
+            # A mutating pass bumps the version and invalidates the memo; the
+            # functions it changed, and only those, carry the new version.
             mem2reg = env.action_space.names.index("mem2reg")
             _, _, _, info = env.step(mem2reg)
             assert not info["action_had_no_effect"]
             assert session.module.version == version + 1
+            promoted = stamps()
+            moved = {name for name in promoted if promoted[name] != pristine[name]}
+            assert moved and all(promoted[name] == version + 1 for name in moved)
             # Re-running the same pass is a fixpoint no-op: the version (and
-            # with it every memoized observation) stays put.
+            # with it every memoized observation) stays put, and so does
+            # every stamp.
             count = env.observation["IrInstructionCount"]
             _, _, _, info = env.step(mem2reg)
             assert info["action_had_no_effect"]
             assert session.module.version == version + 1
+            assert stamps() == promoted
             assert env.observation["IrInstructionCount"] == count
         finally:
             env.close()
+
+    def test_a_bump_that_names_no_functions_dirties_them_all(self):
+        module = generate_module(seed=7, size_scale=5)
+        some = list(module.functions.values())[:2]
+        assert module.bump_version(some) == 1
+        assert {f.stamp for f in module.functions.values()} == {0, 1}
+        assert module.bump_version() == 2
+        assert {f.stamp for f in module.functions.values()} == {2}
+
+
+class TestStampSafety:
+    """Stamps come from the module's one monotonic version, so nothing that
+    happens between two observation reads can bring a memoised
+    ``(function name, stamp)`` back with different IR behind it."""
+
+    SPACES = ["Autophase", "InstCount", "Liveness", "ReachingDefs", "DomTreeDepth"]
+
+    @staticmethod
+    def _victim(module):
+        """A function the episode's first step already changed once — where a
+        per-function change counter would be back at 1 after the re-creation."""
+        return next(
+            f for f in module.defined_functions()
+            if f.name != "main" and f.stamp == module.version
+        )
+
+    @classmethod
+    def _delete(cls, module, touched=None):
+        del module.functions[cls._victim(module).name]
+        return True
+
+    @staticmethod
+    def _recreate_for(victim):
+        def recreate(module, touched=None):
+            function = Function(
+                victim.name,
+                return_type=victim.return_type,
+                arg_types=[arg.type for arg in victim.args],
+                arg_names=[arg.name for arg in victim.args],
+            )
+            returned = [] if victim.return_type.is_void else [Constant(victim.return_type, 0)]
+            function.add_block("entry").append(Instruction("ret", returned))
+            module.add_function(function)
+            if touched is not None:
+                touched.add(function)
+            return True
+
+        return recreate
+
+    @pytest.mark.parametrize("wrap", [ModulePass, lambda run: run], ids=["module-pass", "plain"])
+    def test_function_recreated_under_its_name_inside_one_multistep(self, monkeypatch, wrap):
+        def observe(env):
+            return {space: np.asarray(env.observation[space]).tolist() for space in self.SPACES}
+
+        warm, fresh = _make_env(result_cache=False), _make_env(result_cache=False)
+        try:
+            mem2reg = warm.action_space.names.index("mem2reg")
+            for env in (warm, fresh):
+                env.reset()
+                env.step(mem2reg)
+            victim = self._victim(warm.service.runtime.sessions[warm._session_id].module)
+            monkeypatch.setitem(PASS_REGISTRY, "instnamer", wrap(self._delete))
+            monkeypatch.setitem(PASS_REGISTRY, "irce", wrap(self._recreate_for(victim)))
+            actions = [warm.action_space.names.index(name) for name in ("instnamer", "irce")]
+
+            pristine = observe(warm)  # Memoises every function, the victim included.
+            warm.multistep(actions)
+            fresh.multistep(actions)
+            assert observe(warm) == observe(fresh) != pristine
+        finally:
+            warm.close()
+            fresh.close()

@@ -25,9 +25,10 @@ from repro.llvm.ir.function import Function
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.types import I32
 from repro.llvm.ir.verifier import verify_module
-from repro.llvm.passes.registry import PASS_REGISTRY, run_pass
+from repro.llvm.passes.registry import PASS_REGISTRY, FunctionPass, ModulePass, run_pass
 from repro.llvm.passes.validate import (
     MISCOMPILE_MUTATIONS,
+    count_over_stamped,
     lint_module,
     self_test_module,
     validate_pass,
@@ -310,6 +311,63 @@ class TestValidationHarness:
         reference = run_module(module.clone())
         failures = validate_pass(module, "instnamer", reference=reference)
         assert failures and failures[0].kind == "differential"
+
+    TWO_FUNCTIONS = """
+define i32 @helper(i32 %a) {
+entry:
+  %x = add i32 %a, 1
+  ret i32 %x
+}
+
+define i32 @main(i32 %a) {
+entry:
+  %y = call i32 @helper(i32 %a)
+  ret i32 %y
+}
+"""
+
+    def test_validate_pass_catches_function_pass_that_mutates_another_function(
+        self, monkeypatch
+    ):
+        """A function pass is stamped per function it reports on: one that
+        reaches into a neighbour leaves the neighbour's memoised observations
+        stale, whatever it reports about the function it was given."""
+        visited = []
+
+        def evil(function):
+            visited.append(function)
+            if len(visited) < 2:
+                return False
+            helper = visited[0]  # Reports on @main, rewrites @helper.
+            next(helper.instructions()).opcode = "sub"
+            return True
+
+        monkeypatch.setitem(PASS_REGISTRY, "instnamer", FunctionPass(evil))
+        failures = validate_pass(parse_module(self.TWO_FUNCTIONS), "instnamer")
+        assert [failure.kind for failure in failures] == ["cache"]
+        assert "@helper changed" in failures[0].detail
+
+    def test_validate_pass_catches_module_pass_that_forgets_a_new_function(self, monkeypatch):
+        def evil(module, touched):
+            module.add_function(Function("fresh", return_type=I32))
+            return True
+
+        monkeypatch.setitem(PASS_REGISTRY, "instnamer", ModulePass(evil))
+        failures = validate_pass(parse_module(self.TWO_FUNCTIONS), "instnamer")
+        assert [failure.kind for failure in failures] == ["cache"]
+        assert "@fresh is new" in failures[0].detail
+
+    def test_over_stamping_is_counted_not_failed(self, monkeypatch):
+        # Every function "changed", none did: wasted recomputes, nothing stale.
+        monkeypatch.setitem(PASS_REGISTRY, "instnamer", FunctionPass(lambda function: True))
+        module = parse_module(self.TWO_FUNCTIONS)
+        assert validate_pass(module, "instnamer") == []
+        assert count_over_stamped(module, "instnamer") == 2
+        # A plain callable cannot say what it touched, so it stamps everything.
+        monkeypatch.setitem(PASS_REGISTRY, "instnamer", lambda module: True)
+        assert validate_pass(module, "instnamer") == []
+        assert count_over_stamped(module, "instnamer") == 2
+        assert count_over_stamped(module, "mem2reg") == 0
 
     def test_lint_module_all_passes(self):
         assert lint_module(self_test_module(), "self-test") == []

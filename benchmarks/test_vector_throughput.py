@@ -56,17 +56,21 @@ BACKENDS = ("serial", "thread", "process")
 GATEWAY_OVERHEAD_BUDGET = 1.7
 
 
-def _measure_throughput(backend: str, n: int, rounds: int, rpc_latency: float = RPC_LATENCY):
+def _measure_throughput(backend: str, n: int, rounds: int, rpc_latency: float = RPC_LATENCY,
+                        benchmark: str = BENCHMARK):
     """Aggregate steps/sec of an n-worker pool over ``rounds`` batched steps."""
     rng = random.Random(0)
     env = repro.make(
         "llvm-v0",
-        benchmark=BENCHMARK,
+        benchmark=benchmark,
         observation_space="Autophase",
         reward_space="IrInstructionCount",
         connection_opts=ConnectionOpts(rpc_latency=rpc_latency),
     )
-    with VecCompilerEnv(env, n=n, backend=backend) as vec:
+    start = time.perf_counter()
+    pool = VecCompilerEnv(env, n=n, backend=backend)
+    pool_build_s = time.perf_counter() - start
+    with pool as vec:
         vec.reset()
         num_actions = vec.action_space.n
         start = time.perf_counter()
@@ -77,6 +81,8 @@ def _measure_throughput(backend: str, n: int, rounds: int, rpc_latency: float = 
     return {
         "backend": backend,
         "workers": n,
+        "benchmark": benchmark,
+        "pool_build_s": pool_build_s,
         "steps": rounds * n,
         "walltime_s": elapsed,
         "steps_per_sec": (rounds * n) / elapsed,
@@ -285,11 +291,10 @@ def _measure_vec_transport_latency(rounds: int, n: int = 4):
         with VecCompilerEnv(make_daemon_env(server.url), n=n, backend="thread") as vec:
             assert len({id(w.service) for w in vec.workers}) == 1
             batched = mean_worker_step_seconds(vec)
-        with VecCompilerEnv(
-            make_daemon_env(server.url), n=n, backend="thread", use_batched_step=False
-        ) as vec:
+        with VecCompilerEnv(make_daemon_env(server.url), n=n, backend="thread") as vec:
             # The pre-batching deployment shape: every worker fans out its
-            # own step() RPC on a private connection.
+            # own step() RPC on a private connection (workers on different
+            # connections never qualify for the batched path).
             for worker in vec.workers[1:]:
                 worker.use_dedicated_connection()
             per_rpc = mean_worker_step_seconds(vec)
@@ -593,10 +598,26 @@ def run_sweep(worker_counts, rounds):
     return results
 
 
+def run_no_latency_sweep(rounds, n=4):
+    """The same pools with no simulated round trip, on a hop-bound program
+    (crc32, ~0.1 ms of compute per step) and a mid-sized one (blowfish).
+
+    Recorded, not gated: it is where the concurrent backends *lose* to serial
+    (nothing to overlap, and every step pays a thread or socket hop), so the
+    README's "when to use which backend" rests on numbers the repo reproduces.
+    """
+    return [
+        _measure_throughput(backend, n, rounds, rpc_latency=0.0, benchmark=benchmark)
+        for benchmark in (BENCHMARK, RESULT_CACHE_BENCHMARK)
+        for backend in BACKENDS
+    ]
+
+
 def test_vector_throughput():
     rounds = max(5, int(20 * bench_scale()))
     results = run_sweep(worker_counts=(1, 2, 4), rounds=rounds)
     by_key = {(r["backend"], r["workers"]): r["steps_per_sec"] for r in results}
+    no_latency_results = run_no_latency_sweep(rounds=max(50, int(200 * bench_scale())))
     rl_episodes = max(2, int(4 * bench_scale()))
     rl_results = [
         _measure_rl_throughput(agent, "process", n=2, episodes=rl_episodes)
@@ -639,6 +660,7 @@ def test_vector_throughput():
             "rpc_latency_s": RPC_LATENCY,
             "rounds": rounds,
             "results": results,
+            "no_latency_results": no_latency_results,
             "thread_vs_serial_speedup_at_4": by_key[("thread", 4)] / by_key[("serial", 4)],
             "process_vs_serial_speedup_at_4": by_key[("process", 4)] / by_key[("serial", 4)],
             "rl_agents": {r["agent"]: r for r in rl_results},
@@ -828,6 +850,12 @@ def main(argv=None):
             f"{backend:>7} backend, n={result['workers']}: "
             f"{result['steps_per_sec']:8.1f} steps/sec "
             f"({result['steps']} steps in {result['walltime_s']:.2f}s)"
+        )
+    for result in run_no_latency_sweep(rounds=10 * args.rounds, n=args.workers):
+        print(
+            f"{result['backend']:>7} backend, n={result['workers']}, no simulated latency, "
+            f"{result['benchmark']}: {result['steps_per_sec']:8.1f} steps/sec, "
+            f"pool built in {result['pool_build_s'] * 1e3:.0f}ms"
         )
     for agent in ("impala", "apex"):
         result = _measure_rl_throughput(agent, "process", args.workers, episodes=2)

@@ -10,10 +10,11 @@ that architecture end to end:
    5499`` on the server machine).
 2. Attach a plain environment with ``repro.make(..., service_url=...)`` —
    its compilation sessions now live on the daemon.
-3. Attach a vectorized pool: with a ``service_url``, the ``"process"``
-   backend spawns **no** subprocesses — each worker becomes one more daemon
-   session over its own socket, so sequential pools (and whole training
-   runs) reuse one warm service process.
+3. Attach a vectorized pool: with a ``service_url`` every worker becomes one
+   more session on that daemon, forked from the root on its one multiplexed
+   connection, so sequential pools (and whole training runs) reuse one warm
+   service process. (Without one, ``backend="process"`` would give each
+   worker a private daemon of its own in a child process.)
 4. Read the daemon's ``server_info`` to watch sessions multiplex.
 
 Usage::
@@ -76,7 +77,7 @@ def main() -> int:
             vec = repro.make_vec_env(
                 env_id="llvm-v0",
                 n=args.workers,
-                backend="process",  # daemon-attached: sessions, not processes
+                backend="thread",  # sessions on the daemon, stepped as one batch
                 service_url=url,
                 benchmark=args.benchmark,
                 observation_space="Autophase",

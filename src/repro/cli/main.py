@@ -763,8 +763,9 @@ def make_parser() -> argparse.ArgumentParser:
                             "(with --actors: pool size inside each actor process)")
     train.add_argument("--backend", choices=["serial", "thread", "process"],
                        default="serial",
-                       help="Pool execution backend; 'process' runs each worker in "
-                            "its own subprocess, sidestepping the GIL")
+                       help="Pool execution backend; 'process' gives each worker a "
+                            "private service daemon in its own child process, "
+                            "sidestepping the GIL")
     train.add_argument("--actors", type=int, default=0,
                        help="Distributed actor/learner training (apex/impala only): "
                             "N actor processes collect experience into a central "

@@ -46,6 +46,14 @@ class CompilerEnv:
 
     metadata = {"render.modes": ["human", "ansi"]}
 
+    #: The constructor arguments that configure this client: its connection and
+    #: its episode. All the others describe the runtime, so they are what a
+    #: daemon serving this environment is built from (``ProcessPoolBackend``).
+    CLIENT_KWARGS = frozenset((
+        "benchmark", "observation_space", "reward_space", "action_space",
+        "connection_opts", "service_url", "service_token", "chaos",
+    ))
+
     def __init__(
         self,
         session_type: Type[CompilationSession],
@@ -56,7 +64,6 @@ class CompilerEnv:
         reward_space: Optional[str] = None,
         action_space: Optional[str] = None,
         connection_opts: Optional[ConnectionOpts] = None,
-        service_connection: Optional[ServiceConnection] = None,
         service_url: Optional[str] = None,
         service_token: Optional[str] = None,
         verify_ir: Optional[bool] = None,
@@ -99,23 +106,19 @@ class CompilerEnv:
         self._custom_benchmarks = {}
         self._daemon_checked_uris = set()
 
-        if service_connection is None:
-            if service_url is not None:
-                # Attach to a running compiler service daemon (`repro serve`)
-                # instead of hosting a runtime in-process: sessions live on
-                # the daemon and survive this client.
-                transport = self._make_socket_transport()
-            else:
-                transport = InProcessTransport(self._make_runtime)
-            if self.chaos is not None:
-                from repro.core.service.chaos import ChaosTransport
-
-                transport = ChaosTransport(transport, self.chaos)
-            self.service = ServiceConnection(transport, opts=self.connection_opts)
-            self._owns_service = True
+        if service_url is not None:
+            # Attach to a running compiler service daemon (`repro serve`)
+            # instead of hosting a runtime in-process: sessions live on
+            # the daemon and survive this client.
+            transport = self._make_socket_transport()
         else:
-            self.service = service_connection
-            self._owns_service = False
+            transport = InProcessTransport(self._make_runtime)
+        if self.chaos is not None:
+            from repro.core.service.chaos import ChaosTransport
+
+            transport = ChaosTransport(transport, self.chaos)
+        self.service = ServiceConnection(transport, opts=self.connection_opts)
+        self._owns_service = True
 
         spaces = self.service.spaces
         self._action_space_name = action_space

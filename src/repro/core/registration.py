@@ -27,14 +27,10 @@ class EnvSpec:
         merged.update(kwargs)
         env = entry_point(**merged)
         # Stamp the construction recipe onto the environment (mirroring
-        # gym's env.spec) so it can be rebuilt elsewhere — e.g. inside the
-        # subprocess workers of the vectorized process-pool backend. A live
-        # service_connection is not a recipe (it cannot be rebuilt, or even
-        # pickled); a rebuilt environment opens its own connection from the
-        # rest of the kwargs (service_url) instead.
-        recipe = {k: v for k, v in merged.items() if k != "service_connection"}
+        # gym's env.spec) so it can be rebuilt elsewhere — e.g. as the
+        # client of a private daemon by the vectorized process backend.
         try:
-            env.spec = EnvSpec(id=self.id, entry_point=self.entry_point, kwargs=recipe)
+            env.spec = EnvSpec(id=self.id, entry_point=self.entry_point, kwargs=merged)
         except Exception:  # noqa: BLE001 - entry points may return odd objects
             pass
         return env

@@ -6,9 +6,8 @@ keeps the same layering — a message schema (:mod:`proto`), the four-method
 :class:`CompilationSession` integration interface, a service runtime that maps
 sessions to the Gym API, and a :class:`ServiceConnection` that adds timeouts,
 retries and fault tolerance — over a pluggable :class:`ServiceTransport`:
-in-process (the default), a subprocess pipe for crash isolation, or a socket
-to the standalone multi-client daemon in :mod:`repro.core.service.runtime.
-server` (``repro-compilergym serve``).
+in-process (the default), or a socket to the standalone multi-client daemon
+in :mod:`repro.core.service.runtime.server` (``repro-compilergym serve``).
 """
 
 from repro.core.service.compilation_session import CompilationSession
@@ -24,7 +23,6 @@ from repro.core.service.proto import (
 from repro.core.service.runtime.compiler_gym_service import CompilerGymServiceRuntime
 from repro.core.service.transport import (
     InProcessTransport,
-    PipeTransport,
     ServiceTransport,
     SocketTransport,
     parse_service_url,
@@ -38,7 +36,6 @@ __all__ = [
     "Event",
     "InProcessTransport",
     "ObservationSpaceMessage",
-    "PipeTransport",
     "ServiceConnection",
     "ServiceTransport",
     "SessionState",

@@ -8,8 +8,8 @@ accounting (used by the Table II efficiency benchmarks).
 
 *Where* the runtime lives is delegated to a
 :class:`~repro.core.service.transport.ServiceTransport`: in-process (the
-default), behind a subprocess pipe, or across a socket to a standalone
-daemon. The fault-tolerance policy here is identical for all of them. A
+default) or across a socket to a standalone daemon. The fault-tolerance
+policy here is identical for both. A
 ``rpc_latency`` can additionally be configured to model the per-call
 round-trip cost of a real RPC transport, which is what the batched-step
 experiments measure against.
@@ -18,8 +18,7 @@ experiments measure against.
 import random
 import threading
 import time
-from concurrent.futures import Executor, Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.service.proto import (
@@ -39,7 +38,7 @@ from repro.errors import ServiceError, ServiceIsClosed, ServiceTransportError, S
 # serves never change over its lifetime, so every connection after the first
 # skips the ``get_spaces`` round trip — one fewer RPC per pool worker, per
 # fork, per dedicated-connection re-home. Transports without a cache key
-# (in-process, pipe: each owns a private runtime) always fetch.
+# (in-process: each owns a private runtime) always fetch.
 _SPACES_CACHE: Dict[str, GetSpacesReply] = {}
 _SPACES_CACHE_LOCK = threading.Lock()
 
@@ -93,11 +92,11 @@ class CallStats:
     calls: int = 0
     errors: int = 0
     retries: int = 0
-    wall_times: List[float] = field(default_factory=list)
+    wall_time_s: float = 0.0
 
     def record(self, wall_time: float) -> None:
         self.calls += 1
-        self.wall_times.append(wall_time)
+        self.wall_time_s += wall_time
 
     def summary(self) -> Dict[str, float]:
         """A compact, picklable summary of this method's accounting."""
@@ -105,17 +104,15 @@ class CallStats:
             "calls": self.calls,
             "errors": self.errors,
             "retries": self.retries,
-            "wall_time_s": float(sum(self.wall_times)),
+            "wall_time_s": self.wall_time_s,
         }
 
 
 def merge_stats_summaries(summaries) -> Dict[str, Dict[str, float]]:
     """Merge per-connection ``stats_summary()`` dicts into one aggregate.
 
-    Used by vectorized pools to combine the accounting of many workers —
-    including subprocess workers and daemon-attached workers, whose
-    connections live in another address space (or talk to another machine)
-    and can only report back picklable summaries.
+    Used by vectorized pools to combine the accounting of workers that do
+    not share one connection.
     """
     merged: Dict[str, Dict[str, float]] = {}
     for summary in summaries:
@@ -128,52 +125,6 @@ def merge_stats_summaries(summaries) -> Dict[str, Dict[str, float]]:
             for key in into:
                 into[key] += stats.get(key, 0)
     return merged
-
-
-class AsyncResult:
-    """A future-like handle on an in-flight (or already completed) service call.
-
-    Execution backends use this to overlap service calls across sessions: a
-    call dispatched on an executor returns immediately with an
-    :class:`AsyncResult`, and :meth:`result` blocks until the reply (or the
-    translated service error) is available. Calls dispatched without an
-    executor resolve eagerly, so callers can treat both cases uniformly.
-    """
-
-    def __init__(
-        self,
-        future: Optional[Future] = None,
-        value: Any = None,
-        error: Optional[BaseException] = None,
-    ):
-        self._future = future
-        self._value = value
-        self._error = error
-
-    @classmethod
-    def resolved(cls, value: Any) -> "AsyncResult":
-        """An AsyncResult that already holds its value."""
-        return cls(value=value)
-
-    @classmethod
-    def raised(cls, error: BaseException) -> "AsyncResult":
-        """An AsyncResult that already holds an error."""
-        return cls(error=error)
-
-    def done(self) -> bool:
-        return self._future is None or self._future.done()
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if self._future is not None:
-            return self._future.result(timeout=timeout)
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        if self._future is not None:
-            return self._future.exception(timeout=timeout)
-        return self._error
 
 
 class ServiceConnection:
@@ -239,8 +190,8 @@ class ServiceConnection:
     def restart(self) -> None:
         """Tear down and re-establish the backend channel (crash recovery).
 
-        For in-process and pipe transports, restarting destroys every session
-        on the runtime; concurrent calls on sibling sessions will observe
+        For the in-process transport, restarting destroys every session on
+        the runtime; concurrent calls on sibling sessions will observe
         ``SessionNotFound`` and terminate their episodes through the
         environment's fault-tolerance path. For the socket transport only the
         connection is recreated — the daemon and its sessions live on.
@@ -318,21 +269,6 @@ class ServiceConnection:
             f"Service call {name}() failed after {attempts} attempts: {last_error}"
         ) from last_error
 
-    def _call_async(self, name: str, *args, executor: Optional[Executor] = None) -> AsyncResult:
-        """Dispatch a service call, optionally on an executor.
-
-        With an executor the call runs in the background and the returned
-        :class:`AsyncResult` resolves when it completes, letting callers
-        overlap calls on independent sessions. Without one, the call runs
-        eagerly and the result (or error) is captured in the AsyncResult.
-        """
-        if executor is not None:
-            return AsyncResult(future=executor.submit(self._call, name, *args))
-        try:
-            return AsyncResult.resolved(self._call(name, *args))
-        except Exception as error:  # noqa: BLE001 - deferred to .result()
-            return AsyncResult.raised(error)
-
     # -- RPC methods ------------------------------------------------------
 
     def get_spaces(self) -> GetSpacesReply:
@@ -343,12 +279,6 @@ class ServiceConnection:
 
     def step(self, request: StepRequest):
         return self._call("step", request)
-
-    def step_async(
-        self, request: StepRequest, executor: Optional[Executor] = None
-    ) -> AsyncResult:
-        """Asynchronous :meth:`step`: returns an :class:`AsyncResult`."""
-        return self._call_async("step", request, executor=executor)
 
     @property
     def supports_step_sessions(self) -> bool:
@@ -382,12 +312,6 @@ class ServiceConnection:
                 else:
                     stats.errors += 1
         return results
-
-    def start_session_async(
-        self, request: StartSessionRequest, executor: Optional[Executor] = None
-    ) -> AsyncResult:
-        """Asynchronous :meth:`start_session`: returns an :class:`AsyncResult`."""
-        return self._call_async("start_session", request, executor=executor)
 
     def fork_session(self, request: ForkSessionRequest):
         return self._call("fork_session", request)

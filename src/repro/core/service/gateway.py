@@ -41,9 +41,7 @@ per-daemon call accounting into drain/spawn decisions applied by
 
 import itertools
 import logging
-import multiprocessing
 import os
-import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +64,7 @@ from repro.core.service.proto import (
     StepSessionsRequest,
 )
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
+from repro.core.service.runtime.server import SpawnedDaemon
 from repro.core.service.transport import SocketTransport
 from repro.core.service.wire import (
     LEGACY_WIRE_VERSION,
@@ -89,32 +88,6 @@ _GATEWAY_METHODS = frozenset(
 )
 
 
-def _spawned_daemon_main(pipe, env_id, host, auth_tokens, make_kwargs):
-    """Entry point of a gateway-spawned daemon worker process."""
-    from repro.core.service.runtime.server import make_env_server
-
-    try:
-        server = make_env_server(
-            env_id, host=host, port=0, auth_tokens=auth_tokens, **make_kwargs
-        )
-    except BaseException as error:  # noqa: BLE001 - reported to the gateway
-        try:
-            pipe.send(("error", f"{type(error).__name__}: {error}"))
-        finally:
-            pipe.close()
-        return
-    pipe.send(("ok", server.url))
-    pipe.close()
-
-    def _on_term(signum, frame):
-        server.request_shutdown()
-
-    signal.signal(signal.SIGTERM, _on_term)
-    signal.signal(signal.SIGINT, _on_term)
-    server.serve_forever()
-    server.shutdown()
-
-
 @dataclass
 class DaemonHandle:
     """One fleet member: its URL, client connection, and (if spawned) process."""
@@ -122,7 +95,7 @@ class DaemonHandle:
     index: int
     url: str
     connection: ServiceConnection
-    process: Optional[multiprocessing.process.BaseProcess] = None
+    spawned: Optional[SpawnedDaemon] = None
     draining: bool = False
     dead: bool = False
     # Health substrate: the per-daemon circuit breaker sheds load from a
@@ -133,7 +106,7 @@ class DaemonHandle:
 
     @property
     def pid(self) -> Optional[int]:
-        return self.process.pid if self.process is not None else None
+        return self.spawned.pid if self.spawned is not None else None
 
     def last_heartbeat_age_s(self) -> Optional[float]:
         if self.last_heartbeat is None:
@@ -241,9 +214,6 @@ class ServiceGateway(SocketRPCServer):
         self._fanout_executor = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="repro-gateway-fanout"
         )
-        self._mp = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
 
         for url in daemon_urls or []:
             self._attach_daemon(url)
@@ -304,30 +274,20 @@ class ServiceGateway(SocketRPCServer):
         """Start one local daemon worker process and attach to it."""
         if not self.env_id:
             raise ServiceError("This gateway has no env_id: cannot spawn daemons")
-        parent_pipe, child_pipe = self._mp.Pipe()
-        fleet_tokens = [self.fleet_token] if self.fleet_token is not None else None
-        process = self._mp.Process(
-            target=_spawned_daemon_main,
-            args=(child_pipe, self.env_id, "127.0.0.1", fleet_tokens, self._make_kwargs),
-            name="repro-gateway-daemon",
+        spawned = SpawnedDaemon(
+            self.env_id,
+            host="127.0.0.1",
+            port=0,
+            auth_tokens=[self.fleet_token] if self.fleet_token is not None else None,
+            **self._make_kwargs,
         )
-        process.start()
-        child_pipe.close()
         try:
-            if not parent_pipe.poll(120):
-                raise ServiceError("Spawned daemon did not report a URL within 120s")
-            status, payload = parent_pipe.recv()
-        except (EOFError, OSError) as error:
-            process.join(timeout=5)
-            raise ServiceError(f"Spawned daemon died during startup: {error}") from error
-        finally:
-            parent_pipe.close()
-        if status != "ok":
-            process.join(timeout=5)
-            raise ServiceError(f"Spawned daemon failed to start: {payload}")
-        handle = self._attach_daemon(payload)
-        handle.process = process
-        logger.info("Gateway spawned daemon pid=%d at %s", process.pid, payload)
+            handle = self._attach_daemon(spawned.url)
+        except BaseException:
+            spawned.stop()
+            raise
+        handle.spawned = spawned
+        logger.info("Gateway spawned daemon pid=%d at %s", spawned.pid, spawned.url)
         return handle
 
     def live_daemons(self) -> List[DaemonHandle]:
@@ -394,8 +354,8 @@ class ServiceGateway(SocketRPCServer):
             daemon.connection.close()
         except Exception:  # noqa: BLE001 - it is already dead
             pass
-        if daemon.process is not None:
-            daemon.process.join(timeout=5)
+        if daemon.spawned is not None:
+            daemon.spawned.process.join(timeout=5)
         for record in stranded:
             try:
                 self._replay_session(record)
@@ -869,12 +829,8 @@ class ServiceGateway(SocketRPCServer):
             daemon.connection.close()
         except Exception:  # noqa: BLE001 - teardown must not raise
             pass
-        if daemon.process is not None and daemon.process.is_alive():
-            daemon.process.terminate()  # SIGTERM -> daemon shuts down cleanly.
-            daemon.process.join(timeout=15)
-            if daemon.process.is_alive():
-                daemon.process.kill()
-                daemon.process.join(timeout=5)
+        if daemon.spawned is not None:
+            daemon.spawned.stop()
 
     def shutdown(self) -> None:
         """Stop serving and reap every spawned daemon. Idempotent."""

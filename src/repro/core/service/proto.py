@@ -4,7 +4,7 @@ The upstream project defines these messages as protocol buffers; here they are
 plain dataclasses with the same field names so the rest of the code reads
 identically. Keeping an explicit message layer (rather than passing Python
 objects around freely) preserves the serialization discipline of the original
-design and lets the optional subprocess transport pickle them.
+design and lets the socket transport encode them.
 """
 
 from dataclasses import dataclass, field

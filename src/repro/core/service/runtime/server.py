@@ -47,7 +47,9 @@ token-holding peers.
 """
 
 import logging
+import multiprocessing
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -460,3 +462,95 @@ def make_env_server(
     # lives (and is released) with the daemon.
     server.owned_resources.append(template_env)
     return server
+
+
+def _spawned_daemon_main(ready, env_id: str, server_kwargs: dict) -> None:
+    """Child-process entry point: build the daemon, report its URL over
+    ``ready``, then serve until SIGTERM/SIGINT."""
+    try:
+        server = make_env_server(env_id, **server_kwargs)
+    except BaseException as error:  # noqa: BLE001 - reported to the parent
+        try:
+            ready.send(("error", f"{type(error).__name__}: {error}"))
+        finally:
+            ready.close()
+        return
+    ready.send(("ok", server.url))
+    ready.close()
+
+    def _on_term(signum, frame):
+        server.request_shutdown()
+
+    signal.signal(signal.SIGTERM, _on_term)
+    signal.signal(signal.SIGINT, _on_term)
+    server.serve_forever()
+    server.shutdown()
+
+
+class SpawnedDaemon:
+    """A :func:`make_env_server` daemon served from a child process.
+
+    The one way this project puts a runtime in another process: gateways
+    spawn their local fleet members with it, and the ``"process"`` vec
+    backend its per-worker private daemons. Construction starts the child and
+    returns while it builds its runtime, so several can be started before the
+    first is waited for; the first read of :attr:`url` waits until the daemon
+    is serving. A daemon that fails to start is reaped and that read raises
+    :class:`ServiceError`.
+
+    Args:
+        env_id: Environment whose runtime the daemon serves.
+        server_kwargs: Arguments of :func:`make_env_server` (listen address,
+            ``auth_tokens``, ``result_cache``, ``repro.make`` kwargs, ...).
+    """
+
+    def __init__(self, env_id: str, **server_kwargs):
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        self._ready, child_end = ctx.Pipe(duplex=False)
+        self._url: Optional[str] = None
+        # Daemonic: an interpreter that exits without stopping its daemons
+        # SIGTERMs them (a clean shutdown) instead of waiting on them forever.
+        self.process = ctx.Process(
+            target=_spawned_daemon_main,
+            args=(child_end, env_id, server_kwargs),
+            name="repro-spawned-daemon",
+            daemon=True,
+        )
+        self.process.start()
+        child_end.close()
+
+    @property
+    def url(self) -> str:
+        """Where the daemon serves; waits for it to come up on first read."""
+        if self._url is None:
+            try:
+                if self._ready.poll(120):
+                    status, payload = self._ready.recv()
+                else:
+                    status, payload = "error", "no URL reported within 120s"
+            except (EOFError, OSError) as error:
+                status, payload = "error", f"died during startup: {error}"
+            if status != "ok":
+                self.stop()
+                raise ServiceError(f"Spawned daemon failed to start: {payload}")
+            self._ready.close()
+            self._url = payload
+        return self._url
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid
+
+    def stop(self) -> None:
+        """SIGTERM the daemon (it shuts down cleanly), escalating to SIGKILL.
+
+        Idempotent, and safe on a daemon that already died or is still starting.
+        """
+        self._ready.close()
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=15)
+            if self.process.is_alive():
+                self.process.kill()
+        self.process.join(timeout=5)

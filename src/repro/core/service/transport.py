@@ -8,26 +8,24 @@ many sessions, survive client churn, and live on another machine. A
 fault-tolerance policy (timeouts, retries, restart, call accounting) and
 delegates the actual dispatch of each ``(method, *args)`` RPC to a transport.
 
-Three implementations are provided:
+Two implementations are provided:
 
 * :class:`InProcessTransport` — the runtime lives in the calling process and
   calls are plain method invocations. The default, and the fastest.
-* :class:`PipeTransport` — the runtime lives in a subprocess and calls are
-  pickled over a ``multiprocessing`` pipe. Gives crash isolation: a compiler
-  bug that takes down the runtime process is observed as a transport error
-  and recovered by the connection's restart loop.
 * :class:`SocketTransport` — the runtime lives in a standalone daemon (see
   :mod:`repro.core.service.runtime.server`) reachable over a TCP or Unix
   socket, speaking length-prefixed pickled messages. This is the paper's
-  deployment shape: the daemon multiplexes sessions from many clients,
-  survives client restarts, and can run on a different machine.
+  deployment shape, and the only process boundary in the project: the daemon
+  multiplexes sessions from many clients, survives client restarts, can run
+  on a different machine — or in a child process of the client
+  (:class:`~repro.core.service.runtime.server.SpawnedDaemon`), which is how
+  a runtime gets crash isolation and its own interpreter lock.
 
 The framing and encoding of every byte on the wire — the ``(status,
 payload)`` reply convention, the version-prefixed frame layout, the codec
 registry, service URL parsing — live in :mod:`repro.core.service.wire`, the
-single source of truth shared with the daemon, the gateway, and the
-process-pool worker protocol. This module re-exports the common names for
-backwards compatibility.
+single source of truth shared with the daemon and the gateway. This module
+re-exports the common names for backwards compatibility.
 
 The socket protocol is *multiplexed*: every frame starts with a wire-version
 byte, requests carry a monotonically increasing request id, and replies echo
@@ -42,7 +40,6 @@ dialect against a pre-handshake daemon).
 """
 
 import itertools
-import multiprocessing
 import os
 import socket
 import threading
@@ -61,7 +58,6 @@ from repro.core.service.wire import (  # noqa: F401 - re-exported wire API
     parse_service_url,
     read_frame,
     read_frame_ex,
-    send_reply,
     write_frame,
     write_frame_reply,
 )
@@ -138,8 +134,8 @@ class ServiceTransport:
     def restart(self) -> None:
         """Tear down and re-establish the backend channel (crash recovery).
 
-        For the in-process and pipe transports this destroys the runtime —
-        and with it every session it hosted. For the socket transport only
+        For the in-process transport this destroys the runtime — and with
+        it every session it hosted. For the socket transport only
         the *connection* is recreated; the daemon (and its sessions) live on.
         """
         raise NotImplementedError
@@ -198,143 +194,6 @@ class InProcessTransport(ServiceTransport):
     @property
     def runtime(self):
         return self._runtime
-
-
-def _pipe_service_main(conn, runtime_factory: Callable[[], Any]) -> None:
-    """Subprocess entry point: host a runtime, serve RPCs until closed."""
-    try:
-        runtime = runtime_factory()
-    except BaseException as error:  # noqa: BLE001 - reported to the parent
-        send_reply(conn, REPLY_ERROR, error)
-        conn.close()
-        return
-    send_reply(conn, REPLY_OK, None)
-    try:
-        while True:
-            try:
-                method, args = conn.recv()
-            except (EOFError, OSError):
-                break
-            if method == "__shutdown__":
-                send_reply(conn, REPLY_OK, None)
-                break
-            try:
-                result = getattr(runtime, method)(*args)
-            except BaseException as error:  # noqa: BLE001 - translated client-side
-                send_reply(conn, REPLY_ERROR, error)
-            else:
-                send_reply(conn, REPLY_OK, result)
-    finally:
-        try:
-            runtime.shutdown()
-        except Exception:  # noqa: BLE001 - already shutting down
-            pass
-        conn.close()
-
-
-class PipeTransport(ServiceTransport):
-    """Hosts the runtime in a subprocess behind a pickled-pipe RPC channel.
-
-    The factory must be picklable (it is shipped to the subprocess), and so
-    must every request and reply. In exchange the compiler runtime gets a
-    process boundary: a crash in the backend kills only the child, surfaces
-    here as a transport error, and is healed by the connection's
-    restart/retry loop with a fresh subprocess.
-    """
-
-    name = "pipe"
-
-    def __init__(
-        self, runtime_factory: Callable[[], Any], start_method: Optional[str] = None
-    ):
-        super().__init__()
-        self._runtime_factory = runtime_factory
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._process = None
-        self._conn = None
-        self._lock = threading.Lock()
-
-    def _on_connect_failure(self) -> None:
-        self._teardown()
-
-    @property
-    def _connect_error_prefix(self) -> str:
-        return "Failed to start pipe service subprocess"
-
-    def _open(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        self._process = self._ctx.Process(
-            target=_pipe_service_main,
-            args=(child_conn, self._runtime_factory),
-            daemon=True,
-            name="repro-pipe-service",
-        )
-        self._process.start()
-        child_conn.close()
-        self._conn = parent_conn
-        status, payload = self._receive()
-        if status == REPLY_ERROR:
-            raise payload
-
-    def _receive(self):
-        try:
-            return self._conn.recv()
-        except (EOFError, OSError) as error:
-            pid = self._process.pid if self._process else None
-            raise ConnectionError(f"Pipe service (pid={pid}) died: {error}") from error
-
-    def call(self, method: str, *args) -> Any:
-        with self._lock:
-            if self.closed:
-                raise ServiceIsClosed("Pipe transport is closed")
-            if self._conn is None:
-                raise ConnectionError("Pipe transport is not connected")
-            try:
-                self._conn.send((method, args))
-            except (OSError, BrokenPipeError) as error:
-                raise ConnectionError(f"Pipe service is gone: {error}") from error
-            status, payload = self._receive()
-        if status == REPLY_ERROR:
-            raise payload
-        return payload
-
-    def _teardown(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-            self._conn = None
-        if self._process is not None:
-            if self._process.is_alive():
-                self._process.terminate()
-            self._process.join(timeout=5)
-            self._process = None
-
-    def restart(self) -> None:
-        with self._lock:
-            self._teardown()
-            self.connect(self._connect_attempts)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            if self._conn is not None:
-                try:
-                    self._conn.send(("__shutdown__", ()))
-                    self._conn.recv()
-                except (OSError, EOFError, BrokenPipeError):
-                    pass
-            self._teardown()
-
-    def __repr__(self) -> str:
-        pid = self._process.pid if self._process else None
-        return f"PipeTransport(pid={pid}, closed={self.closed})"
 
 
 class _SendError(Exception):

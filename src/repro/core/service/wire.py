@@ -1,14 +1,12 @@
 """The versioned binary wire format of the compiler service protocol.
 
 Every byte that crosses a process boundary in this project — socket RPCs to
-a daemon or gateway, the subprocess pipe transport, the process-pool worker
-protocol — is framed and encoded by this module. It is the single source of
-truth for the wire conventions that used to be scattered across
-:mod:`repro.core.service.transport` and :mod:`repro.core.vector.process`:
+a daemon or gateway, whoever started it — is framed and encoded by this
+module. It is the single source of truth for the wire conventions:
 
 * the ``(status, payload)`` reply convention (:data:`REPLY_OK` /
   :data:`REPLY_ERROR`) and its degrade-on-unpicklable fallback
-  (:func:`send_reply`, :func:`write_frame_reply`);
+  (:func:`write_frame_reply`);
 * the socket frame layout — one version byte, a big-endian uint64 length
   prefix, then the encoded payload (:func:`frame_bytes`, :func:`read_frame`);
 * service URL parsing (:func:`parse_service_url`).
@@ -58,8 +56,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.errors import ServiceError
 
-# Wire statuses shared by every request/reply protocol in the project
-# (socket transport, pipe transport, process-pool workers).
+# Wire statuses of the request/reply protocol.
 REPLY_OK = "ok"
 REPLY_ERROR = "error"
 
@@ -397,21 +394,6 @@ def read_frame_ex(rfile) -> Tuple[int, Any]:
 def read_frame(rfile) -> Any:
     """Read one framed message from a binary stream (any supported version)."""
     return read_frame_ex(rfile)[1]
-
-
-def send_reply(conn, status: str, payload: Any) -> None:
-    """Send a ``(status, payload)`` pair on a multiprocessing connection.
-
-    Falls back to a picklable :class:`ServiceError` describing the payload
-    when the payload itself cannot be pickled, so one exotic result or
-    exception cannot wedge the channel. This is the pipe-side sibling of
-    :func:`write_frame_reply`, shared by the pipe transport and the
-    process-pool worker protocol.
-    """
-    try:
-        conn.send((status, payload))
-    except Exception:  # noqa: BLE001 - payload unpicklable; degrade, don't die
-        conn.send((REPLY_ERROR, ServiceError(f"{type(payload).__name__}: {payload}")))
 
 
 # -- service URLs -------------------------------------------------------------

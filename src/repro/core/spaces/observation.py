@@ -16,8 +16,8 @@ def _identity(value: Any) -> Any:
     """Default translation: the raw service value is the user-facing value.
 
     A module-level function (not a lambda) so that specs pickle: the socket
-    and pipe service transports ship ``GetSpacesReply`` messages — spec
-    objects included — across process boundaries.
+    transport ships ``GetSpacesReply`` messages — spec objects included —
+    across process boundaries.
     """
     return value
 

@@ -4,9 +4,10 @@ This subpackage provides :class:`VecCompilerEnv`, a pool of compilation
 sessions driven through a batched ``reset``/``step``/``multistep`` interface
 with optional auto-reset rollout semantics and dynamic ``resize()``. Pools
 execute through a pluggable backend: ``"serial"`` and ``"thread"`` populate
-via ``fork()`` and run in-process, while ``"process"`` gives every worker its
-own subprocess (rebuilt from a picklable :class:`WorkerSpec`) to sidestep the
-GIL for compute-bound sessions.
+via ``fork()`` and run in-process, while ``"process"`` gives every worker a
+private compiler service daemon in its own child process (an ordinary
+daemon-attached environment rebuilt from a :class:`WorkerSpec`) to sidestep
+the GIL for compute-bound sessions.
 """
 
 from repro.core.vector.autoscale import (
@@ -20,7 +21,7 @@ from repro.core.vector.backends import (
     ThreadPoolBackend,
     resolve_backend,
 )
-from repro.core.vector.process import ProcessPoolBackend, RemoteWorker, WorkerSpec
+from repro.core.vector.process import ProcessPoolBackend, WorkerSpec
 from repro.core.vector.vec_env import SKIPPED_STEP, VecCompilerEnv, make_vec_env
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "FleetAutoscalePolicy",
     "ExecutionBackend",
     "ProcessPoolBackend",
-    "RemoteWorker",
     "SKIPPED_STEP",
     "SerialBackend",
     "ThreadPoolBackend",

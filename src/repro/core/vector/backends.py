@@ -9,19 +9,17 @@ are executed, and *how* the worker pool is populated:
   thread pool so that the service round-trips of independent sessions overlap
   — the client-side analogue of the paper's environments-as-a-service
   throughput scaling (Fig. 6).
-* :class:`~repro.core.vector.process.ProcessPoolBackend` (``"process"``) runs
-  every worker in its own subprocess, sidestepping the GIL for compute-bound
-  sessions.
+* :class:`~repro.core.vector.process.ProcessPoolBackend` (``"process"``)
+  gives every worker a private compiler service daemon in its own child
+  process, sidestepping the GIL for compute-bound sessions.
 
 Serial and thread backends populate the pool by ``fork()``-ing the root
-environment in-process; the process backend ships a picklable per-worker
-closure to each subprocess instead.
+environment in-process; the process backend spawns one daemon per worker and
+attaches an ordinary daemon-backed environment to each.
 """
 
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Union
-
-from repro.core.service.connection import AsyncResult
 
 
 def close_quietly(closable) -> None:
@@ -33,24 +31,10 @@ def close_quietly(closable) -> None:
         pass
 
 
-def grow_thread_pool(
-    executor: ThreadPoolExecutor, num_workers: int, prefix: str
-) -> ThreadPoolExecutor:
-    """Swap a thread pool for a larger one, retiring the old executor."""
-    replacement = ThreadPoolExecutor(max_workers=num_workers, thread_name_prefix=prefix)
-    executor.shutdown(wait=True)
-    return replacement
-
-
 class ExecutionBackend:
     """Strategy interface for executing a batch of independent thunks."""
 
     name = "backend"
-
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The executor used for async service dispatch, if any."""
-        return None
 
     def run(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
         """Apply ``fn`` to every item, returning results in input order.
@@ -85,6 +69,14 @@ class ExecutionBackend:
             for index in range(1, len(workers)):
                 close_quietly(wrapped[index] if index < len(wrapped) else workers[index])
             raise
+
+    def fork_worker(self, template):
+        """A new worker cloned from ``template``, for a growing pool."""
+        return template.fork()
+
+    def retire_worker(self, worker) -> None:
+        """Close one worker that is leaving the pool (shrunk away, or closed)."""
+        worker.close()
 
     def resize(self, num_workers: int) -> None:
         """Adapt backend capacity to a resized pool. No-op by default."""
@@ -134,10 +126,6 @@ class ThreadPoolBackend(ExecutionBackend):
         )
         self._closed = False
 
-    @property
-    def executor(self) -> Optional[Executor]:
-        return None if self._closed else self._executor
-
     # Fork-populated workers of a daemon-attached root share the root's
     # socket. That is now what we want: the socket transport multiplexes
     # concurrent RPCs by request id, so this backend's batches overlap on
@@ -149,18 +137,17 @@ class ThreadPoolBackend(ExecutionBackend):
             raise RuntimeError(
                 f"Cannot run a batch on a closed {type(self).__name__}"
             )
-        results = [
-            AsyncResult(future=self._executor.submit(fn, item)) for item in items
-        ]
-        return [result.result() for result in results]
+        futures = [self._executor.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
 
     def resize(self, num_workers: int) -> None:
         """Grow the thread pool so a resized VecCompilerEnv keeps full overlap."""
         if self._closed or self._max_workers is None or num_workers <= self._max_workers:
             return
         self._max_workers = num_workers
-        self._executor = grow_thread_pool(
-            self._executor, num_workers, self._thread_name_prefix
+        self._executor.shutdown(wait=True)
+        self._executor = ThreadPoolExecutor(
+            max_workers=num_workers, thread_name_prefix=self._thread_name_prefix
         )
 
     def close(self) -> None:

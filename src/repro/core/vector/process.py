@@ -1,123 +1,93 @@
 """Process-pool execution backend for :class:`VecCompilerEnv`.
 
 The serial and thread backends drive in-process sessions, which the GIL caps
-for compute-bound workloads: no matter how many threads issue service calls,
-at most one can be *computing* (compiling, analysing IR) at a time. The
-:class:`ProcessPoolBackend` sidesteps the GIL by giving every pool worker its
-own subprocess that owns a complete environment — compiler service runtime
-included — so batched steps execute truly concurrently.
+for compute-bound workloads: however many threads issue service calls, at most
+one is *computing* at a time. :class:`ProcessPoolBackend` gives every worker a
+private compiler service daemon instead — the ``repro-compilergym serve``
+daemon, in a child process on a unix socket — so batched steps compute
+concurrently and a compiler crash takes down one worker.
 
-Because an environment (locks, live service runtime, lazy caches) cannot be
-shipped across a process boundary, workers are *rebuilt* inside each
-subprocess from a :class:`WorkerSpec`: a small picklable closure capturing
-the environment's construction recipe (``repro.make`` ID and kwargs, from
-``env.spec``), its current benchmark/observation/reward spaces, any action
-history to replay, and an optional picklable ``worker_wrapper``. The parent
-keeps one :class:`RemoteWorker` proxy per subprocess; proxies speak a small
-pickled command protocol over a pipe and quack like a ``CompilerEnv``, so the
-rest of the vector stack (and the trajectory-equivalence test suite) treats
-local and remote workers identically.
+Workers are ordinary daemon-attached environments, rebuilt client-side from a
+:class:`WorkerSpec`: the root's ``repro.make`` recipe (``env.spec``), its
+benchmark and spaces, the action history to replay, and the pool's
+``worker_wrapper``. Only service RPCs cross the process boundary.
 """
 
-import multiprocessing
-import pickle
-import threading
+import itertools
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.core.datasets import Benchmark
-from repro.core.service.wire import REPLY_ERROR, REPLY_OK, send_reply
+from repro.core.env import CompilerEnv
+from repro.core.service.runtime.server import SpawnedDaemon
 from repro.core.vector.backends import ThreadPoolBackend, close_quietly
-from repro.errors import ServiceError, SessionNotFound
+
+
+def _make_socket_dir() -> str:
+    """A fresh directory only this user can enter (``mkdtemp``: mode 0700)."""
+    base = tempfile.gettempdir()
+    if len(os.fsencode(base)) > 70:
+        # AF_UNIX paths are capped near 100 bytes, "/repro-vec-XXXXXXXX/NNN.sock"
+        # takes 27 of them: a deep TMPDIR (job scratch, say) cannot hold sockets.
+        base = "/tmp"
+    return tempfile.mkdtemp(prefix="repro-vec-", dir=base)
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """A picklable recipe for rebuilding one pool worker in a subprocess."""
+    """A recipe for rebuilding one pool worker on another service."""
 
     env_id: str
     make_kwargs: Dict[str, Any] = field(default_factory=dict)
-    benchmark: Optional[str] = None
-    observation_space: Optional[str] = None
-    reward_space: Optional[str] = None
     actions: Optional[List[Any]] = None
     worker_wrapper: Optional[Callable[[Any], Any]] = None
 
     @classmethod
     def from_env(cls, env, worker_wrapper: Optional[Callable[[Any], Any]] = None) -> "WorkerSpec":
-        """Derive a spec from a live root environment.
-
-        The environment must have been constructed by :func:`repro.make` (so
-        it carries a ``spec`` construction record) and must be unwrapped —
-        wrappers are applied per worker via ``worker_wrapper`` instead, which
-        (like the spec itself) must be picklable.
-        """
+        """Derive a spec from a live environment: one made by :func:`repro.make`
+        (so it carries a ``spec``) and unwrapped — ``worker_wrapper`` is how
+        workers get their wrappers."""
         from repro.core.wrappers.core import CompilerEnvWrapper
 
         if isinstance(env, CompilerEnvWrapper):
             raise ValueError(
                 "The process backend needs the raw root environment; apply "
-                "wrappers through worker_wrapper (a picklable callable) instead"
+                "wrappers through worker_wrapper instead"
             )
         env_spec = getattr(env, "spec", None)
         if env_spec is None:
             raise ValueError(
-                "The process backend can only rebuild environments created by "
-                "repro.make() (or make_vec_env(env_id=...)): the root "
-                "environment has no .spec construction record"
+                "The process backend can only rebuild environments created by repro.make() "
+                "(or make_vec_env(env_id=...)): the root environment has no .spec record"
             )
-        spec = cls(
+        benchmark, space, reward = env.benchmark, env.observation_space_spec, env.reward_space
+        if benchmark is not None and str(benchmark.uri) not in env._custom_benchmarks:
+            # Dataset benchmarks travel by URI. A user-built object stays an object,
+            # so the rebuilt env's reset() fails fast: its daemon cannot resolve it.
+            benchmark = str(benchmark.uri)
+        return cls(
             env_id=env_spec.id,
-            make_kwargs=dict(env_spec.kwargs),
-            benchmark=str(env.benchmark.uri) if env.benchmark is not None else None,
-            observation_space=(
-                env.observation_space_spec.id if env.observation_space_spec else None
+            # The recipe the env was made from, brought up to its present state.
+            make_kwargs=dict(
+                env_spec.kwargs,
+                benchmark=benchmark,
+                observation_space=space.id if space else None,
+                reward_space=reward.name if reward else None,
             ),
-            reward_space=env.reward_space.name if env.reward_space else None,
             actions=list(env.actions) if env.in_episode else None,
             worker_wrapper=worker_wrapper,
         )
-        if not spec.make_kwargs.get("service_url"):
-            # Only subprocess workers ship the spec across a process
-            # boundary; daemon-attached workers (service_url) are built
-            # in-process, so e.g. a lambda worker_wrapper is fine there.
-            try:
-                pickle.dumps(spec)
-            except Exception as error:
-                raise ValueError(
-                    f"The process backend requires a picklable worker spec "
-                    f"(environment kwargs and worker_wrapper): {error}"
-                ) from error
-        return spec
 
-    def build(self, service_connection=None):
-        """Construct the worker environment described by this spec.
-
-        Runs inside the subprocess. The compiler session state is recreated
-        by replaying the recorded action history on the unwrapped
-        environment, after which the wrapper (if any) is applied fresh — the
-        same semantics as the in-process backends, whose ``fork()``-based
-        population also applies wrappers on top of cloned sessions.
-
-        ``service_connection`` (daemon-attached, in-process builds only)
-        hands the new worker an existing connection to share instead of
-        opening its own — the multiplexed transport carries all sharers'
-        RPCs concurrently. The caller owns the refcounting.
-        """
-        import repro  # noqa: F401 - ensure the environment registry is populated
+    def build(self):
+        """Construct the worker: replay the action history on a fresh
+        unwrapped environment, then apply the wrapper (its state starts fresh,
+        as it does on the ``fork()``-populated backends)."""
         from repro.core.registration import make
 
-        kwargs = dict(self.make_kwargs)
-        if service_connection is not None:
-            kwargs["service_connection"] = service_connection
-        env = make(self.env_id, **kwargs)
+        env = make(self.env_id, **self.make_kwargs)
         try:
-            if self.benchmark is not None:
-                env.benchmark = self.benchmark
-            if self.observation_space is not None:
-                env.observation_space = self.observation_space
-            if self.reward_space is not None:
-                env.reward_space = self.reward_space
             if self.actions is not None:
                 env.reset()
                 if self.actions:
@@ -128,404 +98,103 @@ class WorkerSpec:
             raise
 
 
-def _dispatch(worker, command: str, payload):
-    if command == "reset":
-        return worker.reset(**payload)
-    if command == "multistep":
-        actions, observation_spaces, reward_spaces = payload
-        return tuple(
-            worker.multistep(
-                actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-            )
-        )
-    if command == "observation":
-        return [worker.observation[name] for name in payload]
-    if command == "getattr":
-        value = getattr(worker, payload)
-        if callable(value):
-            raise TypeError(
-                f"{payload} is a method; use the explicit RemoteWorker protocol"
-            )
-        if isinstance(value, Benchmark):
-            # Benchmarks may carry unpicklable payloads (validation
-            # callbacks, backend programs); the parent only needs identity.
-            return Benchmark(uri=str(value.uri), dynamic_config=value.dynamic_config)
-        return value
-    if command == "call":
-        name, args, kwargs = payload
-        return getattr(worker, name)(*args, **kwargs)
-    if command == "state":
-        unwrapped = getattr(worker, "unwrapped", worker)
-        benchmark = getattr(worker, "benchmark", None)
-        return {
-            "benchmark": str(benchmark.uri) if benchmark is not None else None,
-            "actions": list(unwrapped.actions),
-            "in_episode": bool(unwrapped.in_episode),
-        }
-    if command == "stats":
-        service = getattr(worker, "service", None)
-        return service.stats_summary() if service is not None else {}
-    raise ValueError(f"Unknown worker command: {command!r}")
-
-
-def _worker_main(conn, spec: WorkerSpec) -> None:
-    """Subprocess entry point: build the env, then serve commands until close.
-
-    The command loop speaks the shared ``(status, payload)`` reply convention
-    of :mod:`repro.core.service.wire` (:func:`send_reply` degrades
-    unpicklable payloads to a :class:`ServiceError` instead of wedging the
-    pipe); only the request vocabulary — environment commands rather than
-    service RPCs — is specific to pool workers.
-    """
-    try:
-        worker = spec.build()
-    except BaseException as error:  # noqa: BLE001 - reported to the parent
-        send_reply(conn, REPLY_ERROR, error)
-        conn.close()
-        return
-    send_reply(conn, REPLY_OK, None)
-    try:
-        while True:
-            try:
-                command, payload = conn.recv()
-            except (EOFError, OSError):
-                # Parent went away: release the session and exit.
-                break
-            if command == "close":
-                try:
-                    service = getattr(worker, "service", None)
-                    stats = service.stats_summary() if service is not None else {}
-                    worker.close()
-                    send_reply(conn, REPLY_OK, stats)
-                except BaseException as error:  # noqa: BLE001
-                    send_reply(conn, REPLY_ERROR, error)
-                break
-            try:
-                result = _dispatch(worker, command, payload)
-            except BaseException as error:  # noqa: BLE001 - translated parent-side
-                send_reply(conn, REPLY_ERROR, error)
-            else:
-                send_reply(conn, REPLY_OK, result)
-    finally:
-        try:
-            worker.close()
-        except Exception:  # noqa: BLE001 - already shutting down
-            pass
-        conn.close()
-
-
-class _RemoteObservationView:
-    """Minimal stand-in for ``env.observation``: batched ``view[space]`` fetches."""
-
-    def __init__(self, worker: "RemoteWorker"):
-        self._worker = worker
-
-    def __getitem__(self, name: str):
-        return self._worker._request("observation", [name])[0]
-
-
-class RemoteWorker:
-    """Parent-side proxy for an environment living in a subprocess.
-
-    Implements the slice of the ``CompilerEnv`` interface that
-    :class:`VecCompilerEnv` and the rollout/autotuning collectors drive:
-    ``reset``/``step``/``multistep``/``fork``/``close``, ``observation[...]``
-    lookups, and read access to simple attributes (``episode_reward``,
-    ``actions``, ``action_space``, ...) via a ``getattr`` round-trip.
-    """
-
-    is_remote = True
-
-    def __init__(self, ctx, spec: WorkerSpec, wait_ready: bool = True):
-        self._ctx = ctx
-        self._spec = spec
-        self._lock = threading.Lock()
-        self.closed = False
-        self._ready = False
-        self.final_stats: Dict[str, Dict[str, float]] = {}
-        parent_conn, child_conn = ctx.Pipe()
-        self._process = ctx.Process(
-            target=_worker_main, args=(child_conn, spec), daemon=True
-        )
-        self._process.start()
-        child_conn.close()
-        self._conn = parent_conn
-        if wait_ready:
-            self.wait_ready()
-
-    # -- protocol plumbing -------------------------------------------------
-
-    def wait_ready(self) -> "RemoteWorker":
-        """Block until the subprocess has finished building its environment.
-
-        Deferring this (``wait_ready=False`` at construction) lets a pool
-        start all its subprocesses first and overlap their environment
-        builds. On a build failure the subprocess is torn down and the error
-        re-raised.
-        """
-        with self._lock:
-            self._ensure_ready()
-        return self
-
-    def _ensure_ready(self) -> None:
-        """Consume the build ack. The caller must hold ``self._lock``."""
-        if self._ready:
-            return
-        try:
-            self._receive()
-        except BaseException:
-            self._abandon()
-            raise
-        self._ready = True
-
-    def _receive(self):
-        try:
-            status, result = self._conn.recv()
-        except (EOFError, OSError) as error:
-            raise ServiceError(
-                f"Subprocess worker (pid={self._process.pid}) died: {error}"
-            ) from error
-        if status == REPLY_ERROR:
-            raise result
-        return result
-
-    def _request(self, command: str, payload=None):
-        with self._lock:
-            if self.closed:
-                raise SessionNotFound(
-                    f"Cannot call {command} on a closed subprocess worker"
-                )
-            self._ensure_ready()
-            try:
-                self._conn.send((command, payload))
-            except (OSError, BrokenPipeError) as error:
-                raise ServiceError(
-                    f"Subprocess worker (pid={self._process.pid}) is gone: {error}"
-                ) from error
-            return self._receive()
-
-    def _abandon(self) -> None:
-        """Tear down the subprocess without the close handshake."""
-        self.closed = True
-        try:
-            self._conn.close()
-        except Exception:  # noqa: BLE001
-            pass
-        if self._process.is_alive():
-            self._process.terminate()
-        self._process.join(timeout=5)
-
-    # -- CompilerEnv-facing API -------------------------------------------
-
-    def reset(self, benchmark=None, **kwargs):
-        payload = dict(kwargs)
-        if benchmark is not None:
-            payload["benchmark"] = benchmark
-        return self._request("reset", payload)
-
-    def step(self, action, observation_spaces=None, reward_spaces=None):
-        return self.multistep(
-            [action], observation_spaces=observation_spaces, reward_spaces=reward_spaces
-        )
-
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
-        return self._request(
-            "multistep", (list(actions), observation_spaces, reward_spaces)
-        )
-
-    @property
-    def observation(self) -> _RemoteObservationView:
-        return _RemoteObservationView(self)
-
-    def observations(self, names) -> List[Any]:
-        """Fetch several observation spaces in one subprocess round trip."""
-        return self._request("observation", list(names))
-
-    def call(self, name: str, *args, **kwargs):
-        """Invoke an arbitrary method on the subprocess environment."""
-        return self._request("call", (name, args, kwargs))
-
-    def stats_summary(self) -> Dict[str, Dict[str, float]]:
-        """The subprocess connection's call accounting (final after close)."""
-        if self.closed:
-            return self.final_stats
-        return self._request("stats")
-
-    def fork(self) -> "RemoteWorker":
-        """Clone this worker into a new subprocess.
-
-        The new worker rebuilds the compiler session by replaying this
-        worker's benchmark and action history; wrapper state (e.g. a
-        ``TimeLimit`` budget) starts fresh, so forking mid-episode is best
-        done at episode boundaries — which is where ``resize()`` under
-        auto-reset rollouts lands anyway.
-        """
-        state = self._request("state")
-        spec = replace(
-            self._spec,
-            benchmark=state["benchmark"] or self._spec.benchmark,
-            actions=list(state["actions"]) if state["in_episode"] else None,
-        )
-        return RemoteWorker(self._ctx, spec)
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        error: Optional[BaseException] = None
-        try:
-            with self._lock:
-                if self.closed:  # An _ensure_ready failure may have abandoned us.
-                    return
-                try:
-                    self._ensure_ready()
-                except BaseException:
-                    return  # The build failed; the subprocess is already gone.
-                self.closed = True
-                self._conn.send(("close", None))
-                status, result = self._conn.recv()
-            if status == REPLY_OK:
-                self.final_stats = result or {}
-            else:
-                error = result
-        except (EOFError, OSError, BrokenPipeError):
-            pass  # The subprocess is already gone; nothing left to release.
-        finally:
-            self.closed = True
-            try:
-                self._conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-            self._process.join(timeout=10)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=5)
-        if error is not None:
-            raise error
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return self._request("getattr", name)
-
-    def __repr__(self) -> str:
-        return (
-            f"RemoteWorker(pid={self._process.pid}, env_id={self._spec.env_id!r}, "
-            f"closed={self.closed})"
-        )
-
-    def __del__(self):
-        try:
-            if not self.closed:
-                self._abandon()
-        except Exception:  # noqa: BLE001 - interpreter shutdown
-            pass
-
-
 class ProcessPoolBackend(ThreadPoolBackend):
-    """Runs every pool worker in its own subprocess.
+    """Gives every pool worker a private daemon in its own child process.
 
-    Population ships a picklable :class:`WorkerSpec` to each subprocess
-    instead of forking in-process. Batch execution reuses the
-    :class:`ThreadPoolBackend` machinery, but here the pool is a *dispatcher*:
-    its threads merely wait on pipe replies (releasing the GIL) while the
-    actual environment compute runs concurrently in the worker processes.
+    The inherited thread pool only *dispatches* here: its threads wait on socket
+    replies (releasing the GIL) while the daemons compute. The daemons listen in
+    a directory only this user can enter, made on first use, removed with the last.
     """
 
     name = "process"
     _thread_name_prefix = "vec-env-dispatch"
 
-    def __init__(self, max_workers: Optional[int] = None, start_method: Optional[str] = None):
-        # None keeps the executor's CPU-based default sizing (like
-        # ThreadPoolBackend) so a directly-constructed instance can still
-        # drive a whole pool of subprocesses concurrently.
+    def __init__(self, max_workers: Optional[int] = None):
+        # None keeps the executor's CPU-based default sizing, so a directly
+        # constructed instance still drives a whole pool concurrently.
         super().__init__(max_workers=max_workers)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        # Every live daemon, with the wrapper its worker was built under.
+        self._daemons: Dict[SpawnedDaemon, Optional[Callable[[Any], Any]]] = {}
+        self._socket_dir: Optional[str] = None
+        self._socket_ids = itertools.count()
 
-    def populate(self, env, n: int, worker_wrapper: Optional[Callable[[Any], Any]]) -> List[Any]:
-        """Spawn ``n`` subprocess workers rebuilt from the root env's spec.
-
-        On success the root environment is closed: its construction recipe
-        and session state live on inside the subprocesses. On failure the
-        root is left open for the caller and any subprocesses spawned so far
-        are torn down.
-
-        When the root environment is attached to a compiler service daemon
-        (constructed with a ``service_url``), no subprocesses are spawned at
-        all: the daemon *is* the out-of-process compute, so each worker is
-        built in-process as another client of the daemon — one socket
-        connection and one server-side session per worker. Pools created
-        against the same daemon therefore reuse one long-lived service
-        process, amortizing service startup across ``resize()`` calls, across
-        pools, and across whole training runs.
-        """
-        spec = WorkerSpec.from_env(env, worker_wrapper)
-        if spec.make_kwargs.get("service_url"):
-            return self._populate_from_daemon(env, spec, n)
-        workers: List[RemoteWorker] = []
+    def _spawn_workers(self, spec: WorkerSpec, n: int) -> List[Any]:
+        """Start ``n`` more private daemons — all of them before waiting for
+        any, so they come up side by side — and attach ``spec``'s worker to
+        each. All or nothing: on failure every one of them is stopped."""
+        self._socket_dir = self._socket_dir or _make_socket_dir()
+        client_only = CompilerEnv.CLIENT_KWARGS
+        runtime_kwargs = {k: v for k, v in spec.make_kwargs.items() if k not in client_only}
+        daemons: List[SpawnedDaemon] = []
+        workers: List[Any] = []
         try:
-            # Start every subprocess first, then wait for the build acks, so
-            # the n environment builds overlap instead of running serially.
             for _ in range(n):
-                workers.append(RemoteWorker(self._ctx, spec, wait_ready=False))
-            for worker in workers:
-                worker.wait_ready()
+                daemon = SpawnedDaemon(
+                    spec.env_id,
+                    unix_path=os.path.join(self._socket_dir, f"{next(self._socket_ids)}.sock"),
+                    session_timeout=None,
+                    **runtime_kwargs,
+                )
+                daemons.append(daemon)
+                self._daemons[daemon] = spec.worker_wrapper
+            for daemon in daemons:
+                attached = dict(spec.make_kwargs, service_url=daemon.url)
+                workers.append(replace(spec, make_kwargs=attached).build())
         except Exception:
             for worker in workers:
                 close_quietly(worker)
+            self._stop(daemons)
             raise
-        env.close()
         return workers
 
-    def _populate_from_daemon(self, env, spec: WorkerSpec, n: int) -> List[Any]:
-        """Build ``n`` daemon-attached client workers (sessions, not processes).
+    def _daemon_of(self, worker) -> Optional[SpawnedDaemon]:
+        """The private daemon ``worker`` is attached to, if it is one of ours."""
+        url = getattr(worker, "service_url", None)
+        return next((daemon for daemon in self._daemons if daemon.url == url), None)
 
-        All workers share one multiplexed socket connection: the first build
-        opens it, the rest attach to it (refcounted, like ``fork()``), so
-        concurrent RPCs overlap on the shared socket and the pool qualifies
-        for batched ``step_sessions`` stepping — one round trip per pool
-        step instead of one per worker. The daemon's per-session locking
-        keeps the sessions isolated server-side. Builds after the first run
-        on the dispatcher pool — each is several RPCs (session setup,
-        action-history replay), so they overlap instead of running serially.
+    def _stop(self, daemons: Iterable[SpawnedDaemon]) -> None:
+        for daemon in list(daemons):
+            daemon.stop()
+            del self._daemons[daemon]
+        if not self._daemons and self._socket_dir is not None:
+            shutil.rmtree(self._socket_dir, ignore_errors=True)
+            self._socket_dir = None
+
+    def populate(self, env, n: int, worker_wrapper: Optional[Callable[[Any], Any]]) -> List[Any]:
+        """Spawn ``n`` private daemons and attach one worker to each.
+
+        On success the root is closed: its recipe and session state live on in
+        the workers. On failure it is left open for the caller, and every daemon
+        started here is stopped. A root attached to a daemon (``service_url``)
+        is fork-populated like the thread backend instead: that daemon already
+        *is* the out-of-process compute, so the workers become sessions on it.
         """
-
-        def build_shared(connection):
-            if connection is None:
-                return spec.build()
-            connection.acquire()
-            try:
-                worker = spec.build(service_connection=connection)
-            except BaseException:
-                connection.release()
-                raise
-            # The worker must release its share of the connection on close,
-            # exactly like a fork() of the first worker would.
-            base = getattr(worker, "unwrapped", worker)
-            base._owns_service = True
-            return worker
-
-        # The first worker is built synchronously: it establishes the shared
-        # connection (a failure here leaves the root env open, per the
-        # populate() contract).
-        workers: List[Any] = [spec.build()]
-        errors: List[BaseException] = []
-        connection = getattr(
-            getattr(workers[0], "unwrapped", workers[0]), "service", None
-        )
-        futures = [
-            self._executor.submit(build_shared, connection) for _ in range(n - 1)
-        ]
-        for future in futures:
-            try:
-                workers.append(future.result())
-            except Exception as error:  # noqa: BLE001 - collected below
-                errors.append(error)
-        if errors:
-            for worker in workers:
-                close_quietly(worker)
-            raise errors[0]
+        if getattr(env, "service_url", None):
+            return super().populate(env, n, worker_wrapper)
+        workers = self._spawn_workers(WorkerSpec.from_env(env, worker_wrapper), n)
         env.close()
         return workers
+
+    def fork_worker(self, template):
+        """Spawn another private daemon and replay ``template``'s state on it,
+        under the wrapper ``template`` was built with. Wrapper state (a
+        ``TimeLimit`` budget, say) starts fresh, so grow at episode boundaries.
+        A template on a daemon this backend did not start is forked as a
+        session there."""
+        daemon = self._daemon_of(template)
+        if daemon is None:
+            return template.fork()
+        base = getattr(template, "unwrapped", template)
+        (worker,) = self._spawn_workers(WorkerSpec.from_env(base, self._daemons[daemon]), 1)
+        return worker
+
+    def retire_worker(self, worker) -> None:
+        daemon = self._daemon_of(worker)
+        try:
+            worker.close()
+        finally:
+            self._stop([daemon] if daemon is not None else [])
+
+    def close(self) -> None:
+        self._stop(self._daemons)
+        super().close()

@@ -9,8 +9,8 @@ backends (``"serial"``, ``"thread"``) *fork* the root environment N−1 times,
 so service startup, benchmark initialization, and the service's benchmark
 cache are paid once and shared by every worker — the cheap session cloning
 that the source paper's environments-as-a-service architecture is built
-around. The ``"process"`` backend instead rebuilds each worker inside its own
-subprocess from a picklable spec, trading shared caches for GIL-free
+around. The ``"process"`` backend instead gives each worker a private service
+daemon in its own child process, trading shared caches for GIL-free
 parallelism on compute-bound sessions.
 """
 
@@ -29,19 +29,6 @@ logger = logging.getLogger(__name__)
 SKIPPED_STEP = (None, None, True, {"skipped": True})
 
 
-def _fetch_observations(worker, names: Sequence[str]) -> List[Any]:
-    """Fetch several observation spaces from one worker.
-
-    Workers that expose a batched ``observations()`` method (the subprocess
-    proxies) get all names in a single round trip; plain environments fall
-    back to per-space ``observation[...]`` lookups.
-    """
-    batched = getattr(type(worker), "observations", None)
-    if batched is not None:
-        return batched(worker, list(names))
-    return [worker.observation[name] for name in names]
-
-
 class VecCompilerEnv:
     """A pool of environments with a batched Gym-style interface.
 
@@ -49,8 +36,8 @@ class VecCompilerEnv:
         env: The root environment. The pool takes ownership: with an
             in-process backend it becomes worker 0 and is forked to populate
             the rest of the pool; with the process backend it provides the
-            worker construction spec and is closed once the subprocess
-            workers are up. Closing the pool closes every worker.
+            worker construction spec and is closed once the workers are
+            attached to their daemons. Closing the pool closes every worker.
         n: The number of workers (must be >= 1).
         backend: Execution backend: ``"serial"`` (default), ``"thread"``,
             ``"process"``, or an :class:`ExecutionBackend` instance. A
@@ -58,21 +45,12 @@ class VecCompilerEnv:
             instance is not.
         worker_wrapper: Optional callable applied to every worker (including
             the root) after forking, e.g. to impose a ``TimeLimit``. The
-            wrapper must preserve the ``CompilerEnv`` interface, and must be
-            picklable for the process backend.
+            wrapper must preserve the ``CompilerEnv`` interface.
         auto_reset: When True, a worker whose episode ends is reset *within
             the same batched step*: its slot returns the new episode's
             initial observation, ``done=True``, and the final observation of
             the finished episode under ``info["terminal_observation"]`` —
             the standard VecEnv contract for continuous rollout collection.
-        use_batched_step: When True (the default), a pool whose workers
-            share one daemon connection collapses each batched step into a
-            single ``step_sessions`` RPC executed concurrently on the
-            daemon, instead of one RPC per worker. Pools that do not qualify
-            (in-process workers, wrapped workers, mixed connections) fall
-            back to per-worker dispatch automatically; set False to force
-            the per-worker path (the benchmark harness does, to measure the
-            batching win).
     """
 
     def __init__(
@@ -82,27 +60,20 @@ class VecCompilerEnv:
         backend: Union[str, ExecutionBackend, None] = None,
         worker_wrapper: Optional[Callable[[Any], Any]] = None,
         auto_reset: bool = False,
-        use_batched_step: bool = True,
     ):
         if n < 1:
             raise ValueError(f"VecCompilerEnv requires n >= 1, got {n}")
         self._backend = resolve_backend(backend, n)
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.auto_reset = auto_reset
-        self.use_batched_step = use_batched_step
         self.closed = False
         self._worker_wrapper = worker_wrapper
-        # Cache of each worker's default observation-space id (static
-        # metadata), so auto-reset re-fetches can recognize "the requested
-        # space IS the default" without a per-reset metadata round trip.
-        # Invalidated on resize and on any reset that changes the space.
-        self._default_space_ids: Dict[int, Optional[str]] = {}
         self.workers: List[Any] = []
         try:
             # The backend owns the population strategy: in-process backends
             # fork the root (cleaning up partially-built — including
             # partially-wrapped — workers on failure), the process backend
-            # spawns subprocess workers from a picklable spec.
+            # spawns a private daemon per worker.
             self.workers = self._backend.populate(env, n, worker_wrapper)
         except Exception:
             if self._owns_backend:
@@ -153,15 +124,11 @@ class VecCompilerEnv:
     def connection_stats(self) -> Dict[str, Dict[str, float]]:
         """Aggregate service-call accounting across all pool workers.
 
-        In-process workers share one connection (counted once); subprocess
-        workers each report their own connection's summary.
+        Workers that share one connection are counted once.
         """
         summaries = []
         seen_services = set()
         for worker in self.workers:
-            if getattr(type(worker), "is_remote", False):
-                summaries.append(worker.stats_summary())
-                continue
             service = getattr(worker, "service", None)
             if service is None or id(service) in seen_services:
                 continue
@@ -196,8 +163,6 @@ class VecCompilerEnv:
         Extra keyword arguments are forwarded to every worker's ``reset()``.
         """
         self._check_open("reset")
-        if "observation_space" in kwargs:
-            self._default_space_ids.clear()
         if benchmarks is None or isinstance(benchmarks, (str, Benchmark)):
             per_worker = [benchmarks] * self.num_envs
         else:
@@ -217,16 +182,11 @@ class VecCompilerEnv:
 
         Routed through the execution backend like every batched operation,
         so the call stays inside the pool's dispatch protocol (and its
-        accounting) instead of blocking the caller on a direct worker
-        round-trip — which matters under the process backend, where a direct
-        ``workers[i].reset()`` is a synchronous pipe exchange that bypasses
-        the dispatcher. Used by rollout collectors to re-assign one worker's
+        accounting). Used by rollout collectors to re-assign one worker's
         benchmark mid-run without touching the rest of the pool.
         """
         self._check_open("reset_worker")
         worker = self.workers[index]
-        if "observation_space" in kwargs:
-            self._default_space_ids.pop(id(worker), None)
 
         def reset_one(target):
             if benchmark is None:
@@ -269,21 +229,18 @@ class VecCompilerEnv:
         observation is preserved in ``info["terminal_observation"]``.
 
         When every stepped worker shares one daemon connection that supports
-        the batched-step RPC (and :attr:`use_batched_step` is on), the whole
-        pool step travels as a single ``step_sessions`` round trip and the
-        daemon executes the per-session steps concurrently; otherwise each
-        worker's step is dispatched through the execution backend as its own
-        service call.
+        the batched-step RPC, the whole pool step travels as a single
+        ``step_sessions`` round trip and the daemon executes the per-session
+        steps concurrently; otherwise each worker's step is dispatched through
+        the execution backend as its own service call.
         """
         self._check_open("multistep")
         self._check_batch("action_lists", action_lists)
         action_lists = list(action_lists)
 
-        results = None
-        if self.use_batched_step:
-            results = self._batched_multistep(
-                action_lists, observation_spaces, reward_spaces
-            )
+        results = self._batched_multistep(
+            action_lists, observation_spaces, reward_spaces
+        )
         if results is None:
             results = self._fanout_multistep(
                 action_lists, observation_spaces, reward_spaces
@@ -343,10 +300,10 @@ class VecCompilerEnv:
             return None
         connection = None
         for _, worker, _ in actionable:
-            # An exact-method check: any wrapper/override (TimeLimit, remote
-            # proxies, test doubles) opts the pool out of batching, because
-            # only the unmodified CompilerEnv.multistep splits into the
-            # prepare/finish phases the batch path re-composes.
+            # An exact-method check: any wrapper/override (TimeLimit, test
+            # doubles) opts the pool out of batching, because only the
+            # unmodified CompilerEnv.multistep splits into the prepare/finish
+            # phases the batch path re-composes.
             if getattr(type(worker), "multistep", None) is not CompilerEnv.multistep:
                 return None
             if not worker.in_episode:
@@ -422,15 +379,6 @@ class VecCompilerEnv:
                     results[index] = result
         return results
 
-    def _default_space_id(self, worker) -> Optional[str]:
-        """The worker's default observation-space id, cached (it is static
-        metadata — for subprocess proxies the lookup is a round trip)."""
-        key = id(worker)
-        if key not in self._default_space_ids:
-            spec = getattr(worker, "observation_space_spec", None)
-            self._default_space_ids[key] = getattr(spec, "id", None)
-        return self._default_space_ids[key]
-
     def _auto_reset_worker(
         self, worker, result: Tuple[Any, Any, bool, dict], observation_spaces
     ) -> Tuple[Any, Any, bool, dict]:
@@ -445,10 +393,11 @@ class VecCompilerEnv:
             # default space. When the request is exactly the default space,
             # reset() already produced it — skip the re-fetch round trip.
             requested = [getattr(space, "id", space) for space in observation_spaces]
-            if requested == [self._default_space_id(worker)]:
+            default = worker.observation_space_spec
+            if default is not None and requested == [default.id]:
                 observation = [observation]
             else:
-                observation = _fetch_observations(worker, requested)
+                observation = [worker.observation[name] for name in requested]
         return observation, reward, done, info
 
     def observations(self, spaces: Union[str, Sequence[str]]) -> List[Any]:
@@ -465,7 +414,7 @@ class VecCompilerEnv:
         names = [spaces] if single else list(spaces)
 
         def observe_one(worker):
-            values = _fetch_observations(worker, names)
+            values = [worker.observation[name] for name in names]
             return values[0] if single else values
 
         return self._backend.run(observe_one, self.workers)
@@ -475,7 +424,7 @@ class VecCompilerEnv:
     def resize(self, n: int) -> int:
         """Grow or shrink the pool to ``n`` workers, returning the new size.
 
-        Growing forks worker 0 (an in-process fork, or a subprocess clone
+        Growing forks worker 0 (an in-process fork, or a new private daemon
         that replays worker 0's session under the process backend), so new
         workers start from worker 0's current benchmark and session state —
         resize at an episode boundary, or reset the pool afterwards, for a
@@ -485,21 +434,18 @@ class VecCompilerEnv:
         self._check_open("resize")
         if n < 1:
             raise ValueError(f"VecCompilerEnv requires n >= 1, got {n}")
-        # Pool membership is changing; drop the per-worker metadata cache
-        # (id()s of retired workers may be recycled by new ones).
-        self._default_space_ids.clear()
         errors: List[Exception] = []
         while len(self.workers) > n:
             worker = self.workers.pop()
             try:
-                worker.close()
+                self._backend.retire_worker(worker)
             except Exception as error:  # noqa: BLE001 - retire the rest first
                 errors.append(error)
         if len(self.workers) < n:
             template = self.workers[0]
             expected_chain = self._wrapper_chain(template)
             while len(self.workers) < n:
-                worker = template.fork()
+                worker = self._backend.fork_worker(template)
                 if (
                     self._worker_wrapper is not None
                     and self._wrapper_chain(worker) != expected_chain
@@ -528,8 +474,7 @@ class VecCompilerEnv:
         """The types of the worker's wrapper chain, outermost first.
 
         Walks instance ``env`` attributes directly (never ``__getattr__``
-        delegation), so subprocess proxies and raw environments yield a
-        single-element chain.
+        delegation), so a raw environment yields a single-element chain.
         """
         chain: List[type] = []
         seen = set()
@@ -578,7 +523,7 @@ class VecCompilerEnv:
         errors: List[Exception] = []
         for worker in self.workers:
             try:
-                worker.close()
+                self._backend.retire_worker(worker)
             except Exception as error:  # noqa: BLE001 - close all before raising
                 errors.append(error)
         if self._owns_backend:
@@ -612,7 +557,6 @@ def make_vec_env(
     env=None,
     worker_wrapper: Optional[Callable[[Any], Any]] = None,
     auto_reset: bool = False,
-    use_batched_step: bool = True,
     **make_kwargs,
 ) -> VecCompilerEnv:
     """Construct a :class:`VecCompilerEnv` from an environment ID or instance.
@@ -637,7 +581,6 @@ def make_vec_env(
             backend=backend,
             worker_wrapper=worker_wrapper,
             auto_reset=auto_reset,
-            use_batched_step=use_batched_step,
         )
     except Exception:
         # Pool construction failed. A caller-provided env remains the

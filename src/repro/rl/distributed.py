@@ -9,6 +9,7 @@ agent; this module splits them back apart:
 
 * **Actors** are subprocesses. Each one builds its own auto-reset
   :class:`~repro.core.vector.VecCompilerEnv` pool of RL-wrapped environments
+  (in-process, or sessions on a shared daemon with ``service_url``)
   and drives it with a *local copy* of the policy through the exact rollout
   loop of the single-process path (:func:`repro.rl.trainer.run_vec_rollouts`).
   Experience — Ape-X transition tuples, IMPALA trajectories with behaviour
@@ -312,8 +313,11 @@ class DistributedTrainer:
             must be picklable.
         num_actors: Number of actor subprocesses.
         envs_per_actor: Pool size inside each actor.
-        env_backend: Execution backend of each actor's pool (``"serial"``,
-            ``"thread"``, or ``"process"``).
+        env_backend: Execution backend of each actor's pool (``"serial"`` or
+            ``"thread"``). Actors are daemonic processes, which
+            ``multiprocessing`` forbids from having children, so ``"process"``
+            — a private service daemon per worker — cannot start inside one;
+            the actors themselves are the process-level parallelism here.
         service_url: Attach every actor's environments to a running compiler
             service daemon (``repro serve``) at this URL instead of hosting a
             compiler service inside each actor. The daemon multiplexes all

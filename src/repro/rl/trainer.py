@@ -88,9 +88,9 @@ def make_rl_environment(
 class RlWorkerWrapper:
     """Picklable per-worker wrapper applying the experiment's MDP formulation.
 
-    ``VecCompilerEnv`` applies this to every pool worker. Being a plain
-    dataclass (rather than a closure) it can be shipped to the subprocess
-    workers of the ``"process"`` backend.
+    ``VecCompilerEnv`` applies this to every pool worker, client-side under
+    every backend. Being a plain dataclass (rather than a closure) it can be
+    shipped to the actor processes of :mod:`repro.rl.distributed`.
     """
 
     observation_space: str = "Autophase"
@@ -123,9 +123,9 @@ def make_vec_rl_environment(
 
     With an in-process backend the raw root environment is forked to populate
     the pool (so service startup and the benchmark cache are shared); with
-    ``backend="process"`` each worker is rebuilt in its own subprocess. Every
-    worker is then wrapped into the experiment's MDP formulation via
-    :class:`RlWorkerWrapper`.
+    ``backend="process"`` each worker is rebuilt as the client of a private
+    service daemon in its own child process. Every worker is then wrapped
+    into the experiment's MDP formulation via :class:`RlWorkerWrapper`.
 
     On success the pool owns ``env``. On failure ``env`` is closed before the
     error propagates (callers construct it solely for the pool); pass

@@ -2,7 +2,7 @@
 
 Covers the client/server split that turns this reproduction into the paper's
 actual architecture: the ``ServiceTransport`` implementations (in-process,
-subprocess pipe, socket), the ``repro serve`` daemon's session multiplexing
+socket), the ``repro serve`` daemon's session multiplexing
 (per-session locking, idle reaping, client-churn survival, graceful
 shutdown), transport equivalence of full environments, persistent-daemon
 reuse across sequential vectorized pools, cross-transport stats aggregation,
@@ -35,7 +35,6 @@ from repro.core.service.transport import (
     PROTOCOL_VERSION,
     REPLY_OK,
     InProcessTransport,
-    PipeTransport,
     SocketTransport,
     parse_service_url,
     read_frame,
@@ -45,7 +44,11 @@ from repro.core.service.transport import (
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Scalar
 from repro.core.vector import AutoscalePolicy, VecCompilerEnv, make_vec_env
 from repro.core.vector.autoscale import interval_delta
-from repro.core.service.connection import clear_spaces_cache, merge_stats_summaries
+from repro.core.service.connection import (
+    CallStats,
+    clear_spaces_cache,
+    merge_stats_summaries,
+)
 from repro.core.wrappers import TimeLimit
 from repro.errors import (
     ServiceError,
@@ -183,13 +186,10 @@ class TestFraming:
 # -- transports behind ServiceConnection -------------------------------------
 
 
+# One transport is left to run this class over; it stays a parameter so that
+# the tests keep the ids ("...[in-process]") they are tracked under.
 @pytest.mark.parametrize(
-    "make_transport",
-    [
-        lambda: InProcessTransport(_runtime),
-        lambda: PipeTransport(_runtime),
-    ],
-    ids=["in-process", "pipe"],
+    "make_transport", [lambda: InProcessTransport(_runtime)], ids=["in-process"]
 )
 class TestTransportConnection:
     def test_full_session_lifecycle(self, make_transport):
@@ -232,35 +232,18 @@ class TestTransportConnection:
             connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
 
 
-class TestPipeTransport:
-    def test_runtime_is_not_local(self):
-        with ServiceConnection(PipeTransport(_runtime)) as connection:
-            assert connection.runtime is None
-
-    def test_killed_subprocess_is_replaced_on_retry(self):
-        transport = PipeTransport(_runtime)
-        connection = ServiceConnection(
-            transport, ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001)
-        )
-        transport._process.kill()
-        transport._process.join(timeout=5)
-        # The dead channel surfaces as a transport failure, the connection
-        # restarts it (a fresh subprocess), and the retried call succeeds.
-        session = connection.start_session(
-            StartSessionRequest(
-                benchmark_uri="benchmark://t-v0/3", observation_space_names=["value"]
-            )
-        )
-        assert session.observations[0].value() == 3
-        assert connection.restart_count >= 1
-        connection.close()
-
-    def test_shutdown_terminates_subprocess(self):
-        transport = PipeTransport(_runtime)
-        connection = ServiceConnection(transport)
-        process = transport._process
-        connection.close()
-        assert not process.is_alive()
+class TestCallStatsIsBounded:
+    def test_ten_thousand_calls_leave_only_scalars(self):
+        """Regression: every RPC used to append a float to a per-method list
+        that lived as long as the connection and was re-summed on each
+        ``stats_summary()`` poll."""
+        stats = CallStats()
+        wall_times = [0.001 * (i % 7) for i in range(10_000)]
+        for wall_time in wall_times:
+            stats.record(wall_time)
+        assert all(isinstance(value, (int, float)) for value in vars(stats).values())
+        assert stats.summary()["calls"] == 10_000
+        assert stats.summary()["wall_time_s"] == pytest.approx(sum(wall_times))
 
 
 class TestSlowSuccessIsNotRetried:
@@ -287,7 +270,7 @@ class TestSlowSuccessIsNotRetried:
         # The slow success is recorded in the wall-time accounting.
         assert connection.stats["step"].calls == 1
         assert connection.stats["step"].errors == 1
-        assert connection.stats["step"].wall_times[0] >= 0.02
+        assert connection.stats["step"].wall_time_s >= 0.02
         # The action WAS applied; the session remains usable and consistent.
         reply = connection.step(
             StepRequest(
@@ -1200,11 +1183,6 @@ class TestDaemonPoolReuse:
         with self._pool(llvm_daemon.url, 2) as pool2:
             pool2.reset()
             pool2.step([1, 2])
-            # Daemon-attached workers are local client objects (sessions on
-            # the daemon), not subprocess proxies.
-            from repro.core.vector import RemoteWorker
-
-            assert not any(isinstance(w, RemoteWorker) for w in pool2.workers)
             info2 = pool2.workers[0].service.transport.server_info()
 
         # Same daemon process served both pools; its runtime accumulated the
@@ -1234,8 +1212,7 @@ class TestDaemonPoolReuse:
             assert len(rewards) == 3
 
     def test_daemon_pool_accepts_unpicklable_wrapper(self, llvm_daemon):
-        """Daemon-attached workers are built in-process, so the picklable-
-        spec requirement of subprocess workers must not apply."""
+        """Wrappers are applied client-side, so any callable will do."""
         with make_vec_env(
             env_id="llvm-v0",
             n=2,
@@ -1278,11 +1255,15 @@ class TestSocketStatsAggregation:
             benchmark=BENCHMARK,
             reward_space="IrInstructionCount",
         ) as pool:
+            # Fork-populated workers share the root's connection; move one
+            # off it so the pool has two summaries to merge.
+            assert pool.workers[1].use_dedicated_connection()
             pool.reset()
             pool.step([1, 2])
             stats = pool.connection_stats()
-        # Each worker holds its own socket connection; the pool merges them.
-        assert stats["start_session"]["calls"] == 2
+        # One session the root opened to be forked from, then one per worker
+        # at reset() — the second worker's on its own connection.
+        assert stats["start_session"]["calls"] == 3
         assert stats["step"]["calls"] >= 2
         assert stats["step"]["wall_time_s"] > 0
 

@@ -1,13 +1,16 @@
 """Tests for the vectorized environment pool (``repro.core.vector``)."""
 
+import multiprocessing
+import os
 import random
+import shutil
+import signal
+import tempfile
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.service.connection import AsyncResult
-from repro.core.service.proto import StepRequest
 from repro.core.vector import (
     ProcessPoolBackend,
     SerialBackend,
@@ -33,7 +36,7 @@ def _make_root():
 
 
 class _TimeLimitWrapper:
-    """A picklable worker_wrapper (usable with the process backend)."""
+    """A worker_wrapper imposing a step budget on every worker."""
 
     def __init__(self, max_episode_steps: int):
         self.max_episode_steps = max_episode_steps
@@ -287,9 +290,142 @@ class TestTrajectoryEquivalence:
             assert s_done == t_done
 
 
+def _daemon_pids(vec):
+    return [worker.service.transport.server_info()["pid"] for worker in vec.workers]
+
+
+@pytest.fixture
+def socket_dirs(monkeypatch):
+    """Lists the process backends' socket directories alive right now.
+
+    Temporary files are redirected to a fresh directory so the listing sees
+    only this test's.
+    """
+    root = tempfile.mkdtemp(prefix="rv")
+    monkeypatch.setattr(tempfile, "tempdir", root)
+    yield lambda: [
+        os.path.join(root, name) for name in os.listdir(root) if name.startswith("repro-vec-")
+    ]
+    shutil.rmtree(root)
+
+
+def _assert_exited(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 class TestProcessBackend:
-    """Process-pool specifics: subprocess workers, attribute proxying, and
-    construction-failure behaviour."""
+    """Process-pool specifics: one private daemon per worker, its lifetime,
+    crash isolation, and construction-failure behaviour."""
+
+    def test_every_worker_has_its_own_daemon_process(self):
+        with VecCompilerEnv(_make_root(), n=3, backend="process") as vec:
+            pids = _daemon_pids(vec)
+            assert len(set(pids)) == 3
+            assert os.getpid() not in pids
+            assert set(pids) <= {child.pid for child in multiprocessing.active_children()}
+
+    def test_close_stops_daemons_and_removes_socket_directory(self, socket_dirs):
+        vec = VecCompilerEnv(_make_root(), n=2, backend="process")
+        vec.reset()
+        pids = _daemon_pids(vec)
+        (socket_dir,) = socket_dirs()
+        assert sorted(os.listdir(socket_dir)) == ["0.sock", "1.sock"]
+        assert os.stat(socket_dir).st_mode & 0o777 == 0o700
+        vec.close()
+        _assert_exited(pids)
+        assert socket_dirs() == []
+
+    def test_sockets_fit_under_a_deep_tmpdir(self, monkeypatch, tmp_path):
+        """AF_UNIX paths are capped near 100 bytes, and a TMPDIR (job scratch,
+        a nested pytest tmp) can use them all up before the socket's name."""
+        deep = tmp_path / ("d" * 60) / ("e" * 60)
+        deep.mkdir(parents=True)
+        monkeypatch.setattr(tempfile, "tempdir", str(deep))
+        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
+            vec.reset()
+            socket_dir = vec.backend._socket_dir
+            assert os.path.dirname(socket_dir) == "/tmp"
+            assert os.stat(socket_dir).st_mode & 0o777 == 0o700
+            assert len(set(_daemon_pids(vec))) == 2
+        assert not os.path.exists(socket_dir)
+
+    def test_pool_on_a_caller_owned_backend_takes_its_daemons_with_it(self, socket_dirs):
+        with ProcessPoolBackend() as backend:
+            with VecCompilerEnv(_make_root(), n=2, backend=backend) as vec:
+                pids = _daemon_pids(vec)
+            _assert_exited(pids)
+            assert socket_dirs() == []
+            # The backend itself stays open for the caller's next pool.
+            with VecCompilerEnv(_make_root(), n=1, backend=backend) as vec:
+                vec.reset()
+
+    def test_populate_failing_on_last_worker_leaves_nothing_behind(self, socket_dirs):
+        started = []
+
+        def fail_on_third(worker):
+            started.append(worker.service.transport.server_info()["pid"])
+            if len(started) == 3:
+                raise RuntimeError("wrapper exploded")
+            return worker
+
+        env = _make_root()
+        try:
+            with pytest.raises(RuntimeError, match="wrapper exploded"):
+                VecCompilerEnv(env, n=3, backend="process", worker_wrapper=fail_on_third)
+            assert len(set(started)) == 3
+            _assert_exited(started)
+            assert socket_dirs() == []
+            # The root remains the caller's to use and close.
+            env.reset()
+        finally:
+            env.close()
+
+    def test_killed_daemon_ends_only_its_own_slot(self, socket_dirs):
+        with VecCompilerEnv(_make_root(), n=3, backend="process") as vec:
+            vec.reset()
+            victim = list(vec.backend._daemons)[1]
+            assert victim.pid == _daemon_pids(vec)[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.process.join(timeout=10)
+            _, _, dones, infos = vec.step([1, 2, 3])
+            assert dones == [False, True, False]
+            assert "error_details" in infos[1]
+            assert "error_details" not in infos[0] and "error_details" not in infos[2]
+            # The siblings' daemons never noticed.
+            _, rewards, dones, _ = vec.step([4, None, 5])
+            assert dones == [False, True, False]
+            assert rewards[0] is not None and rewards[2] is not None
+        assert socket_dirs() == []
+
+    def test_resize_spawns_a_daemon_per_new_worker(self):
+        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
+            vec.reset()
+            vec.step([1, 1])
+            assert vec.resize(4) == 4
+            pids = _daemon_pids(vec)
+            assert len(set(pids)) == 4
+            assert [worker.actions for worker in vec.workers] == [[1]] * 4
+            assert vec.resize(1) == 1
+            _assert_exited(pids[1:])
+
+    def test_user_built_benchmark_fails_fast_like_against_any_daemon(self):
+        from repro.errors import BenchmarkInitError
+
+        children_before = set(multiprocessing.active_children())
+        env = _make_root()
+        try:
+            env.reset()
+            env.benchmark = env.make_benchmark(
+                env.observation["Ir"], uri="benchmark://user-v0/process-test"
+            )
+            # The root is mid-episode, so each worker replays it on attach.
+            with pytest.raises(BenchmarkInitError, match="resolved by the daemon"):
+                VecCompilerEnv(env, n=2, backend="process")
+            assert set(multiprocessing.active_children()) <= children_before
+        finally:
+            env.close()
 
     def test_batched_observations_cross_process(self):
         with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
@@ -317,19 +453,24 @@ class TestProcessBackend:
             vec.reset()
             vec.step([0, 1])
             stats = vec.connection_stats()
-            # One start_session per subprocess, one step call per worker.
+            # One start_session per daemon, one step call per worker.
             assert stats["start_session"]["calls"] == 2
             assert stats["step"]["calls"] >= 2
 
-    def test_requires_picklable_worker_wrapper(self):
-        env = _make_root()
-        try:
-            with pytest.raises(ValueError, match="picklable"):
-                VecCompilerEnv(env, n=2, backend="process", worker_wrapper=lambda w: w)
-            # The root remains the caller's to use and close.
-            env.reset()
-        finally:
-            env.close()
+    def test_lambda_worker_wrapper_is_accepted(self):
+        """Wrappers are applied client-side; nothing is pickled."""
+        with VecCompilerEnv(
+            _make_root(),
+            n=2,
+            backend="process",
+            worker_wrapper=lambda worker: TimeLimit(worker, max_episode_steps=1),
+        ) as vec:
+            vec.reset()
+            _, _, dones, _ = vec.step([1, 2])
+            assert dones == [True, True]
+            # A grown worker is built under the wrapper its template was.
+            vec.resize(3)
+            assert isinstance(vec.workers[2], TimeLimit)
 
     def test_requires_env_constructed_by_make(self):
         env = _make_root()
@@ -352,10 +493,10 @@ class TestProcessBackend:
 
     def test_directly_constructed_backend_keeps_default_dispatcher_sizing(self):
         """Regression: ProcessPoolBackend() must not pin the dispatcher to a
-        single thread — that would serialize every subprocess round trip."""
+        single thread — that would serialize every daemon round trip."""
         backend = ProcessPoolBackend()
         try:
-            assert backend.executor._max_workers > 1
+            assert backend._executor._max_workers > 1
         finally:
             backend.close()
 
@@ -645,7 +786,6 @@ class TestLifecycle:
             vec = VecCompilerEnv(_make_root(), n=2, backend=backend)
             vec.reset()
             vec.close()
-            assert backend.executor is not None
             assert backend.run(lambda x: x + 1, [1, 2]) == [2, 3]
         finally:
             backend.close()
@@ -655,79 +795,6 @@ class TestLifecycle:
         backend.close()
         with pytest.raises(RuntimeError, match="closed ThreadPoolBackend"):
             backend.run(lambda x: x, [1])
-
-
-class TestAsyncResult:
-    def test_resolved(self):
-        result = AsyncResult.resolved(42)
-        assert result.done()
-        assert result.result() == 42
-        assert result.exception() is None
-
-    def test_raised(self):
-        error = RuntimeError("boom")
-        result = AsyncResult.raised(error)
-        assert result.done()
-        assert result.exception() is error
-        with pytest.raises(RuntimeError, match="boom"):
-            result.result()
-
-    def test_eager_dispatch_without_executor(self):
-        env = _make_root()
-        try:
-            env.reset()
-            result = env.service.step_async(
-                StepRequest(
-                    session_id=env._session_id,
-                    actions=[],
-                    observation_space_names=["IrInstructionCount"],
-                )
-            )
-            assert result.done()
-            assert int(result.result().observations[0].value()) > 0
-        finally:
-            env.close()
-
-    def test_overlapped_dispatch_on_executor(self):
-        backend = ThreadPoolBackend(max_workers=2)
-        env = _make_root()
-        try:
-            env.reset()
-            fork = env.fork()
-            try:
-                results = [
-                    env.service.step_async(
-                        StepRequest(
-                            session_id=session,
-                            actions=[1],
-                            observation_space_names=["IrInstructionCount"],
-                        ),
-                        executor=backend.executor,
-                    )
-                    for session in (env._session_id, fork._session_id)
-                ]
-                replies = [result.result(timeout=30) for result in results]
-                assert all(
-                    int(reply.observations[0].value()) > 0 for reply in replies
-                )
-            finally:
-                fork.close()
-        finally:
-            env.close()
-            backend.close()
-
-    def test_eager_dispatch_captures_errors(self):
-        env = _make_root()
-        try:
-            result = env.service.step_async(
-                StepRequest(session_id=10**9, actions=[], observation_space_names=[])
-            )
-            assert result.done()
-            assert isinstance(result.exception(), SessionNotFound)
-            with pytest.raises(SessionNotFound):
-                result.result()
-        finally:
-            env.close()
 
 
 class TestSerialBackend:

@@ -6,6 +6,7 @@ concurrent sessions, identified by integer session IDs, and owns the
 benchmark cache that gives amortized O(1) environment initialization.
 """
 
+import shutil
 import tempfile
 import threading
 from typing import Callable, Dict, Optional, Type
@@ -45,29 +46,27 @@ def _copy_value(value):
 class _SessionCacheState:
     """Result-cache bookkeeping for one session.
 
-    ``prefix`` is the canonical action prefix acknowledged to the client;
-    ``pending`` is the suffix of it served from the cache but not yet applied
-    to the real session — the compile debt a later miss must materialize.
-    ``action_space`` is kept so a session whose reset was fully served from
-    the cache can defer construction entirely until its first miss.
+    ``prefix`` is the canonical action prefix acknowledged to the client.
+    A session is in one of two states: *unbuilt* (``sessions[id] is None``
+    and ``uri``, ``action_space`` and ``prefix`` are all there is, as after a
+    reset served from the cache) or *built* (a real session whose module is
+    exactly ``prefix`` applied to the pristine program).
     A session goes permanently uncacheable (``cacheable=False``) when its
     state diverges from a pure action prefix (session parameters, dynamic
-    action spaces, failed replay).
+    action spaces, any error while applying actions).
     """
 
-    __slots__ = ("uri", "action_space", "prefix", "pending", "cacheable")
+    __slots__ = ("uri", "action_space", "prefix", "cacheable")
 
     def __init__(self, uri: str, action_space=None):
         self.uri = uri
         self.action_space = action_space
         self.prefix: tuple = ()
-        self.pending: list = []
         self.cacheable = True
 
     def forked(self) -> "_SessionCacheState":
         child = _SessionCacheState(self.uri, self.action_space)
         child.prefix = self.prefix
-        child.pending = list(self.pending)
         child.cacheable = self.cacheable
         return child
 
@@ -95,11 +94,13 @@ class CompilerGymServiceRuntime:
     ):
         self.session_type = session_type
         self.benchmark_resolver = benchmark_resolver
+        # A directory the runtime made is the runtime's to remove at shutdown.
+        self._owns_working_dir = working_dir is None
         self.working_dir = working_dir or tempfile.mkdtemp(prefix="repro-compiler-service-")
         self.benchmark_cache = BenchmarkCache()
         self.result_cache: Optional[ResultCache] = ResultCache.coerce(result_cache)
-        # ``None`` marks a lazy session: reset was served from the result
-        # cache and the real session has not been constructed yet.
+        # ``None`` marks an unbuilt session: everything it was asked so far
+        # was served from the result cache and no real session exists yet.
         self.sessions: Dict[int, Optional[CompilationSession]] = {}
         self._cache_states: Dict[int, _SessionCacheState] = {}
         self._next_session_id = 0
@@ -146,6 +147,27 @@ class CompilerGymServiceRuntime:
             raise SessionNotFound(f"Session not found: {session_id}")
         return self.sessions[session_id]
 
+    def _new_session(self, action_space, benchmark: Benchmark) -> CompilationSession:
+        return self.session_type(
+            working_dir=self.working_dir, action_space=action_space, benchmark=benchmark
+        )
+
+    def _built_session(self, session_id: int) -> CompilationSession:
+        """The session, built first if it is unbuilt: a clone of the pristine
+        program with ``prefix`` replayed onto it.
+
+        The session is published only after the replay succeeded, so a failed
+        build leaves it unbuilt (and out of the cache protocol) and the next
+        step builds again.
+        """
+        session = self._session(session_id)
+        if session is None:
+            state = self._cache_states[session_id]
+            session = self._new_session(state.action_space, self._resolve_benchmark(state.uri))
+            self._execute_step(session, state, state.prefix, ())
+            self.sessions[session_id] = session
+        return session
+
     # -- session lifecycle ------------------------------------------------
 
     def start_session(self, request: StartSessionRequest) -> StartSessionReply:
@@ -163,18 +185,13 @@ class CompilerGymServiceRuntime:
         )
         # With the result cache on, session construction (which clones the
         # benchmark's module) is deferred: if every reset observation comes
-        # from the cache, the session stays a ``None`` placeholder until the
-        # first step that actually misses.
+        # from the cache, the session stays unbuilt until a step misses.
         session: Optional[CompilationSession] = None
 
         def ensure_session() -> CompilationSession:
             nonlocal session
             if session is None:
-                session = self.session_type(
-                    working_dir=self.working_dir,
-                    action_space=action_space,
-                    benchmark=benchmark,
-                )
+                session = self._new_session(action_space, benchmark)
             return session
 
         if state is None:
@@ -204,55 +221,36 @@ class CompilerGymServiceRuntime:
                 self._cache_states[session_id] = state
         return StartSessionReply(session_id=session_id, observations=observations)
 
-    def _materialize(self, session_id: int, state: _SessionCacheState) -> CompilationSession:
-        """Settle a session's compile debt before executing a cache miss.
-
-        Constructs the real session if reset was served entirely from the
-        cache, then replays the cache-served actions onto it. The replayed
-        steps were previously executed (their results are in the cache), so
-        deterministic sessions replay without surprises; if materialization
-        nevertheless fails, the session's state no longer matches its prefix
-        and it leaves the cache protocol for good.
-        """
-        session = self.sessions.get(session_id)
-        if session is None:
-            try:
-                session = self.session_type(
-                    working_dir=self.working_dir,
-                    action_space=state.action_space,
-                    benchmark=self._resolve_benchmark(state.uri),
-                )
-            except Exception:
-                state.cacheable = False
-                raise
-            self.sessions[session_id] = session
-        if state.pending:
-            pending, state.pending = state.pending, []
-            try:
-                for action in pending:
-                    session.apply_action(action)
-            except Exception:
-                state.cacheable = False
-                raise
-        return session
-
-    def _execute_step(self, session: CompilationSession, request: StepRequest) -> StepReply:
+    def _execute_step(
+        self, session: CompilationSession, state: Optional[_SessionCacheState],
+        actions, observation_space_names,
+    ) -> StepReply:
+        """Apply ``actions`` to a built session, then read the observations."""
         end_of_session = False
         action_had_no_effect = True
         new_action_space = None
-        for action in request.actions:
-            end, new_space, no_effect = session.apply_action(action)
-            action_had_no_effect = action_had_no_effect and no_effect
-            if new_space is not None:
-                new_action_space = ActionSpaceMessage(name=new_space.name or "", space=new_space)
-                session.action_space = new_space
-            if end:
-                end_of_session = True
-                break
-        observations = [
-            Event.from_value(session.get_observation(self._observation_spec(name)))
-            for name in request.observation_space_names
-        ]
+        try:
+            for action in actions:
+                end, new_space, no_effect = session.apply_action(action)
+                action_had_no_effect = action_had_no_effect and no_effect
+                if new_space is not None:
+                    new_action_space = ActionSpaceMessage(
+                        name=new_space.name or "", space=new_space
+                    )
+                    session.action_space = new_space
+                if end:
+                    end_of_session = True
+                    break
+            observations = [
+                Event.from_value(session.get_observation(self._observation_spec(name)))
+                for name in observation_space_names
+            ]
+        except Exception:
+            # The module may be ahead of ``prefix`` now: nothing this session
+            # computes from here on may be stored under a prefix key.
+            if state is not None:
+                state.cacheable = False
+            raise
         return StepReply(
             end_of_session=end_of_session,
             action_had_no_effect=action_had_no_effect,
@@ -262,41 +260,41 @@ class CompilerGymServiceRuntime:
 
     def step(self, request: StepRequest) -> StepReply:
         self.stats["step"] += 1
-        session = self._session(request.session_id)
         state = self._cache_states.get(request.session_id)
+        names = request.observation_space_names
         if state is None or not state.cacheable:
-            if session is None and state is not None:
-                # A previous materialization failed: retry constructing the
-                # real session so the error (or the session) is not lost.
-                session = self._materialize(request.session_id, state)
-            return self._execute_step(session, request)
+            # Unbuilt here means an earlier build failed: build again so the
+            # error (or the session) is not lost.
+            session = self._built_session(request.session_id)
+            return self._execute_step(session, state, request.actions, names)
 
-        specs = [self._observation_spec(name) for name in request.observation_space_names]
+        specs = [self._observation_spec(name) for name in names]
         deterministic = all(spec.deterministic for spec in specs)
         actions = tuple(int(action) for action in request.actions)
         candidate = state.prefix + actions
 
         if deterministic:
-            entry = self.result_cache.lookup_step(
-                state.uri, candidate, len(actions), request.observation_space_names
-            )
+            entry = self.result_cache.lookup_step(state.uri, candidate, len(actions), names)
             if entry is not None:
-                # Served without compiling: the actions become pending debt,
-                # materialized only if a later step misses.
+                # An unbuilt session only advances its prefix; a built one
+                # runs the step's passes to stay current. Both answer from
+                # the cache entry.
+                session = self._session(request.session_id)
+                if session is not None:
+                    self._execute_step(session, state, request.actions, ())
                 state.prefix = candidate
-                state.pending.extend(actions)
                 return StepReply(
                     end_of_session=entry.end_of_session,
                     action_had_no_effect=entry.action_had_no_effect,
                     new_action_space=None,
                     observations=[
                         Event.from_value(_copy_value(entry.observations[name]))
-                        for name in request.observation_space_names
+                        for name in names
                     ],
                 )
 
-        session = self._materialize(request.session_id, state)
-        reply = self._execute_step(session, request)
+        session = self._built_session(request.session_id)
+        reply = self._execute_step(session, state, request.actions, names)
         if reply.new_action_space is not None:
             # A dynamic action-space change breaks prefix canonicality.
             state.cacheable = False
@@ -308,9 +306,7 @@ class CompilerGymServiceRuntime:
         # corrupt the cached entry.
         cacheable_observations = {
             name: _copy_value(observation.value())
-            for name, spec, observation in zip(
-                request.observation_space_names, specs, reply.observations
-            )
+            for name, spec, observation in zip(names, specs, reply.observations)
             if spec.deterministic
         }
         self.result_cache.store_step(
@@ -325,18 +321,17 @@ class CompilerGymServiceRuntime:
 
     def fork_session(self, request: ForkSessionRequest) -> ForkSessionReply:
         self.stats["fork_session"] += 1
-        session = self._session(request.session_id)
         parent_state = self._cache_states.get(request.session_id)
-        # Forking a still-lazy session is free: the child is lazy too, and
-        # inherits the parent's prefix (and compile debt) via its state.
-        forked = session.fork() if session is not None else None
+        # A fork is always a real copy of a current parent: a cache-served
+        # parent is built here, once, and every child is one clone of it.
+        forked = self._built_session(request.session_id).fork()
         with self._lock:
             session_id = self._next_session_id
             self._next_session_id += 1
             self.sessions[session_id] = forked
             if parent_state is not None:
-                # The fork starts at the parent's prefix (and pending debt),
-                # so it inherits every warm cache entry along it.
+                # The fork starts at the parent's prefix, so it inherits
+                # every warm cache entry along it.
                 self._cache_states[session_id] = parent_state.forked()
         return ForkSessionReply(session_id=session_id)
 
@@ -349,13 +344,11 @@ class CompilerGymServiceRuntime:
         return EndSessionReply(remaining_sessions=len(self.sessions))
 
     def handle_session_parameter(self, session_id: int, key: str, value: str) -> Optional[str]:
-        session = self._session(session_id)
+        session = self._built_session(session_id)
         state = self._cache_states.get(session_id)
         if state is not None:
             # Parameters may read or mutate backend state (e.g. baseline
-            # pipelines): settle the compile debt first, then stop treating
-            # the session as a pure action prefix.
-            session = self._materialize(session_id, state)
+            # pipelines): stop treating the session as a pure action prefix.
             state.cacheable = False
         return session.handle_session_parameter(key, value)
 
@@ -380,3 +373,5 @@ class CompilerGymServiceRuntime:
                 session.close()
         self.sessions.clear()
         self.closed = True
+        if self._owns_working_dir:
+            shutil.rmtree(self.working_dir, ignore_errors=True)

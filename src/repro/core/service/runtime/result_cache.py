@@ -6,8 +6,11 @@ session — and every tenant — of a runtime: it maps a benchmark URI plus the
 canonical action prefix applied since reset to the step's deterministic
 observation payloads and end-of-step flags. Repeated prefixes (random-search
 restarts, fork-heavy tuners, the Explorer's popular traffic) are then served
-without running a single pass: the runtime defers the actual pass execution
-until a cache miss forces it to materialize the session state.
+without computing an observation, and a session that has only ever been
+served from here is not even constructed: the runtime keeps its action prefix
+and builds it (clone the pristine program, replay the prefix) at its first
+miss or fork. A session that is built runs the passes of a hit, so its module
+always is its prefix.
 
 Keying and eviction:
 

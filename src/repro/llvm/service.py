@@ -199,7 +199,6 @@ class LlvmCompilationSession(CompilationSession):
             )
         # The session works on its own copy; the cached benchmark stays pristine.
         self.module: Module = benchmark.program.clone()
-        self.actions_applied: List[int] = []
         self._runtime_rng = random.Random(0xC0FFEE)
         self._runtimes_per_observation = 1
         self._verify_ir = False
@@ -256,7 +255,6 @@ class LlvmCompilationSession(CompilationSession):
             raise ValueError(f"Action out of range: {index}")
         pass_name = self.action_space.names[index] if hasattr(self.action_space, "names") else ACTION_SPACE_PASSES[index]
         changed = run_pass(self.module, pass_name)
-        self.actions_applied.append(index)
         if self._verify_ir:
             errors = verify_module(self.module, raise_on_error=False)
             if errors:
@@ -378,7 +376,6 @@ class LlvmCompilationSession(CompilationSession):
         forked = LlvmCompilationSession.__new__(LlvmCompilationSession)
         CompilationSession.__init__(forked, self.working_dir, self.action_space, self.benchmark)
         forked.module = self.module.clone()
-        forked.actions_applied = list(self.actions_applied)
         forked._runtime_rng = random.Random(self._runtime_rng.random())
         forked._runtimes_per_observation = self._runtimes_per_observation
         forked._verify_ir = self._verify_ir

@@ -163,3 +163,32 @@ def check_clone():
     scalar carried over, types shared, no mutable object shared, and exactly
     one copy per source object however many places reference it."""
     return _assert_clone_is_exact_and_independent
+
+
+@pytest.fixture(scope="session")
+def check_sessions_current():
+    """``check_sessions_current(runtime)``: the result-cache protocol's one
+    invariant. Every session of an LLVM runtime that is built and cacheable
+    holds a module that prints identically to its ``prefix`` run on a clone of
+    the pristine program; an unbuilt session holds nothing to check."""
+    from functools import lru_cache
+
+    from repro.llvm.datasets.suites import make_llvm_datasets
+    from repro.llvm.ir.printer import print_module
+    from repro.llvm.passes.registry import ACTION_SPACE_PASSES, run_pipeline
+
+    datasets = make_llvm_datasets()
+
+    @lru_cache(maxsize=256)
+    def reference(uri, prefix):
+        module = datasets.benchmark(uri).program.clone()
+        run_pipeline(module, [ACTION_SPACE_PASSES[action] for action in prefix])
+        return print_module(module)
+
+    def check(runtime) -> None:
+        for session_id, session in runtime.sessions.items():
+            state = runtime._cache_states[session_id]
+            if session is not None and state.cacheable:
+                assert print_module(session.module) == reference(state.uri, state.prefix)
+
+    return check

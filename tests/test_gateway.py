@@ -196,6 +196,50 @@ class TestGatewayFailover:
         finally:
             env.close()
 
+    def test_sigkill_under_a_cache_served_episode(self, gateway):
+        """The configuration people run: result cache on and warm. The episode's
+        steps are all hits, so its session is unbuilt on the daemon that dies.
+        The replay is one batched step (a miss: a prefix's flags are keyed on
+        the batching), so the survivor builds the session, runs the remaining
+        hits on it, and then the first action nobody has walked."""
+        beyond = ACTIONS + [42]
+        daemon = make_env_server("llvm-v0", result_cache=False).start()
+        try:
+            expected = _rollout(daemon.url, actions=beyond)
+        finally:
+            daemon.shutdown()
+        # Two concurrent episodes land on different daemons: both caches warm.
+        warmers = [_make_env(gateway.url), _make_env(gateway.url)]
+        try:
+            for env in warmers:
+                env.reset()
+            for env in warmers:
+                for action in ACTIONS:
+                    env.step(action)
+        finally:
+            for env in warmers:
+                env.close()
+        warm = gateway.result_cache_stats()["total"]
+        assert warm["daemons"] == 2
+
+        env = _make_env(gateway.url)
+        try:
+            env.reset()
+            trace = []
+            for i, action in enumerate(ACTIONS):
+                if i == 4:
+                    # Nothing missed so far: the session was never built.
+                    assert gateway.result_cache_stats()["total"]["misses"] == warm["misses"]
+                    os.kill(self._daemon_hosting(gateway).pid, signal.SIGKILL)
+                _, reward, done, _ = env.step(action)
+                trace.append((reward, done))
+            _, reward, done, _ = env.step(beyond[-1])
+            trace.append((reward, done))
+            assert trace == expected
+            assert gateway.server_info()["failovers"] == 1
+        finally:
+            env.close()
+
 
 class TestGatewayAuth:
     def _gateway(self, tokens):

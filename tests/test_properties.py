@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.compiler_env_state import CompilerEnvState, CompilerEnvStateReader, CompilerEnvStateWriter
 from repro.core.datasets.uri import BenchmarkUri
+from repro.core.service.runtime.result_cache import ResultCache
 from repro.core.spaces import Commandline, CommandlineFlag, Discrete, NamedDiscrete, Permutation, Scalar
 from repro.gcc.compiler import SimulatedGcc
 from repro.gcc.spec import GccSpec
@@ -271,6 +272,84 @@ class TestIncrementalObservationProperties:
         finally:
             for env in envs:
                 env.close()
+
+
+class TestResultCacheSessionStateProperties:
+    """Under the result cache a session is unbuilt or built and current. Whatever
+    an episode does — steps, forks, resets, in whichever order the shared cache
+    turns them into hits and misses — the client sees what an uncached
+    environment shows, and every built session's module is its prefix run on
+    the pristine program."""
+
+    # Few actions, so that prefixes recur within a program and across programs.
+    ACTIONS = st.sampled_from(
+        [ACTION_SPACE_PASSES.index(name) for name in ("mem2reg", "gvn", "simplifycfg")]
+    )
+    OPERATIONS = st.one_of(
+        st.tuples(st.just("step"), ACTIONS),
+        st.tuples(st.just("multistep"), st.lists(ACTIONS, min_size=2, max_size=3)),
+        st.tuples(st.just("fork-and-switch"), st.none()),
+        st.tuples(st.just("close-fork"), st.none()),
+        st.tuples(st.just("reset"), st.none()),
+    )
+    # A search's move, which independent draws would almost never line up: try
+    # an action on a fork, then commit it on the parent (a hit on a built session).
+    LOOKAHEAD = ACTIONS.map(lambda action: [
+        ("fork-and-switch", None), ("step", action), ("close-fork", None), ("step", action),
+    ])
+
+    @classmethod
+    def _programs(cls, **kwargs):
+        fragments = st.one_of(cls.OPERATIONS.map(lambda operation: [operation]), cls.LOOKAHEAD)
+        return st.lists(fragments, **kwargs).map(lambda lists: sum(lists, []))
+
+    @staticmethod
+    def _run(program, check, **kwargs):
+        """The episode's trace; ``check(runtime)`` runs after every operation."""
+        envs = [repro.make(
+            "llvm-v0", benchmark="cbench-v1/crc32", observation_space="Autophase",
+            reward_space="IrInstructionCount", **kwargs,
+        )]
+        try:
+            trace = [np.asarray(envs[0].reset()).tolist()]
+            for operation, argument in program:
+                env = envs[-1]
+                if operation == "step":
+                    observation, *rest = env.step(argument)
+                    trace.append((np.asarray(observation).tolist(), *rest))
+                elif operation == "multistep":
+                    observation, *rest = env.multistep(argument)
+                    trace.append((np.asarray(observation).tolist(), *rest))
+                elif operation == "fork-and-switch":
+                    envs.append(env.fork())
+                elif operation == "close-fork":
+                    if len(envs) > 1:
+                        envs.pop().close()
+                else:
+                    trace.append(np.asarray(env.reset()).tolist())
+                check(envs[0].service.runtime)
+            return trace
+        finally:
+            for env in reversed(envs):
+                env.close()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_cached_episodes_equal_uncached_and_built_sessions_are_current(
+        self, check_sessions_current, data
+    ):
+        warmup = data.draw(self._programs(max_size=6))
+        program = data.draw(self._programs(min_size=1, max_size=10))
+        expected = self._run(program, lambda runtime: None, result_cache=False)
+        # One cache throughout. After the warm-up the program's steps are some
+        # hits, some misses; the second time round they are all hits, and only
+        # forks build sessions. Either way the same operations meet unbuilt
+        # and built sessions.
+        cache = ResultCache()
+        self._run(warmup, check_sessions_current, result_cache=cache)
+        for _ in range(2):
+            assert self._run(program, check_sessions_current, result_cache=cache) == expected
+        assert cache.hits > 0
 
 
 class TestGccProperties:

@@ -6,7 +6,12 @@ store shared across sessions. The acceptance criteria covered here:
 
 - Cached and uncached rollouts are bit-identical across all three
   transports (in-process, socket daemon, 2-daemon gateway).
-- fork() inherits the parent's warm prefix (and stays lazy until a miss).
+- A session is unbuilt (nothing but its prefix) or built and current (its
+  module is the prefix run on the pristine program): a lookahead candidate
+  runs exactly one pass, fork() builds a cache-served parent once and inherits
+  its warm prefix, a failed build leaves the session unbuilt.
+- A step that fails midway takes its session out of the cache protocol, so it
+  cannot store results under a key its module no longer matches.
 - The LRU store evicts to its byte budget, oldest entries first.
 - Every registered pass honors the version-counter contract the layer-1
   memo keys on (``changed`` return value <=> exactly one version bump), and
@@ -17,16 +22,21 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.service.connection import ServiceConnection
 from repro.core.service.gateway import ServiceGateway
+from repro.core.service.proto import StartSessionRequest, StepRequest
 from repro.core.service.runtime.result_cache import ResultCache
 from repro.core.service.runtime.server import make_env_server
+from repro.core.service.transport import SocketTransport
+from repro.errors import ServiceError
 from repro.llvm.datasets.generators import generate_module
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.values import Constant
-from repro.llvm.passes.registry import PASS_REGISTRY, ModulePass, run_pass
+from repro.llvm.passes.registry import ACTION_SPACE_PASSES, PASS_REGISTRY, ModulePass, run_pass
 from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES
+from repro.llvm.service import LlvmCompilationSession
 
 BENCHMARK = "cbench-v1/crc32"
 SEQUENCES = [
@@ -45,23 +55,28 @@ def _make_env(**kwargs):
     )
 
 
+def _step_record(env, action):
+    observation, reward, done, info = env.step(action)
+    return np.asarray(observation).tolist(), reward, done, info["action_had_no_effect"]
+
+
 def _trace(env, actions):
     """One episode's full observable record, in plain comparable types."""
     observation = env.reset()
     trace = [np.asarray(observation).tolist()]
     for action in actions:
-        observation, reward, done, info = env.step(action)
-        trace.append(
-            (
-                np.asarray(observation).tolist(),
-                reward,
-                done,
-                info["action_had_no_effect"],
-            )
-        )
-        if done:
+        trace.append(_step_record(env, action))
+        if trace[-1][2]:
             break
     return trace
+
+
+def _uncached_trace(actions):
+    env = _make_env(result_cache=False)
+    try:
+        return _trace(env, actions)
+    finally:
+        env.close()
 
 
 def _traces(env):
@@ -133,39 +148,201 @@ class TestTraceEquivalence:
             uncached_server.shutdown()
 
 
-class TestForkInheritsPrefix:
-    def test_fork_of_lazy_session_replays_warm_prefix(self):
-        prefix, extra = SEQUENCES[0], 42
-        uncached = _make_env(result_cache=False)
-        try:
-            reference = _trace(uncached, prefix + [extra])
-        finally:
-            uncached.close()
+@pytest.fixture
+def pass_runs(monkeypatch):
+    """The names of the passes the LLVM session ran, in order."""
+    runs = []
 
+    def counting_run_pass(module, name):
+        runs.append(name)
+        return run_pass(module, name)
+
+    monkeypatch.setattr("repro.llvm.service.run_pass", counting_run_pass)
+    return runs
+
+
+class TestSessionIsUnbuiltOrCurrent:
+    """A session under the cache protocol is unbuilt (``sessions[id] is None``,
+    nothing but a prefix) or built and current (its module is the prefix run
+    on the pristine program). Nothing is ever owed to a built session."""
+
+    # Depth 4, width 3; each level commits one of its own candidates, so every
+    # commit is a result-cache hit on a built parent.
+    LEVELS = [((0, 11, 3), 11), ((7, 1, 23), 7), ((5, 2, 42), 42), ((11, 30, 8), 8)]
+    NEXT_LEVEL = (3, 19, 27)
+
+    @staticmethod
+    def _try(env, action):
+        fork = env.fork()
+        try:
+            fork.step(action)
+        finally:
+            fork.close()
+
+    def test_lookahead_runs_one_pass_per_candidate_and_per_commit(
+        self, pass_runs, check_sessions_current
+    ):
+        env = _make_env()
+        try:
+            runtime = env.service.runtime
+            env.reset()
+            for candidates, commit in self.LEVELS:
+                for action in candidates:
+                    self._try(env, action)
+                hits = runtime.result_cache.hits
+                env.step(commit)
+                assert runtime.result_cache.hits == hits + 1
+                check_sessions_current(runtime)
+            assert len(pass_runs) == 4 * 3 + 4
+
+            # Re-walking the commits is served without a session...
+            del pass_runs[:]
+            env.reset()
+            for _, commit in self.LEVELS:
+                env.step(commit)
+            assert pass_runs == []
+            assert runtime.sessions[env._session_id] is None
+            # ...and the next level builds it once: 4 passes of prefix, then
+            # one per candidate, each on a clone of the current parent.
+            for action in self.NEXT_LEVEL:
+                self._try(env, action)
+                check_sessions_current(runtime)
+            assert len(pass_runs) == 4 + 3
+        finally:
+            env.close()
+
+    def test_fork_of_cache_served_session_builds_the_parent_once(
+        self, monkeypatch, check_sessions_current
+    ):
+        prefix, extra = SEQUENCES[0], 42
+        reference = _uncached_trace(prefix + [extra])
+
+        built_from_pristine = []
+        construct = LlvmCompilationSession.__init__
+
+        def counting_init(session, *args, **kwargs):
+            built_from_pristine.append(session)
+            construct(session, *args, **kwargs)
+
+        monkeypatch.setattr(LlvmCompilationSession, "__init__", counting_init)
         env = _make_env()
         try:
             runtime = env.service.runtime
             _trace(env, prefix)  # cold: populates the cache
-            _trace(env, prefix)  # warm: the session is never constructed
+            _trace(env, prefix)  # warm: the session is never built
             assert runtime.sessions[env._session_id] is None
-            fork = env.fork()
+            del built_from_pristine[:]
+            forks = [env.fork()]
             try:
-                # Forking a lazy session is free: the child is lazy too.
-                assert runtime.sessions[fork._session_id] is None
-                # The child's first miss materializes the inherited prefix
-                # and continues from it, matching the uncached rollout.
-                observation, reward, done, info = fork.step(extra)
-                assert runtime.sessions[fork._session_id] is not None
-                assert (
-                    np.asarray(observation).tolist(),
-                    reward,
-                    done,
-                    info["action_had_no_effect"],
-                ) == reference[-1]
+                # The fork built its parent and is a copy of it: two built
+                # sessions, both holding the prefix run on the pristine program.
+                parent = runtime.sessions[env._session_id]
+                assert built_from_pristine == [parent]
+                assert runtime.sessions[forks[0]._session_id] not in (None, parent)
+                check_sessions_current(runtime)
+                # A second fork clones the now-built parent.
+                forks.append(env.fork())
+                assert built_from_pristine == [parent]
+                assert runtime.sessions[env._session_id] is parent
+                for fork in forks:
+                    assert _step_record(fork, extra) == reference[-1]
+                check_sessions_current(runtime)
             finally:
-                fork.close()
+                for fork in forks:
+                    fork.close()
         finally:
             env.close()
+
+    def test_failed_build_leaves_the_session_unbuilt_and_the_next_step_builds_again(
+        self, monkeypatch, check_sessions_current
+    ):
+        prefix, extra = SEQUENCES[0], 42
+        reference = _uncached_trace(prefix + [extra])
+
+        env = _make_env()  # Only for its runtime: CompilerEnv would end the episode on the error.
+        try:
+            runtime = env.service.runtime
+            names = ["Autophase", "IrInstructionCount"]
+
+            def walk():
+                session_id = runtime.start_session(StartSessionRequest(
+                    benchmark_uri=f"benchmark://{BENCHMARK}", observation_space_names=names,
+                )).session_id
+                for action in prefix:
+                    runtime.step(StepRequest(
+                        session_id=session_id, actions=[action], observation_space_names=names,
+                    ))
+                return session_id
+
+            walk()  # cold: populates the cache
+            session_id = walk()
+            assert runtime.sessions[session_id] is None
+            miss = StepRequest(session_id=session_id, actions=[extra], observation_space_names=names)
+
+            def broken_run_pass(module, name):
+                if name == ACTION_SPACE_PASSES[prefix[2]]:
+                    raise RuntimeError("pass crashed during replay")
+                return run_pass(module, name)
+
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.llvm.service.run_pass", broken_run_pass)
+                with pytest.raises(RuntimeError, match="during replay"):
+                    runtime.step(miss)
+            state = runtime._cache_states[session_id]
+            assert runtime.sessions[session_id] is None
+            assert not state.cacheable and state.prefix == tuple(prefix)
+            stores = runtime.result_cache.stores
+            # The session builds again, runs the step, and stores nothing.
+            reply = runtime.step(miss)
+            assert runtime.sessions[session_id] is not None
+            assert runtime.result_cache.stores == stores
+            autophase, count = (event.value() for event in reply.observations)
+            assert np.asarray(autophase).tolist() == reference[-1][0]
+            assert reply.action_had_no_effect == reference[-1][3]
+            check_sessions_current(runtime)
+        finally:
+            env.close()
+
+
+class TestFailedStepLeavesTheCacheProtocol:
+    def test_step_that_raises_midway_cannot_poison_other_sessions(self):
+        """A step that raises after applying an action leaves the module ahead
+        of the session's prefix. Nothing that session computes afterwards may
+        be stored under a prefix key, where every other session would read it."""
+        uri, names = "benchmark://cbench-v1/qsort", ["IrInstructionCount"]
+        mem2reg, dce = (ACTION_SPACE_PASSES.index(name) for name in ("mem2reg", "dce"))
+
+        def start(connection):
+            return connection.start_session(
+                StartSessionRequest(benchmark_uri=uri, observation_space_names=names)
+            ).session_id
+
+        def step(connection, session_id, actions):
+            reply = connection.step(StepRequest(
+                session_id=session_id, actions=actions, observation_space_names=names,
+            ))
+            return reply.observations[0].value()
+
+        uncached = repro.make("llvm-v0", benchmark="cbench-v1/qsort", result_cache=False)
+        try:
+            uncached.reset()
+            uncached.step(dce)
+            expected = uncached.observation["IrInstructionCount"]
+        finally:
+            uncached.close()
+
+        server = make_env_server("llvm-v0").start()
+        try:
+            with ServiceConnection(SocketTransport(server.url)) as a, \
+                    ServiceConnection(SocketTransport(server.url)) as b:
+                session_a = start(a)
+                with pytest.raises(ServiceError):
+                    step(a, session_a, [mem2reg, 99999])
+                step(a, session_a, [dce])  # mem2reg + dce, but the prefix says dce
+                assert step(b, start(b), [dce]) == expected
+                assert not server.runtime._cache_states[session_a].cacheable
+        finally:
+            server.shutdown()
 
 
 class TestLruEviction:

@@ -1,8 +1,12 @@
 """Unit tests for the service runtime: benchmark cache, session management,
 fault tolerance."""
 
+import os
+import tempfile
+
 import pytest
 
+import repro
 from repro.core.datasets import Benchmark
 from repro.core.service import (
     CompilationSession,
@@ -17,6 +21,7 @@ from repro.core.service.proto import (
     StepRequest,
 )
 from repro.core.service.runtime.benchmark_cache import BenchmarkCache
+from repro.core.service.transport import InProcessTransport
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Scalar
 from repro.errors import ServiceError, SessionNotFound
 
@@ -155,6 +160,37 @@ class TestRuntime:
             runtime.step(
                 StepRequest(session_id=session.session_id, actions=[], observation_space_names=["nope"])
             )
+
+
+class TestRuntimeWorkingDirectory:
+    """A runtime removes the working directory it made, and only that one."""
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_make_reset_close_leaves_nothing_behind(self, temp_root):
+        env = repro.make("llvm-v0", benchmark="cbench-v1/crc32")
+        env.reset()
+        assert os.listdir(temp_root) == [os.path.basename(env.service.runtime.working_dir)]
+        env.close()
+        assert os.listdir(temp_root) == []
+
+    def test_in_process_restart_removes_the_old_runtimes_directory(self, temp_root):
+        transport = InProcessTransport(_runtime)
+        transport.connect()
+        transport.restart()
+        assert os.listdir(temp_root) == [os.path.basename(transport.runtime.working_dir)]
+        transport.shutdown()
+        assert os.listdir(temp_root) == []
+
+    def test_caller_supplied_directory_is_never_removed(self, tmp_path):
+        runtime = CompilerGymServiceRuntime(
+            session_type=_CounterSession, benchmark_resolver=_resolver, working_dir=str(tmp_path)
+        )
+        runtime.shutdown()
+        assert runtime.working_dir == str(tmp_path) and tmp_path.is_dir()
 
 
 class TestServiceConnection:

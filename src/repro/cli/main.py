@@ -574,7 +574,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.llvm.passes.validate import lint_datasets, verifier_self_test
+    from repro.llvm.passes.validate import (
+        MISCOMPILE_MUTATIONS,
+        lint_datasets,
+        verifier_self_test,
+    )
 
     # The self-test guards the sweep: a regressed verifier that rejects
     # nothing would otherwise green-light every pass.
@@ -583,7 +587,8 @@ def _cmd_lint(args) -> int:
         for failure in self_test:
             print(f"SELF-TEST FAIL: {failure}")
         return 1
-    print("verifier self-test: ok (5/5 seeded miscompiles rejected)")
+    seeded = len(MISCOMPILE_MUTATIONS)
+    print(f"verifier self-test: ok ({seeded}/{seeded} seeded miscompiles rejected)")
 
     progress = print if not args.quiet else None
     report = lint_datasets(

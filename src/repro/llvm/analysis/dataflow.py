@@ -97,10 +97,12 @@ def solve(function: Function, problem: DataflowProblem) -> DataflowResult:
     if function.is_declaration:
         return DataflowResult(problem, {}, {})
     forward = problem.direction == FORWARD
-    order = reverse_postorder(function)
+    reachable = reverse_postorder(function)
     # Unreachable blocks still get a (locally converged) solution so that
     # consumers can query any block; append them after the reachable ones.
-    order += [b for b in function.blocks if b not in set(order)]
+    # (A new list: the reverse postorder is the function's cached copy.)
+    seen = set(reachable)
+    order = reachable + [b for b in function.blocks if b not in seen]
     if not forward:
         order = list(reversed(order))
     preds = predecessors(function)

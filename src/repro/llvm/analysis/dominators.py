@@ -1,185 +1,26 @@
-"""Dominator tree and dominance frontiers.
+"""Dominator tree queries for the observation spaces and the verifier.
 
-The immediate-dominator tree is computed with the Cooper–Harvey–Kennedy
-iterative algorithm over reverse postorder — simpler than Lengauer–Tarjan and,
-at the module sizes the benchmarks use, just as fast in practice. The tree is
-the workhorse of the semantic verifier (every SSA use must be dominated by its
-def) and of the ``DomTreeDepth`` observation space; dominance frontiers are
-exposed for phi-placement-style analyses.
-
-Only blocks reachable from the entry participate: unreachable blocks have no
-immediate dominator and are reported via :attr:`DominatorTree.unreachable`.
+:class:`DominatorTree` itself lives in :mod:`repro.llvm.ir.cfg`, next to the
+CFG walks it is built from and the per-function cache that
+:func:`dominator_tree` reads; the names are re-exported here because this is
+where analyses are looked up. Dominance frontiers are exposed for
+phi-placement-style analyses.
 """
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from repro.llvm.ir.basic_block import BasicBlock
-from repro.llvm.ir.cfg import predecessors, reverse_postorder
+from repro.llvm.ir.cfg import DominatorTree, dominator_tree
 from repro.llvm.ir.function import Function
-from repro.llvm.ir.instructions import Instruction
 
-
-class DominatorTree:
-    """The dominator tree of a function's reachable CFG.
-
-    Attributes:
-        root: The entry block (``None`` for declarations).
-        idom: Immediate dominator of each reachable block (entry maps to
-            ``None``).
-        children: Dominator-tree children of each reachable block.
-        depth: Depth of each reachable block in the tree (entry is 0).
-        unreachable: Blocks not reachable from the entry, in function order.
-    """
-
-    def __init__(self, function: Function):
-        self.function = function
-        self.root: Optional[BasicBlock] = function.entry
-        self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
-        self.children: Dict[BasicBlock, List[BasicBlock]] = {}
-        self.depth: Dict[BasicBlock, int] = {}
-        self._rpo_index: Dict[BasicBlock, int] = {}
-        self.unreachable: List[BasicBlock] = []
-        if self.root is None:
-            return
-
-        order = reverse_postorder(function)
-        self._rpo_index = {block: i for i, block in enumerate(order)}
-        reachable = set(order)
-        self.unreachable = [b for b in function.blocks if b not in reachable]
-        preds = predecessors(function)
-
-        # Cooper–Harvey–Kennedy: iterate idom approximations to a fixed point.
-        idom: Dict[BasicBlock, Optional[BasicBlock]] = {self.root: self.root}
-        changed = True
-        while changed:
-            changed = False
-            for block in order:
-                if block is self.root:
-                    continue
-                new_idom: Optional[BasicBlock] = None
-                for pred in preds[block]:
-                    if pred not in idom:
-                        continue  # Not yet processed (or unreachable).
-                    new_idom = pred if new_idom is None else self._intersect(idom, pred, new_idom)
-                if new_idom is not None and idom.get(block) is not new_idom:
-                    idom[block] = new_idom
-                    changed = True
-
-        idom[self.root] = None
-        self.idom = idom
-        self.children = {block: [] for block in order}
-        for block in order:
-            parent = idom[block]
-            if parent is not None:
-                self.children[parent].append(block)
-        # Depths via BFS from the root (children lists are in RPO already).
-        self.depth[self.root] = 0
-        worklist = [self.root]
-        while worklist:
-            block = worklist.pop()
-            for child in self.children[block]:
-                self.depth[child] = self.depth[block] + 1
-                worklist.append(child)
-
-    def _intersect(self, idom, a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        """Nearest common ancestor of two blocks in the (partial) idom tree."""
-        index = self._rpo_index
-        while a is not b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def reachable(self) -> Set[BasicBlock]:
-        """The set of blocks reachable from the entry."""
-        return set(self.idom)
-
-    def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        """Whether block ``a`` dominates block ``b`` (reflexively).
-
-        Unreachable blocks neither dominate nor are dominated by anything
-        (matching LLVM, where dominance queries on unreachable code are
-        vacuous and the verifier skips them).
-        """
-        if a not in self.idom or b not in self.idom:
-            return False
-        while b is not None and self.depth.get(b, 0) > self.depth[a]:
-            b = self.idom[b]
-        return a is b
-
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
-    def instruction_dominates(self, definition: Instruction, use: Instruction) -> bool:
-        """Whether ``definition``'s value is available at ``use``.
-
-        Within one block, an instruction dominates every later instruction;
-        phi nodes conceptually define their value at the top of the block.
-        Phi *operands* must not be checked with this helper — an incoming
-        value only needs to dominate the end of its incoming block (see
-        :meth:`value_reaches_end_of_block`).
-        """
-        def_block, use_block = definition.parent, use.parent
-        if def_block is None or use_block is None:
-            return False
-        if def_block is not use_block:
-            return self.dominates(def_block, use_block)
-        if use.opcode == "phi":
-            # A non-phi def in the same block never dominates a phi above it;
-            # a phi def does (all phis define "simultaneously" at the top).
-            return definition.opcode == "phi"
-        if definition.opcode == "phi" and use.opcode != "phi":
-            return True
-        instructions = def_block.instructions
-        return instructions.index(definition) < instructions.index(use)
-
-    def value_reaches_end_of_block(self, definition: Instruction, block: BasicBlock) -> bool:
-        """Whether ``definition`` is available at the terminator of ``block``.
-
-        This is the dominance rule for phi operands: the incoming value for
-        predecessor P must dominate the *end* of P, not the phi itself.
-        """
-        def_block = definition.parent
-        if def_block is None:
-            return False
-        return self.dominates(def_block, block)
-
-    def frontiers(self) -> Dict[BasicBlock, Set[BasicBlock]]:
-        """Dominance frontiers of every reachable block (Cytron et al.)."""
-        frontier: Dict[BasicBlock, Set[BasicBlock]] = {block: set() for block in self.idom}
-        preds = predecessors(self.function)
-        for block in self.idom:
-            block_preds = [p for p in preds[block] if p in self.idom]
-            if len(block_preds) < 2:
-                continue
-            for pred in block_preds:
-                runner = pred
-                while runner is not None and runner is not self.idom[block]:
-                    frontier[runner].add(block)
-                    runner = self.idom[runner]
-        return frontier
-
-    def __repr__(self) -> str:
-        return (
-            f"DominatorTree(@{self.function.name}, {len(self.idom)} reachable, "
-            f"{len(self.unreachable)} unreachable)"
-        )
-
-
-def dominator_tree(function: Function) -> DominatorTree:
-    """Build the dominator tree of a function."""
-    return DominatorTree(function)
+__all__ = ["DominatorTree", "dom_tree_depths", "dominance_frontiers", "dominator_tree"]
 
 
 def dominance_frontiers(function: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
     """Convenience wrapper: the dominance frontiers of every reachable block."""
-    return DominatorTree(function).frontiers()
+    return dominator_tree(function).frontiers()
 
 
 def dom_tree_depths(function: Function) -> Dict[BasicBlock, int]:
     """Map each reachable block to its dominator-tree depth (entry is 0)."""
-    return dict(DominatorTree(function).depth)
+    return dict(dominator_tree(function).depth)

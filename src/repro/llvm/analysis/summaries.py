@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from repro.llvm.analysis.dataflow import liveness, reaching_definitions
-from repro.llvm.analysis.dominators import DominatorTree
+from repro.llvm.analysis.dominators import dominator_tree
 from repro.llvm.ir.module import Module
 
 LIVENESS_FEATURE_NAMES: List[str] = [
@@ -77,7 +77,7 @@ def reachingdefs_function_features(function) -> np.ndarray:
     if function.is_declaration:
         return features
     result = reaching_definitions(function)
-    tree = DominatorTree(function)
+    tree = dominator_tree(function)
     features[5] += sum(1 for inst in function.instructions() if inst.has_result)
     features[6] += len(function.args)
     features[7] += len(tree.unreachable)
@@ -124,7 +124,7 @@ def function_domtree_depth(function) -> int:
     """The deepest dominator-tree node of one function (0 for declarations)."""
     if function.is_declaration:
         return 0
-    tree = DominatorTree(function)
+    tree = dominator_tree(function)
     if not tree.depth:
         return 0
     return max(tree.depth.values())

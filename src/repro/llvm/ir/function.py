@@ -13,6 +13,14 @@ class Function(Value):
 
     A function with no blocks is a *declaration* (an external function such as
     ``printf``), which the optimizer must treat as opaque.
+
+    ``blocks`` and ``args`` are read freely and written only through
+    :meth:`add_block`, :meth:`insert_block`, :meth:`remove_block` and
+    :meth:`set_args`. Together with ``BasicBlock.append``/``insert``/``remove``
+    those keep two things current: the sets of value and block names in use
+    (so a fresh name is a set probe, not a walk of the function) and the
+    cache of CFG analyses in :mod:`repro.llvm.ir.cfg`, which any edit to the
+    block list or to a block's terminator drops.
     """
 
     def __init__(
@@ -35,6 +43,13 @@ class Function(Value):
         self.attributes: List[str] = list(attributes or [])
         self._next_value_id = 0
         self._next_block_id = 0
+        # Names of the arguments and of every instruction in ``blocks``; names
+        # of ``blocks``. An instruction or block that is not (yet) attached
+        # does not reserve its name.
+        self._value_names = {arg.name for arg in self.args}
+        self._block_names = set()
+        # Results of the analyses in ir.cfg for the current CFG, by name.
+        self._analyses: Dict[str, object] = {}
         # The owning module's ``version`` as of the last pass that changed
         # (or created) this function; see :meth:`Module.bump_version`.
         self.stamp = 0
@@ -52,13 +67,33 @@ class Function(Value):
     def add_block(self, block_or_name) -> BasicBlock:
         """Append a basic block (or create one from a name)."""
         block = block_or_name if isinstance(block_or_name, BasicBlock) else BasicBlock(block_or_name)
+        return self.insert_block(len(self.blocks), block)
+
+    def insert_block(self, index: int, block: BasicBlock) -> BasicBlock:
         block.parent = self
-        self.blocks.append(block)
+        self.blocks.insert(index, block)
+        self._block_names.add(block.name)
+        self._value_names.update(inst.name for inst in block.instructions if inst.name)
+        self._analyses.clear()
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
+        """Unlink a block, instructions and all; ``BasicBlock.erase`` deletes it."""
         self.blocks.remove(block)
         block.parent = None
+        self._block_names.discard(block.name)
+        self._value_names.difference_update(inst.name for inst in block.instructions)
+        self._analyses.clear()
+
+    def set_args(self, args: List[Argument]) -> None:
+        """Replace the argument list (``-deadargelim`` drops unused ones)."""
+        self._value_names.difference_update(arg.name for arg in self.args)
+        self.args = list(args)
+        self._value_names.update(arg.name for arg in self.args)
+
+    def invalidate_analyses(self) -> None:
+        """Forget the cached CFG analyses: the block list or a terminator changed."""
+        self._analyses.clear()
 
     def block_by_name(self, name: str) -> Optional[BasicBlock]:
         for block in self.blocks:
@@ -70,8 +105,7 @@ class Function(Value):
 
     def new_value_name(self, prefix: str = "v") -> str:
         """Generate a fresh SSA value name unique within the function."""
-        existing = {inst.name for block in self.blocks for inst in block if inst.name}
-        existing.update(arg.name for arg in self.args)
+        existing = self._value_names
         while True:
             name = f"{prefix}{self._next_value_id}"
             self._next_value_id += 1
@@ -80,7 +114,7 @@ class Function(Value):
 
     def new_block_name(self, prefix: str = "bb") -> str:
         """Generate a fresh basic-block name unique within the function."""
-        existing = {block.name for block in self.blocks}
+        existing = self._block_names
         while True:
             name = f"{prefix}{self._next_block_id}"
             self._next_block_id += 1

@@ -8,8 +8,8 @@ read like their LLVM counterparts.
 
 from typing import Dict, List, Optional
 
-from repro.llvm.ir.types import I1, I32, VOID, Type
-from repro.llvm.ir.values import Value
+from repro.llvm.ir.types import LABEL, VOID, Type
+from repro.llvm.ir.values import NO_USES, Value
 
 # Opcode categories. These drive the generic logic in passes, the printer,
 # the verifier, and the feature extractors.
@@ -59,7 +59,17 @@ class Instruction(Value):
             immutable (strings, booleans, interned types): ``Module.clone()``
             copies the dict and shares what it holds.
         parent: The :class:`BasicBlock` containing the instruction.
+
+    ``operands`` is read freely and written only through this class:
+    :meth:`set_operand`, :meth:`set_operands` (and :meth:`set_phi_incoming`,
+    :meth:`replace_successor` on top of them), :meth:`erase`, and
+    ``Value.replace_all_uses_with``. Those keep every operand's ``uses`` list
+    current and drop the function's cached CFG analyses when a terminator's
+    successors change. Where the instruction *sits* is the block's business:
+    ``BasicBlock.append``/``insert``/``remove``.
     """
+
+    __slots__ = ("opcode", "operands", "attrs", "parent")
 
     def __init__(
         self,
@@ -72,10 +82,58 @@ class Instruction(Value):
         if opcode not in ALL_OPCODES:
             raise ValueError(f"Unknown opcode: {opcode!r}")
         super().__init__(type, name=name)
+        if type is VOID:
+            self.uses = NO_USES
         self.opcode = opcode
         self.operands: List[Value] = list(operands or [])
+        for operand in self.operands:
+            operand.uses.append(self)
         self.attrs: Dict = dict(attrs or {})
         self.parent = None  # Set when appended to a BasicBlock.
+
+    # -- mutation ----------------------------------------------------------
+
+    def set_operand(self, index: int, value: Value) -> None:
+        """Write one operand slot."""
+        operands = self.operands
+        old = operands[index]
+        if old is value:
+            return
+        old.uses.remove(self)
+        value.uses.append(self)
+        operands[index] = value
+        if value.type is LABEL and self.opcode in TERMINATOR_OPCODES:
+            self._cfg_changed()
+
+    def set_operands(self, values) -> None:
+        """Replace the whole operand list (it may change length)."""
+        for old in self.operands:
+            old.uses.remove(self)
+        self.operands = operands = list(values)
+        for value in operands:
+            value.uses.append(self)
+        if self.opcode in TERMINATOR_OPCODES:
+            self._cfg_changed()
+
+    def erase(self) -> None:
+        """Delete the instruction: unlink it from its block (if it is in one)
+        and give up its operands, so no use list names it afterwards.
+
+        Contrast ``BasicBlock.remove``, which only unlinks — the instruction
+        keeps its operands and stays in their use lists, ready to be inserted
+        somewhere else. Whoever still uses the erased instruction's *result*
+        must have been rewritten first (``replace_all_uses_with``).
+        """
+        if self.parent is not None:
+            self.parent.remove(self)
+        for operand in self.operands:
+            operand.uses.remove(self)
+        self.operands = []
+
+    def _cfg_changed(self) -> None:
+        block = self.parent
+        if block is not None and block.parent is not None:
+            block.parent.invalidate_analyses()
 
     # -- classification ----------------------------------------------------
 
@@ -129,10 +187,11 @@ class Instruction(Value):
         return []
 
     def replace_successor(self, old, new) -> None:
-        """Rewrite a successor block reference of a terminator."""
+        """Rewrite a block reference: a terminator's successor or a phi's
+        incoming block."""
         for i, operand in enumerate(self.operands):
             if operand is old and self._operand_is_block(i):
-                self.operands[i] = new
+                self.set_operand(i, new)
 
     def _operand_is_block(self, index: int) -> bool:
         if self.opcode == "br":
@@ -153,9 +212,7 @@ class Instruction(Value):
 
     def set_phi_incoming(self, pairs) -> None:
         assert self.opcode == "phi"
-        self.operands = []
-        for value, block in pairs:
-            self.operands.extend([value, block])
+        self.set_operands([operand for pair in pairs for operand in pair])
 
     # -- misc ---------------------------------------------------------------
 
@@ -167,14 +224,16 @@ class Instruction(Value):
             if not self._operand_is_block(i)
         ]
 
-    def clone(self) -> "Instruction":
-        """Shallow copy: same operand references, no parent."""
+    def clone(self, operands=None) -> "Instruction":
+        """Shallow copy with no parent. It uses the same operands (one more
+        use of each) unless ``operands`` gives it others — empty, for a copy
+        whose operands are remapped once every copy exists."""
         return Instruction(
             opcode=self.opcode,
-            operands=list(self.operands),
+            operands=self.operands if operands is None else operands,
             type=self.type,
             name=self.name,
-            attrs=dict(self.attrs),
+            attrs=self.attrs,
         )
 
     def __repr__(self) -> str:

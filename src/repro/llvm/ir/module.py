@@ -1,11 +1,12 @@
 """Modules: the top-level IR container."""
 
+import functools
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
-from repro.llvm.ir.values import GlobalVariable, Value
+from repro.llvm.ir.values import NO_USES, Constant, GlobalVariable, Value
 
 
 class Module:
@@ -53,7 +54,12 @@ class Module:
         return global_var
 
     def remove_function(self, name: str) -> None:
-        self.functions.pop(name, None)
+        """Delete a function and erase its body, so that the globals, functions
+        and shared constants it used stop listing its instructions as users."""
+        function = self.functions.pop(name, None)
+        if function is not None:
+            for block in list(function.blocks):
+                block.erase()
 
     def function(self, name: str) -> Optional[Function]:
         return self.functions.get(name)
@@ -95,7 +101,11 @@ class Module:
         its ``operands`` list and ``attrs`` dict), and every operand the
         module does not own — constants, ``undef``, a value detached from its
         block — once per clone, however many instructions reference it.
-        ``parent`` links and operands point at the clone's own objects.
+        ``parent`` links and operands point at the clone's own objects, and
+        so does every ``uses`` list: it is rebuilt from the clone's operands,
+        names only the clone's instructions, and the source's are untouched.
+        Each function gets its own copy of the name sets and an empty
+        analysis cache.
 
         *Shared* — only immutable things: interned :class:`Type` singletons
         (identity comparisons keep working), names, opcodes, and the scalar
@@ -117,14 +127,28 @@ class Module:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_names(cls) -> tuple:
+    return tuple(name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ()))
+
+
 def _shell(source):
     """A new object of ``source``'s class holding the same attribute values.
 
     Fields that are scalars or interned types are final as copied; the caller
-    replaces every mutable field and every reference to another IR object.
+    replaces every mutable field and every reference to another IR object. A
+    value's use list starts empty and fills as the clone's operands are
+    written. This is the general copy, for the few objects a module has few
+    of; instructions, blocks and constants are copied field by field below.
     """
-    shell = object.__new__(type(source))
-    shell.__dict__.update(source.__dict__)
+    cls = type(source)
+    shell = cls.__new__(cls)
+    for name in _slot_names(cls):
+        setattr(shell, name, getattr(source, name))
+    if hasattr(source, "__dict__"):
+        shell.__dict__.update(source.__dict__)
+    if isinstance(source, Value):
+        shell.uses = []
     return shell
 
 
@@ -159,22 +183,33 @@ class _Cloner:
         function = _shell(source)
         self.copies[id(source)] = function
         function.attributes = list(source.attributes)
+        function._value_names = set(source._value_names)
+        function._block_names = set(source._block_names)
+        function._analyses = {}
         function.args = [self.value(arg) for arg in source.args]
         function.blocks = [self.block(block, function) for block in source.blocks]
         return function
 
     def block(self, source: BasicBlock, parent) -> BasicBlock:
-        block = _shell(source)
+        block = BasicBlock.__new__(BasicBlock)
         self.copies[id(source)] = block
+        block.type = source.type
+        block.name = source.name
+        block.uses = []
         block.parent = parent
         block.instructions = [self.instruction(inst, block) for inst in source.instructions]
         return block
 
     def instruction(self, source: Instruction, parent) -> Instruction:
-        instruction = _shell(source)
+        instruction = Instruction.__new__(Instruction)
         self.copies[id(source)] = instruction
-        instruction.parent = parent
+        instruction.type = source.type
+        instruction.name = source.name
+        # A void instruction is never an operand and keeps sharing NO_USES.
+        instruction.uses = NO_USES if source.uses is NO_USES else []
+        instruction.opcode = source.opcode
         instruction.attrs = dict(source.attrs)
+        instruction.parent = parent
         self.instructions.append((source, instruction))
         return instruction
 
@@ -200,7 +235,15 @@ class _Cloner:
                 make = self.block if isinstance(source, BasicBlock) else self.instruction
                 copy = make(source, parent)
             return copy
-        copy = self.copies[id(source)] = _shell(source)
+        if type(source) is Constant:
+            copy = Constant.__new__(Constant)
+            copy.type = source.type
+            copy.name = source.name
+            copy.value = source.value
+            copy.uses = []
+        else:
+            copy = _shell(source)
+        self.copies[id(source)] = copy
         return copy
 
     def remap_operands(self) -> None:
@@ -216,4 +259,5 @@ class _Cloner:
                 if copy is None:
                     copy = self.value(operand)
                 operands.append(copy)
+                copy.uses.append(instruction)
             instruction.operands = operands

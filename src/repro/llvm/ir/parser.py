@@ -261,7 +261,7 @@ class _FunctionParser:
     def finalize(self) -> None:
         """Resolve all deferred operand references."""
         for inst, refs in self.pending:
-            inst.operands = [self.resolve(ref, type) for ref, type in refs]
+            inst.set_operands([self.resolve(ref, type) for ref, type in refs])
 
 
 def _parse_args(text: str) -> Tuple[List[Type], List[str]]:

@@ -5,17 +5,40 @@ are values (they produce a result that other instructions use), as are
 function arguments, constants, global variables, and functions.
 """
 
-from typing import Optional
+from typing import List
 
 from repro.llvm.ir.types import I32, PTR, Type
 
+# What a void instruction (``store``, ``br``, ``ret``, ...) has for ``uses``:
+# it can never be an operand, so it needs no list of its own.
+NO_USES: tuple = ()
+
 
 class Value:
-    """Base class for everything that can appear as an instruction operand."""
+    """Base class for everything that can appear as an instruction operand.
+
+    Attributes:
+        uses: The instructions that hold this value as an operand, one entry
+            per operand *slot* (``add %x, %x`` lists the ``add`` twice), in
+            the order the slots were written. Kept current by the mutation
+            surface of :class:`~repro.llvm.ir.instructions.Instruction` —
+            construction, ``set_operand``/``set_operands``, ``erase`` — and
+            written nowhere else; there is no "unbuilt" state. An instruction
+            unlinked with ``BasicBlock.remove`` still uses its operands (it is
+            about to be re-inserted); one that was ``erase``d does not.
+
+    The classes a module holds by the thousand declare ``__slots__``: an
+    instruction is then one object the collector tracks instead of two, a
+    third smaller, and quicker for ``Module.clone()`` to copy — which is what
+    pays for the use lists. (:class:`Function` does not bother.)
+    """
+
+    __slots__ = ("type", "name", "uses")
 
     def __init__(self, type: Type, name: str = ""):  # noqa: A002
         self.type = type
         self.name = name
+        self.uses: List = []
 
     @property
     def is_constant(self) -> bool:
@@ -25,12 +48,32 @@ class Value:
         """Render the value as an operand reference (e.g. ``%x`` or ``42``)."""
         return f"%{self.name}"
 
+    def replace_all_uses_with(self, new: "Value") -> int:
+        """Rewrite every operand slot that holds this value to hold ``new``.
+
+        Returns the number of slots rewritten. Costs this value's use count,
+        not the size of the function.
+        """
+        uses = self.uses
+        if not uses or new is self:
+            return 0
+        for user in uses:
+            operands = user.operands
+            for index, operand in enumerate(operands):
+                if operand is self:
+                    operands[index] = new
+        new.uses.extend(uses)
+        self.uses = []
+        return len(uses)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.short()}: {self.type})"
 
 
 class Constant(Value):
     """A compile-time constant scalar."""
+
+    __slots__ = ("value",)
 
     def __init__(self, type: Type, value):  # noqa: A002
         super().__init__(type, name=str(value))
@@ -55,6 +98,8 @@ class Constant(Value):
 class Argument(Value):
     """A formal argument of a function."""
 
+    __slots__ = ()
+
     def __init__(self, name: str, type: Type = I32):  # noqa: A002
         super().__init__(type, name=name)
 
@@ -66,6 +111,8 @@ class GlobalVariable(Value):
     ``initializer`` (one scalar, replicated ``array_size`` times) and
     ``element_type`` describe the pointed-to storage.
     """
+
+    __slots__ = ("element_type", "initializer", "is_constant_global", "array_size")
 
     def __init__(
         self,
@@ -87,6 +134,8 @@ class GlobalVariable(Value):
 
 class UndefValue(Value):
     """The undefined value, produced when a use has no defined reaching value."""
+
+    __slots__ = ()
 
     def __init__(self, type: Type = I32):  # noqa: A002
         super().__init__(type, name="undef")

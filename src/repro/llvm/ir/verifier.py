@@ -14,6 +14,14 @@ structurally plausible:
   the types their opcode requires, and calls must match their callee's
   signature.
 
+The structural mode also audits the bookkeeping that the IR mutation surface
+maintains (see "Mutating the IR" in ``passes.registry``), so a pass that wrote
+``inst.operands[i]`` or ``block.instructions`` behind its back is caught here
+rather than by whatever later reads the stale state: every operand slot is
+registered exactly once in its operand's ``uses``, no use list names an erased
+or foreign instruction, the function's name sets equal the names in it, and
+the cached CFG analyses equal freshly computed ones.
+
 The environment verifies the module after every pass when running in debug
 mode (``REPRO_VERIFY_IR=1`` / ``make(..., verify_ir=True)``), and the
 pass-validation harness (``repro-compilergym lint``) uses it to vet every
@@ -32,7 +40,7 @@ from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import I1, Type
 from repro.llvm.ir.values import Argument, Constant, GlobalVariable, UndefValue
-from repro.llvm.ir.cfg import predecessors, reachable_blocks
+from repro.llvm.ir.cfg import dominator_tree, predecessors, reachable_blocks, stale_analyses
 
 
 class VerificationError(Exception):
@@ -219,10 +227,8 @@ def _dominance_errors(function: Function) -> List[str]:
     blocks, matching LLVM). Phi operands are checked against the end of their
     incoming block rather than the phi itself.
     """
-    from repro.llvm.analysis.dominators import DominatorTree
-
     errors: List[str] = []
-    tree = DominatorTree(function)
+    tree = dominator_tree(function)
     reachable = tree.reachable
     # Instruction positions for same-block dominance queries, computed once.
     positions: Dict[Instruction, int] = {}
@@ -272,10 +278,64 @@ def _dominance_errors(function: Function) -> List[str]:
     return errors
 
 
+def _bookkeeping_errors(function: Function, module: Module) -> List[str]:
+    """What the mutation surface maintains must equal what a scan finds."""
+    errors: List[str] = []
+    where = f"@{function.name}"
+    instructions = list(function.instructions())
+    attached = set(instructions)
+    # Who holds each value in an operand slot here. Keyed by id(): constants
+    # compare by value, and the slots keep every operand alive meanwhile.
+    holders: Dict[int, tuple] = {
+        id(value): (value, []) for value in (*function.args, *function.blocks, *instructions)
+    }
+    for inst in instructions:
+        for operand in inst.operands:
+            holder = holders.get(id(operand))
+            if holder is None:
+                holder = holders[id(operand)] = (operand, [])
+            holder[1].append(inst)
+    for value, users in holders.values():
+        local = isinstance(value, (Argument, BasicBlock, Instruction))
+        listed = []
+        for user in value.uses:
+            if user in attached:
+                listed.append(user)
+                continue
+            home = user.parent.parent if user.parent is not None else None
+            if home is None or module.functions.get(home.name) is not home:
+                errors.append(
+                    f"{where}: use list of {value.short()} names an erased or detached "
+                    f"{user.opcode}"
+                )
+            elif local:
+                errors.append(
+                    f"{where}: use list of {value.short()} names a {user.opcode} in "
+                    f"@{home.name}"
+                )
+        if sorted(map(id, listed)) != sorted(map(id, users)):
+            errors.append(
+                f"{where}: use list of {value.short()} does not match the operand slots "
+                f"holding it (an operand was written behind the IR's back)"
+            )
+    value_names = {arg.name for arg in function.args}
+    value_names.update(inst.name for inst in instructions if inst.name)
+    block_names = {block.name for block in function.blocks}
+    for kind, kept, found in (
+        ("value", function._value_names, value_names),
+        ("block", function._block_names, block_names),
+    ):
+        if kept != found:
+            errors.append(f"{where}: {kind} name set is stale: {sorted(kept ^ found)}")
+    errors.extend(f"{where}: cached {name} is stale" for name in stale_analyses(function))
+    return errors
+
+
 def verify_function(function: Function, module: Module, semantic: bool = True) -> List[str]:
     errors: List[str] = []
     if function.is_declaration:
         return errors
+    errors.extend(_bookkeeping_errors(function, module))
 
     block_set = set(function.blocks)
     defined_values = set(function.args)

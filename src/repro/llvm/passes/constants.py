@@ -5,7 +5,7 @@ from typing import Dict, Set
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.values import Constant
-from repro.llvm.passes.utils import fold_instruction, make_unconditional, replace_all_uses
+from repro.llvm.passes.utils import fold_instruction, make_unconditional
 
 
 def constant_propagation(function: Function) -> bool:
@@ -20,8 +20,8 @@ def constant_propagation(function: Function) -> bool:
                 folded = fold_instruction(inst)
                 if folded is None:
                     continue
-                replace_all_uses(function, inst, folded)
-                block.remove(inst)
+                inst.replace_all_uses_with(folded)
+                inst.erase()
                 changed = True
                 progress = True
     return changed
@@ -93,7 +93,7 @@ def interprocedural_sccp(module: Module, touched: Set[Function]) -> bool:
             if all_constant and len(values) == 1 and sites:
                 type_name, value = next(iter(values))
                 constant = Constant(arg.type, value)
-                if replace_all_uses(callee, arg, constant):
+                if arg.replace_all_uses_with(constant):
                     touched.add(callee)
     if touched:
         touched.update(f for f in functions if constant_propagation(f))
@@ -116,9 +116,8 @@ def constant_merge(module: Module, touched: Set[Function]) -> bool:
     for old_name, new_name in replacements.items():
         old = module.globals[old_name]
         new = module.globals[new_name]
-        for function in module.defined_functions():
-            if replace_all_uses(function, old, new):
-                touched.add(function)
+        touched.update(user.parent.parent for user in old.uses)
+        old.replace_all_uses_with(new)
         del module.globals[old_name]
         changed = True
     return changed

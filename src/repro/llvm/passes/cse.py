@@ -2,11 +2,11 @@
 
 from typing import Dict, Tuple
 
-from repro.llvm.ir.cfg import dominates, dominators, predecessors, reverse_postorder
+from repro.llvm.ir.cfg import dominator_tree, predecessors, reverse_postorder
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.values import Constant, Value
-from repro.llvm.passes.utils import collect_uses, is_pure, replace_all_uses
+from repro.llvm.passes.utils import is_pure
 
 
 def _operand_key(value: Value):
@@ -41,8 +41,8 @@ def early_cse(function: Function) -> bool:
             key = _value_key(inst)
             existing = available.get(key)
             if existing is not None:
-                replace_all_uses(function, inst, existing)
-                block.remove(inst)
+                inst.replace_all_uses_with(existing)
+                inst.erase()
                 changed = True
             else:
                 available[key] = inst
@@ -56,7 +56,7 @@ def global_value_numbering(function: Function) -> bool:
     that dominates it (or earlier in the same block).
     """
     changed = False
-    dom = dominators(function)
+    tree = dominator_tree(function)
     order = reverse_postorder(function)
     leader: Dict[Tuple, Instruction] = {}
     for block in order:
@@ -67,9 +67,9 @@ def global_value_numbering(function: Function) -> bool:
             existing = leader.get(key)
             if existing is not None and existing.parent is not None:
                 same_block = existing.parent is block
-                if same_block or dominates(dom, existing.parent, block):
-                    replace_all_uses(function, inst, existing)
-                    block.remove(inst)
+                if same_block or tree.dominates(existing.parent, block):
+                    inst.replace_all_uses_with(existing)
+                    inst.erase()
                     changed = True
                     continue
             leader[key] = inst
@@ -88,7 +88,6 @@ def sink(function: Function) -> bool:
     """-sink: move pure computations into the single successor block that uses
     them, reducing work on paths that do not need the value."""
     changed = False
-    uses = collect_uses(function)
     for block in function.blocks:
         successors = block.successors()
         if len(successors) != 2:
@@ -96,10 +95,10 @@ def sink(function: Function) -> bool:
         for inst in list(block.instructions):
             if not is_pure(inst) or not inst.has_result:
                 continue
-            users = uses.get(inst, [])
+            users = inst.uses
             if not users:
                 continue
-            user_blocks = {user.parent for user, _ in users}
+            user_blocks = {user.parent for user in users}
             if len(user_blocks) != 1:
                 continue
             (target,) = user_blocks
@@ -109,7 +108,7 @@ def sink(function: Function) -> bool:
             # value would not dominate all paths into it).
             if len(predecessors(function)[target]) != 1:
                 continue
-            if any(user.opcode == "phi" for user, _ in users):
+            if any(user.opcode == "phi" for user in users):
                 continue
             block.remove(inst)
             target.insert(len(target.phis()), inst)

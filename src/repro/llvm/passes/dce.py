@@ -4,27 +4,22 @@ from typing import Set
 
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.values import Value
-from repro.llvm.passes.utils import collect_uses, is_trivially_dead
+from repro.llvm.passes.utils import erase_dead_instructions, is_trivially_dead
 
 
 def dead_instruction_elimination(function: Function) -> bool:
-    """-die: a single sweep removing trivially dead instructions."""
-    changed = False
-    uses = collect_uses(function)
-    for block in function.blocks:
-        for inst in list(block.instructions):
-            if is_trivially_dead(inst, uses):
-                block.remove(inst)
-                changed = True
-    return changed
+    """-die: a single sweep removing trivially dead instructions. What is dead
+    is decided before anything is removed: an instruction that only the sweep
+    itself left unused stays for the next one."""
+    dead = [inst for inst in function.instructions() if is_trivially_dead(inst)]
+    for inst in dead:
+        inst.erase()
+    return bool(dead)
 
 
 def dead_code_elimination(function: Function) -> bool:
-    """-dce: iterate trivially-dead removal to a fixpoint."""
-    changed = False
-    while dead_instruction_elimination(function):
-        changed = True
-    return changed
+    """-dce: trivially-dead removal to a fixpoint."""
+    return erase_dead_instructions(function) > 0
 
 
 def aggressive_dce(function: Function) -> bool:
@@ -51,6 +46,6 @@ def aggressive_dce(function: Function) -> bool:
     for block in function.blocks:
         for inst in list(block.instructions):
             if inst not in live:
-                block.remove(inst)
+                inst.erase()
                 changed = True
     return changed

@@ -6,7 +6,7 @@ from typing import Optional
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.values import Constant, Value
-from repro.llvm.passes.utils import fold_instruction, replace_all_uses
+from repro.llvm.passes.utils import fold_binary_operation, fold_instruction
 
 
 def _is_const(value: Value, number=None) -> bool:
@@ -103,7 +103,7 @@ def _canonicalize_commutative(inst: Instruction) -> bool:
     if inst.is_commutative and len(inst.operands) == 2:
         lhs, rhs = inst.operands
         if isinstance(lhs, Constant) and not isinstance(rhs, Constant):
-            inst.operands = [rhs, lhs]
+            inst.set_operands([rhs, lhs])
             return True
     return False
 
@@ -120,8 +120,8 @@ def instruction_combining(function: Function) -> bool:
                     changed = True
                 simplified = _simplify(inst)
                 if simplified is not None and simplified is not inst:
-                    replace_all_uses(function, inst, simplified)
-                    block.remove(inst)
+                    inst.replace_all_uses_with(simplified)
+                    inst.erase()
                     changed = True
                     progress = True
     return changed
@@ -134,8 +134,8 @@ def instruction_simplify(function: Function) -> bool:
         for inst in list(block.instructions):
             simplified = _simplify(inst)
             if simplified is not None and simplified is not inst:
-                replace_all_uses(function, inst, simplified)
-                block.remove(inst)
+                inst.replace_all_uses_with(simplified)
+                inst.erase()
                 changed = True
     return changed
 
@@ -168,12 +168,9 @@ def reassociate(function: Function) -> bool:
                 and len(lhs.operands) == 2
                 and isinstance(lhs.operands[1], Constant)
             ):
-                inner = Instruction(
-                    inst.opcode, [lhs.operands[1], rhs], type=inst.type
-                )
-                folded = fold_instruction(inner)
+                folded = fold_binary_operation(inst.opcode, inst.type, lhs.operands[1], rhs)
                 if folded is not None:
-                    inst.operands = [lhs.operands[0], folded]
+                    inst.set_operands([lhs.operands[0], folded])
                     changed = True
     return changed
 

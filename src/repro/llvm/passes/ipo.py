@@ -13,7 +13,7 @@ from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import VOID
 from repro.llvm.ir.values import Argument, Constant, GlobalVariable, Value
-from repro.llvm.passes.utils import collect_uses, replace_all_uses, replace_phi_incoming_block
+from repro.llvm.passes.utils import replace_phi_incoming_block
 
 # Callee size limits, mirroring LLVM's inline cost thresholds.
 INLINE_THRESHOLD = 40
@@ -33,12 +33,11 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
     call_index = block.instructions.index(call)
 
     # Split the call block: everything after the call moves to a continuation.
+    # The call itself is unlinked but keeps its arguments and its users until
+    # the callee's body is in place.
     continuation = BasicBlock(caller.new_block_name("inline.cont"))
-    trailing = block.instructions[call_index + 1 :]
-    block.instructions = block.instructions[:call_index]
-    for inst in trailing:
-        inst.parent = continuation
-        continuation.instructions.append(inst)
+    block.move_instructions(call_index + 1, continuation)
+    block.remove(call)
     # Successor phis that named the original block as the incoming edge now
     # receive control from the continuation block instead.
     for successor in continuation.successors():
@@ -54,22 +53,19 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
         clone = BasicBlock(caller.new_block_name(f"inl.{callee_block.name}"))
         block_map[callee_block] = clone
         cloned_blocks.append(clone)
-    cloned_instructions: List[Instruction] = []
     for callee_block in callee.blocks:
         clone_block = block_map[callee_block]
         for inst in callee_block.instructions:
-            clone = inst.clone()
+            clone = inst.clone(operands=())
             if clone.name:
                 clone.name = caller.new_value_name(f"inl{clone.name}")
             clone_block.append(clone)
             value_map[inst] = clone
-            cloned_instructions.append(clone)
-    # Remap operands of the clones (two-pass to handle forward references).
-    for clone in cloned_instructions:
-        clone.operands = [
-            block_map.get(op, value_map.get(op, op)) if not isinstance(op, BasicBlock) else block_map.get(op, op)
-            for op in clone.operands
-        ]
+    # Give the clones their operands (a second pass, for forward references).
+    value_map.update(block_map)
+    for callee_block in callee.blocks:
+        for inst in callee_block.instructions:
+            value_map[inst].set_operands([value_map.get(op, op) for op in inst.operands])
 
     # Rewrite cloned returns into branches to the continuation, collecting
     # returned values for the call result.
@@ -78,10 +74,8 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
         terminator = clone_block.terminator
         if terminator is not None and terminator.opcode == "ret":
             value = terminator.operands[0] if terminator.operands else None
-            index = clone_block.instructions.index(terminator)
-            branch = Instruction("br", [continuation], type=VOID)
-            branch.parent = clone_block
-            clone_block.instructions[index] = branch
+            terminator.erase()
+            clone_block.append(Instruction("br", [continuation], type=VOID))
             returned.append((value, clone_block))
 
     # Wire the call block into the cloned entry.
@@ -92,11 +86,8 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
     # block (before rewriting call-result uses, so that uses in the
     # continuation and cloned blocks are rewritten too).
     insert_at = caller.blocks.index(block) + 1
-    for offset, clone_block in enumerate(cloned_blocks):
-        clone_block.parent = caller
-        caller.blocks.insert(insert_at + offset, clone_block)
-    continuation.parent = caller
-    caller.blocks.insert(insert_at + len(cloned_blocks), continuation)
+    for offset, clone_block in enumerate(cloned_blocks + [continuation]):
+        caller.insert_block(insert_at + offset, clone_block)
 
     # Replace uses of the call result.
     if call.has_result and call.name:
@@ -110,7 +101,8 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
             replacement = phi
         else:
             replacement = Constant(call.type, 0)
-        replace_all_uses(caller, call, replacement)
+        call.replace_all_uses_with(replacement)
+    call.erase()
 
 
 def _inline_functions(
@@ -167,20 +159,18 @@ def dead_argument_elimination(module: Module, touched: Set[Function]) -> bool:
     for function in module.defined_functions():
         if function.name == "main":
             continue
-        uses = collect_uses(function)
-        dead_indices = [
-            index for index, arg in enumerate(function.args) if not uses.get(arg)
-        ]
-        if not dead_indices:
+        keep = [index for index, arg in enumerate(function.args) if arg.uses]
+        if len(keep) == len(function.args):
             continue
-        keep = [i for i in range(len(function.args)) if i not in dead_indices]
-        function.args = [function.args[i] for i in keep]
+        function.set_args([function.args[i] for i in keep])
         touched.add(function)
         for caller in module.defined_functions():
             for inst in caller.instructions():
                 if inst.opcode == "call" and inst.attrs.get("callee") == function.name:
                     if len(inst.operands) > len(keep):
-                        inst.operands = [inst.operands[i] for i in keep if i < len(inst.operands)]
+                        inst.set_operands(
+                            [inst.operands[i] for i in keep if i < len(inst.operands)]
+                        )
                         touched.add(caller)
     return bool(touched)
 
@@ -203,7 +193,7 @@ def global_dce(module: Module, touched: Set[Function]) -> bool:
     referenced = _referenced_functions(module)
     for name in list(module.functions):
         if name not in referenced:
-            del module.functions[name]
+            module.remove_function(name)
             changed = True
     used_globals: Set[str] = set()
     for function in module.defined_functions():
@@ -224,7 +214,7 @@ def strip_dead_prototypes(module: Module, touched: Set[Function]) -> bool:
     referenced = _referenced_functions(module)
     for name in list(module.functions):
         if module.functions[name].is_declaration and name not in referenced:
-            del module.functions[name]
+            module.remove_function(name)
             changed = True
     return changed
 
@@ -255,8 +245,8 @@ def global_opt(module: Module, touched: Set[Function]) -> bool:
                     and pointer.array_size == 1
                 ):
                     constant = Constant(inst.type, pointer.initializer)
-                    replace_all_uses(function, inst, constant)
-                    block.remove(inst)
+                    inst.replace_all_uses_with(constant)
+                    inst.erase()
                     touched.add(function)
     return bool(touched)
 
@@ -283,7 +273,7 @@ def merge_functions(module: Module, touched: Set[Function]) -> bool:
                 if inst.opcode == "call" and inst.attrs.get("callee") == function.name:
                     inst.attrs["callee"] = canonical.name
                     touched.add(caller)
-        del module.functions[function.name]
+        module.remove_function(function.name)
         changed = True
     return changed
 

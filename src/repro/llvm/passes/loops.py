@@ -10,7 +10,7 @@ from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import VOID
 from repro.llvm.ir.values import Constant, Value
-from repro.llvm.passes.utils import collect_uses, is_pure, replace_all_uses
+from repro.llvm.passes.utils import is_pure
 
 # Full unrolling is only applied to loops at most this many iterations long,
 # mirroring LLVM's -unroll-threshold behaviour of bounding code growth.
@@ -228,9 +228,8 @@ def loop_unroll(function: Function) -> bool:
         for _ in range(trip_count):
             iteration_map: Dict[Value, Value] = dict(current)
             for inst in body:
-                clone = inst.clone()
+                clone = inst.clone([iteration_map.get(op, op) for op in inst.operands])
                 clone.name = function.new_value_name(inst.name or "u")
-                clone.operands = [iteration_map.get(op, op) for op in clone.operands]
                 unrolled.append(clone)
                 iteration_map[inst] = clone
             # Advance the loop-carried values for the next iteration.
@@ -243,17 +242,19 @@ def loop_unroll(function: Function) -> bool:
             final_map = iteration_map
             current = next_current
         # Rewrite the loop block: unrolled body followed by a branch to
-        # the exit block.
-        new_instructions = unrolled + [Instruction("br", [exit_block], type=VOID)]
-        block.instructions = []
-        for inst in new_instructions:
+        # the exit block. The old body gives up its operands first, so what
+        # is left in an original's use list is its uses outside the loop.
+        for inst in reversed(list(block.instructions)):
+            inst.erase()
+        for inst in unrolled:
             block.append(inst)
+        block.append(Instruction("br", [exit_block], type=VOID))
         # Outside uses of loop-defined values refer to their final copies.
         for original, final in final_map.items():
             if original not in phis:
-                replace_all_uses(function, original, final)
+                original.replace_all_uses_with(final)
         for phi in phis:
-            replace_all_uses(function, phi, current[phi])
+            phi.replace_all_uses_with(current[phi])
         changed = True
     return changed
 
@@ -262,10 +263,19 @@ def loop_deletion(function: Function) -> bool:
     """-loop-deletion: delete side-effect-free loops whose values are unused
     outside the loop."""
     changed = False
-    uses = collect_uses(function)
-    for loop in natural_loops(function):
-        if len(loop.blocks) != 1:
-            continue
+    loops = [loop for loop in natural_loops(function) if len(loop.blocks) == 1]
+    # Decided for every loop before any is deleted: a value that only a
+    # deleted loop used is still "used outside" for the rest of this run.
+    used_outside = {
+        loop.header
+        for loop in loops
+        if any(
+            user.parent is not loop.header
+            for inst in loop.header.instructions
+            for user in inst.uses
+        )
+    }
+    for loop in loops:
         block = loop.header
         # Deletion needs only a termination proof, not a small trip count,
         # so the counted-loop check runs with a much larger bound.
@@ -273,15 +283,7 @@ def loop_deletion(function: Function) -> bool:
         has_side_effects = any(
             inst.has_side_effects() and not inst.is_terminator for inst in block.instructions
         )
-        if has_side_effects or pattern is None:
-            continue
-        loop_insts = set(block.instructions)
-        used_outside = any(
-            user.parent is not block
-            for inst in loop_insts
-            for user, _ in uses.get(inst, [])
-        )
-        if used_outside:
+        if has_side_effects or pattern is None or block in used_outside:
             continue
         terminator = block.terminator
         exit_block = next(
@@ -292,7 +294,7 @@ def loop_deletion(function: Function) -> bool:
             continue
         preheader_terminator = preheader.terminator
         preheader_terminator.replace_successor(block, exit_block)
-        function.remove_block(block)
+        block.erase()
         changed = True
     return changed
 

@@ -28,7 +28,7 @@ def lower_switch(function: Function) -> bool:
             (terminator.operands[i], terminator.operands[i + 1])
             for i in range(2, len(terminator.operands), 2)
         ]
-        block.instructions.pop()  # Drop the switch.
+        terminator.erase()  # Drop the switch.
         current = block
         for index, (case_const, case_block) in enumerate(cases):
             compare = Instruction(
@@ -40,9 +40,10 @@ def lower_switch(function: Function) -> bool:
             )
             current.append(compare)
             if index + 1 < len(cases):
-                next_test = BasicBlock(function.new_block_name("switch.test"))
-                next_test.parent = function
-                function.blocks.insert(function.blocks.index(current) + 1, next_test)
+                next_test = function.insert_block(
+                    function.blocks.index(current) + 1,
+                    BasicBlock(function.new_block_name("switch.test")),
+                )
                 current.append(Instruction("br", [compare, case_block, next_test], type=VOID))
                 replace_phi_incoming_block(case_block, block, current)
                 current = next_test
@@ -71,9 +72,8 @@ def break_critical_edges(function: Function) -> bool:
                 edges.append((block, successor))
     for source, destination in edges:
         middle = BasicBlock(function.new_block_name("crit_edge"))
-        middle.parent = function
         middle.append(Instruction("br", [destination], type=VOID))
-        function.blocks.insert(function.blocks.index(destination), middle)
+        function.insert_block(function.blocks.index(destination), middle)
         terminator = source.terminator
         terminator.replace_successor(destination, middle)
         replace_phi_incoming_block(destination, source, middle)

@@ -2,41 +2,32 @@
 
 from typing import Dict, List, Optional
 
-from repro.llvm.ir.cfg import dominates, dominators
+from repro.llvm.ir.cfg import dominator_tree
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import PTR, VOID
 from repro.llvm.ir.values import UndefValue, Value
-from repro.llvm.passes.utils import collect_uses, replace_all_uses
 
 
 def _promotable_allocas(function: Function) -> List[Instruction]:
     """Allocas used only by direct loads and stores (no GEPs, no escaping)."""
-    uses = collect_uses(function)
-    promotable = []
-    for block in function.blocks:
-        for inst in block.instructions:
-            if inst.opcode != "alloca":
-                continue
-            ok = True
-            for user, index in uses.get(inst, []):
-                if user.opcode == "load":
-                    continue
-                if user.opcode == "store" and index == 1:
-                    continue  # The alloca is the store destination, not the value.
-                ok = False
-                break
-            if ok:
-                promotable.append(inst)
-    return promotable
+    return [
+        inst
+        for inst in function.instructions()
+        if inst.opcode == "alloca"
+        and all(
+            user.opcode == "load"
+            # The alloca is the store destination, not the stored value.
+            or (user.opcode == "store" and user.operands[0] is not inst)
+            for user in inst.uses
+        )
+    ]
 
 
-def _promote_single_block(function: Function, alloca: Instruction) -> bool:
+def _promote_single_block(alloca: Instruction) -> bool:
     """Promote an alloca whose loads and stores all live in one basic block."""
-    uses = collect_uses(function)
-    users = [user for user, _ in uses.get(alloca, [])]
-    blocks = {user.parent for user in users}
+    blocks = {user.parent for user in alloca.uses}
     if len(blocks) > 1:
         return False
     block = blocks.pop() if blocks else alloca.parent
@@ -44,37 +35,34 @@ def _promote_single_block(function: Function, alloca: Instruction) -> bool:
     for inst in list(block.instructions):
         if inst.opcode == "store" and inst.operands[1] is alloca:
             current = inst.operands[0]
-            block.remove(inst)
+            inst.erase()
         elif inst.opcode == "load" and inst.operands[0] is alloca:
-            value = current if current is not None else UndefValue(inst.type)
-            replace_all_uses(function, inst, value)
-            block.remove(inst)
-    alloca.parent.remove(alloca)
+            inst.replace_all_uses_with(current if current is not None else UndefValue(inst.type))
+            inst.erase()
+    alloca.erase()
     return True
 
 
 def _promote_single_store(function: Function, alloca: Instruction) -> bool:
     """Promote an alloca with exactly one store that dominates every load."""
-    uses = collect_uses(function)
-    users = [(user, index) for user, index in uses.get(alloca, [])]
-    stores = [user for user, index in users if user.opcode == "store" and index == 1]
-    loads = [user for user, _ in users if user.opcode == "load"]
+    stores = [user for user in alloca.uses if user.opcode == "store"]
+    loads = [user for user in alloca.uses if user.opcode == "load"]
     if len(stores) != 1:
         return False
     store = stores[0]
-    dom = dominators(function)
+    tree = dominator_tree(function)
     stored_value = store.operands[0]
     for load in loads:
         if load.parent is store.parent:
             if store.parent.instructions.index(store) > load.parent.instructions.index(load):
                 return False
-        elif not dominates(dom, store.parent, load.parent):
+        elif not tree.dominates(store.parent, load.parent):
             return False
     for load in loads:
-        replace_all_uses(function, load, stored_value)
-        load.parent.remove(load)
-    store.parent.remove(store)
-    alloca.parent.remove(alloca)
+        load.replace_all_uses_with(stored_value)
+        load.erase()
+    store.erase()
+    alloca.erase()
     return True
 
 
@@ -92,7 +80,7 @@ def promote_memory_to_registers(function: Function) -> bool:
     for alloca in _promotable_allocas(function):
         if _promote_single_store(function, alloca):
             changed = True
-        elif _promote_single_block(function, alloca):
+        elif _promote_single_block(alloca):
             changed = True
     return changed
 
@@ -111,14 +99,17 @@ def demote_registers_to_memory(function: Function) -> bool:
     """
     changed = False
     entry = function.entry
-    uses = collect_uses(function)
+    # Reloads are named in the program order of the uses they feed, and only
+    # instructions that exist now are ever such a use.
+    position = {inst: n for n, inst in enumerate(function.instructions())}
     for block in function.blocks:
         for inst in list(block.instructions):
             if not inst.has_result or inst.opcode in ("alloca", "phi"):
                 continue
-            users = uses.get(inst, [])
-            cross_block = [user for user, _ in users if user.parent is not block]
-            if not cross_block or any(user.opcode == "phi" for user, _ in users):
+            users = set(inst.uses)  # Before the spill below adds a store.
+            if all(user.parent is block for user in users) or any(
+                user.opcode == "phi" for user in users
+            ):
                 continue
             alloca = Instruction(
                 "alloca",
@@ -130,13 +121,14 @@ def demote_registers_to_memory(function: Function) -> bool:
             entry.insert(0, alloca)
             store = Instruction("store", [inst, alloca], type=VOID)
             block.insert(block.instructions.index(inst) + 1, store)
-            for user, index in users:
-                if user.parent is not block and user.opcode != "phi":
-                    load = Instruction(
-                        "load", [alloca], type=inst.type, name=function.new_value_name("reload")
-                    )
-                    user.parent.insert(user.parent.instructions.index(user), load)
-                    user.operands[index] = load
+            for user in sorted((u for u in users if u.parent is not block), key=position.get):
+                for index, operand in enumerate(user.operands):
+                    if operand is inst:
+                        load = Instruction(
+                            "load", [alloca], type=inst.type, name=function.new_value_name("reload")
+                        )
+                        user.parent.insert(user.parent.instructions.index(user), load)
+                        user.set_operand(index, load)
             changed = True
     return changed
 
@@ -151,7 +143,7 @@ def dead_store_elimination(function: Function) -> bool:
                 pointer = inst.operands[1]
                 previous = last_store.get(id(pointer))
                 if previous is not None and previous.parent is block:
-                    block.remove(previous)
+                    previous.erase()
                     changed = True
                 last_store[id(pointer)] = inst
             elif inst.opcode == "load":

@@ -36,6 +36,56 @@ depends on how it is registered:
 ``repro-compilergym lint`` audits all of this against the printed IR: a
 function whose text changed (or which is new) must carry a stamp above the
 pre-pass version, ``changed=False`` must leave the text alone.
+
+Mutating the IR
+---------------
+A pass reads ``inst.operands``, ``block.instructions``, ``function.blocks``
+and ``function.args`` freely and *writes* them only through the methods below.
+They exist so that three things are current at every moment of a pass without
+anyone rescanning the function, and a pass costs what it changes:
+
+* ``value.uses`` — the instructions holding ``value`` in an operand slot, one
+  entry per slot. Ask it instead of walking the function; rewrite them all
+  with ``value.replace_all_uses_with(new)``.
+* the function's sets of value and block names, which make
+  ``new_value_name``/``new_block_name`` a set probe. A name is reserved while
+  its instruction or block is attached to the function, not before.
+* the cached CFG analyses of :mod:`repro.llvm.ir.cfg` (``predecessors``,
+  ``reverse_postorder``, ``dominator_tree``, ``natural_loops``). They are
+  dropped the moment the block list changes or a block's last instruction or
+  a terminator's successors do — so asking again mid-pass is both correct
+  and, if nothing of the kind happened, free. A result already in a local
+  variable is the pass's own snapshot, as before.
+
+The surface:
+
+* operands — ``inst.set_operand(i, value)``, ``inst.set_operands(values)``,
+  and on top of them ``phi.set_phi_incoming(pairs)`` and
+  ``inst.replace_successor(old_block, new_block)`` (terminators and phis);
+  ``Instruction(...)`` and ``inst.clone(operands)`` register their operands.
+* placement — ``block.append/insert/remove(inst)`` and
+  ``block.move_instructions(start, other_block)`` relink an instruction and
+  leave what it uses alone; ``function.add_block/insert_block/remove_block``
+  and ``function.set_args`` do the same one level up.
+* deletion — ``inst.erase()`` unlinks *and* gives up the operands;
+  ``block.erase()`` does it for a block and everything in it. ``remove`` is
+  the first half of a move, ``erase`` is for good: an instruction that is
+  merely removed stays in its operands' use lists (``-sink`` would count it
+  as a user), so whatever a pass deletes, it erases — after rewriting the
+  users of its result.
+
+Two habits keep a pass's output independent of bookkeeping order. Decide from
+the use lists *before* mutating when the decision is meant to be about the
+function as the pass found it (``-die``'s single sweep, ``-loop-deletion``).
+And never let the order of ``value.uses`` reach the output — it is the order
+slots were written, which a ``Module.clone()`` does not preserve; sort by
+program position where order matters (``-reg2mem`` names its reloads so).
+
+Nothing else may write those four fields: the verifier (``REPRO_VERIFY_IR=1``,
+``make(..., verify_ir=True)``, ``repro-compilergym lint``) recomputes use
+lists, name sets and cached analyses from scratch after every pass and
+rejects a module where they differ, and ``tests/test_ir_mutation.py`` fails
+on the assignment itself.
 """
 
 from typing import Callable, Dict, List, Optional, Set, Union
@@ -44,7 +94,7 @@ from repro.llvm.ir.cfg import predecessors
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.module import Module
 from repro.llvm.passes import constants, cse, dce, instcombine, ipo, loops, lowering, mem2reg, simplifycfg
-from repro.llvm.passes.utils import collect_uses, is_pure
+from repro.llvm.passes.utils import is_pure
 
 PassFn = Callable[[Module], bool]
 
@@ -98,7 +148,6 @@ def gvn_sink(function: Function) -> bool:
     and exists to exercise the validation machinery.
     """
     changed = False
-    uses = collect_uses(function)
     candidates = []
     for block in function.blocks:
         successors = block.successors()
@@ -107,18 +156,17 @@ def gvn_sink(function: Function) -> bool:
         for inst in block.instructions:
             if not is_pure(inst) or not inst.has_result:
                 continue
-            users = uses.get(inst, [])
-            user_blocks = {user.parent for user, _ in users}
+            user_blocks = {user.parent for user in inst.uses}
             if len(user_blocks) == 1 and next(iter(user_blocks)) in successors:
                 candidates.append(inst)
     # The nondeterminism: candidates are processed in id() order, and only
     # the first half are sunk.
     candidates.sort(key=id)
     for inst in candidates[: max(1, len(candidates) // 2)] if candidates else []:
-        target = next(iter({user.parent for user, _ in uses.get(inst, [])}))
+        target = next(iter({user.parent for user in inst.uses}))
         if len(predecessors(function).get(target, [])) != 1:
             continue
-        if inst.parent is None or any(user.opcode == "phi" for user, _ in uses.get(inst, [])):
+        if inst.parent is None or any(user.opcode == "phi" for user in inst.uses):
             continue
         inst.parent.remove(inst)
         target.insert(len(target.phis()), inst)

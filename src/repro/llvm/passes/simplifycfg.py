@@ -10,11 +10,7 @@ from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.types import VOID
 from repro.llvm.ir.values import Constant
 from repro.llvm.passes.constants import fold_constant_branches
-from repro.llvm.passes.utils import (
-    remove_phi_incoming,
-    replace_all_uses,
-    replace_phi_incoming_block,
-)
+from repro.llvm.passes.utils import remove_phi_incoming, replace_phi_incoming_block
 
 
 def _remove_unreachable_blocks(function: Function) -> bool:
@@ -26,7 +22,7 @@ def _remove_unreachable_blocks(function: Function) -> bool:
         for successor in block.successors():
             if successor in reachable:
                 remove_phi_incoming(successor, block)
-        function.remove_block(block)
+        block.erase()
     return True
 
 
@@ -50,17 +46,13 @@ def _merge_single_successor_blocks(function: Function) -> bool:
             if pred is block:
                 continue
             # Phis in the block have a single incoming value: fold them.
-            for phi in list(block.phis()):
-                incoming = list(phi.phi_incoming())
-                replace_all_uses(function, phi, incoming[0][0])
-                block.remove(phi)
+            for phi in block.phis():
+                phi.replace_all_uses_with(phi.operands[0])
+                phi.erase()
             # Splice instructions: drop the predecessor's terminator, move the
             # block's instructions in.
-            pred.instructions.pop()
-            for inst in block.instructions:
-                inst.parent = pred
-                pred.instructions.append(inst)
-            block.instructions = []
+            pred.terminator.erase()
+            block.move_instructions(0, pred)
             # Successors of the merged block now flow from pred.
             for successor in pred.successors():
                 replace_phi_incoming_block(successor, block, pred)
@@ -148,7 +140,7 @@ def correlated_value_propagation(function: Function) -> bool:
             for inst in block.instructions:
                 for index, operand in enumerate(inst.operands):
                     if operand is lhs and inst.opcode != "phi":
-                        inst.operands[index] = rhs
+                        inst.set_operand(index, rhs)
                         changed = True
     return changed
 
@@ -168,9 +160,8 @@ def merge_return(function: Function) -> bool:
     for block in ret_blocks:
         ret = block.terminator
         value = ret.operands[0] if ret.operands else None
-        index = block.instructions.index(ret)
-        block.instructions[index] = Instruction("br", [exit_block], type=VOID)
-        block.instructions[index].parent = block
+        ret.erase()
+        block.append(Instruction("br", [exit_block], type=VOID))
         if returns_value:
             incoming.append((value, block))
     if returns_value:

@@ -1,34 +1,14 @@
-"""Shared helpers for optimization passes: use lists, RAUW, constant folding."""
+"""Shared helpers for optimization passes: purity, constant folding, phi and
+terminator surgery. Who uses a value is ``value.uses``; rewriting them is
+``value.replace_all_uses_with`` (see "Mutating the IR" in ``registry``)."""
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.types import I1, Type
 from repro.llvm.ir.values import Constant, Value
-
-
-def collect_uses(function: Function) -> Dict[Value, List[Tuple[Instruction, int]]]:
-    """Map each value to the ``(instruction, operand index)`` pairs that use it."""
-    uses: Dict[Value, List[Tuple[Instruction, int]]] = {}
-    for block in function.blocks:
-        for inst in block.instructions:
-            for index, operand in enumerate(inst.operands):
-                uses.setdefault(operand, []).append((inst, index))
-    return uses
-
-
-def replace_all_uses(function: Function, old: Value, new: Value) -> int:
-    """Replace every use of ``old`` with ``new`` in the function. Returns the count."""
-    count = 0
-    for block in function.blocks:
-        for inst in block.instructions:
-            for index, operand in enumerate(inst.operands):
-                if operand is old:
-                    inst.operands[index] = new
-                    count += 1
-    return count
 
 
 def is_pure(inst: Instruction) -> bool:
@@ -44,11 +24,11 @@ def is_pure(inst: Instruction) -> bool:
     return True
 
 
-def is_trivially_dead(inst: Instruction, uses: Dict[Value, List[Tuple[Instruction, int]]]) -> bool:
+def is_trivially_dead(inst: Instruction) -> bool:
     """Whether the instruction has no side effects and its result is unused."""
     if inst.is_terminator or inst.has_side_effects():
         return False
-    return not uses.get(inst)
+    return not inst.uses
 
 
 _INT_BINOPS = {
@@ -106,29 +86,32 @@ def fold_binary(inst: Instruction) -> Optional[Constant]:
     """Constant-fold a binary instruction whose operands are both constants."""
     if not inst.is_binary or len(inst.operands) != 2:
         return None
-    lhs, rhs = inst.operands
+    return fold_binary_operation(inst.opcode, inst.type, *inst.operands)
+
+
+def fold_binary_operation(op: str, type: Type, lhs: Value, rhs: Value) -> Optional[Constant]:  # noqa: A002
+    """Constant-fold ``op type lhs, rhs`` if both operands are constants."""
     if not (isinstance(lhs, Constant) and isinstance(rhs, Constant)):
         return None
-    op = inst.opcode
     try:
         if op in _INT_BINOPS:
-            return Constant(inst.type, _wrap_int(_INT_BINOPS[op](int(lhs.value), int(rhs.value)), inst.type))
+            return Constant(type, _wrap_int(_INT_BINOPS[op](int(lhs.value), int(rhs.value)), type))
         if op in _FLOAT_BINOPS:
-            return Constant(inst.type, _FLOAT_BINOPS[op](float(lhs.value), float(rhs.value)))
+            return Constant(type, _FLOAT_BINOPS[op](float(lhs.value), float(rhs.value)))
         if op in ("sdiv", "udiv"):
             if int(rhs.value) == 0:
                 return None
-            return Constant(inst.type, _wrap_int(int(int(lhs.value) / int(rhs.value)), inst.type))
+            return Constant(type, _wrap_int(int(int(lhs.value) / int(rhs.value)), type))
         if op in ("srem", "urem"):
             if int(rhs.value) == 0:
                 return None
-            return Constant(inst.type, _wrap_int(int(lhs.value) - int(int(lhs.value) / int(rhs.value)) * int(rhs.value), inst.type))
+            return Constant(type, _wrap_int(int(lhs.value) - int(int(lhs.value) / int(rhs.value)) * int(rhs.value), type))
         if op in ("fdiv", "frem"):
             if float(rhs.value) == 0.0:
                 return None
             if op == "fdiv":
-                return Constant(inst.type, float(lhs.value) / float(rhs.value))
-            return Constant(inst.type, float(lhs.value) % float(rhs.value))
+                return Constant(type, float(lhs.value) / float(rhs.value))
+            return Constant(type, float(lhs.value) % float(rhs.value))
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
     return None
@@ -186,28 +169,23 @@ def remove_phi_incoming(block: BasicBlock, pred: BasicBlock) -> None:
 
     Phis left with a single incoming value are replaced by that value.
     """
-    function = block.parent
-    for phi in list(block.phis()):
-        pairs = [(value, incoming) for value, incoming in phi.phi_incoming() if incoming is not pred]
-        if len(pairs) == len(list(phi.phi_incoming())):
+    for phi in block.phis():
+        incoming = list(phi.phi_incoming())
+        pairs = [(value, source) for value, source in incoming if source is not pred]
+        if len(pairs) == len(incoming):
             continue
-        if len(pairs) == 1:
-            replace_all_uses(function, phi, pairs[0][0])
-            block.remove(phi)
-        elif not pairs:
-            block.remove(phi)
-        else:
+        if len(pairs) > 1:
             phi.set_phi_incoming(pairs)
+            continue
+        if pairs:
+            phi.replace_all_uses_with(pairs[0][0])
+        phi.erase()
 
 
 def replace_phi_incoming_block(block: BasicBlock, old_pred: BasicBlock, new_pred: BasicBlock) -> None:
     """Rewrite phi incoming-block references from ``old_pred`` to ``new_pred``."""
     for phi in block.phis():
-        pairs = [
-            (value, new_pred if incoming is old_pred else incoming)
-            for value, incoming in phi.phi_incoming()
-        ]
-        phi.set_phi_incoming(pairs)
+        phi.replace_successor(old_pred, new_pred)
 
 
 def make_unconditional(block: BasicBlock, target: BasicBlock) -> None:
@@ -216,30 +194,32 @@ def make_unconditional(block: BasicBlock, target: BasicBlock) -> None:
     Phi nodes in abandoned successors are updated.
     """
     terminator = block.terminator
-    if terminator is None:
-        block.append(Instruction("br", [target]))
-        return
-    for successor in terminator.successors():
-        if successor is not target:
-            remove_phi_incoming(successor, block)
-    index = block.instructions.index(terminator)
-    block.instructions[index] = Instruction("br", [target])
-    block.instructions[index].parent = block
+    if terminator is not None:
+        for successor in terminator.successors():
+            if successor is not target:
+                remove_phi_incoming(successor, block)
+        terminator.erase()
+    block.append(Instruction("br", [target]))
 
 
 def erase_dead_instructions(function: Function) -> int:
-    """Iteratively remove trivially dead instructions. Returns the count removed."""
+    """Remove trivially dead instructions until none is left. Returns the
+    count removed. One sweep finds what is dead now; after that only the
+    operands of an erased instruction can have become dead."""
+    worklist = [inst for inst in function.instructions() if is_trivially_dead(inst)]
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        uses = collect_uses(function)
-        for block in function.blocks:
-            for inst in list(block.instructions):
-                if is_trivially_dead(inst, uses):
-                    block.remove(inst)
-                    removed += 1
-                    changed = True
-        if changed:
-            continue
+    while worklist:
+        inst = worklist.pop()
+        if inst.parent is None:
+            continue  # Listed twice (``add %x, %x``) and already gone.
+        operands = inst.operands
+        inst.erase()
+        removed += 1
+        worklist.extend(
+            operand
+            for operand in operands
+            if isinstance(operand, Instruction)
+            and operand.parent is not None
+            and is_trivially_dead(operand)
+        )
     return removed

@@ -10,8 +10,9 @@ leans on LLVM's ``-verify`` machinery and differential testing:
    compare the program's output before and after the pass. A pass that keeps
    the IR well-formed but changes behavior is caught here.
 
-The harness also carries five *seeded miscompile mutations* — hand-written IR
-corruptions of the kinds optimizer bugs actually produce — and a self-test
+The harness also carries six *seeded miscompile mutations* — hand-written IR
+corruptions of the kinds optimizer bugs actually produce, five made through
+the IR's mutation surface and one behind its back — and a self-test
 that asserts the verifier rejects each one. The self-test runs first in
 ``repro-compilergym lint`` so that a regressed verifier cannot silently
 green-light the pass sweep.
@@ -86,7 +87,7 @@ def _named(module: Module, name: str) -> Instruction:
 def _clobber_phi_edge(module: Module) -> None:
     """Retarget a phi's incoming edge at a block that is not a predecessor."""
     phi = _named(module, "p")
-    phi.operands[1] = _main_blocks(module)["entry"]
+    phi.set_operand(1, _main_blocks(module)["entry"])
 
 
 def _hoist_use_before_def(module: Module) -> None:
@@ -99,18 +100,25 @@ def _hoist_use_before_def(module: Module) -> None:
 
 def _mismatch_operand_type(module: Module) -> None:
     """Swap a binary operand for one of a different type."""
-    _named(module, "x").operands[1] = Constant(I64, 1)
+    _named(module, "x").set_operand(1, Constant(I64, 1))
 
 
 def _dangle_block_ref(module: Module) -> None:
     """Point a branch at a block that is not part of the function."""
     limbo = BasicBlock("limbo")
-    _main_blocks(module)["entry"].terminator.operands[1] = limbo
+    _main_blocks(module)["entry"].terminator.set_operand(1, limbo)
 
 
 def _duplicate_name(module: Module) -> None:
     """Give two instructions the same result name."""
     _named(module, "y").name = "x"
+
+
+def _write_operand_behind_the_api(module: Module) -> None:
+    """Assign an operand slot directly. ``%z = add %p, %p`` is well-typed and
+    dominated; only the use lists (``%a`` still lists ``%z``, ``%p`` lists it
+    once for two slots) give it away."""
+    _named(module, "z").operands[1] = _named(module, "p")
 
 
 MISCOMPILE_MUTATIONS: Dict[str, Callable[[Module], None]] = {
@@ -119,6 +127,7 @@ MISCOMPILE_MUTATIONS: Dict[str, Callable[[Module], None]] = {
     "type-mismatched-operand": _mismatch_operand_type,
     "dangling-block-ref": _dangle_block_ref,
     "duplicate-name": _duplicate_name,
+    "operand-written-behind-api": _write_operand_behind_the_api,
 }
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from collections import Counter
+
 import pytest
 
 import repro
@@ -82,11 +84,12 @@ def _owned_objects(module: Module) -> dict:
         if value is None or id(value) in seen:
             return
         seen[id(value)] = value
-        fields = vars(value)
-        for field in ("args", "blocks", "instructions", "operands"):
-            for child in fields.get(field, ()):
+        # ``Function.instructions`` is a method; a block's is its list.
+        fields = ("args", "blocks") if isinstance(value, Function) else ("instructions", "operands")
+        for field in fields:
+            for child in getattr(value, field, ()):
                 visit(child)
-        visit(fields.get("parent"))
+        visit(getattr(value, "parent", None))
 
     for global_var in module.globals.values():
         visit(global_var)
@@ -126,7 +129,8 @@ def _assert_clone_is_exact_and_independent(source: Module, clone: Module) -> Non
     for name, original in source.globals.items():
         copy = clone.globals[name]
         pair(original, copy)
-        assert vars(copy) == vars(original)
+        for field in ("element_type", "initializer", "is_constant_global", "array_size"):
+            assert getattr(copy, field) == getattr(original, field)
     for name, original in source.functions.items():
         copy = clone.functions[name]
         pair(original, copy)
@@ -154,6 +158,25 @@ def _assert_clone_is_exact_and_independent(source: Module, clone: Module) -> Non
                 assert len(copy_inst.operands) == len(original_inst.operands)
                 for original_operand, copy_operand in zip(original_inst.operands, copy_inst.operands):
                     pair(original_operand, copy_operand)
+        assert copy._value_names == original._value_names
+        assert copy._value_names is not original._value_names
+        assert copy._block_names == original._block_names
+        assert copy._block_names is not original._block_names
+        # Filled by the verifier above, from the clone's own blocks.
+        assert copy._analyses is not original._analyses
+        assert all(id(block) in clone_objects for block in copy._analyses.get("predecessors", ()))
+
+    # Use lists: a copy is used by the copies of the original's users (the
+    # order is the clone's own) and by nothing of the source's, whose lists
+    # still name only source objects.
+    for key, copy in forward.items():
+        original = backward[id(copy)]
+        assert copy.uses is not original.uses or not hasattr(copy.uses, "append")
+        assert all(id(user) in clone_objects for user in copy.uses)
+        assert not any(id(user) in clone_objects for user in original.uses)
+        assert Counter(id(user) for user in copy.uses) == Counter(
+            id(forward[id(user)]) for user in original.uses if id(user) in forward
+        )
 
 
 @pytest.fixture(scope="session")
@@ -161,7 +184,8 @@ def check_clone():
     """``check_clone(source, clone)``: the whole contract of ``Module.clone()``
     short of running passes — identical printed IR and verifier verdict, every
     scalar carried over, types shared, no mutable object shared, and exactly
-    one copy per source object however many places reference it."""
+    one copy per source object however many places reference it, use lists
+    that stay on their own side, name sets copied and analysis caches of its own."""
     return _assert_clone_is_exact_and_independent
 
 

@@ -1,0 +1,389 @@
+"""The IR's mutation surface: use lists, name sets and cached CFG analyses stay
+equal to what a scan of the function finds, passes write the IR through it and
+nothing else does, and none of that moved a byte of any pass's output.
+
+``python tests/test_ir_mutation.py --record`` rewrites the golden fixture from
+whatever source tree is on ``PYTHONPATH``.
+"""
+
+import hashlib
+import json
+import re
+import sys
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.llvm.datasets.generators import generate_module
+from repro.llvm.datasets.suites import make_llvm_datasets
+from repro.llvm.ir.basic_block import BasicBlock
+from repro.llvm.ir.cfg import predecessors, stale_analyses
+from repro.llvm.ir.function import Function
+from repro.llvm.ir.instructions import Instruction
+from repro.llvm.ir.parser import parse_module
+from repro.llvm.ir.printer import print_module
+from repro.llvm.ir.values import Value
+from repro.llvm.passes.registry import PASS_REGISTRY, StampingPass, run_pass
+from repro.llvm.passes.utils import make_unconditional
+from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro" / "llvm"
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "pass_print_hashes.json"
+PASSES = sorted(set(PASS_REGISTRY) - LINT_EXCLUDED_PASSES)
+BENCHMARKS_PER_DATASET = 2  # What ``repro-compilergym lint`` sweeps by default.
+
+
+def lint_benchmarks():
+    for dataset in make_llvm_datasets():
+        for taken, bench in enumerate(dataset.benchmarks()):
+            if taken >= BENCHMARKS_PER_DATASET:
+                break
+            yield str(bench.uri), bench.program
+
+
+LINT_URIS = [uri for uri, _ in lint_benchmarks()]
+
+
+# -- the oracle ----------------------------------------------------------------
+
+
+def collect_uses(function: Function) -> Dict[Value, List[Tuple[Instruction, int]]]:
+    """Map each value to the ``(instruction, operand index)`` pairs that use it.
+
+    This is ``passes.utils.collect_uses`` as it stood before use lists were
+    maintained — a scan of the whole function — kept verbatim as the oracle.
+    """
+    uses: Dict[Value, List[Tuple[Instruction, int]]] = {}
+    for block in function.blocks:
+        for inst in block.instructions:
+            for index, operand in enumerate(inst.operands):
+                uses.setdefault(operand, []).append((inst, index))
+    return uses
+
+
+def assert_bookkeeping_matches_a_scan(module) -> None:
+    """Use lists, name sets and cached analyses of every function equal what
+    is recomputed from ``blocks``/``instructions``/``operands`` alone."""
+    homes = {
+        id(inst): function for function in module.functions.values() for inst in function.instructions()
+    }
+    for function in module.defined_functions():
+        scanned = collect_uses(function)
+        # The oracle's dict merges constants that compare equal; merge the
+        # maintained lists the same way, one contribution per operand object.
+        maintained: Dict[Value, List[Instruction]] = {}
+        seen = set()
+        local = [*function.args, *function.blocks, *function.instructions()]
+        local_ids = set(map(id, local))
+        for value in [*local, *(op for inst in function.instructions() for op in inst.operands)]:
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            for user in value.uses:
+                # No erased, detached or out-of-module instruction is a user.
+                assert id(user) in homes, f"@{function.name}: {value!r} lists stray {user!r}"
+            here = [user for user in value.uses if homes[id(user)] is function]
+            if id(value) in local_ids:
+                assert len(here) == len(value.uses), f"{value!r} is used outside @{function.name}"
+            maintained.setdefault(value, []).extend(here)
+        for value in {**scanned, **maintained}:
+            expected = sorted(id(user) for user, _ in scanned.get(value, []))
+            assert sorted(map(id, maintained.get(value, []))) == expected, (
+                f"@{function.name}: use list of {value!r} disagrees with the scan"
+            )
+        value_names = {inst.name for block in function.blocks for inst in block if inst.name}
+        value_names.update(arg.name for arg in function.args)
+        assert function._value_names == value_names
+        assert function._block_names == {block.name for block in function.blocks}
+        assert stale_analyses(function) == []
+
+
+# -- golden print hashes ---------------------------------------------------------
+
+
+def print_hash(module) -> str:
+    return hashlib.sha256(print_module(module).encode()).hexdigest()[:16]
+
+
+def pristine_and_promoted(program):
+    promoted = program.clone()
+    run_pass(promoted, "mem2reg")
+    return (("pristine", program), ("mem2reg", promoted))
+
+
+def record() -> dict:
+    """``{"<uri>|<state>": {"input": hash, "<pass>": hash, ...}}``; a pass whose
+    output prints like its input is left out."""
+    golden = {}
+    for uri, program in lint_benchmarks():
+        for state, base in pristine_and_promoted(program):
+            cell = golden[f"{uri}|{state}"] = {"input": print_hash(base)}
+            for name in PASSES:
+                clone = base.clone()
+                run_pass(clone, name)
+                if print_hash(clone) != cell["input"]:
+                    cell[name] = print_hash(clone)
+    return golden
+
+
+class TestEveryPassOnTheLintDatasets:
+    @pytest.mark.parametrize("uri", LINT_URIS)
+    def test_output_is_byte_identical_and_bookkeeping_matches_a_scan(self, uri):
+        """One sweep, two questions, for every registered pass on the benchmark
+        pristine and after ``mem2reg``: does the module print as it did before
+        passes went through the mutation surface, and do the maintained use
+        lists, name sets and analyses equal a from-scratch scan afterwards?
+
+        The fixture holds ``sha256(print_module)`` per cell, recorded at the
+        parent commit (7da6f2d). That commit's ``natural_loops`` walked a *set*
+        of blocks, so the order in which ``-loop-unroll`` drew fresh names
+        varied from process to process in ~10 of the 56 cells; those were
+        recorded with the walk pinned to function block order, which is the
+        order ``natural_loops`` now always uses.
+        """
+        golden = json.loads(GOLDEN.read_text())
+        program = make_llvm_datasets().benchmark(uri).program
+        assert_bookkeeping_matches_a_scan(program)
+        for state, base in pristine_and_promoted(program):
+            cell = golden[f"{uri}|{state}"]
+            assert print_hash(base) == cell["input"], f"{uri} {state}"
+            for name in PASSES:
+                clone = base.clone()
+                run_pass(clone, name)
+                assert print_hash(clone) == cell.get(name, cell["input"]), f"{uri} {state} -{name}"
+                assert_bookkeeping_matches_a_scan(clone)
+            assert_bookkeeping_matches_a_scan(base)  # Cloning it 180 times left it alone.
+
+    def test_fixture_covers_the_sweep(self):
+        golden = json.loads(GOLDEN.read_text())
+        assert sorted(golden) == sorted(f"{uri}|{s}" for uri in LINT_URIS for s in ("mem2reg", "pristine"))
+        assert all(set(cell) <= {"input", *PASSES} for cell in golden.values())
+
+
+class TestPassSequences:
+    # The passes that can change a module (the rest never fire).
+    CHANGING = sorted(name for name in PASSES if isinstance(PASS_REGISTRY[name], StampingPass))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=5_000),
+        before=st.lists(st.sampled_from(CHANGING), max_size=6),
+        after=st.lists(st.sampled_from(CHANGING), max_size=6),
+    )
+    def test_bookkeeping_survives_any_sequence_and_a_fork_midway(
+        self, check_clone, seed, before, after
+    ):
+        """After every pass of an arbitrary sequence the maintained state
+        equals a scan; a ``Module.clone()`` taken mid-way (what ``fork()``
+        does) has use lists of its own, in an order of its own, and still
+        optimises to the same text."""
+        module = generate_module(seed, size_scale=3)
+        for name in before:
+            run_pass(module, name)
+            assert_bookkeeping_matches_a_scan(module)
+        fork = module.clone()
+        check_clone(module, fork)
+        assert_bookkeeping_matches_a_scan(fork)
+        for name in after:
+            run_pass(module, name)
+            run_pass(fork, name)
+            assert_bookkeeping_matches_a_scan(module)
+            assert_bookkeeping_matches_a_scan(fork)
+            assert print_module(fork) == print_module(module)
+
+
+# -- the surface itself ---------------------------------------------------------
+
+DIAMOND = """
+define i32 @main(i32 %a, i32 %b) {
+entry:
+  %cmp = icmp slt i32 %a, %b
+  br i1 %cmp, label %then, label %else
+then:
+  %x = add i32 %a, 1
+  br label %join
+else:
+  %y = mul i32 %b, 2
+  br label %join
+join:
+  %p = phi i32 [ %x, %then ], [ %y, %else ]
+  %z = add i32 %p, %a
+  ret i32 %z
+}
+"""
+
+
+def _diamond():
+    module = parse_module(DIAMOND)
+    function = module.function("main")
+    blocks = {block.name: block for block in function.blocks}
+    values = {inst.name: inst for inst in function.instructions() if inst.name}
+    return module, function, blocks, values
+
+
+class TestMutationSurface:
+    def test_make_unconditional_erases_the_old_terminator(self):
+        """It used to overwrite the terminator's slot in ``block.instructions``:
+        the old branch kept its ``parent`` and its operands — a phantom user
+        of the condition and of both successors."""
+        module, function, blocks, values = _diamond()
+        old = blocks["entry"].terminator
+        make_unconditional(blocks["entry"], blocks["then"])
+        assert old.parent is None and old.operands == []
+        for value in (values["cmp"], blocks["then"], blocks["else"], blocks["join"]):
+            assert all(user is not old for user in value.uses)
+        assert values["cmp"].uses == []
+        new = blocks["entry"].terminator
+        assert new.opcode == "br" and new.operands == [blocks["then"]] and new.parent is blocks["entry"]
+        assert blocks["then"].uses.count(new) == 1 and new not in blocks["else"].uses
+        assert_bookkeeping_matches_a_scan(module)
+
+    def test_make_unconditional_drops_the_abandoned_phi_edge(self):
+        module, function, blocks, values = _diamond()
+        # %then now falls through to %else instead of %join: %p keeps one edge
+        # and is folded into the value that came along it.
+        make_unconditional(blocks["then"], blocks["else"])
+        assert values["p"].parent is None and values["p"].operands == []
+        assert values["z"].operands[0] is values["y"] and values["y"].uses == [values["z"]]
+        assert values["x"].uses == []
+        assert_bookkeeping_matches_a_scan(module)
+
+    def test_set_operand_and_replace_all_uses_move_the_use(self):
+        module, function, blocks, values = _diamond()
+        a, b = function.args
+        assert sorted(user.name for user in a.uses) == ["cmp", "x", "z"]
+        values["z"].set_operand(1, b)
+        assert sorted(user.name for user in a.uses) == ["cmp", "x"]
+        assert sorted(user.name for user in b.uses) == ["cmp", "y", "z"]
+        assert values["x"].replace_all_uses_with(a) == 1
+        assert values["x"].uses == [] and values["p"].operands[0] is a
+        assert_bookkeeping_matches_a_scan(module)
+
+    def test_one_entry_per_operand_slot(self):
+        module, function, blocks, values = _diamond()
+        z, p = values["z"], values["p"]
+        z.set_operand(1, p)
+        assert p.uses == [z, z]
+        assert p.replace_all_uses_with(function.args[0]) == 2
+        assert z.operands == [function.args[0]] * 2 and p.uses == []
+        assert_bookkeeping_matches_a_scan(module)
+
+    def test_remove_keeps_the_uses_and_erase_drops_them(self):
+        module, function, blocks, values = _diamond()
+        z, p = values["z"], values["p"]
+        blocks["join"].remove(z)
+        assert z.parent is None and z in p.uses and "z" not in function._value_names
+        blocks["join"].insert(1, z)
+        assert "z" in function._value_names
+        assert_bookkeeping_matches_a_scan(module)
+        z.erase()
+        assert z.parent is None and z.operands == [] and z not in p.uses
+        assert "z" not in function._value_names
+
+    def test_void_instructions_share_one_empty_use_list(self):
+        module, function, blocks, values = _diamond()
+        terminators = [block.terminator for block in function.blocks]
+        assert all(t.uses == () and t.uses is terminators[0].uses for t in terminators)
+        assert all(t.uses == () for block in module.clone().function("main").blocks for t in [block.terminator])
+
+    def test_fresh_names_probe_the_maintained_sets(self):
+        module, function, blocks, values = _diamond()
+        function._next_value_id = function._next_block_id = 0
+        function.add_block("bb0")
+        blocks["join"].insert(1, Instruction("add", [values["p"], values["p"]], type=values["p"].type, name="v0"))
+        assert function.new_value_name() == "v1" and function.new_block_name() == "bb1"
+        # A detached block reserves neither its name nor its instructions'.
+        limbo = BasicBlock("bb2")
+        limbo.append(Instruction("add", [values["p"], values["p"]], type=values["p"].type, name="v2"))
+        assert function.new_value_name() == "v2" and function.new_block_name() == "bb2"
+
+    def test_cached_analyses_drop_when_the_cfg_changes_and_only_then(self):
+        module, function, blocks, values = _diamond()
+        preds = predecessors(function)
+        assert predecessors(function) is preds
+        values["z"].set_operand(1, values["p"])  # Not a terminator: the CFG stands.
+        blocks["join"].insert(1, Instruction("add", [values["p"], values["p"]], type=values["p"].type, name="w"))
+        assert predecessors(function) is preds
+        blocks["entry"].terminator.replace_successor(blocks["else"], blocks["then"])
+        after = predecessors(function)
+        assert after is not preds and after[blocks["else"]] == [] and stale_analyses(function) == []
+        function.add_block("island")
+        assert predecessors(function) is not after
+        # Mid-edit, between dropping a terminator and appending its successor:
+        tail = predecessors(function)
+        blocks["then"].terminator.erase()
+        assert predecessors(function) is not tail and predecessors(function)[blocks["join"]] == [blocks["else"]]
+
+
+class TestNothingElseWritesTheIR:
+    WRITES = re.compile(
+        r"\.operands\s*\[[^\]]*\]\s*(?:[-+*|&]?=)(?!=)"
+        r"|\.operands\s*(?:[-+*|&]?=)(?!=)"
+        r"|\.operands\.(?:append|extend|insert|pop|remove|clear|sort|reverse)\("
+        r"|\.instructions\s*\[[^\]]*\]\s*(?:[-+*|&]?=)(?!=)"
+        r"|\.instructions\s*(?:[-+*|&]?=)(?!=)"
+        r"|\.instructions\.(?:append|extend|insert|pop|remove|clear|sort|reverse)\("
+        # A function leaves a module through Module.remove_function, which
+        # erases its body; dropping the dict entry leaves its uses behind.
+        r"|del\s+\S+\.functions\[|\.functions\.pop\("
+    )
+    # The seeded miscompile that must be rejected *because* it does this.
+    ALLOWED = {("passes/validate.py", '_named(module, "z").operands[1] = _named(module, "p")')}
+
+    def test_no_direct_write_outside_ir(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            relative = path.relative_to(SRC).as_posix()
+            if relative.startswith("ir/"):
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                code = line.split("#", 1)[0]
+                if self.WRITES.search(code) and (relative, code.strip()) not in self.ALLOWED:
+                    offenders.append(f"{relative}:{number}: {code.strip()}")
+        assert offenders == [], "IR written behind the mutation surface:\n" + "\n".join(offenders)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "inst.operands[i] = value",
+            "user.operands[index] = load",
+            "inst.operands = [rhs, lhs]",
+            "phi.operands += [value, block]",
+            "inst.operands.append(x)",
+            "self.operands.extend([value, block])",
+            "block.instructions.insert(0, alloca)",
+            "pred.instructions.pop()",
+            "block.instructions[index] = branch",
+            "block.instructions = []",
+            "continuation.instructions.append(inst)",
+            "del module.functions[name]",
+            "module.functions.pop(name, None)",
+        ],
+    )
+    def test_the_scan_sees_what_it_is_for(self, line):
+        assert self.WRITES.search(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "if inst.operands == [a, b]:",
+            "lhs, rhs = inst.operands",
+            "x = block.instructions[index]",
+            "count = len(block.instructions)",
+            "position = block.instructions.index(inst)",
+            "instruction.operands == other.operands",
+        ],
+    )
+    def test_the_scan_leaves_reads_alone(self, line):
+        assert not self.WRITES.search(line)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record(), indent=0, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

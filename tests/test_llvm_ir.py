@@ -17,7 +17,7 @@ from repro.llvm.ir import (
     Type,
 )
 from repro.llvm.datasets.generators import generate_module, llvm_stress_module
-from repro.llvm.ir.cfg import dominates, dominators, loop_depths, natural_loops, predecessors, reachable_blocks
+from repro.llvm.ir.cfg import dominator_tree, loop_depths, natural_loops, predecessors, reachable_blocks
 from repro.llvm.ir.values import Argument, GlobalVariable, UndefValue
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import VerificationError, verify_module
@@ -146,7 +146,7 @@ class TestStructure:
 
     def test_module_clone_is_deep(self, small_module):
         clone = small_module.clone()
-        clone.function("main").blocks[0].instructions.pop()
+        clone.function("main").blocks[0].terminator.erase()
         assert small_module.instruction_count == 9
         assert clone.instruction_count == 8
 
@@ -175,11 +175,11 @@ class TestModuleClone:
         late = define.append(Instruction("add", [loop, Constant(I32, 1)], type=I32, name="late"))
         loop.set_phi_incoming([(Constant(I32, 0), entry), (loop, define)])
         define.append(Instruction("br", [use], type=VOID))
-        result.operands = [late, module.globals["table"]]
+        result.set_operands([late, module.globals["table"]])
         module.add_function(main)
         helper = module.add_function(Function("helper", arg_types=[I32], attributes=["noinline"]))
         IRBuilder(helper, helper.add_block("entry")).ret(helper.args[0])
-        callee.operands = [helper]
+        callee.set_operands([helper])
         return module
 
     def test_hand_built_modules(self, check_clone, small_module, generated_module):
@@ -237,7 +237,7 @@ class TestModuleClone:
                                           type=I32, name="inner"))
         orphan.parent = main  # Stale link: main.blocks does not list it.
         phi = main.blocks[2].instructions[0]
-        phi.operands += [inner, orphan]
+        phi.set_operands(phi.operands + [inner, orphan])
 
         clone = module.clone()
         twin = clone.function("main")
@@ -346,10 +346,10 @@ class TestCfgAnalyses:
 
     def test_dominators(self):
         function, entry, left, right, join = self._diamond()
-        dom = dominators(function)
-        assert dominates(dom, entry, join)
-        assert not dominates(dom, left, join)
-        assert dominates(dom, join, join)
+        tree = dominator_tree(function)
+        assert tree.dominates(entry, join)
+        assert not tree.dominates(left, join)
+        assert tree.dominates(join, join)
 
     def test_natural_loop_detection(self):
         from repro.llvm.datasets.generators import generate_module

@@ -258,7 +258,7 @@ class TestSemanticVerifier:
         module = parse_module(DIAMOND)
         f = module.function("main")
         entry = _blocks(f)["entry"]
-        entry.terminator.operands[0] = f.args[0]  # i32 condition
+        entry.terminator.set_operand(0, f.args[0])  # i32 condition
         errors = verify_module(module, raise_on_error=False)
         assert any("branch condition" in e for e in errors)
 
@@ -266,7 +266,7 @@ class TestSemanticVerifier:
         module = parse_module(DIAMOND)
         f = module.function("main")
         join = _blocks(f)["join"]
-        join.terminator.operands.clear()
+        join.terminator.set_operands([])
         errors = verify_module(module, raise_on_error=False)
         assert any("returns no value" in e for e in errors)
 

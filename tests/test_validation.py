@@ -55,7 +55,7 @@ class TestStateValidation:
         def miscompile(module):
             for instruction in module.function("main").instructions():
                 if instruction.opcode == "ret" and instruction.operands:
-                    instruction.operands[0] = Constant(instruction.operands[0].type, 424242)
+                    instruction.set_operand(0, Constant(instruction.operands[0].type, 424242))
             return True
 
         monkeypatch.setitem(PASS_REGISTRY, "dce", miscompile)

@@ -6,8 +6,11 @@ the three optimization targets, and reports the geometric-mean improvement
 over the compiler's default pipeline (-Oz for the size targets, -O3 for
 runtime), plus the lines of code of each technique's implementation.
 
-The paper gives each technique one hour per benchmark; this harness uses a
-small per-benchmark step budget (scaled by REPRO_BENCH_SCALE). The shape to
+The paper gives each technique one hour per benchmark; this harness gives
+each 0.6 s of wall clock per benchmark, times REPRO_BENCH_SCALE. The budget
+is wall clock, so the test takes 0.6 s x 5 techniques x 8 programs x 3
+targets whatever a step costs; the thresholds below were set against the
+search that 0.6 s buys (REPRO_BENCH_SCALE=2.5 gives 1.5 s). The shape to
 reproduce: every technique beats the default pipelines given enough budget,
 with the ensemble search (Nevergrad) strongest on code size, and the
 improvements over -Oz being modest (single-digit percent in the paper).
@@ -103,7 +106,7 @@ def _evaluate_target(target: str, seconds_per_benchmark: float, benchmarks):
 
 def test_table4_autotuning_llvm_phase_ordering(benchmark):
     scale = bench_scale()
-    seconds_per_benchmark = 1.5 * scale
+    seconds_per_benchmark = 0.6 * scale
     benchmarks = SMALL_CBENCH if scale < 4 else None
 
     def run_experiment():

@@ -435,22 +435,26 @@ def _train_distributed(args, benchmarks):
     if args.agent == "apex" and args.learner_batch:
         agent_kwargs["batch_size"] = args.learner_batch
     make_kwargs = {"benchmark": benchmarks[0], "reward_space": "IrInstructionCountNorm"}
-    trainer = DistributedTrainer(
-        agent=args.agent,
-        agent_kwargs=agent_kwargs,
-        env_id=args.env,
-        make_kwargs=make_kwargs,
-        service_url=args.service_url,
-        num_actors=args.actors,
-        envs_per_actor=args.workers,
-        env_backend=args.backend,
-        episode_length=args.episode_length,
-        broadcast_interval=args.broadcast_interval,
-        seed=args.seed,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        resume=args.resume,
-    )
+    try:
+        trainer = DistributedTrainer(
+            agent=args.agent,
+            agent_kwargs=agent_kwargs,
+            env_id=args.env,
+            make_kwargs=make_kwargs,
+            service_url=args.service_url,
+            num_actors=args.actors,
+            envs_per_actor=args.workers,
+            env_backend=args.backend,
+            episode_length=args.episode_length,
+            broadcast_interval=args.broadcast_interval,
+            seed=args.seed,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_interval=args.checkpoint_interval,
+            resume=args.resume,
+        )
+    except ValueError as error:
+        print(f"train --actors: {error}", file=sys.stderr)
+        return None, None
     result = trainer.train(benchmarks, episodes=args.episodes)
     if args.checkpoint_dir:
         resumed = trainer.stats.get("resumed_episodes", 0)

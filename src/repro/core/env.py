@@ -31,7 +31,7 @@ from repro.core.service.runtime.compiler_gym_service import CompilerGymServiceRu
 from repro.core.spaces.observation import ObservationSpaceSpec
 from repro.core.spaces.reward import Reward
 from repro.core.spaces.space import Space
-from repro.errors import BenchmarkInitError, ServiceError, SessionNotFound, ValidationError
+from repro.errors import BenchmarkInitError, ServiceError, ServiceIsDown, SessionNotFound
 
 logger = logging.getLogger(__name__)
 
@@ -437,19 +437,16 @@ class CompilerEnv:
         observation and reward elements are lists with one entry per requested
         space; otherwise they use the environment's default spaces.
 
-        The request/apply phases are split into :meth:`_prepare_multistep`
-        and :meth:`_finish_multistep` so a vectorized pool can prepare many
-        environments' requests, carry them all in one batched
-        ``step_sessions`` RPC, and finish each environment client-side.
+        A step is :meth:`_prepare_multistep` (build the request), a *fetch*
+        of its outcome, and :meth:`_finish_multistep` (interpret the outcome).
+        Here the fetch is one ``step`` RPC; a vectorized pool prepares many
+        environments' requests, carries them all in one ``step_sessions`` RPC
+        and hands each environment its own outcome to finish the same way.
         """
         request, context = self._prepare_multistep(
             actions, observation_spaces, reward_spaces
         )
-        try:
-            reply = self.service.step(request)
-        except (ServiceError, SessionNotFound) as error:
-            return self._finish_multistep_error(error, context)
-        return self._finish_multistep(reply, context)
+        return self._finish_multistep(context, lambda: self.service.step(request))
 
     def _prepare_multistep(
         self,
@@ -499,33 +496,45 @@ class CompilerEnv:
         }
         return request, context
 
-    def _finish_multistep_error(self, error: BaseException, context: dict) -> Tuple[Any, Any, bool, dict]:
-        """Terminate the episode on a failed step (fault-tolerance path).
+    def _finish_multistep(
+        self, context: dict, fetch: Callable[[], Any]
+    ) -> Tuple[Any, Any, bool, dict]:
+        """Fetch this step's reply and apply it to this environment's state.
 
-        A crashed or errored backend terminates the episode with the reward
-        space's error default rather than propagating an exception into user
-        code.
+        ``fetch`` returns the reply or raises what went wrong with it. This is
+        the one place a step outcome is interpreted, however it travelled: a
+        crashed, errored or unreachable backend terminates the episode with
+        the reward space's error default rather than propagating an exception
+        into user code (the fault-tolerance path); anything else ``fetch``
+        raises is the caller's own mistake and propagates.
         """
-        info = {
-            "action_had_no_effect": False,
-            "new_action_space": False,
-            "error_details": str(error),
-        }
-        observation = [spec.default_value for spec in context["observation_specs"]]
-        rewards = [
-            reward.reward_on_error(self.episode_reward or 0)
-            for reward in context["reward_space_objects"]
-        ]
-        self._session_id = None
-        return (
-            self._unpack(observation, context["explicit_observations"]),
-            self._unpack(rewards, context["explicit_rewards"]),
-            True,
-            info,
-        )
+        try:
+            reply = fetch()
+        except (ServiceError, SessionNotFound) as error:
+            info = {
+                "action_had_no_effect": False,
+                "new_action_space": False,
+                "error_details": str(error),
+            }
+            if isinstance(error, ServiceIsDown):
+                # Graceful degradation: a gateway reported this session's
+                # fleet member down while the rest of the fleet keeps serving.
+                # Marked so collectors can tell an outage from an ordinary
+                # compile failure.
+                info["service_is_down"] = True
+            observation = [spec.default_value for spec in context["observation_specs"]]
+            rewards = [
+                reward.reward_on_error(self.episode_reward or 0)
+                for reward in context["reward_space_objects"]
+            ]
+            self._session_id = None
+            return (
+                self._unpack(observation, context["explicit_observations"]),
+                self._unpack(rewards, context["explicit_rewards"]),
+                True,
+                info,
+            )
 
-    def _finish_multistep(self, reply, context: dict) -> Tuple[Any, Any, bool, dict]:
-        """Apply a successful step reply to this environment's state."""
         actions = context["actions"]
         explicit_rewards = context["explicit_rewards"]
         reward_space_objects = context["reward_space_objects"]

@@ -404,6 +404,20 @@ class ServiceGateway(SocketRPCServer):
             )
         return record
 
+    def _failed_over(self, daemon: DaemonHandle, error: BaseException) -> bool:
+        """Decide what a failed call to ``daemon`` means, and act on it.
+
+        False: the daemon answers its heartbeat, so the error is the call's
+        own (a compiler crash, say) and failover cannot help. True: the daemon
+        is dead and its sessions have been re-homed; the caller looks its
+        sessions up again — one that could not be replayed is gone — and
+        retries once against their new homes.
+        """
+        if self._daemon_alive(daemon):
+            return False
+        self._handle_daemon_failure(daemon, error)
+        return True
+
     def _call_routed(self, record: _RoutedSession, call):
         """Invoke ``call(daemon, remote_sid)``, failing over once if the
         owning daemon died mid-call."""
@@ -414,12 +428,8 @@ class ServiceGateway(SocketRPCServer):
             except (SessionNotFound, PermissionDeniedError):
                 raise
             except (ServiceError, ConnectionError, OSError) as error:
-                if attempt or self._daemon_alive(daemon):
-                    # Either we already failed over once, or the daemon is
-                    # healthy and the error is the call's own (a compiler
-                    # crash, say) — failover cannot help, report it.
+                if attempt or not self._failed_over(daemon, error):
                     raise
-                self._handle_daemon_failure(daemon, error)
                 with self._fleet_lock:
                     if record.gateway_sid not in self._sessions:
                         raise SessionNotFound(
@@ -460,23 +470,8 @@ class ServiceGateway(SocketRPCServer):
         )
 
     def _rpc_step(self, state: ClientConnectionState, request: StepRequest):
-        record = self._routed(state, request.session_id)
-
-        def do_step(daemon, remote_sid):
-            return daemon.connection.step(
-                StepRequest(
-                    session_id=remote_sid,
-                    actions=request.actions,
-                    observation_space_names=request.observation_space_names,
-                )
-            )
-
-        reply = self._call_routed(record, do_step)
-        # Acknowledged: these actions are now part of the session's replay
-        # recipe. (A step lost with a dying daemon was NOT recorded, so the
-        # failover replay + this retry apply it exactly once.)
-        record.actions.extend(request.actions)
-        return reply
+        """A step is a batch of one, raised or returned as ``step`` does."""
+        return self._step_routed(state, [request])[0].unwrap()
 
     def _rpc_fork_session(self, state: ClientConnectionState, request: ForkSessionRequest):
         record = self._routed(state, request.session_id)
@@ -525,83 +520,77 @@ class ServiceGateway(SocketRPCServer):
         return self._call_routed(record, do_param)
 
     def _rpc_step_sessions(self, state: ClientConnectionState, request: StepSessionsRequest):
-        """Split a batch by owning daemon, fan out, reassemble in order.
-
-        When a daemon dies mid-batch, its group's sessions are failed over —
-        which may scatter them across *several* survivors — so the retry
-        re-buckets the group's positions by each session's new home rather
-        than replaying the whole group against one daemon.
-        """
         if not isinstance(request, StepSessionsRequest):
             raise ServiceError(
                 f"step_sessions expects a StepSessionsRequest, got "
                 f"{type(request).__name__}"
             )
-        results: List[Optional[SessionStepResult]] = [None] * len(request.requests)
-        records: Dict[int, _RoutedSession] = {}
-        # Route and bucket the whole batch under one fleet-lock pass: this
-        # runs once per vec-pool step, so per-sub lock churn is measurable.
-        by_daemon: Dict[int, tuple] = {}
-        with self._fleet_lock:
-            for position, sub in enumerate(request.requests):
-                sid = sub.session_id
-                record = self._sessions.get(sid)
-                if record is None:
-                    results[position] = SessionStepResult(
-                        session_id=sid,
-                        error=SessionNotFound(f"Session not found: {sid}"),
-                    )
-                    continue
-                if record.owner != state.token:
-                    results[position] = SessionStepResult(
-                        session_id=sid,
-                        error=PermissionDeniedError(
-                            f"Session {sid} belongs to another tenant"
-                        ),
-                    )
-                    continue
-                records[sid] = record
-                by_daemon.setdefault(record.daemon.index, (record.daemon, []))[
-                    1
-                ].append(position)
-        groups = list(by_daemon.values())
+        return StepSessionsReply(results=self._step_routed(state, request.requests))
 
-        def bucket_by_home(positions: List[int]) -> List[tuple]:
-            """Group positions by their session's current owning daemon."""
+    def _step_routed(
+        self, state: ClientConnectionState, requests: List[StepRequest]
+    ) -> List[SessionStepResult]:
+        """Step each request's session on its owning daemon; one result each.
+
+        The one route every step takes, alone or in a batch: split by owning
+        daemon, fan out, reassemble in request order. Failures are per
+        session — the batch never fails whole. When a daemon dies mid-batch,
+        its group's sessions are failed over — which may scatter them across
+        *several* survivors — so the retry re-buckets the group's positions by
+        each session's new home rather than replaying the whole group against
+        one daemon.
+        """
+        results: List[Optional[SessionStepResult]] = [None] * len(requests)
+        records: Dict[int, _RoutedSession] = {}
+
+        def bucket_by_home(positions) -> List[tuple]:
+            """Group positions by their session's current owning daemon, under
+            one fleet-lock pass: this runs once per vec-pool step, so per-sub
+            lock churn is measurable."""
             by_daemon: Dict[int, tuple] = {}
             with self._fleet_lock:
                 for position in positions:
-                    sid = request.requests[position].session_id
-                    if sid not in self._sessions:
-                        results[position] = SessionStepResult(
-                            session_id=sid,
-                            error=SessionNotFound(
-                                f"Session {sid} was lost with its daemon"
-                            ),
+                    sid = requests[position].session_id
+                    record = self._sessions.get(sid)
+                    if record is None:
+                        error = SessionNotFound(
+                            f"Session {sid} was lost with its daemon"
+                            if sid in records else f"Session not found: {sid}"
                         )
+                    elif record.owner != state.token:
+                        error = PermissionDeniedError(
+                            f"Session {sid} belongs to another tenant"
+                        )
+                    else:
+                        records[sid] = record
+                        by_daemon.setdefault(
+                            record.daemon.index, (record.daemon, [])
+                        )[1].append(position)
                         continue
-                    daemon = records[sid].daemon
-                    by_daemon.setdefault(daemon.index, (daemon, []))[1].append(position)
+                    results[position] = SessionStepResult(session_id=sid, error=error)
             return list(by_daemon.values())
 
-        def step_group(daemon: DaemonHandle, positions: List[int], depth: int = 0):
+        def step_group(daemon: DaemonHandle, positions: List[int], retry: bool = True):
             started = time.monotonic()
-            subs = [request.requests[p] for p in positions]
+            subs = [requests[p] for p in positions]
+
+            def fail(error):
+                wall = time.monotonic() - started
+                for position, sub in zip(positions, subs):
+                    results[position] = SessionStepResult(
+                        session_id=sub.session_id, error=error, wall_time_s=wall
+                    )
+
             # Graceful degradation: a dead or circuit-broken daemon's
             # sessions get per-session ServiceIsDown results immediately —
-            # the survivors' groups keep stepping, the batch never fails
-            # whole, and no timeout is paid per broken session.
+            # the survivors' groups keep stepping and no timeout is paid per
+            # broken session.
             if daemon.dead or not daemon.breaker.allow():
-                down = ServiceIsDown(
+                return fail(ServiceIsDown(
                     f"Gateway daemon {daemon.index} at {daemon.url} is "
                     f"{'dead' if daemon.dead else 'circuit-broken'}; its "
                     f"sessions are unavailable until the fleet recovers"
-                )
-                for position, sub in zip(positions, subs):
-                    results[position] = SessionStepResult(
-                        session_id=sub.session_id, error=down, wall_time_s=0.0
-                    )
-                return
+                ))
             translated = [
                 StepRequest(
                     session_id=records[sub.session_id].remote_sid,
@@ -613,33 +602,28 @@ class ServiceGateway(SocketRPCServer):
             try:
                 batch = daemon.connection.step_sessions(translated)
             except (ServiceError, ConnectionError, OSError) as error:
-                if depth == 0 and not self._daemon_alive(daemon):
-                    self._handle_daemon_failure(daemon, error)
-                    # The group's sessions were re-homed (possibly onto
-                    # different survivors): re-bucket and retry each
-                    # sub-group once against its new home.
+                if retry and self._failed_over(daemon, error):
                     for new_daemon, new_positions in bucket_by_home(positions):
-                        step_group(new_daemon, new_positions, depth=1)
+                        step_group(new_daemon, new_positions, retry=False)
                     return
                 daemon.breaker.record_failure()
                 # A bare connection-level failure means the daemon (not the
                 # compile work) is the problem: degrade those sessions to
                 # ServiceIsDown so the client sees "fleet member down", not
-                # an opaque socket error that might fail the whole batch.
+                # an opaque socket error.
                 if not isinstance(error, ServiceError):
                     error = ServiceIsDown(
                         f"Gateway daemon {daemon.index} at {daemon.url} is "
                         f"unreachable: {error}"
                     )
-                wall = time.monotonic() - started
-                for position, sub in zip(positions, subs):
-                    results[position] = SessionStepResult(
-                        session_id=sub.session_id, error=error, wall_time_s=wall
-                    )
-                return
+                return fail(error)
             daemon.breaker.record_success()
             for position, sub, result in zip(positions, subs, batch):
                 if result.error is None:
+                    # Acknowledged: these actions are now part of the
+                    # session's replay recipe. (A step lost with a dying
+                    # daemon was NOT recorded, so the failover replay plus
+                    # the retry apply it exactly once.)
                     records[sub.session_id].actions.extend(sub.actions)
                 # The daemon's result object is ours alone (freshly decoded):
                 # translate its session id back in place instead of copying.
@@ -647,8 +631,9 @@ class ServiceGateway(SocketRPCServer):
                 results[position] = result
 
         # The last group runs inline on this dispatch thread: a batch that
-        # maps to a single daemon (the common case — a pool's forked
-        # sessions co-locate) then pays no executor handoff at all.
+        # maps to a single daemon (a lone step; a pool, whose forked sessions
+        # co-locate) then pays no executor handoff at all.
+        groups = bucket_by_home(range(len(requests)))
         futures = [
             self._fanout_executor.submit(step_group, daemon, positions)
             for daemon, positions in groups[:-1]
@@ -657,7 +642,7 @@ class ServiceGateway(SocketRPCServer):
             step_group(*groups[-1])
         for future in futures:
             future.result()
-        return StepSessionsReply(results=results)
+        return results
 
     def _rpc_server_info(self, state: ClientConnectionState):
         return self.server_info()

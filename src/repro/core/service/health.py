@@ -11,10 +11,11 @@ sessions replayed onto survivors.
 
 The :class:`CircuitBreaker` is the flap guard: a daemon that fails
 consecutive probes (or client calls) transitions closed → open, and while
-open it sheds load — new sessions are not placed on it and batched
-``step_sessions`` fan-out short-circuits its sessions to ``ServiceIsDown``
-instead of eating a timeout each. After ``reset_timeout`` seconds the
-breaker admits a single half-open probe; one success closes it again.
+open it sheds load — new sessions are not placed on it and every step routed
+to it, a lone ``step`` or a ``step_sessions`` sub-request, is short-circuited
+to ``ServiceIsDown`` instead of eating a timeout. After ``reset_timeout``
+seconds the breaker admits a single half-open probe; one success closes it
+again.
 """
 
 import threading

@@ -10,7 +10,7 @@ design and lets the socket transport encode them.
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.service.wire import wire_message
+from repro.core.service.wire import raise_remote_error, wire_message
 
 
 @wire_message
@@ -150,6 +150,12 @@ class SessionStepResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def unwrap(self) -> StepReply:
+        """The reply, or the error raised as a standalone ``step`` RPC raises it."""
+        if self.error is not None:
+            raise_remote_error("step", self.error)
+        return self.reply
 
 
 @wire_message

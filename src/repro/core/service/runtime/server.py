@@ -173,22 +173,7 @@ class ServiceServer(SocketRPCServer):
         session_id = self._session_id_of(method, args)
         if session_id is None:
             return getattr(self.runtime, method)(*args)
-        self._check_session_owner(state, session_id)
-        self._touch_session(session_id)
-        with self._session_lock(session_id):
-            try:
-                result = getattr(self.runtime, method)(*args)
-            except SessionNotFound:
-                # An unknown (or already-ended) session id must not leave a
-                # lock/last-used entry behind — stale clients would otherwise
-                # grow the tracking maps without bound.
-                self._forget_session(session_id)
-                raise
-            # Re-stamp after completion (still under the session lock): a
-            # call longer than the idle timeout must not leave last_used at
-            # its pre-call value, or the reaper — which re-checks under this
-            # lock — would end a session the instant its step finished.
-            self._touch_session(session_id)
+        result = self._call_in_session(state, session_id, getattr(self.runtime, method), *args)
         if method == "fork_session":
             # A fork belongs to whoever forked it (same tenant as the parent,
             # by the ownership check above).
@@ -197,18 +182,41 @@ class ServiceServer(SocketRPCServer):
             self._forget_session(session_id)
         return result
 
+    def _call_in_session(self, state: ClientConnectionState, session_id: int, call, *args):
+        """The one discipline of every call made against a session.
+
+        Reject another tenant's caller, then run ``call(*args)`` under the
+        session's lock so a session's compiler state never interleaves two
+        calls. ``last_used`` is stamped before taking the lock and again after
+        completing under it: a call longer than the idle timeout must not
+        leave it at its pre-call value, or the reaper — which re-checks under
+        this lock — would end a session the instant its step finished.
+        """
+        self._check_session_owner(state, session_id)
+        self._touch_session(session_id)
+        with self._session_lock(session_id):
+            try:
+                result = call(*args)
+            except SessionNotFound:
+                # An unknown (or already-ended) session id must not leave a
+                # lock/last-used entry behind — stale clients would otherwise
+                # grow the tracking maps without bound.
+                self._forget_session(session_id)
+                raise
+            self._touch_session(session_id)
+        return result
+
     def _step_sessions(
         self, state: ClientConnectionState, request: StepSessionsRequest
     ) -> StepSessionsReply:
         """Execute a batch of per-session steps concurrently, reply once.
 
-        Each sub-request runs under the same per-session lock + ``last_used``
-        re-stamp discipline as a standalone ``step``: touched before taking
-        the lock, re-stamped after completing under it, so the idle reaper —
-        which re-checks ``last_used`` under the session lock — can never end
-        a session that is mid-flight inside a batch. Per-session wall times
-        (including lock wait) are measured here and returned so the client
-        can attribute load to each session despite the single round trip.
+        Each sub-request is one :meth:`_call_in_session`, exactly like a
+        standalone ``step``, so the idle reaper can never end a session that
+        is mid-flight inside a batch. Failures are reported per session, not
+        raised. Per-session wall times (including lock wait) are measured
+        here and returned so the client can attribute load to each session
+        despite the single round trip.
         """
         if not isinstance(request, StepSessionsRequest):
             raise ServiceError(
@@ -220,34 +228,27 @@ class ServiceServer(SocketRPCServer):
 
         def step_one(sub) -> SessionStepResult:
             started = time.monotonic()
-            session_id = sub.session_id
+            reply = error = None
             try:
-                self._check_session_owner(state, session_id)
-                self._touch_session(session_id)
-                with self._session_lock(session_id):
-                    try:
-                        reply = self.runtime.step(sub)
-                    except SessionNotFound:
-                        self._forget_session(session_id)
-                        raise
-                    self._touch_session(session_id)
-            except BaseException as error:  # noqa: BLE001 - reported per-result
-                return SessionStepResult(
-                    session_id=session_id,
-                    error=_picklable_error(error),
-                    wall_time_s=time.monotonic() - started,
-                )
+                reply = self._call_in_session(state, sub.session_id, self.runtime.step, sub)
+            except BaseException as failure:  # noqa: BLE001 - reported per-result
+                error = _picklable_error(failure)
             return SessionStepResult(
-                session_id=session_id,
+                session_id=sub.session_id,
                 reply=reply,
+                error=error,
                 wall_time_s=time.monotonic() - started,
             )
 
-        # Sub-steps run on the dedicated batch pool (never on the dispatch
-        # pool this batch RPC itself occupies). Two sub-requests naming the
-        # same session serialize on its lock like any other concurrent pair.
-        futures = [self._batch_executor.submit(step_one, sub) for sub in request.requests]
-        return StepSessionsReply(results=[future.result() for future in futures])
+        # All but the last sub-step run on the dedicated batch pool (never on
+        # the dispatch pool this batch RPC itself occupies); the last runs
+        # here, so a batch of one — every single step a gateway forwards —
+        # pays no executor handoff. Two sub-requests naming the same session
+        # serialize on its lock like any other concurrent pair.
+        subs = request.requests
+        futures = [self._batch_executor.submit(step_one, sub) for sub in subs[:-1]]
+        last = [step_one(sub) for sub in subs[-1:]]
+        return StepSessionsReply(results=[future.result() for future in futures] + last)
 
     @staticmethod
     def _session_id_of(method: str, args) -> Optional[int]:

@@ -56,13 +56,13 @@ from repro.core.service.wire import (  # noqa: F401 - re-exported wire API
     WIRE_VERSION,
     frame_bytes,
     parse_service_url,
+    raise_remote_error,
     read_frame,
     read_frame_ex,
     write_frame,
     write_frame_reply,
 )
 from repro.errors import (
-    CompilerGymError,
     PermissionDeniedError,
     ServiceError,
     ServiceIsClosed,
@@ -670,22 +670,9 @@ class SocketTransport(ServiceTransport):
             raise failure
         if pending.error is not None:
             raise pending.error
-        status, payload = pending.status, pending.payload
-        if status == REPLY_ERROR:
-            if isinstance(payload, (CompilerGymError, LookupError)):
-                raise payload
-            # A generic exception raised *inside* the daemon (a compiler
-            # crash mid-multistep, say) reached us over a healthy channel —
-            # the request may be partially applied to a session that, unlike
-            # an in-process runtime, survives the connection's restart().
-            # Wrap it in the non-retryable family so the retry loop cannot
-            # re-apply it; the environment's fault-tolerance path ends the
-            # episode instead.
-            raise ServiceError(
-                f"Compiler service error in {method}(): "
-                f"{type(payload).__name__}: {payload}"
-            ) from payload
-        return payload
+        if pending.status == REPLY_ERROR:
+            raise_remote_error(method, pending.payload)
+        return pending.payload
 
     def restart(self) -> None:
         """Reconnect to the daemon. Server-side sessions are untouched."""

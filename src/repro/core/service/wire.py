@@ -54,11 +54,31 @@ import pickle
 import struct
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
-from repro.errors import ServiceError
+from repro.errors import CompilerGymError, ServiceError
 
 # Wire statuses of the request/reply protocol.
 REPLY_OK = "ok"
 REPLY_ERROR = "error"
+
+
+def raise_remote_error(method: str, error: BaseException):
+    """Raise, on the client, an error the service raised executing ``method()``.
+
+    This project's own errors and lookup failures mean the same on both sides
+    of the wire and are raised as they are. Any other exception was raised
+    *inside* the service (a compiler crash mid-multistep, say) and reached us
+    over a healthy channel: the request may be partially applied to a session
+    that, unlike an in-process runtime, survives the connection's restart().
+    It is wrapped in the non-retryable family so no retry loop can re-apply
+    it; the environment's fault-tolerance path ends the episode instead. An
+    ``error`` reply frame and a failed :class:`SessionStepResult` are both
+    read by this one rule.
+    """
+    if isinstance(error, (CompilerGymError, LookupError)):
+        raise error
+    raise ServiceError(
+        f"Compiler service error in {method}(): {type(error).__name__}: {error}"
+    ) from error
 
 # The wire version this build encodes by default. Bump when the encoding
 # changes incompatibly; keep the previous version's codec registered so
@@ -382,12 +402,13 @@ def read_frame_ex(rfile) -> Tuple[int, Any]:
     (length,) = _FRAME_HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ConnectionError(f"Frame of {length} bytes exceeds protocol maximum")
-    data = b""
-    while len(data) < length:
-        chunk = rfile.read(length - len(data))
-        if not chunk:
+    data = bytearray(length)
+    unfilled = memoryview(data)
+    while unfilled:
+        count = rfile.readinto(unfilled)
+        if not count:
             raise ConnectionError("Truncated frame payload")
-        data += chunk
+        unfilled = unfilled[count:]
     return version, decode_payload(data, version)
 
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.core.datasets import Benchmark
 from repro.core.service.connection import merge_stats_summaries
 from repro.core.vector.backends import ExecutionBackend, close_quietly, resolve_backend
-from repro.errors import CompilerGymError, ServiceError, ServiceIsDown, SessionNotFound
+from repro.errors import SessionNotFound
 
 logger = logging.getLogger(__name__)
 
@@ -325,45 +325,30 @@ class VecCompilerEnv:
             prepared.append((index, worker, context))
             requests.append(request)
 
-        results: List[Tuple[Any, Any, bool, dict]] = [SKIPPED_STEP] * self.num_envs
         try:
-            outcomes = connection.step_sessions(requests)
-        except (ServiceError, SessionNotFound) as error:
-            # The batch RPC itself failed (transport loss, daemon death).
-            # Mirror the per-worker fault-tolerance contract: every stepped
-            # worker ends its episode with the error defaults.
-            for index, worker, context in prepared:
-                results[index] = worker._finish_multistep_error(error, context)
-        else:
-            for (index, worker, context), outcome in zip(prepared, outcomes):
-                if outcome.error is None:
-                    results[index] = worker._finish_multistep(outcome.reply, context)
-                    continue
-                error = outcome.error
-                if isinstance(error, (ServiceError, SessionNotFound)):
-                    result = worker._finish_multistep_error(error, context)
-                    if isinstance(error, ServiceIsDown):
-                        # Graceful degradation: the gateway reported this
-                        # session's fleet member down while siblings kept
-                        # stepping. Mark the slot so collectors can tell a
-                        # partial outage from an ordinary compile failure.
-                        result[3]["service_is_down"] = True
-                    results[index] = result
-                elif isinstance(error, (CompilerGymError, LookupError)):
-                    # The per-worker path would raise these through; so does
-                    # the batch (after every other worker's result above was
-                    # applied — siblings keep their state consistent).
-                    raise error
-                else:
-                    # A generic daemon-side exception: wrap it non-retryable,
-                    # exactly as the transport does for unbatched calls.
-                    results[index] = worker._finish_multistep_error(
-                        ServiceError(
-                            f"Compiler service error in step(): "
-                            f"{type(error).__name__}: {error}"
-                        ),
-                        context,
-                    )
+            fetches = [outcome.unwrap for outcome in connection.step_sessions(requests)]
+        except Exception as batch_error:  # noqa: BLE001 - read by each worker below
+            # The batch RPC itself failed (transport loss, daemon death): that
+            # is the outcome of every sub-step it carried.
+            def fetch_failed(error=batch_error):
+                raise error
+
+            fetches = [fetch_failed] * len(prepared)
+
+        # Each worker reads its own outcome exactly as it reads a lone step's.
+        # What it does not map to an ended episode (a caller error, say an
+        # unknown observation space) is raised once every sibling's result has
+        # been applied, so the pool's sessions and clients stay in step.
+        results: List[Tuple[Any, Any, bool, dict]] = [SKIPPED_STEP] * self.num_envs
+        unmapped = None
+        for (index, worker, context), fetch in zip(prepared, fetches):
+            try:
+                results[index] = worker._finish_multistep(context, fetch)
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                if unmapped is None:
+                    unmapped = error
+        if unmapped is not None:
+            raise unmapped
 
         if self.auto_reset:
             reset_indices = [index for index, _, _ in prepared if results[index][2]]

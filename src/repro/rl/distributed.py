@@ -316,8 +316,9 @@ class DistributedTrainer:
         env_backend: Execution backend of each actor's pool (``"serial"`` or
             ``"thread"``). Actors are daemonic processes, which
             ``multiprocessing`` forbids from having children, so ``"process"``
-            — a private service daemon per worker — cannot start inside one;
-            the actors themselves are the process-level parallelism here.
+            — a private service daemon per worker — cannot start inside one
+            and is rejected here; the actors themselves are the process-level
+            parallelism.
         service_url: Attach every actor's environments to a running compiler
             service daemon (``repro serve``) at this URL instead of hosting a
             compiler service inside each actor. The daemon multiplexes all
@@ -375,6 +376,13 @@ class DistributedTrainer:
         if self.envs_per_actor < 1:
             raise ValueError(
                 f"DistributedTrainer requires envs_per_actor >= 1, got {self.envs_per_actor}"
+            )
+        if self.env_backend == "process":
+            raise ValueError(
+                'DistributedTrainer cannot run env_backend="process": actors are '
+                "daemonic processes, which may not start the per-worker service "
+                'daemons that backend needs. Use "serial" or "thread" — the actors '
+                "are the process-level parallelism"
             )
         if self.service_url:
             self.make_kwargs = dict(self.make_kwargs)

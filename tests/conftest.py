@@ -48,6 +48,56 @@ def loop_tool_env():
     env.close()
 
 
+class Deployment:
+    """One way of serving ``llvm-v0``. Calling it makes an environment there."""
+
+    def __init__(self, kind: str, result_cache: bool, server=None):
+        self.kind, self.result_cache, self.server = kind, result_cache, server
+
+    def __call__(self, **make_kwargs):
+        if self.server is None:
+            make_kwargs["result_cache"] = None if self.result_cache else False
+        else:
+            make_kwargs["service_url"] = self.server.url
+        return repro.make("llvm-v0", **make_kwargs)
+
+    def result_cache_stats(self, env):
+        """The (benchmark, action-prefix) cache counters behind ``env`` as the
+        service reports them, summed over a fleet; ``None`` where the
+        deployment runs without that cache."""
+        if self.server is None:
+            return env.service.runtime.cache_stats()["result_cache"]
+        stats = env.service.transport.server_info()["cache_stats"]["result_cache"]
+        return stats if stats and stats.get("daemons") != 0 else None
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(kind, cache) for kind in ("in-process", "daemon", "gateway") for cache in (True, False)],
+    ids=lambda param: f"{param[0]}-{'cache' if param[1] else 'nocache'}",
+)
+def deployment(request):
+    """The deployment matrix: {runtime in this process, one daemon, a gateway
+    over two daemon processes} x {result cache on, off}. A test that takes it
+    runs once per cell, against servers started once per module."""
+    from repro.core.service.gateway import ServiceGateway
+    from repro.core.service.runtime.server import make_env_server
+
+    kind, cache = request.param
+    result_cache = None if cache else False
+    if kind == "in-process":
+        yield Deployment(kind, cache)
+        return
+    if kind == "daemon":
+        server = make_env_server("llvm-v0", session_timeout=None, result_cache=result_cache)
+    else:
+        server = ServiceGateway(
+            env_id="llvm-v0", daemons=2, make_kwargs={"result_cache": result_cache}
+        )
+    with server.start():
+        yield Deployment(kind, cache, server)
+
+
 @pytest.fixture()
 def small_module() -> Module:
     """A tiny hand-built module with obvious optimization opportunities."""

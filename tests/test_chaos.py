@@ -614,9 +614,11 @@ class TestHealthMonitorFailover:
 
 
 class TestGracefulDegradation:
-    def test_circuit_broken_daemon_degrades_then_recovers(self):
-        """Sessions on a circuit-broken daemon get per-session ServiceIsDown
-        (the batch never fails whole, survivors keep stepping); once the
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "single-env"])
+    def test_circuit_broken_daemon_degrades_then_recovers(self, pooled):
+        """Sessions on a circuit-broken daemon get per-session ServiceIsDown,
+        whether their step travelled alone or in a pool's batch (which never
+        fails whole), and the other daemon's tenant keeps stepping; once the
         breaker's cooldown admits a half-open probe, the daemon — which was
         alive all along — serves again."""
         gateway = ServiceGateway(
@@ -627,34 +629,44 @@ class TestGracefulDegradation:
         try:
             env_a.reset()
             env_b.reset()
-            with VecCompilerEnv(env_a, n=2, backend="thread") as vec:
-                vec.reset()
-                # The pool's forked sessions co-locate: its daemon is the
-                # one carrying 2+ sessions (env_b's carries just one).
-                session_counts = {}
-                for record in gateway._sessions.values():
-                    index = record.daemon.index
-                    session_counts[index] = session_counts.get(index, 0) + 1
-                pool_daemon = next(
-                    d for d in gateway.live_daemons()
-                    if session_counts.get(d.index, 0) >= 2
-                )
+            tenant = VecCompilerEnv(env_a, n=2, backend="thread") if pooled else env_a
+
+            def step(action):
+                if pooled:
+                    return tenant.step([action, action])[1:]
+                _, reward, done, info = tenant.step(action)
+                return [reward], [done], [info]
+
+            with tenant:
+                tenant.reset()
+                # env_b's daemon carries just env_b; a pool's forked sessions
+                # co-locate with their root on the other one.
+                broken = gateway._sessions[env_a._session_id].daemon
+                assert gateway._sessions[env_b._session_id].daemon is not broken
+                rewards, dones, _ = step(ACTIONS[0])
+                assert not any(dones) and all(reward > 0 for reward in rewards)
                 # Trip the breaker by hand (as repeated probe failures
                 # would). The daemon itself stays alive throughout.
-                pool_daemon.breaker.force_open()
-                _, _, dones, infos = vec.step([ACTIONS[0], ACTIONS[0]])
+                broken.breaker.force_open()
+                steps_served = broken.connection.stats_summary()["step"]["calls"]
+                degraded, dones, infos = step(ACTIONS[1])
                 assert all(dones)
                 assert all(info.get("service_is_down") for info in infos)
+                assert degraded == [
+                    env_a.reward_space.reward_on_error(reward) for reward in rewards
+                ]
+                # Shed, not attempted: the broken daemon saw no step.
+                assert broken.connection.stats_summary()["step"]["calls"] == steps_served
                 # The other daemon's tenant is untouched by the outage.
                 _, reward, done, _ = env_b.step(ACTIONS[0])
                 assert reward is not None and not done
                 # After the cooldown the half-open probe finds the daemon
                 # alive, closes the breaker, and its sessions serve again.
                 time.sleep(0.35)
-                vec.reset()
-                _, _, dones, _ = vec.step([ACTIONS[1], ACTIONS[1]])
+                tenant.reset()
+                _, dones, _ = step(ACTIONS[1])
                 assert not any(dones)
-                assert pool_daemon.breaker.state == "closed"
+                assert broken.breaker.state == "closed"
         finally:
             env_a.close()
             env_b.close()

@@ -81,6 +81,15 @@ class TestCli:
         assert len(curve["episode_rewards"]) == 3
 
 
+    def test_train_actors_rejects_the_process_backend(self, capsys):
+        """Actor processes cannot start per-worker daemons: said up front,
+        exit code 2, nothing spawned."""
+        assert main(["train", "--agent", "apex", "--actors", "2", "--backend", "process"]) == 2
+        captured = capsys.readouterr()
+        assert '"serial" or "thread"' in captured.err
+        assert "mean episode reward" not in captured.out
+
+
 class TestExplorerApi:
     @pytest.fixture()
     def api(self):

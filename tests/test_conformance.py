@@ -1,0 +1,164 @@
+"""One behavioural suite over the deployment matrix.
+
+Every test takes the ``deployment`` fixture of ``conftest.py`` and so runs in
+each cell of {in-process, one daemon, 2-daemon gateway} x {result cache on,
+off}. What an environment does must not depend on the cell: traces are
+compared bit for bit with a reference computed once, in-process, with the
+result cache off.
+"""
+
+import functools
+import random
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core.datasets import Benchmark
+from repro.core.service.proto import EndSessionRequest
+from repro.core.vector import VecCompilerEnv, make_vec_env
+from repro.errors import BenchmarkInitError, SessionNotFound
+from tests.test_fork_equivalence import _assert_fork_replays_like_parent
+
+STEP_SHAPE = dict(
+    benchmark="cbench-v1/crc32", observation_space="Autophase", reward_space="IrInstructionCount"
+)
+EPISODES = (
+    tuple(random.Random(7).sample(range(100), 12)),
+    (0, 11, 3, 7, 1),
+    (23, 5, 0, 11, 2),
+)
+
+
+def _plain(observation):
+    return np.asarray(observation).tolist()
+
+
+def _steps(actions):
+    """A step per action, then the first two once more as one multistep."""
+    return [[action] for action in actions] + [list(actions[:2])]
+
+
+def _trace(env, actions):
+    """One episode's full observable record, in plain comparable types."""
+    trace = [_plain(env.reset())]
+    for step in _steps(actions):
+        observation, reward, done, info = env.multistep(step)
+        trace.append((_plain(observation), reward, done, info["action_had_no_effect"]))
+    return trace + [env.episode_reward, list(env.actions)]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(actions):
+    with repro.make("llvm-v0", result_cache=False, **STEP_SHAPE) as env:
+        return _trace(env, actions)
+
+
+def test_traces_equal_the_reference_cold_and_warm(deployment):
+    with deployment(**STEP_SHAPE) as env:
+        for _ in ("cold", "warm"):
+            for actions in EPISODES:
+                assert _trace(env, actions) == _reference(actions)
+        stats = deployment.result_cache_stats(env)
+        verifying = env.verify_ir
+    if not deployment.result_cache:
+        assert stats is None
+    elif not verifying:
+        # (Verify-after-every-pass is a session parameter, and a session that
+        # was handed one is no longer a pure action prefix: it is not cached.)
+        assert stats["hits"] > 0
+    if deployment.kind == "gateway":
+        # Placement is least-loaded-first, so a second tenant lands on the
+        # other daemon (and warms its cache): same traces from there.
+        with deployment(**STEP_SHAPE) as first, deployment(**STEP_SHAPE) as second:
+            first.reset()
+            assert _trace(second, EPISODES[1]) == _reference(EPISODES[1])
+            fleet = deployment.server.server_info()["daemons"]
+            assert [daemon["sessions"] for daemon in fleet] == [1, 1]
+            assert (deployment.result_cache_stats(second) or {"daemons": 2})["daemons"] == 2
+
+
+def test_spaces_and_initial_state_match_in_process(deployment):
+    with repro.make("llvm-v0", **STEP_SHAPE) as local, deployment(**STEP_SHAPE) as env:
+        assert sorted(env.observation.spaces) == sorted(local.observation.spaces)
+        assert env.action_space.names == local.action_space.names
+        local.reset()
+        env.reset()
+        for space in ("IrSha1", "IrInstructionCount"):
+            assert env.observation[space] == local.observation[space]
+
+
+def test_fork_replays_like_its_parent(deployment):
+    actions = EPISODES[0]
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        env.multistep(actions[:4])
+        with env.fork() as fork:
+            assert fork.service is env.service  # One fork_session RPC, no new connection.
+            assert fork.actions == env.actions
+            assert fork.episode_reward == env.episode_reward
+            _assert_fork_replays_like_parent(env, fork, actions[4:9])
+
+
+def _assert_pool_of_two_equals_two_envs(vec):
+    first, second = EPISODES[1], EPISODES[2]
+    traces = [[_plain(observation)] for observation in vec.reset()]
+    for step in zip(_steps(first), _steps(second)):
+        for trace, observation, reward, done, info in zip(traces, *vec.multistep(step)):
+            trace.append((_plain(observation), reward, done, info["action_had_no_effect"]))
+    for trace, worker, actions in zip(traces, vec.workers, (first, second)):
+        assert trace + [worker.episode_reward, worker.actions] == _reference(actions)
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_a_pool_of_two_equals_two_envs(deployment, backend):
+    with VecCompilerEnv(deployment(**STEP_SHAPE), n=2, backend=backend) as vec:
+        # Forked from the root onto its connection, which multiplexes them.
+        assert len({id(worker.service) for worker in vec.workers}) == 1
+        _assert_pool_of_two_equals_two_envs(vec)
+
+
+def test_a_process_pool_of_two_equals_two_envs():
+    """``backend="process"`` is a deployment of its own — a private daemon per
+    worker, started from an in-process root — so it runs once, not per cell."""
+    with make_vec_env("llvm-v0", n=2, backend="process", **STEP_SHAPE) as vec:
+        _assert_pool_of_two_equals_two_envs(vec)
+
+
+def _assert_ended_with_error_defaults(env, result, episode_reward):
+    observation, reward, done, info = result
+    assert done and "error_details" in info and "service_is_down" not in info
+    assert not env.in_episode
+    assert _plain(observation) == _plain(env.observation_space_spec.default_value)
+    assert reward == env.reward_space.reward_on_error(episode_reward)
+
+
+def test_a_failed_step_ends_the_episode_with_error_defaults(deployment):
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        _, reward, _, _ = env.step(EPISODES[1][0])
+        # An action outside the space makes the backend raise mid-step.
+        _assert_ended_with_error_defaults(env, env.step(9999), reward)
+        # So does a session the service no longer has.
+        env.reset()
+        env.service.end_session(EndSessionRequest(session_id=env._session_id))
+        result = env.step(EPISODES[1][0])
+        assert "not found" in result[3]["error_details"].lower()
+        _assert_ended_with_error_defaults(env, result, 0)
+        # Either way only the episode is lost.
+        assert _trace(env, EPISODES[1]) == _reference(EPISODES[1])
+
+
+def test_caller_errors_are_raised(deployment):
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        # The benchmark setter validates URIs against the client's datasets; a
+        # service that cannot resolve one anyway (its datasets are older, say)
+        # is reached here by naming the benchmark behind the setter's back.
+        env._next_benchmark = Benchmark("benchmark://cbench-v1/not-a-benchmark")
+        with pytest.raises(BenchmarkInitError, match="not-a-benchmark"):
+            env.reset()
+        env.benchmark = STEP_SHAPE["benchmark"]
+        assert _trace(env, EPISODES[2]) == _reference(EPISODES[2])
+    with pytest.raises(SessionNotFound, match="closed"):
+        env.step(0)

@@ -397,15 +397,6 @@ class TestCloseIdempotence:
         # No attributes at all: close() must still be a no-op.
         env.close()
 
-    def test_step_after_close_raises_clear_error(self):
-        from repro.errors import SessionNotFound
-
-        env = _make_env()
-        env.reset()
-        env.close()
-        with pytest.raises(SessionNotFound, match="closed environment"):
-            env.step(0)
-
 
 class TestMultistepEdgeCases:
     """Regression tests for multistep() corner cases."""

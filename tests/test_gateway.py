@@ -24,7 +24,6 @@ from repro.core.service.connection import (
 )
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.proto import StartSessionRequest, StepRequest
-from repro.core.service.runtime.server import make_env_server
 from repro.core.service.transport import SocketTransport
 from repro.core.service.wire import WIRE_VERSION, parse_service_url
 from repro.core.vector import FleetAutoscalePolicy, VecCompilerEnv
@@ -68,30 +67,6 @@ def _rollout(url, actions=ACTIONS, **kwargs):
 
 
 class TestGatewayRouting:
-    def test_trace_equivalence_with_single_daemon(self, gateway):
-        """Acceptance: the same episode through a 2-daemon gateway produces
-        the same rewards as through one daemon directly."""
-        daemon = make_env_server("llvm-v0").start()
-        try:
-            assert _rollout(gateway.url) == _rollout(daemon.url)
-        finally:
-            daemon.shutdown()
-
-    def test_sessions_spread_across_daemons(self, gateway):
-        """Least-load placement: two independent clients land on two
-        different daemons."""
-        env_a, env_b = _make_env(gateway.url), _make_env(gateway.url)
-        try:
-            env_a.reset()
-            env_b.reset()
-            per_daemon = sorted(
-                d["sessions"] for d in gateway.server_info()["daemons"]
-            )
-            assert per_daemon == [1, 1]
-        finally:
-            env_a.close()
-            env_b.close()
-
     def test_server_info_reports_fleet(self, gateway):
         info = gateway.server_info()
         assert info["role"] == "gateway"
@@ -177,11 +152,7 @@ class TestGatewayFailover:
     def test_failover_replay_preserves_episode_state(self, gateway):
         """The replayed session continues the episode, not a fresh one:
         cumulative rewards match an uninterrupted run."""
-        daemon = make_env_server("llvm-v0").start()
-        try:
-            expected = _rollout(daemon.url)
-        finally:
-            daemon.shutdown()
+        expected = _rollout(None)  # in-process
         env = _make_env(gateway.url)
         try:
             env.reset()
@@ -203,11 +174,7 @@ class TestGatewayFailover:
         the batching), so the survivor builds the session, runs the remaining
         hits on it, and then the first action nobody has walked."""
         beyond = ACTIONS + [42]
-        daemon = make_env_server("llvm-v0", result_cache=False).start()
-        try:
-            expected = _rollout(daemon.url, actions=beyond)
-        finally:
-            daemon.shutdown()
+        expected = _rollout(None, actions=beyond, result_cache=False)  # in-process
         # Two concurrent episodes land on different daemons: both caches warm.
         warmers = [_make_env(gateway.url), _make_env(gateway.url)]
         try:

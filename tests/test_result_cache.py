@@ -4,8 +4,8 @@ Layer 1 is the session-incremental observation memo keyed on the module
 version counter; layer 2 is the daemon-wide (benchmark, action-prefix)
 store shared across sessions. The acceptance criteria covered here:
 
-- Cached and uncached rollouts are bit-identical across all three
-  transports (in-process, socket daemon, 2-daemon gateway).
+- (Cached and uncached rollouts are bit-identical in every deployment:
+  ``tests/test_conformance.py``.)
 - A session is unbuilt (nothing but its prefix) or built and current (its
   module is the prefix run on the pristine program): a lookahead candidate
   runs exactly one pass, fork() builds a cache-served parent once and inherits
@@ -23,7 +23,6 @@ import pytest
 
 import repro
 from repro.core.service.connection import ServiceConnection
-from repro.core.service.gateway import ServiceGateway
 from repro.core.service.proto import StartSessionRequest, StepRequest
 from repro.core.service.runtime.result_cache import ResultCache
 from repro.core.service.runtime.server import make_env_server
@@ -77,75 +76,6 @@ def _uncached_trace(actions):
         return _trace(env, actions)
     finally:
         env.close()
-
-
-def _traces(env):
-    return [_trace(env, actions) for actions in SEQUENCES]
-
-
-class TestTraceEquivalence:
-    def test_in_process_cached_traces_bit_identical(self):
-        cached = _make_env()
-        uncached = _make_env(result_cache=False)
-        try:
-            cold = _traces(cached)  # populates the cache
-            warm = _traces(cached)  # served from it
-            reference = _traces(uncached)
-            assert cold == reference
-            assert warm == reference
-            stats = cached.service.runtime.result_cache.stats()
-            assert stats["hits"] > 0
-        finally:
-            cached.close()
-            uncached.close()
-
-    def test_daemon_cached_traces_bit_identical(self):
-        cached_server = make_env_server("llvm-v0").start()
-        uncached_server = make_env_server("llvm-v0", result_cache=False).start()
-        try:
-            cached = _make_env(service_url=cached_server.url)
-            uncached = _make_env(service_url=uncached_server.url)
-            try:
-                cold = _traces(cached)
-                warm = _traces(cached)
-                reference = _traces(uncached)
-                assert cold == reference
-                assert warm == reference
-                # The daemon reports its cache accounting via server_info.
-                info = cached.service.transport.server_info()
-                stats = info["cache_stats"]["result_cache"]
-                assert stats["hits"] > 0
-                assert uncached_server.runtime.result_cache is None
-            finally:
-                cached.close()
-                uncached.close()
-        finally:
-            cached_server.shutdown()
-            uncached_server.shutdown()
-
-    def test_gateway_cached_traces_bit_identical(self):
-        gateway = ServiceGateway(env_id="llvm-v0", daemons=2).start()
-        uncached_server = make_env_server("llvm-v0", result_cache=False).start()
-        try:
-            uncached = _make_env(service_url=uncached_server.url)
-            try:
-                reference = _traces(uncached)
-            finally:
-                uncached.close()
-            # Sessions round-robin across the fleet, so repeated rollouts
-            # warm both daemons; every rollout, cold or warm, must match.
-            for _ in range(4):
-                env = _make_env(service_url=gateway.url)
-                try:
-                    assert _traces(env) == reference
-                finally:
-                    env.close()
-            totals = gateway.result_cache_stats()["total"]
-            assert totals["daemons"] == 2
-            assert totals["hits"] > 0
-        finally:
-            gateway.shutdown()
-            uncached_server.shutdown()
 
 
 @pytest.fixture

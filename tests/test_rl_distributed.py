@@ -303,6 +303,9 @@ class TestDistributedTraining:
             DistributedTrainer(agent="apex", num_actors=0)
         with pytest.raises(ValueError, match="envs_per_actor"):
             DistributedTrainer(agent="apex", envs_per_actor=0)
+        # Found at construction, not inside N actor subprocesses.
+        with pytest.raises(ValueError, match='"serial" or "thread"'):
+            DistributedTrainer(agent="apex", env_backend="process")
 
 
 class TestLearnerCheckpoints:

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.service.gateway import ServiceGateway
-from repro.core.service.runtime.server import make_env_server
 from repro.llvm.analysis import (
     DominatorTree,
     dominance_frontiers,
@@ -488,33 +486,20 @@ class TestAnalysisObservationSpaces:
         assert np.array_equal(reachingdefs_features(module), reachingdefs_features(module))
         assert max_domtree_depth(module) == max_domtree_depth(module)
 
-    def _observe(self, url=None):
-        env = repro.make("llvm-v0", benchmark="cbench-v1/qsort", service_url=url)
-        try:
+    def _observe(self, env):
+        with env:
             env.reset()
             for action in (0, 11, 3):
                 env.step(action)
             return {space: env.observation[space] for space in self.SPACES}
-        finally:
-            env.close()
 
-    def test_identical_across_transports(self):
+    def test_identical_in_every_deployment(self, deployment):
         """Acceptance: identical values in-process, over a daemon, and over a
         2-daemon gateway."""
-        local = self._observe()
-        daemon = make_env_server("llvm-v0").start()
-        try:
-            over_daemon = self._observe(daemon.url)
-        finally:
-            daemon.shutdown()
-        gateway = ServiceGateway(env_id="llvm-v0", daemons=2).start()
-        try:
-            over_gateway = self._observe(gateway.url)
-        finally:
-            gateway.shutdown()
+        local = self._observe(repro.make("llvm-v0", benchmark="cbench-v1/qsort"))
+        deployed = self._observe(deployment(benchmark="cbench-v1/qsort"))
         for space in self.SPACES:
-            assert np.array_equal(local[space], over_daemon[space]), space
-            assert np.array_equal(local[space], over_gateway[space]), space
+            assert np.array_equal(local[space], deployed[space]), space
 
 
 class TestLintCli:

@@ -9,6 +9,7 @@ reuse across sequential vectorized pools, cross-transport stats aggregation,
 and the autoscaling policy driving ``VecCompilerEnv.resize()``.
 """
 
+import io
 import multiprocessing
 import pickle
 import random
@@ -181,6 +182,24 @@ class TestFraming:
         with open(path, "rb") as f:
             with pytest.raises(ConnectionError, match="Truncated"):
                 read_frame(f)
+
+    def test_large_frame_through_a_reader_of_small_chunks(self):
+        """A multi-megabyte frame arriving 4 KiB at a time is assembled in one
+        buffer (not re-copied on every chunk)."""
+
+        class _Trickle(io.BytesIO):
+            reads = 0
+
+            def readinto(self, buffer):
+                self.reads += 1
+                return super().readinto(memoryview(buffer)[:4096])
+
+        payload = np.arange(1 << 19, dtype=np.int64)  # 4 MiB
+        stream = _Trickle()
+        write_frame(stream, {"payload": payload})
+        stream.seek(0)
+        np.testing.assert_array_equal(read_frame(stream)["payload"], payload)
+        assert stream.reads > 1000
 
 
 # -- transports behind ServiceConnection -------------------------------------
@@ -777,6 +796,19 @@ class TestBatchedStepSessions:
                 assert [r.reply.observations[0].value() for r in results] == [1, 3, 5]
                 assert server.batched_steps == 1
                 assert server.server_info()["batched_steps"] == 1
+                # A batch of one — every single step a gateway forwards — is
+                # stepped on the dispatch thread: it needs no batch executor.
+                server._batch_executor.shutdown()
+                (alone,) = connection.step_sessions(
+                    [
+                        StepRequest(
+                            session_id=sessions[0].session_id,
+                            actions=[1],
+                            observation_space_names=["value"],
+                        )
+                    ]
+                )
+                assert alone.ok and alone.unwrap().observations[0].value() == 2
 
     def test_batched_sub_steps_overlap_under_session_locks(self):
         _SlowStepSession.reset_tracking()
@@ -816,6 +848,30 @@ class TestBatchedStepSessions:
                 # The bogus id left no tracking entry behind; the live
                 # session is untouched.
                 assert server.server_info()["active_sessions"] == 1
+
+    def test_daemon_side_exception_reads_the_same_alone_and_pooled(self, llvm_daemon):
+        """A generic exception inside the daemon (an out-of-range action's
+        ValueError) ends the episode with the same ServiceError text whether
+        the step was one RPC or one slot of a pool's batch."""
+        env = _make_llvm_env(service_url=llvm_daemon.url)
+        try:
+            with VecCompilerEnv(
+                _make_llvm_env(service_url=llvm_daemon.url), n=2, backend="thread"
+            ) as vec:
+                env.reset()
+                vec.reset()
+                _, reward, done, info = env.step(9999)
+                _, rewards, dones, infos = vec.step([9999, 1])
+                assert vec.connection_stats()["step_sessions"]["calls"] == 1
+                assert done and dones == [True, False]
+                assert info == infos[0] and rewards[0] == reward
+                assert info["error_details"] == (
+                    "Compiler service error in step(): "
+                    "ValueError: Action out of range: 9999"
+                )
+                assert "error_details" not in infos[1]
+        finally:
+            env.close()
 
     def test_batched_stats_attribute_per_session_for_autoscaling(self):
         # Satellite: connection_stats()-driven autoscaling keeps seeing
@@ -1026,73 +1082,7 @@ class TestMultiplexedConcurrency:
 
 
 class TestSocketEnvEquivalence:
-    """Acceptance: a SocketTransport env produces the same observations,
-    rewards, and episode traces as the InProcessTransport env."""
-
-    ACTIONS = random.Random(7).sample(range(100), 12)
-
-    def _trace(self, env, actions):
-        trace = [np.asarray(env.reset(), dtype=np.float64)]
-        for action in actions:
-            observation, reward, done, info = env.step(action)
-            trace.append(
-                (np.asarray(observation, dtype=np.float64), reward, done,
-                 info["action_had_no_effect"])
-            )
-        return trace
-
-    def test_same_episode_trace_as_in_process(self, llvm_daemon):
-        local = _make_llvm_env()
-        remote = _make_llvm_env(service_url=llvm_daemon.url)
-        try:
-            local_trace = self._trace(local, self.ACTIONS)
-            remote_trace = self._trace(remote, self.ACTIONS)
-            np.testing.assert_array_equal(local_trace[0], remote_trace[0])
-            for (l_obs, l_rew, l_done, l_noop), (r_obs, r_rew, r_done, r_noop) in zip(
-                local_trace[1:], remote_trace[1:]
-            ):
-                np.testing.assert_array_equal(l_obs, r_obs)
-                assert l_rew == r_rew
-                assert l_done == r_done
-                assert l_noop == r_noop
-            assert local.episode_reward == remote.episode_reward
-            assert local.actions == remote.actions
-        finally:
-            local.close()
-            remote.close()
-
-    def test_fork_equivalence_over_socket(self, llvm_daemon):
-        from tests.test_fork_equivalence import _assert_fork_replays_like_parent
-
-        env = _make_llvm_env(service_url=llvm_daemon.url)
-        try:
-            env.reset()
-            env.multistep(self.ACTIONS[:4])
-            fork = env.fork()
-            try:
-                assert fork.actions == env.actions
-                assert fork.episode_reward == env.episode_reward
-                _assert_fork_replays_like_parent(env, fork, self.ACTIONS[4:9])
-            finally:
-                fork.close()
-        finally:
-            env.close()
-
-    def test_observation_spaces_match(self, llvm_daemon):
-        local = _make_llvm_env()
-        remote = _make_llvm_env(service_url=llvm_daemon.url)
-        try:
-            assert sorted(remote.observation.spaces) == sorted(local.observation.spaces)
-            assert remote.action_space.n == local.action_space.n
-            local.reset()
-            remote.reset()
-            assert remote.observation["IrSha1"] == local.observation["IrSha1"]
-            assert int(remote.observation["IrInstructionCount"]) == int(
-                local.observation["IrInstructionCount"]
-            )
-        finally:
-            local.close()
-            remote.close()
+    """Beyond behaving like an in-process one (``tests/test_conformance.py``)."""
 
     def test_spec_records_service_url(self, llvm_daemon):
         env = _make_llvm_env(service_url=llvm_daemon.url)
@@ -1140,18 +1130,6 @@ class TestSocketEnvEquivalence:
         finally:
             env.close()
 
-    def test_in_process_fork_still_shares_connection(self):
-        env = _make_llvm_env()
-        try:
-            env.reset()
-            fork = env.fork()
-            try:
-                assert fork.service is env.service
-            finally:
-                fork.close()
-        finally:
-            env.close()
-
 
 class TestDaemonPoolReuse:
     """Acceptance: sequential VecCompilerEnv pools against one daemon reuse
@@ -1191,25 +1169,6 @@ class TestDaemonPoolReuse:
         assert llvm_daemon.runtime.stats["start_session"] >= after_pool1 + 2
         # No service subprocess was spawned client-side for either pool.
         assert len(multiprocessing.active_children()) == children_before
-
-    def test_thread_backend_daemon_pool_shares_one_multiplexed_connection(self, llvm_daemon):
-        """Fork-populated thread pools keep every worker on the root's
-        socket: the transport multiplexes concurrent RPCs by request id (and
-        batched stepping collapses a pool step into one round trip), so
-        sharing no longer serializes the backend's concurrency."""
-        with make_vec_env(
-            env_id="llvm-v0",
-            n=3,
-            backend="thread",
-            service_url=llvm_daemon.url,
-            benchmark=BENCHMARK,
-            reward_space="IrInstructionCount",
-        ) as pool:
-            services = {id(worker.service) for worker in pool.workers}
-            assert len(services) == 1
-            pool.reset()
-            _, rewards, _, _ = pool.step([1, 2, 3])
-            assert len(rewards) == 3
 
     def test_daemon_pool_accepts_unpicklable_wrapper(self, llvm_daemon):
         """Wrappers are applied client-side, so any callable will do."""

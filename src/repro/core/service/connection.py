@@ -265,7 +265,7 @@ class ServiceConnection:
                     "the call was applied and will not be retried"
                 )
             return result
-        raise ServiceError(
+        raise ServiceTransportError(
             f"Service call {name}() failed after {attempts} attempts: {last_error}"
         ) from last_error
 

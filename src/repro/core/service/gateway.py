@@ -66,11 +66,7 @@ from repro.core.service.proto import (
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
 from repro.core.service.runtime.server import SpawnedDaemon
 from repro.core.service.transport import SocketTransport
-from repro.core.service.wire import (
-    LEGACY_WIRE_VERSION,
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
-)
+from repro.core.service.wire import CODECS, WIRE_VERSION
 from repro.errors import (
     PermissionDeniedError,
     ServiceError,
@@ -107,6 +103,15 @@ class DaemonHandle:
     @property
     def pid(self) -> Optional[int]:
         return self.spawned.pid if self.spawned is not None else None
+
+    def down_error(self) -> ServiceIsDown:
+        """Graceful degradation: what a call routed to this daemon gets at
+        once, instead of a timeout, while it is dead or circuit-broken."""
+        return ServiceIsDown(
+            f"Gateway daemon {self.index} at {self.url} is "
+            f"{'dead' if self.dead else 'circuit-broken'}; its "
+            f"sessions are unavailable until the fleet recovers"
+        )
 
     def last_heartbeat_age_s(self) -> Optional[float]:
         if self.last_heartbeat is None:
@@ -229,19 +234,8 @@ class ServiceGateway(SocketRPCServer):
     # -- fleet membership --------------------------------------------------
 
     def _connect_daemon(self, url: str) -> ServiceConnection:
-        # Fleet links are authenticated and co-released with the gateway, so
-        # pin them to the compact legacy codec: the typed codec's schema-skew
-        # tolerance buys nothing here and its cost would be paid per proxied
-        # hop. Client-facing connections still negotiate the typed codec.
         transport = SocketTransport(
-            url,
-            timeout=self.daemon_timeout,
-            auth_token=self.fleet_token,
-            wire_version=LEGACY_WIRE_VERSION,
-            # Read daemon replies on the dispatch thread itself
-            # (leader/follower) rather than bouncing through a per-connection
-            # reader thread: two fewer thread wakeups per proxied hop.
-            inline_reads=True,
+            url, timeout=self.daemon_timeout, auth_token=self.fleet_token
         )
         # Fast failure detection: the gateway owns failover, so its daemon
         # calls should fail fast rather than retry at length.
@@ -419,22 +413,29 @@ class ServiceGateway(SocketRPCServer):
         return True
 
     def _call_routed(self, record: _RoutedSession, call):
-        """Invoke ``call(daemon, remote_sid)``, failing over once if the
-        owning daemon died mid-call."""
+        """Invoke ``call(daemon, remote_sid)`` through the owning daemon's
+        breaker, failing over once if the daemon died mid-call."""
         for attempt in (0, 1):
             daemon, remote_sid = record.daemon, record.remote_sid
+            if daemon.dead or not daemon.breaker.allow():
+                raise daemon.down_error()
             try:
-                return call(daemon, remote_sid)
+                result = call(daemon, remote_sid)
             except (SessionNotFound, PermissionDeniedError):
+                daemon.breaker.record_success()  # It answered.
                 raise
             except (ServiceError, ConnectionError, OSError) as error:
                 if attempt or not self._failed_over(daemon, error):
+                    daemon.breaker.record_failure()
                     raise
                 with self._fleet_lock:
                     if record.gateway_sid not in self._sessions:
                         raise SessionNotFound(
                             f"Session {record.gateway_sid} was lost with its daemon"
                         ) from error
+            else:
+                daemon.breaker.record_success()
+                return result
 
     # -- dispatch ----------------------------------------------------------
 
@@ -581,16 +582,11 @@ class ServiceGateway(SocketRPCServer):
                         session_id=sub.session_id, error=error, wall_time_s=wall
                     )
 
-            # Graceful degradation: a dead or circuit-broken daemon's
-            # sessions get per-session ServiceIsDown results immediately —
-            # the survivors' groups keep stepping and no timeout is paid per
-            # broken session.
+            # A dead or circuit-broken daemon's sessions get per-session
+            # ServiceIsDown results immediately — the survivors' groups keep
+            # stepping and no timeout is paid per broken session.
             if daemon.dead or not daemon.breaker.allow():
-                return fail(ServiceIsDown(
-                    f"Gateway daemon {daemon.index} at {daemon.url} is "
-                    f"{'dead' if daemon.dead else 'circuit-broken'}; its "
-                    f"sessions are unavailable until the fleet recovers"
-                ))
+                return fail(daemon.down_error())
             translated = [
                 StepRequest(
                     session_id=records[sub.session_id].remote_sid,
@@ -724,7 +720,7 @@ class ServiceGateway(SocketRPCServer):
             "url": self.url,
             "role": "gateway",
             "protocol_version": WIRE_VERSION,
-            "wire_versions": sorted(SUPPORTED_WIRE_VERSIONS),
+            "wire_versions": sorted(CODECS),
             "uptime_s": time.monotonic() - self.started_at,
             "active_sessions": sessions,
             "connections_served": self.connections_served,

@@ -212,15 +212,11 @@ class SessionState:
 class HelloRequest:
     """Connection handshake: the first RPC a client sends on every socket.
 
-    Carries the client's auth token (checked against the server's accepted
-    set when authentication is configured) and the wire versions it can
-    decode, from which the server picks the highest shared one. Sent encoded
-    at the *oldest* supported wire version so any compatible server can read
-    it before negotiation has happened.
+    Carries the client's auth token, checked against the server's accepted
+    set when authentication is configured.
     """
 
     token: Optional[str] = None
-    wire_versions: List[int] = field(default_factory=list)
     client: str = ""
 
 
@@ -229,14 +225,10 @@ class HelloRequest:
 class HelloReply:
     """The server's half of the handshake.
 
-    ``wire_version`` is the negotiated version both sides use from now on.
     ``spaces_epoch`` is bumped by a gateway whenever it re-homes sessions
     across its fleet, and keys the client-side ``get_spaces`` cache so a
     post-failover connection never trusts pre-failover metadata.
     """
 
-    wire_version: int
-    server_wire_version: int = 0
-    supported_wire_versions: List[int] = field(default_factory=list)
     spaces_epoch: int = 0
     server: str = ""

@@ -4,17 +4,20 @@ Both ends of the fleet topology serve the same wire protocol — the compiler
 *daemon* (:class:`~repro.core.service.runtime.server.ServiceServer`) and the
 session-routing *gateway* (:class:`~repro.core.service.gateway.ServiceGateway`)
 — so the protocol mechanics live here once: the listener and accept loop, the
-per-connection reader that feeds a dispatch pool, reply framing at the
-version each client negotiated, the ``hello`` handshake (auth token check +
-wire-version negotiation), and orderly shutdown. Subclasses implement
-:meth:`_dispatch` to say what the RPC methods *mean*.
+per-connection reader that feeds a dispatch pool, reply framing (every
+reply at :data:`~repro.core.service.wire.WIRE_VERSION`, the one dialect
+there is), the ``hello`` handshake (auth token check), and orderly shutdown.
+Subclasses implement :meth:`_dispatch` to say what the RPC methods *mean*.
 
 Authentication is opt-in: constructed with ``auth_tokens``, a server rejects
 every RPC on a connection until a ``hello`` presenting one of the accepted
 tokens has succeeded, and hands the verified token to :meth:`_dispatch` so
 subclasses can enforce per-tenant session ownership. Without ``auth_tokens``
 all connections are implicitly authenticated as the anonymous tenant — the
-behaviour every pre-gateway deployment had.
+behaviour every pre-gateway deployment had. A connection that has not
+authenticated is served on its reader thread alone and may send only small
+frames (:data:`~repro.core.service.wire.UNAUTHENTICATED_MAX_FRAME_BYTES`):
+it can occupy neither the dispatch pool nor memory.
 """
 
 import logging
@@ -25,16 +28,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait as wait_futures
 from typing import Iterable, Optional
 
+from repro.core.service.proto import HelloReply, HelloRequest
 from repro.core.service.wire import (
-    LEGACY_WIRE_VERSION,
+    MAX_FRAME_BYTES,
     REPLY_ERROR,
     REPLY_OK,
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
+    UNAUTHENTICATED_MAX_FRAME_BYTES,
     corrupt_frame_payload,
     frame_bytes,
-    negotiate_wire_version,
-    read_frame_ex,
+    read_frame,
     write_frame_reply,
 )
 from repro.errors import PermissionDeniedError, ServiceError
@@ -45,13 +47,12 @@ logger = logging.getLogger(__name__)
 class ClientConnectionState:
     """Per-connection identity carried from the handshake into dispatch."""
 
-    __slots__ = ("token", "wire_version", "authenticated", "client")
+    __slots__ = ("token", "authenticated", "client")
 
     def __init__(self, authenticated: bool):
         # Anonymous until a hello says otherwise. ``authenticated`` starts
         # True on servers that require no token.
         self.token: Optional[str] = None
-        self.wire_version = LEGACY_WIRE_VERSION
         self.authenticated = authenticated
         self.client = ""
 
@@ -173,8 +174,12 @@ class SocketRPCServer:
         connection (request ids distinguish them) execute in parallel and
         their replies return in completion order. Reply writes are
         serialized by a per-connection lock so frames never interleave.
-        Replies are framed at the version the request frame arrived in, so
-        they are decodable by the sender whether or not it has negotiated.
+
+        Until the connection has authenticated its requests (``hello``,
+        ``heartbeat``, or a refusal) are served here on the reader thread and
+        its frames are held to the small pre-auth limit: the limit for the
+        next frame is then always read from a settled ``state``, and a peer
+        without a token reaches neither the dispatch pool nor a large buffer.
         """
         try:
             client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -188,8 +193,11 @@ class SocketRPCServer:
         try:
             while not self._shutdown_event.is_set():
                 try:
-                    frame_version, message = read_frame_ex(rfile)
-                    request_id, method, args = message
+                    request_id, method, args = read_frame(
+                        rfile,
+                        MAX_FRAME_BYTES if state.authenticated
+                        else UNAUTHENTICATED_MAX_FRAME_BYTES,
+                    )
                 except (EOFError, ConnectionError, OSError):
                     break  # Client went away (or speaks a rejected version).
                 except Exception:  # noqa: BLE001 - corrupt/hostile frame
@@ -203,17 +211,18 @@ class SocketRPCServer:
                     )
                     break
                 in_flight = [f for f in in_flight if not f.done()]
-                if self.serve_inline_when_idle and not in_flight:
+                if not state.authenticated or (
+                    self.serve_inline_when_idle and not in_flight
+                ):
                     self._serve_request(
-                        wfile, write_lock, state, frame_version, request_id,
-                        method, args,
+                        wfile, write_lock, state, request_id, method, args
                     )
                     continue
                 try:
                     in_flight.append(
                         self._dispatch_executor.submit(
                             self._serve_request, wfile, write_lock, state,
-                            frame_version, request_id, method, args,
+                            request_id, method, args,
                         )
                     )
                 except RuntimeError:
@@ -241,7 +250,6 @@ class SocketRPCServer:
         wfile,
         write_lock: threading.Lock,
         state: ClientConnectionState,
-        frame_version: int,
         request_id,
         method,
         args,
@@ -278,15 +286,12 @@ class SocketRPCServer:
                     time.sleep(param)
                 elif action == "corrupt":
                     self._write_corrupted_reply(
-                        wfile, write_lock, request_id, status, payload,
-                        frame_version,
+                        wfile, write_lock, request_id, status, payload
                     )
                     return
         try:
             with write_lock:
-                write_frame_reply(
-                    wfile, request_id, status, payload, version=frame_version
-                )
+                write_frame_reply(wfile, request_id, status, payload)
         except (OSError, ConnectionError, ValueError):
             pass  # Reply write failed: the client is gone.
 
@@ -302,7 +307,7 @@ class SocketRPCServer:
         }
 
     def _write_corrupted_reply(
-        self, wfile, write_lock, request_id, status, payload, frame_version
+        self, wfile, write_lock, request_id, status, payload
     ) -> None:
         """Write a reply frame whose payload bytes are garbage (chaos only).
 
@@ -310,9 +315,7 @@ class SocketRPCServer:
         reads a plausible frame and fails in its decoder — the same shape as
         bit rot or a version-skewed peer.
         """
-        frame = corrupt_frame_payload(
-            frame_bytes((request_id, status, payload), version=frame_version)
-        )
+        frame = corrupt_frame_payload(frame_bytes((request_id, status, payload)))
         try:
             with write_lock:
                 wfile.write(frame)
@@ -323,9 +326,7 @@ class SocketRPCServer:
     # -- handshake ---------------------------------------------------------
 
     def _hello(self, state: ClientConnectionState, request):
-        """Authenticate the connection and negotiate the wire version."""
-        from repro.core.service.proto import HelloReply, HelloRequest
-
+        """Authenticate the connection."""
         if not isinstance(request, HelloRequest):
             raise ServiceError(
                 f"hello expects a HelloRequest, got {type(request).__name__}"
@@ -337,11 +338,7 @@ class SocketRPCServer:
         state.token = request.token
         state.authenticated = True
         state.client = request.client
-        state.wire_version = negotiate_wire_version(request.wire_versions)
         return HelloReply(
-            wire_version=state.wire_version,
-            server_wire_version=WIRE_VERSION,
-            supported_wire_versions=sorted(SUPPORTED_WIRE_VERSIONS),
             spaces_epoch=self.spaces_epoch(),
             server=f"repro-{self.server_kind}-pid{os.getpid()}",
         )

@@ -62,14 +62,10 @@ from repro.core.service.proto import (
     StepSessionsRequest,
 )
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
-from repro.core.service.wire import SUPPORTED_WIRE_VERSIONS, WIRE_VERSION
+from repro.core.service.wire import CODECS, WIRE_VERSION
 from repro.errors import PermissionDeniedError, ServiceError, SessionNotFound
 
 logger = logging.getLogger(__name__)
-
-# Historical alias; the daemon reports its current wire version under this
-# name in server_info.
-PROTOCOL_VERSION = WIRE_VERSION
 
 
 def _picklable_error(error: BaseException) -> BaseException:
@@ -365,8 +361,8 @@ class ServiceServer(SocketRPCServer):
             "pid": os.getpid(),
             "env_id": self.env_id,
             "url": self.url,
-            "protocol_version": PROTOCOL_VERSION,
-            "wire_versions": sorted(SUPPORTED_WIRE_VERSIONS),
+            "protocol_version": WIRE_VERSION,
+            "wire_versions": sorted(CODECS),
             "uptime_s": time.monotonic() - self.started_at,
             "active_sessions": tracked,
             "reaped_sessions": reaped,

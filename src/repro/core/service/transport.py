@@ -22,21 +22,36 @@ Two implementations are provided:
   a runtime gets crash isolation and its own interpreter lock.
 
 The framing and encoding of every byte on the wire — the ``(status,
-payload)`` reply convention, the version-prefixed frame layout, the codec
-registry, service URL parsing — live in :mod:`repro.core.service.wire`, the
-single source of truth shared with the daemon and the gateway. This module
-re-exports the common names for backwards compatibility.
+payload)`` reply convention, the version-prefixed frame layout, the codec,
+service URL parsing — live in :mod:`repro.core.service.wire`, the single
+source of truth shared with the daemon and the gateway.
 
-The socket protocol is *multiplexed*: every frame starts with a wire-version
-byte, requests carry a monotonically increasing request id, and replies echo
-it back. One :class:`SocketTransport` holds one socket plus a single reader
-thread that routes replies to the caller that issued each request, so any
-number of concurrent callers — forked environments, pool workers, batched
-steppers — overlap their RPCs on the shared connection instead of
-serializing on it. On connect the transport performs the ``hello``
-handshake: it presents its auth token and the wire versions it speaks, and
-adopts the negotiated version (falling back to the legacy bare-pickle
-dialect against a pre-handshake daemon).
+The socket protocol is *multiplexed*: requests carry a monotonically
+increasing request id and replies echo it back, so any number of concurrent
+callers — forked environments, pool workers, batched steppers — overlap
+their RPCs on one :class:`SocketTransport`'s one socket instead of
+serializing on it. There is no reader thread. The callers waiting for a
+reply share the read side *leader/follower*: one of them at a time reads the
+socket on its own thread and routes each frame to the slot of the caller
+that issued the request, and hands the role on when its own reply has
+arrived. A lone caller — by far the common case — therefore pays no
+cross-thread hand-off per round trip, and a connection costs no thread.
+
+The price is that nobody reads an idle connection, so a peer that goes away
+while no call is in flight is not noticed until the next call. That call
+finds out one of two ways: its send fails with nothing flushed (a Unix
+socket whose peer is gone), which is safe to retry and is retried on a fresh
+connection; or its send is accepted by the kernel and the read then hits
+EOF/reset (TCP), which is indistinguishable from a daemon that died *after*
+reading the request and so surfaces as the non-retryable
+:class:`~repro.errors.ServiceTransportError`, exactly as a loss in flight
+does. Either way the connection is retired and the call after that opens a
+fresh one.
+
+On connect the transport performs the ``hello`` handshake: it presents its
+auth token and adopts the server's spaces epoch. A refused token raises
+:class:`~repro.errors.PermissionDeniedError`; any other error reply fails
+the connect.
 """
 
 import itertools
@@ -46,21 +61,13 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.service.wire import (  # noqa: F401 - re-exported wire API
-    LEGACY_WIRE_VERSION,
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+from repro.core.service.proto import HelloReply, HelloRequest
+from repro.core.service.wire import (
     REPLY_ERROR,
-    REPLY_OK,
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
     frame_bytes,
     parse_service_url,
     raise_remote_error,
     read_frame,
-    read_frame_ex,
-    write_frame,
-    write_frame_reply,
 )
 from repro.errors import (
     PermissionDeniedError,
@@ -83,7 +90,7 @@ class ServiceTransport:
     name = "transport"
     # Seconds to wait between failed connect attempts (doubled per retry).
     # Zero for channels whose failures are not time-dependent.
-    _connect_retry_wait = 0.0
+    _connect_backoff_s = 0.0
 
     def __init__(self):
         self.closed = False
@@ -97,7 +104,7 @@ class ServiceTransport:
         (clean up a half-open channel before the next attempt).
         """
         self._connect_attempts = max(1, max_attempts)
-        wait = self._connect_retry_wait
+        wait = self._connect_backoff_s
         last_error = None
         for attempt in range(self._connect_attempts):
             try:
@@ -115,7 +122,7 @@ class ServiceTransport:
                 if wait and attempt + 1 < self._connect_attempts:
                     time.sleep(wait)
                     wait *= 2
-        raise ServiceError(f"{self._connect_error_prefix}: {last_error}")
+        raise ServiceTransportError(f"{self._connect_error_prefix}: {last_error}")
 
     def _open(self) -> None:
         """Establish the channel (one attempt)."""
@@ -206,12 +213,12 @@ class _SendError(Exception):
 
 
 class _PendingReply:
-    """One caller's slot in the demultiplexer: an event plus the outcome."""
+    """One caller's slot in the demultiplexer: the outcome, once ``done``."""
 
-    __slots__ = ("event", "status", "payload", "error")
+    __slots__ = ("done", "status", "payload", "error")
 
     def __init__(self):
-        self.event = threading.Event()
+        self.done = False
         self.status = None
         self.payload = None
         self.error: Optional[BaseException] = None
@@ -219,39 +226,28 @@ class _PendingReply:
     def resolve(self, status: str, payload: Any) -> None:
         self.status = status
         self.payload = payload
-        self.event.set()
+        self.done = True
 
     def fail(self, error: BaseException) -> None:
         self.error = error
-        self.event.set()
+        self.done = True
 
 
 class _MuxSocketConnection:
     """One live multiplexed socket to the daemon.
 
     Owns the connection *epoch*: the socket, the per-connection request-id
-    counter, the pending map, and the single reader thread that routes each
-    ``(request_id, status, payload)`` reply frame to the caller that issued
-    the matching request. Concurrent callers interleave freely — sends are
+    counter, the pending map, and the reader role by which the waiting
+    callers route each ``(request_id, status, payload)`` reply frame to the
+    caller that issued the matching request (leader/follower — see
+    :meth:`await_reply`). Concurrent callers interleave freely — sends are
     serialized under a send lock (frames must not interleave on the wire)
     but nobody waits for anyone else's reply. A dead connection is never
     revived: the transport opens a fresh epoch instead, so a stale reader
     can never consume frames meant for a successor connection.
-
-    With ``inline_reads=True`` there is no reader thread: waiters share the
-    read side cooperatively (leader/follower — see :meth:`await_reply`), so
-    a single-flight caller pays zero cross-thread handoffs per round trip.
-    Sends are unaffected, so concurrent requests still overlap in flight.
     """
 
-    def __init__(
-        self,
-        url: str,
-        family: str,
-        address,
-        timeout: float,
-        inline_reads: bool = False,
-    ):
+    def __init__(self, url: str, family: str, address, timeout: float):
         self.url = url
         self.timeout = timeout
         if family == "unix":
@@ -270,24 +266,11 @@ class _MuxSocketConnection:
         self._request_ids = itertools.count()
         self.dead: Optional[BaseException] = None
         self.closed = False  # Set by a deliberate local close/shutdown.
-        # Wire version this connection encodes requests at. Starts at the
-        # legacy dialect — which any server can decode — and is raised by the
-        # transport after the hello handshake settles on a shared version.
-        # Replies are self-describing (each frame carries its version byte)
-        # so the reader needs no matching state.
-        self.negotiated_version = LEGACY_WIRE_VERSION
-        self._inline_reads = inline_reads
-        # Leader/follower state for inline reads: at most one waiter (the
-        # leader) blocks in recv at a time; the rest wait on this condition
-        # for either their reply or the reader role.
+        # Leader/follower state: at most one waiter (the leader) blocks in
+        # recv at a time; the rest wait on this condition for either their
+        # reply or the reader role.
         self._role_cv = threading.Condition()
         self._reading = False
-        self._reader: Optional[threading.Thread] = None
-        if not inline_reads:
-            self._reader = threading.Thread(
-                target=self._read_loop, name="repro-socket-reader", daemon=True
-            )
-            self._reader.start()
 
     # -- request lifecycle -------------------------------------------------
 
@@ -317,8 +300,7 @@ class _MuxSocketConnection:
         have reached the daemon (safe to retry); anything more is ambiguous
         (must not be retried).
         """
-        frame = frame_bytes((request_id, method, args), self.negotiated_version)
-        view = memoryview(frame)
+        view = memoryview(frame_bytes((request_id, method, args)))
         sent = 0
         with self._send_lock:
             try:
@@ -327,25 +309,15 @@ class _MuxSocketConnection:
             except (OSError, ValueError) as error:
                 raise _SendError(error, bytes_flushed=sent) from error
 
-    # -- reply routing (reader thread or inline leader) --------------------
-
-    def _read_loop(self) -> None:
-        while self.dead is None:
-            self._read_one()
+    # -- reply routing (by whichever waiter holds the reader role) ---------
 
     def _read_one(self) -> None:
         """Read and route one reply frame; on failure, kill the connection."""
         try:
             message = read_frame(self._rfile)
         except socket.timeout:
-            # An idle read timeout is fatal only when somebody is
-            # actually waiting: it means a request overran the transport
-            # timeout. A quiet connection with nothing pending just
-            # keeps listening.
-            with self._pending_lock:
-                waiting = bool(self._pending)
-            if not waiting:
-                return
+            # Only a waiter reads, so a read timeout always means a request
+            # overran the transport timeout.
             self._fail_pending(
                 ServiceTransportError(
                     f"No reply from {self.url} within {self.timeout}s: the "
@@ -376,31 +348,30 @@ class _MuxSocketConnection:
             pending.resolve(status, payload)
         # An unmatched id is a reply whose waiter gave up; drop it.
 
-    def await_reply(
-        self, request_id: int, pending: _PendingReply, timeout: float
-    ) -> bool:
+    def await_reply(self, pending: _PendingReply, timeout: float) -> bool:
         """Block until this request's reply slot resolves; False on timeout.
 
-        Mux connections just park on the slot's event — the reader thread
-        routes frames. Inline connections run a leader/follower protocol
-        instead: the first waiter reads the socket on its *own* thread, so a
-        single-flight caller (the common gateway fleet-link case) pays zero
-        cross-thread handoffs per round trip. A leader whose frame resolves
-        somebody else's slot keeps reading; when its own reply lands it hands
-        the reader role to the next waiter via the condition variable.
+        The first waiter becomes the *leader* and reads the socket on its
+        own thread; later waiters are *followers*, parked on the role
+        condition. The leader gives the role up after every frame and wakes
+        the followers: the one whose slot that frame resolved leaves, and
+        one of the rest (the old leader included, if its own reply is still
+        to come) takes the role. So no frame is read without being routed,
+        and no waiter is left parked once its reply — or the connection's
+        death — has been read.
         """
-        if not self._inline_reads:
-            return pending.event.wait(timeout)
         deadline = time.monotonic() + timeout
-        while not pending.event.is_set():
+        while not pending.done:
             with self._role_cv:
-                while not pending.event.is_set() and self._reading:
+                while self._reading and not pending.done:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        return pending.event.is_set()
+                        return False
                     self._role_cv.wait(remaining)
-                if pending.event.is_set():
+                if pending.done:
                     return True
+                if time.monotonic() >= deadline:
+                    return False
                 self._reading = True
             try:
                 self._read_one()
@@ -411,7 +382,7 @@ class _MuxSocketConnection:
             if self.dead is not None:
                 # _read_one failed every pending slot, ours included.
                 break
-        return pending.event.is_set()
+        return pending.done
 
     def _death_error(self, error: BaseException) -> BaseException:
         if self.closed:
@@ -430,8 +401,8 @@ class _MuxSocketConnection:
             self._pending.clear()
         for slot in pending:
             slot.fail(error)
-        # Wake inline followers parked on the role condition (their slots
-        # just failed, but only a notify re-checks the wait predicate).
+        # Wake the followers parked on the role condition (their slots just
+        # failed, but only a notify re-checks the wait predicate).
         with self._role_cv:
             self._role_cv.notify_all()
 
@@ -445,7 +416,7 @@ class _MuxSocketConnection:
                 pass
 
     def close(self, error: Optional[BaseException] = None) -> None:
-        """Deliberate local teardown: fail in-flight calls, wake the reader."""
+        """Deliberate local teardown: fail in-flight calls, wake the leader."""
         self.closed = True
         self._fail_pending(error if error is not None else self._death_error(EOFError()))
         try:
@@ -456,15 +427,16 @@ class _MuxSocketConnection:
 
 
 class SocketTransport(ServiceTransport):
-    """Speaks the multiplexed pickled RPC protocol to a service daemon.
+    """Speaks the multiplexed RPC protocol to a service daemon or gateway.
 
     One transport holds one socket to the daemon, shared by any number of
     concurrent callers: every request carries a connection-unique request id,
-    and a single reader thread routes each reply to the caller that issued
-    it, so forked environments and pool workers overlap their round trips on
-    the one connection instead of serializing. ``restart()`` reconnects
-    without touching the daemon, so crash recovery on the client never
-    destroys server-side sessions other than the caller's own.
+    and whichever waiting caller holds the reader role routes each reply to
+    the caller that issued it, so forked environments and pool workers
+    overlap their round trips on the one connection instead of serializing.
+    ``restart()`` reconnects without touching the daemon, so crash recovery
+    on the client never destroys server-side sessions other than the
+    caller's own.
     """
 
     name = "socket"
@@ -473,34 +445,16 @@ class SocketTransport(ServiceTransport):
     supports_step_sessions = True
     # The daemon may still be binding when the first client arrives; back
     # off briefly between connect attempts.
-    _connect_retry_wait = 0.05
+    _connect_backoff_s = 0.05
 
     def __init__(
-        self,
-        url: str,
-        timeout: float = 300.0,
-        connect_retry_wait: float = None,
-        auth_token: Optional[str] = None,
-        wire_version: Optional[int] = None,
-        inline_reads: bool = False,
+        self, url: str, timeout: float = 300.0, auth_token: Optional[str] = None
     ):
         super().__init__()
         self.url = url
         self.family, self.address = parse_service_url(url)
         self.timeout = timeout
         self.auth_token = auth_token
-        # Optional ceiling on the negotiated wire version. A gateway pins its
-        # authenticated fleet links to the compact legacy codec: the typed
-        # codec's skew tolerance buys nothing between co-released peers, and
-        # the encode/decode premium is pure tax on every proxied hop.
-        self.wire_version = wire_version
-        # Read replies on the waiting caller's thread (leader/follower)
-        # instead of a dedicated reader thread. Gateways use this on fleet
-        # links, where the dispatch thread is almost always the only waiter:
-        # it trims two thread wakeups off every proxied round trip.
-        self.inline_reads = inline_reads
-        if connect_retry_wait is not None:
-            self._connect_retry_wait = connect_retry_wait
         self._conn: Optional[_MuxSocketConnection] = None
         self._lock = threading.RLock()
         self._spaces_epoch = 0
@@ -521,63 +475,32 @@ class SocketTransport(ServiceTransport):
         return self.url
 
     def _open(self) -> None:
-        conn = _MuxSocketConnection(
-            self.url,
-            self.family,
-            self.address,
-            self.timeout,
-            inline_reads=self.inline_reads,
-        )
+        """Connect and run the hello exchange on the fresh connection."""
+        conn = _MuxSocketConnection(self.url, self.family, self.address, self.timeout)
         try:
-            self._handshake(conn)
+            pending = self._roundtrip(
+                conn,
+                "hello",
+                (HelloRequest(token=self.auth_token, client=f"repro-client-pid{os.getpid()}"),),
+            )
+            reply = pending.payload
+            if pending.status == REPLY_ERROR:
+                if isinstance(reply, PermissionDeniedError):
+                    raise reply
+                raise ServiceError(
+                    f"{self.url} refused the hello handshake: "
+                    f"{type(reply).__name__}: {reply}"
+                )
+            if not isinstance(reply, HelloReply):
+                raise ServiceError(
+                    f"{self.url} answered hello with a {type(reply).__name__}, "
+                    f"not a HelloReply"
+                )
         except BaseException:
             conn.close(ServiceIsClosed("Handshake failed"))
             raise
+        self._note_spaces_epoch(reply.spaces_epoch)
         self._conn = conn
-
-    def _handshake(self, conn: _MuxSocketConnection) -> None:
-        """Run the hello exchange on a fresh connection.
-
-        The request is encoded at the connection's initial (legacy) version
-        so any server can read it. A pre-handshake daemon answers with
-        "unknown method", which downgrades this client to the legacy
-        bare-pickle dialect instead of failing — one full version of skew in
-        either direction keeps working.
-        """
-        from repro.core.service.proto import HelloReply, HelloRequest
-
-        advertised = sorted(SUPPORTED_WIRE_VERSIONS)
-        if self.wire_version is not None:
-            advertised = [v for v in advertised if v <= self.wire_version]
-        request = HelloRequest(
-            token=self.auth_token,
-            wire_versions=advertised,
-            client=f"repro-client-pid{os.getpid()}",
-        )
-        request_id, pending = conn.register()
-        try:
-            conn.send_request(request_id, "hello", (request,))
-        except _SendError as error:
-            conn.discard(request_id)
-            raise ConnectionError(
-                f"Connection to {self.url} failed during handshake: {error.cause}"
-            ) from error.cause
-        if not conn.await_reply(request_id, pending, self.timeout + 30):
-            conn.discard(request_id)
-            raise ConnectionError(
-                f"No hello reply from {self.url} within {self.timeout}s"
-            )
-        if pending.error is not None:
-            raise pending.error
-        if pending.status == REPLY_ERROR:
-            if isinstance(pending.payload, PermissionDeniedError):
-                raise pending.payload
-            # Legacy daemon: no hello method. Stay on the legacy dialect.
-            return
-        reply = pending.payload
-        if isinstance(reply, HelloReply) and reply.wire_version in SUPPORTED_WIRE_VERSIONS:
-            conn.negotiated_version = reply.wire_version
-            self._note_spaces_epoch(reply.spaces_epoch)
 
     def _note_spaces_epoch(self, epoch: int) -> None:
         """Adopt the server's spaces epoch, retiring the stale cache entry."""
@@ -613,8 +536,15 @@ class SocketTransport(ServiceTransport):
                 conn = self._conn
             return conn
 
-    def call(self, method: str, *args) -> Any:
-        conn = self._acquire_connection()
+    def _retire(self, conn: _MuxSocketConnection, failure: BaseException) -> None:
+        """Retire a broken connection epoch, failing its in-flight calls."""
+        with self._lock:
+            if self._conn is conn:
+                self._conn = None
+        conn.close(failure)
+
+    def _roundtrip(self, conn: _MuxSocketConnection, method: str, args: tuple) -> _PendingReply:
+        """Send one request on ``conn`` and return its resolved reply slot."""
         request_id, pending = conn.register()
         try:
             conn.send_request(request_id, method, args)
@@ -623,18 +553,16 @@ class SocketTransport(ServiceTransport):
             # The socket is broken for every caller sharing it; retire this
             # connection epoch (failing other in-flight calls, whose frames
             # WERE fully sent, as non-retryable).
-            with self._lock:
-                if self._conn is conn:
-                    self._conn = None
             if error.bytes_flushed == 0:
                 # Nothing reached the wire: the request cannot be applied on
                 # the daemon, so the connection's restart/retry loop may
                 # safely re-send it on a fresh connection.
-                conn.close(
+                self._retire(
+                    conn,
                     ServiceTransportError(
                         f"Connection to {self.url} was lost: in-flight calls "
                         f"may already be applied and will not be retried"
-                    )
+                    ),
                 )
                 raise ConnectionError(
                     f"Service connection to {self.url} failed before any of "
@@ -650,26 +578,27 @@ class SocketTransport(ServiceTransport):
                 f"call may already be applied on the daemon and will not be "
                 f"retried ({error.cause})"
             )
-            conn.close(failure)
+            self._retire(conn, failure)
             raise failure from error.cause
-        # Wait for our reply to be routed (by the reader thread, or by
-        # reading inline on this thread). The read side enforces the
-        # transport timeout centrally; the slack here is only a backstop
-        # against the reader dying without failing this slot.
-        if not conn.await_reply(request_id, pending, self.timeout + 30):
+        # Wait for our reply to be routed (by this thread as leader, or by
+        # another waiter's). The read side enforces the transport timeout;
+        # the slack here is a backstop for a waiter whose reply never comes
+        # while frames for others keep the read side busy.
+        if not conn.await_reply(pending, self.timeout + 30):
             conn.discard(request_id)
-            with self._lock:
-                if self._conn is conn:
-                    self._conn = None
             failure = ServiceTransportError(
                 f"No reply from {self.url} for {method}() within "
                 f"{self.timeout}s: the call may already be applied on the "
                 f"daemon and will not be retried"
             )
-            conn.close(failure)
+            self._retire(conn, failure)
             raise failure
         if pending.error is not None:
             raise pending.error
+        return pending
+
+    def call(self, method: str, *args) -> Any:
+        pending = self._roundtrip(self._acquire_connection(), method, args)
         if pending.status == REPLY_ERROR:
             raise_remote_error(method, pending.payload)
         return pending.payload
@@ -685,8 +614,8 @@ class SocketTransport(ServiceTransport):
         if self.closed:
             return
         self.closed = True
-        # Closing the connection epoch wakes every in-flight caller (their
-        # reply slots fail with ServiceIsClosed) and unblocks the reader.
+        # Closing the connection epoch wakes every in-flight caller: their
+        # reply slots fail with ServiceIsClosed.
         with self._lock:
             self._close_socket(ServiceIsClosed("Socket transport is closed"))
 

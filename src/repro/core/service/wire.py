@@ -13,40 +13,28 @@ module. It is the single source of truth for the wire conventions:
 
 **Versioning.** Frames are self-describing: the leading byte names the
 *wire version* the payload is encoded with, and each version maps to a
-:class:`Codec` in :data:`CODECS`. The current version is
-:data:`WIRE_VERSION`; a peer also accepts the previous version, so a client
-and a daemon fleet may be upgraded independently as long as they are within
-one version of each other. A frame announcing a version with no registered
-codec (two or more versions of skew, or garbage) is rejected on its first
-byte with a :class:`ConnectionError`, never decoded.
+:class:`Codec` in :data:`CODECS`. This build speaks exactly one version,
+:data:`WIRE_VERSION`, in both directions: every request and every reply is
+framed at it, and nothing is negotiated. A frame whose version byte has no
+registered codec (an older or newer peer, or garbage) is refused on that
+byte with a :class:`ConnectionError`, never decoded. The byte is the upgrade
+path: a future version is introduced by registering its codec here beside
+the current one, and the frames of both then decode.
 
-The version each side *sends* is negotiated on connect: clients open every
-connection with a ``hello`` RPC encoded at the oldest supported version,
-the server answers with the highest version both sides speak, and both
-sides use that negotiated version from then on. A server replies to every
-request at the version of the request's own frame, so an un-negotiated
-(legacy) peer is answered in the dialect it spoke.
+**Codec.** Version 2 (:class:`TypedPickleCodec`): the message graph is
+first lowered to a tagged primitive structure in which every registered
+protocol message (see :func:`wire_message`) travels as ``(tag, field-dict)``
+*by registry name*, not by pickle's module path. Decoding looks the tag up
+in the registry and rebuilds the dataclass from its fields, ignoring unknown
+field names — so messages can gain fields, move between modules, or be
+reordered without breaking the wire. Values outside the registry (numpy
+arrays, spaces, exceptions) travel as explicitly-tagged opaque pickles.
 
-**Codecs.**
-
-* Version 1 (:class:`PickleCodec`) — the legacy format: the payload is one
-  bare pickle. Kept so one-version-older peers interoperate.
-* Version 2 (:class:`TypedPickleCodec`) — the typed format: the message
-  graph is first lowered to a tagged primitive structure in which every
-  registered protocol message (see :func:`wire_message`) travels as
-  ``(tag, field-dict)`` *by registry name*, not by pickle's module path.
-  Decoding looks the tag up in the registry and rebuilds the dataclass from
-  its fields, ignoring unknown field names — so messages can gain fields,
-  move between modules, or be reordered without breaking the wire. Values
-  outside the registry (numpy arrays, spaces, exceptions) travel as
-  explicitly-tagged opaque pickles.
-
-The typed codec narrows what a frame can instantiate to the registered
-message vocabulary plus tagged opaque payloads; together with the
-connection auth tokens enforced by the server it replaces the old
-"bare pickle from anyone who can connect" trust model. Opaque payloads are
-still pickle, so peers must hold a valid token to be worth trusting —
-tokens gate *who* may speak, the typed layer pins *what* they may say.
+The typed layer pins *what* a peer may say to the registered message
+vocabulary plus tagged opaque payloads, but its envelope and the opaque
+payloads are still pickle, so a peer must hold a valid token to be worth
+trusting: tokens gate *who* may speak. Until a connection has authenticated,
+a server reads no frame larger than :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`.
 """
 
 import dataclasses
@@ -80,18 +68,9 @@ def raise_remote_error(method: str, error: BaseException):
         f"Compiler service error in {method}(): {type(error).__name__}: {error}"
     ) from error
 
-# The wire version this build encodes by default. Bump when the encoding
-# changes incompatibly; keep the previous version's codec registered so
-# one-version-older peers continue to interoperate.
+# The wire version this build speaks: the version byte of every frame it
+# writes. Bump when the encoding changes incompatibly.
 WIRE_VERSION = 2
-
-# The oldest version still spoken: the bare-pickle format of the original
-# socket protocol. ``hello`` handshakes are sent at this version so that any
-# compatible peer can decode them before negotiation has happened.
-LEGACY_WIRE_VERSION = 1
-
-# Historical alias (the original single-version protocol constant).
-PROTOCOL_VERSION = WIRE_VERSION
 
 # Frame header after the version byte: payload length, big-endian uint64.
 _FRAME_HEADER = struct.Struct(">Q")
@@ -99,6 +78,12 @@ _FRAME_HEADER = struct.Struct(">Q")
 # Upper bound on a single message; a frame header announcing more than this
 # is treated as protocol corruption rather than honored with an allocation.
 MAX_FRAME_BYTES = 1 << 31
+
+# What a server reads from a connection that has not authenticated yet. The
+# payload buffer is allocated from the header alone, so without this bound
+# nine bytes from anyone who can connect would buy a 2 GiB allocation; a
+# ``hello`` or ``heartbeat`` request is under 300 bytes.
+UNAUTHENTICATED_MAX_FRAME_BYTES = 1 << 16
 
 
 # -- typed message registry ---------------------------------------------------
@@ -174,19 +159,6 @@ class Codec:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(version={self.version})"
-
-
-class PickleCodec(Codec):
-    """Wire version 1: the payload is one bare pickle (the legacy format)."""
-
-    version = LEGACY_WIRE_VERSION
-    name = "pickle"
-
-    def encode(self, message: Any) -> bytes:
-        return pickle.dumps(message)
-
-    def decode(self, data: bytes) -> Any:
-        return pickle.loads(data)
 
 
 # Structure tags of the typed codec's lowered form. Raw primitives travel
@@ -287,33 +259,12 @@ class TypedPickleCodec(Codec):
         raise ServiceError(f"Unknown typed wire tag: {tag!r}")
 
 
-#: Every wire version this build can decode, by version byte. A peer within
-#: one version of :data:`WIRE_VERSION` finds its codec here; anything else
-#: is rejected on the frame's first byte.
-CODECS: Dict[int, Codec] = {
-    codec.version: codec for codec in (PickleCodec(), TypedPickleCodec())
-}
-
-SUPPORTED_WIRE_VERSIONS = tuple(sorted(CODECS))
-
-
-def negotiate_wire_version(peer_versions) -> int:
-    """The highest wire version shared with a peer's advertised versions."""
-    shared = [v for v in (peer_versions or ()) if v in CODECS]
-    return max(shared) if shared else LEGACY_WIRE_VERSION
+#: Every wire version this build can decode, by version byte. A frame
+#: announcing any other version is refused on its first byte.
+CODECS: Dict[int, Codec] = {WIRE_VERSION: TypedPickleCodec()}
 
 
 # -- framing ------------------------------------------------------------------
-
-
-def encode_payload(message: Any, version: int = WIRE_VERSION) -> bytes:
-    """Encode one message with the codec of ``version``."""
-    return CODECS[version].encode(message)
-
-
-def decode_payload(data: bytes, version: int) -> Any:
-    """Decode one payload with the codec of ``version``."""
-    return CODECS[version].decode(data)
 
 
 #: Size of the fixed frame header: one version byte plus the uint64 length
@@ -336,28 +287,20 @@ def corrupt_frame_payload(frame: bytes) -> bytes:
     return bytes(corrupted)
 
 
-def frame_bytes(message: Any, version: int = WIRE_VERSION) -> bytes:
+def frame_bytes(message: Any) -> bytes:
     """Serialize one message to its on-the-wire frame: version byte,
     length prefix, encoded payload."""
-    data = encode_payload(message, version)
-    return bytes([version]) + _FRAME_HEADER.pack(len(data)) + data
+    data = CODECS[WIRE_VERSION].encode(message)
+    return bytes([WIRE_VERSION]) + _FRAME_HEADER.pack(len(data)) + data
 
 
-def _write_payload(wfile, data: bytes, version: int) -> None:
-    """Write one already-encoded payload with the version+length framing."""
-    wfile.write(bytes([version]) + _FRAME_HEADER.pack(len(data)) + data)
+def write_frame(wfile, message: Any) -> None:
+    """Write one version-prefixed, length-prefixed encoded message."""
+    wfile.write(frame_bytes(message))
     wfile.flush()
 
 
-def write_frame(wfile, message: Any, version: int = WIRE_VERSION) -> None:
-    """Write one version-prefixed, length-prefixed encoded message."""
-    _write_payload(wfile, encode_payload(message, version), version)
-
-
-def write_frame_reply(
-    wfile, request_id: Optional[int], status: str, payload: Any,
-    version: int = WIRE_VERSION,
-) -> None:
+def write_frame_reply(wfile, request_id: Optional[int], status: str, payload: Any) -> None:
     """Write a ``(request_id, status, payload)`` reply frame, degrading an
     unencodable payload to a :class:`ServiceError`.
 
@@ -369,22 +312,23 @@ def write_frame_reply(
     errors propagate.
     """
     try:
-        data = encode_payload((request_id, status, payload), version)
+        frame = frame_bytes((request_id, status, payload))
     except Exception:  # noqa: BLE001 - degrade, don't drop the connection
-        data = encode_payload(
-            (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__}: {payload}")),
-            version,
+        frame = frame_bytes(
+            (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__}: {payload}"))
         )
-    _write_payload(wfile, data, version)
+    wfile.write(frame)
+    wfile.flush()
 
 
-def read_frame_ex(rfile) -> Tuple[int, Any]:
-    """Read one frame, returning ``(wire_version, message)``.
+def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
+    """Read one framed message from a binary stream.
 
     Raises ``EOFError`` on a cleanly closed stream and ``ConnectionError``
     on a version-skewed, truncated, or oversized frame. A frame whose
-    version byte has no registered codec — two or more versions of skew —
-    is rejected here, before a single payload byte is decoded.
+    version byte has no registered codec is refused here, before a single
+    payload byte is decoded; one whose header announces more than
+    ``max_bytes`` is refused before its payload is allocated or read.
     """
     version_byte = rfile.read(1)
     if not version_byte:
@@ -393,14 +337,13 @@ def read_frame_ex(rfile) -> Tuple[int, Any]:
     if version not in CODECS:
         raise ConnectionError(
             f"Unsupported wire protocol version {version}: this peer speaks "
-            f"{sorted(CODECS)} (current {WIRE_VERSION}; more than one version "
-            f"of skew is rejected)"
+            f"version {WIRE_VERSION} only"
         )
     header = rfile.read(_FRAME_HEADER.size)
     if len(header) < _FRAME_HEADER.size:
         raise ConnectionError("Truncated frame header")
     (length,) = _FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
+    if length > max_bytes:
         raise ConnectionError(f"Frame of {length} bytes exceeds protocol maximum")
     data = bytearray(length)
     unfilled = memoryview(data)
@@ -409,12 +352,7 @@ def read_frame_ex(rfile) -> Tuple[int, Any]:
         if not count:
             raise ConnectionError("Truncated frame payload")
         unfilled = unfilled[count:]
-    return version, decode_payload(data, version)
-
-
-def read_frame(rfile) -> Any:
-    """Read one framed message from a binary stream (any supported version)."""
-    return read_frame_ex(rfile)[1]
+    return CODECS[version].decode(data)
 
 
 # -- service URLs -------------------------------------------------------------

@@ -61,6 +61,12 @@ class Deployment:
             make_kwargs["service_url"] = self.server.url
         return repro.make("llvm-v0", **make_kwargs)
 
+    def sessions(self, env) -> int:
+        """How many sessions the service holds (a gateway: routes) right now."""
+        if self.server is None:
+            return len(env.service.runtime.sessions)
+        return self.server.server_info()["active_sessions"]
+
     def result_cache_stats(self, env):
         """The (benchmark, action-prefix) cache counters behind ``env`` as the
         service reports them, summed over a fleet; ``None`` where the

@@ -32,13 +32,8 @@ from repro.core.service.gateway import ServiceGateway
 from repro.core.service.health import CircuitBreaker, HealthMonitor
 from repro.core.service.proto import StartSessionRequest, StepRequest
 from repro.core.service.runtime.server import ServiceServer
-from repro.core.service.transport import (
-    REPLY_OK,
-    ServiceTransport,
-    SocketTransport,
-    read_frame,
-    write_frame,
-)
+from repro.core.service.transport import ServiceTransport, SocketTransport
+from repro.core.service.wire import REPLY_OK, read_frame, write_frame
 from repro.core.vector import VecCompilerEnv
 from repro.errors import (
     PermissionDeniedError,
@@ -648,7 +643,11 @@ class TestGracefulDegradation:
                 # Trip the breaker by hand (as repeated probe failures
                 # would). The daemon itself stays alive throughout.
                 broken.breaker.force_open()
-                steps_served = broken.connection.stats_summary()["step"]["calls"]
+                served = broken.connection.stats_summary()
+                # A fork is shed like a step: refused at the gateway.
+                with pytest.raises(ServiceIsDown):
+                    env_a.fork()
+                assert broken.connection.stats_summary() == served
                 degraded, dones, infos = step(ACTIONS[1])
                 assert all(dones)
                 assert all(info.get("service_is_down") for info in infos)
@@ -656,10 +655,16 @@ class TestGracefulDegradation:
                     env_a.reward_space.reward_on_error(reward) for reward in rewards
                 ]
                 # Shed, not attempted: the broken daemon saw no step.
-                assert broken.connection.stats_summary()["step"]["calls"] == steps_served
-                # The other daemon's tenant is untouched by the outage.
+                assert broken.connection.stats_summary() == served
+                # The other daemon's tenant is untouched by the outage. Its
+                # forks crowd that daemon, so the recovering tenant is placed
+                # back on the broken one as the strictly least loaded —
+                # whether or not the gateway still counts the sessions the
+                # outage ended (an episode ended by ServiceIsDown is forgotten
+                # without an end_session).
                 _, reward, done, _ = env_b.step(ACTIONS[0])
                 assert reward is not None and not done
+                crowd = [env_b.fork(), env_b.fork()]
                 # After the cooldown the half-open probe finds the daemon
                 # alive, closes the breaker, and its sessions serve again.
                 time.sleep(0.35)
@@ -667,6 +672,8 @@ class TestGracefulDegradation:
                 _, dones, _ = step(ACTIONS[1])
                 assert not any(dones)
                 assert broken.breaker.state == "closed"
+                for fork in crowd:
+                    fork.close()
         finally:
             env_a.close()
             env_b.close()

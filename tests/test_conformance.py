@@ -135,10 +135,14 @@ def _assert_ended_with_error_defaults(env, result, episode_reward):
 
 def test_a_failed_step_ends_the_episode_with_error_defaults(deployment):
     with deployment(**STEP_SHAPE) as env:
+        held = deployment.sessions(env)
         env.reset()
         _, reward, _, _ = env.step(EPISODES[1][0])
         # An action outside the space makes the backend raise mid-step.
         _assert_ended_with_error_defaults(env, env.step(9999), reward)
+        # The service was there to answer, so it is not left holding the
+        # session (a gateway would count it in placement for good).
+        assert deployment.sessions(env) == held
         # So does a session the service no longer has.
         env.reset()
         env.service.end_session(EndSessionRequest(session_id=env._session_id))

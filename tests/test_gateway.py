@@ -10,7 +10,6 @@ daemon-count decisions.
 import os
 import pickle
 import signal
-import socket
 import struct
 import time
 
@@ -25,10 +24,11 @@ from repro.core.service.connection import (
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.proto import StartSessionRequest, StepRequest
 from repro.core.service.transport import SocketTransport
-from repro.core.service.wire import WIRE_VERSION, parse_service_url
+from repro.core.service.wire import WIRE_VERSION
 from repro.core.vector import FleetAutoscalePolicy, VecCompilerEnv
 from repro.core.vector.autoscale import interval_delta
 from repro.errors import PermissionDeniedError, ServiceError
+from tests.test_transport import _assert_hung_up_on
 
 BENCHMARK = "cbench-v1/qsort"
 ACTIONS = [0, 11, 3, 7, 1, 23, 5]
@@ -270,18 +270,13 @@ class TestGatewayAuth:
 
 
 class TestVersionSkew:
-    def test_version_skew_by_two_is_rejected(self, gateway):
-        """Acceptance: a peer speaking a wire version two ahead is dropped on
-        the frame's first byte, never unpickled."""
-        _, address = parse_service_url(gateway.url)
-        raw = socket.create_connection(address)
+    def test_a_skewed_version_is_rejected(self, gateway):
+        """Acceptance: a peer speaking any wire version but the gateway's is
+        dropped on the frame's first byte, never unpickled."""
         payload = pickle.dumps((0, "server_info", ()))
-        raw.sendall(
-            bytes([WIRE_VERSION + 2]) + struct.pack(">Q", len(payload)) + payload
+        _assert_hung_up_on(
+            gateway.url, bytes([WIRE_VERSION + 1]) + struct.pack(">Q", len(payload)) + payload
         )
-        raw.settimeout(5)
-        assert raw.recv(1) == b""
-        raw.close()
         # The gateway survives and still serves current-version clients.
         with ServiceConnection(SocketTransport(gateway.url)) as connection:
             assert connection.transport.server_info()["role"] == "gateway"

@@ -9,12 +9,14 @@ reuse across sequential vectorized pools, cross-transport stats aggregation,
 and the autoscaling policy driving ``VecCompilerEnv.resize()``.
 """
 
+import contextlib
 import io
 import multiprocessing
 import pickle
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -31,12 +33,11 @@ from repro.core.service import (
 from repro.core.service.chaos import FlushLimitedSocket
 from repro.core.service.proto import HelloReply, StartSessionRequest, StepRequest
 from repro.core.service.runtime.server import ServiceServer, make_env_server
-from repro.core.service.transport import (
-    LEGACY_WIRE_VERSION,
-    PROTOCOL_VERSION,
+from repro.core.service.transport import InProcessTransport, SocketTransport
+from repro.core.service.wire import (
+    REPLY_ERROR,
     REPLY_OK,
-    InProcessTransport,
-    SocketTransport,
+    WIRE_VERSION,
     parse_service_url,
     read_frame,
     write_frame,
@@ -62,25 +63,46 @@ from tests.test_service import _CounterSession, _resolver, _runtime
 BENCHMARK = "cbench-v1/crc32"
 
 
-def _serve_handshake(client: socket.socket, rfile=None):
+def _serve_handshake(client: socket.socket, status=REPLY_OK, payload=None):
     """Answer the hello handshake on a raw fake-daemon socket.
 
     Every SocketTransport opens its connection with a hello RPC; a
     hand-rolled fake daemon must answer it before the transport's connect()
     returns. Returns the read stream so the fake can keep consuming frames.
     """
-    rfile = rfile if rfile is not None else client.makefile("rb")
+    rfile = client.makefile("rb")
     request_id, method, _args = read_frame(rfile)
     assert method == "hello"
-    wfile = client.makefile("wb")
     write_frame_reply(
-        wfile,
-        request_id,
-        REPLY_OK,
-        HelloReply(wire_version=PROTOCOL_VERSION),
-        version=LEGACY_WIRE_VERSION,
+        client.makefile("wb"), request_id, status, payload or HelloReply()
     )
     return rfile
+
+
+@contextlib.contextmanager
+def _fake_daemon(serve, timeout=5.0):
+    """A listener whose first client is handed to ``serve(client)`` on a
+    thread. Yields ``(transport, thread)``; the transport is not connected."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    thread = threading.Thread(target=lambda: serve(listener.accept()[0]), daemon=True)
+    thread.start()
+    transport = SocketTransport(f"tcp://127.0.0.1:{listener.getsockname()[1]}", timeout=timeout)
+    try:
+        yield transport, thread
+    finally:
+        transport.shutdown()
+        listener.close()
+
+
+def _assert_hung_up_on(url: str, data: bytes):
+    """A raw peer that sends ``data`` reaches EOF: dropped, not waited for."""
+    raw = socket.create_connection(parse_service_url(url)[1])
+    raw.sendall(data)
+    raw.settimeout(5)
+    assert raw.recv(1) == b""
+    raw.close()
 
 
 class _SlowStepSession(_CounterSession):
@@ -313,41 +335,18 @@ class TestSlowSuccessIsNotRetried:
         connection.close()
 
 
-class TestLostReplyIsNotRetryable:
-    """Regression: once a request frame reached the daemon, losing the reply
-    must NOT be retryable — the daemon (unlike an in-process runtime, which a
-    restart destroys) survives with the session live, so a retried step()
-    would be applied twice."""
+def test_an_error_reply_to_hello_fails_the_connect():
+    """A peer that answers hello with an error (other than a refused
+    token) is not one this client can talk to: connect() raises."""
 
-    def test_reply_loss_after_send_raises_transport_error(self):
-        requests_seen = []
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
+    def refuse_hello(client):
+        _serve_handshake(client, REPLY_ERROR, ServiceError("Unknown service method: 'hello'"))
+        client.recv(1)  # Hold the socket open until the client hangs up.
 
-        def serve_one_then_drop():
-            client, _ = listener.accept()
-            rfile = _serve_handshake(client)
-            requests_seen.append(read_frame(rfile))
-            client.close()  # Swallow the request, never reply.
+    with _fake_daemon(refuse_hello) as (transport, _):
+        with pytest.raises(ServiceError, match="refused the hello handshake"):
+            transport.connect()
 
-        thread = threading.Thread(target=serve_one_then_drop, daemon=True)
-        thread.start()
-        transport = SocketTransport(f"tcp://127.0.0.1:{port}", timeout=5.0)
-        transport.connect()
-        try:
-            with pytest.raises(ServiceTransportError, match="will not be retried"):
-                transport.call("step", StepRequest(session_id=0, actions=[1]))
-            thread.join(timeout=5)
-            # The daemon-side saw the request exactly once, and the error is
-            # in the ServiceError family, which ServiceConnection._call
-            # raises without its restart/retry loop.
-            assert len(requests_seen) == 1
-            assert isinstance(ServiceTransportError("x"), ServiceError)
-        finally:
-            transport.shutdown()
-            listener.close()
 
 class TestSendFailureClassification:
     """Regression (headline): send-side failures must be classified by
@@ -458,16 +457,6 @@ class TestServiceServer:
                     )
                 )
                 assert reply.observations[0].value() == 7
-
-    def test_unix_socket(self, tmp_path):
-        path = str(tmp_path / "service.sock")
-        with ServiceServer(_runtime(), unix_path=path, session_timeout=None).start() as server:
-            assert server.url == f"unix://{path}"
-            with ServiceConnection(SocketTransport(server.url)) as connection:
-                session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/9")
-                )
-                assert session.session_id == 0
 
     def test_multiplexes_concurrent_clients(self):
         """Many clients, one runtime: all sessions land on the same backend."""
@@ -659,14 +648,8 @@ class TestServiceServer:
         """A corrupt frame (stray writer, version skew) must cost only that
         client's connection, never the serving thread or the daemon."""
         with self._server() as server:
-            _, address = parse_service_url(server.url)
-            raw = socket.create_connection(address)
             garbage = b"not a pickle at all"
-            raw.sendall(struct.pack(">Q", len(garbage)) + garbage)
-            # The daemon drops us: the socket reaches EOF instead of hanging.
-            raw.settimeout(5)
-            assert raw.recv(1) == b""
-            raw.close()
+            _assert_hung_up_on(server.url, struct.pack(">Q", len(garbage)) + garbage)
             # And keeps serving well-formed clients.
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session = connection.start_session(
@@ -674,26 +657,37 @@ class TestServiceServer:
                 )
                 assert session.session_id == 0
 
-    def test_version_skewed_client_is_dropped(self):
-        """A frame announcing a future protocol version must be rejected on
-        its first byte — dropped cleanly, never unpickled."""
+    @pytest.mark.parametrize("version", [WIRE_VERSION + 1, WIRE_VERSION - 1])
+    def test_version_skewed_client_is_dropped(self, version):
+        """A frame announcing any version but the one spoken (a future one;
+        the bare pickle of the deleted version 1) must be rejected on its
+        first byte — dropped cleanly, never unpickled."""
         with self._server() as server:
-            _, address = parse_service_url(server.url)
-            raw = socket.create_connection(address)
             payload = pickle.dumps((0, "server_info", ()))
-            raw.sendall(
-                bytes([PROTOCOL_VERSION + 1])
-                + struct.pack(">Q", len(payload))
-                + payload
+            _assert_hung_up_on(
+                server.url, bytes([version]) + struct.pack(">Q", len(payload)) + payload
             )
-            raw.settimeout(5)
-            assert raw.recv(1) == b""
-            raw.close()
             # The daemon survives and still speaks the current version.
             with ServiceConnection(SocketTransport(server.url)) as connection:
-                assert connection.transport.server_info()["protocol_version"] == (
-                    PROTOCOL_VERSION
+                info = connection.transport.server_info()
+                assert info["protocol_version"] == WIRE_VERSION
+                assert info["wire_versions"] == [WIRE_VERSION]
+
+    def test_an_unauthenticated_peer_cannot_announce_a_large_frame(self):
+        """The payload buffer is allocated from the 9-byte header: before
+        hello has succeeded a header announcing more than 64 KiB is refused
+        at once, unallocated; an authenticated client's frames are not held
+        to that limit."""
+        with self._server(auth_tokens=["secret"]) as server:
+            # The payload is never sent, and never waited for.
+            _assert_hung_up_on(server.url, bytes([WIRE_VERSION]) + struct.pack(">Q", 1 << 30))
+            transport = SocketTransport(server.url, auth_token="secret")
+            with ServiceConnection(transport) as connection:
+                session = connection.start_session(
+                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
                 )
+                value = "x" * (4 << 20)
+                assert connection.handle_session_parameter(session.session_id, "k", value) is None
 
     def test_unknown_method_is_rejected(self):
         with self._server() as server:
@@ -736,20 +730,30 @@ class TestServiceServer:
             assert info["connections_served"] == 1
             transport.shutdown()
 
-    def test_graceful_shutdown_unblocks_clients(self):
-        server = self._server()
+    @pytest.mark.parametrize("family", ["tcp", "unix"])
+    def test_graceful_shutdown_unblocks_clients(self, family, tmp_path):
+        where = {"unix_path": str(tmp_path / "daemon.sock")} if family == "unix" else {}
+        server = self._server(**where)
+        assert server.url.startswith(f"{family}://")
+        assert server.url.endswith(where.get("unix_path", ""))
         connection = ServiceConnection(SocketTransport(server.url))
-        connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        request = StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+        connection.start_session(request)
         server.shutdown()
         assert server.closed
-        # The daemon is gone: further calls surface as service errors after
-        # the retry loop fails to reconnect.
+        # Nobody reads an idle connection, so the client learns the daemon is
+        # gone from its next call: a send that fails outright (unix) and a
+        # retry loop that cannot reconnect, or a send the kernel accepts and
+        # a read that hits EOF (tcp). A service error either way.
         connection.opts.rpc_max_retries = 2
         connection.opts.retry_wait_seconds = 0.001
         with pytest.raises(ServiceError):
-            connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
-            )
+            connection.start_session(request)
+        # A fresh daemon at the same address is one restart() away.
+        where = where or {"port": parse_service_url(server.url)[1][1]}
+        with self._server(**where):
+            connection.restart()
+            assert connection.start_session(request).session_id == 0
         connection.close()
         # Shutdown is idempotent.
         server.shutdown()
@@ -985,6 +989,8 @@ class TestMultiplexedConcurrency:
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
+            # The waiting callers read the socket themselves.
+            assert "repro-socket-reader" not in {t.name for t in threading.enumerate()}
         finally:
             for connection in owned:
                 connection.close()
@@ -998,6 +1004,25 @@ class TestMultiplexedConcurrency:
         with ServiceServer(_runtime(), session_timeout=None).start() as server:
             shared = self._trace_sessions(server.url, shared=True, action_plans=plans)
         assert shared == dedicated
+
+    def test_out_of_order_replies_reach_the_callers_that_asked(self, monkeypatch):
+        """8 callers x 200 calls on one connection whose replies complete out
+        of order (per-call sleeps): whoever holds the reader role routes
+        frames that are not its own and hands the role on when its own
+        arrives first, so every caller sees exactly its own session's
+        replies and nobody is left waiting for a reply already read."""
+        rng = random.Random(5)
+        monkeypatch.setattr(
+            _SlowStepSession, "sleep_seconds", property(lambda self: rng.uniform(0, 1e-3))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # Switch threads mid-protocol as often as possible.
+        try:
+            with ServiceServer(_slow_runtime(), session_timeout=None).start() as server:
+                traces = self._trace_sessions(server.url, shared=True, action_plans=[[1] * 200] * 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert traces == [list(range(i + 1, i + 201)) for i in range(8)]
 
     def test_concurrent_callers_overlap_on_one_socket(self):
         # The point of multiplexing: independent sessions driven through ONE
@@ -1027,55 +1052,52 @@ class TestMultiplexedConcurrency:
                     thread.join(timeout=30)
                 assert _SlowStepSession.max_in_flight >= 2
 
-    def test_connection_death_fails_every_in_flight_caller_without_retry(self):
-        # Satellite: the daemon dying with a batch of calls in flight must
-        # fail EVERY caller promptly and non-retryably — no hang, no retry,
-        # no chance of double-applying the lost steps.
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
+    @pytest.mark.parametrize("callers", [1, 3])
+    def test_connection_death_fails_every_in_flight_caller_without_retry(self, callers):
+        # The daemon dying with calls in flight must fail EVERY caller
+        # promptly and non-retryably — a lone caller reading its own reply,
+        # or one reading and two parked behind it as followers. The daemon
+        # (unlike an in-process runtime, which a restart destroys) survives
+        # with the session live, so a retried step() would be applied twice.
+        requests_seen = []
 
-        def swallow_three_then_die():
-            client, _ = listener.accept()
+        def swallow_then_die(client):
             rfile = _serve_handshake(client)
-            for _ in range(3):
-                read_frame(rfile)
-            client.close()  # The daemon "dies" with three calls in flight.
+            for _ in range(callers):
+                requests_seen.append(read_frame(rfile))
+            client.close()  # The daemon "dies" with the calls in flight.
 
-        thread = threading.Thread(target=swallow_three_then_die, daemon=True)
-        thread.start()
-        transport = SocketTransport(f"tcp://127.0.0.1:{port}", timeout=60.0)
-        transport.connect()
         errors = []
         errors_lock = threading.Lock()
 
-        def call_step(i):
-            try:
-                transport.call("step", StepRequest(session_id=i, actions=[1]))
-            except BaseException as error:  # noqa: BLE001 - collected for asserts
-                with errors_lock:
-                    errors.append(error)
+        with _fake_daemon(swallow_then_die, timeout=60.0) as (transport, daemon):
+            transport.connect()
 
-        try:
-            callers = [
-                threading.Thread(target=call_step, args=(i,)) for i in range(3)
+            def call_step(i):
+                try:
+                    transport.call("step", StepRequest(session_id=i, actions=[1]))
+                except BaseException as error:  # noqa: BLE001 - collected for asserts
+                    with errors_lock:
+                        errors.append(error)
+
+            threads = [
+                threading.Thread(target=call_step, args=(i,)) for i in range(callers)
             ]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=10)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
             # Nobody hangs until the 60s transport timeout...
-            assert not any(caller.is_alive() for caller in callers)
+            assert not any(thread.is_alive() for thread in threads)
             # ...and every caller got the non-retryable classification (the
             # requests DID reach the wire, so a retry could double-apply).
-            assert len(errors) == 3
+            assert len(errors) == callers
             for error in errors:
                 assert isinstance(error, ServiceTransportError)
                 assert "will not be retried" in str(error)
-        finally:
-            transport.shutdown()
-            listener.close()
+            # The daemon saw each request exactly once.
+            daemon.join(timeout=5)
+            assert len(requests_seen) == callers
 
 
 # -- full environments over the socket transport ------------------------------

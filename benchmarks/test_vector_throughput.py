@@ -2,11 +2,9 @@
 
 Companion to the Table II efficiency results: measures the aggregate step
 throughput of a :class:`VecCompilerEnv` on the LLVM environment as the pool
-grows, under every execution backend. As in the batched-step experiments, a
-simulated per-call transport latency (``ConnectionOpts.rpc_latency``) models
-the RPC round trip of the real client/server deployment; the thread-pool and
-process-pool backends overlap those round trips across workers, so their
-throughput scales with the pool size while the serial backend's stays flat.
+grows, under every execution backend, at the steps' real cost: an in-process
+root for serial and thread, one private daemon per worker for process.
+Recorded, not gated — see :func:`run_sweep`.
 The process backend additionally records the steps/sec of IMPALA and Ape-X
 training end-to-end through ``train_agent_vec`` on auto-reset rollouts, and
 of distributed actor/learner training (``DistributedTrainer``, the real
@@ -19,6 +17,7 @@ Run as a script for a quick smoke reading::
 """
 
 import gc
+import json
 import os
 import random
 import statistics
@@ -34,7 +33,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import bench_scale, save_results
 
 import repro
-from repro.core.service.connection import ConnectionOpts
 from repro.core.vector import VecCompilerEnv
 
 BENCHMARK = "cbench-v1/crc32"
@@ -43,9 +41,6 @@ BENCHMARK = "cbench-v1/crc32"
 # numerator is compute the cache removes, not per-call overhead: on crc32 an
 # uncached step is ~0.15 ms, a ratio of 6-7x with no headroom over the 5x floor.
 RESULT_CACHE_BENCHMARK = "cbench-v1/blowfish"
-# Simulated RPC round-trip latency, in the range the paper measures for its
-# gRPC transport (single-digit milliseconds per call).
-RPC_LATENCY = 0.005
 BACKENDS = ("serial", "thread", "process")
 # Budget for the gateway proxy hop as a multiple of direct-to-daemon
 # per-worker-step latency. The hop's absolute cost (decode, session-id
@@ -54,30 +49,50 @@ BACKENDS = ("serial", "thread", "process")
 # observation memoization — the same tax is a larger fraction of a cheaper
 # step, so the ratio budget is wider than the pre-memoization 1.3x.
 GATEWAY_OVERHEAD_BUDGET = 1.7
+# Baseline of check_transport_regression: batched socket stepping at n=4 as a
+# multiple of the in-process per-step latency of the same run. Median of 7
+# standalone `--check-transport-regression` runs (2.15-2.47) at commit 6e54275,
+# 2026-10-02.
+RECORDED_BATCHED_VS_IN_PROCESS = 2.32
 
 
-def _measure_throughput(backend: str, n: int, rounds: int, rpc_latency: float = RPC_LATENCY,
-                        benchmark: str = BENCHMARK):
-    """Aggregate steps/sec of an n-worker pool over ``rounds`` batched steps."""
+def _mean_step_seconds(env, steps: int) -> float:
+    """Reset ``env``, time ``steps`` seeded random steps, close it."""
+    env.reset()
+    num_actions = env.action_space.n
     rng = random.Random(0)
+    start = time.perf_counter()
+    for _ in range(steps):
+        env.step(rng.randrange(num_actions))
+    elapsed = time.perf_counter() - start
+    env.close()
+    return elapsed / steps
+
+
+def _pool_steps_seconds(vec, rounds: int) -> float:
+    """Reset the pool; wall time of ``rounds`` seeded random batched steps."""
+    vec.reset()
+    num_actions = vec.action_space.n
+    rng = random.Random(0)
+    start = time.perf_counter()
+    for _ in range(rounds):
+        vec.step([rng.randrange(num_actions) for _ in range(vec.num_envs)])
+    return time.perf_counter() - start
+
+
+def _measure_throughput(backend: str, n: int, rounds: int, benchmark: str = BENCHMARK):
+    """Aggregate steps/sec of an n-worker pool over ``rounds`` batched steps."""
     env = repro.make(
         "llvm-v0",
         benchmark=benchmark,
         observation_space="Autophase",
         reward_space="IrInstructionCount",
-        connection_opts=ConnectionOpts(rpc_latency=rpc_latency),
     )
     start = time.perf_counter()
     pool = VecCompilerEnv(env, n=n, backend=backend)
     pool_build_s = time.perf_counter() - start
     with pool as vec:
-        vec.reset()
-        num_actions = vec.action_space.n
-        start = time.perf_counter()
-        for _ in range(rounds):
-            actions = [rng.randrange(num_actions) for _ in range(n)]
-            vec.step(actions)
-        elapsed = time.perf_counter() - start
+        elapsed = _pool_steps_seconds(vec, rounds)
     return {
         "backend": backend,
         "workers": n,
@@ -111,7 +126,6 @@ def _measure_rl_throughput(agent_name: str, backend: str, n: int, episodes: int,
         "llvm-v0",
         benchmark=BENCHMARK,
         reward_space="IrInstructionCountNorm",
-        connection_opts=ConnectionOpts(rpc_latency=RPC_LATENCY),
     )
     vec = make_vec_rl_environment(
         env, n=n, backend=backend, episode_length=episode_length, auto_reset=True
@@ -142,11 +156,7 @@ def _measure_distributed_throughput(agent_name: str, actors: int, episodes: int,
     trainer = DistributedTrainer(
         agent=agent_name,
         env_id="llvm-v0",
-        make_kwargs={
-            "benchmark": BENCHMARK,
-            "reward_space": "IrInstructionCountNorm",
-            "connection_opts": ConnectionOpts(rpc_latency=RPC_LATENCY),
-        },
+        make_kwargs={"benchmark": BENCHMARK, "reward_space": "IrInstructionCountNorm"},
         num_actors=actors,
         envs_per_actor=2,
         episode_length=episode_length,
@@ -168,57 +178,54 @@ def _measure_distributed_throughput(agent_name: str, actors: int, episodes: int,
     }
 
 
-def _measure_transport_latency(steps: int):
-    """Mean per-step wall time: in-process runtime vs. a socket daemon.
+def _measure_transport_latency(steps: int, pool_rounds: int):
+    """Mean per-step wall time: in-process runtime vs. a socket daemon, for
+    one environment and (``vec_pool``) for a 4-worker pool.
 
     Measures the *real* overhead of the out-of-process deployment (pickling,
-    framing, TCP round trip, daemon dispatch) with no simulated latency, so
-    the transport tax is tracked release over release. The result cache is
+    framing, TCP round trip, daemon dispatch), so the transport tax is
+    tracked release over release. The result cache is
     disabled on both sides: the two phases replay the same seeded action
     sequence, so a shared cache would hand the second phase free hits and
     the comparison would measure memoization, not transport.
     """
     from repro.core.service.runtime.server import make_env_server
 
-    def mean_step_seconds(env):
-        env.reset()
-        num_actions = env.action_space.n
-        rng = random.Random(0)
-        start = time.perf_counter()
-        for _ in range(steps):
-            env.step(rng.randrange(num_actions))
-        elapsed = time.perf_counter() - start
-        env.close()
-        return elapsed / steps
-
-    in_process = mean_step_seconds(
+    in_process = _mean_step_seconds(
         repro.make(
             "llvm-v0",
             benchmark=BENCHMARK,
             reward_space="IrInstructionCount",
             result_cache=False,
-        )
+        ),
+        steps,
     )
     server = make_env_server(
         "llvm-v0", port=0, session_timeout=None, result_cache=False
     ).start()
     try:
-        socket_step = mean_step_seconds(
+        socket_step = _mean_step_seconds(
             repro.make(
                 "llvm-v0",
                 benchmark=BENCHMARK,
                 reward_space="IrInstructionCount",
                 service_url=server.url,
-            )
+            ),
+            steps,
         )
     finally:
         server.shutdown()
+    vec_pool = _measure_vec_transport_latency(pool_rounds)
     return {
         "steps": steps,
         "in_process_step_ms": in_process * 1e3,
         "socket_step_ms": socket_step * 1e3,
         "socket_overhead_ms": (socket_step - in_process) * 1e3,
         "socket_vs_in_process": socket_step / in_process if in_process else None,
+        "vec_pool": vec_pool,
+        # The batched socket path relative to the in-process baseline of the
+        # same run: the load-independent number the CI regression gate tracks.
+        "batched_vs_in_process": vec_pool["batched_step_ms"] / (in_process * 1e3),
     }
 
 
@@ -229,21 +236,10 @@ def _measure_verifier_overhead(steps: int):
     construction plus type/dominance checks per function per step), so the
     README's "measured overhead" claim tracks the implementation.
     """
-
-    def mean_step_seconds(verify_ir):
-        env = repro.make("llvm-v0", benchmark=BENCHMARK, verify_ir=verify_ir)
-        env.reset()
-        num_actions = env.action_space.n
-        rng = random.Random(0)
-        start = time.perf_counter()
-        for _ in range(steps):
-            env.step(rng.randrange(num_actions))
-        elapsed = time.perf_counter() - start
-        env.close()
-        return elapsed / steps
-
-    verify_off = mean_step_seconds(False)
-    verify_on = mean_step_seconds(True)
+    verify_off, verify_on = (
+        _mean_step_seconds(repro.make("llvm-v0", benchmark=BENCHMARK, verify_ir=verify_ir), steps)
+        for verify_ir in (False, True)
+    )
     return {
         "steps": steps,
         "verify_off_step_ms": verify_off * 1e3,
@@ -255,10 +251,11 @@ def _measure_verifier_overhead(steps: int):
 def _measure_vec_transport_latency(rounds: int, n: int = 4):
     """Per-worker-step wall time of an n-worker pool over a socket daemon.
 
-    Compares the batched+multiplexed path (the whole pool on one shared
-    connection, each pool step a single ``step_sessions`` round trip)
-    against the one-RPC-per-worker path (each worker on a dedicated
-    connection, one ``step`` round trip per worker per pool step).
+    Both pools are fork-populated on one shared multiplexed connection. The
+    first steps as one ``step_sessions`` round trip; the second has its
+    workers wrapped in :class:`TimeLimit` (the RL shape), which opts a pool
+    out of batching, so each worker's ``step`` RPC is fanned out by the
+    thread backend and overlaps its siblings' on the shared socket.
 
     The daemon's result cache is off: both pools replay the same seeded
     trajectories against the same daemon, so with the cache on whichever
@@ -266,46 +263,36 @@ def _measure_vec_transport_latency(rounds: int, n: int = 4):
     flips from transport shape to cache warmth.
     """
     from repro.core.service.runtime.server import make_env_server
+    from repro.core.wrappers import TimeLimit
 
-    def make_daemon_env(url):
-        return repro.make(
+    def mean_worker_step_seconds(url, worker_wrapper, batch_rpcs):
+        env = repro.make(
             "llvm-v0",
             benchmark=BENCHMARK,
             reward_space="IrInstructionCount",
             service_url=url,
         )
-
-    def mean_worker_step_seconds(vec):
-        rng = random.Random(0)
-        num_actions = vec.action_space.n
-        vec.reset()
-        start = time.perf_counter()
-        for _ in range(rounds):
-            vec.step([rng.randrange(num_actions) for _ in range(vec.num_envs)])
-        return (time.perf_counter() - start) / (rounds * vec.num_envs)
+        with VecCompilerEnv(env, n=n, backend="thread", worker_wrapper=worker_wrapper) as vec:
+            assert len({id(w.service) for w in vec.workers}) == 1
+            seconds = _pool_steps_seconds(vec, rounds) / (rounds * n)
+            batches = vec.connection_stats().get("step_sessions", {}).get("calls", 0)
+            assert batches == batch_rpcs, (batches, batch_rpcs)
+        return seconds
 
     server = make_env_server(
         "llvm-v0", port=0, session_timeout=None, result_cache=False
     ).start()
     try:
-        with VecCompilerEnv(make_daemon_env(server.url), n=n, backend="thread") as vec:
-            assert len({id(w.service) for w in vec.workers}) == 1
-            batched = mean_worker_step_seconds(vec)
-        with VecCompilerEnv(make_daemon_env(server.url), n=n, backend="thread") as vec:
-            # The pre-batching deployment shape: every worker fans out its
-            # own step() RPC on a private connection (workers on different
-            # connections never qualify for the batched path).
-            for worker in vec.workers[1:]:
-                worker.use_dedicated_connection()
-            per_rpc = mean_worker_step_seconds(vec)
+        batched = mean_worker_step_seconds(server.url, None, rounds)
+        fanout = mean_worker_step_seconds(server.url, TimeLimit, 0)
     finally:
         server.shutdown()
     return {
         "workers": n,
         "rounds": rounds,
         "batched_step_ms": batched * 1e3,
-        "per_rpc_step_ms": per_rpc * 1e3,
-        "batched_vs_per_rpc": batched / per_rpc if per_rpc else None,
+        "fanout_step_ms": fanout * 1e3,
+        "batched_vs_fanout": batched / fanout if fanout else None,
     }
 
 
@@ -383,7 +370,6 @@ def _measure_failover_recovery(heartbeat_interval: float = 0.25):
     """
     import signal as signal_module
 
-    from repro.core.service.connection import clear_spaces_cache
     from repro.core.service.gateway import ServiceGateway
 
     def one_run(heartbeat: bool):
@@ -431,7 +417,6 @@ def _measure_failover_recovery(heartbeat_interval: float = 0.25):
         finally:
             env.close()
             gateway.shutdown()
-            clear_spaces_cache()
 
     return {
         "heartbeat_interval_s": heartbeat_interval,
@@ -441,12 +426,11 @@ def _measure_failover_recovery(heartbeat_interval: float = 0.25):
     }
 
 
-def check_failover_recovery(slack_s: float = 1.0) -> int:
-    """CI gate: a SIGKILLed daemon must be detected by the heartbeat
+def check_failover_recovery(fresh: dict, slack_s: float = 1.0) -> int:
+    """Gate: a SIGKILLed daemon must be detected by the heartbeat
     monitor — no client RPC in flight — within 2 heartbeat intervals
     (plus scheduling slack for loaded runners), and the next client step
     must succeed on the re-homed session."""
-    fresh = _measure_failover_recovery()
     slo = fresh["detection_slo_s"] + slack_s
     heartbeat = fresh["heartbeat"]
     print(
@@ -590,35 +574,25 @@ def _measure_gateway_overhead(rounds: int, n: int = 4):
     }
 
 
-def run_sweep(worker_counts, rounds):
-    results = []
-    for n in worker_counts:
-        for backend in BACKENDS:
-            results.append(_measure_throughput(backend, n, rounds))
-    return results
+def run_sweep(rounds, n=4):
+    """Every backend on a hop-bound program (crc32, ~0.1 ms of compute per
+    step) and a mid-sized one (blowfish).
 
-
-def run_no_latency_sweep(rounds, n=4):
-    """The same pools with no simulated round trip, on a hop-bound program
-    (crc32, ~0.1 ms of compute per step) and a mid-sized one (blowfish).
-
-    Recorded, not gated: it is where the concurrent backends *lose* to serial
-    (nothing to overlap, and every step pays a thread or socket hop), so the
-    README's "when to use which backend" rests on numbers the repo reproduces.
+    Recorded, not gated: with ~ms steps the concurrent backends *lose* to
+    serial (nothing to overlap, and every step pays a thread or socket hop), so
+    the README's "when to use which backend" rests on numbers the repo
+    reproduces.
     """
     return [
-        _measure_throughput(backend, n, rounds, rpc_latency=0.0, benchmark=benchmark)
+        _measure_throughput(backend, n, rounds, benchmark=benchmark)
         for benchmark in (BENCHMARK, RESULT_CACHE_BENCHMARK)
         for backend in BACKENDS
     ]
 
 
-def test_vector_throughput():
-    rounds = max(5, int(20 * bench_scale()))
-    results = run_sweep(worker_counts=(1, 2, 4), rounds=rounds)
-    by_key = {(r["backend"], r["workers"]): r["steps_per_sec"] for r in results}
-    no_latency_results = run_no_latency_sweep(rounds=max(50, int(200 * bench_scale())))
-    rl_episodes = max(2, int(4 * bench_scale()))
+def run_all(n: int, rounds: int, rl_episodes: int, steps: int, pool_rounds: int) -> dict:
+    """Every measurement of this script, as saved to results/vector_throughput.json."""
+    results = run_sweep(rounds=rounds, n=n)
     rl_results = [
         _measure_rl_throughput(agent, "process", n=2, episodes=rl_episodes)
         for agent in ("impala", "apex")
@@ -627,10 +601,8 @@ def test_vector_throughput():
         _measure_distributed_throughput(agent, actors=2, episodes=rl_episodes)
         for agent in ("impala", "apex")
     ]
-    transport_latency = _measure_transport_latency(steps=max(20, int(50 * bench_scale())))
-    verifier_overhead = _measure_verifier_overhead(steps=max(20, int(50 * bench_scale())))
-    vec_latency = _measure_vec_transport_latency(rounds=max(10, int(25 * bench_scale())))
-    transport_latency["vec_pool"] = vec_latency
+    transport_latency = _measure_transport_latency(steps, pool_rounds)
+    verifier_overhead = _measure_verifier_overhead(steps)
     result_cache = _measure_result_cache()
     failover_recovery = _measure_failover_recovery()
     # The gateway comparison is the suite's most scheduling-sensitive
@@ -640,98 +612,68 @@ def test_vector_throughput():
     # noise-spoiled run; a genuine overhead regression fails both attempts.
     for attempt in (0, 1):
         try:
-            gateway_overhead = _measure_gateway_overhead(
-                rounds=max(10, int(25 * bench_scale()))
-            )
+            gateway_overhead = _measure_gateway_overhead(pool_rounds)
         except RuntimeError:
             if attempt:
                 raise
             continue  # Gateway startup lost to a transient; once more, fresh.
         if gateway_overhead["gateway_vs_direct"] <= GATEWAY_OVERHEAD_BUDGET:
             break
-    # The batched socket path relative to the in-process baseline of the
-    # same run: the load-independent number the CI regression gate tracks.
-    transport_latency["batched_vs_in_process"] = (
-        vec_latency["batched_step_ms"] / transport_latency["in_process_step_ms"]
-    )
-    save_results(
-        "vector_throughput",
-        {
-            "rpc_latency_s": RPC_LATENCY,
-            "rounds": rounds,
-            "results": results,
-            "no_latency_results": no_latency_results,
-            "thread_vs_serial_speedup_at_4": by_key[("thread", 4)] / by_key[("serial", 4)],
-            "process_vs_serial_speedup_at_4": by_key[("process", 4)] / by_key[("serial", 4)],
-            "rl_agents": {r["agent"]: r for r in rl_results},
-            "distributed_rl_agents": {r["agent"]: r for r in distributed_results},
-            "transport_latency": transport_latency,
-            "gateway_overhead": gateway_overhead,
-            "verifier_overhead": verifier_overhead,
-            "result_cache": result_cache,
-            "failover_recovery": failover_recovery,
-        },
-    )
-    # Acceptance criterion: the heartbeat monitor detects a SIGKILLed
-    # daemon — with no client RPC in flight — within 2 heartbeat intervals
-    # (plus scheduling slack), and the re-homed session serves the next step.
-    assert failover_recovery["heartbeat"]["detection_s"] < (
-        failover_recovery["detection_slo_s"] + 1.0
-    ), (
-        f"heartbeat failover detection took "
-        f"{failover_recovery['heartbeat']['detection_s']:.3f}s, over the "
-        f"{failover_recovery['detection_slo_s']:.2f}s SLO"
-    )
-    assert failover_recovery["heartbeat"]["rehomed_sessions"] >= 1
-    # Acceptance criteria: on the repeated-prefix workload the result cache
-    # serves at least 80% of queries and removes at least 5x of the per-step
-    # cost relative to the same trajectories with the cache disabled.
-    assert result_cache["hit_rate"] >= 0.8, (
-        f"result cache hit rate {result_cache['hit_rate']:.0%} on the "
-        f"repeated-prefix workload, expected >= 80%"
-    )
-    assert result_cache["speedup"] >= 5.0, (
-        f"cached stepping ({result_cache['cached_step_ms']:.3f}ms/step) is only "
-        f"{result_cache['speedup']:.2f}x uncached "
-        f"({result_cache['uncached_step_ms']:.3f}ms/step), expected >= 5x"
-    )
-    # Sanity: verified stepping still steps (the mode is a debug tool, so it
-    # only has to be affordable, not free).
-    assert verifier_overhead["verify_on_step_ms"] > 0
+    return {
+        "rounds": rounds,
+        "results": results,
+        "rl_agents": {r["agent"]: r for r in rl_results},
+        "distributed_rl_agents": {r["agent"]: r for r in distributed_results},
+        "transport_latency": transport_latency,
+        "gateway_overhead": gateway_overhead,
+        "verifier_overhead": verifier_overhead,
+        "result_cache": result_cache,
+        "failover_recovery": failover_recovery,
+    }
 
-    # Sanity: every configuration actually stepped, and the socket transport
-    # round-tripped real steps through the daemon.
-    assert transport_latency["socket_step_ms"] > 0
-    # Acceptance criterion: batched+multiplexed stepping at n=4 beats the
-    # one-RPC-per-worker deployment shape on per-worker-step latency.
-    assert vec_latency["batched_step_ms"] < vec_latency["per_rpc_step_ms"], (
-        f"batched stepping ({vec_latency['batched_step_ms']:.3f}ms/step) is not "
-        f"faster than one RPC per worker ({vec_latency['per_rpc_step_ms']:.3f}ms/step)"
+
+def test_vector_throughput():
+    rl_episodes = max(2, int(4 * bench_scale()))
+    measured = run_all(
+        n=4,
+        rounds=max(50, int(200 * bench_scale())),
+        rl_episodes=rl_episodes,
+        steps=max(20, int(50 * bench_scale())),
+        pool_rounds=max(10, int(25 * bench_scale())),
     )
+    save_results("vector_throughput", measured)
+    assert check_failover_recovery(measured["failover_recovery"]) == 0
+    assert check_result_cache_regression(measured["result_cache"]) == 0
     # Acceptance criterion: routing through the gateway costs no more than
     # GATEWAY_OVERHEAD_BUDGET x the direct-to-daemon per-worker-step latency
     # at n=4.
+    gateway_overhead = measured["gateway_overhead"]
     assert gateway_overhead["gateway_vs_direct"] <= GATEWAY_OVERHEAD_BUDGET, (
         f"gateway stepping ({gateway_overhead['gateway_step_ms']:.3f}ms/step) is "
         f"{gateway_overhead['gateway_vs_direct']:.2f}x direct-to-daemon "
         f"({gateway_overhead['direct_step_ms']:.3f}ms/step), budget "
         f"{GATEWAY_OVERHEAD_BUDGET}x"
     )
-    assert all(r["steps_per_sec"] > 0 for r in results)
-    assert all(r["steps_per_sec"] > 0 and r["episodes"] >= rl_episodes for r in rl_results)
+    # Sanity: every configuration actually stepped (verified stepping too: the
+    # mode is a debug tool, so it only has to be affordable, not free), and the
+    # socket transport round-tripped real steps through the daemon.
+    assert measured["verifier_overhead"]["verify_on_step_ms"] > 0
+    transport_latency = measured["transport_latency"]
+    assert transport_latency["socket_step_ms"] > 0
+    vec_pool = transport_latency["vec_pool"]
+    assert vec_pool["batched_step_ms"] > 0 and vec_pool["fanout_step_ms"] > 0
+    assert all(r["steps_per_sec"] > 0 for r in measured["results"])
     assert all(
-        r["steps_per_sec"] > 0 and r["episodes"] == rl_episodes for r in distributed_results
+        r["steps_per_sec"] > 0 and r["episodes"] >= rl_episodes
+        for r in measured["rl_agents"].values()
     )
-    # Acceptance criterion: with the RPC round trip modelled, the concurrent
-    # backends overlap transport latency and beat serial by >= 1.5x at n=4.
-    for backend in ("thread", "process"):
-        assert by_key[(backend, 4)] >= 1.5 * by_key[("serial", 4)], (
-            f"{backend} backend at n=4 is only "
-            f"{by_key[(backend, 4)] / by_key[('serial', 4)]:.2f}x SerialBackend"
-        )
+    assert all(
+        r["steps_per_sec"] > 0 and r["episodes"] == rl_episodes
+        for r in measured["distributed_rl_agents"].values()
+    )
 
 
-def check_transport_regression(max_regression: float = 2.0) -> int:
+def check_transport_regression(fresh: dict, max_regression: float = 2.0) -> int:
     """CI gate: fail when batched socket stepping regresses vs the recorded
     baseline by more than ``max_regression``.
 
@@ -740,26 +682,14 @@ def check_transport_regression(max_regression: float = 2.0) -> int:
     robust to slower or busier CI machines — only a genuine increase in
     transport overhead (framing, round trips, daemon dispatch) trips it.
     """
-    import json
-    from pathlib import Path
-
-    results_path = Path(__file__).parent / "results" / "vector_throughput.json"
-    recorded = json.loads(results_path.read_text())["transport_latency"]
-    recorded_ratio = recorded.get("batched_vs_in_process")
-    if recorded_ratio is None:
-        # Results predate batched stepping: the single-env socket ratio is
-        # the only recorded in-process-relative baseline.
-        recorded_ratio = recorded["socket_vs_in_process"]
-    fresh = _measure_transport_latency(steps=50)
-    vec = _measure_vec_transport_latency(rounds=25)
-    fresh_ratio = vec["batched_step_ms"] / fresh["in_process_step_ms"]
+    vec, fresh_ratio = fresh["vec_pool"], fresh["batched_vs_in_process"]
     print(
         f"batched socket stepping at n={vec['workers']}: "
         f"{vec['batched_step_ms']:.3f}ms per worker-step, "
-        f"{fresh_ratio:.2f}x in-process (recorded {recorded_ratio:.2f}x, "
+        f"{fresh_ratio:.2f}x in-process (recorded {RECORDED_BATCHED_VS_IN_PROCESS:.2f}x, "
         f"budget {max_regression:.1f}x recorded)"
     )
-    if fresh_ratio > max_regression * recorded_ratio:
+    if fresh_ratio > max_regression * RECORDED_BATCHED_VS_IN_PROCESS:
         print(
             f"FAIL: transport latency regressed more than {max_regression:.1f}x "
             f"against the recorded in-process-relative baseline"
@@ -770,16 +700,15 @@ def check_transport_regression(max_regression: float = 2.0) -> int:
 
 
 def check_result_cache_regression(
-    min_speedup: float = 5.0, min_hit_rate: float = 0.8
+    fresh: dict, min_speedup: float = 5.0, min_hit_rate: float = 0.8
 ) -> int:
-    """CI gate: fail when the result cache stops paying for itself.
+    """Gate: fail when the result cache stops paying for itself.
 
     The floors are absolute, not baseline-relative: both the speedup (the
     ratio of two per-step timings from the same run) and the hit rate are
     machine-speed-independent, so a breach means the caching path itself
     regressed — entries no longer hit, or a hit stopped being cheap.
     """
-    fresh = _measure_result_cache()
     print(
         f"result cache on the repeated-prefix workload: cached "
         f"{fresh['cached_step_ms']:.3f}ms/step vs uncached "
@@ -831,11 +760,11 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     if args.check_transport_regression:
-        return check_transport_regression()
+        return check_transport_regression(_measure_transport_latency(steps=50, pool_rounds=25))
     if args.check_result_cache:
-        return check_result_cache_regression()
+        return check_result_cache_regression(_measure_result_cache())
     if args.check_failover_recovery:
-        return check_failover_recovery()
+        return check_failover_recovery(_measure_failover_recovery())
     if args.measure_verifier_overhead:
         overhead = _measure_verifier_overhead(steps=50)
         print(
@@ -844,64 +773,12 @@ def main(argv=None):
             f"({overhead['verify_on_vs_off']:.2f}x)"
         )
         return 0
-    for backend in BACKENDS:
-        result = _measure_throughput(backend, args.workers, args.rounds)
-        print(
-            f"{backend:>7} backend, n={result['workers']}: "
-            f"{result['steps_per_sec']:8.1f} steps/sec "
-            f"({result['steps']} steps in {result['walltime_s']:.2f}s)"
-        )
-    for result in run_no_latency_sweep(rounds=10 * args.rounds, n=args.workers):
-        print(
-            f"{result['backend']:>7} backend, n={result['workers']}, no simulated latency, "
-            f"{result['benchmark']}: {result['steps_per_sec']:8.1f} steps/sec, "
-            f"pool built in {result['pool_build_s'] * 1e3:.0f}ms"
-        )
-    for agent in ("impala", "apex"):
-        result = _measure_rl_throughput(agent, "process", args.workers, episodes=2)
-        print(
-            f"{agent:>7} train [process], n={result['workers']}: "
-            f"{result['steps_per_sec']:8.1f} steps/sec "
-            f"({result['episodes']} episodes in {result['walltime_s']:.2f}s)"
-        )
-    for agent in ("impala", "apex"):
-        result = _measure_distributed_throughput(agent, actors=args.workers, episodes=2)
-        print(
-            f"{agent:>7} train [distributed], actors={result['actors']}: "
-            f"{result['steps_per_sec']:8.1f} steps/sec "
-            f"({result['episodes']} episodes in {result['walltime_s']:.2f}s)"
-        )
-    latency = _measure_transport_latency(steps=20)
-    print(
-        f"transport step latency: in-process {latency['in_process_step_ms']:.3f}ms, "
-        f"socket daemon {latency['socket_step_ms']:.3f}ms "
-        f"(+{latency['socket_overhead_ms']:.3f}ms per call)"
+    measured = run_all(
+        n=args.workers, rounds=10 * args.rounds, rl_episodes=2, steps=20, pool_rounds=args.rounds
     )
-    vec_latency = _measure_vec_transport_latency(rounds=args.rounds)
-    print(
-        f"vec pool over socket daemon, n={vec_latency['workers']}: "
-        f"batched {vec_latency['batched_step_ms']:.3f}ms/worker-step vs "
-        f"one-RPC-per-worker {vec_latency['per_rpc_step_ms']:.3f}ms/worker-step "
-        f"({vec_latency['batched_vs_per_rpc']:.2f}x)"
-    )
-    gateway_overhead = _measure_gateway_overhead(rounds=args.rounds)
-    print(
-        f"gateway overhead, n={gateway_overhead['workers']}: "
-        f"direct {gateway_overhead['direct_step_ms']:.3f}ms/worker-step vs "
-        f"gateway {gateway_overhead['gateway_step_ms']:.3f}ms/worker-step "
-        f"({gateway_overhead['gateway_vs_direct']:.2f}x)"
-    )
-    result_cache = _measure_result_cache()
-    print(
-        f"result cache (repeated prefixes): cached "
-        f"{result_cache['cached_step_ms']:.3f}ms/step vs uncached "
-        f"{result_cache['uncached_step_ms']:.3f}ms/step "
-        f"({result_cache['speedup']:.1f}x, hit rate {result_cache['hit_rate']:.0%})"
-    )
+    print(json.dumps(measured, indent=2))
     return 0
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

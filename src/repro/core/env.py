@@ -115,8 +115,17 @@ class CompilerEnv:
         if service_url is not None:
             # Attach to a running compiler service daemon (`repro serve`)
             # instead of hosting a runtime in-process: sessions live on
-            # the daemon and survive this client.
-            transport = self._make_socket_transport()
+            # the daemon and survive this client. The socket-level timeout
+            # must exceed the connection's call deadline: a call that comes
+            # back between the two is classified as a slow *success*
+            # (recorded, not retried) rather than a transport failure —
+            # retrying an applied step() would re-execute it on the daemon.
+            deadline = self.connection_opts.rpc_call_max_seconds
+            transport = SocketTransport(
+                service_url,
+                timeout=deadline + max(deadline, 5.0),
+                auth_token=service_token,
+            )
         else:
             transport = InProcessTransport(self._make_runtime)
         if self.chaos is not None:
@@ -166,21 +175,6 @@ class CompilerEnv:
             session_type=self.session_type,
             benchmark_resolver=self._resolve_benchmark,
             result_cache=self.result_cache,
-        )
-
-    def _make_socket_transport(self) -> SocketTransport:
-        """A daemon connection for this environment's ``service_url``.
-
-        The socket-level timeout must exceed the connection's call deadline:
-        a call that comes back between the two is classified as a slow
-        *success* (recorded, not retried) rather than a transport failure —
-        retrying an applied step() would re-execute it on the daemon.
-        """
-        deadline = self.connection_opts.rpc_call_max_seconds
-        return SocketTransport(
-            self.service_url,
-            timeout=deadline + max(deadline, 5.0),
-            auth_token=self.service_token,
         )
 
     def _resolve_benchmark(self, uri: str) -> Benchmark:
@@ -671,32 +665,6 @@ class CompilerEnv:
         if self._reward_space is not None:
             forked._reward_space = forked.reward.spaces[self._reward_space.name]
         return forked
-
-    def use_dedicated_connection(self) -> bool:
-        """Swap a shared daemon connection for a private one. Daemon-only.
-
-        The multiplexed socket transport lets any number of concurrent
-        callers share one connection, so pools no longer need this for
-        parallelism; it remains for callers that want per-environment
-        connection isolation (independent failure domains, per-environment
-        accounting, the benchmark harness's one-RPC-per-worker baseline).
-        The compilation session lives on the daemon and is connection-
-        agnostic, so only the transport changes. No-op (returns False) for
-        in-process environments, where the shared resource is the runtime
-        itself. Must not be called with RPCs in flight on this environment.
-        """
-        if self.service_url is None:
-            return False
-        shared = self.service
-        transport = self._make_socket_transport()
-        if self.chaos is not None:
-            from repro.core.service.chaos import ChaosTransport
-
-            transport = ChaosTransport(transport, self.chaos)
-        self.service = ServiceConnection(transport, opts=self.connection_opts)
-        self._owns_service = True
-        shared.release()
-        return True
 
     def apply(self, state: CompilerEnvState) -> None:
         """Replay a serialized state onto this environment."""

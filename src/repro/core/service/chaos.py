@@ -398,12 +398,6 @@ class ChaosTransport(ServiceTransport):
     def supports_step_sessions(self) -> bool:
         return bool(getattr(self.inner, "supports_step_sessions", False))
 
-    @property
-    def spaces_cache_key(self):
-        # Chaos runs must never share cached space metadata with (or poison
-        # it for) well-behaved connections to the same URL.
-        return None
-
     def __repr__(self) -> str:
         return (
             f"ChaosTransport({self.inner!r}, calls={self.calls}, "

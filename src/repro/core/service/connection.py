@@ -9,10 +9,8 @@ accounting (used by the Table II efficiency benchmarks).
 *Where* the runtime lives is delegated to a
 :class:`~repro.core.service.transport.ServiceTransport`: in-process (the
 default) or across a socket to a standalone daemon. The fault-tolerance
-policy here is identical for both. A
-``rpc_latency`` can additionally be configured to model the per-call
-round-trip cost of a real RPC transport, which is what the batched-step
-experiments measure against.
+policy here is identical for both, and so is start-up: every connection
+connects and asks its service for its spaces, once.
 """
 
 import random
@@ -33,35 +31,6 @@ from repro.core.service.proto import (
 from repro.core.service.transport import ServiceTransport, resolve_transport
 from repro.errors import ServiceError, ServiceIsClosed, ServiceTransportError, SessionNotFound
 
-# Client-side cache of static space metadata, keyed by the transport's
-# ``spaces_cache_key`` (the service URL for sockets). The spaces a daemon
-# serves never change over its lifetime, so every connection after the first
-# skips the ``get_spaces`` round trip — one fewer RPC per pool worker, per
-# fork, per dedicated-connection re-home. Transports without a cache key
-# (in-process: each owns a private runtime) always fetch.
-_SPACES_CACHE: Dict[str, GetSpacesReply] = {}
-_SPACES_CACHE_LOCK = threading.Lock()
-
-
-def clear_spaces_cache(key: Optional[str] = None) -> None:
-    """Drop cached space metadata (all of it, or one service URL's entries).
-
-    Needed when a service URL is *reused* by a daemon serving a different
-    environment — ports from one test to the next, say — and when a gateway
-    re-homes sessions across its fleet (its clients' cache keys carry a
-    ``#e<epoch>`` suffix; clearing the bare URL retires every epoch of it).
-    Production daemons never mutate their spaces, so normal code has no
-    reason to call this.
-    """
-    with _SPACES_CACHE_LOCK:
-        if key is None:
-            _SPACES_CACHE.clear()
-        else:
-            _SPACES_CACHE.pop(key, None)
-            prefix = f"{key}#"
-            for stale in [k for k in _SPACES_CACHE if k.startswith(prefix)]:
-                _SPACES_CACHE.pop(stale, None)
-
 
 @dataclass
 class ConnectionOpts:
@@ -77,11 +46,6 @@ class ConnectionOpts:
     # retry schedules decorrelate. Disable only when a test needs exact
     # deterministic sleep lengths.
     retry_wait_jitter: bool = True
-    # Simulated per-call transport latency in seconds. Zero by default; the
-    # efficiency benchmarks set this to a non-zero value to model the RPC
-    # round trip that batched steps amortize.
-    rpc_latency: float = 0.0
-    init_max_seconds: float = 30.0
     init_max_attempts: int = 5
 
 
@@ -162,17 +126,13 @@ class ServiceConnection:
         start = time.perf_counter()
         self._transport.connect(max_attempts=self.opts.init_max_attempts)
         self.startup_wall_time = time.perf_counter() - start
-        cache_key = getattr(self._transport, "spaces_cache_key", None)
-        if cache_key is None:
+        try:
             self.spaces: GetSpacesReply = self._call("get_spaces")
-        else:
-            with _SPACES_CACHE_LOCK:
-                cached = _SPACES_CACHE.get(cache_key)
-            if cached is None:
-                cached = self._call("get_spaces")
-                with _SPACES_CACHE_LOCK:
-                    cached = _SPACES_CACHE.setdefault(cache_key, cached)
-            self.spaces = cached
+        except BaseException:
+            # Nobody will ever hold this connection to close it: release the
+            # channel (a socket, or an in-process runtime and its temp dir).
+            self.close()
+            raise
 
     @property
     def transport(self) -> ServiceTransport:
@@ -212,8 +172,6 @@ class ServiceConnection:
         for attempt in range(attempts):
             start = time.perf_counter()
             try:
-                if self.opts.rpc_latency:
-                    time.sleep(self.opts.rpc_latency)
                 result = self._transport.call(name, *args)
             except (SessionNotFound, ServiceIsClosed):
                 with self._lock:

@@ -23,8 +23,9 @@ RPC plus a failed liveness probe), each of its sessions is re-created on a
 surviving daemon by replaying the recorded actions, and the failed call is
 retried once against the new home. Only *acknowledged* actions are
 replayed, so a step lost in flight with the dying daemon is applied at most
-once on the successor. The gateway's ``spaces_epoch`` is bumped on every
-failover so reconnecting clients retire cached space metadata.
+once on the successor. ``server_info()["failovers"]`` counts these events;
+the spaces a gateway serves are its ``env_id``'s and do not change with its
+fleet, so clients that connect afterwards read the same ones.
 
 **Multi-tenancy.** Client auth tokens (checked by the inherited hello
 handshake) own their sessions at the gateway: one tenant's session-scoped
@@ -206,7 +207,6 @@ class ServiceGateway(SocketRPCServer):
         self._daemon_indexes = itertools.count()
         self._sessions: Dict[int, _RoutedSession] = {}
         self._session_ids = itertools.count()
-        self._epoch = 0
         self.failovers = 0
         self.rehomed_sessions = 0  # Sessions successfully replayed onto survivors.
         self.heartbeat_interval = heartbeat_interval
@@ -337,7 +337,6 @@ class ServiceGateway(SocketRPCServer):
                 return
             daemon.dead = True
             daemon.breaker.force_open()
-            self._epoch += 1
             self.failovers += 1
             stranded = [r for r in self._sessions.values() if r.daemon is daemon]
         logger.warning(
@@ -645,10 +644,6 @@ class ServiceGateway(SocketRPCServer):
 
     # -- introspection -----------------------------------------------------
 
-    def spaces_epoch(self) -> int:
-        with self._fleet_lock:
-            return self._epoch
-
     def session_states(self) -> Dict[int, CompilerEnvState]:
         """Every routed session's episode so far, as CompilerEnvStates."""
         with self._fleet_lock:
@@ -694,7 +689,6 @@ class ServiceGateway(SocketRPCServer):
     def server_info(self) -> dict:
         with self._fleet_lock:
             sessions = len(self._sessions)
-            epoch = self._epoch
             failovers = self.failovers
             rehomed = self.rehomed_sessions
             fleet = [
@@ -725,7 +719,6 @@ class ServiceGateway(SocketRPCServer):
             "active_sessions": sessions,
             "connections_served": self.connections_served,
             "heartbeats_served": self.heartbeats_served,
-            "spaces_epoch": epoch,
             "failovers": failovers,
             "rehomed_sessions": rehomed,
             "health_monitor": None if monitor is None else {
@@ -828,10 +821,4 @@ class ServiceGateway(SocketRPCServer):
         for daemon in fleet:
             if not daemon.dead:
                 self._stop_daemon(daemon)
-        try:
-            from repro.core.service.connection import clear_spaces_cache
-
-            clear_spaces_cache(self.url)
-        except Exception:  # noqa: BLE001 - teardown must not raise
-            pass
         logger.info("Compiler service gateway on %s shut down", self.url)

@@ -223,12 +223,6 @@ class HelloRequest:
 @wire_message
 @dataclass
 class HelloReply:
-    """The server's half of the handshake.
+    """The server's half of the handshake: who answered."""
 
-    ``spaces_epoch`` is bumped by a gateway whenever it re-homes sessions
-    across its fleet, and keys the client-side ``get_spaces`` cache so a
-    post-failover connection never trusts pre-failover metadata.
-    """
-
-    spaces_epoch: int = 0
     server: str = ""

@@ -338,19 +338,7 @@ class SocketRPCServer:
         state.token = request.token
         state.authenticated = True
         state.client = request.client
-        return HelloReply(
-            spaces_epoch=self.spaces_epoch(),
-            server=f"repro-{self.server_kind}-pid{os.getpid()}",
-        )
-
-    def spaces_epoch(self) -> int:
-        """Generation counter of this server's space metadata.
-
-        Plain daemons never mutate their spaces, so theirs is forever 0; a
-        gateway bumps it each time it re-homes sessions across its fleet so
-        clients retire pre-failover cached metadata.
-        """
-        return 0
+        return HelloReply(server=f"repro-{self.server_kind}-pid{os.getpid()}")
 
     def _dispatch(self, state: ClientConnectionState, method: str, args):
         """Execute one authenticated RPC. Implemented by subclasses."""

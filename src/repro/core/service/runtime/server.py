@@ -399,15 +399,6 @@ class ServiceServer(SocketRPCServer):
                     resource.close()
                 except Exception:  # noqa: BLE001 - teardown must not raise
                     pass
-            # This daemon's URL (an ephemeral port, often) may be reused by
-            # a different daemon later; retire its spaces-cache entry so a
-            # same-process successor cannot serve stale metadata.
-            try:
-                from repro.core.service.connection import clear_spaces_cache
-
-                clear_spaces_cache(self.url)
-            except Exception:  # noqa: BLE001 - teardown must not raise
-                pass
         logger.info("Compiler service daemon on %s shut down", self.url)
 
 

@@ -49,7 +49,7 @@ does. Either way the connection is retired and the call after that opens a
 fresh one.
 
 On connect the transport performs the ``hello`` handshake: it presents its
-auth token and adopts the server's spaces epoch. A refused token raises
+auth token and learns who answered. A refused token raises
 :class:`~repro.errors.PermissionDeniedError`; any other error reply fails
 the connect.
 """
@@ -457,22 +457,6 @@ class SocketTransport(ServiceTransport):
         self.auth_token = auth_token
         self._conn: Optional[_MuxSocketConnection] = None
         self._lock = threading.RLock()
-        self._spaces_epoch = 0
-
-    @property
-    def spaces_cache_key(self) -> str:
-        """Key under which static space metadata of this service is cached
-        client-side (all connections to one URL see the same spaces).
-
-        A gateway bumps its ``spaces_epoch`` whenever it re-homes sessions
-        across its fleet; folding the epoch into the key retires pre-failover
-        metadata without any cross-client invalidation protocol. Epoch 0 —
-        every plain daemon — keeps the bare URL so existing cache clears
-        keyed by URL keep working.
-        """
-        if self._spaces_epoch:
-            return f"{self.url}#e{self._spaces_epoch}"
-        return self.url
 
     def _open(self) -> None:
         """Connect and run the hello exchange on the fresh connection."""
@@ -499,18 +483,7 @@ class SocketTransport(ServiceTransport):
         except BaseException:
             conn.close(ServiceIsClosed("Handshake failed"))
             raise
-        self._note_spaces_epoch(reply.spaces_epoch)
         self._conn = conn
-
-    def _note_spaces_epoch(self, epoch: int) -> None:
-        """Adopt the server's spaces epoch, retiring the stale cache entry."""
-        if epoch == self._spaces_epoch:
-            return
-        stale_key = self.spaces_cache_key
-        self._spaces_epoch = epoch
-        from repro.core.service.connection import clear_spaces_cache
-
-        clear_spaces_cache(stale_key)
 
     def _on_connect_failure(self) -> None:
         self._close_socket()

@@ -111,9 +111,10 @@ class ThreadPoolBackend(ExecutionBackend):
     """Executes the batch on a shared ``ThreadPoolExecutor``.
 
     Worker sessions are independent, so their service calls can be issued
-    concurrently; with a non-zero transport latency (``ConnectionOpts.
-    rpc_latency``) the round-trips overlap and batched step throughput scales
-    with the worker count.
+    concurrently: against a daemon the round trips overlap on the shared
+    socket. In-process there is nothing to wait for, and a thread hand-off
+    per step costs more than serial stepping (README, "when to use which
+    backend").
     """
 
     name = "thread"

@@ -80,13 +80,14 @@ def loop_invariant_code_motion(function: Function) -> bool:
         preheader = _loop_preheader(function, loop)
         if preheader is None or preheader.terminator is None:
             continue
-        loop_values = {
-            inst for block in loop.blocks for inst in block.instructions
-        }
+        # In block-list order: `loop.blocks` is a set, and the order hoisted
+        # instructions land in the preheader is printed.
+        loop_blocks = [block for block in function.blocks if block in loop.blocks]
+        loop_values = {inst for block in loop_blocks for inst in block.instructions}
         hoisted = True
         while hoisted:
             hoisted = False
-            for block in loop.blocks:
+            for block in loop_blocks:
                 for inst in list(block.instructions):
                     if not is_pure(inst) or not inst.has_result:
                         continue

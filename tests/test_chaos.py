@@ -27,7 +27,6 @@ from repro.core.service.chaos import (
     ServerChaos,
     resolve_chaos,
 )
-from repro.core.service.connection import clear_spaces_cache
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.health import CircuitBreaker, HealthMonitor
 from repro.core.service.proto import StartSessionRequest, StepRequest
@@ -111,8 +110,6 @@ class TestFaultPlan:
 
 class _NeverCalledTransport(ServiceTransport):
     """A stub transport for tests that never reach a real call."""
-
-    spaces_cache_key = None
 
     def connect(self, max_attempts: int = 1) -> None:
         pass
@@ -464,8 +461,6 @@ class _AlwaysFailingTransport(ServiceTransport):
     """Answers get_spaces (so ServiceConnection can bootstrap), then fails
     every call with a generic (retryable) error."""
 
-    spaces_cache_key = None
-
     def connect(self, max_attempts: int = 1) -> None:
         pass
 
@@ -583,7 +578,6 @@ class TestHealthMonitorFailover:
         finally:
             env.close()
             gateway.shutdown()
-            clear_spaces_cache()
 
     def test_fleet_health_in_server_info(self):
         gateway = ServiceGateway(
@@ -678,4 +672,3 @@ class TestGracefulDegradation:
             env_a.close()
             env_b.close()
             gateway.shutdown()
-            clear_spaces_cache()

@@ -98,6 +98,9 @@ def test_fork_replays_like_its_parent(deployment):
             assert fork.actions == env.actions
             assert fork.episode_reward == env.episode_reward
             _assert_fork_replays_like_parent(env, fork, actions[4:9])
+        # Closing the fork released its reference, not the shared connection.
+        _, _, done, info = env.step(actions[9])
+        assert not done and "error_details" not in info
 
 
 def _assert_pool_of_two_equals_two_envs(vec):
@@ -116,6 +119,14 @@ def test_a_pool_of_two_equals_two_envs(deployment, backend):
         # Forked from the root onto its connection, which multiplexes them.
         assert len({id(worker.service) for worker in vec.workers}) == 1
         _assert_pool_of_two_equals_two_envs(vec)
+
+
+def test_a_forked_pool_asks_for_its_spaces_once(deployment):
+    """Populating a pool is one connection: the root connects, fetches the
+    spaces and opens a session; every other worker is a ``fork_session``."""
+    with VecCompilerEnv(deployment(**STEP_SHAPE), n=3, backend="thread") as vec:
+        calls = {method: stats["calls"] for method, stats in vec.connection_stats().items()}
+    assert calls == {"get_spaces": 1, "start_session": 1, "step": 1, "fork_session": 2}
 
 
 def test_a_process_pool_of_two_equals_two_envs():

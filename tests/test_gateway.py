@@ -16,11 +16,7 @@ import time
 import pytest
 
 import repro
-from repro.core.service.connection import (
-    _SPACES_CACHE,
-    ServiceConnection,
-    clear_spaces_cache,
-)
+from repro.core.service.connection import ServiceConnection
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.proto import StartSessionRequest, StepRequest
 from repro.core.service.transport import SocketTransport
@@ -49,6 +45,10 @@ def _make_env(url, **kwargs):
         service_url=url,
         **kwargs,
     )
+
+
+def _described(spaces):
+    return [(m.name, m.space) for m in spaces.action_spaces + spaces.observation_spaces]
 
 
 def _rollout(url, actions=ACTIONS, **kwargs):
@@ -104,6 +104,14 @@ class TestGatewayFailover:
             assert reward is not None and not done
             assert gateway.server_info()["failovers"] == 1
             assert env.actions == ACTIONS[:4]
+            # A client that connects after the failover asks for its spaces
+            # like any other, reads what the first client read, and steps.
+            with _make_env(gateway.url) as late:
+                assert late.service.stats["get_spaces"].calls == 1
+                assert _described(late.service.spaces) == _described(env.service.spaces)
+                late.reset()
+                _, reward, done, _ = late.step(ACTIONS[0])
+                assert reward is not None and not done
         finally:
             env.close()
 
@@ -127,27 +135,6 @@ class TestGatewayFailover:
                 [ACTIONS[0]] + ACTIONS[2:],
                 [ACTIONS[1]] + ACTIONS[2:],
             ]
-
-    def test_failover_bumps_spaces_epoch_and_cache_key(self, gateway):
-        env = _make_env(gateway.url)
-        try:
-            env.reset()
-            assert gateway.spaces_epoch() == 0
-            victim = self._daemon_hosting(gateway)
-            os.kill(victim.pid, signal.SIGKILL)
-            env.step(ACTIONS[0])
-            assert gateway.spaces_epoch() == 1
-            # A fresh connection handshakes the bumped epoch into its cache
-            # key, so pre-failover metadata is never reused for it.
-            transport = SocketTransport(gateway.url)
-            transport.connect()
-            try:
-                assert transport.spaces_cache_key == f"{gateway.url}#e1"
-            finally:
-                transport.shutdown()
-        finally:
-            env.close()
-            clear_spaces_cache(gateway.url)
 
     def test_failover_replay_preserves_episode_state(self, gateway):
         """The replayed session continues the episode, not a fresh one:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.llvm.datasets.generators import generate_module
 from repro.llvm.interpreter import run_module
-from repro.llvm.ir import Constant, Function, I32, IRBuilder, Instruction, Module, VOID
+from repro.llvm.ir import BasicBlock, Constant, Function, I32, IRBuilder, Instruction, Module, VOID
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import verify_module
@@ -407,6 +407,60 @@ class TestLoopPasses:
         expected = run_module(module, entry_point="f", args=[3, 5]).return_value
         run_pass(module, "licm")
         assert run_module(module, entry_point="f", args=[3, 5]).return_value == expected
+
+    @staticmethod
+    def _two_block_loop(allocate_body_first: bool) -> Module:
+        """A loop of blocks ``loop`` and ``body``, an invariant in each. The
+        block list is the same either way; which object is older is not."""
+        if allocate_body_first:
+            body, loop = BasicBlock("body"), BasicBlock("loop")
+        else:
+            loop, body = BasicBlock("loop"), BasicBlock("body")
+        function = Function("f", return_type=I32, arg_types=[I32, I32], arg_names=["a", "b"])
+        entry = function.add_block("entry")
+        function.add_block(loop)
+        function.add_block(body)
+        exit_block = function.add_block("exit")
+        a, b = function.args
+        zero = Constant(I32, 0)
+        IRBuilder(function, entry).br(loop)
+        builder = IRBuilder(function, body)
+        builder.add(a, b, name="inv.body")
+        i_next = builder.add(zero, Constant(I32, 1), name="i.next")
+        builder.cond_br(builder.icmp("slt", i_next, Constant(I32, 4), name="c"), loop, exit_block)
+        builder = IRBuilder(function, loop)
+        i_next.set_operand(0, builder.phi(I32, [(zero, entry), (i_next, body)], name="i"))
+        builder.mul(a, b, name="inv.loop")
+        builder.br(body)
+        IRBuilder(function, exit_block).ret(i_next)
+        module = Module("m")
+        module.add_function(function)
+        return module
+
+    def test_licm_hoists_in_block_list_order(self):
+        expected = (
+            "; ModuleID = 'm'\n\n"
+            "define i32 @f(i32 %a, i32 %b) {\n"
+            "entry:\n"
+            "  %inv.loop = mul i32 %a, %b\n"
+            "  %inv.body = add i32 %a, %b\n"
+            "  br label %loop\n"
+            "loop:\n"
+            "  %i = phi i32 [ 0, %entry ], [ %i.next, %body ]\n"
+            "  br label %body\n"
+            "body:\n"
+            "  %i.next = add i32 %i, 1\n"
+            "  %c = icmp slt i32 %i.next, 4\n"
+            "  br i1 %c, label %loop, label %exit\n"
+            "exit:\n"
+            "  ret i32 %i.next\n"
+            "}\n"
+        )
+        for allocate_body_first in (False, True):
+            module = self._two_block_loop(allocate_body_first)
+            assert run_pass(module, "licm")
+            assert verify_module(module) == []
+            assert print_module(module) == expected, allocate_body_first
 
     def test_loop_unroll_removes_back_edge(self):
         module = _parse(self.LOOP_IR)

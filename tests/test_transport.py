@@ -32,8 +32,12 @@ from repro.core.service import (
 )
 from repro.core.service.chaos import FlushLimitedSocket
 from repro.core.service.proto import HelloReply, StartSessionRequest, StepRequest
-from repro.core.service.runtime.server import ServiceServer, make_env_server
-from repro.core.service.transport import InProcessTransport, SocketTransport
+from repro.core.service.runtime.server import ServiceServer, SpawnedDaemon, make_env_server
+from repro.core.service.transport import (
+    InProcessTransport,
+    ServiceTransport,
+    SocketTransport,
+)
 from repro.core.service.wire import (
     REPLY_ERROR,
     REPLY_OK,
@@ -46,11 +50,7 @@ from repro.core.service.wire import (
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Scalar
 from repro.core.vector import AutoscalePolicy, VecCompilerEnv, make_vec_env
 from repro.core.vector.autoscale import interval_delta
-from repro.core.service.connection import (
-    CallStats,
-    clear_spaces_cache,
-    merge_stats_summaries,
-)
+from repro.core.service.connection import CallStats, merge_stats_summaries
 from repro.core.wrappers import TimeLimit
 from repro.errors import (
     ServiceError,
@@ -1113,30 +1113,6 @@ class TestSocketEnvEquivalence:
         finally:
             env.close()
 
-    def test_daemon_fork_shares_then_can_dedicate_connection(self, llvm_daemon):
-        """Sequential forks (ForkOnStep, backtracking) stay cheap — one
-        fork_session RPC on the shared socket; concurrent users re-home a
-        fork onto its own connection with use_dedicated_connection()."""
-        env = _make_llvm_env(service_url=llvm_daemon.url)
-        try:
-            env.reset()
-            env.step(1)
-            fork = env.fork()
-            try:
-                assert fork.service is env.service  # No per-fork handshake.
-                assert fork.use_dedicated_connection()
-                assert fork.service is not env.service
-                # Both connections drive daemon-hosted sessions; closing the
-                # fork's must not disturb the parent's.
-                fork.step(2)
-                fork.close()
-                _, _, done, info = env.step(3)
-                assert not done and "error_details" not in info
-            finally:
-                fork.close()
-        finally:
-            env.close()
-
     def test_custom_benchmark_fails_fast_over_daemon(self, llvm_daemon):
         from repro.errors import BenchmarkInitError
 
@@ -1227,31 +1203,7 @@ class TestSocketStatsAggregation:
     """Satellite: connection stats from daemon-hosted sessions merge with
     local ones through the same summary pipeline."""
 
-    def test_pool_aggregates_across_daemon_workers(self, llvm_daemon):
-        with make_vec_env(
-            env_id="llvm-v0",
-            n=2,
-            backend="process",
-            service_url=llvm_daemon.url,
-            benchmark=BENCHMARK,
-            reward_space="IrInstructionCount",
-        ) as pool:
-            # Fork-populated workers share the root's connection; move one
-            # off it so the pool has two summaries to merge.
-            assert pool.workers[1].use_dedicated_connection()
-            pool.reset()
-            pool.step([1, 2])
-            stats = pool.connection_stats()
-        # One session the root opened to be forked from, then one per worker
-        # at reset() — the second worker's on its own connection.
-        assert stats["start_session"]["calls"] == 3
-        assert stats["step"]["calls"] >= 2
-        assert stats["step"]["wall_time_s"] > 0
-
     def test_daemon_and_local_summaries_merge(self, llvm_daemon):
-        # Earlier tests against the same daemon populated the client-side
-        # spaces cache; drop it so the remote env records a get_spaces call.
-        clear_spaces_cache(llvm_daemon.url)
         remote = _make_llvm_env(service_url=llvm_daemon.url)
         local = _make_llvm_env()
         try:
@@ -1271,48 +1223,48 @@ class TestSocketStatsAggregation:
             local.close()
 
 
-class TestSpacesCache:
-    """Static space metadata of a daemon is cached client-side by service
-    URL, so auto-reset re-fetches and pool-worker handshakes stop costing a
-    get_spaces round trip each."""
+class _RefusesGetSpaces(ServiceTransport):
+    """Connects, then fails the first question a connection asks."""
 
-    def test_second_connection_to_same_daemon_skips_get_spaces(self):
-        with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            clear_spaces_cache()
-            first = ServiceConnection(SocketTransport(server.url))
-            second = ServiceConnection(SocketTransport(server.url))
+    shutdowns = 0
+
+    def call(self, method, *args):
+        raise ServiceError(f"refused {method}")
+
+    def shutdown(self) -> None:
+        self.shutdowns += 1
+
+
+class TestConnectionSpaces:
+    """Every connection, over any transport, asks its service for its spaces
+    once; none remembers another's answer."""
+
+    @pytest.mark.parametrize("family", ["tcp", "unix"])
+    def test_a_reused_address_serves_the_new_daemons_spaces(self, family, tmp_path):
+        """The client outlives a daemon (another process, so nothing of the
+        daemon's shutdown reaches the client) and meets its successor."""
+
+        def action_spaces_served(env_id, **where):
+            daemon = SpawnedDaemon(env_id, session_timeout=None, **where)
             try:
-                assert first.stats["get_spaces"].calls == 1
-                # The second connection was served from the cache: no RPC.
-                assert "get_spaces" not in second.stats
-                assert second.spaces is first.spaces
+                with ServiceConnection(SocketTransport(daemon.url)) as connection:
+                    assert connection.stats["get_spaces"].calls == 1
+                    return daemon.url, [message.name for message in connection.spaces.action_spaces]
             finally:
-                first.close()
-                second.close()
-                clear_spaces_cache(server.url)
+                daemon.stop()
 
-    def test_shutdown_retires_the_urls_cache_entry(self):
-        # A daemon's ephemeral port can be reused by a later, different
-        # daemon; its cache entry must die with it.
-        with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            url = server.url
-            with ServiceConnection(SocketTransport(url)) as connection:
-                assert connection.stats["get_spaces"].calls == 1
-        from repro.core.service.connection import _SPACES_CACHE
+        where = {"unix_path": str(tmp_path / "daemon.sock")} if family == "unix" else {"port": 0}
+        url, names = action_spaces_served("llvm-v0", **where)
+        assert names == ["PhaseOrdering"]
+        if family == "tcp":
+            where = {"port": parse_service_url(url)[1][1]}
+        assert action_spaces_served("gcc-v0", **where) == (url, ["Categorical", "Choices"])
 
-        assert url not in _SPACES_CACHE
-
-    def test_private_runtime_transports_always_fetch(self):
-        # In-process transports own a private runtime each: nothing to share.
-        first = ServiceConnection(_runtime)
-        second = ServiceConnection(_runtime)
-        try:
-            assert first.stats["get_spaces"].calls == 1
-            assert second.stats["get_spaces"].calls == 1
-            assert second.spaces is not first.spaces
-        finally:
-            first.close()
-            second.close()
+    def test_failed_first_call_shuts_the_transport_down(self):
+        transport = _RefusesGetSpaces()
+        with pytest.raises(ServiceError, match="refused get_spaces"):
+            ServiceConnection(transport)
+        assert transport.shutdowns == 1
 
 
 # -- spec picklability (required by the remote transports) --------------------

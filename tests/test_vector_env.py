@@ -382,9 +382,11 @@ class TestProcessBackend:
             vec.reset()
             vec.step([0, 1])
             stats = vec.connection_stats()
-            # One start_session per daemon, one step call per worker.
+            # One connection and one session per daemon, one step call per worker.
+            assert stats["get_spaces"]["calls"] == 2
             assert stats["start_session"]["calls"] == 2
             assert stats["step"]["calls"] >= 2
+            assert stats["step"]["wall_time_s"] > 0
 
     def test_lambda_worker_wrapper_is_accepted(self):
         """Wrappers are applied client-side; nothing is pickled."""

@@ -7,7 +7,7 @@ benchmark management, fault tolerance, caching, forking — is provided by the
 shared runtime.
 """
 
-from typing import List, Optional, Tuple
+from typing import ContextManager, List, Optional, Tuple
 
 from repro.core.datasets.benchmark import Benchmark
 from repro.core.spaces.observation import ObservationSpaceSpec
@@ -52,6 +52,17 @@ class CompilationSession:
         """
         raise NotImplementedError(f"{type(self).__name__} does not support fork()")
 
+    def lazy_fork(self) -> Optional["LazyFork"]:
+        """Optional: a fork of this session that has copied nothing yet.
+
+        The default says "unsupported" (``None``) and the runtime falls back
+        on :meth:`fork`. A backend whose state can run an action and take it
+        back for less than a copy costs returns a :class:`LazyFork`: the
+        runtime then answers the fork's first step from this session's state
+        and makes a real copy only for a fork that goes on.
+        """
+        return None
+
     def handle_session_parameter(self, key: str, value: str) -> Optional[str]:
         """Handle an arbitrary session parameter (backend-specific knobs)."""
         del key, value
@@ -59,3 +70,35 @@ class CompilationSession:
 
     def close(self) -> None:
         """Release any resources held by the session."""
+
+
+class LazyFork:
+    """What :meth:`CompilationSession.lazy_fork` returns: the moment of a
+    fork, taken when the fork was asked for. Whatever a fork draws from its
+    parent at that moment (a random seed, say) is drawn by the constructor, so
+    the parent is the same afterwards whether or not a copy is ever made.
+    """
+
+    __slots__ = ()
+
+    def speculate(self) -> ContextManager[CompilationSession]:
+        """A context in which the *parent* session stands in for the fork.
+
+        The caller guarantees that the parent is still in the state it was
+        forked in and that nobody else touches it meanwhile. Actions applied
+        and observations computed inside see the state the fork would be in;
+        on exit, however the block ends, the parent is back exactly where it
+        was, caches included.
+        """
+        raise NotImplementedError
+
+    def build(self, onto: Optional[CompilationSession] = None) -> CompilationSession:
+        """The fork as a session of its own.
+
+        With no argument, a copy of the parent *as it is now*: the caller
+        knows which state that is, and replays on the copy whatever the fork
+        is ahead of it by. When the parent is gone or has gone another way
+        the caller passes ``onto``, a fresh session of the same benchmark; it
+        is handed what was drawn at the fork, and returned.
+        """
+        raise NotImplementedError

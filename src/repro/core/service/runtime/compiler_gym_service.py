@@ -6,13 +6,14 @@ concurrent sessions, identified by integer session IDs, and owns the
 benchmark cache that gives amortized O(1) environment initialization.
 """
 
+import contextlib
 import shutil
 import tempfile
 import threading
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.core.datasets.benchmark import Benchmark
-from repro.core.service.compilation_session import CompilationSession
+from repro.core.service.compilation_session import CompilationSession, LazyFork
 from repro.core.service.proto import (
     ActionSpaceMessage,
     EndSessionReply,
@@ -54,21 +55,45 @@ class _SessionCacheState:
     A session goes permanently uncacheable (``cacheable=False``) when its
     state diverges from a pure action prefix (session parameters, dynamic
     action spaces, any error while applying actions).
+
+    An unbuilt session that began as a fork of a cacheable session whose
+    backend has a :meth:`CompilationSession.lazy_fork` also remembers its
+    ``donor`` (that session's id) and the ``lazy_fork`` it gave. While the
+    donor stands where the fork does, the fork's steps are answered from the
+    donor's own state; when the fork has to be built, it is a copy of the
+    donor if that still leads to the fork's prefix. A donor that was ended or
+    went another way is simply not used. Once built, a session forgets both.
+
+    ``lock`` exists from the first time a session is forked, lazily or not,
+    and serialises everything that reads or writes its backend state: its own
+    steps and parameters, a fork's step answered from it, a copy taken of it.
+    Nothing is called while holding it that takes a lock of the server's.
     """
 
-    __slots__ = ("uri", "action_space", "prefix", "cacheable")
+    __slots__ = ("uri", "action_space", "prefix", "cacheable", "lock", "donor", "lazy_fork")
 
     def __init__(self, uri: str, action_space=None):
         self.uri = uri
         self.action_space = action_space
         self.prefix: tuple = ()
         self.cacheable = True
+        self.lock: Optional[threading.Lock] = None
+        self.donor: Optional[int] = None
+        self.lazy_fork: Optional[LazyFork] = None
 
     def forked(self) -> "_SessionCacheState":
         child = _SessionCacheState(self.uri, self.action_space)
         child.prefix = self.prefix
         child.cacheable = self.cacheable
         return child
+
+
+_UNLOCKED = contextlib.nullcontext()
+
+
+def _lock_of(state: Optional[_SessionCacheState]):
+    """The lock of a session that has been forked; otherwise nothing to hold."""
+    return _UNLOCKED if state is None or state.lock is None else state.lock
 
 
 class CompilerGymServiceRuntime:
@@ -152,9 +177,29 @@ class CompilerGymServiceRuntime:
             working_dir=self.working_dir, action_space=action_space, benchmark=benchmark
         )
 
+    def _donor_state(self, state: _SessionCacheState) -> Optional[_SessionCacheState]:
+        """The cache state of the session an unbuilt fork may borrow from, if
+        the runtime still holds that session. Where it stands is the caller's
+        to check, under its ``lock``."""
+        if state.lazy_fork is None or self.sessions.get(state.donor) is None:
+            return None
+        return self._cache_states.get(state.donor)
+
+    def _copy_of_donor(self, state: _SessionCacheState) -> Tuple[Optional[CompilationSession], int]:
+        """A copy of the fork's donor and the length of the prefix it stands
+        at, if that prefix leads to the fork's; otherwise ``(None, 0)``."""
+        donor_state = self._donor_state(state)
+        if donor_state is not None:
+            with donor_state.lock:
+                stands_at = donor_state.prefix
+                if donor_state.cacheable and state.prefix[: len(stands_at)] == stands_at:
+                    return state.lazy_fork.build(), len(stands_at)
+        return None, 0
+
     def _built_session(self, session_id: int) -> CompilationSession:
-        """The session, built first if it is unbuilt: a clone of the pristine
-        program with ``prefix`` replayed onto it.
+        """The session, built first if it is unbuilt: a copy of its donor, or
+        failing that of the pristine program, with the rest of ``prefix``
+        replayed onto it.
 
         The session is published only after the replay succeeded, so a failed
         build leaves it unbuilt (and out of the cache protocol) and the next
@@ -163,10 +208,33 @@ class CompilerGymServiceRuntime:
         session = self._session(session_id)
         if session is None:
             state = self._cache_states[session_id]
-            session = self._new_session(state.action_space, self._resolve_benchmark(state.uri))
-            self._execute_step(session, state, state.prefix, ())
+            session, replayed = self._copy_of_donor(state)
+            if session is None:
+                session = self._new_session(state.action_space, self._resolve_benchmark(state.uri))
+                if state.lazy_fork is not None:
+                    session = state.lazy_fork.build(onto=session)
+            self._execute_step(session, state, state.prefix[replayed:], ())
             self.sessions[session_id] = session
+            state.donor = state.lazy_fork = None
         return session
+
+    def _step_on_donor(
+        self, state: _SessionCacheState, actions, observation_space_names
+    ) -> Optional[StepReply]:
+        """Answer an unbuilt fork's step from its donor's state, which is put
+        back afterwards; ``None`` if the donor is not where the fork is.
+
+        An error leaves the donor intact all the same, and the fork
+        uncacheable: its next call builds it for real.
+        """
+        donor_state = self._donor_state(state)
+        if donor_state is None:
+            return None
+        with donor_state.lock:
+            if not donor_state.cacheable or donor_state.prefix != state.prefix:
+                return None
+            with state.lazy_fork.speculate() as session:
+                return self._execute_step(session, state, actions, observation_space_names)
 
     # -- session lifecycle ------------------------------------------------
 
@@ -261,6 +329,12 @@ class CompilerGymServiceRuntime:
     def step(self, request: StepRequest) -> StepReply:
         self.stats["step"] += 1
         state = self._cache_states.get(request.session_id)
+        if state is None or state.lock is None:
+            return self._step(request, state)
+        with state.lock:
+            return self._step(request, state)
+
+    def _step(self, request: StepRequest, state: Optional[_SessionCacheState]) -> StepReply:
         names = request.observation_space_names
         if state is None or not state.cacheable:
             # Unbuilt here means an earlier build failed: build again so the
@@ -273,6 +347,7 @@ class CompilerGymServiceRuntime:
         actions = tuple(int(action) for action in request.actions)
         candidate = state.prefix + actions
 
+        reply = None
         if deterministic:
             entry = self.result_cache.lookup_step(state.uri, candidate, len(actions), names)
             if entry is not None:
@@ -292,9 +367,13 @@ class CompilerGymServiceRuntime:
                         for name in names
                     ],
                 )
+            if self._session(request.session_id) is None:
+                # A fork's first step (a search's candidate): no copy is made.
+                reply = self._step_on_donor(state, request.actions, names)
 
-        session = self._built_session(request.session_id)
-        reply = self._execute_step(session, state, request.actions, names)
+        if reply is None:
+            session = self._built_session(request.session_id)
+            reply = self._execute_step(session, state, request.actions, names)
         if reply.new_action_space is not None:
             # A dynamic action-space change breaks prefix canonicality.
             state.cacheable = False
@@ -322,17 +401,31 @@ class CompilerGymServiceRuntime:
     def fork_session(self, request: ForkSessionRequest) -> ForkSessionReply:
         self.stats["fork_session"] += 1
         parent_state = self._cache_states.get(request.session_id)
-        # A fork is always a real copy of a current parent: a cache-served
-        # parent is built here, once, and every child is one clone of it.
-        forked = self._built_session(request.session_id).fork()
+        # A fork is of a current parent: a cache-served parent is built here,
+        # once. Where the backend can, the fork of a cacheable parent starts
+        # unbuilt at the parent's prefix and borrows the parent's state for
+        # as long as that will do; any other fork is a copy made now.
+        parent = self._built_session(request.session_id)
+        forked = state = None
+        if parent_state is not None:
+            state = parent_state.forked()
+            with self._lock:
+                if parent_state.lock is None:
+                    parent_state.lock = threading.Lock()
+        with _lock_of(parent_state):
+            lazy_fork = parent.lazy_fork() if state is not None and state.cacheable else None
+            if lazy_fork is None:
+                forked = parent.fork()
+            else:
+                state.donor, state.lazy_fork = request.session_id, lazy_fork
         with self._lock:
             session_id = self._next_session_id
             self._next_session_id += 1
             self.sessions[session_id] = forked
-            if parent_state is not None:
+            if state is not None:
                 # The fork starts at the parent's prefix, so it inherits
                 # every warm cache entry along it.
-                self._cache_states[session_id] = parent_state.forked()
+                self._cache_states[session_id] = state
         return ForkSessionReply(session_id=session_id)
 
     def end_session(self, request: EndSessionRequest) -> EndSessionReply:
@@ -346,11 +439,12 @@ class CompilerGymServiceRuntime:
     def handle_session_parameter(self, session_id: int, key: str, value: str) -> Optional[str]:
         session = self._built_session(session_id)
         state = self._cache_states.get(session_id)
-        if state is not None:
-            # Parameters may read or mutate backend state (e.g. baseline
-            # pipelines): stop treating the session as a pure action prefix.
-            state.cacheable = False
-        return session.handle_session_parameter(key, value)
+        with _lock_of(state):
+            if state is not None:
+                # Parameters may read or mutate backend state (e.g. baseline
+                # pipelines): stop treating the session as a pure action prefix.
+                state.cacheable = False
+            return session.handle_session_parameter(key, value)
 
     def cache_stats(self) -> Dict[str, Optional[Dict[str, float]]]:
         """Stats for both cache layers owned by this runtime."""

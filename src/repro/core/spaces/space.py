@@ -15,7 +15,16 @@ class Space:
 
     def __init__(self, name: Optional[str] = None):
         self.name = name
-        self.rng = random.Random()
+        self._rng: Optional[random.Random] = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The space's random number generator, made when first asked for:
+        most spaces (every reward space an environment carries, and copies
+        with each fork) are never sampled."""
+        if self._rng is None:
+            self._rng = random.Random()
+        return self._rng
 
     def seed(self, seed: Optional[int] = None) -> None:
         """Seed the space's random number generator."""

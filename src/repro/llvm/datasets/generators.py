@@ -332,7 +332,7 @@ class ModuleGenerator:
     def generate(self) -> Module:
         """Generate the module."""
         module = Module(self.name)
-        module.metadata["generator"] = "ModuleGenerator"
+        module.set_metadata("generator", "ModuleGenerator")
         module.add_function(Function("printf", return_type=I32, arg_types=[I32], arg_names=["value"]))
         module.add_function(Function("input", return_type=I32, arg_types=[], arg_names=[]))
         for i in range(self.rng.randint(2, 4)):
@@ -381,7 +381,7 @@ def llvm_stress_module(seed: int, num_instructions: int = 120, name: str = "llvm
     """
     rng = random.Random(seed)
     module = Module(name)
-    module.metadata["generator"] = "llvm-stress"
+    module.set_metadata("generator", "llvm-stress")
     function = Function("stress", return_type=I32, arg_types=[I32, I32], arg_names=["a", "b"])
     entry = function.add_block("entry")
     builder = IRBuilder(function, entry)

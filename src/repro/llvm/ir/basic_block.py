@@ -3,6 +3,7 @@
 from typing import Iterator, List, Optional
 
 from repro.llvm.ir.instructions import TERMINATOR_OPCODES, Instruction
+from repro.llvm.ir.journal import RECORDING, forget_names, landing_index, reserve_names
 from repro.llvm.ir.types import LABEL
 from repro.llvm.ir.values import Value
 
@@ -35,8 +36,15 @@ class BasicBlock(Value):
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
         instructions = self.instructions
-        instruction.parent = self
         function = self.parent
+        undo = RECORDING.undo
+        if undo is not None:
+            index = landing_index(index, len(instructions))
+            undo.append((_uninsert, self, index, instruction.parent))
+            name = instruction.name
+            if function is not None and name and name not in function._value_names:
+                undo.append((function._value_names.discard, name))
+        instruction.parent = self
         if function is not None:
             if instruction.name:
                 function._value_names.add(instruction.name)
@@ -55,9 +63,15 @@ class BasicBlock(Value):
         alone: the first half of a move. See ``Instruction.erase``."""
         instructions = self.instructions
         index = instructions.index(instruction)
+        function = self.parent
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_reinsert, self, index, instruction))
+            name = instruction.name
+            if function is not None and name and name in function._value_names:
+                undo.append((function._value_names.add, name))
         del instructions[index]
         instruction.parent = None
-        function = self.parent
         if function is not None:
             if instruction.name:
                 function._value_names.discard(instruction.name)
@@ -68,17 +82,20 @@ class BasicBlock(Value):
         """Move ``instructions[start:]`` to the end of ``destination``: a block
         split (inlining) or, from 0, a merge into a predecessor."""
         moved = self.instructions[start:]
+        source_function, function = self.parent, destination.parent
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_move_back, self, destination, moved))
         del self.instructions[start:]
         for instruction in moved:
             instruction.parent = destination
         destination.instructions.extend(moved)
-        source_function, function = self.parent, destination.parent
         if source_function is not function:
             names = [instruction.name for instruction in moved if instruction.name]
             if source_function is not None:
-                source_function._value_names.difference_update(names)
+                forget_names(source_function._value_names, names, undo)
             if function is not None:
-                function._value_names.update(names)
+                reserve_names(function._value_names, names, undo)
         for owner in (source_function, function):
             if owner is not None:
                 owner.invalidate_analyses()
@@ -89,6 +106,9 @@ class BasicBlock(Value):
         block must have been rewritten first."""
         if self.parent is not None:
             self.parent.remove_block(self)
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_refill, self, self.instructions))
         for instruction in reversed(self.instructions):
             instruction.parent = None
             instruction.erase()
@@ -128,3 +148,30 @@ class BasicBlock(Value):
 
     def __repr__(self) -> str:
         return f"BasicBlock({self.name}, {len(self.instructions)} instructions)"
+
+
+def _uninsert(block: BasicBlock, index: int, parent) -> None:
+    """Undo ``block.insert(index, instruction)``."""
+    block.instructions.pop(index).parent = parent
+
+
+def _reinsert(block: BasicBlock, index: int, instruction: Instruction) -> None:
+    """Undo ``block.remove(instruction)``."""
+    block.instructions.insert(index, instruction)
+    instruction.parent = block
+
+
+def _move_back(block: BasicBlock, destination: BasicBlock, moved: List[Instruction]) -> None:
+    """Undo ``block.move_instructions(start, destination)``."""
+    del destination.instructions[len(destination.instructions) - len(moved):]
+    block.instructions.extend(moved)
+    for instruction in moved:
+        instruction.parent = block
+
+
+def _refill(block: BasicBlock, instructions: List[Instruction]) -> None:
+    """Undo the block's half of ``block.erase()``; each instruction's operands
+    are on record separately."""
+    block.instructions = instructions
+    for instruction in instructions:
+        instruction.parent = block

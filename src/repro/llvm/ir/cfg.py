@@ -258,15 +258,6 @@ class Loop:
             loop = loop.parent
         return depth
 
-    def exit_blocks(self) -> List[BasicBlock]:
-        """Blocks outside the loop that are branched to from inside it."""
-        exits = []
-        for block in self.blocks:
-            for successor in block.successors():
-                if successor not in self.blocks and successor not in exits:
-                    exits.append(successor)
-        return exits
-
     def __repr__(self) -> str:
         return f"Loop(header={self.header.name}, blocks={len(self.blocks)}, depth={self.depth})"
 

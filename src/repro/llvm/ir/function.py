@@ -4,6 +4,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.instructions import Instruction
+from repro.llvm.ir.journal import RECORDING, forget_names, landing_index, reserve_names
 from repro.llvm.ir.types import I32, PTR, Type
 from repro.llvm.ir.values import Argument, Value
 
@@ -70,29 +71,49 @@ class Function(Value):
         return self.insert_block(len(self.blocks), block)
 
     def insert_block(self, index: int, block: BasicBlock) -> BasicBlock:
+        blocks = self.blocks
+        undo = RECORDING.undo
+        if undo is not None:
+            index = landing_index(index, len(blocks))
+            undo.append((_uninsert_block, self, index, block.parent))
         block.parent = self
-        self.blocks.insert(index, block)
-        self._block_names.add(block.name)
-        self._value_names.update(inst.name for inst in block.instructions if inst.name)
-        self._analyses.clear()
+        blocks.insert(index, block)
+        reserve_names(self._block_names, [block.name], undo)
+        reserve_names(
+            self._value_names, [inst.name for inst in block.instructions if inst.name], undo
+        )
+        self.invalidate_analyses()
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         """Unlink a block, instructions and all; ``BasicBlock.erase`` deletes it."""
-        self.blocks.remove(block)
+        blocks = self.blocks
+        index = blocks.index(block)
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_reinsert_block, self, index, block))
+        del blocks[index]
         block.parent = None
-        self._block_names.discard(block.name)
-        self._value_names.difference_update(inst.name for inst in block.instructions)
-        self._analyses.clear()
+        forget_names(self._block_names, [block.name], undo)
+        forget_names(self._value_names, [inst.name for inst in block.instructions], undo)
+        self.invalidate_analyses()
 
     def set_args(self, args: List[Argument]) -> None:
         """Replace the argument list (``-deadargelim`` drops unused ones)."""
-        self._value_names.difference_update(arg.name for arg in self.args)
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((setattr, self, "args", self.args))
+        forget_names(self._value_names, [arg.name for arg in self.args], undo)
         self.args = list(args)
-        self._value_names.update(arg.name for arg in self.args)
+        reserve_names(self._value_names, [arg.name for arg in self.args], undo)
 
     def invalidate_analyses(self) -> None:
         """Forget the cached CFG analyses: the block list or a terminator changed."""
+        undo = RECORDING.undo
+        if undo is not None:
+            # Whatever is cached when this is undone describes a CFG that is
+            # being taken back.
+            undo.append((_drop_analyses, self))
         self._analyses.clear()
 
     def block_by_name(self, name: str) -> Optional[BasicBlock]:
@@ -106,6 +127,9 @@ class Function(Value):
     def new_value_name(self, prefix: str = "v") -> str:
         """Generate a fresh SSA value name unique within the function."""
         existing = self._value_names
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((setattr, self, "_next_value_id", self._next_value_id))
         while True:
             name = f"{prefix}{self._next_value_id}"
             self._next_value_id += 1
@@ -115,6 +139,9 @@ class Function(Value):
     def new_block_name(self, prefix: str = "bb") -> str:
         """Generate a fresh basic-block name unique within the function."""
         existing = self._block_names
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((setattr, self, "_next_block_id", self._next_block_id))
         while True:
             name = f"{prefix}{self._next_block_id}"
             self._next_block_id += 1
@@ -141,3 +168,18 @@ class Function(Value):
     def __repr__(self) -> str:
         kind = "declare" if self.is_declaration else "define"
         return f"Function({kind} @{self.name}, {len(self.blocks)} blocks, {len(self)} instructions)"
+
+
+def _uninsert_block(function: Function, index: int, parent) -> None:
+    """Undo ``function.insert_block(index, block)``."""
+    function.blocks.pop(index).parent = parent
+
+
+def _reinsert_block(function: Function, index: int, block: BasicBlock) -> None:
+    """Undo ``function.remove_block(block)``."""
+    function.blocks.insert(index, block)
+    block.parent = function
+
+
+def _drop_analyses(function: Function) -> None:
+    function._analyses.clear()

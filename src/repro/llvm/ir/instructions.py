@@ -8,6 +8,7 @@ read like their LLVM counterparts.
 
 from typing import Dict, List, Optional
 
+from repro.llvm.ir.journal import RECORDING
 from repro.llvm.ir.types import LABEL, VOID, Type
 from repro.llvm.ir.values import NO_USES, Value
 
@@ -86,8 +87,13 @@ class Instruction(Value):
             self.uses = NO_USES
         self.opcode = opcode
         self.operands: List[Value] = list(operands or [])
-        for operand in self.operands:
-            operand.uses.append(self)
+        if self.operands:
+            undo = RECORDING.undo
+            if undo is not None:
+                # A new instruction is a new user of values that were there before it.
+                undo.append((_restore_operands, self, []))
+            for operand in self.operands:
+                operand.uses.append(self)
         self.attrs: Dict = dict(attrs or {})
         self.parent = None  # Set when appended to a BasicBlock.
 
@@ -99,6 +105,9 @@ class Instruction(Value):
         old = operands[index]
         if old is value:
             return
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_restore_operand, self, index, old))
         old.uses.remove(self)
         value.uses.append(self)
         operands[index] = value
@@ -107,6 +116,9 @@ class Instruction(Value):
 
     def set_operands(self, values) -> None:
         """Replace the whole operand list (it may change length)."""
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_restore_operands, self, self.operands))
         for old in self.operands:
             old.uses.remove(self)
         self.operands = operands = list(values)
@@ -126,9 +138,30 @@ class Instruction(Value):
         """
         if self.parent is not None:
             self.parent.remove(self)
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((_restore_operands, self, self.operands))
         for operand in self.operands:
             operand.uses.remove(self)
         self.operands = []
+
+    def set_attr(self, key: str, value) -> None:
+        """Write one entry of ``attrs``."""
+        attrs = self.attrs
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((attrs.__setitem__, key, attrs[key]) if key in attrs else (attrs.pop, key))
+        attrs[key] = value
+
+    def pop_attr(self, key: str):
+        """Delete one entry of ``attrs``. Returns its value, ``None`` if it had none."""
+        attrs = self.attrs
+        if key not in attrs:
+            return None
+        undo = RECORDING.undo
+        if undo is not None:
+            undo.append((attrs.__setitem__, key, attrs[key]))
+        return attrs.pop(key)
 
     def _cfg_changed(self) -> None:
         block = self.parent
@@ -224,18 +257,38 @@ class Instruction(Value):
             if not self._operand_is_block(i)
         ]
 
-    def clone(self, operands=None) -> "Instruction":
+    def clone(self, operands=None, name: Optional[str] = None) -> "Instruction":
         """Shallow copy with no parent. It uses the same operands (one more
         use of each) unless ``operands`` gives it others — empty, for a copy
-        whose operands are remapped once every copy exists."""
+        whose operands are remapped once every copy exists — and has the same
+        name unless ``name`` gives it another: a value is named once, when it
+        is made."""
         return Instruction(
             opcode=self.opcode,
             operands=self.operands if operands is None else operands,
             type=self.type,
-            name=self.name,
+            name=self.name if name is None else name,
             attrs=self.attrs,
         )
 
     def __repr__(self) -> str:
         result = f"%{self.name} = " if self.has_result and self.name else ""
         return f"<{result}{self.opcode}>"
+
+
+def _restore_operand(instruction: Instruction, index: int, old: Value) -> None:
+    """Undo ``instruction.set_operand(index, ...)``."""
+    operands = instruction.operands
+    operands[index].uses.remove(instruction)
+    old.uses.append(instruction)
+    operands[index] = old
+
+
+def _restore_operands(instruction: Instruction, old: List[Value]) -> None:
+    """Undo ``set_operands`` or the operand half of ``erase``: the list object
+    itself comes back, so an index recorded earlier still means its slot."""
+    for value in instruction.operands:
+        value.uses.remove(instruction)
+    instruction.operands = old
+    for value in old:
+        value.uses.append(instruction)

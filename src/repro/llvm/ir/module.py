@@ -6,6 +6,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
+from repro.llvm.ir.journal import RECORDING
 from repro.llvm.ir.values import NO_USES, Constant, GlobalVariable, Value
 
 
@@ -14,6 +15,14 @@ class Module:
 
     Modules are the unit of compilation: benchmarks hold a module, passes
     transform a module in place, and observations are computed from a module.
+
+    ``functions``, ``globals`` and ``metadata`` are read freely and written
+    only through :meth:`add_function`, :meth:`remove_function`,
+    :meth:`add_global`, :meth:`remove_global`, :meth:`set_metadata` and
+    :meth:`clear_metadata`; ``version`` and the stamps only by
+    :meth:`bump_version`. An open :class:`~repro.llvm.ir.journal.Journal`
+    holds the three dicts' entries as they were (their order reaches the
+    printed IR) and records each stamp that moves.
     """
 
     def __init__(self, name: str = "module"):
@@ -39,7 +48,10 @@ class Module:
         a stamp no cache has seen.
         """
         self.version += 1
+        undo = RECORDING.undo
         for function in self.functions.values() if touched is None else touched:
+            if undo is not None:
+                undo.append((setattr, function, "stamp", function.stamp))
             function.stamp = self.version
         return self.version
 
@@ -60,6 +72,16 @@ class Module:
         if function is not None:
             for block in list(function.blocks):
                 block.erase()
+
+    def remove_global(self, name: str) -> None:
+        """Delete a global variable. Nothing may still use it."""
+        del self.globals[name]
+
+    def set_metadata(self, key: str, value: str) -> None:
+        self.metadata[key] = value
+
+    def clear_metadata(self) -> None:
+        self.metadata.clear()
 
     def function(self, name: str) -> Optional[Function]:
         return self.functions.get(name)

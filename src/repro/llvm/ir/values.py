@@ -7,6 +7,7 @@ function arguments, constants, global variables, and functions.
 
 from typing import List
 
+from repro.llvm.ir.journal import RECORDING
 from repro.llvm.ir.types import I32, PTR, Type
 
 # What a void instruction (``store``, ``br``, ``ret``, ...) has for ``uses``:
@@ -57,17 +58,33 @@ class Value:
         uses = self.uses
         if not uses or new is self:
             return 0
+        undo = RECORDING.undo
+        slots = None
+        if undo is not None:
+            slots = []
+            undo.append((_restore_uses, self, new, uses, slots))
         for user in uses:
             operands = user.operands
             for index, operand in enumerate(operands):
                 if operand is self:
                     operands[index] = new
+                    if slots is not None:
+                        slots.append((user, index))
         new.uses.extend(uses)
         self.uses = []
         return len(uses)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.short()}: {self.type})"
+
+
+def _restore_uses(value: Value, new: Value, uses: List, slots: List[tuple]) -> None:
+    """Undo ``value.replace_all_uses_with(new)``."""
+    for user, index in slots:
+        user.operands[index] = value
+    for user in uses:
+        new.uses.remove(user)
+    value.uses = uses
 
 
 class Constant(Value):

@@ -118,6 +118,6 @@ def constant_merge(module: Module, touched: Set[Function]) -> bool:
         new = module.globals[new_name]
         touched.update(user.parent.parent for user in old.uses)
         old.replace_all_uses_with(new)
-        del module.globals[old_name]
+        module.remove_global(old_name)
         changed = True
     return changed

@@ -56,9 +56,8 @@ def _inline_call_site(caller: Function, call: Instruction, callee: Function) -> 
     for callee_block in callee.blocks:
         clone_block = block_map[callee_block]
         for inst in callee_block.instructions:
-            clone = inst.clone(operands=())
-            if clone.name:
-                clone.name = caller.new_value_name(f"inl{clone.name}")
+            name = caller.new_value_name(f"inl{inst.name}") if inst.name else ""
+            clone = inst.clone(operands=(), name=name)
             clone_block.append(clone)
             value_map[inst] = clone
     # Give the clones their operands (a second pass, for forward references).
@@ -203,7 +202,7 @@ def global_dce(module: Module, touched: Set[Function]) -> bool:
                     used_globals.add(operand.name)
     for name in list(module.globals):
         if name not in used_globals:
-            del module.globals[name]
+            module.remove_global(name)
             changed = True
     return changed
 
@@ -271,7 +270,7 @@ def merge_functions(module: Module, touched: Set[Function]) -> bool:
         for caller in module.defined_functions():
             for inst in caller.instructions():
                 if inst.opcode == "call" and inst.attrs.get("callee") == function.name:
-                    inst.attrs["callee"] = canonical.name
+                    inst.set_attr("callee", canonical.name)
                     touched.add(caller)
         module.remove_function(function.name)
         changed = True
@@ -295,7 +294,7 @@ def tail_call_elimination(function: Function) -> bool:
                 not next_inst.operands or next_inst.operands[0] is inst
             )
             if is_tail:
-                inst.attrs["tail"] = True
+                inst.set_attr("tail", True)
                 changed = True
     return changed
 

@@ -229,8 +229,10 @@ def loop_unroll(function: Function) -> bool:
         for _ in range(trip_count):
             iteration_map: Dict[Value, Value] = dict(current)
             for inst in body:
-                clone = inst.clone([iteration_map.get(op, op) for op in inst.operands])
-                clone.name = function.new_value_name(inst.name or "u")
+                clone = inst.clone(
+                    [iteration_map.get(op, op) for op in inst.operands],
+                    name=function.new_value_name(inst.name or "u"),
+                )
                 unrolled.append(clone)
                 iteration_map[inst] = clone
             # Advance the loop-carried values for the next iteration.

@@ -103,11 +103,11 @@ def strip_metadata(module: Module, touched: Set[Function]) -> bool:
     """-strip (a module pass): remove module metadata and call annotations."""
     changed = False
     if module.metadata:
-        module.metadata.clear()
+        module.clear_metadata()
         changed = True
     for function in module.defined_functions():
         for inst in function.instructions():
-            if inst.attrs.pop("debug", None) is not None:
+            if inst.pop_attr("debug") is not None:
                 touched.add(function)
     return changed or bool(touched)
 

@@ -39,10 +39,12 @@ pre-pass version, ``changed=False`` must leave the text alone.
 
 Mutating the IR
 ---------------
-A pass reads ``inst.operands``, ``block.instructions``, ``function.blocks``
-and ``function.args`` freely and *writes* them only through the methods below.
-They exist so that three things are current at every moment of a pass without
-anyone rescanning the function, and a pass costs what it changes:
+A pass reads ``inst.operands``, ``inst.attrs``, ``block.instructions``,
+``function.blocks``, ``function.args`` and the module's ``functions``,
+``globals`` and ``metadata`` freely and *writes* them only through the methods
+below. They exist so that three things are current at every moment of a pass
+without anyone rescanning the function, so that a pass costs what it changes,
+and so that what it changed can be taken back (see "Running under a journal"):
 
 * ``value.uses`` — the instructions holding ``value`` in an operand slot, one
   entry per slot. Ask it instead of walking the function; rewrite them all
@@ -73,6 +75,15 @@ The surface:
   merely removed stays in its operands' use lists (``-sink`` would count it
   as a user), so whatever a pass deletes, it erases — after rewriting the
   users of its result.
+* everything else a pass may change — ``inst.set_attr(key, value)`` and
+  ``inst.pop_attr(key)``; a name is given when the value is made
+  (``Instruction(..., name=...)``, ``inst.clone(operands, name=...)``) and
+  fresh ones come from ``function.new_value_name/new_block_name``;
+  ``module.add_function/remove_function``, ``module.add_global/remove_global``
+  and ``module.set_metadata/clear_metadata``. Versions and stamps are the
+  pass manager's (``Module.bump_version``). Opcodes, types, function
+  attributes and global initializers are not rewritten by any pass; one that
+  needs to gets a method here first.
 
 Two habits keep a pass's output independent of bookkeeping order. Decide from
 the use lists *before* mutating when the decision is meant to be about the
@@ -81,11 +92,40 @@ And never let the order of ``value.uses`` reach the output — it is the order
 slots were written, which a ``Module.clone()`` does not preserve; sort by
 program position where order matters (``-reg2mem`` names its reloads so).
 
-Nothing else may write those four fields: the verifier (``REPRO_VERIFY_IR=1``,
+Nothing else may write those fields: the verifier (``REPRO_VERIFY_IR=1``,
 ``make(..., verify_ir=True)``, ``repro-compilergym lint``) recomputes use
 lists, name sets and cached analyses from scratch after every pass and
 rejects a module where they differ, and ``tests/test_ir_mutation.py`` fails
 on the assignment itself.
+
+Running under a journal
+-----------------------
+A search's candidate (``fork -> step -> close``) does not get a copy of the
+module: the runtime runs the candidate's pass on the *parent's* module with a
+:class:`repro.llvm.ir.journal.Journal` open, reads the observations, and
+rolls back. Every method above records its own inverse while a journal is
+open on the calling thread, and costs one thread-local read when none is.
+
+*What a pass may assume*: nothing new. It cannot tell whether a journal is
+open, is handed the same module, and reports ``changed`` and ``touched`` as
+always. It may raise; the rollback happens all the same.
+
+*What rollback guarantees*: the module prints as it did; ``version``, every
+``stamp``, the fresh-name counters, ``attrs`` that print nowhere and the
+orders of ``functions``/``globals``/``metadata`` are what they were, so the
+parent's observation memos (keyed on version and stamps) and every later
+fresh name are those of a module nobody touched; use lists and name sets
+equal a scan (use lists possibly in another order — see the two habits
+above); a function whose CFG was edited has lost its cached analyses, any
+other keeps them.
+
+*Why nothing may be written behind the surface*: a write the journal did not
+see is not taken back, and the parent goes on — for the rest of its episode,
+and into the result cache under its own prefix — with a module that one of
+its candidates half-changed. ``repro-compilergym lint`` runs every pass under
+a journal on every lint benchmark and compares after the rollback;
+``tests/test_ir_mutation.py`` does it after random warm-ups and checks that
+the next pass cannot tell either.
 """
 
 from typing import Callable, Dict, List, Optional, Set, Union

@@ -10,12 +10,18 @@ leans on LLVM's ``-verify`` machinery and differential testing:
    compare the program's output before and after the pass. A pass that keeps
    the IR well-formed but changes behavior is caught here.
 
-The harness also carries six *seeded miscompile mutations* — hand-written IR
+The harness also carries eight *seeded miscompile mutations* — hand-written IR
 corruptions of the kinds optimizer bugs actually produce, five made through
-the IR's mutation surface and one behind its back — and a self-test
+the IR's mutation surface and three behind its back (an operand slot, an
+``attrs`` entry, a global's dict entry) — and a self-test
 that asserts the verifier rejects each one. The self-test runs first in
 ``repro-compilergym lint`` so that a regressed verifier cannot silently
 green-light the pass sweep.
+
+3. **Rollback audit**: every pass is also run under an undo journal
+   (:mod:`repro.llvm.ir.journal`) and rolled back; anything that shows
+   afterwards was written behind the mutation surface, and would corrupt the
+   session a search candidate borrows (see :func:`validate_rollback`).
 """
 
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
@@ -27,7 +33,9 @@ from repro.llvm.interpreter import (
     run_module,
 )
 from repro.llvm.ir.basic_block import BasicBlock
+from repro.llvm.ir.cfg import natural_loops
 from repro.llvm.ir.instructions import Instruction
+from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_function, print_module
@@ -48,8 +56,17 @@ LINT_EXCLUDED_PASSES = frozenset({"gvn-sink"})
 
 # -- seeded miscompile mutations ----------------------------------------------
 
-# A small diamond CFG with a phi — enough surface for every mutation kind.
+# A small diamond CFG with a phi, a global and a call — enough surface for
+# every mutation kind.
 _SELF_TEST_IR = """
+@g = global i32 7
+
+define i32 @twice(i32 %v) {
+entry:
+  %w = add i32 %v, %v
+  ret i32 %w
+}
+
 define i32 @main(i32 %a, i32 %b) {
 entry:
   %cmp = icmp slt i32 %a, %b
@@ -58,7 +75,9 @@ then:
   %x = add i32 %a, 1
   br label %join
 else:
-  %y = mul i32 %b, 2
+  %l = load i32, ptr @g
+  %c = call i32 @twice(i32 %l)
+  %y = mul i32 %b, %c
   br label %join
 join:
   %p = phi i32 [ %x, %then ], [ %y, %else ]
@@ -121,6 +140,18 @@ def _write_operand_behind_the_api(module: Module) -> None:
     _named(module, "z").operands[1] = _named(module, "p")
 
 
+def _write_attr_behind_the_api(module: Module) -> None:
+    """Assign an ``attrs`` entry directly (``-mergefunc`` redirecting a call,
+    without ``set_attr``) — here to a function the module does not have."""
+    _named(module, "c").attrs["callee"] = "thrice"
+
+
+def _delete_global_behind_the_api(module: Module) -> None:
+    """Drop a global's dict entry directly (``-globaldce``, without
+    ``remove_global``) while a load still reads it."""
+    del module.globals["g"]
+
+
 MISCOMPILE_MUTATIONS: Dict[str, Callable[[Module], None]] = {
     "clobbered-phi-edge": _clobber_phi_edge,
     "use-before-def-hoist": _hoist_use_before_def,
@@ -128,6 +159,8 @@ MISCOMPILE_MUTATIONS: Dict[str, Callable[[Module], None]] = {
     "dangling-block-ref": _dangle_block_ref,
     "duplicate-name": _duplicate_name,
     "operand-written-behind-api": _write_operand_behind_the_api,
+    "attr-written-behind-api": _write_attr_behind_the_api,
+    "global-deleted-behind-api": _delete_global_behind_the_api,
 }
 
 
@@ -156,7 +189,7 @@ class ValidationFailure(NamedTuple):
 
     benchmark: str
     pass_name: str
-    kind: str  # "crash" | "verifier" | "differential" | "cache"
+    kind: str  # "crash" | "verifier" | "differential" | "cache" | "rollback"
     detail: str
 
     def __str__(self) -> str:
@@ -280,6 +313,50 @@ def validate_pass(
     return failures
 
 
+def journaled_state(module: Module) -> tuple:
+    """Everything a rolled-back :class:`Journal` owes its module, in a form
+    that compares: the printed IR, what prints nowhere (the version, stamps,
+    fresh-name counters and unprinted ``attrs``) and the dicts' orders."""
+    return (
+        print_module(module),
+        module.version,
+        [
+            (name, function.stamp, function._next_value_id, function._next_block_id)
+            for name, function in module.functions.items()
+        ],
+        list(module.globals),
+        dict(module.metadata),
+        [dict(inst.attrs) for inst in module.instructions()],
+    )
+
+
+def validate_rollback(
+    module: Module, pass_name: str, benchmark: str = "<module>"
+) -> List[ValidationFailure]:
+    """Run one pass over a clone of ``module`` under a journal, roll it back,
+    and check that nothing shows: :func:`journaled_state` is what it was and
+    the verifier finds use lists, name sets and cached analyses equal to a
+    scan. A pass that wrote the IR behind the mutation surface fails here."""
+    clone = module.clone()
+    # Warm, as a session's module is: a stale cached analysis is a finding.
+    for function in clone.defined_functions():
+        natural_loops(function)
+    before = journaled_state(clone)
+    journal = Journal(clone)
+    try:
+        run_pass(clone, pass_name)
+    except Exception:  # noqa: BLE001 - validate_pass reports the crash.
+        pass
+    finally:
+        journal.rollback()
+    if journaled_state(clone) != before:
+        detail = "the module differs after rollback"
+    else:
+        # The bookkeeping audit is part of the structural tier.
+        detail = "; ".join(verify_module(clone, raise_on_error=False, semantic=False)[:3])
+    return [ValidationFailure(benchmark, pass_name, "rollback", detail)] if detail else []
+
+
 def count_over_stamped(module: Module, pass_name: str) -> int:
     """How many functions ``pass_name`` stamped without changing their text:
     each is a per-function observation recomputed for nothing."""
@@ -331,6 +408,7 @@ def lint_module(
     reference = _reference_output(module) if differential else None
     for pass_name in passes:
         failures.extend(validate_pass(module, pass_name, benchmark, reference))
+        failures.extend(validate_rollback(module, pass_name, benchmark))
     # The pipelines exercise pass *interactions* the per-pass sweep cannot.
     for label, pipeline in (("pipeline:Oz", OZ_PIPELINE), ("pipeline:O3", O3_PIPELINE)):
         clone = module.clone()

@@ -8,6 +8,7 @@ Table II), and ``get_observation`` computes any of the environment's
 observation spaces from the current module.
 """
 
+import contextlib
 import hashlib
 import random
 import threading
@@ -16,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.datasets.benchmark import Benchmark
-from repro.core.service.compilation_session import CompilationSession
+from repro.core.service.compilation_session import CompilationSession, LazyFork
 from repro.core.spaces import Box, Commandline, CommandlineFlag, ObservationSpaceSpec, Scalar, SequenceSpace
 from repro.core.spaces.space import Space
 from repro.llvm.analysis.autophase import AUTOPHASE_DIMS, autophase_function_features
@@ -41,6 +42,7 @@ from repro.llvm.analysis.summaries import (
 from repro.llvm.cost.binary_size import object_text_size_bytes
 from repro.llvm.cost.code_size import ir_instruction_count
 from repro.llvm.cost.runtime import measure_runtime
+from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.printer import print_module
 from repro.errors import ServiceError
@@ -372,21 +374,18 @@ class LlvmCompilationSession(CompilationSession):
             )
         raise LookupError(f"Unknown observation space: {space_id!r}")
 
-    def fork(self) -> "LlvmCompilationSession":
-        forked = LlvmCompilationSession.__new__(LlvmCompilationSession)
-        CompilationSession.__init__(forked, self.working_dir, self.action_space, self.benchmark)
-        forked.module = self.module.clone()
-        forked._runtime_rng = random.Random(self._runtime_rng.random())
-        forked._runtimes_per_observation = self._runtimes_per_observation
-        forked._verify_ir = self._verify_ir
-        # The clone describes identical IR at the same version, so the fork
-        # inherits the parent's warm observation caches. The inner dicts are
-        # copied (they are mutated in place); cached values never are.
-        forked._obs_memo = dict(self._obs_memo)
-        forked._function_memo = {
+    def _memo_copies(self) -> Tuple[dict, dict]:
+        """Private copies of the two observation memos. The inner dicts are
+        copied (they are mutated in place); cached values never are."""
+        return dict(self._obs_memo), {
             space: dict(entries) for space, entries in self._function_memo.items()
         }
-        return forked
+
+    def fork(self) -> "LlvmCompilationSession":
+        return self.lazy_fork().build()
+
+    def lazy_fork(self) -> "_LazyLlvmFork":
+        return _LazyLlvmFork(self)
 
     def handle_session_parameter(self, key: str, value: str) -> Optional[str]:
         if key == "llvm.set_runtimes_per_observation_count":
@@ -404,3 +403,48 @@ class LlvmCompilationSession(CompilationSession):
             run_pipeline(self.module, pipeline)
             return value
         return None
+
+
+class _LazyLlvmFork(LazyFork):
+    """A fork of an LLVM session from which no module has been copied yet."""
+
+    __slots__ = ("parent", "seed")
+
+    def __init__(self, parent: LlvmCompilationSession):
+        self.parent = parent
+        # Drawn now: the parent's Runtime/Buildtime stream must not depend on
+        # whether, or when, this fork is built.
+        self.seed = parent._runtime_rng.random()
+
+    @contextlib.contextmanager
+    def speculate(self):
+        """Run the fork's step on the parent's own module under an undo
+        journal. The memos are keyed on ``module.version`` and the stamps,
+        which the rollback winds back: the step gets the copies a real fork
+        would, and the parent never sees what it cached."""
+        parent = self.parent
+        journal = Journal(parent.module)
+        memos = parent._obs_memo, parent._function_memo
+        try:
+            parent._obs_memo, parent._function_memo = parent._memo_copies()
+            yield parent
+        finally:
+            journal.rollback()
+            parent._obs_memo, parent._function_memo = memos
+
+    def build(self, onto: Optional[LlvmCompilationSession] = None) -> LlvmCompilationSession:
+        parent = self.parent
+        forked = onto
+        if forked is None:
+            forked = LlvmCompilationSession.__new__(LlvmCompilationSession)
+            CompilationSession.__init__(
+                forked, parent.working_dir, parent.action_space, parent.benchmark
+            )
+            forked.module = parent.module.clone()
+            forked._runtimes_per_observation = parent._runtimes_per_observation
+            forked._verify_ir = parent._verify_ir
+            # The clone describes identical IR at the same version, so the
+            # fork inherits the parent's warm observation caches.
+            forked._obs_memo, forked._function_memo = parent._memo_copies()
+        forked._runtime_rng = random.Random(self.seed)
+        return forked

@@ -104,6 +104,46 @@ def deployment(request):
         yield Deployment(kind, cache, server)
 
 
+@pytest.fixture
+def pass_runs(monkeypatch):
+    """The names of the passes the LLVM session ran, in order."""
+    from repro.llvm.passes.registry import run_pass
+
+    runs = []
+
+    def counting_run_pass(module, name):
+        runs.append(name)
+        return run_pass(module, name)
+
+    monkeypatch.setattr("repro.llvm.service.run_pass", counting_run_pass)
+    return runs
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """One entry per module an LLVM session copied, in order: ``"pristine"``
+    for a session constructed on the benchmark's program, ``"fork"`` for a
+    real fork. (A step run on the parent's module under a journal copies
+    nothing.)"""
+    from repro.llvm.service import LlvmCompilationSession, _LazyLlvmFork
+
+    made = []
+    construct, build = LlvmCompilationSession.__init__, _LazyLlvmFork.build
+
+    def counting_init(session, *args, **kwargs):
+        made.append("pristine")
+        construct(session, *args, **kwargs)
+
+    def counting_build(lazy_fork, onto=None):
+        if onto is None:
+            made.append("fork")
+        return build(lazy_fork, onto)
+
+    monkeypatch.setattr(LlvmCompilationSession, "__init__", counting_init)
+    monkeypatch.setattr(_LazyLlvmFork, "build", counting_build)
+    return made
+
+
 @pytest.fixture()
 def small_module() -> Module:
     """A tiny hand-built module with obvious optimization opportunities."""

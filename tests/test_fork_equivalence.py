@@ -187,6 +187,32 @@ class TestRawEnvForkEquivalence:
                 fork.close()
             env.close()
 
+    def test_a_forked_delta_reward_continues_from_the_parents_previous_value(self):
+        """The stock reward carries one float and, since a space makes its
+        random generator when first sampled, nothing else worth copying."""
+        env = _make_env()
+        try:
+            env.reset()
+            env.step(env.action_space["mem2reg"])
+            reward = env.reward_space
+            assert reward.previous_value == env.observation["IrInstructionCount"]
+            with env.fork() as fork:
+                forked = fork.reward_space
+                assert forked is not reward and forked is fork.reward.spaces[reward.name]
+                assert forked.previous_value == reward.previous_value
+                assert vars(forked) == vars(reward) and forked._rng is None
+                before = reward.previous_value
+                _, delta, _, _ = fork.step(env.action_space["dce"])
+                assert delta == before - forked.previous_value > 0
+                assert reward.previous_value == before
+                # Sampling is still there for whoever asks, per space.
+                forked.seed(7)
+                reward.seed(7)
+                assert forked.sample() == reward.sample()
+                assert forked.rng is not reward.rng
+        finally:
+            env.close()
+
 
 class TestForkOnStep:
     def test_undo_restores_parent_trajectory(self):

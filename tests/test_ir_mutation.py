@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 import sys
+import threading
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -23,12 +24,13 @@ from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.cfg import predecessors, stale_analyses
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
+from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.values import Value
-from repro.llvm.passes.registry import PASS_REGISTRY, StampingPass, run_pass
+from repro.llvm.passes.registry import PASS_REGISTRY, FunctionPass, StampingPass, run_pass
 from repro.llvm.passes.utils import make_unconditional
-from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES
+from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES, journaled_state, validate_rollback
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro" / "llvm"
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "pass_print_hashes.json"
@@ -195,6 +197,126 @@ class TestPassSequences:
             assert print_module(fork) == print_module(module)
 
 
+def _journaled(module, name) -> None:
+    """Run one pass under a journal and roll it back, as a search candidate does."""
+    journal = Journal(module)
+    try:
+        run_pass(module, name)
+    finally:
+        journal.rollback()
+
+
+class TestRollback:
+    CHANGING = TestPassSequences.CHANGING
+
+    @pytest.mark.parametrize("uri", LINT_URIS)
+    @settings(max_examples=3, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(
+        warm_up=st.lists(st.sampled_from(CHANGING), max_size=5),
+        following=st.sampled_from(CHANGING),
+    )
+    def test_every_pass_rolls_back_to_a_module_that_optimises_like_an_untouched_one(
+        self, uri, warm_up, following
+    ):
+        """Wherever a random warm-up leaves the benchmark, every registered
+        pass in turn is run under a journal and rolled back: the module prints
+        as before, ``version``, stamps, name counters, unprinted ``attrs`` and
+        dict orders are what they were, and — after all of them, on the one
+        module, as a donor lives through candidate after candidate — use
+        lists, name sets and cached analyses equal a scan. Its use lists are
+        in an order of their own by then; a random next pass must not care."""
+        module = make_llvm_datasets().benchmark(uri).program.clone()
+        for name in warm_up:
+            run_pass(module, name)
+        untouched = module.clone()
+        before = journaled_state(module)
+        for name in PASSES:
+            _journaled(module, name)
+            assert journaled_state(module) == before, f"-{name} shows after rollback"
+        assert_bookkeeping_matches_a_scan(module)
+        run_pass(module, following)
+        run_pass(untouched, following)
+        assert print_module(module) == print_module(untouched)
+        assert_bookkeeping_matches_a_scan(module)
+
+    def test_a_pass_that_raises_midway_is_rolled_back_too(self, monkeypatch):
+        def crashing_dce(function):
+            for inst in [i for block in function.blocks for i in block if not i.uses and i.has_result]:
+                inst.erase()
+                raise RuntimeError("crashed after the first erase")
+            return False
+
+        monkeypatch.setitem(PASS_REGISTRY, "dce", FunctionPass(crashing_dce))
+        module = generate_module(3, size_scale=3)
+        run_pass(module, "mem2reg")
+        before = journaled_state(module)
+        with pytest.raises(RuntimeError, match="first erase"):
+            _journaled(module, "dce")
+        assert journaled_state(module) == before
+        assert_bookkeeping_matches_a_scan(module)
+
+    def test_only_one_journal_at_a_time_on_a_thread(self):
+        module = generate_module(3, size_scale=1)
+        journal = Journal(module)
+        try:
+            with pytest.raises(RuntimeError, match="already open"):
+                Journal(module)
+        finally:
+            journal.rollback()
+        Journal(module).rollback()
+
+    def test_a_journal_records_its_own_thread_only(self):
+        """A daemon steps other sessions on other threads while a candidate's
+        journal is open: their passes are neither recorded nor taken back."""
+        mine, theirs = generate_module(3, size_scale=3), generate_module(4, size_scale=3)
+        before = journaled_state(mine)
+        journal = Journal(mine)
+        try:
+            run_pass(mine, "mem2reg")
+            recorded = len(journal.undo)
+            assert recorded
+
+            def step_another_session():
+                # No journal is open on this thread: it may open its own.
+                run_pass(theirs, "mem2reg")
+                _journaled(theirs, "instcombine")
+
+            other = threading.Thread(target=step_another_session)
+            other.start()
+            other.join(timeout=60)
+            assert not other.is_alive() and len(journal.undo) == recorded
+            stepped = journaled_state(theirs)
+        finally:
+            journal.rollback()
+        assert journaled_state(mine) == before
+        assert journaled_state(theirs) == stepped != journaled_state(generate_module(4, size_scale=3))
+        assert_bookkeeping_matches_a_scan(mine)
+        assert_bookkeeping_matches_a_scan(theirs)
+
+    def test_a_straggler_written_behind_the_surface_is_caught(self, monkeypatch):
+        """``-tailcallelim`` as it stood before ``set_attr``: the mark it
+        leaves prints nowhere, and survives the rollback."""
+
+        def tail_call_elimination(function):
+            changed = False
+            for block in function.blocks:
+                for inst, after in zip(block.instructions, block.instructions[1:]):
+                    if inst.opcode == "call" and after.opcode == "ret" and not inst.attrs.get("tail"):
+                        inst.attrs.update(tail=True)
+                        changed = True
+            return changed
+
+        module = parse_module(
+            "define i32 @f(i32 %a) {\nentry:\n  ret i32 %a\n}\n"
+            "define i32 @main(i32 %a) {\nentry:\n  %r = call i32 @f(i32 %a)\n  ret i32 %r\n}\n"
+        )
+        assert validate_rollback(module, "tailcallelim") == []
+        assert run_pass(module.clone(), "tailcallelim")
+        monkeypatch.setitem(PASS_REGISTRY, "tailcallelim", FunctionPass(tail_call_elimination))
+        (failure,) = validate_rollback(module, "tailcallelim")
+        assert failure.kind == "rollback" and "differs after rollback" in failure.detail
+
+
 # -- the surface itself ---------------------------------------------------------
 
 DIAMOND = """
@@ -329,9 +451,19 @@ class TestNothingElseWritesTheIR:
         # A function leaves a module through Module.remove_function, which
         # erases its body; dropping the dict entry leaves its uses behind.
         r"|del\s+\S+\.functions\[|\.functions\.pop\("
+        # What an undo journal has to take back, it has to see.
+        r"|\.attrs\s*\[[^\]]*\]\s*(?:[-+*|&]?=)(?!=)|\.attrs\.(?:pop|update|clear|setdefault)\("
+        r"|(?<!\bself)\.name\s*=(?!=)"
+        r"|del\s+\S+\.globals\[|\.globals\.pop\("
+        r"|\.metadata\s*\[[^\]]*\]\s*(?:[-+*|&]?=)(?!=)|\.metadata\.(?:pop|update|clear|setdefault)\("
     )
-    # The seeded miscompile that must be rejected *because* it does this.
-    ALLOWED = {("passes/validate.py", '_named(module, "z").operands[1] = _named(module, "p")')}
+    # The seeded miscompiles that must be rejected *because* they do this.
+    ALLOWED = {
+        ("passes/validate.py", '_named(module, "z").operands[1] = _named(module, "p")'),
+        ("passes/validate.py", '_named(module, "y").name = "x"'),
+        ("passes/validate.py", '_named(module, "c").attrs["callee"] = "thrice"'),
+        ("passes/validate.py", 'del module.globals["g"]'),
+    }
 
     def test_no_direct_write_outside_ir(self):
         offenders = []
@@ -361,6 +493,14 @@ class TestNothingElseWritesTheIR:
             "continuation.instructions.append(inst)",
             "del module.functions[name]",
             "module.functions.pop(name, None)",
+            'inst.attrs["callee"] = canonical.name',
+            'inst.attrs.pop("debug", None)',
+            "inst.attrs.update(tail=True)",
+            'clone.name = caller.new_value_name(f"inl{clone.name}")',
+            "del module.globals[old_name]",
+            "module.globals.pop(name)",
+            'module.metadata["generator"] = "llvm-stress"',
+            "module.metadata.clear()",
         ],
     )
     def test_the_scan_sees_what_it_is_for(self, line):
@@ -375,6 +515,13 @@ class TestNothingElseWritesTheIR:
             "count = len(block.instructions)",
             "position = block.instructions.index(inst)",
             "instruction.operands == other.operands",
+            'if inst.attrs.get("tail"):',
+            'if inst.attrs["callee"] == function.name:',
+            "if inst.name == name:",
+            "self.name = name",
+            "run.__name__ = f\"noop_{name}\"",
+            "for name in list(module.globals):",
+            "if module.metadata:",
         ],
     )
     def test_the_scan_leaves_reads_alone(self, line):

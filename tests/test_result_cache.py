@@ -8,8 +8,9 @@ store shared across sessions. The acceptance criteria covered here:
   ``tests/test_conformance.py``.)
 - A session is unbuilt (nothing but its prefix) or built and current (its
   module is the prefix run on the pristine program): a lookahead candidate
-  runs exactly one pass, fork() builds a cache-served parent once and inherits
-  its warm prefix, a failed build leaves the session unbuilt.
+  runs exactly one pass and copies no module, fork() builds a cache-served
+  parent once and starts unbuilt at its warm prefix, a failed build leaves the
+  session unbuilt. (What an unbuilt fork does next: ``tests/test_lazy_fork.py``.)
 - A step that fails midway takes its session out of the cache protocol, so it
   cannot store results under a key its module no longer matches.
 - The LRU store evicts to its byte budget, oldest entries first.
@@ -78,19 +79,6 @@ def _uncached_trace(actions):
         env.close()
 
 
-@pytest.fixture
-def pass_runs(monkeypatch):
-    """The names of the passes the LLVM session ran, in order."""
-    runs = []
-
-    def counting_run_pass(module, name):
-        runs.append(name)
-        return run_pass(module, name)
-
-    monkeypatch.setattr("repro.llvm.service.run_pass", counting_run_pass)
-    return runs
-
-
 class TestSessionIsUnbuiltOrCurrent:
     """A session under the cache protocol is unbuilt (``sessions[id] is None``,
     nothing but a prefix) or built and current (its module is the prefix run
@@ -110,12 +98,13 @@ class TestSessionIsUnbuiltOrCurrent:
             fork.close()
 
     def test_lookahead_runs_one_pass_per_candidate_and_per_commit(
-        self, pass_runs, check_sessions_current
+        self, pass_runs, copies, check_sessions_current
     ):
         env = _make_env()
         try:
             runtime = env.service.runtime
             env.reset()
+            assert copies == ["pristine"]
             for candidates, commit in self.LEVELS:
                 for action in candidates:
                     self._try(env, action)
@@ -124,6 +113,8 @@ class TestSessionIsUnbuiltOrCurrent:
                 assert runtime.result_cache.hits == hits + 1
                 check_sessions_current(runtime)
             assert len(pass_runs) == 4 * 3 + 4
+            # A candidate ran on its parent's module and was taken back.
+            assert copies == ["pristine"]
 
             # Re-walking the commits is served without a session...
             del pass_runs[:]
@@ -132,12 +123,13 @@ class TestSessionIsUnbuiltOrCurrent:
                 env.step(commit)
             assert pass_runs == []
             assert runtime.sessions[env._session_id] is None
-            # ...and the next level builds it once: 4 passes of prefix, then
-            # one per candidate, each on a clone of the current parent.
+            # ...and the next level builds it once, from the one copy of the
+            # pristine program: 4 passes of prefix, then one per candidate.
             for action in self.NEXT_LEVEL:
                 self._try(env, action)
                 check_sessions_current(runtime)
             assert len(pass_runs) == 4 + 3
+            assert copies == ["pristine", "pristine"]
         finally:
             env.close()
 
@@ -164,18 +156,25 @@ class TestSessionIsUnbuiltOrCurrent:
             del built_from_pristine[:]
             forks = [env.fork()]
             try:
-                # The fork built its parent and is a copy of it: two built
-                # sessions, both holding the prefix run on the pristine program.
+                # The fork built its parent, which holds the prefix run on the
+                # pristine program, and itself starts unbuilt at that prefix.
                 parent = runtime.sessions[env._session_id]
                 assert built_from_pristine == [parent]
-                assert runtime.sessions[forks[0]._session_id] not in (None, parent)
+                assert runtime.sessions[forks[0]._session_id] is None
                 check_sessions_current(runtime)
-                # A second fork clones the now-built parent.
+                # A second fork finds the parent built.
                 forks.append(env.fork())
                 assert built_from_pristine == [parent]
                 assert runtime.sessions[env._session_id] is parent
+                before = print_module(parent.module)
                 for fork in forks:
+                    state = runtime._cache_states[fork._session_id]
+                    assert (state.donor, state.prefix) == (env._session_id, tuple(prefix))
                     assert _step_record(fork, extra) == reference[-1]
+                    # Answered from the parent's module, or from the cache.
+                    assert runtime.sessions[fork._session_id] is None
+                assert built_from_pristine == [parent]
+                assert print_module(parent.module) == before
                 check_sessions_current(runtime)
             finally:
                 for fork in forks:

@@ -1,5 +1,7 @@
 """Unit tests for the space hierarchy."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,15 @@ class TestDiscrete:
         a.seed(42)
         b.seed(42)
         assert [a.sample() for _ in range(10)] == [b.sample() for _ in range(10)]
+
+    def test_the_generator_is_made_when_first_asked_for(self):
+        space = Discrete(100)
+        assert space._rng is None and copy.deepcopy(space)._rng is None
+        assert space.sample() in space
+        assert space.rng is space._rng is not None
+        clone = copy.deepcopy(space)
+        assert clone.rng is not space.rng
+        assert [clone.sample() for _ in range(5)] == [space.sample() for _ in range(5)]
 
 
 class TestNamedDiscrete:

@@ -253,9 +253,9 @@ class ServiceConnection:
         Accounting is attributed per session, not per batch: each successful
         sub-step is recorded under ``"step"`` with its daemon-measured wall
         time and each failed one as a ``"step"`` error, so
-        ``connection_stats()``-driven autoscaling keeps seeing per-worker
-        load and latency after pools switch to batched stepping. The batch
-        round trip itself is accounted under ``"step_sessions"`` as usual.
+        ``connection_stats()`` reports per-worker load and latency whether a
+        pool steps batched or fanned out. The batch round trip itself is
+        accounted under ``"step_sessions"`` as usual.
         """
         requests = list(requests)
         if not requests:

@@ -33,11 +33,10 @@ calls can never touch another tenant's sessions, whichever daemon they
 landed on. Toward the fleet the gateway speaks a single ``fleet_token``,
 letting daemons be locked down to gateway-only access.
 
-**Fleet scaling.** Daemons are either *attached* (URLs handed in) or
-*spawned* (local worker processes started from an ``env_id``). The
-:class:`~repro.core.vector.autoscale.FleetAutoscalePolicy` turns aggregated
-per-daemon call accounting into drain/spawn decisions applied by
-:meth:`ServiceGateway.scale_to`.
+**Fleet membership.** Daemons are either *attached* (URLs handed in) or
+*spawned* (local worker processes started from an ``env_id``) when the
+gateway is built. After that the fleet changes only by failover, which
+retires a dead member.
 """
 
 import itertools
@@ -93,7 +92,6 @@ class DaemonHandle:
     url: str
     connection: ServiceConnection
     spawned: Optional[SpawnedDaemon] = None
-    draining: bool = False
     dead: bool = False
     # Health substrate: the per-daemon circuit breaker sheds load from a
     # flapping member (closed → open on consecutive failures → half-open
@@ -285,13 +283,13 @@ class ServiceGateway(SocketRPCServer):
         return handle
 
     def live_daemons(self) -> List[DaemonHandle]:
-        """Fleet members that are alive (draining ones included)."""
+        """Fleet members that have not been declared dead (circuit-broken
+        ones included)."""
         with self._fleet_lock:
             return [d for d in self._daemons if not d.dead]
 
     def _placement_candidates(self) -> List[DaemonHandle]:
-        with self._fleet_lock:
-            candidates = [d for d in self._daemons if not d.dead and not d.draining]
+        candidates = self.live_daemons()
         # Circuit-broken daemons shed load: new sessions avoid them while
         # their breaker is open. If that would leave nowhere to place,
         # fall back to the full set — degraded placement beats refusing.
@@ -506,7 +504,6 @@ class ServiceGateway(SocketRPCServer):
             )
         except (ServiceError, ConnectionError, OSError, SessionNotFound):
             pass  # The daemon (or the session) is already gone either way.
-        self._retire_empty_drains()
         return EndSessionReply(remaining_sessions=remaining)
 
     def _rpc_handle_session_parameter(
@@ -539,6 +536,11 @@ class ServiceGateway(SocketRPCServer):
         *several* survivors — so the retry re-buckets the group's positions by
         each session's new home rather than replaying the whole group against
         one daemon.
+
+        A session answered with :class:`ServiceIsDown` loses its route: the
+        client forgets it without an ``end_session``, so a kept route would
+        count against its daemon's placement load for good. The daemon-side
+        session, if that daemon is still alive, is left to its idle reaper.
         """
         results: List[Optional[SessionStepResult]] = [None] * len(requests)
         records: Dict[int, _RoutedSession] = {}
@@ -580,6 +582,10 @@ class ServiceGateway(SocketRPCServer):
                     results[position] = SessionStepResult(
                         session_id=sub.session_id, error=error, wall_time_s=wall
                     )
+                if isinstance(error, ServiceIsDown):
+                    with self._fleet_lock:
+                        for sub in subs:
+                            self._sessions.pop(sub.session_id, None)
 
             # A dead or circuit-broken daemon's sessions get per-session
             # ServiceIsDown results immediately — the survivors' groups keep
@@ -649,13 +655,6 @@ class ServiceGateway(SocketRPCServer):
         with self._fleet_lock:
             return {sid: r.env_state() for sid, r in self._sessions.items()}
 
-    def daemon_stats(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-daemon call accounting (fuel for fleet autoscaling)."""
-        return {
-            daemon.url: daemon.connection.stats_summary()
-            for daemon in self.live_daemons()
-        }
-
     def result_cache_stats(self) -> dict:
         """Fleet-wide result-cache accounting, aggregated across daemons.
 
@@ -696,7 +695,6 @@ class ServiceGateway(SocketRPCServer):
                     "index": d.index,
                     "url": d.url,
                     "pid": d.pid,
-                    "draining": d.draining,
                     "sessions": sum(
                         1 for r in self._sessions.values() if r.daemon is d
                     ),
@@ -731,80 +729,7 @@ class ServiceGateway(SocketRPCServer):
             "cache_stats": {"result_cache": self.result_cache_stats()["total"]},
         }
 
-    # -- fleet scaling -----------------------------------------------------
-
-    def scale_to(self, target: int) -> int:
-        """Spawn or drain daemons toward ``target`` live members.
-
-        Growing requires an ``env_id`` (only spawned daemons can be added).
-        Shrinking marks the least-loaded daemons as *draining*: they take no
-        new sessions and are retired as soon as their last session ends.
-        Returns the number of live (non-draining) daemons after the change.
-        """
-        target = max(1, target)
-        with self._fleet_lock:
-            active = [d for d in self._daemons if not d.dead and not d.draining]
-            draining = [d for d in self._daemons if not d.dead and d.draining]
-        if target > len(active):
-            # Un-drain first — cheaper than spawning a fresh process.
-            for daemon in draining[: target - len(active)]:
-                daemon.draining = False
-                active.append(daemon)
-            while len(active) < target and self.env_id:
-                active.append(self.spawn_daemon())
-        elif target < len(active):
-            with self._fleet_lock:
-                load = {
-                    id(d): sum(1 for r in self._sessions.values() if r.daemon is d)
-                    for d in active
-                }
-            # Drain the emptiest members first.
-            for daemon in sorted(active, key=lambda d: (load[id(d)], -d.index))[
-                : len(active) - target
-            ]:
-                daemon.draining = True
-                logger.info("Gateway draining daemon %d at %s", daemon.index, daemon.url)
-            self._retire_empty_drains()
-        with self._fleet_lock:
-            return sum(1 for d in self._daemons if not d.dead and not d.draining)
-
-    def _retire_empty_drains(self) -> None:
-        """Terminate draining daemons whose last session has ended."""
-        with self._fleet_lock:
-            empty = [
-                d
-                for d in self._daemons
-                if d.draining
-                and not d.dead
-                and not any(r.daemon is d for r in self._sessions.values())
-            ]
-            for daemon in empty:
-                daemon.dead = True
-        for daemon in empty:
-            logger.info("Gateway retiring drained daemon %d at %s", daemon.index, daemon.url)
-            self._stop_daemon(daemon)
-
-    def autoscale_tick(self, policy) -> Optional[int]:
-        """One fleet-autoscaling decision: feed per-daemon stats to ``policy``
-        (a :class:`~repro.core.vector.autoscale.FleetAutoscalePolicy`) and
-        apply the returned target with :meth:`scale_to`."""
-        self._retire_empty_drains()
-        with self._fleet_lock:
-            current = sum(1 for d in self._daemons if not d.dead and not d.draining)
-        target = policy(self.daemon_stats(), current)
-        if target is None:
-            return None
-        return self.scale_to(target)
-
     # -- lifecycle ---------------------------------------------------------
-
-    def _stop_daemon(self, daemon: DaemonHandle) -> None:
-        try:
-            daemon.connection.close()
-        except Exception:  # noqa: BLE001 - teardown must not raise
-            pass
-        if daemon.spawned is not None:
-            daemon.spawned.stop()
 
     def shutdown(self) -> None:
         """Stop serving and reap every spawned daemon. Idempotent."""
@@ -819,6 +744,12 @@ class ServiceGateway(SocketRPCServer):
             self._daemons = []
             self._sessions.clear()
         for daemon in fleet:
-            if not daemon.dead:
-                self._stop_daemon(daemon)
+            if daemon.dead:
+                continue
+            try:
+                daemon.connection.close()
+            except Exception:  # noqa: BLE001 - teardown must not raise
+                pass
+            if daemon.spawned is not None:
+                daemon.spawned.stop()
         logger.info("Compiler service gateway on %s shut down", self.url)

@@ -1,20 +1,15 @@
 """Vectorized environment pools.
 
-This subpackage provides :class:`VecCompilerEnv`, a pool of compilation
-sessions driven through a batched ``reset``/``step``/``multistep`` interface
-with optional auto-reset rollout semantics and dynamic ``resize()``. Pools
-execute through a pluggable backend: ``"serial"`` and ``"thread"`` populate
-via ``fork()`` and run in-process, while ``"process"`` gives every worker a
-private compiler service daemon in its own child process (an ordinary
-daemon-attached environment rebuilt from a :class:`WorkerSpec`) to sidestep
-the GIL for compute-bound sessions.
+This subpackage provides :class:`VecCompilerEnv`, a fixed-size pool of
+compilation sessions driven through a batched ``reset``/``step``/``multistep``
+interface with optional auto-reset rollout semantics. Pools execute through a
+pluggable backend: ``"serial"`` and ``"thread"`` populate via ``fork()`` and
+run in-process, while ``"process"`` gives every worker a private compiler
+service daemon in its own child process (an ordinary daemon-attached
+environment rebuilt from a :class:`WorkerSpec`) to sidestep the GIL for
+compute-bound sessions.
 """
 
-from repro.core.vector.autoscale import (
-    AutoscalePolicy,
-    FleetAutoscalePolicy,
-    autoscale_policy,
-)
 from repro.core.vector.backends import (
     ExecutionBackend,
     SerialBackend,
@@ -25,8 +20,6 @@ from repro.core.vector.process import ProcessPoolBackend, WorkerSpec
 from repro.core.vector.vec_env import SKIPPED_STEP, VecCompilerEnv, make_vec_env
 
 __all__ = [
-    "AutoscalePolicy",
-    "FleetAutoscalePolicy",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SKIPPED_STEP",
@@ -34,7 +27,6 @@ __all__ = [
     "ThreadPoolBackend",
     "VecCompilerEnv",
     "WorkerSpec",
-    "autoscale_policy",
     "make_vec_env",
     "resolve_backend",
 ]

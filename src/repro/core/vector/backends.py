@@ -70,16 +70,9 @@ class ExecutionBackend:
                 close_quietly(wrapped[index] if index < len(wrapped) else workers[index])
             raise
 
-    def fork_worker(self, template):
-        """A new worker cloned from ``template``, for a growing pool."""
-        return template.fork()
-
     def retire_worker(self, worker) -> None:
-        """Close one worker that is leaving the pool (shrunk away, or closed)."""
+        """Close one worker of a closing pool."""
         worker.close()
-
-    def resize(self, num_workers: int) -> None:
-        """Adapt backend capacity to a resized pool. No-op by default."""
 
     def close(self) -> None:
         """Release any resources held by the backend."""
@@ -121,7 +114,6 @@ class ThreadPoolBackend(ExecutionBackend):
     _thread_name_prefix = "vec-env-worker"
 
     def __init__(self, max_workers: Optional[int] = None):
-        self._max_workers = max_workers
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix=self._thread_name_prefix
         )
@@ -140,16 +132,6 @@ class ThreadPoolBackend(ExecutionBackend):
             )
         futures = [self._executor.submit(fn, item) for item in items]
         return [future.result() for future in futures]
-
-    def resize(self, num_workers: int) -> None:
-        """Grow the thread pool so a resized VecCompilerEnv keeps full overlap."""
-        if self._closed or self._max_workers is None or num_workers <= self._max_workers:
-            return
-        self._max_workers = num_workers
-        self._executor.shutdown(wait=True)
-        self._executor = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix=self._thread_name_prefix
-        )
 
     def close(self) -> None:
         if not self._closed:

@@ -113,8 +113,8 @@ class ProcessPoolBackend(ThreadPoolBackend):
         # None keeps the executor's CPU-based default sizing, so a directly
         # constructed instance still drives a whole pool concurrently.
         super().__init__(max_workers=max_workers)
-        # Every live daemon, with the wrapper its worker was built under.
-        self._daemons: Dict[SpawnedDaemon, Optional[Callable[[Any], Any]]] = {}
+        # Every live daemon this backend started.
+        self._daemons: List[SpawnedDaemon] = []
         self._socket_dir: Optional[str] = None
         self._socket_ids = itertools.count()
 
@@ -136,7 +136,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
                     **runtime_kwargs,
                 )
                 daemons.append(daemon)
-                self._daemons[daemon] = spec.worker_wrapper
+                self._daemons.append(daemon)
             for daemon in daemons:
                 attached = dict(spec.make_kwargs, service_url=daemon.url)
                 workers.append(replace(spec, make_kwargs=attached).build())
@@ -155,7 +155,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
     def _stop(self, daemons: Iterable[SpawnedDaemon]) -> None:
         for daemon in list(daemons):
             daemon.stop()
-            del self._daemons[daemon]
+            self._daemons.remove(daemon)
         if not self._daemons and self._socket_dir is not None:
             shutil.rmtree(self._socket_dir, ignore_errors=True)
             self._socket_dir = None
@@ -174,19 +174,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
         workers = self._spawn_workers(WorkerSpec.from_env(env, worker_wrapper), n)
         env.close()
         return workers
-
-    def fork_worker(self, template):
-        """Spawn another private daemon and replay ``template``'s state on it,
-        under the wrapper ``template`` was built with. Wrapper state (a
-        ``TimeLimit`` budget, say) starts fresh, so grow at episode boundaries.
-        A template on a daemon this backend did not start is forked as a
-        session there."""
-        daemon = self._daemon_of(template)
-        if daemon is None:
-            return template.fork()
-        base = getattr(template, "unwrapped", template)
-        (worker,) = self._spawn_workers(WorkerSpec.from_env(base, self._daemons[daemon]), 1)
-        return worker
 
     def retire_worker(self, worker) -> None:
         daemon = self._daemon_of(worker)

@@ -11,7 +11,8 @@ cache are paid once and shared by every worker — the cheap session cloning
 that the source paper's environments-as-a-service architecture is built
 around. The ``"process"`` backend instead gives each worker a private service
 daemon in its own child process, trading shared caches for GIL-free
-parallelism on compute-bound sessions.
+parallelism on compute-bound sessions. Either way the pool keeps the workers
+it was built with until it is closed.
 """
 
 import logging
@@ -38,7 +39,7 @@ class VecCompilerEnv:
             the rest of the pool; with the process backend it provides the
             worker construction spec and is closed once the workers are
             attached to their daemons. Closing the pool closes every worker.
-        n: The number of workers (must be >= 1).
+        n: The number of workers (must be >= 1), fixed for the pool's life.
         backend: Execution backend: ``"serial"`` (default), ``"thread"``,
             ``"process"``, or an :class:`ExecutionBackend` instance. A
             string-constructed backend is owned (and closed) by the pool; an
@@ -67,7 +68,6 @@ class VecCompilerEnv:
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.auto_reset = auto_reset
         self.closed = False
-        self._worker_wrapper = worker_wrapper
         self.workers: List[Any] = []
         try:
             # The backend owns the population strategy: in-process backends
@@ -403,71 +403,6 @@ class VecCompilerEnv:
             return values[0] if single else values
 
         return self._backend.run(observe_one, self.workers)
-
-    # -- dynamic pool sizing ------------------------------------------------
-
-    def resize(self, n: int) -> int:
-        """Grow or shrink the pool to ``n`` workers, returning the new size.
-
-        Growing forks worker 0 (an in-process fork, or a new private daemon
-        that replays worker 0's session under the process backend), so new
-        workers start from worker 0's current benchmark and session state —
-        resize at an episode boundary, or reset the pool afterwards, for a
-        clean slate. Shrinking retires (closes) workers from the end of the
-        pool. The owned backend's capacity is adjusted to match.
-        """
-        self._check_open("resize")
-        if n < 1:
-            raise ValueError(f"VecCompilerEnv requires n >= 1, got {n}")
-        errors: List[Exception] = []
-        while len(self.workers) > n:
-            worker = self.workers.pop()
-            try:
-                self._backend.retire_worker(worker)
-            except Exception as error:  # noqa: BLE001 - retire the rest first
-                errors.append(error)
-        if len(self.workers) < n:
-            template = self.workers[0]
-            expected_chain = self._wrapper_chain(template)
-            while len(self.workers) < n:
-                worker = self._backend.fork_worker(template)
-                if (
-                    self._worker_wrapper is not None
-                    and self._wrapper_chain(worker) != expected_chain
-                ):
-                    # Some wrapper in the template's chain lacks a fork()
-                    # override (the base CompilerEnvWrapper returns its
-                    # inner fork), so the chain did not survive. Discard the
-                    # partial fork and rebuild from the unwrapped session,
-                    # re-applying the pool's wrapper (its state starts
-                    # fresh).
-                    close_quietly(worker)
-                    base = getattr(template, "unwrapped", template)
-                    worker = self._worker_wrapper(base.fork())
-                # Daemon-attached forks stay on the template's shared
-                # connection: the multiplexed socket overlaps their RPCs and
-                # qualifies the grown pool for batched stepping.
-                self.workers.append(worker)
-        if self._owns_backend:
-            self._backend.resize(n)
-        if errors:
-            raise self._aggregate_errors("resize", errors)
-        return self.num_envs
-
-    @staticmethod
-    def _wrapper_chain(worker) -> List[type]:
-        """The types of the worker's wrapper chain, outermost first.
-
-        Walks instance ``env`` attributes directly (never ``__getattr__``
-        delegation), so a raw environment yields a single-element chain.
-        """
-        chain: List[type] = []
-        seen = set()
-        while worker is not None and id(worker) not in seen:
-            seen.add(id(worker))
-            chain.append(type(worker))
-            worker = getattr(worker, "__dict__", {}).get("env")
-        return chain
 
     # -- lifecycle ----------------------------------------------------------
 

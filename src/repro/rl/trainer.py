@@ -10,7 +10,7 @@ reduction relative to -Oz on held-out benchmarks.
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,8 +237,6 @@ def run_vec_rollouts(
     episodes: int,
     benchmarks: Optional[Sequence[str]] = None,
     train: bool = True,
-    autoscale: Optional[Callable[[Dict[str, Dict[str, float]], int], Optional[int]]] = None,
-    autoscale_interval: int = 8,
 ) -> List[float]:
     """Continuously collect episodes from an auto-reset pool.
 
@@ -254,18 +252,8 @@ def run_vec_rollouts(
     seed the workers and every completed episode advances the cycle, so (as
     in the lockstep path) every benchmark gets its turn even when there are
     more benchmarks than workers. Returns the rewards of the completed
-    episodes, in completion order (at least ``episodes`` of them).
-
-    ``autoscale`` is an optional policy callable — typically an
-    :class:`~repro.core.vector.AutoscalePolicy` — invoked with
-    ``(vec_env.connection_stats(), vec_env.num_envs)`` after every
-    ``autoscale_interval`` completed episodes. A non-``None`` return value
-    drives :meth:`VecCompilerEnv.resize`: shrinking retires the trailing
-    workers (their partial episodes are discarded), growing starts fresh
-    episodes on the new workers, continuing the benchmark cycle. The agent's
-    buffered per-worker trajectories are flushed (``end_episode_batch``)
-    before the pool changes shape so per-slot bookkeeping never straddles a
-    resize.
+    episodes, in completion order (at least ``episodes`` of them). The pool
+    keeps its ``num_envs`` workers throughout.
     """
     if not getattr(vec_env, "auto_reset", False):
         raise ValueError("run_vec_rollouts() requires a VecCompilerEnv(auto_reset=True)")
@@ -274,8 +262,6 @@ def run_vec_rollouts(
             f"{type(agent).__name__} does not implement act_batch()/observe_batch(); "
             "continuous rollout collection requires the batch rollout API"
         )
-    if autoscale is not None and autoscale_interval < 1:
-        raise ValueError(f"autoscale_interval must be >= 1, got {autoscale_interval}")
     n = vec_env.num_envs
     if isinstance(benchmarks, str):
         benchmarks = [benchmarks]
@@ -289,38 +275,6 @@ def run_vec_rollouts(
     next_benchmark = n  # Cursor into the benchmark cycle, matching run_vec_episode.
     totals = [0.0] * n
     completed: List[float] = []
-    completed_since_autoscale = 0
-
-    def apply_autoscale() -> None:
-        nonlocal n, observations, totals, current, next_benchmark
-        target = autoscale(vec_env.connection_stats(), vec_env.num_envs)
-        if target is None or target == vec_env.num_envs:
-            return
-        if train and hasattr(agent, "end_episode_batch"):
-            # Flush buffered trajectories: per-slot state must not span the
-            # resize (slots are about to appear or disappear).
-            agent.end_episode_batch()
-        vec_env.resize(target)
-        old_n, n = n, vec_env.num_envs
-        if n < old_n:
-            observations = observations[:n]
-            totals = totals[:n]
-            current = current[:n]
-            return
-        for index in range(old_n, n):
-            assigned = None
-            if benchmarks:
-                assigned = benchmarks[next_benchmark % len(benchmarks)]
-                next_benchmark += 1
-            current.append(assigned)
-            # New workers are forked from worker 0 mid-run; give each a
-            # fresh episode on its assigned benchmark. The fork's replayed
-            # state is discarded by this reset — the price of reusing
-            # resize()'s one population path — but autoscale fires right
-            # after episode completions on an auto-reset pool, so worker 0's
-            # replayable history is at most one partial episode.
-            observations.append(vec_env.reset_worker(index, benchmark=assigned))
-            totals.append(0.0)
 
     while len(completed) < episodes:
         if train:
@@ -354,16 +308,6 @@ def run_vec_rollouts(
                     if assigned != current[i]:
                         current[i] = assigned
                         observations[i] = vec_env.reset_worker(i, benchmark=assigned)
-        finished = dones.count(True)
-        if finished:
-            completed_since_autoscale += finished
-            if (
-                autoscale is not None
-                and completed_since_autoscale >= autoscale_interval
-                and len(completed) < episodes
-            ):
-                completed_since_autoscale = 0
-                apply_autoscale()
     if train and hasattr(agent, "end_episode_batch"):
         agent.end_episode_batch()
     return completed

@@ -650,12 +650,17 @@ class TestGracefulDegradation:
                 ]
                 # Shed, not attempted: the broken daemon saw no step.
                 assert broken.connection.stats_summary() == served
+                # The client forgets a session answered ServiceIsDown without
+                # an end_session, so the gateway drops its route too: the
+                # outage leaves nothing counted against the broken daemon.
+                (entry,) = [
+                    d for d in gateway.server_info()["daemons"]
+                    if d["index"] == broken.index
+                ]
+                assert entry["sessions"] == 0
                 # The other daemon's tenant is untouched by the outage. Its
                 # forks crowd that daemon, so the recovering tenant is placed
-                # back on the broken one as the strictly least loaded —
-                # whether or not the gateway still counts the sessions the
-                # outage ended (an episode ended by ServiceIsDown is forgotten
-                # without an end_session).
+                # back on the emptied broken one as the strictly least loaded.
                 _, reward, done, _ = env_b.step(ACTIONS[0])
                 assert reward is not None and not done
                 crowd = [env_b.fork(), env_b.fork()]

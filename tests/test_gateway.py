@@ -1,29 +1,28 @@
 """Tests for the session-routing gateway over a daemon fleet.
 
-Covers the PR's acceptance criteria: a two-daemon gateway is
-trace-equivalent to a single daemon, survives SIGKILL of a daemon
-mid-rollout, rejects cross-tenant session access and version-skewed peers,
-and the fleet autoscaling policy turns per-daemon call accounting into
-daemon-count decisions.
+A two-daemon gateway is trace-equivalent to a single daemon, survives
+SIGKILL of a daemon mid-rollout, keeps the fleet it was built with (only
+failover retires a member), and rejects cross-tenant session access and
+version-skewed peers.
 """
 
 import os
 import pickle
 import signal
 import struct
-import time
 
 import pytest
 
 import repro
 from repro.core.service.connection import ServiceConnection
 from repro.core.service.gateway import ServiceGateway
+from repro.core.service.health import HealthMonitor
 from repro.core.service.proto import StartSessionRequest, StepRequest
+from repro.core.service.runtime.server import make_env_server
 from repro.core.service.transport import SocketTransport
 from repro.core.service.wire import WIRE_VERSION
-from repro.core.vector import FleetAutoscalePolicy, VecCompilerEnv
-from repro.core.vector.autoscale import interval_delta
-from repro.errors import PermissionDeniedError, ServiceError
+from repro.core.vector import VecCompilerEnv
+from repro.errors import PermissionDeniedError, ServiceError, ServiceIsDown
 from tests.test_transport import _assert_hung_up_on
 
 BENCHMARK = "cbench-v1/qsort"
@@ -33,6 +32,24 @@ ACTIONS = [0, 11, 3, 7, 1, 23, 5]
 @pytest.fixture
 def gateway():
     gw = ServiceGateway(env_id="llvm-v0", daemons=2).start()
+    yield gw
+    gw.shutdown()
+
+
+@pytest.fixture(scope="module")
+def daemon_servers():
+    """Two daemons served from this process, for gateways to attach to."""
+    servers = [
+        make_env_server("llvm-v0", port=0, session_timeout=None).start() for _ in range(2)
+    ]
+    yield servers
+    for server in servers:
+        server.shutdown()
+
+
+@pytest.fixture
+def attached_gateway(daemon_servers):
+    gw = ServiceGateway(daemon_urls=[server.url for server in daemon_servers]).start()
     yield gw
     gw.shutdown()
 
@@ -195,6 +212,225 @@ class TestGatewayFailover:
             env.close()
 
 
+def _home(gateway, env):
+    """The fleet member hosting ``env``'s session."""
+    return gateway._sessions[env._session_id].daemon
+
+
+def _indices(daemons):
+    return [daemon.index for daemon in daemons]
+
+
+def _routed_sessions(gateway):
+    """Routed sessions per fleet member, as ``server_info()`` reports them."""
+    return {entry["index"]: entry["sessions"] for entry in gateway.server_info()["daemons"]}
+
+
+class TestFleetMembership:
+    """A gateway keeps the daemons it was started or attached with: failover
+    takes a dead one away, and nothing adds one."""
+
+    def test_a_gateway_needs_a_fleet(self):
+        with pytest.raises(ValueError, match="needs a fleet"):
+            ServiceGateway()
+        with pytest.raises(ValueError, match="requires env_id"):
+            ServiceGateway(daemons=2)
+
+    def test_attached_daemons_are_the_fleet(self, daemon_servers):
+        urls = [server.url for server in daemon_servers]
+        gw = ServiceGateway(daemon_urls=urls).start()
+        try:
+            assert [daemon.url for daemon in gw.live_daemons()] == urls
+            assert all(daemon.pid is None for daemon in gw.live_daemons())
+            with pytest.raises(ServiceError, match="no env_id"):
+                gw.spawn_daemon()
+            assert len(gw.live_daemons()) == 2
+            expected = _rollout(None, actions=ACTIONS[:3])  # in-process
+            assert _rollout(gw.url, actions=ACTIONS[:3]) == expected
+        finally:
+            gw.shutdown()
+        # Shutting the gateway down leaves the daemons it did not start serving.
+        for url in urls:
+            with ServiceConnection(SocketTransport(url)) as connection:
+                assert connection.transport.server_info()["url"] == url
+
+    def test_fleet_keeps_its_members_as_sessions_come_and_go(self, attached_gateway):
+        members = [(daemon.index, daemon.url) for daemon in attached_gateway.live_daemons()]
+        envs = [_make_env(attached_gateway.url) for _ in range(4)]
+        try:
+            for env in envs:
+                env.reset()
+                env.step(ACTIONS[0])
+            # Least-loaded placement spreads the sessions over the fleet.
+            assert sorted(_routed_sessions(attached_gateway).values()) == [2, 2]
+        finally:
+            for env in envs:
+                env.close()
+        assert _routed_sessions(attached_gateway) == {index: 0 for index, _ in members}
+        assert [(d.index, d.url) for d in attached_gateway.live_daemons()] == members
+
+    def test_daemon_entries_report_the_fleet_fields(self, attached_gateway):
+        entries = attached_gateway.server_info()["daemons"]
+        assert _indices(attached_gateway.live_daemons()) == [e["index"] for e in entries]
+        for entry in entries:
+            assert set(entry) == {
+                "index", "url", "pid", "sessions", "breaker", "breaker_trips",
+                "last_heartbeat_age_s",
+            }
+            assert entry["sessions"] == 0 and entry["breaker"] == "closed"
+
+    def test_a_probe_sweep_leaves_a_healthy_fleet_as_it_is(self, attached_gateway):
+        members = _indices(attached_gateway.live_daemons())
+        monitor = HealthMonitor(attached_gateway, interval=60)
+        monitor.probe_once()
+        assert monitor.probes == 2 and monitor.deaths_detected == 0
+        assert _indices(attached_gateway.live_daemons()) == members
+        assert all(d.last_heartbeat is not None for d in attached_gateway.live_daemons())
+        assert attached_gateway.failovers == 0
+
+    def test_a_probe_sweep_retires_a_killed_member_and_spawns_none(self, gateway):
+        env = _make_env(gateway.url)
+        try:
+            env.reset()
+            env.step(ACTIONS[0])
+            victim = _home(gateway, env)
+            (survivor,) = [d for d in gateway.live_daemons() if d is not victim]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.spawned.process.join(timeout=10)
+            monitor = HealthMonitor(gateway, interval=60, failure_threshold=2)
+            for _ in range(2):
+                monitor.probe_once()
+            assert victim.dead and gateway.failovers == 1
+            assert _indices(gateway.live_daemons()) == [survivor.index]
+            assert [e["pid"] for e in gateway.server_info()["daemons"]] == [survivor.pid]
+            # The session was re-homed onto the survivor and carries on there.
+            assert _home(gateway, env) is survivor
+            _, reward, done, _ = env.step(ACTIONS[1])
+            assert reward is not None and not done
+            assert env.actions == ACTIONS[:2]
+        finally:
+            env.close()
+
+    def test_a_wedged_member_is_retired_after_consecutive_missed_probes(
+        self, attached_gateway, monkeypatch
+    ):
+        env = _make_env(attached_gateway.url)
+        try:
+            env.reset()
+            env.step(ACTIONS[0])
+            wedged = _home(attached_gateway, env)
+
+            def no_answer():
+                raise TimeoutError("heartbeat timed out")
+
+            monkeypatch.setattr(wedged.connection.transport, "heartbeat", no_answer)
+            monitor = HealthMonitor(attached_gateway, interval=60, failure_threshold=2)
+            monitor.probe_once()
+            # One missed probe is not a death.
+            assert not wedged.dead and len(attached_gateway.live_daemons()) == 2
+            monitor.probe_once()
+            assert wedged.dead and monitor.deaths_detected == 1
+            (survivor,) = attached_gateway.live_daemons()
+            assert _home(attached_gateway, env) is survivor
+            _, reward, done, _ = env.step(ACTIONS[1])
+            assert reward is not None and not done
+            assert env.actions == ACTIONS[:2]
+        finally:
+            env.close()
+
+    def test_new_sessions_avoid_a_circuit_broken_member(self, attached_gateway):
+        broken, healthy = attached_gateway.live_daemons()
+        broken.breaker.force_open()
+        envs = [_make_env(attached_gateway.url) for _ in range(3)]
+        try:
+            for env in envs:
+                env.reset()
+            assert all(_home(attached_gateway, env) is healthy for env in envs)
+            # Circuit-broken is not dead: the member stays in the fleet.
+            assert _indices(attached_gateway.live_daemons()) == [broken.index, healthy.index]
+            (entry,) = [
+                e for e in attached_gateway.server_info()["daemons"]
+                if e["index"] == broken.index
+            ]
+            assert entry["breaker"] == "open" and entry["sessions"] == 0
+        finally:
+            for env in envs:
+                env.close()
+
+    def test_placement_falls_back_to_broken_members_when_none_is_healthy(
+        self, attached_gateway
+    ):
+        env = _make_env(attached_gateway.url)
+        try:
+            env.reset()
+            loaded = _home(attached_gateway, env)
+            (idle,) = [d for d in attached_gateway.live_daemons() if d is not loaded]
+            for daemon in attached_gateway.live_daemons():
+                daemon.breaker.force_open()
+            # Degraded placement beats refusing: still the least loaded member.
+            assert attached_gateway._place_session() is idle
+        finally:
+            env.close()
+
+    def test_a_refused_fork_keeps_the_parents_route(self, attached_gateway):
+        env = _make_env(attached_gateway.url)
+        try:
+            env.reset()
+            env.step(ACTIONS[0])
+            home = _home(attached_gateway, env)
+            home.breaker.force_open()
+            with pytest.raises(ServiceIsDown):
+                env.fork()
+            # The parent still holds its session, so its route stays.
+            assert env._session_id in attached_gateway._sessions
+            assert _routed_sessions(attached_gateway)[home.index] == 1
+            # Once the member is admitted again, the parent carries on.
+            home.breaker.record_success()
+            _, reward, done, _ = env.step(ACTIONS[1])
+            assert reward is not None and not done
+            assert env.actions == ACTIONS[:2]
+        finally:
+            env.close()
+
+    @pytest.mark.parametrize("failure", ["unreachable", "service-error"])
+    def test_a_failed_step_leaves_no_route_behind(
+        self, attached_gateway, daemon_servers, monkeypatch, failure
+    ):
+        env = _make_env(attached_gateway.url)
+        try:
+            env.reset()
+            env.step(ACTIONS[0])
+            home = _home(attached_gateway, env)
+            (server,) = [s for s in daemon_servers if s.url == home.url]
+            hosted = server.server_info()["active_sessions"]
+            error = (
+                ConnectionResetError("connection reset by peer")
+                if failure == "unreachable"
+                else ServiceError("compiler crashed")
+            )
+
+            def fail(requests):
+                raise error
+
+            # The daemon still answers its heartbeat: no failover, the step
+            # itself fails.
+            monkeypatch.setattr(home.connection, "step_sessions", fail)
+            _, _, done, info = env.step(ACTIONS[1])
+            assert done
+            assert bool(info.get("service_is_down")) == (failure == "unreachable")
+            assert not home.dead
+            # A ServiceIsDown answer drops the route with it; a ServiceError
+            # is answered, so the client ends the session and the route goes.
+            assert _routed_sessions(attached_gateway)[home.index] == 0
+            assert attached_gateway.server_info()["active_sessions"] == 0
+            # What the daemon holds: the unreachable session is left to its
+            # idle reaper, the ended one is ended there too.
+            expected = hosted if failure == "unreachable" else hosted - 1
+            assert server.server_info()["active_sessions"] == expected
+        finally:
+            env.close()
+
+
 class TestGatewayAuth:
     def _gateway(self, tokens):
         return ServiceGateway(
@@ -269,114 +505,6 @@ class TestVersionSkew:
             assert connection.transport.server_info()["role"] == "gateway"
 
 
-def _fleet_stats(step_calls, step_wall, errors=0):
-    return {
-        "step": {
-            "calls": step_calls,
-            "errors": errors,
-            "retries": 0,
-            "wall_time_s": step_wall,
-        }
-    }
-
-
-class TestFleetAutoscalePolicy:
-    def test_scales_up_on_low_latency(self):
-        policy = FleetAutoscalePolicy(max_daemons=4, scale_up_latency_s=0.1)
-        stats = {"tcp://a": _fleet_stats(10, 0.1), "tcp://b": _fleet_stats(10, 0.1)}
-        assert policy(stats, current_daemons=2) == 3
-
-    def test_scales_down_on_high_latency(self):
-        policy = FleetAutoscalePolicy(scale_down_latency_s=0.2)
-        stats = {"tcp://a": _fleet_stats(10, 10.0), "tcp://b": _fleet_stats(10, 10.0)}
-        assert policy(stats, current_daemons=3) == 2
-
-    def test_no_decision_on_idle_fleet(self):
-        policy = FleetAutoscalePolicy()
-        assert policy({}, current_daemons=2) is None
-        assert policy({"tcp://a": {}}, current_daemons=2) is None
-
-    def test_daemon_replacement_reset_is_localized(self):
-        """A replaced daemon restarts its counters from zero; only its own
-        interval restarts — the survivors' deltas stay correct."""
-        policy = FleetAutoscalePolicy(
-            scale_up_latency_s=0.05, scale_down_latency_s=0.2
-        )
-        policy(
-            {"tcp://a": _fleet_stats(100, 1.0), "tcp://b": _fleet_stats(100, 1.0)},
-            current_daemons=2,
-        )
-        # b died and was replaced: its counters regressed. a's interval is
-        # 10 calls / 10s (slow); replacement-b contributes 5 fast calls.
-        decision = policy(
-            {"tcp://a": _fleet_stats(110, 11.0), "tcp://b": _fleet_stats(5, 0.05)},
-            current_daemons=2,
-        )
-        # Aggregate interval: 15 calls, ~10.06s => mean ~0.67s: scale down.
-        assert decision == 1
-
-    def test_vanished_daemon_drops_out(self):
-        policy = FleetAutoscalePolicy(max_daemons=4, scale_up_latency_s=0.1)
-        policy({"tcp://a": _fleet_stats(10, 0.1)}, current_daemons=2)
-        assert (
-            policy({"tcp://b": _fleet_stats(10, 0.1)}, current_daemons=2) == 3
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="min_daemons"):
-            FleetAutoscalePolicy(min_daemons=5, max_daemons=2)
-        with pytest.raises(ValueError, match="scale_up_latency_s"):
-            FleetAutoscalePolicy(scale_up_latency_s=1.0, scale_down_latency_s=0.1)
-
-
-class TestGatewayScaling:
-    def test_scale_up_spawns_and_scale_down_drains(self):
-        gw = ServiceGateway(env_id="llvm-v0", daemons=1).start()
-        try:
-            assert gw.scale_to(2) == 2
-            assert len(gw.live_daemons()) == 2
-            # An idle daemon drains and retires immediately.
-            assert gw.scale_to(1) == 1
-            deadline = time.time() + 10
-            while len(gw.live_daemons()) > 1 and time.time() < deadline:
-                time.sleep(0.05)
-            assert len(gw.live_daemons()) == 1
-        finally:
-            gw.shutdown()
-
-    def test_draining_daemon_keeps_sessions_until_they_end(self):
-        gw = ServiceGateway(env_id="llvm-v0", daemons=2).start()
-        try:
-            env = _make_env(gw.url)
-            env.reset()
-            hosting = next(
-                d for d in gw.live_daemons()
-                if any(r.daemon is d for r in gw._sessions.values())
-            )
-            gw.scale_to(1)
-            if hosting.draining:
-                # The loaded daemon was drained: it must survive (still
-                # serving its session) until the session ends.
-                assert not hosting.dead
-                env.step(ACTIONS[0])
-                env.close()
-                gw._retire_empty_drains()
-                assert hosting.dead
-            else:
-                env.close()
-        finally:
-            gw.shutdown()
-
-    def test_autoscale_tick_applies_policy_target(self):
-        gw = ServiceGateway(env_id="llvm-v0", daemons=1).start()
-        try:
-            assert gw.autoscale_tick(lambda stats, current: 2) == 2
-            assert len(gw.live_daemons()) == 2
-            assert gw.autoscale_tick(lambda stats, current: None) is None
-        finally:
-            gw.shutdown()
-
-
 class TestExplorerAgainstGateway:
     def test_rest_api_sessions_ride_the_gateway(self):
         """Satellite: the Explorer REST API works unchanged when its
@@ -396,39 +524,3 @@ class TestExplorerAgainstGateway:
             api.stop(session_id)
         finally:
             gw.shutdown()
-
-
-class TestIntervalDeltaEdgeCases:
-    """Satellite: interval_delta under counter regression and empty input."""
-
-    def test_empty_snapshots(self):
-        assert interval_delta({}, {}) == {}
-
-    def test_empty_previous_passes_current_through(self):
-        current = _fleet_stats(5, 1.0)
-        assert interval_delta({}, current) == current
-
-    def test_method_vanishing_from_current_is_dropped(self):
-        assert interval_delta(_fleet_stats(5, 1.0), {}) == {}
-
-    def test_regression_in_one_method_leaves_others_diffed(self):
-        previous = {
-            "step": {"calls": 10, "errors": 0, "retries": 0, "wall_time_s": 5.0},
-            "start_session": {"calls": 2, "errors": 0, "retries": 0, "wall_time_s": 1.0},
-        }
-        current = {
-            # step regressed (a worker was retired mid-interval): restarts.
-            "step": {"calls": 4, "errors": 0, "retries": 0, "wall_time_s": 2.0},
-            "start_session": {"calls": 5, "errors": 0, "retries": 0, "wall_time_s": 1.5},
-        }
-        delta = interval_delta(previous, current)
-        assert delta["step"] == current["step"]
-        assert delta["start_session"] == {
-            "calls": 3, "errors": 0, "retries": 0, "wall_time_s": 0.5,
-        }
-
-    def test_regression_on_single_key_restarts_whole_method(self):
-        previous = {"step": {"calls": 10, "errors": 3, "wall_time_s": 5.0}}
-        current = {"step": {"calls": 12, "errors": 1, "wall_time_s": 6.0}}
-        delta = interval_delta(previous, current)
-        assert delta["step"] == current["step"]

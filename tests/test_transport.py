@@ -5,8 +5,8 @@ actual architecture: the ``ServiceTransport`` implementations (in-process,
 socket), the ``repro serve`` daemon's session multiplexing
 (per-session locking, idle reaping, client-churn survival, graceful
 shutdown), transport equivalence of full environments, persistent-daemon
-reuse across sequential vectorized pools, cross-transport stats aggregation,
-and the autoscaling policy driving ``VecCompilerEnv.resize()``.
+reuse across sequential vectorized pools, and cross-transport stats
+aggregation.
 """
 
 import contextlib
@@ -48,8 +48,7 @@ from repro.core.service.wire import (
     write_frame_reply,
 )
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Scalar
-from repro.core.vector import AutoscalePolicy, VecCompilerEnv, make_vec_env
-from repro.core.vector.autoscale import interval_delta
+from repro.core.vector import VecCompilerEnv, make_vec_env
 from repro.core.service.connection import CallStats, merge_stats_summaries
 from repro.core.wrappers import TimeLimit
 from repro.errors import (
@@ -877,9 +876,9 @@ class TestBatchedStepSessions:
         finally:
             env.close()
 
-    def test_batched_stats_attribute_per_session_for_autoscaling(self):
-        # Satellite: connection_stats()-driven autoscaling keeps seeing
-        # per-worker load when the pool steps through the batched RPC.
+    def test_batched_stats_attribute_per_session(self):
+        # connection_stats() keeps seeing per-worker load when the pool
+        # steps through the batched RPC.
         with self._server() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
@@ -896,18 +895,37 @@ class TestBatchedStepSessions:
                     ]
                 )
                 after = connection.stats_summary()
-                delta = interval_delta(before, after)
+
+                def delta(method, key):
+                    return after[method][key] - before.get(method, {}).get(key, 0)
+
                 # One round trip, but four per-session step records — NOT one
                 # shared counter.
-                assert delta["step_sessions"]["calls"] == 1
-                assert delta["step"]["calls"] == 4
-                assert delta["step"]["wall_time_s"] > 0
-                # Paired autoscale observation: the policy sees the batched
-                # steps as per-worker load and makes a scaling decision.
-                policy = AutoscalePolicy(
-                    max_workers=8, scale_up_latency_s=10.0, scale_down_latency_s=20.0
+                assert delta("step_sessions", "calls") == 1
+                assert delta("step", "calls") == 4
+                assert delta("step", "wall_time_s") > 0
+
+    def test_failed_sub_steps_are_counted_as_step_errors(self):
+        with self._server() as server:
+            with ServiceConnection(SocketTransport(server.url)) as connection:
+                session = connection.start_session(
+                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
                 )
-                assert policy(after, current_workers=4) == 5
+                # An empty batch is no round trip at all.
+                assert connection.step_sessions([]) == []
+                assert "step_sessions" not in connection.stats_summary()
+                connection.step_sessions(
+                    [
+                        StepRequest(session_id=session.session_id, actions=[1]),
+                        StepRequest(session_id=999, actions=[1]),
+                        StepRequest(session_id=998, actions=[1]),
+                    ]
+                )
+                stats = connection.stats_summary()
+                assert stats["step_sessions"]["calls"] == 1
+                assert stats["step_sessions"]["errors"] == 0
+                assert stats["step"]["calls"] == 1
+                assert stats["step"]["errors"] == 2
 
     def test_reaper_cannot_reap_mid_batch(self):
         # Satellite: a session stepping inside a batch holds its per-session
@@ -1153,6 +1171,9 @@ class TestDaemonPoolReuse:
             pool1.reset()
             pool1.step([1, 2])
             info1 = pool1.workers[0].service.transport.server_info()
+            # The forked workers stay on the root's multiplexed connection:
+            # no per-worker handshake, and batched steps cover the whole pool.
+            assert len({id(worker.service) for worker in pool1.workers}) == 1
         after_pool1 = llvm_daemon.runtime.stats["start_session"]
         assert after_pool1 >= sessions_before + 2
 
@@ -1183,21 +1204,6 @@ class TestDaemonPoolReuse:
             _, _, dones, _ = pool.step([1, 2])
             assert dones == [False, False]
 
-    def test_resize_amortizes_daemon_sessions(self, llvm_daemon):
-        children_before = len(multiprocessing.active_children())
-        with self._pool(llvm_daemon.url, 2) as pool:
-            pool.reset()
-            pool.resize(4)
-            assert pool.num_envs == 4
-            observations, rewards, dones, _ = pool.step([1, 2, 3, 4])
-            assert len(observations) == 4
-            # Growth forked daemon sessions; still no local subprocesses.
-            assert len(multiprocessing.active_children()) == children_before
-            # Grown workers stay on the shared multiplexed connection — no
-            # per-worker handshake, and batched steps cover the whole pool.
-            services = {id(worker.service) for worker in pool.workers}
-            assert len(services) == 1
-
 
 class TestSocketStatsAggregation:
     """Satellite: connection stats from daemon-hosted sessions merge with
@@ -1221,6 +1227,31 @@ class TestSocketStatsAggregation:
         finally:
             remote.close()
             local.close()
+
+    def test_a_pool_accounts_its_steps_alike_batched_or_fanned_out(self, llvm_daemon):
+        def calls_made(worker_wrapper):
+            with VecCompilerEnv(
+                _make_llvm_env(service_url=llvm_daemon.url),
+                n=3,
+                backend="thread",
+                worker_wrapper=worker_wrapper,
+            ) as vec:
+                vec.reset()
+                before = vec.connection_stats()
+                for action in (1, 2):
+                    vec.step([action] * 3)
+                after = vec.connection_stats()
+            return {
+                method: after.get(method, {}).get("calls", 0)
+                - before.get(method, {}).get("calls", 0)
+                for method in ("step", "step_sessions")
+            }
+
+        # Two pool steps of three workers are six worker steps either way.
+        assert calls_made(None) == {"step": 6, "step_sessions": 2}
+        # A wrapped worker opts the pool out of batching: one RPC per worker.
+        fanned_out = calls_made(lambda worker: TimeLimit(worker, max_episode_steps=10))
+        assert fanned_out == {"step": 6, "step_sessions": 0}
 
 
 class _RefusesGetSpaces(ServiceTransport):
@@ -1299,214 +1330,3 @@ class TestSpecPickling:
         )
         reply = pickle.loads(pickle.dumps(runtime.get_spaces()))
         assert [s.name for s in reply.action_spaces] == ["counter"]
-
-
-# -- autoscaling --------------------------------------------------------------
-
-
-def _stats(step_calls, step_wall, errors=0, extra_calls=0):
-    return {
-        "step": {
-            "calls": step_calls,
-            "errors": errors,
-            "retries": 0,
-            "wall_time_s": step_wall,
-        },
-        "start_session": {
-            "calls": extra_calls,
-            "errors": 0,
-            "retries": 0,
-            "wall_time_s": 0.0,
-        },
-    }
-
-
-class TestAutoscalePolicy:
-    def test_interval_delta(self):
-        before = _stats(10, 1.0)
-        after = _stats(30, 2.0)
-        delta = interval_delta(before, after)
-        assert delta["step"]["calls"] == 20
-        assert delta["step"]["wall_time_s"] == 1.0
-
-    def test_interval_delta_resets_after_shrink(self):
-        # A resize retires workers (and their counters); the delta restarts
-        # from the new pool's values instead of going negative.
-        before = _stats(100, 10.0)
-        after = _stats(40, 1.0)
-        delta = interval_delta(before, after)
-        assert delta["step"]["calls"] == 40
-
-    def test_interval_delta_resets_whole_method_on_any_negative_key(self):
-        # Mixed signs after a resize: calls grew past the retired worker's
-        # count but wall time did not. Clamping per key would pair interval
-        # calls with *cumulative* wall time; the whole method must restart.
-        before = _stats(10, 5.0)
-        after = _stats(15, 3.0)
-        delta = interval_delta(before, after)
-        assert delta["step"]["calls"] == 15
-        assert delta["step"]["wall_time_s"] == 3.0
-
-    def test_scales_up_on_low_latency(self):
-        policy = AutoscalePolicy(max_workers=4, scale_up_latency_s=0.1)
-        assert policy(_stats(10, 0.1), current_workers=2) == 3
-
-    def test_scales_down_on_high_latency(self):
-        policy = AutoscalePolicy(scale_down_latency_s=0.2)
-        assert policy(_stats(10, 10.0), current_workers=3) == 2
-
-    def test_scales_down_on_errors(self):
-        policy = AutoscalePolicy(
-            max_error_rate=0.1, scale_up_latency_s=1.0, scale_down_latency_s=2.0
-        )
-        # Fast calls, but a third of them failed: back off, don't grow.
-        assert policy(_stats(9, 0.01, errors=3), current_workers=4) == 3
-
-    def test_no_decision_without_step_calls(self):
-        policy = AutoscalePolicy()
-        assert policy(_stats(0, 0.0, extra_calls=5), current_workers=2) is None
-
-    def test_scales_down_when_every_step_fails(self):
-        # CallStats records `calls` only for successes, so an interval where
-        # every step errored has step calls == 0 — the error rule must still
-        # fire (that is exactly the failing-service-tier case).
-        policy = AutoscalePolicy(max_error_rate=0.1)
-        assert policy(_stats(0, 0.0, errors=5, extra_calls=2), current_workers=3) == 2
-
-    def test_clamped_to_bounds(self):
-        policy = AutoscalePolicy(min_workers=2, max_workers=2)
-        assert policy(_stats(10, 0.0001), current_workers=2) is None
-        assert policy(_stats(10, 100.0), current_workers=2) is None
-
-    def test_uses_interval_not_lifetime_stats(self):
-        policy = AutoscalePolicy(scale_up_latency_s=0.05, scale_down_latency_s=0.2)
-        # Lifetime mean is fast...
-        assert policy(_stats(100, 1.0), current_workers=2) == 3
-        # ...but the most recent interval is slow: 10 more calls, 10 more
-        # seconds of wall time.
-        assert policy(_stats(110, 11.0), current_workers=3) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            AutoscalePolicy(min_workers=5, max_workers=2)
-        with pytest.raises(ValueError, match="scale_up_latency_s"):
-            AutoscalePolicy(scale_up_latency_s=1.0, scale_down_latency_s=0.1)
-
-
-class _ScriptedAgent:
-    """A minimal act_batch/observe_batch agent for rollout-harness tests."""
-
-    def __init__(self, num_actions):
-        self.rng = random.Random(0)
-        self.num_actions = num_actions
-        self.flushes = 0
-
-    def act_batch(self, observations, greedy=False):
-        return [self.rng.randrange(self.num_actions) for _ in observations]
-
-    def observe_batch(self, rewards, dones, observations=None):
-        pass
-
-    def end_episode_batch(self):
-        self.flushes += 1
-
-
-class TestRolloutAutoscaling:
-    def _vec(self, n=2):
-        env = _make_llvm_env()
-        return VecCompilerEnv(
-            env,
-            n=n,
-            backend="serial",
-            worker_wrapper=lambda e: TimeLimit(e, max_episode_steps=3),
-            auto_reset=True,
-        )
-
-    def test_rollouts_grow_the_pool(self):
-        from repro.rl.trainer import run_vec_rollouts
-
-        vec = self._vec(n=2)
-        try:
-            agent = _ScriptedAgent(vec.action_space.n)
-            policy_calls = []
-
-            def policy(stats, current_workers):
-                policy_calls.append(current_workers)
-                return 3 if current_workers == 2 else None
-
-            rewards = run_vec_rollouts(
-                vec,
-                agent,
-                episodes=8,
-                benchmarks=[BENCHMARK],
-                train=True,
-                autoscale=policy,
-                autoscale_interval=2,
-            )
-            assert len(rewards) >= 8
-            assert vec.num_envs == 3
-            assert policy_calls and policy_calls[0] == 2
-            # The agent's slot bookkeeping was flushed before the resize.
-            assert agent.flushes >= 2
-        finally:
-            vec.close()
-
-    def test_rollouts_shrink_the_pool(self):
-        from repro.rl.trainer import run_vec_rollouts
-
-        vec = self._vec(n=3)
-        try:
-            agent = _ScriptedAgent(vec.action_space.n)
-            rewards = run_vec_rollouts(
-                vec,
-                agent,
-                episodes=9,
-                benchmarks=[BENCHMARK],
-                train=True,
-                autoscale=lambda stats, n: 2 if n == 3 else None,
-                autoscale_interval=3,
-            )
-            assert len(rewards) >= 9
-            assert vec.num_envs == 2
-        finally:
-            vec.close()
-
-    def test_autoscale_policy_end_to_end(self):
-        """The shipped policy drives a real pool through connection_stats()."""
-        from repro.rl.trainer import run_vec_rollouts
-
-        vec = self._vec(n=2)
-        try:
-            agent = _ScriptedAgent(vec.action_space.n)
-            policy = AutoscalePolicy(
-                min_workers=1, max_workers=3,
-                scale_up_latency_s=10.0, scale_down_latency_s=20.0,
-            )  # Steps are far faster than 10s: every decision scales up.
-            run_vec_rollouts(
-                vec,
-                agent,
-                episodes=10,
-                benchmarks=[BENCHMARK],
-                train=True,
-                autoscale=policy,
-                autoscale_interval=2,
-            )
-            assert vec.num_envs == 3
-        finally:
-            vec.close()
-
-    def test_invalid_interval_rejected(self):
-        from repro.rl.trainer import run_vec_rollouts
-
-        vec = self._vec(n=1)
-        try:
-            with pytest.raises(ValueError, match="autoscale_interval"):
-                run_vec_rollouts(
-                    vec,
-                    _ScriptedAgent(vec.action_space.n),
-                    episodes=1,
-                    autoscale=lambda stats, n: None,
-                    autoscale_interval=0,
-                )
-        finally:
-            vec.close()

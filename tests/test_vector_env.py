@@ -6,6 +6,7 @@ import random
 import shutil
 import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -328,17 +329,6 @@ class TestProcessBackend:
             assert rewards[0] is not None and rewards[2] is not None
         assert socket_dirs() == []
 
-    def test_resize_spawns_a_daemon_per_new_worker(self):
-        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
-            vec.reset()
-            vec.step([1, 1])
-            assert vec.resize(4) == 4
-            pids = _daemon_pids(vec)
-            assert len(set(pids)) == 4
-            assert [worker.actions for worker in vec.workers] == [[1]] * 4
-            assert vec.resize(1) == 1
-            _assert_exited(pids[1:])
-
     def test_user_built_benchmark_fails_fast_like_against_any_daemon(self):
         from repro.errors import BenchmarkInitError
 
@@ -397,11 +387,9 @@ class TestProcessBackend:
             worker_wrapper=lambda worker: TimeLimit(worker, max_episode_steps=1),
         ) as vec:
             vec.reset()
+            assert all(isinstance(worker, TimeLimit) for worker in vec.workers)
             _, _, dones, _ = vec.step([1, 2])
             assert dones == [True, True]
-            # A grown worker is built under the wrapper its template was.
-            vec.resize(3)
-            assert isinstance(vec.workers[2], TimeLimit)
 
     def test_requires_env_constructed_by_make(self):
         env = _make_root()
@@ -421,6 +409,46 @@ class TestProcessBackend:
                 VecCompilerEnv(wrapped, n=2, backend="process")
         finally:
             wrapped.close()
+
+    def test_retire_worker_stops_only_that_workers_daemon(self, socket_dirs):
+        backend = ProcessPoolBackend()
+        try:
+            first, second = backend.populate(_make_root(), 2, None)
+            pids = [daemon.pid for daemon in backend._daemons]
+            backend.retire_worker(second)
+            _assert_exited(pids[1:])
+            assert [daemon.pid for daemon in backend._daemons] == pids[:1]
+            (socket_dir,) = socket_dirs()
+            # The surviving worker's daemon still serves it.
+            first.reset()
+            _, reward, done, _ = first.step(1)
+            assert reward is not None and not done
+            # The socket directory goes with the last daemon, not the backend.
+            backend.retire_worker(first)
+            _assert_exited(pids[:1])
+            assert backend._daemons == []
+            assert not os.path.exists(socket_dir)
+        finally:
+            backend.close()
+
+    def test_retire_worker_of_a_foreign_worker_only_closes_it(self):
+        backend = ProcessPoolBackend()
+        foreign = _make_root()
+        try:
+            (worker,) = backend.populate(_make_root(), 1, None)
+            (daemon,) = backend._daemons
+            foreign.reset()
+            backend.retire_worker(foreign)
+            with pytest.raises(SessionNotFound, match="closed environment"):
+                foreign.step(0)
+            assert backend._daemons == [daemon]
+            worker.reset()
+            _, reward, _, _ = worker.step(1)
+            assert reward is not None
+            worker.close()
+        finally:
+            foreign.close()
+            backend.close()
 
     def test_directly_constructed_backend_keeps_default_dispatcher_sizing(self):
         """Regression: ProcessPoolBackend() must not pin the dispatcher to a
@@ -561,46 +589,94 @@ class TestResetWorker:
         with pytest.raises(SessionNotFound, match="reset_worker"):
             vec.reset_worker(0)
 
-
-class TestResize:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_grow_and_shrink(self, backend):
-        with VecCompilerEnv(_make_root(), n=2, backend=backend) as vec:
+    def test_reset_worker_leaves_the_rest_of_the_pool_mid_episode(self, backend):
+        with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
             vec.reset()
-            assert vec.resize(4) == 4
-            assert vec.num_envs == 4
-            observations, _, dones, _ = vec.step([7, 7, 7, 7])
-            assert len(observations) == 4
-            # Workers forked at reset state all see the same trajectory.
+            vec.step([1, 2, 3])
+            vec.reset_worker(1)
+            assert [worker.actions for worker in vec.workers] == [[1], [], [3]]
+            vec.step([4, 5, 6])
+            assert [worker.actions for worker in vec.workers] == [[1, 4], [5], [3, 6]]
+
+
+def _wrapper_names(worker):
+    """The class names of a worker's wrapper chain, outermost first."""
+    names = []
+    while worker is not None:
+        names.append(type(worker).__name__)
+        worker = worker.__dict__.get("env")
+    return names
+
+
+class TestFixedPool:
+    """A pool keeps the ``n`` workers it was built with until it is closed;
+    every worker is populated from the root at construction."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_pool_keeps_its_workers_across_episodes(self, backend):
+        with VecCompilerEnv(
+            _make_root(),
+            n=2,
+            backend=backend,
+            worker_wrapper=_TimeLimitWrapper(max_episode_steps=2),
+            auto_reset=True,
+        ) as vec:
+            workers = list(vec.workers)
+            daemons = [daemon.pid for daemon in getattr(vec.backend, "_daemons", [])]
+            vec.reset()
+            ended = 0
+            for _ in range(5):
+                _, _, dones, _ = vec.step([1, 2])
+                ended += sum(dones)
+            # Two episodes ended per worker, each reset in place.
+            assert ended == 4
+            assert vec.num_envs == 2
+            assert all(now is then for now, then in zip(vec.workers, workers))
+            assert [daemon.pid for daemon in getattr(vec.backend, "_daemons", [])] == daemons
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_workers_at_reset_state_see_the_same_trajectory(self, backend):
+        with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
+            vec.reset()
+            observations, _, dones, _ = vec.step([7, 7, 7])
             for observation in observations[1:]:
                 np.testing.assert_array_equal(
                     np.asarray(observation), np.asarray(observations[0])
                 )
             assert not any(dones)
-            assert vec.resize(1) == 1
-            observations, _, _, _ = vec.step([3])
-            assert len(observations) == 1
 
-    def test_grown_workers_keep_wrappers_without_fork_override(self):
-        """Regression: if the outermost wrapper does not implement fork()
-        (the base CompilerEnvWrapper returns the unwrapped fork), resize()
-        must re-apply the pool's worker_wrapper to grown workers."""
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_workers_start_from_the_roots_episode(self, backend):
+        root = _make_root()
+        root.reset()
+        root.step(11)
+        with VecCompilerEnv(root, n=2, backend=backend) as vec:
+            assert [worker.actions for worker in vec.workers] == [[11], [11]]
+            if backend == "process":
+                # Each worker replayed the root's episode on its own daemon.
+                assert len(set(_daemon_pids(vec))) == 2
+            _, _, dones, _ = vec.step([3, 4])
+            assert not any(dones)
+            assert [worker.actions for worker in vec.workers] == [[11, 3], [11, 4]]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_wrapper_without_fork_override_wraps_every_worker(self, backend):
         from repro.core.wrappers import CompilerEnvWrapper
 
         class Tagging(CompilerEnvWrapper):  # No fork() override on purpose.
             pass
 
-        with VecCompilerEnv(_make_root(), n=1, worker_wrapper=Tagging) as vec:
+        with VecCompilerEnv(
+            _make_root(), n=3, backend=backend, worker_wrapper=Tagging
+        ) as vec:
             vec.reset()
-            vec.resize(3)
             assert all(isinstance(worker, Tagging) for worker in vec.workers)
             observations, _, _, _ = vec.step([0, 0, 0])
             assert len(observations) == 3
 
-    def test_grown_workers_are_not_double_wrapped(self):
-        """Regression: a composed wrapper whose *outer* layer lacks fork()
-        while the inner one implements it must not gain a duplicate inner
-        layer on resize — the whole chain is rebuilt instead."""
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_composed_wrapper_is_applied_once_per_worker(self, backend):
         from repro.core.wrappers import CompilerEnvWrapper
 
         class Outer(CompilerEnvWrapper):  # No fork() override on purpose.
@@ -609,37 +685,62 @@ class TestResize:
         def wrap(worker):
             return Outer(TimeLimit(worker, max_episode_steps=3))
 
-        def chain(worker):
-            types = []
-            while worker is not None:
-                types.append(type(worker).__name__)
-                worker = worker.__dict__.get("env")
-            return types
-
-        with VecCompilerEnv(_make_root(), n=1, worker_wrapper=wrap) as vec:
+        with VecCompilerEnv(_make_root(), n=2, backend=backend, worker_wrapper=wrap) as vec:
             vec.reset()
-            vec.resize(2)
-            assert chain(vec.workers[1]) == chain(vec.workers[0])
-            # The TimeLimit must fire after 3 steps, not 6.
+            base = type(vec.workers[0].unwrapped).__name__
+            for worker in vec.workers:
+                assert _wrapper_names(worker) == ["Outer", "TimeLimit", base]
+            # One TimeLimit per worker: it fires after 3 steps, not 6.
             _, _, dones, _ = vec.multistep([[1, 2, 3], [1, 2, 3]])
             assert dones == [True, True]
 
-    def test_grown_workers_inherit_worker0_state(self):
-        with VecCompilerEnv(_make_root(), n=1) as vec:
-            vec.reset()
-            vec.step([11])
-            vec.resize(2)
-            assert vec.workers[1].actions == vec.workers[0].actions == [11]
+    def test_close_retires_every_worker_through_the_backend(self):
+        class Recording(SerialBackend):
+            def __init__(self):
+                self.retired = []
 
-    def test_resize_validates_bounds_and_lifecycle(self):
-        vec = VecCompilerEnv(_make_root(), n=1)
+            def retire_worker(self, worker):
+                self.retired.append(worker)
+                super().retire_worker(worker)
+
+        backend = Recording()
+        vec = VecCompilerEnv(_make_root(), n=3, backend=backend)
+        vec.reset()
+        workers = list(vec.workers)
+        vec.close()
+        assert len(backend.retired) == 3
+        assert all(retired is worker for retired, worker in zip(backend.retired, workers))
+        for worker in workers:
+            with pytest.raises(SessionNotFound, match="closed environment"):
+                worker.step(0)
+
+    def test_close_retires_the_rest_when_one_retire_fails(self):
+        class FailsOnSecond(SerialBackend):
+            def __init__(self):
+                self.attempts = 0
+
+            def retire_worker(self, worker):
+                self.attempts += 1
+                if self.attempts == 2:
+                    raise RuntimeError("retire failed")
+                super().retire_worker(worker)
+
+        backend = FailsOnSecond()
+        vec = VecCompilerEnv(_make_root(), n=3, backend=backend)
+        vec.reset()
+        first, second, third = vec.workers
         try:
-            with pytest.raises(ValueError, match="n >= 1"):
-                vec.resize(0)
+            with pytest.raises(RuntimeError, match="retire failed"):
+                vec.close()
+            assert backend.attempts == 3
+            for worker in (first, third):
+                with pytest.raises(SessionNotFound, match="closed environment"):
+                    worker.step(0)
+            # The worker whose retirement failed was left as it was.
+            _, reward, done, _ = second.step(0)
+            assert reward is not None and not done
         finally:
-            vec.close()
-        with pytest.raises(SessionNotFound, match="closed VecCompilerEnv"):
-            vec.resize(2)
+            second.close()
 
 
 class TestLifecycle:
@@ -739,6 +840,51 @@ class TestSerialBackend:
 
         assert backend.run(record, [1, 2, 3]) == [2, 4, 6]
         assert order == [1, 2, 3]
+
+
+class TestBackendContract:
+    @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadPoolBackend])
+    def test_first_error_in_input_order_propagates(self, backend_cls):
+        def fail_odd(item):
+            if item % 2:
+                raise ValueError(f"bad {item}")
+            return item
+
+        with backend_cls() as backend:
+            with pytest.raises(ValueError, match="bad 1"):
+                backend.run(fail_odd, [0, 1, 2, 3])
+            assert backend.run(fail_odd, [0, 2]) == [0, 2]
+
+    def test_thread_backend_returns_results_in_input_order(self):
+        def finish_last_first(item):
+            time.sleep(0.02 * (3 - item))
+            return item * 10
+
+        with ThreadPoolBackend(max_workers=3) as backend:
+            assert backend.run(finish_last_first, [0, 1, 2]) == [0, 10, 20]
+
+    def test_owned_backends_are_sized_to_the_pool(self):
+        assert isinstance(resolve_backend(None, 4), SerialBackend)
+        with resolve_backend("thread", 5) as thread:
+            assert isinstance(thread, ThreadPoolBackend)
+            assert thread._executor._max_workers == 5
+        with resolve_backend("process", 3) as process:
+            assert isinstance(process, ProcessPoolBackend)
+            assert process._executor._max_workers == 3
+        shared = SerialBackend()
+        assert resolve_backend(shared, 4) is shared
+
+    def test_a_thread_pool_smaller_than_the_pool_steps_every_worker(self):
+        def trace(backend):
+            with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
+                vec.reset()
+                observations, _, _, _ = vec.step([1, 2, 3])
+                observations += vec.step([4, 5, 6])[0]
+                actions = [worker.actions for worker in vec.workers]
+            return [np.asarray(o).tolist() for o in observations], actions
+
+        with ThreadPoolBackend(max_workers=1) as narrow:
+            assert trace(narrow) == trace("serial")
 
 
 class TestAutotuningIntegration:
@@ -891,6 +1037,27 @@ class TestRlIntegration:
             )
             assert len(rewards) >= 3
             assert seen[:3] == [BENCHMARK, "cbench-v1/sha", BENCHMARK]
+        finally:
+            vec.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_rollouts_keep_the_pool_as_built(self, backend):
+        from repro.rl.ppo import PPOAgent
+        from repro.rl.trainer import make_vec_rl_environment, run_vec_rollouts
+
+        agent = self._agent(PPOAgent)
+        env = repro.make(
+            "llvm-v0", benchmark=BENCHMARK, reward_space="IrInstructionCountNorm"
+        )
+        vec = make_vec_rl_environment(
+            env, n=2, backend=backend, episode_length=2, auto_reset=True
+        )
+        try:
+            workers = list(vec.workers)
+            rewards = run_vec_rollouts(vec, agent, episodes=6, benchmarks=[BENCHMARK])
+            assert len(rewards) >= 6
+            assert vec.num_envs == 2
+            assert all(now is then for now, then in zip(vec.workers, workers))
         finally:
             vec.close()
 

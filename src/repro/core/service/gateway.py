@@ -170,9 +170,6 @@ class ServiceGateway(SocketRPCServer):
     """
 
     server_kind = "gateway"
-    # Proxy latency is pure overhead: serve idle-connection requests on the
-    # reader thread, skipping the dispatch-pool handoff (see base class).
-    serve_inline_when_idle = True
 
     def __init__(
         self,
@@ -212,7 +209,7 @@ class ServiceGateway(SocketRPCServer):
         self._breaker_reset_timeout = breaker_reset_timeout
         self.health_monitor: Optional[HealthMonitor] = None
         # step_sessions fan-out runs per-daemon batches on this pool (the
-        # inherited dispatch pool carries the batch RPC itself, and tasks
+        # batch RPC itself may run on the inherited dispatch pool, and tasks
         # must never wait on their own executor).
         self._fanout_executor = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="repro-gateway-fanout"
@@ -631,7 +628,7 @@ class ServiceGateway(SocketRPCServer):
                 result.session_id = sub.session_id
                 results[position] = result
 
-        # The last group runs inline on this dispatch thread: a batch that
+        # The last group runs inline on this serving thread: a batch that
         # maps to a single daemon (a lone step; a pool, whose forked sessions
         # co-locate) then pays no executor handoff at all.
         groups = bucket_by_home(range(len(requests)))
@@ -717,6 +714,7 @@ class ServiceGateway(SocketRPCServer):
             "active_sessions": sessions,
             "connections_served": self.connections_served,
             "heartbeats_served": self.heartbeats_served,
+            **self._dispatch_counters(),
             "failovers": failovers,
             "rehomed_sessions": rehomed,
             "health_monitor": None if monitor is None else {

@@ -14,7 +14,8 @@ consecutive probes (or client calls) transitions closed → open, and while
 open it sheds load — new sessions are not placed on it and every step routed
 to it, a lone ``step`` or a ``step_sessions`` sub-request, is short-circuited
 to ``ServiceIsDown`` instead of eating a timeout. After ``reset_timeout``
-seconds the breaker admits a single half-open probe; one success closes it
+seconds the breaker admits a single half-open probe, and the callers that
+arrive while it is in flight wait for its outcome; one success closes it
 again.
 """
 
@@ -46,6 +47,8 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
         self._lock = threading.Lock()
+        # Notified when the half-open probe's outcome is recorded.
+        self._probe_settled = threading.Condition(self._lock)
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at: Optional[float] = None
@@ -73,26 +76,36 @@ class CircuitBreaker:
 
         In the half-open state only one caller is admitted at a time; its
         subsequent ``record_success``/``record_failure`` decides the breaker's
-        fate.
+        fate. A caller that arrives while that probe is in flight waits for
+        its outcome, for at most ``reset_timeout`` seconds, and is admitted
+        if the probe closed the breaker: callers that only overlap the probe
+        (a pool's workers resetting together) are not shed by it.
         """
         with self._lock:
             if self._state == CLOSED:
                 return True
+            if self._half_open_inflight:
+                self._probe_settled.wait_for(
+                    lambda: not self._half_open_inflight, timeout=self.reset_timeout
+                )
+                return self._state == CLOSED
             if self._cooldown_elapsed():
-                if self._half_open_inflight:
-                    return False
                 self._state = HALF_OPEN
                 self._half_open_inflight = True
                 return True
-            # OPEN before cooldown, or HALF_OPEN with the probe in flight.
-            return False
+            return False  # OPEN before cooldown.
+
+    def _settle_probe(self) -> None:
+        if self._half_open_inflight:
+            self._half_open_inflight = False
+            self._probe_settled.notify_all()
 
     def record_success(self) -> None:
         with self._lock:
             self._state = CLOSED
             self._consecutive_failures = 0
             self._opened_at = None
-            self._half_open_inflight = False
+            self._settle_probe()
 
     def record_failure(self) -> None:
         with self._lock:
@@ -101,7 +114,7 @@ class CircuitBreaker:
                 # The probe failed: reopen and restart the cooldown clock.
                 self._state = OPEN
                 self._opened_at = time.monotonic()
-                self._half_open_inflight = False
+                self._settle_probe()
                 return
             if (
                 self._state == CLOSED
@@ -121,7 +134,7 @@ class CircuitBreaker:
             self._consecutive_failures = max(
                 self._consecutive_failures, self.failure_threshold
             )
-            self._half_open_inflight = False
+            self._settle_probe()
 
     def __repr__(self) -> str:
         return f"CircuitBreaker(state={self.state!r}, trips={self.trips})"

@@ -3,11 +3,22 @@
 Both ends of the fleet topology serve the same wire protocol — the compiler
 *daemon* (:class:`~repro.core.service.runtime.server.ServiceServer`) and the
 session-routing *gateway* (:class:`~repro.core.service.gateway.ServiceGateway`)
-— so the protocol mechanics live here once: the listener and accept loop, the
-per-connection reader that feeds a dispatch pool, reply framing (every
-reply at :data:`~repro.core.service.wire.WIRE_VERSION`, the one dialect
-there is), the ``hello`` handshake (auth token check), and orderly shutdown.
-Subclasses implement :meth:`_dispatch` to say what the RPC methods *mean*.
+— so the protocol mechanics live here once: the listener and accept loop,
+one rule for which thread runs a request, reply framing (every reply at
+:data:`~repro.core.service.wire.WIRE_VERSION`, the one dialect there is), the
+``hello`` handshake (auth token check), and orderly shutdown. Subclasses
+implement :meth:`_dispatch` to say what the RPC methods *mean*.
+
+**Which thread runs a request.** Each connection has a thread that reads it
+and runs every request it reads itself, so a client that waits for each
+reply before it sends again pays no thread hand-off. While it runs one, the
+connection's socket is *watched*: registered, readable, in one selector per
+server that a single watcher thread waits on. Only when a second frame
+arrives in that time does a dispatch-pool thread stand in as the reader; it
+hands each frame it reads to the pool, so requests multiplexed onto one
+connection run concurrently and reply in completion order, and it gives the
+read side back once nothing more has arrived. The watch is dropped before a
+reply is written, so a closed-loop client never wakes the watcher.
 
 Authentication is opt-in: constructed with ``auth_tokens``, a server rejects
 every RPC on a connection until a ``hello`` presenting one of the accepted
@@ -15,13 +26,14 @@ tokens has succeeded, and hands the verified token to :meth:`_dispatch` so
 subclasses can enforce per-tenant session ownership. Without ``auth_tokens``
 all connections are implicitly authenticated as the anonymous tenant — the
 behaviour every pre-gateway deployment had. A connection that has not
-authenticated is served on its reader thread alone and may send only small
-frames (:data:`~repro.core.service.wire.UNAUTHENTICATED_MAX_FRAME_BYTES`):
+authenticated is not watched while its thread serves it, and may send only
+small frames (:data:`~repro.core.service.wire.UNAUTHENTICATED_MAX_FRAME_BYTES`):
 it can occupy neither the dispatch pool nor memory.
 """
 
 import logging
 import os
+import selectors
 import socket
 import threading
 import time
@@ -57,6 +69,37 @@ class ClientConnectionState:
         self.client = ""
 
 
+class _ClientConnection:
+    """One client socket, its streams, and who holds its read side.
+
+    ``serving``: the connection's own thread is running a request it read.
+    ``watched``: the socket is registered with the server's selector.
+    ``stand_in``: a pool thread holds the read side. ``dropped``: the stand-in
+    read an end of stream or a malformed frame. All four change under
+    ``lock``; the connection's thread waits on ``read_side_back`` for a
+    stand-in to finish.
+    """
+
+    __slots__ = (
+        "sock", "fd", "rfile", "wfile", "write_lock", "state", "lock",
+        "read_side_back", "serving", "watched", "stand_in", "dropped", "in_flight",
+    )
+
+    def __init__(self, sock: socket.socket, authenticated: bool):
+        self.sock = sock
+        self.fd = sock.fileno()
+        # Unbuffered: no byte of a next frame may wait in user space, where
+        # the selector cannot see it.
+        self.rfile = sock.makefile("rb", buffering=0)
+        self.wfile = sock.makefile("wb")
+        self.write_lock = threading.Lock()
+        self.state = ClientConnectionState(authenticated=authenticated)
+        self.lock = threading.Lock()
+        self.read_side_back = threading.Condition(self.lock)
+        self.serving = self.watched = self.stand_in = self.dropped = False
+        self.in_flight = []  # The stand-ins' pool futures.
+
+
 class SocketRPCServer:
     """Serves the framed, multiplexed RPC protocol on a TCP or Unix socket.
 
@@ -70,14 +113,6 @@ class SocketRPCServer:
     """
 
     server_kind = "service"
-    # When True, a request arriving on a connection with no other request in
-    # flight is served directly on the reader thread instead of the dispatch
-    # pool. This removes a thread handoff from the hot path at the cost of
-    # serializing requests multiplexed onto that one connection while the
-    # inline request runs. The gateway opts in: its latency is all proxy
-    # overhead and its clients batch (one outstanding RPC at a time), while
-    # the daemon keeps fully parallel dispatch for its compile work.
-    serve_inline_when_idle = False
 
     def __init__(
         self,
@@ -91,6 +126,10 @@ class SocketRPCServer:
         self.connections_served = 0
         self.heartbeats_served = 0
         self.last_heartbeat_at: Optional[float] = None
+        # Requests run by the thread that read them, and requests a stand-in
+        # reader handed to the dispatch pool.
+        self.served_in_place = 0
+        self.handed_off = 0
         # Optional fault-injection hooks (a ``repro.core.service.chaos.
         # ServerChaos``): consulted once per executed request before its
         # reply is written. None in production.
@@ -101,9 +140,7 @@ class SocketRPCServer:
         self._client_sockets = set()
         self._handler_threads = []
         self._accept_thread: Optional[threading.Thread] = None
-        # Requests from one multiplexed client connection are served
-        # concurrently on this pool (replies return in completion order, not
-        # arrival order).
+        # Runs what stand-in readers hand over, and the stand-ins themselves.
         self._dispatch_executor = ThreadPoolExecutor(
             max_workers=32, thread_name_prefix=f"repro-{self.server_kind}-dispatch"
         )
@@ -121,6 +158,15 @@ class SocketRPCServer:
             self.url = f"tcp://{bound_host}:{bound_port}"
             self._unix_path = None
         self._listener.listen(128)
+        # The sockets of connections busy serving in place; closing the
+        # write end of the wake pair stops the watcher.
+        self._selector = selectors.DefaultSelector()
+        self._wake, self._wake_writer = socket.socketpair()
+        self._selector.register(self._wake, selectors.EVENT_READ, None)
+        self._watcher = threading.Thread(
+            target=self._watch_loop, name=f"repro-{self.server_kind}-watcher", daemon=True
+        )
+        self._watcher.start()
 
     # -- serving -----------------------------------------------------------
 
@@ -169,34 +215,31 @@ class SocketRPCServer:
     def _handle_client(self, client: socket.socket) -> None:
         """Serve one client connection until it disconnects.
 
-        The handler thread only *reads*: each request frame is handed to the
-        dispatch pool, so concurrent requests multiplexed onto one
-        connection (request ids distinguish them) execute in parallel and
-        their replies return in completion order. Reply writes are
+        This thread reads each request and runs it itself, with the socket
+        watched until just before the reply is written. A frame that arrives
+        meanwhile wakes the watcher, and a pool thread stands in as the reader
+        (:meth:`_stand_in`); this thread then waits, after writing its reply,
+        until the stand-in gives the read side back. Reply writes are
         serialized by a per-connection lock so frames never interleave.
 
         Until the connection has authenticated its requests (``hello``,
-        ``heartbeat``, or a refusal) are served here on the reader thread and
-        its frames are held to the small pre-auth limit: the limit for the
-        next frame is then always read from a settled ``state``, and a peer
-        without a token reaches neither the dispatch pool nor a large buffer.
+        ``heartbeat``, or a refusal) are served here unwatched and its frames
+        are held to the small pre-auth limit: the limit for the next frame is
+        then always read from a settled ``state``, and a peer without a token
+        reaches neither the dispatch pool nor a large buffer.
         """
         try:
             client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # Unix sockets have no TCP options.
-        rfile = client.makefile("rb")
-        wfile = client.makefile("wb")
-        write_lock = threading.Lock()
-        state = ClientConnectionState(authenticated=self.auth_tokens is None)
-        in_flight = []
+        conn = _ClientConnection(client, authenticated=self.auth_tokens is None)
         try:
             while not self._shutdown_event.is_set():
+                watched = conn.state.authenticated
                 try:
                     request_id, method, args = read_frame(
-                        rfile,
-                        MAX_FRAME_BYTES if state.authenticated
-                        else UNAUTHENTICATED_MAX_FRAME_BYTES,
+                        conn.rfile,
+                        MAX_FRAME_BYTES if watched else UNAUTHENTICATED_MAX_FRAME_BYTES,
                     )
                 except (EOFError, ConnectionError, OSError):
                     break  # Client went away (or speaks a rejected version).
@@ -210,51 +253,173 @@ class SocketRPCServer:
                         exc_info=True,
                     )
                     break
-                in_flight = [f for f in in_flight if not f.done()]
-                if not state.authenticated or (
-                    self.serve_inline_when_idle and not in_flight
-                ):
-                    self._serve_request(
-                        wfile, write_lock, state, request_id, method, args
-                    )
-                    continue
-                try:
-                    in_flight.append(
-                        self._dispatch_executor.submit(
-                            self._serve_request, wfile, write_lock, state,
-                            request_id, method, args,
-                        )
-                    )
-                except RuntimeError:
-                    break  # Executor shut down: the server is stopping.
+                with self._lock:
+                    self.served_in_place += 1
+                if watched:
+                    with conn.lock:
+                        conn.serving = True
+                        self._watch(conn)
+                self._serve_request(conn, request_id, method, args, watched)
+                if conn.stand_in:
+                    with conn.lock:
+                        while conn.stand_in:
+                            conn.read_side_back.wait()
+                if conn.dropped:
+                    break
         finally:
             # Let in-flight requests finish before tearing the streams down:
             # their session work completes either way, but an orderly drain
             # lets final replies reach a client that is still listening.
-            if in_flight:
-                wait_futures(in_flight, timeout=5)
-            for stream in (rfile, wfile):
-                try:
-                    stream.close()
-                except Exception:  # noqa: BLE001
-                    pass
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001
-                pass
+            if conn.in_flight:
+                wait_futures(conn.in_flight, timeout=5)
+            self._hang_up(conn)
             with self._lock:
                 self._client_sockets.discard(client)
 
+    def _watch(self, conn: _ClientConnection) -> None:
+        """Register ``conn``'s socket with the watcher (``conn.lock`` held)."""
+        try:
+            self._selector.register(conn.fd, selectors.EVENT_READ, conn)
+        except (KeyError, OSError, ValueError):
+            return  # Closed under us by shutdown(): nothing left to read.
+        conn.watched = True
+
+    def _unwatch(self, conn: _ClientConnection) -> None:
+        """Drop ``conn``'s socket from the watcher (``conn.lock`` held)."""
+        conn.watched = False
+        try:
+            self._selector.unregister(conn.fd)
+        except (KeyError, ValueError):
+            pass
+
+    def _release(self, conn: _ClientConnection) -> None:
+        """The connection's thread is done running its request in place."""
+        with conn.lock:
+            conn.serving = False
+            if conn.watched:
+                self._unwatch(conn)
+
+    def _watch_loop(self) -> None:
+        """Start a stand-in reader for each watched socket that turns readable."""
+        while True:
+            for key, _ in self._selector.select():
+                conn = key.data
+                if conn is None:
+                    return  # Woken by shutdown.
+                with conn.lock:
+                    if not conn.watched:
+                        continue  # Released first: its thread reads on.
+                    self._unwatch(conn)
+                    conn.stand_in = True
+                try:
+                    self._dispatch_executor.submit(self._stand_in, conn)
+                except RuntimeError:  # Executor shut down: the server is stopping.
+                    self._give_back(conn, dropped=True)
+
+    def _stand_in(self, conn: _ClientConnection) -> None:
+        """Read ``conn`` for its busy thread, handing each frame to the pool.
+
+        A frame is read only once its first byte has arrived, so a stand-in
+        never waits on an idle connection. When nothing more has arrived, the
+        read side goes back: to the watcher if the connection's thread is
+        still serving, otherwise to that thread.
+        """
+        dropped = False
+        try:
+            while True:
+                try:
+                    conn.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    break  # Nothing more has started arriving.
+                request_id, method, args = read_frame(conn.rfile)
+                conn.in_flight = [f for f in conn.in_flight if not f.done()]
+                conn.in_flight.append(
+                    self._dispatch_executor.submit(
+                        self._serve_request, conn, request_id, method, args, False
+                    )
+                )
+                with self._lock:
+                    self.handed_off += 1
+        except (EOFError, ConnectionError, OSError, RuntimeError):
+            dropped = True  # Client gone, rejected version, or server stopping.
+        except Exception:  # noqa: BLE001 - corrupt/hostile frame
+            logger.warning("Dropping client after malformed request frame", exc_info=True)
+            dropped = True
+        self._give_back(conn, dropped)
+
+    def _give_back(self, conn: _ClientConnection, dropped: bool) -> None:
+        """End a stand-in: watch again for a thread still serving, and wake a
+        thread waiting to read."""
+        with conn.lock:
+            # ``dropped`` first: the connection's thread reads ``stand_in``
+            # without the lock, then ``dropped``.
+            conn.dropped = conn.dropped or dropped
+            conn.stand_in = False
+            if conn.serving and not conn.dropped:
+                self._watch(conn)
+            conn.read_side_back.notify()
+
+    @staticmethod
+    def _hang_up(conn: _ClientConnection) -> None:
+        """Close a connection so that its peer reads an end of stream.
+
+        Closing a socket with unread bytes makes the kernel answer with a
+        reset, which a client reads as an error instead of a hang-up. So the
+        end of stream is sent first, and what has already arrived is
+        discarded before the close.
+        """
+        sock = conn.sock
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            for _ in range(16):
+                if not sock.recv(1 << 16, socket.MSG_DONTWAIT):
+                    break
+        except OSError:
+            pass  # Nothing more to discard, or already closed.
+        for closeable in (conn.rfile, conn.wfile, sock):
+            try:
+                closeable.close()
+            except Exception:  # noqa: BLE001
+                pass
+
     def _serve_request(
         self,
-        wfile,
-        write_lock: threading.Lock,
-        state: ClientConnectionState,
+        conn: _ClientConnection,
         request_id,
         method,
         args,
+        watched: bool,
     ) -> None:
-        """Execute one request on a dispatch thread and write its reply."""
+        """Execute one request and write its reply.
+
+        ``watched``: the request runs on the thread that read it, with the
+        socket watched; the watch is dropped before the reply is written,
+        whatever the reply (or its absence) turns out to be.
+        """
+        fault = None
+        try:
+            status, payload = self._execute(conn.state, method, args)
+            if self.chaos is not None and method != "hello":
+                fault = self.chaos.on_reply(method)
+                if fault is not None and fault[0] == "delay":
+                    time.sleep(fault[1])
+        finally:
+            if watched:
+                self._release(conn)
+        if fault is not None:
+            if fault[0] == "drop":
+                return  # Executed, but the reply never leaves the server.
+            if fault[0] == "corrupt":
+                self._write_corrupted_reply(conn, request_id, status, payload)
+                return
+        try:
+            with conn.write_lock:
+                write_frame_reply(conn.wfile, request_id, status, payload)
+        except (OSError, ConnectionError, ValueError):
+            pass  # Reply write failed: the client is gone.
+
+    def _execute(self, state: ClientConnectionState, method, args):
+        """Run one request: its ``(status, payload)`` reply, never a raise."""
         try:
             if method == "hello":
                 result = self._hello(state, *args)
@@ -273,27 +438,13 @@ class SocketRPCServer:
             else:
                 result = self._dispatch(state, method, args)
         except BaseException as error:  # noqa: BLE001 - sent to the client
-            status, payload = REPLY_ERROR, error
-        else:
-            status, payload = REPLY_OK, result
-        if self.chaos is not None and method != "hello":
-            fault = self.chaos.on_reply(method)
-            if fault is not None:
-                action, param = fault
-                if action == "drop":
-                    return  # Executed, but the reply never leaves the server.
-                if action == "delay":
-                    time.sleep(param)
-                elif action == "corrupt":
-                    self._write_corrupted_reply(
-                        wfile, write_lock, request_id, status, payload
-                    )
-                    return
-        try:
-            with write_lock:
-                write_frame_reply(wfile, request_id, status, payload)
-        except (OSError, ConnectionError, ValueError):
-            pass  # Reply write failed: the client is gone.
+            return REPLY_ERROR, error
+        return REPLY_OK, result
+
+    def _dispatch_counters(self) -> dict:
+        """Who ran the requests: for ``server_info``."""
+        with self._lock:
+            return {"served_in_place": self.served_in_place, "handed_off": self.handed_off}
 
     def _heartbeat(self) -> dict:
         """The liveness probe reply: pid + uptime, nothing that can block."""
@@ -306,9 +457,7 @@ class SocketRPCServer:
             "uptime_s": time.monotonic() - self.started_at,
         }
 
-    def _write_corrupted_reply(
-        self, wfile, write_lock, request_id, status, payload
-    ) -> None:
+    def _write_corrupted_reply(self, conn, request_id, status, payload) -> None:
         """Write a reply frame whose payload bytes are garbage (chaos only).
 
         The header (version byte + length) is kept intact so the client
@@ -317,9 +466,9 @@ class SocketRPCServer:
         """
         frame = corrupt_frame_payload(frame_bytes((request_id, status, payload)))
         try:
-            with write_lock:
-                wfile.write(frame)
-                wfile.flush()
+            with conn.write_lock:
+                conn.wfile.write(frame)
+                conn.wfile.flush()
         except (OSError, ConnectionError, ValueError):
             pass
 
@@ -401,7 +550,12 @@ class SocketRPCServer:
         return True
 
     def _finish_shutdown(self) -> None:
-        """Common last half of shutdown: retire pools and the unix path."""
+        """Common last half of shutdown: retire the watcher, pools and the
+        unix path."""
+        self._wake_writer.close()
+        self._watcher.join(timeout=5)
+        self._selector.close()
+        self._wake.close()
         self._dispatch_executor.shutdown(wait=True)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)

@@ -7,6 +7,8 @@ benchmark cache that gives amortized O(1) environment initialization.
 """
 
 import contextlib
+import os
+import re
 import shutil
 import tempfile
 import threading
@@ -96,6 +98,39 @@ def _lock_of(state: Optional[_SessionCacheState]):
     return _UNLOCKED if state is None or state.lock is None else state.lock
 
 
+_WORKING_DIR_PREFIX = "repro-compiler-service-"
+_WORKING_DIR_PID = re.compile(re.escape(_WORKING_DIR_PREFIX) + r"(\d+)-")
+
+
+def _pid_exists(pid: int) -> bool:
+    """Only ``ProcessLookupError`` means gone: ``PermissionError`` is a live
+    process of another user's."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):
+        return True
+    return True
+
+
+def _remove_orphaned_working_dirs(parent: str) -> None:
+    """Remove the runtime working dirs in ``parent`` whose process is gone.
+
+    A runtime names its own dir ``repro-compiler-service-<pid>-…`` and removes
+    it at shutdown, which a killed process never reaches. Dirs named any
+    other way are left alone.
+    """
+    try:
+        entries = list(os.scandir(parent))
+    except OSError:
+        return
+    for entry in entries:
+        match = _WORKING_DIR_PID.match(entry.name)
+        if match and entry.is_dir(follow_symlinks=False) and not _pid_exists(int(match.group(1))):
+            shutil.rmtree(entry.path, ignore_errors=True)
+
+
 class CompilerGymServiceRuntime:
     """In-process implementation of the compiler service.
 
@@ -119,9 +154,17 @@ class CompilerGymServiceRuntime:
     ):
         self.session_type = session_type
         self.benchmark_resolver = benchmark_resolver
-        # A directory the runtime made is the runtime's to remove at shutdown.
+        # A directory the runtime made is the runtime's to remove at shutdown,
+        # and is named after its pid so a later runtime can remove it if the
+        # process is killed before it does.
         self._owns_working_dir = working_dir is None
-        self.working_dir = working_dir or tempfile.mkdtemp(prefix="repro-compiler-service-")
+        if working_dir is None:
+            parent = tempfile.gettempdir()
+            _remove_orphaned_working_dirs(parent)
+            working_dir = tempfile.mkdtemp(
+                prefix=f"{_WORKING_DIR_PREFIX}{os.getpid()}-", dir=parent
+            )
+        self.working_dir = working_dir
         self.benchmark_cache = BenchmarkCache()
         self.result_cache: Optional[ResultCache] = ResultCache.coerce(result_cache)
         # ``None`` marks an unbuilt session: everything it was asked so far

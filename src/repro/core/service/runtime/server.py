@@ -137,9 +137,9 @@ class ServiceServer(SocketRPCServer):
         self._session_owner: Dict[int, Optional[str]] = {}
         self._reaper_thread: Optional[threading.Thread] = None
         # The *sub-steps* of a step_sessions batch run on a separate pool
-        # from the base server's dispatch pool: a dispatch task blocks
-        # waiting for its batch's sub-steps, and tasks must never wait on
-        # their own executor.
+        # from the base server's dispatch pool: a batch the dispatch pool
+        # runs blocks waiting for its sub-steps, and tasks must never wait
+        # on their own executor.
         self._batch_executor = ThreadPoolExecutor(
             max_workers=max(4, (os.cpu_count() or 4)),
             thread_name_prefix="repro-serve-batch",
@@ -237,7 +237,7 @@ class ServiceServer(SocketRPCServer):
             )
 
         # All but the last sub-step run on the dedicated batch pool (never on
-        # the dispatch pool this batch RPC itself occupies); the last runs
+        # the dispatch pool this batch RPC may itself occupy); the last runs
         # here, so a batch of one — every single step a gateway forwards —
         # pays no executor handoff. Two sub-requests naming the same session
         # serialize on its lock like any other concurrent pair.
@@ -369,6 +369,7 @@ class ServiceServer(SocketRPCServer):
             "connections_served": connections,
             "batched_steps": batched,
             "heartbeats_served": heartbeats,
+            **self._dispatch_counters(),
             "last_heartbeat_age_s": (
                 None if last_heartbeat is None
                 else time.monotonic() - last_heartbeat

@@ -327,22 +327,29 @@ def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
     Raises ``EOFError`` on a cleanly closed stream and ``ConnectionError``
     on a version-skewed, truncated, or oversized frame. A frame whose
     version byte has no registered codec is refused here, before a single
-    payload byte is decoded; one whose header announces more than
+    payload byte is read; one whose header announces more than
     ``max_bytes`` is refused before its payload is allocated or read.
+
+    Only ``readinto`` is called, and never for a byte past the frame's end,
+    so over an unbuffered socket stream every byte of the next frame is
+    still in the kernel, where a readiness check can see it.
     """
-    version_byte = rfile.read(1)
-    if not version_byte:
+    header = bytearray(FRAME_HEADER_BYTES)
+    filled = rfile.readinto(header)
+    if not filled:
         raise EOFError("Connection closed")
-    version = version_byte[0]
+    while filled < FRAME_HEADER_BYTES:
+        count = rfile.readinto(memoryview(header)[filled:])
+        if not count:
+            raise ConnectionError("Truncated frame header")
+        filled += count
+    version = header[0]
     if version not in CODECS:
         raise ConnectionError(
             f"Unsupported wire protocol version {version}: this peer speaks "
             f"version {WIRE_VERSION} only"
         )
-    header = rfile.read(_FRAME_HEADER.size)
-    if len(header) < _FRAME_HEADER.size:
-        raise ConnectionError("Truncated frame header")
-    (length,) = _FRAME_HEADER.unpack(header)
+    (length,) = _FRAME_HEADER.unpack_from(header, 1)
     if length > max_bytes:
         raise ConnectionError(f"Frame of {length} bytes exceeds protocol maximum")
     data = bytearray(length)

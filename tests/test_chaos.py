@@ -14,6 +14,7 @@ heartbeat intervals with no client RPC in flight.
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -426,6 +427,27 @@ class TestCircuitBreaker:
         assert breaker.state == "half-open"
         assert breaker.allow()  # the probe slot
         assert not breaker.allow()  # only one probe at a time
+
+    @pytest.mark.parametrize("probe_succeeds", [True, False])
+    def test_a_caller_during_the_probe_gets_its_outcome(self, probe_succeeds):
+        """A pool's workers resetting together reach a recovering daemon at
+        once: the one admitted as the probe decides for the others, who
+        wait for it instead of being shed."""
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.5)
+        breaker.record_failure()
+        breaker._opened_at = time.monotonic() - 1.0
+        assert breaker.allow()  # the probe
+        admitted = []
+        waiter = threading.Thread(target=lambda: admitted.append(breaker.allow()))
+        waiter.start()
+        time.sleep(0.05)
+        assert not admitted  # Waiting on the probe.
+        if probe_succeeds:
+            breaker.record_success()
+        else:
+            breaker.record_failure()
+        waiter.join(timeout=5)
+        assert admitted == [probe_succeeds]
 
     def test_half_open_probe_success_closes(self):
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.05)

@@ -78,6 +78,19 @@ def test_traces_equal_the_reference_cold_and_warm(deployment):
             assert (deployment.result_cache_stats(second) or {"daemons": 2})["daemons"] == 2
 
 
+def test_a_closed_loop_episode_is_served_in_place(deployment):
+    """A client that waits for each reply before it sends again is served by
+    the thread that read each request: nothing is handed to the pool."""
+    if deployment.server is None:
+        pytest.skip("no server in-process")
+    before = deployment.server.server_info()
+    with deployment(**STEP_SHAPE) as env:
+        _trace(env, EPISODES[0])
+    after = deployment.server.server_info()
+    assert after["handed_off"] == before["handed_off"]
+    assert after["served_in_place"] > before["served_in_place"] + len(EPISODES[0])
+
+
 def test_spaces_and_initial_state_match_in_process(deployment):
     with repro.make("llvm-v0", **STEP_SHAPE) as local, deployment(**STEP_SHAPE) as env:
         assert sorted(env.observation.spaces) == sorted(local.observation.spaces)

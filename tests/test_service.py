@@ -2,6 +2,8 @@
 fault tolerance."""
 
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -191,6 +193,27 @@ class TestRuntimeWorkingDirectory:
         )
         runtime.shutdown()
         assert runtime.working_dir == str(tmp_path) and tmp_path.is_dir()
+
+    def test_a_new_runtime_removes_the_directories_of_dead_ones(self, temp_root):
+        """A killed process never removes its directory; the next runtime
+        made on the machine does, and leaves the living and strangers be."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # Reaped: its pid names no process now.
+        dead = temp_root / f"repro-compiler-service-{child.pid}-x1"
+        live = temp_root / f"repro-compiler-service-{os.getpid()}-x2"
+        strangers = [
+            temp_root / "repro-compiler-service-x3", temp_root / f"repro-vec-{child.pid}-x4"
+        ]
+        for directory in [dead, live, *strangers]:
+            directory.mkdir()
+            (directory / "module.ll").write_text("")
+        runtime = _runtime()
+        made = os.path.basename(runtime.working_dir)
+        assert made.startswith(f"repro-compiler-service-{os.getpid()}-")
+        kept = [made, live.name] + [directory.name for directory in strangers]
+        assert sorted(os.listdir(temp_root)) == sorted(kept)
+        runtime.shutdown()
+        assert not os.path.exists(runtime.working_dir)
 
 
 class TestServiceConnection:

@@ -2,12 +2,11 @@
 
 Companion to the Table II efficiency results: measures the aggregate step
 throughput of a :class:`VecCompilerEnv` on the LLVM environment as the pool
-grows, under every execution backend, at the steps' real cost: an in-process
-root for serial and thread, one private daemon per worker for process.
+grows, under both values of ``backend``, on an in-process root.
 Recorded, not gated — see :func:`run_sweep`.
-The process backend additionally records the steps/sec of IMPALA and Ape-X
-training end-to-end through ``train_agent_vec`` on auto-reset rollouts, and
-of distributed actor/learner training (``DistributedTrainer``, the real
+It also records the steps/sec of IMPALA and Ape-X training end-to-end
+through ``train_agent_vec`` on auto-reset rollouts of a serial pool, and of
+distributed actor/learner training (``DistributedTrainer``, the real
 Ape-X/IMPALA topology: actor subprocesses feeding a central learner) next
 to those single-process numbers.
 
@@ -41,7 +40,7 @@ BENCHMARK = "cbench-v1/crc32"
 # numerator is compute the cache removes, not per-call overhead: on crc32 an
 # uncached step is ~0.15 ms, a ratio of 6-7x with no headroom over the 5x floor.
 RESULT_CACHE_BENCHMARK = "cbench-v1/blowfish"
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 # Budget for the gateway proxy hop as a multiple of direct-to-daemon
 # per-worker-step latency. The hop's absolute cost (decode, session-id
 # translation, re-encode: ~0.1ms) has not moved, but the per-step compute it
@@ -254,8 +253,8 @@ def _measure_vec_transport_latency(rounds: int, n: int = 4):
     Both pools are fork-populated on one shared multiplexed connection. The
     first steps as one ``step_sessions`` round trip; the second has its
     workers wrapped in :class:`TimeLimit` (the RL shape), which opts a pool
-    out of batching, so each worker's ``step`` RPC is fanned out by the
-    thread backend and overlaps its siblings' on the shared socket.
+    out of batching, so each worker's ``step`` RPC runs on the pool's thread
+    pool and overlaps its siblings' on the shared socket.
 
     The daemon's result cache is off: both pools replay the same seeded
     trajectories against the same daemon, so with the cache on whichever
@@ -578,10 +577,9 @@ def run_sweep(rounds, n=4):
     """Every backend on a hop-bound program (crc32, ~0.1 ms of compute per
     step) and a mid-sized one (blowfish).
 
-    Recorded, not gated: with ~ms steps the concurrent backends *lose* to
-    serial (nothing to overlap, and every step pays a thread or socket hop), so
-    the README's "when to use which backend" rests on numbers the repo
-    reproduces.
+    Recorded, not gated: with ~ms steps a thread pool *loses* to serial
+    (nothing to overlap, and every step pays a thread hop), so the README's
+    "when to use which backend" rests on numbers the repo reproduces.
     """
     return [
         _measure_throughput(backend, n, rounds, benchmark=benchmark)
@@ -594,7 +592,7 @@ def run_all(n: int, rounds: int, rl_episodes: int, steps: int, pool_rounds: int)
     """Every measurement of this script, as saved to results/vector_throughput.json."""
     results = run_sweep(rounds=rounds, n=n)
     rl_results = [
-        _measure_rl_throughput(agent, "process", n=2, episodes=rl_episodes)
+        _measure_rl_throughput(agent, "serial", n=2, episodes=rl_episodes)
         for agent in ("impala", "apex")
     ]
     distributed_results = [

@@ -2,8 +2,8 @@
 
 Demonstrates the vector API end to end: one LLVM environment is ``fork()``-ed
 into an N-worker :class:`VecCompilerEnv`, and random search evaluates one
-candidate pass sequence per worker per round, batched through the
-thread-pool execution backend.
+candidate pass sequence per worker per round, batched on the pool's thread
+pool (``backend="thread"``).
 
 Usage::
 

@@ -13,8 +13,8 @@ that architecture end to end:
 3. Attach a vectorized pool: with a ``service_url`` every worker becomes one
    more session on that daemon, forked from the root on its one multiplexed
    connection, so sequential pools (and whole training runs) reuse one warm
-   service process. (Without one, ``backend="process"`` would give each
-   worker a private daemon of its own in a child process.)
+   service process. (For several cores, point ``service_url`` at a
+   ``repro-compilergym gateway --daemons N`` fleet instead.)
 4. Read the daemon's ``server_info`` to watch sessions multiplex.
 
 Usage::

@@ -102,8 +102,8 @@ class EpisodeTuner:
         """Evaluate up to ``num_envs`` complete episodes concurrently.
 
         Each action sequence is assigned to one pool worker; all workers are
-        reset and stepped in batched operations, so under the thread-pool
-        backend the candidate evaluations of one search round overlap.
+        reset and stepped in batched operations, so workers that share a
+        daemon connection step a search round in one round trip.
         Returns one cumulative episode reward per sequence, in input order.
         """
         sequences = [list(sequence) for sequence in action_sequences]

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import repro
 from repro.core.compiler_env_state import CompilerEnvStateReader, CompilerEnvStateWriter
+from repro.core.vector import BACKENDS
 
 
 def _cmd_envs(args) -> int:
@@ -361,7 +362,7 @@ def _random_search_worker(
     tuner = RandomSearch(seed=seed, patience=patience)
     if workers > 1:
         # Vectorized search: the env is forked into a pool and candidate
-        # episodes are evaluated concurrently on a thread-pool backend.
+        # episodes are evaluated on the pool's thread pool.
         with VecCompilerEnv(env, n=workers, backend="thread") as vec:
             result = tuner.tune(vec, max_steps=steps)
             root = vec.workers[0]
@@ -770,11 +771,10 @@ def make_parser() -> argparse.ArgumentParser:
     train.add_argument("--workers", type=int, default=1,
                        help="Vectorized environment pool size collecting rollouts "
                             "(with --actors: pool size inside each actor process)")
-    train.add_argument("--backend", choices=["serial", "thread", "process"],
-                       default="serial",
-                       help="Pool execution backend; 'process' gives each worker a "
-                            "private service daemon in its own child process, "
-                            "sidestepping the GIL")
+    train.add_argument("--backend", choices=BACKENDS, default="serial",
+                       help="Step the pool's workers in a loop ('serial') or on "
+                            "a thread pool ('thread'). For several cores, use "
+                            "--actors or point --service-url at a gateway fleet")
     train.add_argument("--actors", type=int, default=0,
                        help="Distributed actor/learner training (apex/impala only): "
                             "N actor processes collect experience into a central "

@@ -52,14 +52,6 @@ class CompilerEnv:
 
     metadata = {"render.modes": ["human", "ansi"]}
 
-    #: The constructor arguments that configure this client: its connection and
-    #: its episode. All the others describe the runtime, so they are what a
-    #: daemon serving this environment is built from (``ProcessPoolBackend``).
-    CLIENT_KWARGS = frozenset((
-        "benchmark", "observation_space", "reward_space", "action_space",
-        "connection_opts", "service_url", "service_token", "chaos",
-    ))
-
     def __init__(
         self,
         session_type: Type[CompilationSession],

@@ -26,9 +26,8 @@ class EnvSpec:
         merged = dict(self.kwargs)
         merged.update(kwargs)
         env = entry_point(**merged)
-        # Stamp the construction recipe onto the environment (mirroring
-        # gym's env.spec) so it can be rebuilt elsewhere — e.g. as the
-        # client of a private daemon by the vectorized process backend.
+        # Stamp the construction recipe onto the environment, mirroring
+        # gym's env.spec.
         try:
             env.spec = EnvSpec(id=self.id, entry_point=self.entry_point, kwargs=merged)
         except Exception:  # noqa: BLE001 - entry points may return odd objects
@@ -64,8 +63,7 @@ def make(id: str, **kwargs):  # noqa: A002
     >>> env = make("llvm-v0", service_url="tcp://127.0.0.1:5499")
 
     The URL is stamped into ``env.spec`` with the rest of the construction
-    recipe, so vectorized pools rebuilt from the spec attach their workers to
-    the same daemon.
+    recipe.
     """
     if id not in _REGISTRY:
         raise LookupError(

@@ -117,8 +117,8 @@ class ServiceConnection:
         # when the last of them releases it.
         self._refcount = 1
         self.stats: Dict[str, CallStats] = {}
-        # Guards the stats dictionary and the refcount: execution backends may
-        # dispatch calls on this connection from multiple threads at once.
+        # Guards the stats dictionary and the refcount: a thread-backed pool
+        # may dispatch calls on this connection from multiple threads at once.
         self._lock = threading.Lock()
         # Serializes crash recovery so concurrent failing calls cannot race
         # to tear down and recreate the transport's channel.

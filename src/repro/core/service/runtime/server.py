@@ -480,8 +480,7 @@ class SpawnedDaemon:
     """A :func:`make_env_server` daemon served from a child process.
 
     The one way this project puts a runtime in another process: gateways
-    spawn their local fleet members with it, and the ``"process"`` vec
-    backend its per-worker private daemons. Construction starts the child and
+    spawn their local fleet members with it. Construction starts the child and
     returns while it builds its runtime, so several can be started before the
     first is waited for; the first read of :attr:`url` waits until the daemon
     is serving. A daemon that fails to start is reaped and that read raises

@@ -4,46 +4,68 @@
 batched ``reset``/``step``/``multistep`` interface, the standard substrate
 for parallel policy rollout and parallel autotuning in gym-style systems.
 
-How the pool is populated depends on the execution backend. The in-process
-backends (``"serial"``, ``"thread"``) *fork* the root environment N−1 times,
-so service startup, benchmark initialization, and the service's benchmark
-cache are paid once and shared by every worker — the cheap session cloning
-that the source paper's environments-as-a-service architecture is built
-around. The ``"process"`` backend instead gives each worker a private service
-daemon in its own child process, trading shared caches for GIL-free
-parallelism on compute-bound sessions. Either way the pool keeps the workers
-it was built with until it is closed.
+The pool *forks* the root environment N−1 times, so service startup,
+benchmark initialization, and the service's benchmark cache are paid once and
+shared by every worker — the cheap session cloning that the source paper's
+environments-as-a-service architecture is built around. The pool keeps the
+workers it was built with until it is closed.
+
+Unwrapped workers that share one daemon or gateway connection step as one
+``step_sessions`` round trip. Otherwise the pool steps its workers one by one,
+in a loop (``"serial"``) or on a thread pool of its own (``"thread"``). For
+several cores or crash isolation per worker, point ``service_url`` at a
+``repro-compilergym gateway --daemons N`` fleet.
 """
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.datasets import Benchmark
 from repro.core.service.connection import merge_stats_summaries
-from repro.core.vector.backends import ExecutionBackend, close_quietly, resolve_backend
 from repro.errors import SessionNotFound
 
 logger = logging.getLogger(__name__)
+
+#: How a pool runs the per-worker calls of one batch: one after another in the
+#: calling thread, or on a thread pool it owns.
+BACKENDS = ("serial", "thread")
 
 # Placeholder result returned for workers whose slot in a batched step was
 # ``None`` (i.e. masked out, typically because their episode already ended).
 SKIPPED_STEP = (None, None, True, {"skipped": True})
 
 
+def check_backend(backend: str) -> str:
+    """Return ``backend`` if it is one of :data:`BACKENDS`, else raise ``ValueError``."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"Unknown execution backend {backend!r}: expected one of {BACKENDS}"
+        )
+    return backend
+
+
+def close_quietly(closable) -> None:
+    """Best-effort ``close()`` for cleanup paths that must not mask the
+    original error (or raise during teardown of the remaining resources)."""
+    try:
+        closable.close()
+    except Exception:  # noqa: BLE001 - cleanup must not raise
+        pass
+
+
 class VecCompilerEnv:
     """A pool of environments with a batched Gym-style interface.
 
     Args:
-        env: The root environment. The pool takes ownership: with an
-            in-process backend it becomes worker 0 and is forked to populate
-            the rest of the pool; with the process backend it provides the
-            worker construction spec and is closed once the workers are
-            attached to their daemons. Closing the pool closes every worker.
+        env: The root environment. The pool takes ownership: it becomes
+            worker 0 and is forked to populate the rest of the pool. Closing
+            the pool closes every worker.
         n: The number of workers (must be >= 1), fixed for the pool's life.
-        backend: Execution backend: ``"serial"`` (default), ``"thread"``,
-            ``"process"``, or an :class:`ExecutionBackend` instance. A
-            string-constructed backend is owned (and closed) by the pool; an
-            instance is not.
+        backend: ``"serial"`` (default) runs a batch's per-worker calls one
+            after another in the calling thread; ``"thread"`` runs them on a
+            ``ThreadPoolExecutor(max_workers=n)`` the pool owns, so round
+            trips to a daemon overlap.
         worker_wrapper: Optional callable applied to every worker (including
             the root) after forking, e.g. to impose a ``TimeLimit``. The
             wrapper must preserve the ``CompilerEnv`` interface.
@@ -58,27 +80,39 @@ class VecCompilerEnv:
         self,
         env,
         n: int,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: str = "serial",
         worker_wrapper: Optional[Callable[[Any], Any]] = None,
         auto_reset: bool = False,
     ):
         if n < 1:
             raise ValueError(f"VecCompilerEnv requires n >= 1, got {n}")
-        self._backend = resolve_backend(backend, n)
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
+        self.backend = check_backend(backend)
         self.auto_reset = auto_reset
         self.closed = False
         self.workers: List[Any] = []
+        self._executor: Optional[ThreadPoolExecutor] = None
+        workers: List[Any] = [env]
+        wrapped: List[Any] = []
         try:
-            # The backend owns the population strategy: in-process backends
-            # fork the root (cleaning up partially-built — including
-            # partially-wrapped — workers on failure), the process backend
-            # spawns a private daemon per worker.
-            self.workers = self._backend.populate(env, n, worker_wrapper)
+            for _ in range(n - 1):
+                workers.append(env.fork())
+            if worker_wrapper is not None:
+                for worker in workers:
+                    wrapped.append(worker_wrapper(worker))
+                workers = wrapped
         except Exception:
-            if self._owns_backend:
-                self._backend.close()
+            # Construction failed partway. Close every fork through its
+            # wrapper when one was applied (a wrapper may hold resources of
+            # its own); the raw fork otherwise. The root (index 0) stays
+            # open: the caller still owns it.
+            for index in range(1, len(workers)):
+                close_quietly(wrapped[index] if index < len(wrapped) else workers[index])
             raise
+        self.workers = workers
+        if backend == "thread":
+            self._executor = ThreadPoolExecutor(
+                max_workers=n, thread_name_prefix="vec-env-worker"
+            )
 
     # -- pool introspection -------------------------------------------------
 
@@ -94,10 +128,6 @@ class VecCompilerEnv:
 
     def __iter__(self):
         return iter(self.workers)
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        return self._backend
 
     @property
     def action_space(self):
@@ -144,6 +174,16 @@ class VecCompilerEnv:
                 f"Cannot call {operation}() on a closed VecCompilerEnv"
             )
 
+    def _run(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+        """Apply ``fn`` to every item, returning results in input order.
+
+        The first exception in input order propagates to the caller.
+        """
+        if self._executor is None:
+            return [fn(item) for item in items]
+        futures = [self._executor.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
+
     def _check_batch(self, name: str, batch: Sequence[Any]) -> None:
         if len(batch) != self.num_envs:
             raise ValueError(
@@ -175,15 +215,14 @@ class VecCompilerEnv:
                 return worker.reset(**kwargs)
             return worker.reset(benchmark=benchmark, **kwargs)
 
-        return self._backend.run(reset_one, list(zip(self.workers, per_worker)))
+        return self._run(reset_one, list(zip(self.workers, per_worker)))
 
     def reset_worker(self, index: int, benchmark=None, **kwargs) -> Any:
         """Reset a single worker, returning its initial observation.
 
-        Routed through the execution backend like every batched operation,
-        so the call stays inside the pool's dispatch protocol (and its
-        accounting). Used by rollout collectors to re-assign one worker's
-        benchmark mid-run without touching the rest of the pool.
+        Dispatched like every batched operation. Used by rollout collectors to
+        re-assign one worker's benchmark mid-run without touching the rest of
+        the pool.
         """
         self._check_open("reset_worker")
         worker = self.workers[index]
@@ -193,7 +232,7 @@ class VecCompilerEnv:
                 return target.reset(**kwargs)
             return target.reset(benchmark=benchmark, **kwargs)
 
-        return self._backend.run(reset_one, [worker])[0]
+        return self._run(reset_one, [worker])[0]
 
     def step(
         self,
@@ -231,8 +270,8 @@ class VecCompilerEnv:
         When every stepped worker shares one daemon connection that supports
         the batched-step RPC, the whole pool step travels as a single
         ``step_sessions`` round trip and the daemon executes the per-session
-        steps concurrently; otherwise each worker's step is dispatched through
-        the execution backend as its own service call.
+        steps concurrently; otherwise each worker's step is its own service
+        call, run in a loop or on the pool's thread pool.
         """
         self._check_open("multistep")
         self._check_batch("action_lists", action_lists)
@@ -257,7 +296,7 @@ class VecCompilerEnv:
         observation_spaces: Optional[List[Any]],
         reward_spaces: Optional[List[Any]],
     ) -> List[Tuple[Any, Any, bool, dict]]:
-        """One service call per worker, dispatched through the backend."""
+        """One service call per worker."""
         auto_reset = self.auto_reset
 
         def step_one(pair):
@@ -273,7 +312,7 @@ class VecCompilerEnv:
                 result = self._auto_reset_worker(worker, result, observation_spaces)
             return result
 
-        return self._backend.run(step_one, list(zip(self.workers, action_lists)))
+        return self._run(step_one, list(zip(self.workers, action_lists)))
 
     def _batched_multistep(
         self,
@@ -359,7 +398,7 @@ class VecCompilerEnv:
                     )
 
                 for index, result in zip(
-                    reset_indices, self._backend.run(reset_one, reset_indices)
+                    reset_indices, self._run(reset_one, reset_indices)
                 ):
                     results[index] = result
         return results
@@ -390,9 +429,8 @@ class VecCompilerEnv:
 
         With a single space name, returns one observation per worker. With a
         sequence of names, returns a list per worker, one entry per requested
-        space. Observations are computed concurrently under the thread and
-        process pool backends, which matters for the expensive spaces (e.g.
-        Programl).
+        space. Under ``backend="thread"`` the workers' fetches overlap, which
+        matters for the expensive spaces (e.g. Programl) on a daemon.
         """
         self._check_open("observations")
         single = isinstance(spaces, str)
@@ -402,7 +440,7 @@ class VecCompilerEnv:
             values = [worker.observation[name] for name in names]
             return values[0] if single else values
 
-        return self._backend.run(observe_one, self.workers)
+        return self._run(observe_one, self.workers)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -431,7 +469,7 @@ class VecCompilerEnv:
         return primary
 
     def close(self) -> None:
-        """Close every worker and the owned backend. Idempotent.
+        """Close every worker and the pool's thread pool. Idempotent.
 
         Every worker is closed even if some fail; the first failure is
         re-raised afterwards with the remaining ones logged and attached as
@@ -443,11 +481,11 @@ class VecCompilerEnv:
         errors: List[Exception] = []
         for worker in self.workers:
             try:
-                self._backend.retire_worker(worker)
+                worker.close()
             except Exception as error:  # noqa: BLE001 - close all before raising
                 errors.append(error)
-        if self._owns_backend:
-            self._backend.close()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
         if errors:
             raise self._aggregate_errors("close", errors)
 
@@ -465,7 +503,7 @@ class VecCompilerEnv:
 
     def __repr__(self) -> str:
         return (
-            f"VecCompilerEnv(n={self.num_envs}, backend={self._backend.name}, "
+            f"VecCompilerEnv(n={self.num_envs}, backend={self.backend}, "
             f"worker={self.workers[0]!r})"
         )
 
@@ -473,7 +511,7 @@ class VecCompilerEnv:
 def make_vec_env(
     env_id: Optional[str] = None,
     n: int = 1,
-    backend: Union[str, ExecutionBackend, None] = None,
+    backend: str = "serial",
     env=None,
     worker_wrapper: Optional[Callable[[Any], Any]] = None,
     auto_reset: bool = False,

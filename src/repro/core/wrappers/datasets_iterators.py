@@ -89,7 +89,7 @@ class RandomOrderBenchmarks(CompilerEnvWrapper):
     def fork(self):
         # Each fork gets an independent generator seeded from the parent's
         # stream: numpy Generators are not thread-safe, and forked workers may
-        # reset() concurrently under a thread-pool execution backend.
+        # reset() concurrently in a VecCompilerEnv(backend="thread").
         child_rng = np.random.default_rng(int(self.rng.integers(2**63)))
         return RandomOrderBenchmarks(
             self.env.fork(), benchmarks=self.benchmark_list, rng=child_rng

@@ -47,6 +47,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.vector import check_backend
 from repro.rl.a2c import A2CAgent
 from repro.rl.apex import ApexDQNAgent
 from repro.rl.impala import ImpalaAgent
@@ -146,9 +147,8 @@ def _build_agent(agent_name: str, agent_kwargs: Dict[str, Any]):
 class ActorSpec:
     """A picklable recipe for one actor process.
 
-    Mirrors :class:`repro.core.vector.process.WorkerSpec` one level up: the
-    actor rebuilds its agent and its vectorized environment pool from plain
-    data, so specs survive both the ``fork`` and ``spawn`` start methods.
+    The actor rebuilds its agent and its vectorized environment pool from
+    plain data, so specs survive both the ``fork`` and ``spawn`` start methods.
     """
 
     actor_id: int
@@ -313,12 +313,9 @@ class DistributedTrainer:
             must be picklable.
         num_actors: Number of actor subprocesses.
         envs_per_actor: Pool size inside each actor.
-        env_backend: Execution backend of each actor's pool (``"serial"`` or
-            ``"thread"``). Actors are daemonic processes, which
-            ``multiprocessing`` forbids from having children, so ``"process"``
-            — a private service daemon per worker — cannot start inside one
-            and is rejected here; the actors themselves are the process-level
-            parallelism.
+        env_backend: ``backend`` of each actor's pool (``"serial"`` or
+            ``"thread"``), checked here rather than inside every actor. The
+            actors themselves are the process-level parallelism.
         service_url: Attach every actor's environments to a running compiler
             service daemon (``repro serve``) at this URL instead of hosting a
             compiler service inside each actor. The daemon multiplexes all
@@ -377,13 +374,7 @@ class DistributedTrainer:
             raise ValueError(
                 f"DistributedTrainer requires envs_per_actor >= 1, got {self.envs_per_actor}"
             )
-        if self.env_backend == "process":
-            raise ValueError(
-                'DistributedTrainer cannot run env_backend="process": actors are '
-                "daemonic processes, which may not start the per-worker service "
-                'daemons that backend needs. Use "serial" or "thread" — the actors '
-                "are the process-level parallelism"
-            )
+        check_backend(self.env_backend)
         if self.service_url:
             self.make_kwargs = dict(self.make_kwargs)
             self.make_kwargs.setdefault("service_url", self.service_url)

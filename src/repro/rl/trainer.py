@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.vector import VecCompilerEnv
-from repro.core.vector.backends import close_quietly
+from repro.core.vector.vec_env import close_quietly
 from repro.core.wrappers import ConcatActionsHistogram, ConstrainedCommandline, TimeLimit
 from repro.util.statistics import geometric_mean
 
@@ -88,9 +88,9 @@ def make_rl_environment(
 class RlWorkerWrapper:
     """Picklable per-worker wrapper applying the experiment's MDP formulation.
 
-    ``VecCompilerEnv`` applies this to every pool worker, client-side under
-    every backend. Being a plain dataclass (rather than a closure) it can be
-    shipped to the actor processes of :mod:`repro.rl.distributed`.
+    ``VecCompilerEnv`` applies this to every pool worker. Being a plain
+    dataclass (rather than a closure) it can be shipped to the actor processes
+    of :mod:`repro.rl.distributed`.
     """
 
     observation_space: str = "Autophase"
@@ -121,11 +121,10 @@ def make_vec_rl_environment(
 ) -> VecCompilerEnv:
     """Build a vectorized pool of RL-wrapped environments.
 
-    With an in-process backend the raw root environment is forked to populate
-    the pool (so service startup and the benchmark cache are shared); with
-    ``backend="process"`` each worker is rebuilt as the client of a private
-    service daemon in its own child process. Every worker is then wrapped
-    into the experiment's MDP formulation via :class:`RlWorkerWrapper`.
+    The raw root environment is forked to populate the pool (so service
+    startup and the benchmark cache are shared), and every worker is then
+    wrapped into the experiment's MDP formulation via :class:`RlWorkerWrapper`.
+    ``backend`` is passed to :class:`VecCompilerEnv`.
 
     On success the pool owns ``env``. On failure ``env`` is closed before the
     error propagates (callers construct it solely for the pool); pass

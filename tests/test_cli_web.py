@@ -82,12 +82,14 @@ class TestCli:
 
 
     def test_train_actors_rejects_the_process_backend(self, capsys):
-        """Actor processes cannot start per-worker daemons: said up front,
-        exit code 2, nothing spawned."""
-        assert main(["train", "--agent", "apex", "--actors", "2", "--backend", "process"]) == 2
-        captured = capsys.readouterr()
-        assert '"serial" or "thread"' in captured.err
-        assert "mean episode reward" not in captured.out
+        """``--backend`` offers serial and thread, with or without actors."""
+        for actors in ([], ["--actors", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["train", "--agent", "apex", *actors, "--backend", "process"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert "invalid choice: 'process'" in captured.err
+            assert "mean episode reward" not in captured.out
 
 
 class TestExplorerApi:

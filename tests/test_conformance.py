@@ -16,7 +16,8 @@ import pytest
 import repro
 from repro.core.datasets import Benchmark
 from repro.core.service.proto import EndSessionRequest
-from repro.core.vector import VecCompilerEnv, make_vec_env
+from repro.core.vector import BACKENDS, VecCompilerEnv
+from repro.core.wrappers import TimeLimit
 from repro.errors import BenchmarkInitError, SessionNotFound
 from tests.test_fork_equivalence import _assert_fork_replays_like_parent
 
@@ -126,9 +127,19 @@ def _assert_pool_of_two_equals_two_envs(vec):
         assert trace + [worker.episode_reward, worker.actions] == _reference(actions)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_a_pool_of_two_equals_two_envs(deployment, backend):
-    with VecCompilerEnv(deployment(**STEP_SHAPE), n=2, backend=backend) as vec:
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "worker_wrapper",
+    # A wrapped worker is stepped on its own, so over a socket this is the
+    # per-worker path rather than one step_sessions batch. The episodes never
+    # reach the budget.
+    [None, functools.partial(TimeLimit, max_episode_steps=100)],
+    ids=["unwrapped", "time-limit"],
+)
+def test_a_pool_of_two_equals_two_envs(deployment, backend, worker_wrapper):
+    with VecCompilerEnv(
+        deployment(**STEP_SHAPE), n=2, backend=backend, worker_wrapper=worker_wrapper
+    ) as vec:
         # Forked from the root onto its connection, which multiplexes them.
         assert len({id(worker.service) for worker in vec.workers}) == 1
         _assert_pool_of_two_equals_two_envs(vec)
@@ -139,14 +150,13 @@ def test_a_forked_pool_asks_for_its_spaces_once(deployment):
     spaces and opens a session; every other worker is a ``fork_session``."""
     with VecCompilerEnv(deployment(**STEP_SHAPE), n=3, backend="thread") as vec:
         calls = {method: stats["calls"] for method, stats in vec.connection_stats().items()}
-    assert calls == {"get_spaces": 1, "start_session": 1, "step": 1, "fork_session": 2}
-
-
-def test_a_process_pool_of_two_equals_two_envs():
-    """``backend="process"`` is a deployment of its own — a private daemon per
-    worker, started from an in-process root — so it runs once, not per cell."""
-    with make_vec_env("llvm-v0", n=2, backend="process", **STEP_SHAPE) as vec:
-        _assert_pool_of_two_equals_two_envs(vec)
+        verifying = vec.workers[0].verify_ir
+    expected = {"get_spaces": 1, "start_session": 1, "step": 1, "fork_session": 2}
+    if verifying:
+        # Verify-after-every-pass is a session parameter: the root is handed
+        # it once, and the forks inherit it.
+        expected["handle_session_parameter"] = 1
+    assert calls == expected
 
 
 def _assert_ended_with_error_defaults(env, result, episode_reward):

@@ -1,5 +1,7 @@
 """Tests for distributed actor/learner training (``repro.rl.distributed``)."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -304,8 +306,11 @@ class TestDistributedTraining:
         with pytest.raises(ValueError, match="envs_per_actor"):
             DistributedTrainer(agent="apex", envs_per_actor=0)
         # Found at construction, not inside N actor subprocesses.
-        with pytest.raises(ValueError, match='"serial" or "thread"'):
-            DistributedTrainer(agent="apex", env_backend="process")
+        children = set(multiprocessing.active_children())
+        for backend in ("fibers", "process"):
+            with pytest.raises(ValueError, match=r"expected one of \('serial', 'thread'\)"):
+                DistributedTrainer(agent="apex", num_actors=2, env_backend=backend)
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestLearnerCheckpoints:

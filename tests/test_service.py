@@ -202,7 +202,7 @@ class TestRuntimeWorkingDirectory:
         dead = temp_root / f"repro-compiler-service-{child.pid}-x1"
         live = temp_root / f"repro-compiler-service-{os.getpid()}-x2"
         strangers = [
-            temp_root / "repro-compiler-service-x3", temp_root / f"repro-vec-{child.pid}-x4"
+            temp_root / "repro-compiler-service-x3", temp_root / f"other-tool-{child.pid}-x4"
         ]
         for directory in [dead, live, *strangers]:
             directory.mkdir()

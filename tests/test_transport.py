@@ -1156,7 +1156,7 @@ class TestDaemonPoolReuse:
         return make_vec_env(
             env_id="llvm-v0",
             n=n,
-            backend="process",
+            backend="thread",
             service_url=url,
             benchmark=BENCHMARK,
             observation_space="Autophase",
@@ -1194,7 +1194,7 @@ class TestDaemonPoolReuse:
         with make_vec_env(
             env_id="llvm-v0",
             n=2,
-            backend="process",
+            backend="thread",
             service_url=llvm_daemon.url,
             benchmark=BENCHMARK,
             reward_space="IrInstructionCount",

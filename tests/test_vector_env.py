@@ -1,27 +1,15 @@
 """Tests for the vectorized environment pool (``repro.core.vector``)."""
 
-import multiprocessing
-import os
 import random
-import shutil
-import signal
-import tempfile
+import threading
 import time
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.vector import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    VecCompilerEnv,
-    WorkerSpec,
-    make_vec_env,
-    resolve_backend,
-)
-from repro.core.wrappers import TimeLimit
+from repro.core.vector import BACKENDS, VecCompilerEnv, make_vec_env
+from repro.core.wrappers import CompilerEnvWrapper, TimeLimit
 from repro.errors import SessionNotFound
 
 BENCHMARK = "cbench-v1/crc32"
@@ -46,7 +34,24 @@ class _TimeLimitWrapper:
         return TimeLimit(worker, max_episode_steps=self.max_episode_steps)
 
 
-@pytest.fixture(params=["serial", "thread"])
+def _scripted_pool(backend, n, before_step):
+    """A pool whose worker ``i`` calls ``before_step(i)`` on every step and
+    answers with ``i`` as its observation, without touching its session."""
+    indices = iter(range(n))
+
+    class Scripted(CompilerEnvWrapper):
+        def __init__(self, env):
+            super().__init__(env)
+            self.index = next(indices)
+
+        def multistep(self, actions, observation_spaces=None, reward_spaces=None):
+            before_step(self.index)
+            return self.index, 0.0, False, {}
+
+    return VecCompilerEnv(_make_root(), n=n, backend=backend, worker_wrapper=Scripted)
+
+
+@pytest.fixture(params=BACKENDS)
 def vec_env(request):
     vec = VecCompilerEnv(_make_root(), n=4, backend=request.param)
     yield vec
@@ -62,9 +67,19 @@ class TestConstruction:
         finally:
             env.close()
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="Unknown execution backend"):
-            resolve_backend("fibers", 4)
+    @pytest.mark.parametrize(
+        "backend", ["fibers", "process", None, object()], ids=["fibers", "process", "none", "instance"]
+    )
+    def test_unknown_backend(self, backend):
+        env = _make_root()
+        try:
+            with pytest.raises(ValueError, match=r"expected one of \('serial', 'thread'\)"):
+                VecCompilerEnv(env, n=2, backend=backend)
+            # The root is still the caller's to use and close.
+            env.reset()
+            env.step(0)
+        finally:
+            env.close()
 
     def test_make_vec_env_by_id(self):
         with make_vec_env(
@@ -220,267 +235,8 @@ class TestBatchedApi:
         assert all(reward is not None for reward in rewards)
 
 
-def _daemon_pids(vec):
-    return [worker.service.transport.server_info()["pid"] for worker in vec.workers]
-
-
-@pytest.fixture
-def socket_dirs(monkeypatch):
-    """Lists the process backends' socket directories alive right now.
-
-    Temporary files are redirected to a fresh directory so the listing sees
-    only this test's.
-    """
-    root = tempfile.mkdtemp(prefix="rv")
-    monkeypatch.setattr(tempfile, "tempdir", root)
-    yield lambda: [
-        os.path.join(root, name) for name in os.listdir(root) if name.startswith("repro-vec-")
-    ]
-    shutil.rmtree(root)
-
-
-def _assert_exited(pids):
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-
-class TestProcessBackend:
-    """Process-pool specifics: one private daemon per worker, its lifetime,
-    crash isolation, and construction-failure behaviour."""
-
-    def test_every_worker_has_its_own_daemon_process(self):
-        with VecCompilerEnv(_make_root(), n=3, backend="process") as vec:
-            pids = _daemon_pids(vec)
-            assert len(set(pids)) == 3
-            assert os.getpid() not in pids
-            assert set(pids) <= {child.pid for child in multiprocessing.active_children()}
-
-    def test_close_stops_daemons_and_removes_socket_directory(self, socket_dirs):
-        vec = VecCompilerEnv(_make_root(), n=2, backend="process")
-        vec.reset()
-        pids = _daemon_pids(vec)
-        (socket_dir,) = socket_dirs()
-        assert sorted(os.listdir(socket_dir)) == ["0.sock", "1.sock"]
-        assert os.stat(socket_dir).st_mode & 0o777 == 0o700
-        vec.close()
-        _assert_exited(pids)
-        assert socket_dirs() == []
-
-    def test_sockets_fit_under_a_deep_tmpdir(self, monkeypatch, tmp_path):
-        """AF_UNIX paths are capped near 100 bytes, and a TMPDIR (job scratch,
-        a nested pytest tmp) can use them all up before the socket's name."""
-        deep = tmp_path / ("d" * 60) / ("e" * 60)
-        deep.mkdir(parents=True)
-        monkeypatch.setattr(tempfile, "tempdir", str(deep))
-        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
-            vec.reset()
-            socket_dir = vec.backend._socket_dir
-            assert os.path.dirname(socket_dir) == "/tmp"
-            assert os.stat(socket_dir).st_mode & 0o777 == 0o700
-            assert len(set(_daemon_pids(vec))) == 2
-        assert not os.path.exists(socket_dir)
-
-    def test_pool_on_a_caller_owned_backend_takes_its_daemons_with_it(self, socket_dirs):
-        with ProcessPoolBackend() as backend:
-            with VecCompilerEnv(_make_root(), n=2, backend=backend) as vec:
-                pids = _daemon_pids(vec)
-            _assert_exited(pids)
-            assert socket_dirs() == []
-            # The backend itself stays open for the caller's next pool.
-            with VecCompilerEnv(_make_root(), n=1, backend=backend) as vec:
-                vec.reset()
-
-    def test_populate_failing_on_last_worker_leaves_nothing_behind(self, socket_dirs):
-        started = []
-
-        def fail_on_third(worker):
-            started.append(worker.service.transport.server_info()["pid"])
-            if len(started) == 3:
-                raise RuntimeError("wrapper exploded")
-            return worker
-
-        env = _make_root()
-        try:
-            with pytest.raises(RuntimeError, match="wrapper exploded"):
-                VecCompilerEnv(env, n=3, backend="process", worker_wrapper=fail_on_third)
-            assert len(set(started)) == 3
-            _assert_exited(started)
-            assert socket_dirs() == []
-            # The root remains the caller's to use and close.
-            env.reset()
-        finally:
-            env.close()
-
-    def test_killed_daemon_ends_only_its_own_slot(self, socket_dirs):
-        with VecCompilerEnv(_make_root(), n=3, backend="process") as vec:
-            vec.reset()
-            victim = list(vec.backend._daemons)[1]
-            assert victim.pid == _daemon_pids(vec)[1]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.process.join(timeout=10)
-            _, _, dones, infos = vec.step([1, 2, 3])
-            assert dones == [False, True, False]
-            assert "error_details" in infos[1]
-            assert "error_details" not in infos[0] and "error_details" not in infos[2]
-            # The siblings' daemons never noticed.
-            _, rewards, dones, _ = vec.step([4, None, 5])
-            assert dones == [False, True, False]
-            assert rewards[0] is not None and rewards[2] is not None
-        assert socket_dirs() == []
-
-    def test_user_built_benchmark_fails_fast_like_against_any_daemon(self):
-        from repro.errors import BenchmarkInitError
-
-        children_before = set(multiprocessing.active_children())
-        env = _make_root()
-        try:
-            env.reset()
-            env.benchmark = env.make_benchmark(
-                env.observation["Ir"], uri="benchmark://user-v0/process-test"
-            )
-            # The root is mid-episode, so each worker replays it on attach.
-            with pytest.raises(BenchmarkInitError, match="resolved by the daemon"):
-                VecCompilerEnv(env, n=2, backend="process")
-            assert set(multiprocessing.active_children()) <= children_before
-        finally:
-            env.close()
-
-    def test_batched_observations_cross_process(self):
-        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
-            vec.reset()
-            counts = vec.observations("IrInstructionCount")
-            assert len(counts) == 2
-            assert all(int(count) > 0 for count in counts)
-
-    def test_remote_attribute_access(self):
-        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
-            vec.reset()
-            vec.step([1, 2])
-            assert [worker.actions for worker in vec.workers] == [[1], [2]]
-            assert all(reward is not None for reward in vec.episode_rewards)
-            assert vec.action_space.n == 124
-            assert str(vec.benchmark.uri) == f"benchmark://{BENCHMARK}"
-
-    def test_remote_errors_propagate(self):
-        with VecCompilerEnv(_make_root(), n=1, backend="process") as vec:
-            with pytest.raises(SessionNotFound, match="before reset"):
-                vec.step([0])
-
-    def test_connection_stats_aggregate_across_processes(self):
-        with VecCompilerEnv(_make_root(), n=2, backend="process") as vec:
-            vec.reset()
-            vec.step([0, 1])
-            stats = vec.connection_stats()
-            # One connection and one session per daemon, one step call per worker.
-            assert stats["get_spaces"]["calls"] == 2
-            assert stats["start_session"]["calls"] == 2
-            assert stats["step"]["calls"] >= 2
-            assert stats["step"]["wall_time_s"] > 0
-
-    def test_lambda_worker_wrapper_is_accepted(self):
-        """Wrappers are applied client-side; nothing is pickled."""
-        with VecCompilerEnv(
-            _make_root(),
-            n=2,
-            backend="process",
-            worker_wrapper=lambda worker: TimeLimit(worker, max_episode_steps=1),
-        ) as vec:
-            vec.reset()
-            assert all(isinstance(worker, TimeLimit) for worker in vec.workers)
-            _, _, dones, _ = vec.step([1, 2])
-            assert dones == [True, True]
-
-    def test_requires_env_constructed_by_make(self):
-        env = _make_root()
-        del env.spec  # Simulate an env constructed outside the registry.
-        try:
-            with pytest.raises(ValueError, match="no .spec"):
-                VecCompilerEnv(env, n=2, backend="process")
-            env.reset()
-        finally:
-            env.close()
-
-    def test_rejects_wrapped_root(self):
-        env = _make_root()
-        wrapped = TimeLimit(env, max_episode_steps=5)
-        try:
-            with pytest.raises(ValueError, match="raw root environment"):
-                VecCompilerEnv(wrapped, n=2, backend="process")
-        finally:
-            wrapped.close()
-
-    def test_retire_worker_stops_only_that_workers_daemon(self, socket_dirs):
-        backend = ProcessPoolBackend()
-        try:
-            first, second = backend.populate(_make_root(), 2, None)
-            pids = [daemon.pid for daemon in backend._daemons]
-            backend.retire_worker(second)
-            _assert_exited(pids[1:])
-            assert [daemon.pid for daemon in backend._daemons] == pids[:1]
-            (socket_dir,) = socket_dirs()
-            # The surviving worker's daemon still serves it.
-            first.reset()
-            _, reward, done, _ = first.step(1)
-            assert reward is not None and not done
-            # The socket directory goes with the last daemon, not the backend.
-            backend.retire_worker(first)
-            _assert_exited(pids[:1])
-            assert backend._daemons == []
-            assert not os.path.exists(socket_dir)
-        finally:
-            backend.close()
-
-    def test_retire_worker_of_a_foreign_worker_only_closes_it(self):
-        backend = ProcessPoolBackend()
-        foreign = _make_root()
-        try:
-            (worker,) = backend.populate(_make_root(), 1, None)
-            (daemon,) = backend._daemons
-            foreign.reset()
-            backend.retire_worker(foreign)
-            with pytest.raises(SessionNotFound, match="closed environment"):
-                foreign.step(0)
-            assert backend._daemons == [daemon]
-            worker.reset()
-            _, reward, _, _ = worker.step(1)
-            assert reward is not None
-            worker.close()
-        finally:
-            foreign.close()
-            backend.close()
-
-    def test_directly_constructed_backend_keeps_default_dispatcher_sizing(self):
-        """Regression: ProcessPoolBackend() must not pin the dispatcher to a
-        single thread — that would serialize every daemon round trip."""
-        backend = ProcessPoolBackend()
-        try:
-            assert backend._executor._max_workers > 1
-        finally:
-            backend.close()
-
-    def test_worker_spec_roundtrip_replays_source_state(self):
-        """The property the process backend rests on: a spec-rebuilt env
-        continues from the same session state as its source."""
-        env = _make_root()
-        try:
-            env.reset()
-            env.multistep([0, 1, 2])
-            spec = WorkerSpec.from_env(env)
-            rebuilt = spec.build()
-            try:
-                assert rebuilt.actions == env.actions
-                a, _, _, _ = env.step(3)
-                b, _, _, _ = rebuilt.step(3)
-                np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-            finally:
-                rebuilt.close()
-        finally:
-            env.close()
-
-
 class TestAutoReset:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_done_worker_resets_within_the_batched_step(self, backend):
         wrapper = _TimeLimitWrapper(max_episode_steps=2)
         env = _make_root()
@@ -548,34 +304,29 @@ class TestAutoReset:
 
 
 class TestResetWorker:
-    def test_reset_worker_routes_through_the_backend(self):
-        """Regression: single-worker benchmark re-resets used to call
-        ``workers[i].reset()`` directly, bypassing the execution backend (a
-        blocking out-of-protocol round trip under the process backend).
-        ``reset_worker`` must dispatch through ``backend.run`` like every
-        batched operation."""
+    def test_reset_worker_runs_where_a_batch_runs(self):
+        """``reset_worker`` is dispatched like every batched operation: under
+        ``backend="thread"``, on the pool's own threads."""
+        caller = threading.current_thread()
+        threads = []
 
-        class RecordingBackend(SerialBackend):
-            def __init__(self):
-                self.batches = 0
+        class Recording(CompilerEnvWrapper):
+            def reset(self, *args, **kwargs):
+                threads.append(threading.current_thread())
+                return self.env.reset(*args, **kwargs)
 
-            def run(self, fn, items):
-                self.batches += 1
-                return super().run(fn, items)
-
-        backend = RecordingBackend()
-        env = _make_root()
-        with VecCompilerEnv(env, n=2, backend=backend) as vec:
+        with VecCompilerEnv(
+            _make_root(), n=2, backend="thread", worker_wrapper=Recording
+        ) as vec:
             vec.reset()
-            batches = backend.batches
             observation = vec.reset_worker(1, benchmark="cbench-v1/qsort")
-            assert backend.batches == batches + 1
+            assert len(threads) == 3 and caller not in threads
             assert observation is not None
             assert str(vec.workers[1].benchmark.uri) == "benchmark://cbench-v1/qsort"
             # The other worker is untouched.
             assert str(vec.workers[0].benchmark.uri) == f"benchmark://{BENCHMARK}"
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_reset_worker_matches_direct_reset(self, backend):
         with VecCompilerEnv(_make_root(), n=2, backend=backend) as vec:
             vec.reset()
@@ -589,7 +340,7 @@ class TestResetWorker:
         with pytest.raises(SessionNotFound, match="reset_worker"):
             vec.reset_worker(0)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_reset_worker_leaves_the_rest_of_the_pool_mid_episode(self, backend):
         with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
             vec.reset()
@@ -613,7 +364,7 @@ class TestFixedPool:
     """A pool keeps the ``n`` workers it was built with until it is closed;
     every worker is populated from the root at construction."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_pool_keeps_its_workers_across_episodes(self, backend):
         with VecCompilerEnv(
             _make_root(),
@@ -623,7 +374,6 @@ class TestFixedPool:
             auto_reset=True,
         ) as vec:
             workers = list(vec.workers)
-            daemons = [daemon.pid for daemon in getattr(vec.backend, "_daemons", [])]
             vec.reset()
             ended = 0
             for _ in range(5):
@@ -633,9 +383,8 @@ class TestFixedPool:
             assert ended == 4
             assert vec.num_envs == 2
             assert all(now is then for now, then in zip(vec.workers, workers))
-            assert [daemon.pid for daemon in getattr(vec.backend, "_daemons", [])] == daemons
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_workers_at_reset_state_see_the_same_trajectory(self, backend):
         with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
             vec.reset()
@@ -646,24 +395,19 @@ class TestFixedPool:
                 )
             assert not any(dones)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_workers_start_from_the_roots_episode(self, backend):
         root = _make_root()
         root.reset()
         root.step(11)
         with VecCompilerEnv(root, n=2, backend=backend) as vec:
             assert [worker.actions for worker in vec.workers] == [[11], [11]]
-            if backend == "process":
-                # Each worker replayed the root's episode on its own daemon.
-                assert len(set(_daemon_pids(vec))) == 2
             _, _, dones, _ = vec.step([3, 4])
             assert not any(dones)
             assert [worker.actions for worker in vec.workers] == [[11, 3], [11, 4]]
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_wrapper_without_fork_override_wraps_every_worker(self, backend):
-        from repro.core.wrappers import CompilerEnvWrapper
-
         class Tagging(CompilerEnvWrapper):  # No fork() override on purpose.
             pass
 
@@ -675,10 +419,8 @@ class TestFixedPool:
             observations, _, _, _ = vec.step([0, 0, 0])
             assert len(observations) == 3
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_composed_wrapper_is_applied_once_per_worker(self, backend):
-        from repro.core.wrappers import CompilerEnvWrapper
-
         class Outer(CompilerEnvWrapper):  # No fork() override on purpose.
             pass
 
@@ -694,64 +436,50 @@ class TestFixedPool:
             _, _, dones, _ = vec.multistep([[1, 2, 3], [1, 2, 3]])
             assert dones == [True, True]
 
-    def test_close_retires_every_worker_through_the_backend(self):
-        class Recording(SerialBackend):
-            def __init__(self):
-                self.retired = []
-
-            def retire_worker(self, worker):
-                self.retired.append(worker)
-                super().retire_worker(worker)
-
-        backend = Recording()
-        vec = VecCompilerEnv(_make_root(), n=3, backend=backend)
+    def test_close_closes_every_worker(self):
+        vec = VecCompilerEnv(_make_root(), n=3)
         vec.reset()
         workers = list(vec.workers)
         vec.close()
-        assert len(backend.retired) == 3
-        assert all(retired is worker for retired, worker in zip(backend.retired, workers))
         for worker in workers:
             with pytest.raises(SessionNotFound, match="closed environment"):
                 worker.step(0)
 
-    def test_close_retires_the_rest_when_one_retire_fails(self):
-        class FailsOnSecond(SerialBackend):
-            def __init__(self):
-                self.attempts = 0
+    def test_close_closes_the_rest_when_one_close_fails(self):
+        class FailsToClose(CompilerEnvWrapper):
+            def close(self):
+                raise RuntimeError("close failed")
 
-            def retire_worker(self, worker):
-                self.attempts += 1
-                if self.attempts == 2:
-                    raise RuntimeError("retire failed")
-                super().retire_worker(worker)
-
-        backend = FailsOnSecond()
-        vec = VecCompilerEnv(_make_root(), n=3, backend=backend)
+        wrappers = iter([CompilerEnvWrapper, FailsToClose, CompilerEnvWrapper])
+        vec = VecCompilerEnv(
+            _make_root(), n=3, worker_wrapper=lambda worker: next(wrappers)(worker)
+        )
         vec.reset()
         first, second, third = vec.workers
         try:
-            with pytest.raises(RuntimeError, match="retire failed"):
+            with pytest.raises(RuntimeError, match="close failed"):
                 vec.close()
-            assert backend.attempts == 3
             for worker in (first, third):
                 with pytest.raises(SessionNotFound, match="closed environment"):
                     worker.step(0)
-            # The worker whose retirement failed was left as it was.
+            # The worker whose close failed was left as it was.
             _, reward, done, _ = second.step(0)
             assert reward is not None and not done
         finally:
-            second.close()
+            second.env.close()
 
 
 class TestLifecycle:
-    def test_close_is_idempotent(self):
-        vec = VecCompilerEnv(_make_root(), n=2)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_close_is_idempotent(self, backend):
+        vec = VecCompilerEnv(_make_root(), n=2, backend=backend)
         vec.reset()
         vec.close()
         vec.close()
 
-    def test_post_close_operations_raise(self):
-        vec = VecCompilerEnv(_make_root(), n=2)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_post_close_operations_raise(self, backend):
+        vec = VecCompilerEnv(_make_root(), n=2, backend=backend)
         vec.reset()
         vec.close()
         with pytest.raises(SessionNotFound, match="closed VecCompilerEnv"):
@@ -812,69 +540,61 @@ class TestLifecycle:
         finally:
             real_worker.close()
 
-    def test_shared_backend_instance_is_not_closed(self):
-        backend = ThreadPoolBackend(max_workers=2)
-        try:
-            vec = VecCompilerEnv(_make_root(), n=2, backend=backend)
-            vec.reset()
-            vec.close()
-            assert backend.run(lambda x: x + 1, [1, 2]) == [2, 3]
-        finally:
-            backend.close()
-
-    def test_closed_thread_backend_rejects_batches(self):
-        backend = ThreadPoolBackend(max_workers=1)
-        backend.close()
-        with pytest.raises(RuntimeError, match="closed ThreadPoolBackend"):
-            backend.run(lambda x: x, [1])
+    def test_close_shuts_the_thread_pool_down(self):
+        before = set(threading.enumerate())
+        vec = VecCompilerEnv(_make_root(), n=2, backend="thread")
+        vec.reset()
+        started = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("vec-env-worker")
+        ]
+        assert started
+        vec.close()
+        assert not any(thread.is_alive() for thread in started)
 
 
-class TestSerialBackend:
-    def test_runs_in_order(self):
-        backend = SerialBackend()
-        order = []
+class TestDispatch:
+    """How a pool runs the per-worker calls of one batch."""
 
-        def record(item):
-            order.append(item)
-            return item * 2
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_error_in_input_order_propagates(self, backend):
+        def fail_odd(index):
+            if index == 1:
+                time.sleep(0.02)  # Under threads, worker 3 fails first.
+            if index % 2:
+                raise ValueError(f"bad {index}")
 
-        assert backend.run(record, [1, 2, 3]) == [2, 4, 6]
-        assert order == [1, 2, 3]
-
-
-class TestBackendContract:
-    @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadPoolBackend])
-    def test_first_error_in_input_order_propagates(self, backend_cls):
-        def fail_odd(item):
-            if item % 2:
-                raise ValueError(f"bad {item}")
-            return item
-
-        with backend_cls() as backend:
+        with _scripted_pool(backend, 4, fail_odd) as vec:
             with pytest.raises(ValueError, match="bad 1"):
-                backend.run(fail_odd, [0, 1, 2, 3])
-            assert backend.run(fail_odd, [0, 2]) == [0, 2]
+                vec.step([0, 0, 0, 0])
+            # The pool stays usable.
+            observations, _, _, _ = vec.multistep([[0], None, [0], None])
+            assert observations == [0, None, 2, None]
 
-    def test_thread_backend_returns_results_in_input_order(self):
-        def finish_last_first(item):
-            time.sleep(0.02 * (3 - item))
-            return item * 10
+    def test_serial_runs_in_input_order_on_the_calling_thread(self):
+        calls = []
+        with _scripted_pool(
+            "serial", 3, lambda index: calls.append((index, threading.current_thread()))
+        ) as vec:
+            assert vec.step([0, 0, 0])[0] == [0, 1, 2]
+        caller = threading.current_thread()
+        assert calls == [(0, caller), (1, caller), (2, caller)]
 
-        with ThreadPoolBackend(max_workers=3) as backend:
-            assert backend.run(finish_last_first, [0, 1, 2]) == [0, 10, 20]
+    def test_thread_results_come_back_in_input_order(self):
+        def finish_last_first(index):
+            time.sleep(0.02 * (3 - index))
 
-    def test_owned_backends_are_sized_to_the_pool(self):
-        assert isinstance(resolve_backend(None, 4), SerialBackend)
-        with resolve_backend("thread", 5) as thread:
-            assert isinstance(thread, ThreadPoolBackend)
-            assert thread._executor._max_workers == 5
-        with resolve_backend("process", 3) as process:
-            assert isinstance(process, ProcessPoolBackend)
-            assert process._executor._max_workers == 3
-        shared = SerialBackend()
-        assert resolve_backend(shared, 4) is shared
+        with _scripted_pool("thread", 3, finish_last_first) as vec:
+            assert vec.step([0, 0, 0])[0] == [0, 1, 2]
 
-    def test_a_thread_pool_smaller_than_the_pool_steps_every_worker(self):
+    def test_thread_pool_runs_every_worker_at_once(self):
+        """A thread pool has a thread per worker: all calls of a batch are in
+        flight together (with fewer threads the barrier would break)."""
+        barrier = threading.Barrier(3, timeout=10)
+        with _scripted_pool("thread", 3, lambda index: barrier.wait()) as vec:
+            assert vec.step([0, 0, 0])[0] == [0, 1, 2]
+
+    def test_thread_and_serial_pools_step_alike(self):
         def trace(backend):
             with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
                 vec.reset()
@@ -883,8 +603,7 @@ class TestBackendContract:
                 actions = [worker.actions for worker in vec.workers]
             return [np.asarray(o).tolist() for o in observations], actions
 
-        with ThreadPoolBackend(max_workers=1) as narrow:
-            assert trace(narrow) == trace("serial")
+        assert trace("thread") == trace("serial")
 
 
 class TestAutotuningIntegration:

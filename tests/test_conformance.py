@@ -159,6 +159,27 @@ def test_a_forked_pool_asks_for_its_spaces_once(deployment):
     assert calls == expected
 
 
+def test_a_pool_that_fails_to_populate_leaves_only_the_roots_session(deployment):
+    """A worker_wrapper that raises on the last worker: every fork's session
+    is ended on the service, and the root is still the caller's to use."""
+    wrapped = []
+
+    def fail_on_third(worker):
+        wrapped.append(worker)
+        if len(wrapped) == 3:
+            raise RuntimeError("wrapper exploded")
+        return worker
+
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        held = deployment.sessions(env)
+        with pytest.raises(RuntimeError, match="wrapper exploded"):
+            VecCompilerEnv(env, n=3, worker_wrapper=fail_on_third)
+        assert len({id(worker) for worker in wrapped}) == 3
+        assert deployment.sessions(env) == held
+        assert _trace(env, EPISODES[1]) == _reference(EPISODES[1])
+
+
 def _assert_ended_with_error_defaults(env, result, episode_reward):
     observation, reward, done, info = result
     assert done and "error_details" in info and "service_is_down" not in info

@@ -227,6 +227,16 @@ class TestBatchedApi:
             assert int(count) > 0
             assert isinstance(sha, str)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_errors_propagate(self, backend):
+        with VecCompilerEnv(_make_root(), n=1, backend=backend) as vec:
+            with pytest.raises(SessionNotFound, match="before reset"):
+                vec.step([0])
+            # The pool stays usable.
+            vec.reset()
+            _, rewards, dones, _ = vec.step([0])
+            assert rewards[0] is not None and dones == [False]
+
     def test_episode_rewards(self, vec_env):
         vec_env.reset()
         vec_env.multistep([[0, 1], [2], [], [3, 4, 5]])

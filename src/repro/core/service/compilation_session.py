@@ -59,7 +59,9 @@ class CompilationSession:
         on :meth:`fork`. A backend whose state can run an action and take it
         back for less than a copy costs returns a :class:`LazyFork`: the
         runtime then answers the fork's first step from this session's state
-        and makes a real copy only for a fork that goes on.
+        and makes a real copy only for a fork that goes on, with or without a
+        result cache. It asks only while this session's state is still a
+        pure action prefix.
         """
         return None
 

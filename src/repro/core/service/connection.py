@@ -17,7 +17,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.core.service.proto import (
     EndSessionRequest,
@@ -28,7 +28,7 @@ from repro.core.service.proto import (
     StepRequest,
     StepSessionsRequest,
 )
-from repro.core.service.transport import ServiceTransport, resolve_transport
+from repro.core.service.transport import ServiceTransport
 from repro.errors import ServiceError, ServiceIsClosed, ServiceTransportError, SessionNotFound
 
 
@@ -72,44 +72,21 @@ class CallStats:
         }
 
 
-def merge_stats_summaries(summaries) -> Dict[str, Dict[str, float]]:
-    """Merge per-connection ``stats_summary()`` dicts into one aggregate.
-
-    Used by vectorized pools to combine the accounting of workers that do
-    not share one connection.
-    """
-    merged: Dict[str, Dict[str, float]] = {}
-    for summary in summaries:
-        if not summary:
-            continue
-        for method, stats in summary.items():
-            into = merged.setdefault(
-                method, {"calls": 0, "errors": 0, "retries": 0, "wall_time_s": 0.0}
-            )
-            for key in into:
-                into[key] += stats.get(key, 0)
-    return merged
-
-
 class ServiceConnection:
     """A fault-tolerant connection to a compiler service.
 
     Args:
         transport: How to reach the service: a
-            :class:`~repro.core.service.transport.ServiceTransport` instance,
-            or (for backwards compatibility) a zero-argument runtime factory,
-            which is wrapped in an
-            :class:`~repro.core.service.transport.InProcessTransport`.
+            :class:`~repro.core.service.transport.ServiceTransport`, e.g. an
+            :class:`~repro.core.service.transport.InProcessTransport` around a
+            runtime factory or a
+            :class:`~repro.core.service.transport.SocketTransport`.
         opts: Retry/timeout configuration.
     """
 
-    def __init__(
-        self,
-        transport: Union[ServiceTransport, Callable[[], Any]],
-        opts: Optional[ConnectionOpts] = None,
-    ):
+    def __init__(self, transport: ServiceTransport, opts: Optional[ConnectionOpts] = None):
         self.opts = opts or ConnectionOpts()
-        self._transport = resolve_transport(transport)
+        self._transport = transport
         self.closed = False
         self.restart_count = 0
         # Reference count of environments sharing this connection (the

@@ -2,11 +2,16 @@
 
 Maps implementations of :class:`CompilationSession` to the request/reply
 message API consumed by the frontend. One runtime instance manages many
-concurrent sessions, identified by integer session IDs, and owns the
+concurrent sessions in one table, keyed by integer session IDs, and owns the
 benchmark cache that gives amortized O(1) environment initialization.
+
+Each table entry tracks its session's action prefix, whether or not a result
+cache is configured, so a session is built only when something needs its
+state and a fork borrows its parent's state for as long as that will do. The
+optional :class:`ResultCache` is a memo consulted beside the table: at reset
+for observations, and before and after a step.
 """
 
-import contextlib
 import os
 import re
 import shutil
@@ -46,56 +51,44 @@ def _copy_value(value):
     return value
 
 
-class _SessionCacheState:
-    """Result-cache bookkeeping for one session.
+class _Session:
+    """One entry of the runtime's session table.
 
     ``prefix`` is the canonical action prefix acknowledged to the client.
-    A session is in one of two states: *unbuilt* (``sessions[id] is None``
-    and ``uri``, ``action_space`` and ``prefix`` are all there is, as after a
-    reset served from the cache) or *built* (a real session whose module is
-    exactly ``prefix`` applied to the pristine program).
-    A session goes permanently uncacheable (``cacheable=False``) when its
-    state diverges from a pure action prefix (session parameters, dynamic
-    action spaces, any error while applying actions).
+    An entry is in one of two states: *unbuilt* (``session is None``, and
+    ``uri``, ``action_space`` and ``prefix`` are all there is, as after a
+    reset that needed no observation computed) or *built* (``session`` is a
+    real session whose module is exactly ``prefix`` applied to the pristine
+    program). An entry stops being ``pure`` for good when its state diverges
+    from an action prefix (session parameters, dynamic action spaces, any
+    error while applying actions): from then on nothing it computes is stored
+    in the result cache, and no fork borrows its state.
 
-    An unbuilt session that began as a fork of a cacheable session whose
-    backend has a :meth:`CompilationSession.lazy_fork` also remembers its
-    ``donor`` (that session's id) and the ``lazy_fork`` it gave. While the
-    donor stands where the fork does, the fork's steps are answered from the
-    donor's own state; when the fork has to be built, it is a copy of the
-    donor if that still leads to the fork's prefix. A donor that was ended or
-    went another way is simply not used. Once built, a session forgets both.
+    An unbuilt entry that began as a fork of a pure session whose backend has
+    a :meth:`CompilationSession.lazy_fork` also remembers its ``donor`` (that
+    session's id) and the ``lazy_fork`` it gave. While the donor stands where
+    the fork does, the fork's steps are answered from the donor's own state;
+    when the fork has to be built, it is a copy of the donor if that still
+    leads to the fork's prefix. A donor that was ended or went another way is
+    simply not used. Once built, an entry forgets both.
 
-    ``lock`` exists from the first time a session is forked, lazily or not,
-    and serialises everything that reads or writes its backend state: its own
-    steps and parameters, a fork's step answered from it, a copy taken of it.
-    Nothing is called while holding it that takes a lock of the server's.
+    ``lock`` serialises everything that reads or writes the entry's backend
+    state: its build, its own steps and parameters, a fork's step answered
+    from it, a copy taken of it. It is taken before the donor's lock, and
+    nothing is called while holding it that takes a lock of the runtime's.
     """
 
-    __slots__ = ("uri", "action_space", "prefix", "cacheable", "lock", "donor", "lazy_fork")
+    __slots__ = ("session", "uri", "action_space", "prefix", "pure", "lock", "donor", "lazy_fork")
 
-    def __init__(self, uri: str, action_space=None):
+    def __init__(self, uri: str, action_space, prefix: tuple = (), pure: bool = True):
+        self.session: Optional[CompilationSession] = None
         self.uri = uri
         self.action_space = action_space
-        self.prefix: tuple = ()
-        self.cacheable = True
-        self.lock: Optional[threading.Lock] = None
+        self.prefix = prefix
+        self.pure = pure
+        self.lock = threading.Lock()
         self.donor: Optional[int] = None
         self.lazy_fork: Optional[LazyFork] = None
-
-    def forked(self) -> "_SessionCacheState":
-        child = _SessionCacheState(self.uri, self.action_space)
-        child.prefix = self.prefix
-        child.cacheable = self.cacheable
-        return child
-
-
-_UNLOCKED = contextlib.nullcontext()
-
-
-def _lock_of(state: Optional[_SessionCacheState]):
-    """The lock of a session that has been forked; otherwise nothing to hold."""
-    return _UNLOCKED if state is None or state.lock is None else state.lock
 
 
 _WORKING_DIR_PREFIX = "repro-compiler-service-"
@@ -167,10 +160,7 @@ class CompilerGymServiceRuntime:
         self.working_dir = working_dir
         self.benchmark_cache = BenchmarkCache()
         self.result_cache: Optional[ResultCache] = ResultCache.coerce(result_cache)
-        # ``None`` marks an unbuilt session: everything it was asked so far
-        # was served from the result cache and no real session exists yet.
-        self.sessions: Dict[int, Optional[CompilationSession]] = {}
-        self._cache_states: Dict[int, _SessionCacheState] = {}
+        self.sessions: Dict[int, _Session] = {}
         self._next_session_id = 0
         self._lock = threading.Lock()
         self.closed = False
@@ -210,74 +200,76 @@ class CompilerGymServiceRuntime:
             self.benchmark_cache[uri] = benchmark
         return benchmark
 
-    def _session(self, session_id: int) -> Optional[CompilationSession]:
-        if session_id not in self.sessions:
+    def _entry(self, session_id: int) -> _Session:
+        entry = self.sessions.get(session_id)
+        if entry is None:
             raise SessionNotFound(f"Session not found: {session_id}")
-        return self.sessions[session_id]
+        return entry
+
+    def _add(self, entry: _Session) -> int:
+        with self._lock:
+            session_id = self._next_session_id
+            self._next_session_id += 1
+            self.sessions[session_id] = entry
+        return session_id
 
     def _new_session(self, action_space, benchmark: Benchmark) -> CompilationSession:
         return self.session_type(
             working_dir=self.working_dir, action_space=action_space, benchmark=benchmark
         )
 
-    def _donor_state(self, state: _SessionCacheState) -> Optional[_SessionCacheState]:
-        """The cache state of the session an unbuilt fork may borrow from, if
-        the runtime still holds that session. Where it stands is the caller's
-        to check, under its ``lock``."""
-        if state.lazy_fork is None or self.sessions.get(state.donor) is None:
-            return None
-        return self._cache_states.get(state.donor)
+    def _donor(self, entry: _Session) -> Optional[_Session]:
+        """The entry an unbuilt fork may borrow from, if the runtime still
+        holds it. Where it stands is the caller's to check, under its
+        ``lock``."""
+        return None if entry.lazy_fork is None else self.sessions.get(entry.donor)
 
-    def _copy_of_donor(self, state: _SessionCacheState) -> Tuple[Optional[CompilationSession], int]:
+    def _copy_of_donor(self, entry: _Session) -> Tuple[Optional[CompilationSession], int]:
         """A copy of the fork's donor and the length of the prefix it stands
         at, if that prefix leads to the fork's; otherwise ``(None, 0)``."""
-        donor_state = self._donor_state(state)
-        if donor_state is not None:
-            with donor_state.lock:
-                stands_at = donor_state.prefix
-                if donor_state.cacheable and state.prefix[: len(stands_at)] == stands_at:
-                    return state.lazy_fork.build(), len(stands_at)
+        donor = self._donor(entry)
+        if donor is not None:
+            with donor.lock:
+                stands_at = donor.prefix
+                if donor.pure and entry.prefix[: len(stands_at)] == stands_at:
+                    return entry.lazy_fork.build(), len(stands_at)
         return None, 0
 
-    def _built_session(self, session_id: int) -> CompilationSession:
-        """The session, built first if it is unbuilt: a copy of its donor, or
-        failing that of the pristine program, with the rest of ``prefix``
-        replayed onto it.
+    def _built_session(self, entry: _Session) -> CompilationSession:
+        """The entry's session, built first if it is unbuilt: a copy of its
+        donor, or failing that of the pristine program, with the rest of
+        ``prefix`` replayed onto it. Called under the entry's ``lock``.
 
         The session is published only after the replay succeeded, so a failed
-        build leaves it unbuilt (and out of the cache protocol) and the next
-        step builds again.
+        build leaves the entry unbuilt (and no longer pure) and the next step
+        builds again.
         """
-        session = self._session(session_id)
-        if session is None:
-            state = self._cache_states[session_id]
-            session, replayed = self._copy_of_donor(state)
+        if entry.session is None:
+            session, replayed = self._copy_of_donor(entry)
             if session is None:
-                session = self._new_session(state.action_space, self._resolve_benchmark(state.uri))
-                if state.lazy_fork is not None:
-                    session = state.lazy_fork.build(onto=session)
-            self._execute_step(session, state, state.prefix[replayed:], ())
-            self.sessions[session_id] = session
-            state.donor = state.lazy_fork = None
-        return session
+                session = self._new_session(entry.action_space, self._resolve_benchmark(entry.uri))
+                if entry.lazy_fork is not None:
+                    session = entry.lazy_fork.build(onto=session)
+            self._execute_step(session, entry, entry.prefix[replayed:], ())
+            entry.session = session
+            entry.donor = entry.lazy_fork = None
+        return entry.session
 
-    def _step_on_donor(
-        self, state: _SessionCacheState, actions, observation_space_names
-    ) -> Optional[StepReply]:
+    def _step_on_donor(self, entry: _Session, actions, observation_space_names) -> Optional[StepReply]:
         """Answer an unbuilt fork's step from its donor's state, which is put
         back afterwards; ``None`` if the donor is not where the fork is.
 
-        An error leaves the donor intact all the same, and the fork
-        uncacheable: its next call builds it for real.
+        An error leaves the donor intact all the same, and the fork impure:
+        its next call builds it for real.
         """
-        donor_state = self._donor_state(state)
-        if donor_state is None:
+        donor = self._donor(entry)
+        if donor is None:
             return None
-        with donor_state.lock:
-            if not donor_state.cacheable or donor_state.prefix != state.prefix:
+        with donor.lock:
+            if not donor.pure or donor.prefix != entry.prefix:
                 return None
-            with state.lazy_fork.speculate() as session:
-                return self._execute_step(session, state, actions, observation_space_names)
+            with entry.lazy_fork.speculate() as session:
+                return self._execute_step(session, entry, actions, observation_space_names)
 
     # -- session lifecycle ------------------------------------------------
 
@@ -286,55 +278,33 @@ class CompilerGymServiceRuntime:
             raise ServiceError("Service is closed")
         self.stats["start_session"] += 1
         # Resolve eagerly (amortized O(1) via the benchmark cache) so an
-        # unknown benchmark URI still fails at reset, not at the first miss.
+        # unknown benchmark URI still fails at reset, not at the first step.
         benchmark = self._resolve_benchmark(request.benchmark_uri)
-        action_space = self.session_type.action_spaces[request.action_space]
-        state = (
-            _SessionCacheState(str(request.benchmark_uri), action_space)
-            if self.result_cache is not None
-            else None
+        entry = _Session(
+            str(request.benchmark_uri), self.session_type.action_spaces[request.action_space]
         )
-        # With the result cache on, session construction (which clones the
-        # benchmark's module) is deferred: if every reset observation comes
-        # from the cache, the session stays unbuilt until a step misses.
-        session: Optional[CompilationSession] = None
-
-        def ensure_session() -> CompilationSession:
-            nonlocal session
-            if session is None:
-                session = self._new_session(action_space, benchmark)
-            return session
-
-        if state is None:
-            ensure_session()
+        # Session construction (which clones the benchmark's module) waits
+        # for an observation the result cache cannot answer, a step or a fork.
         observations = []
         for name in request.observation_space_names:
             spec = self._observation_spec(name)
-            if state is not None and spec.deterministic:
-                value = self.result_cache.get_observation(state.uri, (), name)
-                if value is None:
-                    value = ensure_session().get_observation(spec)
+            cache = self.result_cache if spec.deterministic else None
+            value = None if cache is None else cache.get_observation(entry.uri, (), name)
+            if value is None:
+                if entry.session is None:
+                    entry.session = self._new_session(entry.action_space, benchmark)
+                value = entry.session.get_observation(spec)
+                if cache is not None:
                     # Store a private copy: the returned object is handed to
                     # (possibly in-process) callers who may mutate it.
-                    self.result_cache.put_observation(
-                        state.uri, (), name, _copy_value(value)
-                    )
-                else:
-                    value = _copy_value(value)
+                    cache.put_observation(entry.uri, (), name, _copy_value(value))
             else:
-                value = ensure_session().get_observation(spec)
+                value = _copy_value(value)
             observations.append(Event.from_value(value))
-        with self._lock:
-            session_id = self._next_session_id
-            self._next_session_id += 1
-            self.sessions[session_id] = session
-            if state is not None:
-                self._cache_states[session_id] = state
-        return StartSessionReply(session_id=session_id, observations=observations)
+        return StartSessionReply(session_id=self._add(entry), observations=observations)
 
     def _execute_step(
-        self, session: CompilationSession, state: Optional[_SessionCacheState],
-        actions, observation_space_names,
+        self, session: CompilationSession, entry: _Session, actions, observation_space_names
     ) -> StepReply:
         """Apply ``actions`` to a built session, then read the observations."""
         end_of_session = False
@@ -359,8 +329,7 @@ class CompilerGymServiceRuntime:
         except Exception:
             # The module may be ahead of ``prefix`` now: nothing this session
             # computes from here on may be stored under a prefix key.
-            if state is not None:
-                state.cacheable = False
+            entry.pure = False
             raise
         return StepReply(
             end_of_session=end_of_session,
@@ -371,122 +340,102 @@ class CompilerGymServiceRuntime:
 
     def step(self, request: StepRequest) -> StepReply:
         self.stats["step"] += 1
-        state = self._cache_states.get(request.session_id)
-        if state is None or state.lock is None:
-            return self._step(request, state)
-        with state.lock:
-            return self._step(request, state)
+        entry = self._entry(request.session_id)
+        with entry.lock:
+            return self._step(entry, request)
 
-    def _step(self, request: StepRequest, state: Optional[_SessionCacheState]) -> StepReply:
+    def _step(self, entry: _Session, request: StepRequest) -> StepReply:
         names = request.observation_space_names
-        if state is None or not state.cacheable:
+        if not entry.pure:
             # Unbuilt here means an earlier build failed: build again so the
             # error (or the session) is not lost.
-            session = self._built_session(request.session_id)
-            return self._execute_step(session, state, request.actions, names)
+            return self._execute_step(self._built_session(entry), entry, request.actions, names)
 
         specs = [self._observation_spec(name) for name in names]
         deterministic = all(spec.deterministic for spec in specs)
         actions = tuple(int(action) for action in request.actions)
-        candidate = state.prefix + actions
+        candidate = entry.prefix + actions
 
         reply = None
-        if deterministic:
-            entry = self.result_cache.lookup_step(state.uri, candidate, len(actions), names)
-            if entry is not None:
+        if deterministic and self.result_cache is not None:
+            hit = self.result_cache.lookup_step(entry.uri, candidate, len(actions), names)
+            if hit is not None:
                 # An unbuilt session only advances its prefix; a built one
                 # runs the step's passes to stay current. Both answer from
                 # the cache entry.
-                session = self._session(request.session_id)
-                if session is not None:
-                    self._execute_step(session, state, request.actions, ())
-                state.prefix = candidate
+                if entry.session is not None:
+                    self._execute_step(entry.session, entry, request.actions, ())
+                entry.prefix = candidate
                 return StepReply(
-                    end_of_session=entry.end_of_session,
-                    action_had_no_effect=entry.action_had_no_effect,
+                    end_of_session=hit.end_of_session,
+                    action_had_no_effect=hit.action_had_no_effect,
                     new_action_space=None,
                     observations=[
-                        Event.from_value(_copy_value(entry.observations[name]))
-                        for name in names
+                        Event.from_value(_copy_value(hit.observations[name])) for name in names
                     ],
                 )
-            if self._session(request.session_id) is None:
-                # A fork's first step (a search's candidate): no copy is made.
-                reply = self._step_on_donor(state, request.actions, names)
+        if deterministic and entry.session is None:
+            # A fork's first step (a search's candidate): no copy is made.
+            reply = self._step_on_donor(entry, request.actions, names)
 
         if reply is None:
-            session = self._built_session(request.session_id)
-            reply = self._execute_step(session, state, request.actions, names)
+            reply = self._execute_step(self._built_session(entry), entry, request.actions, names)
         if reply.new_action_space is not None:
             # A dynamic action-space change breaks prefix canonicality.
-            state.cacheable = False
+            entry.pure = False
             return reply
-        state.prefix = candidate
-        # Populate the cache for the next session to walk this prefix. The
-        # flags are deterministic; only deterministic payloads are stored,
-        # each as a private copy so callers mutating the reply cannot
-        # corrupt the cached entry.
-        cacheable_observations = {
-            name: _copy_value(observation.value())
-            for name, spec, observation in zip(names, specs, reply.observations)
-            if spec.deterministic
-        }
-        self.result_cache.store_step(
-            state.uri,
-            candidate,
-            len(actions),
-            reply.end_of_session,
-            reply.action_had_no_effect,
-            cacheable_observations,
-        )
+        entry.prefix = candidate
+        if self.result_cache is not None:
+            # Populate the cache for the next session to walk this prefix.
+            # The flags are deterministic; only deterministic payloads are
+            # stored, each as a private copy so callers mutating the reply
+            # cannot corrupt the cached entry.
+            self.result_cache.store_step(
+                entry.uri,
+                candidate,
+                len(actions),
+                reply.end_of_session,
+                reply.action_had_no_effect,
+                {
+                    name: _copy_value(observation.value())
+                    for name, spec, observation in zip(names, specs, reply.observations)
+                    if spec.deterministic
+                },
+            )
         return reply
 
     def fork_session(self, request: ForkSessionRequest) -> ForkSessionReply:
         self.stats["fork_session"] += 1
-        parent_state = self._cache_states.get(request.session_id)
-        # A fork is of a current parent: a cache-served parent is built here,
-        # once. Where the backend can, the fork of a cacheable parent starts
-        # unbuilt at the parent's prefix and borrows the parent's state for
-        # as long as that will do; any other fork is a copy made now.
-        parent = self._built_session(request.session_id)
-        forked = state = None
-        if parent_state is not None:
-            state = parent_state.forked()
-            with self._lock:
-                if parent_state.lock is None:
-                    parent_state.lock = threading.Lock()
-        with _lock_of(parent_state):
-            lazy_fork = parent.lazy_fork() if state is not None and state.cacheable else None
+        parent = self._entry(request.session_id)
+        # A fork is of a current parent: an unbuilt parent is built here,
+        # once. Where the backend can, the fork of a pure parent starts
+        # unbuilt at the parent's prefix (so it inherits every warm cache
+        # entry along it) and borrows the parent's state for as long as that
+        # will do; any other fork is a copy made now.
+        with parent.lock:
+            session = self._built_session(parent)
+            child = _Session(parent.uri, parent.action_space, parent.prefix, parent.pure)
+            lazy_fork = session.lazy_fork() if parent.pure else None
             if lazy_fork is None:
-                forked = parent.fork()
+                child.session = session.fork()
             else:
-                state.donor, state.lazy_fork = request.session_id, lazy_fork
-        with self._lock:
-            session_id = self._next_session_id
-            self._next_session_id += 1
-            self.sessions[session_id] = forked
-            if state is not None:
-                # The fork starts at the parent's prefix, so it inherits
-                # every warm cache entry along it.
-                self._cache_states[session_id] = state
-        return ForkSessionReply(session_id=session_id)
+                child.donor, child.lazy_fork = request.session_id, lazy_fork
+        return ForkSessionReply(session_id=self._add(child))
 
     def end_session(self, request: EndSessionRequest) -> EndSessionReply:
         self.stats["end_session"] += 1
-        session = self.sessions.pop(request.session_id, None)
-        self._cache_states.pop(request.session_id, None)
-        if session is not None:
-            session.close()
+        entry = self.sessions.pop(request.session_id, None)
+        if entry is not None and entry.session is not None:
+            entry.session.close()
         return EndSessionReply(remaining_sessions=len(self.sessions))
 
     def handle_session_parameter(self, session_id: int, key: str, value: str) -> Optional[str]:
-        session = self._built_session(session_id)
-        state = self._cache_states.get(session_id)
-        with _lock_of(state):
-            if state is not None:
-                # Parameters may read or mutate backend state (e.g. baseline
-                # pipelines): stop treating the session as a pure action prefix.
-                state.cacheable = False
+        entry = self._entry(session_id)
+        with entry.lock:
+            session = self._built_session(entry)
+            # Parameters may read or mutate backend state (e.g. baseline
+            # pipelines): stop treating the session as a pure action prefix.
+            entry.pure = False
             return session.handle_session_parameter(key, value)
 
     def cache_stats(self) -> Dict[str, Optional[Dict[str, float]]]:
@@ -505,9 +454,9 @@ class CompilerGymServiceRuntime:
         }
 
     def shutdown(self) -> None:
-        for session in self.sessions.values():
-            if session is not None:
-                session.close()
+        for entry in self.sessions.values():
+            if entry.session is not None:
+                entry.session.close()
         self.sessions.clear()
         self.closed = True
         if self._owns_working_dir:

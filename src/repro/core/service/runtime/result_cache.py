@@ -6,11 +6,12 @@ session — and every tenant — of a runtime: it maps a benchmark URI plus the
 canonical action prefix applied since reset to the step's deterministic
 observation payloads and end-of-step flags. Repeated prefixes (random-search
 restarts, fork-heavy tuners, the Explorer's popular traffic) are then served
-without computing an observation, and a session that has only ever been
-served from here is not even constructed: the runtime keeps its action prefix
-and builds it (clone the pristine program, replay the prefix) at its first
-miss or fork. A session that is built runs the passes of a hit, so its module
-always is its prefix.
+without computing an observation. The cache is a memo the runtime consults
+beside its session table, and owns nothing about a session: the runtime
+tracks every session's action prefix with or without it, and builds a session
+(clone the pristine program, replay the prefix) only when a request needs its
+state, so a session that has only ever been served from here is not even
+constructed.
 
 Keying and eviction:
 

@@ -609,18 +609,3 @@ class SocketTransport(ServiceTransport):
     def __repr__(self) -> str:
         return f"SocketTransport(url={self.url!r}, closed={self.closed})"
 
-
-def resolve_transport(target) -> ServiceTransport:
-    """Coerce a transport specifier to a :class:`ServiceTransport`.
-
-    ``target`` may be a transport instance (returned as-is) or a runtime
-    factory callable (wrapped in :class:`InProcessTransport`, preserving the
-    pre-transport ``ServiceConnection(runtime_factory)`` calling convention).
-    """
-    if isinstance(target, ServiceTransport):
-        return target
-    if callable(target):
-        return InProcessTransport(target)
-    raise TypeError(
-        f"Expected a ServiceTransport or a runtime factory, got {target!r}"
-    )

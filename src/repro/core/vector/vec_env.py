@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.datasets import Benchmark
-from repro.core.service.connection import merge_stats_summaries
 from repro.errors import SessionNotFound
 
 logger = logging.getLogger(__name__)
@@ -152,19 +151,9 @@ class VecCompilerEnv:
         return [getattr(worker, "episode_reward", None) for worker in self.workers]
 
     def connection_stats(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate service-call accounting across all pool workers.
-
-        Workers that share one connection are counted once.
-        """
-        summaries = []
-        seen_services = set()
-        for worker in self.workers:
-            service = getattr(worker, "service", None)
-            if service is None or id(service) in seen_services:
-                continue
-            seen_services.add(id(service))
-            summaries.append(service.stats_summary())
-        return merge_stats_summaries(summaries)
+        """The service-call accounting of the pool's one connection: every
+        worker is a fork of the root and shares its ``service``."""
+        return self.workers[0].service.stats_summary()
 
     # -- batched Gym API ----------------------------------------------------
 

@@ -287,10 +287,11 @@ def check_clone():
 
 @pytest.fixture(scope="session")
 def check_sessions_current():
-    """``check_sessions_current(runtime)``: the result-cache protocol's one
-    invariant. Every session of an LLVM runtime that is built and cacheable
-    holds a module that prints identically to its ``prefix`` run on a clone of
-    the pristine program; an unbuilt session holds nothing to check."""
+    """``check_sessions_current(runtime)``: the session table's one
+    invariant, with the result cache on or off. Every entry of an LLVM
+    runtime that is built and pure holds a module that prints identically to
+    its ``prefix`` run on a clone of the pristine program; an unbuilt entry
+    holds nothing to check."""
     from functools import lru_cache
 
     from repro.llvm.datasets.suites import make_llvm_datasets
@@ -306,9 +307,8 @@ def check_sessions_current():
         return print_module(module)
 
     def check(runtime) -> None:
-        for session_id, session in runtime.sessions.items():
-            state = runtime._cache_states[session_id]
-            if session is not None and state.cacheable:
-                assert print_module(session.module) == reference(state.uri, state.prefix)
+        for entry in list(runtime.sessions.values()):
+            if entry.session is not None and entry.pure:
+                assert print_module(entry.session.module) == reference(entry.uri, entry.prefix)
 
     return check

@@ -1,15 +1,17 @@
 """An unbuilt fork: what ``fork -> step -> close`` does instead of copying a
 module, and every way out of it.
 
-Under the result cache the fork of a cacheable LLVM session starts unbuilt at
-its parent's prefix and remembers the parent as its donor. A step that misses
-the cache while the donor stands where the fork does runs on the donor's own
-module under an undo journal and is rolled back; anything else builds the
-fork, from a copy of the donor when that leads to the fork's prefix and from
-the pristine program when it does not. Whatever happens, what the client sees
-is what it would see with the result cache off, where a fork is a copy.
+With the result cache on or off, the fork of an LLVM session that is still a
+pure action prefix starts unbuilt at its parent's prefix and remembers the
+parent as its donor. A step the cache cannot answer while the donor stands
+where the fork does runs on the donor's own module under an undo journal and
+is rolled back; anything else builds the fork, from a copy of the donor when
+that leads to the fork's prefix and from the pristine program when it does
+not. Whatever happens, what the client sees is what it would see had the fork
+been copied on the spot.
 """
 
+import contextlib
 import functools
 import sys
 import threading
@@ -51,9 +53,9 @@ def _reference(actions):
 
 
 def _runtime(deployment, env):
-    """The runtime behind ``env`` where this process holds it, with its
-    cache protocol on; ``None`` otherwise."""
-    if not deployment.result_cache or deployment.kind == "gateway":
+    """The runtime behind ``env`` where this process holds it; ``None``
+    behind a gateway."""
+    if deployment.kind == "gateway":
         return None
     return env.service.runtime if deployment.server is None else deployment.server.runtime
 
@@ -154,9 +156,11 @@ def test_a_fork_that_goes_on_is_built_from_its_donor(deployment):
 # -- in this process, where the runtime shows ---------------------------------------
 
 
-@pytest.fixture
-def env():
-    with repro.make("llvm-v0", **STEP_SHAPE) as env:
+@pytest.fixture(params=[None, False], ids=["cache", "nocache"])
+def env(request):
+    """An in-process env with the result cache on, and with it off: a fork
+    borrows its donor the same way in both."""
+    with repro.make("llvm-v0", result_cache=request.param, **STEP_SHAPE) as env:
         yield env
 
 
@@ -178,21 +182,21 @@ def test_first_step_borrows_second_step_copies_the_donor_and_replays_the_suffix(
     env.reset()
     env.step(MEM2REG)
     assert copies == ["pristine"]
-    parent = runtime.sessions[env._session_id]
+    parent = runtime.sessions[env._session_id].session
     with env.fork() as fork:
-        state = runtime._cache_states[fork._session_id]
+        entry = runtime.sessions[fork._session_id]
         del pass_runs[:]
         fork.step(GVN)
         assert pass_runs == ["gvn"] and copies == ["pristine"]
-        assert runtime.sessions[fork._session_id] is None
-        assert state.prefix == (MEM2REG, GVN) and state.donor == env._session_id
+        assert entry.session is None
+        assert entry.prefix == (MEM2REG, GVN) and entry.donor == env._session_id
         check_sessions_current(runtime)
         fork.step(INSTCOMBINE)
         # A copy of the donor at (mem2reg,), gvn replayed onto it, then the step.
         assert pass_runs == ["gvn", "gvn", "instcombine"] and copies == ["pristine", "fork"]
-        built = runtime.sessions[fork._session_id]
+        built = entry.session
         assert built is not None and built is not parent and built.module is not parent.module
-        assert (state.donor, state.lazy_fork) == (None, None)
+        assert (entry.donor, entry.lazy_fork) == (None, None)
         check_sessions_current(runtime)
 
 
@@ -207,7 +211,7 @@ def test_a_fork_follows_its_donor_down_the_same_way(env, copies, pass_runs):
         del pass_runs[:]
         fork.step(GVN)
         assert pass_runs == ["gvn"] and copies == ["pristine"]
-        assert runtime.sessions[fork._session_id] is None
+        assert runtime.sessions[fork._session_id].session is None
 
 
 def test_observations_alone_are_borrowed_too(env, copies):
@@ -215,8 +219,13 @@ def test_observations_alone_are_borrowed_too(env, copies):
     env.step(MEM2REG)
     with env.fork() as fork:
         assert fork.observation["IrSha1"] == env.observation["IrSha1"]
-        assert env.service.runtime.sessions[fork._session_id] is None
+        assert env.service.runtime.sessions[fork._session_id].session is None
     assert copies == ["pristine"]
+
+
+def _stores(runtime):
+    """How many entries the result cache has stored; ``None`` without one."""
+    return None if runtime.result_cache is None else runtime.result_cache.stores
 
 
 def _started(runtime, *prefix):
@@ -231,9 +240,9 @@ def _started(runtime, *prefix):
 def test_a_pass_that_raises_on_the_donors_module_leaves_it_intact(env, monkeypatch):
     runtime = env.service.runtime  # Only for its runtime: CompilerEnv ends the episode on an error.
     parent_id = _started(runtime, MEM2REG)
-    parent = runtime.sessions[parent_id]
+    parent = runtime.sessions[parent_id].session
     fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id)).session_id
-    state = runtime._cache_states[fork_id]
+    entry = runtime.sessions[fork_id]
     before = print_module(parent.module), parent.module.version, dict(parent._obs_memo)
     memos = parent._obs_memo, parent._function_memo
 
@@ -250,14 +259,14 @@ def test_a_pass_that_raises_on_the_donors_module_leaves_it_intact(env, monkeypat
     assert (print_module(parent.module), parent.module.version, parent._obs_memo) == before
     assert (parent._obs_memo, parent._function_memo) == memos
     assert parent._obs_memo is memos[0] and parent._function_memo is memos[1]
-    assert runtime.sessions[fork_id] is None
-    assert not state.cacheable and state.prefix == (MEM2REG,)
-    assert runtime._cache_states[parent_id].cacheable
+    assert entry.session is None
+    assert not entry.pure and entry.prefix == (MEM2REG,)
+    assert runtime.sessions[parent_id].pure
     # The next call builds the fork for real, and stores nothing.
-    stores = runtime.result_cache.stores
+    stores = _stores(runtime)
     reply = _step(runtime, fork_id, INSTCOMBINE)
-    assert runtime.sessions[fork_id] not in (None, parent)
-    assert runtime.result_cache.stores == stores
+    assert entry.session not in (None, parent)
+    assert _stores(runtime) == stores
     expected = _reference((MEM2REG, INSTCOMBINE))[-1]
     assert _plain(reply)[0] == expected[0] and _plain(reply)[2] == expected[3]
     # And the parent goes on as if nothing had happened.
@@ -267,9 +276,9 @@ def test_a_pass_that_raises_on_the_donors_module_leaves_it_intact(env, monkeypat
 def test_a_miscompile_caught_by_verify_ir_on_the_donors_module_is_rolled_back(env, monkeypatch):
     runtime = env.service.runtime
     parent_id = _started(runtime, MEM2REG)
-    parent = runtime.sessions[parent_id]
+    parent = runtime.sessions[parent_id].session
     # Behind the runtime's back: as a session parameter it would take the
-    # parent out of the cache protocol, and its forks would be copies.
+    # parent impure, and its forks would be copies.
     parent._verify_ir = True
     fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id)).session_id
     before = print_module(parent.module)
@@ -285,11 +294,11 @@ def test_a_miscompile_caught_by_verify_ir_on_the_donors_module_is_rolled_back(en
     with pytest.raises(ServiceError, match="-dce produced invalid IR"):
         _step(runtime, fork_id, DCE)
     assert print_module(parent.module) == before
-    assert runtime.sessions[fork_id] is None and not runtime._cache_states[fork_id].cacheable
+    assert runtime.sessions[fork_id].session is None and not runtime.sessions[fork_id].pure
     assert _plain(_step(runtime, parent_id, GVN))[0] == _reference((MEM2REG, GVN))[-1][0]
 
 
-def test_fork_of_an_uncacheable_parent_is_a_copy(env, copies):
+def test_fork_of_an_impure_parent_is_a_copy(env, copies):
     runtime = env.service.runtime
     env.reset()
     env.step(MEM2REG)
@@ -298,14 +307,13 @@ def test_fork_of_an_uncacheable_parent_is_a_copy(env, copies):
     )
     with env.fork() as fork:
         assert copies == ["pristine", "fork"]
-        forked = runtime.sessions[fork._session_id]
-        state = runtime._cache_states[fork._session_id]
-        assert forked is not None and forked._runtimes_per_observation == 2
-        assert (state.cacheable, state.donor, state.lazy_fork) == (False, None, None)
+        entry = runtime.sessions[fork._session_id]
+        assert entry.session is not None and entry.session._runtimes_per_observation == 2
+        assert (entry.pure, entry.donor, entry.lazy_fork) == (False, None, None)
         assert _record(fork, GVN)[0] == _reference((MEM2REG, GVN))[-1][0]
 
 
-def test_a_donor_that_left_the_cache_protocol_is_not_borrowed_from(env, copies):
+def test_an_impure_donor_is_not_borrowed_from(env, copies):
     runtime = env.service.runtime
     env.reset()
     env.step(MEM2REG)
@@ -314,55 +322,63 @@ def test_a_donor_that_left_the_cache_protocol_is_not_borrowed_from(env, copies):
         env.service.handle_session_parameter(
             env._session_id, "llvm.apply_baseline_pipeline", "-Oz"
         )
-        assert _record(fork, GVN)[0] == _reference((MEM2REG, GVN))[-1][0]
+        record = _record(fork, GVN)
         assert copies == ["pristine", "pristine"]
-        assert runtime.sessions[fork._session_id] is not None
-
-
-def test_with_the_result_cache_off_a_fork_is_a_copy(copies):
-    with repro.make("llvm-v0", result_cache=False, **STEP_SHAPE) as env:
-        env.reset()
-        with env.fork() as fork:
-            assert copies == ["pristine", "fork"]
-            assert env.service.runtime.sessions[fork._session_id] is not None
+        assert runtime.sessions[fork._session_id].session is not None
+        assert record[0] == _reference((MEM2REG, GVN))[-1][0]
 
 
 # -- the parent's random stream ---------------------------------------------------
 
 
-def _noise(env, count=2):
-    return [env.observation[space] for _ in range(count) for space in ("Runtime", "Buildtime")]
+def _noise(read, count=2):
+    return [read(space) for _ in range(count) for space in ("Runtime", "Buildtime")]
+
+
+def _reader(session):
+    """Observations of a backend session, read by space name."""
+    specs = {spec.id: spec for spec in session.observation_spaces}
+    return lambda space: session.get_observation(specs[space])
 
 
 @pytest.mark.parametrize("build", ["never", "at once", "late"])
 def test_parents_runtime_stream_does_not_depend_on_whether_its_forks_are_built(build):
     """``LlvmCompilationSession.fork`` seeds the fork's noise generator with a
-    draw from its parent's. The draw is made when the fork is asked for: the
-    parent's stream, and the fork's, are those of a fork copied on the spot
-    (result cache off) whenever the fork is built, and if it never is."""
+    draw from its parent's. The draw is made when the fork is asked for: with
+    the result cache on or off, the parent's stream, and the fork's, are those
+    of a fork copied on the spot by the backend whenever the fork is built,
+    and if it never is."""
 
-    def streams(result_cache, build):
-        with repro.make("llvm-v0", result_cache=result_cache, **STEP_SHAPE) as env:
+    def streams(result_cache, build, copied=False):
+        with repro.make("llvm-v0", result_cache=result_cache, **STEP_SHAPE) as env, \
+                contextlib.ExitStack() as forks_open:
             env.reset()
             env.step(MEM2REG)
-            parent = _noise(env)
-            with env.fork() as first, env.fork() as second:
-                forks = []
-                if build == "at once":
-                    forks += _noise(first)
-                parent += _noise(env)
-                env.step(GVN)
-                parent += _noise(env)
-                if build == "late":
-                    forks += _noise(first)
-                if build != "never":
-                    forks += _noise(second)
+            parent = _noise(env.observation.__getitem__)
+            if copied:
+                session = env.service.runtime.sessions[env._session_id].session
+                first, second = (_reader(session.fork()) for _ in range(2))
+            else:
+                first, second = (
+                    forks_open.enter_context(env.fork()).observation.__getitem__ for _ in range(2)
+                )
+            forks = []
+            if build == "at once":
+                forks += _noise(first)
+            parent += _noise(env.observation.__getitem__)
+            env.step(GVN)
+            parent += _noise(env.observation.__getitem__)
+            if build == "late":
+                forks += _noise(first)
+            if build != "never":
+                forks += _noise(second)
             return parent, forks
 
-    copied_parent, copied_forks = streams(False, build)
-    parent, forks = streams(None, build)
-    assert parent == copied_parent == streams(False, "never")[0]
-    assert forks == copied_forks
+    copied_parent, copied_forks = streams(False, build, copied=True)
+    for result_cache in (None, False):
+        parent, forks = streams(result_cache, build)
+        assert parent == copied_parent == streams(False, "never", copied=True)[0]
+        assert forks == copied_forks
 
 
 # -- the backend hook on its own -----------------------------------------------------
@@ -372,7 +388,7 @@ def test_speculate_shows_the_forks_state_and_puts_the_parents_back():
     with repro.make("llvm-v0", result_cache=False, **STEP_SHAPE) as env:
         env.reset()
         env.step(MEM2REG)
-        session = env.service.runtime.sessions[env._session_id]
+        session = env.service.runtime.sessions[env._session_id].session
         spec = next(s for s in session.observation_spaces if s.id == "Autophase")
         session.get_observation(spec)
         memo = {space: dict(entries) for space, entries in session._function_memo.items()}
@@ -393,6 +409,6 @@ def test_a_backend_without_the_hook_forks_by_copying():
     with repro.make("loop_tool-v0", observation_space="flops", reward_space="flops") as env:
         env.reset()
         runtime = env.service.runtime
-        assert runtime.sessions[env._session_id].lazy_fork() is None
+        assert runtime.sessions[env._session_id].session.lazy_fork() is None
         with env.fork() as fork:
-            assert runtime.sessions[fork._session_id] is not None
+            assert runtime.sessions[fork._session_id].session is not None

@@ -80,9 +80,9 @@ def _uncached_trace(actions):
 
 
 class TestSessionIsUnbuiltOrCurrent:
-    """A session under the cache protocol is unbuilt (``sessions[id] is None``,
-    nothing but a prefix) or built and current (its module is the prefix run
-    on the pristine program). Nothing is ever owed to a built session."""
+    """A pure session is unbuilt (``sessions[id].session is None``, nothing
+    but a prefix) or built and current (its module is the prefix run on the
+    pristine program). Nothing is ever owed to a built session."""
 
     # Depth 4, width 3; each level commits one of its own candidates, so every
     # commit is a result-cache hit on a built parent.
@@ -122,7 +122,7 @@ class TestSessionIsUnbuiltOrCurrent:
             for _, commit in self.LEVELS:
                 env.step(commit)
             assert pass_runs == []
-            assert runtime.sessions[env._session_id] is None
+            assert runtime.sessions[env._session_id].session is None
             # ...and the next level builds it once, from the one copy of the
             # pristine program: 4 passes of prefix, then one per candidate.
             for action in self.NEXT_LEVEL:
@@ -152,27 +152,27 @@ class TestSessionIsUnbuiltOrCurrent:
             runtime = env.service.runtime
             _trace(env, prefix)  # cold: populates the cache
             _trace(env, prefix)  # warm: the session is never built
-            assert runtime.sessions[env._session_id] is None
+            assert runtime.sessions[env._session_id].session is None
             del built_from_pristine[:]
             forks = [env.fork()]
             try:
                 # The fork built its parent, which holds the prefix run on the
                 # pristine program, and itself starts unbuilt at that prefix.
-                parent = runtime.sessions[env._session_id]
+                parent = runtime.sessions[env._session_id].session
                 assert built_from_pristine == [parent]
-                assert runtime.sessions[forks[0]._session_id] is None
+                assert runtime.sessions[forks[0]._session_id].session is None
                 check_sessions_current(runtime)
                 # A second fork finds the parent built.
                 forks.append(env.fork())
                 assert built_from_pristine == [parent]
-                assert runtime.sessions[env._session_id] is parent
+                assert runtime.sessions[env._session_id].session is parent
                 before = print_module(parent.module)
                 for fork in forks:
-                    state = runtime._cache_states[fork._session_id]
-                    assert (state.donor, state.prefix) == (env._session_id, tuple(prefix))
+                    entry = runtime.sessions[fork._session_id]
+                    assert (entry.donor, entry.prefix) == (env._session_id, tuple(prefix))
                     assert _step_record(fork, extra) == reference[-1]
                     # Answered from the parent's module, or from the cache.
-                    assert runtime.sessions[fork._session_id] is None
+                    assert entry.session is None
                 assert built_from_pristine == [parent]
                 assert print_module(parent.module) == before
                 check_sessions_current(runtime)
@@ -205,7 +205,8 @@ class TestSessionIsUnbuiltOrCurrent:
 
             walk()  # cold: populates the cache
             session_id = walk()
-            assert runtime.sessions[session_id] is None
+            entry = runtime.sessions[session_id]
+            assert entry.session is None
             miss = StepRequest(session_id=session_id, actions=[extra], observation_space_names=names)
 
             def broken_run_pass(module, name):
@@ -217,13 +218,12 @@ class TestSessionIsUnbuiltOrCurrent:
                 patch.setattr("repro.llvm.service.run_pass", broken_run_pass)
                 with pytest.raises(RuntimeError, match="during replay"):
                     runtime.step(miss)
-            state = runtime._cache_states[session_id]
-            assert runtime.sessions[session_id] is None
-            assert not state.cacheable and state.prefix == tuple(prefix)
+            assert entry.session is None
+            assert not entry.pure and entry.prefix == tuple(prefix)
             stores = runtime.result_cache.stores
             # The session builds again, runs the step, and stores nothing.
             reply = runtime.step(miss)
-            assert runtime.sessions[session_id] is not None
+            assert entry.session is not None
             assert runtime.result_cache.stores == stores
             autophase, count = (event.value() for event in reply.observations)
             assert np.asarray(autophase).tolist() == reference[-1][0]
@@ -269,7 +269,7 @@ class TestFailedStepLeavesTheCacheProtocol:
                     step(a, session_a, [mem2reg, 99999])
                 step(a, session_a, [dce])  # mem2reg + dce, but the prefix says dce
                 assert step(b, start(b), [dce]) == expected
-                assert not server.runtime._cache_states[session_a].cacheable
+                assert not server.runtime.sessions[session_a].pure
         finally:
             server.shutdown()
 
@@ -327,7 +327,7 @@ class TestVersionCounterContract:
         env = _make_env(result_cache=False)
         try:
             env.reset()
-            session = env.service.runtime.sessions[env._session_id]
+            session = env.service.runtime.sessions[env._session_id].session
             version = session.module.version
 
             def stamps():
@@ -414,7 +414,7 @@ class TestStampSafety:
             for env in (warm, fresh):
                 env.reset()
                 env.step(mem2reg)
-            victim = self._victim(warm.service.runtime.sessions[warm._session_id].module)
+            victim = self._victim(warm.service.runtime.sessions[warm._session_id].session.module)
             monkeypatch.setitem(PASS_REGISTRY, "instnamer", wrap(self._delete))
             monkeypatch.setitem(PASS_REGISTRY, "irce", wrap(self._recreate_for(victim)))
             actions = [warm.action_space.names.index(name) for name in ("instnamer", "irce")]

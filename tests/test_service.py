@@ -218,13 +218,13 @@ class TestRuntimeWorkingDirectory:
 
 class TestServiceConnection:
     def test_startup_records_spaces(self):
-        connection = ServiceConnection(_runtime)
+        connection = ServiceConnection(InProcessTransport(_runtime))
         assert connection.startup_wall_time >= 0
         assert [s.name for s in connection.spaces.action_spaces] == ["counter"]
         connection.close()
 
     def test_call_statistics(self):
-        connection = ServiceConnection(_runtime)
+        connection = ServiceConnection(InProcessTransport(_runtime))
         session = connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
         connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         assert connection.stats["start_session"].calls == 1
@@ -232,7 +232,9 @@ class TestServiceConnection:
         connection.close()
 
     def test_crash_triggers_restart_and_retry(self):
-        connection = ServiceConnection(_runtime, ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001))
+        connection = ServiceConnection(
+            InProcessTransport(_runtime), ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001)
+        )
         session = connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
         # Action 2 always raises inside the backend; the connection restarts
         # the runtime, and because the session is gone after restart the call
@@ -243,7 +245,7 @@ class TestServiceConnection:
         connection.close()
 
     def test_closed_connection_rejects_calls(self):
-        connection = ServiceConnection(_runtime)
+        connection = ServiceConnection(InProcessTransport(_runtime))
         connection.close()
         from repro.errors import ServiceIsClosed
 
@@ -251,6 +253,6 @@ class TestServiceConnection:
             connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
 
     def test_context_manager(self):
-        with ServiceConnection(_runtime) as connection:
+        with ServiceConnection(InProcessTransport(_runtime)) as connection:
             assert not connection.closed
         assert connection.closed

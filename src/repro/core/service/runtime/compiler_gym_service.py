@@ -17,6 +17,7 @@ import re
 import shutil
 import tempfile
 import threading
+import time
 from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.core.datasets.benchmark import Benchmark
@@ -74,13 +75,21 @@ class _Session:
 
     ``lock`` serialises everything that reads or writes the entry's backend
     state: its build, its own steps and parameters, a fork's step answered
-    from it, a copy taken of it. It is taken before the donor's lock, and
-    nothing is called while holding it that takes a lock of the runtime's.
+    from it, a copy taken of it, and its end. It is taken before the donor's
+    lock, and nothing is called while holding it that takes a lock of the
+    runtime's. A call that waited for it first checks that the session was
+    not ended meanwhile.
+
+    ``owner`` is the tenant the session belongs to (a daemon client's auth
+    token, inherited by forks; ``None`` for anonymous and in-process
+    callers), and ``last_used`` the ``time.monotonic()`` at which the
+    session's last call finished, which is what an idle reaper reads.
     """
 
-    __slots__ = ("session", "uri", "action_space", "prefix", "pure", "lock", "donor", "lazy_fork")
+    __slots__ = ("session", "uri", "action_space", "prefix", "pure", "lock", "donor", "lazy_fork",
+                 "owner", "last_used")
 
-    def __init__(self, uri: str, action_space, prefix: tuple = (), pure: bool = True):
+    def __init__(self, uri: str, action_space, prefix: tuple = (), pure: bool = True, owner=None):
         self.session: Optional[CompilationSession] = None
         self.uri = uri
         self.action_space = action_space
@@ -89,6 +98,8 @@ class _Session:
         self.lock = threading.Lock()
         self.donor: Optional[int] = None
         self.lazy_fork: Optional[LazyFork] = None
+        self.owner = owner
+        self.last_used = time.monotonic()
 
 
 _WORKING_DIR_PREFIX = "repro-compiler-service-"
@@ -273,7 +284,7 @@ class CompilerGymServiceRuntime:
 
     # -- session lifecycle ------------------------------------------------
 
-    def start_session(self, request: StartSessionRequest) -> StartSessionReply:
+    def start_session(self, request: StartSessionRequest, owner=None) -> StartSessionReply:
         if self.closed:
             raise ServiceError("Service is closed")
         self.stats["start_session"] += 1
@@ -281,7 +292,8 @@ class CompilerGymServiceRuntime:
         # unknown benchmark URI still fails at reset, not at the first step.
         benchmark = self._resolve_benchmark(request.benchmark_uri)
         entry = _Session(
-            str(request.benchmark_uri), self.session_type.action_spaces[request.action_space]
+            str(request.benchmark_uri), self.session_type.action_spaces[request.action_space],
+            owner=owner,
         )
         # Session construction (which clones the benchmark's module) waits
         # for an observation the result cache cannot answer, a step or a fork.
@@ -342,7 +354,11 @@ class CompilerGymServiceRuntime:
         self.stats["step"] += 1
         entry = self._entry(request.session_id)
         with entry.lock:
-            return self._step(entry, request)
+            self._entry(request.session_id)  # Not ended while this call waited.
+            try:
+                return self._step(entry, request)
+            finally:
+                entry.last_used = time.monotonic()
 
     def _step(self, entry: _Session, request: StepRequest) -> StepReply:
         names = request.observation_space_names
@@ -413,30 +429,72 @@ class CompilerGymServiceRuntime:
         # entry along it) and borrows the parent's state for as long as that
         # will do; any other fork is a copy made now.
         with parent.lock:
-            session = self._built_session(parent)
-            child = _Session(parent.uri, parent.action_space, parent.prefix, parent.pure)
-            lazy_fork = session.lazy_fork() if parent.pure else None
-            if lazy_fork is None:
-                child.session = session.fork()
-            else:
-                child.donor, child.lazy_fork = request.session_id, lazy_fork
+            self._entry(request.session_id)
+            try:
+                session = self._built_session(parent)
+                child = _Session(
+                    parent.uri, parent.action_space, parent.prefix, parent.pure, parent.owner
+                )
+                lazy_fork = session.lazy_fork() if parent.pure else None
+                if lazy_fork is None:
+                    child.session = session.fork()
+                else:
+                    child.donor, child.lazy_fork = request.session_id, lazy_fork
+            finally:
+                parent.last_used = time.monotonic()
         return ForkSessionReply(session_id=self._add(child))
 
     def end_session(self, request: EndSessionRequest) -> EndSessionReply:
         self.stats["end_session"] += 1
+        # Out of the table at once, so a call already waiting on the entry's
+        # lock finds the session ended; closed under the lock, so never in
+        # the middle of a call.
         entry = self.sessions.pop(request.session_id, None)
-        if entry is not None and entry.session is not None:
-            entry.session.close()
+        if entry is not None:
+            with entry.lock:
+                self._close(entry)
         return EndSessionReply(remaining_sessions=len(self.sessions))
+
+    def end_idle_sessions(self, idle_seconds: float) -> int:
+        """End every session whose last call finished more than
+        ``idle_seconds`` ago, and return how many were ended.
+
+        The idle time is checked again under each entry's lock, after any
+        call in flight has finished and stamped ``last_used``, so a session
+        is never ended while a call runs on it, nor just after a long one.
+        """
+        deadline = time.monotonic() - idle_seconds
+        idle = [item for item in list(self.sessions.items()) if item[1].last_used < deadline]
+        ended = 0
+        for session_id, entry in idle:
+            with entry.lock:
+                if entry.last_used >= deadline or self.sessions.pop(session_id, None) is None:
+                    continue
+                self._close(entry)
+            ended += 1
+        self.stats["end_session"] += ended
+        return ended
+
+    @staticmethod
+    def _close(entry: _Session) -> None:
+        """Release an entry taken out of the table. Called under its lock."""
+        # A fork that looked its donor up before the end must not borrow it.
+        entry.pure = False
+        if entry.session is not None:
+            entry.session.close()
 
     def handle_session_parameter(self, session_id: int, key: str, value: str) -> Optional[str]:
         entry = self._entry(session_id)
         with entry.lock:
-            session = self._built_session(entry)
-            # Parameters may read or mutate backend state (e.g. baseline
-            # pipelines): stop treating the session as a pure action prefix.
-            entry.pure = False
-            return session.handle_session_parameter(key, value)
+            self._entry(session_id)
+            try:
+                session = self._built_session(entry)
+                # Parameters may read or mutate backend state (e.g. baseline
+                # pipelines): stop treating the session as a pure action prefix.
+                entry.pure = False
+                return session.handle_session_parameter(key, value)
+            finally:
+                entry.last_used = time.monotonic()
 
     def cache_stats(self) -> Dict[str, Optional[Dict[str, float]]]:
         """Stats for both cache layers owned by this runtime."""

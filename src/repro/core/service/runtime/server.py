@@ -13,19 +13,24 @@ them.
 Robustness properties:
 
 * **Per-session locking** — concurrent requests against *different* sessions
-  run in parallel (one handler thread per client connection); concurrent
-  requests against the *same* session serialize, so a session's compiler
-  state can never interleave two ``step()``\\ s.
+  run in parallel (each connection's reader thread runs its requests, and
+  requests multiplexed on one connection run on the dispatch pool, see
+  :mod:`repro.core.service.rpc_server`); concurrent requests against the
+  *same* session serialize on the lock of its entry in the runtime's session
+  table, so a session's compiler state can never interleave two
+  ``step()``\\ s. The daemon keeps no session table of its own.
 * **Client churn** — a dropped client connection ends nothing: its sessions
   stay alive until explicitly ended, reclaimed by the idle reaper, or the
   daemon shuts down. This is what lets sequential pools (and successive
   training runs) reattach to warm state.
 * **Idle-session reaping** — sessions untouched for ``session_timeout``
   seconds are ended in the background, so leaked sessions from crashed
-  clients cannot accumulate forever.
+  clients cannot accumulate forever. A session with a call in flight is
+  never reaped.
 * **Session ownership** — every session is stamped with the auth token of
-  the connection that created it; a session-scoped call from a different
-  tenant is rejected with :class:`~repro.errors.PermissionDeniedError`.
+  the connection that created it (a fork with its parent's); a
+  session-scoped call from a different tenant is rejected with
+  :class:`~repro.errors.PermissionDeniedError`.
   Anonymous connections (no token) share one anonymous tenant, preserving
   the pre-auth behaviour of trusted single-tenant deployments.
 * **Graceful shutdown** — ``shutdown()`` (or SIGINT/SIGTERM under ``repro
@@ -53,17 +58,16 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.service.proto import (
-    EndSessionRequest,
     SessionStepResult,
     StepSessionsReply,
     StepSessionsRequest,
 )
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
 from repro.core.service.wire import CODECS, WIRE_VERSION
-from repro.errors import PermissionDeniedError, ServiceError, SessionNotFound
+from repro.errors import PermissionDeniedError, ServiceError
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +84,7 @@ def _picklable_error(error: BaseException) -> BaseException:
         return ServiceError(f"{type(error).__name__}: {error}")
 
 # RPC methods a client may invoke on the runtime, and where in their argument
-# list the session id lives (for per-session locking / idle accounting).
+# list the session id lives (for the owner check).
 # Everything else is rejected — the wire protocol must not become a generic
 # remote getattr. (``hello`` is handled by the base server, not listed here.)
 _SESSION_ID_FROM_REQUEST = ("step", "fork_session", "end_session")
@@ -130,11 +134,6 @@ class ServiceServer(SocketRPCServer):
         # environment whose datasets back the benchmark resolver).
         self.owned_resources = []
 
-        self._session_locks: Dict[int, threading.Lock] = {}
-        self._session_last_used: Dict[int, float] = {}
-        # Auth token of the connection that created each session. ``None`` is
-        # the shared anonymous tenant.
-        self._session_owner: Dict[int, Optional[str]] = {}
         self._reaper_thread: Optional[threading.Thread] = None
         # The *sub-steps* of a step_sessions batch run on a separate pool
         # from the base server's dispatch pool: a batch the dispatch pool
@@ -163,56 +162,23 @@ class ServiceServer(SocketRPCServer):
         if method == "step_sessions":
             return self._step_sessions(state, *args)
         if method == "start_session":
-            reply = self.runtime.start_session(*args)
-            self._track_session(reply.session_id, owner=state.token)
-            return reply
+            return self.runtime.start_session(*args, owner=state.token)
         session_id = self._session_id_of(method, args)
-        if session_id is None:
-            return getattr(self.runtime, method)(*args)
-        result = self._call_in_session(state, session_id, getattr(self.runtime, method), *args)
-        if method == "fork_session":
-            # A fork belongs to whoever forked it (same tenant as the parent,
-            # by the ownership check above).
-            self._track_session(result.session_id, owner=state.token)
-        elif method == "end_session":
-            self._forget_session(session_id)
-        return result
-
-    def _call_in_session(self, state: ClientConnectionState, session_id: int, call, *args):
-        """The one discipline of every call made against a session.
-
-        Reject another tenant's caller, then run ``call(*args)`` under the
-        session's lock so a session's compiler state never interleaves two
-        calls. ``last_used`` is stamped before taking the lock and again after
-        completing under it: a call longer than the idle timeout must not
-        leave it at its pre-call value, or the reaper — which re-checks under
-        this lock — would end a session the instant its step finished.
-        """
-        self._check_session_owner(state, session_id)
-        self._touch_session(session_id)
-        with self._session_lock(session_id):
-            try:
-                result = call(*args)
-            except SessionNotFound:
-                # An unknown (or already-ended) session id must not leave a
-                # lock/last-used entry behind — stale clients would otherwise
-                # grow the tracking maps without bound.
-                self._forget_session(session_id)
-                raise
-            self._touch_session(session_id)
-        return result
+        if session_id is not None:
+            self._check_owner(state, session_id)
+        return getattr(self.runtime, method)(*args)
 
     def _step_sessions(
         self, state: ClientConnectionState, request: StepSessionsRequest
     ) -> StepSessionsReply:
         """Execute a batch of per-session steps concurrently, reply once.
 
-        Each sub-request is one :meth:`_call_in_session`, exactly like a
-        standalone ``step``, so the idle reaper can never end a session that
-        is mid-flight inside a batch. Failures are reported per session, not
-        raised. Per-session wall times (including lock wait) are measured
-        here and returned so the client can attribute load to each session
-        despite the single round trip.
+        Each sub-request is checked and run exactly like a standalone
+        ``step``, so it serialises on its session's lock and the idle reaper
+        can never end a session that is mid-flight inside a batch. Failures
+        are reported per session, not raised. Per-session wall times
+        (including lock wait) are measured here and returned so the client
+        can attribute load to each session despite the single round trip.
         """
         if not isinstance(request, StepSessionsRequest):
             raise ServiceError(
@@ -226,7 +192,8 @@ class ServiceServer(SocketRPCServer):
             started = time.monotonic()
             reply = error = None
             try:
-                reply = self._call_in_session(state, sub.session_id, self.runtime.step, sub)
+                self._check_owner(state, sub.session_id)
+                reply = self.runtime.step(sub)
             except BaseException as failure:  # noqa: BLE001 - reported per-result
                 error = _picklable_error(failure)
             return SessionStepResult(
@@ -254,9 +221,7 @@ class ServiceServer(SocketRPCServer):
             return args[0]
         return None
 
-    def _check_session_owner(
-        self, state: ClientConnectionState, session_id: int
-    ) -> None:
+    def _check_owner(self, state: ClientConnectionState, session_id: int) -> None:
         """Reject a session-scoped call from a tenant that does not own it.
 
         Unknown session ids pass through: they fail with the usual
@@ -264,38 +229,11 @@ class ServiceServer(SocketRPCServer):
         cross-tenant prober sees after its rightful owner ends a session —
         ownership does not outlive the session it protects.
         """
-        with self._lock:
-            if session_id not in self._session_owner:
-                return
-            owner = self._session_owner[session_id]
-        if owner != state.token:
+        entry = self.runtime.sessions.get(session_id)
+        if entry is not None and entry.owner != state.token:
             raise PermissionDeniedError(
                 f"Session {session_id} belongs to another tenant"
             )
-
-    def _session_lock(self, session_id: int) -> threading.Lock:
-        with self._lock:
-            return self._session_locks.setdefault(session_id, threading.Lock())
-
-    def _track_session(self, session_id: int, owner: Optional[str] = None) -> None:
-        with self._lock:
-            self._session_locks.setdefault(session_id, threading.Lock())
-            self._session_last_used[session_id] = time.monotonic()
-            self._session_owner[session_id] = owner
-
-    def _touch_session(self, session_id: int) -> None:
-        with self._lock:
-            # Refresh known sessions only; unknown ids are either about to
-            # raise SessionNotFound or races with the reaper — neither may
-            # (re)insert a tracking entry.
-            if session_id in self._session_last_used:
-                self._session_last_used[session_id] = time.monotonic()
-
-    def _forget_session(self, session_id: int) -> None:
-        with self._lock:
-            self._session_locks.pop(session_id, None)
-            self._session_last_used.pop(session_id, None)
-            self._session_owner.pop(session_id, None)
 
     # -- idle reaping ------------------------------------------------------
 
@@ -306,40 +244,15 @@ class ServiceServer(SocketRPCServer):
     def reap_idle_sessions(self) -> int:
         """End every session idle for longer than ``session_timeout``.
 
-        Returns the number of sessions reaped. Called periodically by the
-        reaper thread; callable directly (e.g. from tests or an operator
-        console).
+        Returns the number of sessions reaped. The runtime's
+        ``end_idle_sessions`` decides idleness under each session's own lock,
+        after any call in flight has finished, so a session is never reaped
+        mid-call. Called periodically by the reaper thread; callable directly
+        (e.g. from tests or an operator console).
         """
         if self.session_timeout is None:
             return 0
-        deadline = time.monotonic() - self.session_timeout
-        with self._lock:
-            idle = [
-                session_id
-                for session_id, last_used in self._session_last_used.items()
-                if last_used < deadline
-            ]
-        reaped = 0
-        for session_id in idle:
-            # Serialize with any in-flight call on the session; re-check the
-            # idle deadline under the lock so a just-touched session survives.
-            with self._session_lock(session_id):
-                with self._lock:
-                    last_used = self._session_last_used.get(session_id)
-                if last_used is None:
-                    # The session was ended between the idle snapshot and
-                    # now; _session_lock() re-created its lock entry above —
-                    # drop it or it leaks forever.
-                    self._forget_session(session_id)
-                    continue
-                if last_used >= deadline:
-                    continue
-                try:
-                    self.runtime.end_session(EndSessionRequest(session_id=session_id))
-                except (ServiceError, SessionNotFound):
-                    pass
-            self._forget_session(session_id)
-            reaped += 1
+        reaped = self.runtime.end_idle_sessions(self.session_timeout)
         if reaped:
             with self._lock:
                 self.reaped_sessions += reaped
@@ -351,7 +264,6 @@ class ServiceServer(SocketRPCServer):
     def server_info(self) -> dict:
         """Identity and occupancy snapshot, served as the ``server_info`` RPC."""
         with self._lock:
-            tracked = len(self._session_last_used)
             reaped = self.reaped_sessions
             connections = self.connections_served
             batched = self.batched_steps
@@ -364,7 +276,7 @@ class ServiceServer(SocketRPCServer):
             "protocol_version": WIRE_VERSION,
             "wire_versions": sorted(CODECS),
             "uptime_s": time.monotonic() - self.started_at,
-            "active_sessions": tracked,
+            "active_sessions": len(self.runtime.sessions),
             "reaped_sessions": reaped,
             "connections_served": connections,
             "batched_steps": batched,

@@ -31,7 +31,13 @@ from repro.core.service import (
     ServiceConnection,
 )
 from repro.core.service.chaos import FlushLimitedSocket
-from repro.core.service.proto import HelloReply, StartSessionRequest, StepRequest
+from repro.core.service.proto import (
+    EndSessionRequest,
+    ForkSessionRequest,
+    HelloReply,
+    StartSessionRequest,
+    StepRequest,
+)
 from repro.core.service.runtime.server import ServiceServer, SpawnedDaemon, make_env_server
 from repro.core.service.transport import (
     InProcessTransport,
@@ -52,6 +58,7 @@ from repro.core.vector import VecCompilerEnv, make_vec_env
 from repro.core.service.connection import CallStats
 from repro.core.wrappers import TimeLimit
 from repro.errors import (
+    PermissionDeniedError,
     ServiceError,
     ServiceIsClosed,
     ServiceTransportError,
@@ -332,6 +339,73 @@ class TestSlowSuccessIsNotRetried:
         connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         assert connection.stats["step"].errors == 0
         connection.close()
+
+
+class TestEndSessionRacesACall:
+    """The runtime's ``end_session`` while a slow step runs on the session,
+    with no daemon (and no daemon lock) around it: the end waits for the
+    step and closes the session after it, and a call that was waiting on the
+    session's lock finds the session gone."""
+
+    @pytest.fixture
+    def race(self, monkeypatch):
+        """Start a 3-action slow step, queue a second step behind it, end the
+        session meanwhile. Returns what each call did and what the end saw."""
+        _SlowStepSession.reset_tracking()
+        built, closed_mid_action = [], []
+        init = _SlowStepSession.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(_SlowStepSession, "__init__", tracked_init)
+        monkeypatch.setattr(
+            _SlowStepSession,
+            "close",
+            lambda self: closed_mid_action.append(_SlowStepSession.in_flight > 0),
+        )
+        runtime = _slow_runtime()
+        session_id = runtime.start_session(
+            StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+        ).session_id
+        outcomes = {}
+
+        def step(name, actions):
+            try:
+                outcomes[name] = runtime.step(StepRequest(session_id=session_id, actions=actions))
+            except Exception as error:  # noqa: BLE001 - asserted below
+                outcomes[name] = error
+
+        first = threading.Thread(target=step, args=("first", [1] * 3))
+        first.start()
+        deadline = time.monotonic() + 5
+        while _SlowStepSession.in_flight == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        second = threading.Thread(target=step, args=("second", [1]))
+        second.start()
+        time.sleep(0.05)  # The second step is waiting on the session's lock.
+        runtime.end_session(EndSessionRequest(session_id=session_id))
+        value_at_end = built[0].value
+        first.join(timeout=5)
+        second.join(timeout=5)
+        runtime.shutdown()
+        return outcomes, built, closed_mid_action, value_at_end
+
+    def test_end_session_waits_for_the_call_in_flight(self, race):
+        outcomes, built, closed_mid_action, value_at_end = race
+        assert not isinstance(outcomes["first"], Exception)
+        # end_session returned after all three actions of the step had run,
+        # and closed the session once, between actions.
+        assert value_at_end == 3
+        assert closed_mid_action == [False]
+
+    def test_a_call_waiting_on_an_ended_session_finds_it_gone(self, race):
+        outcomes, built, _, _ = race
+        assert isinstance(outcomes["second"], SessionNotFound)
+        # It built nothing and applied nothing.
+        assert len(built) == 1
+        assert built[0].value == 3
 
 
 def test_an_error_reply_to_hello_fails_the_connect():
@@ -697,15 +771,60 @@ class TestServiceServer:
             transport.shutdown()
 
     def test_unknown_session_leaves_no_tracking_entry(self):
-        """Calls against ended/unknown sessions must not grow the daemon's
-        session-tracking maps (they would leak forever with reaping off)."""
+        """Calls against ended/unknown sessions must not grow the session
+        table (an entry would leak forever with reaping off)."""
         with self._server() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 for bogus_id in (7, 8, 9):
                     with pytest.raises(SessionNotFound):
                         connection.step(StepRequest(session_id=bogus_id, actions=[1]))
+                    with pytest.raises(SessionNotFound):
+                        connection.fork_session(ForkSessionRequest(session_id=bogus_id))
+                    with pytest.raises(SessionNotFound):
+                        connection.handle_session_parameter(bogus_id, "k", "v")
+                    connection.end_session(EndSessionRequest(session_id=bogus_id))
+                (result,) = connection.step_sessions([StepRequest(session_id=10, actions=[1])])
+                assert isinstance(result.error, SessionNotFound)
                 assert server.server_info()["active_sessions"] == 0
-                assert not server._session_locks
+                assert not server.runtime.sessions
+
+    def test_another_tenant_cannot_touch_a_session_or_its_fork(self):
+        with self._server(auth_tokens=["alice", "bob"]) as server:
+            alice = ServiceConnection(SocketTransport(server.url, auth_token="alice"))
+            bob = ServiceConnection(SocketTransport(server.url, auth_token="bob"))
+            try:
+                session = alice.start_session(
+                    StartSessionRequest(benchmark_uri="benchmark://t-v0/3")
+                )
+                fork = alice.fork_session(ForkSessionRequest(session_id=session.session_id))
+                for session_id in (session.session_id, fork.session_id):
+                    calls = [
+                        lambda: bob.step(StepRequest(session_id=session_id, actions=[1])),
+                        lambda: bob.fork_session(ForkSessionRequest(session_id=session_id)),
+                        lambda: bob.end_session(EndSessionRequest(session_id=session_id)),
+                        lambda: bob.handle_session_parameter(session_id, "k", "v"),
+                    ]
+                    for call in calls:
+                        with pytest.raises(PermissionDeniedError, match="another tenant"):
+                            call()
+                    (result,) = bob.step_sessions(
+                        [StepRequest(session_id=session_id, actions=[1])]
+                    )
+                    assert isinstance(result.error, PermissionDeniedError)
+                    assert "another tenant" in str(result.error)
+                assert sorted(server.runtime.sessions) == [session.session_id, fork.session_id]
+                for session_id in (session.session_id, fork.session_id):
+                    reply = alice.step(
+                        StepRequest(
+                            session_id=session_id,
+                            actions=[],
+                            observation_space_names=["value"],
+                        )
+                    )
+                    assert reply.observations[0].value() == 3
+            finally:
+                alice.close()
+                bob.close()
 
     def test_request_shutdown_is_lock_free_and_stops_serving(self):
         """The signal-handler path: request_shutdown() under a held server
@@ -813,7 +932,7 @@ class TestBatchedStepSessions:
                 )
                 assert alone.ok and alone.unwrap().observations[0].value() == 2
 
-    def test_batched_sub_steps_overlap_under_session_locks(self):
+    def test_batched_sub_steps_of_distinct_sessions_overlap(self):
         _SlowStepSession.reset_tracking()
         with ServiceServer(_slow_runtime(), session_timeout=None).start() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:

@@ -394,10 +394,6 @@ class ChaosTransport(ServiceTransport):
     def runtime(self):
         return self.inner.runtime
 
-    @property
-    def supports_step_sessions(self) -> bool:
-        return bool(getattr(self.inner, "supports_step_sessions", False))
-
     def __repr__(self) -> str:
         return (
             f"ChaosTransport({self.inner!r}, calls={self.calls}, "

@@ -31,6 +31,11 @@ from repro.core.service.proto import (
 from repro.core.service.transport import ServiceTransport
 from repro.errors import ServiceError, ServiceIsClosed, ServiceTransportError, SessionNotFound
 
+# How many times a connection tries to reach its service at start-up.
+_CONNECT_MAX_ATTEMPTS = 5
+# Each retry waits this many times longer than the one before it.
+_RETRY_BACKOFF = 1.5
+
 
 @dataclass
 class ConnectionOpts:
@@ -39,14 +44,6 @@ class ConnectionOpts:
     rpc_call_max_seconds: float = 300.0
     rpc_max_retries: int = 5
     retry_wait_seconds: float = 0.01
-    retry_wait_backoff_exponent: float = 1.5
-    # Full-jitter backoff: each retry sleeps uniform(0, wait) instead of the
-    # deterministic wait. Without this, N pool workers that lose the same
-    # daemon retry in lockstep and stampede its replacement; with it their
-    # retry schedules decorrelate. Disable only when a test needs exact
-    # deterministic sleep lengths.
-    retry_wait_jitter: bool = True
-    init_max_attempts: int = 5
 
 
 @dataclass
@@ -101,7 +98,7 @@ class ServiceConnection:
         # to tear down and recreate the transport's channel.
         self._restart_lock = threading.Lock()
         start = time.perf_counter()
-        self._transport.connect(max_attempts=self.opts.init_max_attempts)
+        self._transport.connect(max_attempts=_CONNECT_MAX_ATTEMPTS)
         self.startup_wall_time = time.perf_counter() - start
         try:
             self.spaces: GetSpacesReply = self._call("get_spaces")
@@ -175,12 +172,10 @@ class ServiceConnection:
                     with self._lock:
                         stats.retries += 1
                     # Full jitter (sleep uniform(0, wait), not wait itself):
-                    # connections that fail together must not retry together.
-                    if self.opts.retry_wait_jitter:
-                        time.sleep(random.uniform(0.0, wait))
-                    else:
-                        time.sleep(wait)
-                    wait *= self.opts.retry_wait_backoff_exponent
+                    # N pool workers that lose the same daemon must not retry
+                    # in lockstep and stampede its replacement.
+                    time.sleep(random.uniform(0.0, wait))
+                    wait *= _RETRY_BACKOFF
                     self.restart()
                 continue
             # The call SUCCEEDED: its effects are applied on the backend, so
@@ -215,13 +210,8 @@ class ServiceConnection:
     def step(self, request: StepRequest):
         return self._call("step", request)
 
-    @property
-    def supports_step_sessions(self) -> bool:
-        """Whether the transport can batch many session steps into one RPC."""
-        return bool(getattr(self._transport, "supports_step_sessions", False))
-
     def step_sessions(self, requests: List[StepRequest]) -> List[SessionStepResult]:
-        """Step many sessions in one round trip (daemon transports only).
+        """Step many sessions in one call, over any transport.
 
         Returns one :class:`SessionStepResult` per request, in request order.
         Per-session failures are *reported*, not raised — only a failure of

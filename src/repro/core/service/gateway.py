@@ -240,7 +240,6 @@ class ServiceGateway(SocketRPCServer):
                 rpc_call_max_seconds=self.daemon_timeout,
                 rpc_max_retries=2,
                 retry_wait_seconds=0.05,
-                init_max_attempts=5,
             ),
         )
 

@@ -121,11 +121,12 @@ class StepReply:
 @wire_message
 @dataclass
 class StepSessionsRequest:
-    """Batch of independent per-session step requests, applied in one RPC.
+    """Batch of independent per-session step requests, applied in one call.
 
-    The daemon executes the sub-requests concurrently (each under its own
-    session lock) and replies once with every outcome, collapsing a
-    vectorized pool's whole step into a single round trip.
+    The runtime steps the sub-requests in request order on the thread that
+    received the batch, each under its own session lock and tenant check,
+    and replies once with every outcome: a vectorized pool's whole step is a
+    single call, and over a socket a single round trip.
     """
 
     requests: List[StepRequest] = field(default_factory=list)
@@ -136,10 +137,10 @@ class StepSessionsRequest:
 class SessionStepResult:
     """Outcome of one sub-request of a :class:`StepSessionsRequest`.
 
-    ``wall_time_s`` is the daemon-measured service time of this sub-step
+    ``wall_time_s`` is the runtime-measured service time of this sub-step
     (including any wait on the session lock), letting the client attribute
     per-session latency to its call accounting even though the batch
-    traveled as one RPC.
+    traveled as one call.
     """
 
     session_id: int

@@ -10,6 +10,13 @@ cache is configured, so a session is built only when something needs its
 state and a fork borrows its parent's state for as long as that will do. The
 optional :class:`ResultCache` is a memo consulted beside the table: at reset
 for observations, and before and after a step.
+
+Every transport reaches the same methods, so what they decide holds for an
+in-process caller and a daemon's clients alike. A session-scoped call names
+its tenant (``owner``, ``None`` for in-process and anonymous callers) and is
+refused on another tenant's session. ``step_sessions`` steps a batch of
+sessions, one after another on the calling thread, and reports each slot's
+outcome in the reply: one failing session never fails its siblings.
 """
 
 import os
@@ -31,14 +38,17 @@ from repro.core.service.proto import (
     ForkSessionRequest,
     GetSpacesReply,
     ObservationSpaceMessage,
+    SessionStepResult,
     StartSessionReply,
     StartSessionRequest,
     StepReply,
     StepRequest,
+    StepSessionsReply,
+    StepSessionsRequest,
 )
 from repro.core.service.runtime.benchmark_cache import BenchmarkCache
 from repro.core.service.runtime.result_cache import ResultCache
-from repro.errors import ServiceError, SessionNotFound
+from repro.errors import PermissionDeniedError, ServiceError, SessionNotFound
 
 
 def _copy_value(value):
@@ -82,8 +92,10 @@ class _Session:
 
     ``owner`` is the tenant the session belongs to (a daemon client's auth
     token, inherited by forks; ``None`` for anonymous and in-process
-    callers), and ``last_used`` the ``time.monotonic()`` at which the
-    session's last call finished, which is what an idle reaper reads.
+    callers). Every call that looks the entry up names its tenant, and a
+    call from another tenant is refused there. ``last_used`` is the
+    ``time.monotonic()`` at which the session's last call finished, which is
+    what an idle reaper reads.
     """
 
     __slots__ = ("session", "uri", "action_space", "prefix", "pure", "lock", "donor", "lazy_fork",
@@ -211,10 +223,18 @@ class CompilerGymServiceRuntime:
             self.benchmark_cache[uri] = benchmark
         return benchmark
 
-    def _entry(self, session_id: int) -> _Session:
+    def _entry(self, session_id: int, owner) -> _Session:
+        """The session's entry, if ``owner`` is its tenant.
+
+        An unknown id is :class:`SessionNotFound`, which is also what another
+        tenant sees once the owner has ended the session: ownership does not
+        outlive the session it protects.
+        """
         entry = self.sessions.get(session_id)
         if entry is None:
             raise SessionNotFound(f"Session not found: {session_id}")
+        if entry.owner != owner:
+            raise PermissionDeniedError(f"Session {session_id} belongs to another tenant")
         return entry
 
     def _add(self, entry: _Session) -> int:
@@ -350,11 +370,11 @@ class CompilerGymServiceRuntime:
             observations=observations,
         )
 
-    def step(self, request: StepRequest) -> StepReply:
+    def step(self, request: StepRequest, owner=None) -> StepReply:
         self.stats["step"] += 1
-        entry = self._entry(request.session_id)
+        entry = self._entry(request.session_id, owner)
         with entry.lock:
-            self._entry(request.session_id)  # Not ended while this call waited.
+            self._entry(request.session_id, owner)  # Not ended while this call waited.
             try:
                 return self._step(entry, request)
             finally:
@@ -420,16 +440,43 @@ class CompilerGymServiceRuntime:
             )
         return reply
 
-    def fork_session(self, request: ForkSessionRequest) -> ForkSessionReply:
+    def step_sessions(self, request: StepSessionsRequest, owner=None) -> StepSessionsReply:
+        """Step each sub-request's session, in request order, on this thread.
+
+        Each slot is a :meth:`step` of its own: it serialises on its session's
+        lock and is checked against ``owner``. A slot's failure is reported in
+        its :class:`SessionStepResult`, never raised, and so is its wall time,
+        lock wait included, which lets a client account each session's load
+        although the batch travelled as one call.
+        """
+        if not isinstance(request, StepSessionsRequest):
+            raise ServiceError(
+                f"step_sessions expects a StepSessionsRequest, got {type(request).__name__}"
+            )
+        results = []
+        for sub in request.requests:
+            started = time.monotonic()
+            reply = error = None
+            try:
+                reply = self.step(sub, owner=owner)
+            except Exception as failure:  # noqa: BLE001 - reported in its slot
+                error = failure
+            results.append(SessionStepResult(
+                session_id=sub.session_id, reply=reply, error=error,
+                wall_time_s=time.monotonic() - started,
+            ))
+        return StepSessionsReply(results=results)
+
+    def fork_session(self, request: ForkSessionRequest, owner=None) -> ForkSessionReply:
         self.stats["fork_session"] += 1
-        parent = self._entry(request.session_id)
+        parent = self._entry(request.session_id, owner)
         # A fork is of a current parent: an unbuilt parent is built here,
         # once. Where the backend can, the fork of a pure parent starts
         # unbuilt at the parent's prefix (so it inherits every warm cache
         # entry along it) and borrows the parent's state for as long as that
         # will do; any other fork is a copy made now.
         with parent.lock:
-            self._entry(request.session_id)
+            self._entry(request.session_id, owner)
             try:
                 session = self._built_session(parent)
                 child = _Session(
@@ -444,8 +491,11 @@ class CompilerGymServiceRuntime:
                 parent.last_used = time.monotonic()
         return ForkSessionReply(session_id=self._add(child))
 
-    def end_session(self, request: EndSessionRequest) -> EndSessionReply:
+    def end_session(self, request: EndSessionRequest, owner=None) -> EndSessionReply:
         self.stats["end_session"] += 1
+        # Ending an unknown session is a no-op; ending another tenant's is not.
+        if request.session_id in self.sessions:
+            self._entry(request.session_id, owner)
         # Out of the table at once, so a call already waiting on the entry's
         # lock finds the session ended; closed under the lock, so never in
         # the middle of a call.
@@ -483,10 +533,12 @@ class CompilerGymServiceRuntime:
         if entry.session is not None:
             entry.session.close()
 
-    def handle_session_parameter(self, session_id: int, key: str, value: str) -> Optional[str]:
-        entry = self._entry(session_id)
+    def handle_session_parameter(
+        self, session_id: int, key: str, value: str, owner=None
+    ) -> Optional[str]:
+        entry = self._entry(session_id, owner)
         with entry.lock:
-            self._entry(session_id)
+            self._entry(session_id, owner)
             try:
                 session = self._built_session(entry)
                 # Parameters may read or mutate backend state (e.g. baseline

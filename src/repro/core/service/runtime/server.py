@@ -27,12 +27,13 @@ Robustness properties:
   seconds are ended in the background, so leaked sessions from crashed
   clients cannot accumulate forever. A session with a call in flight is
   never reaped.
-* **Session ownership** — every session is stamped with the auth token of
-  the connection that created it (a fork with its parent's); a
-  session-scoped call from a different tenant is rejected with
-  :class:`~repro.errors.PermissionDeniedError`.
-  Anonymous connections (no token) share one anonymous tenant, preserving
-  the pre-auth behaviour of trusted single-tenant deployments.
+* **Session ownership** — every call passes the runtime the auth token of
+  the connection it came on, as ``owner``. A session belongs to the token
+  that created it (a fork to its parent's), and the runtime rejects a
+  session-scoped call from a different tenant with
+  :class:`~repro.errors.PermissionDeniedError`; the daemon checks nothing
+  itself. Anonymous connections (no token) share one anonymous tenant,
+  preserving the pre-auth behaviour of trusted single-tenant deployments.
 * **Graceful shutdown** — ``shutdown()`` (or SIGINT/SIGTERM under ``repro
   serve``) stops accepting, unblocks every handler, closes all sessions and
   the runtime, and joins all threads.
@@ -57,41 +58,20 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from repro.core.service.proto import (
-    SessionStepResult,
-    StepSessionsReply,
-    StepSessionsRequest,
-)
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
 from repro.core.service.wire import CODECS, WIRE_VERSION
-from repro.errors import PermissionDeniedError, ServiceError
+from repro.errors import ServiceError
 
 logger = logging.getLogger(__name__)
 
-
-def _picklable_error(error: BaseException) -> BaseException:
-    """Degrade an unpicklable exception to a :class:`ServiceError` so one
-    exotic per-session failure cannot poison a whole batched reply frame."""
-    import pickle
-
-    try:
-        pickle.dumps(error)
-        return error
-    except Exception:  # noqa: BLE001 - degrade, don't die
-        return ServiceError(f"{type(error).__name__}: {error}")
-
-# RPC methods a client may invoke on the runtime, and where in their argument
-# list the session id lives (for the owner check).
-# Everything else is rejected — the wire protocol must not become a generic
-# remote getattr. (``hello`` is handled by the base server, not listed here.)
-_SESSION_ID_FROM_REQUEST = ("step", "fork_session", "end_session")
+# RPC methods a client may invoke on the runtime. Everything else is
+# rejected — the wire protocol must not become a generic remote getattr.
+# (``hello`` is handled by the base server, not listed here.)
 _ALLOWED_METHODS = frozenset(
-    {"get_spaces", "start_session", "handle_session_parameter", "server_info",
-     "step_sessions"}
-    | set(_SESSION_ID_FROM_REQUEST)
+    {"get_spaces", "start_session", "step", "step_sessions", "fork_session",
+     "end_session", "handle_session_parameter", "server_info"}
 )
 
 
@@ -135,14 +115,6 @@ class ServiceServer(SocketRPCServer):
         self.owned_resources = []
 
         self._reaper_thread: Optional[threading.Thread] = None
-        # The *sub-steps* of a step_sessions batch run on a separate pool
-        # from the base server's dispatch pool: a batch the dispatch pool
-        # runs blocks waiting for its sub-steps, and tasks must never wait
-        # on their own executor.
-        self._batch_executor = ThreadPoolExecutor(
-            max_workers=max(4, (os.cpu_count() or 4)),
-            thread_name_prefix="repro-serve-batch",
-        )
 
         super().__init__(host=host, port=port, unix_path=unix_path, auth_tokens=auth_tokens)
 
@@ -159,81 +131,14 @@ class ServiceServer(SocketRPCServer):
             raise ServiceError(f"Unknown service method: {method!r}")
         if method == "server_info":
             return self.server_info()
+        if method == "get_spaces":
+            return self.runtime.get_spaces(*args)
         if method == "step_sessions":
-            return self._step_sessions(state, *args)
-        if method == "start_session":
-            return self.runtime.start_session(*args, owner=state.token)
-        session_id = self._session_id_of(method, args)
-        if session_id is not None:
-            self._check_owner(state, session_id)
-        return getattr(self.runtime, method)(*args)
-
-    def _step_sessions(
-        self, state: ClientConnectionState, request: StepSessionsRequest
-    ) -> StepSessionsReply:
-        """Execute a batch of per-session steps concurrently, reply once.
-
-        Each sub-request is checked and run exactly like a standalone
-        ``step``, so it serialises on its session's lock and the idle reaper
-        can never end a session that is mid-flight inside a batch. Failures
-        are reported per session, not raised. Per-session wall times
-        (including lock wait) are measured here and returned so the client
-        can attribute load to each session despite the single round trip.
-        """
-        if not isinstance(request, StepSessionsRequest):
-            raise ServiceError(
-                f"step_sessions expects a StepSessionsRequest, got "
-                f"{type(request).__name__}"
-            )
-        with self._lock:
-            self.batched_steps += 1
-
-        def step_one(sub) -> SessionStepResult:
-            started = time.monotonic()
-            reply = error = None
-            try:
-                self._check_owner(state, sub.session_id)
-                reply = self.runtime.step(sub)
-            except BaseException as failure:  # noqa: BLE001 - reported per-result
-                error = _picklable_error(failure)
-            return SessionStepResult(
-                session_id=sub.session_id,
-                reply=reply,
-                error=error,
-                wall_time_s=time.monotonic() - started,
-            )
-
-        # All but the last sub-step run on the dedicated batch pool (never on
-        # the dispatch pool this batch RPC may itself occupy); the last runs
-        # here, so a batch of one — every single step a gateway forwards —
-        # pays no executor handoff. Two sub-requests naming the same session
-        # serialize on its lock like any other concurrent pair.
-        subs = request.requests
-        futures = [self._batch_executor.submit(step_one, sub) for sub in subs[:-1]]
-        last = [step_one(sub) for sub in subs[-1:]]
-        return StepSessionsReply(results=[future.result() for future in futures] + last)
-
-    @staticmethod
-    def _session_id_of(method: str, args) -> Optional[int]:
-        if method in _SESSION_ID_FROM_REQUEST and args:
-            return args[0].session_id
-        if method == "handle_session_parameter" and args:
-            return args[0]
-        return None
-
-    def _check_owner(self, state: ClientConnectionState, session_id: int) -> None:
-        """Reject a session-scoped call from a tenant that does not own it.
-
-        Unknown session ids pass through: they fail with the usual
-        :class:`SessionNotFound` from the runtime, which is also what a
-        cross-tenant prober sees after its rightful owner ends a session —
-        ownership does not outlive the session it protects.
-        """
-        entry = self.runtime.sessions.get(session_id)
-        if entry is not None and entry.owner != state.token:
-            raise PermissionDeniedError(
-                f"Session {session_id} belongs to another tenant"
-            )
+            with self._lock:
+                self.batched_steps += 1
+        # By keyword: every runtime method takes ``owner`` after its own
+        # arguments, and the runtime checks it against the session's tenant.
+        return getattr(self.runtime, method)(*args, owner=state.token)
 
     # -- idle reaping ------------------------------------------------------
 
@@ -296,11 +201,6 @@ class ServiceServer(SocketRPCServer):
         """Stop accepting, drop every client, close all sessions. Idempotent."""
         if not self._begin_shutdown():
             return
-        # Handlers have drained their in-flight requests; retire the dispatch
-        # pools (batch first: dispatch tasks wait on batch tasks, not vice
-        # versa, so this order cannot deadlock either way — it just reads in
-        # dependency order).
-        self._batch_executor.shutdown(wait=True)
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=self.reap_interval + 5)
         self._finish_shutdown()

@@ -440,9 +440,6 @@ class SocketTransport(ServiceTransport):
     """
 
     name = "socket"
-    # The daemon understands the step_sessions batch RPC (vec pools use this
-    # to collapse a whole pool step into one round trip).
-    supports_step_sessions = True
     # The daemon may still be binding when the first client arrives; back
     # off briefly between connect attempts.
     _connect_backoff_s = 0.05

@@ -184,10 +184,12 @@ class TypedPickleCodec(Codec):
 
     The message graph is lowered to a primitive structure — primitives raw,
     containers tagged, registered dataclasses as ``("M", tag, field-dict)``,
-    anything else as a tagged opaque pickle — and that structure is then
-    serialized. Decoding validates every message tag against the registry
-    and drops unknown field names, giving one version of schema skew for
-    free (new fields fall back to the dataclass defaults on an old peer).
+    anything else as a tagged opaque pickle, except an exception that will
+    not pickle, which is lowered as ``ServiceError("<Type>: <message>")`` —
+    and that structure is then serialized. Decoding validates every message
+    tag against the registry and drops unknown field names, giving one
+    version of schema skew for free (new fields fall back to the dataclass
+    defaults on an old peer).
     """
 
     version = 2
@@ -226,7 +228,15 @@ class TypedPickleCodec(Codec):
         # Everything else — numpy arrays, spaces, exceptions — travels as an
         # explicitly-tagged opaque pickle: the escape hatch is visible on the
         # wire instead of being the whole format.
-        return (_TAG_OPAQUE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        try:
+            return (_TAG_OPAQUE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:  # noqa: BLE001 - __reduce__ may raise anything
+            if not isinstance(value, BaseException):
+                raise
+            # An exception that will not pickle (one holding a lambda, say)
+            # still says what went wrong, and fails only its own slot of a
+            # batched reply instead of the whole frame.
+            return self._lower(ServiceError(f"{type(value).__name__}: {value}"))
 
     def _raise_(self, value: Any) -> Any:
         if isinstance(value, _PRIMITIVES):

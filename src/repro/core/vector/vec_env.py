@@ -10,11 +10,12 @@ shared by every worker — the cheap session cloning that the source paper's
 environments-as-a-service architecture is built around. The pool keeps the
 workers it was built with until it is closed.
 
-Unwrapped workers that share one daemon or gateway connection step as one
-``step_sessions`` round trip. Otherwise the pool steps its workers one by one,
-in a loop (``"serial"``) or on a thread pool of its own (``"thread"``). For
-several cores or crash isolation per worker, point ``service_url`` at a
-``repro-compilergym gateway --daemons N`` fleet.
+A pool of unwrapped workers steps as one ``step_sessions`` call on the
+connection they share, in-process or over a socket. A pool with a wrapped
+worker steps its workers one by one, in a loop (``"serial"``) or on a thread
+pool of its own (``"thread"``). For several cores or crash isolation per
+worker, point ``service_url`` at a ``repro-compilergym gateway --daemons N``
+fleet.
 """
 
 import logging
@@ -256,11 +257,11 @@ class VecCompilerEnv:
         holds the new episode's initial observation and the terminal
         observation is preserved in ``info["terminal_observation"]``.
 
-        When every stepped worker shares one daemon connection that supports
-        the batched-step RPC, the whole pool step travels as a single
-        ``step_sessions`` round trip and the daemon executes the per-session
-        steps concurrently; otherwise each worker's step is its own service
-        call, run in a loop or on the pool's thread pool.
+        When no stepped worker is wrapped, the whole pool step is a single
+        ``step_sessions`` call, which the runtime answers slot by slot: one
+        worker's failure ends only its own episode. Otherwise each worker's
+        step is its own service call, run in a loop or on the pool's thread
+        pool.
         """
         self._check_open("multistep")
         self._check_batch("action_lists", action_lists)
@@ -309,13 +310,12 @@ class VecCompilerEnv:
         observation_spaces: Optional[List[Any]],
         reward_spaces: Optional[List[Any]],
     ) -> Optional[List[Tuple[Any, Any, bool, dict]]]:
-        """The whole pool step as one ``step_sessions`` RPC.
+        """The whole pool step as one ``step_sessions`` call.
 
-        Returns ``None`` when the pool does not qualify — fewer than two
-        actionable workers, a worker whose ``multistep`` is wrapped or
-        overridden, workers on different (or batching-unaware) connections,
-        or a worker outside an episode (the per-worker path owns that error)
-        — in which case the caller falls back to :meth:`_fanout_multistep`.
+        Returns ``None`` when the pool does not qualify — no worker to step,
+        a worker whose ``multistep`` is wrapped or overridden, or a worker
+        outside an episode (the per-worker path owns that error) — in which
+        case the caller falls back to :meth:`_fanout_multistep`.
         """
         from repro.core.env import CompilerEnv
 
@@ -324,9 +324,8 @@ class VecCompilerEnv:
             for index, (worker, actions) in enumerate(zip(self.workers, action_lists))
             if actions is not None
         ]
-        if len(actionable) < 2:
+        if not actionable:
             return None
-        connection = None
         for _, worker, _ in actionable:
             # An exact-method check: any wrapper/override (TimeLimit, test
             # doubles) opts the pool out of batching, because only the
@@ -336,13 +335,8 @@ class VecCompilerEnv:
                 return None
             if not worker.in_episode:
                 return None
-            service = getattr(worker, "service", None)
-            if connection is None:
-                connection = service
-            elif service is not connection:
-                return None
-        if connection is None or not getattr(connection, "supports_step_sessions", False):
-            return None
+        # Every worker is a fork of the root and shares its connection.
+        connection = self.workers[0].service
 
         prepared = []
         requests = []

@@ -499,11 +499,9 @@ class _AlwaysFailingTransport(ServiceTransport):
 
 class TestRetryJitterDesync:
     """Regression: pool workers that lose the same daemon must not retry in
-    lockstep. With jitter on (the default), each retry sleeps
-    uniform(0, wait); with it off, exactly wait (for tests needing
-    deterministic schedules)."""
+    lockstep. Each retry sleeps uniform(0, wait), never wait itself."""
 
-    def _failing_connection(self, monkeypatch, **opts):
+    def _failing_connection(self, monkeypatch):
         sleeps, uniforms = [], []
         import repro.core.service.connection as connection_module
 
@@ -519,34 +517,19 @@ class TestRetryJitterDesync:
         monkeypatch.setattr(connection_module.random, "uniform", recording_uniform)
         connection = ServiceConnection(
             _AlwaysFailingTransport(),
-            ConnectionOpts(
-                rpc_max_retries=3,
-                retry_wait_seconds=0.5,
-                retry_wait_backoff_exponent=2.0,
-                **opts,
-            ),
+            ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.5),
         )
         return connection, sleeps, uniforms
 
     def test_jitter_on_by_default_sleeps_uniform(self, monkeypatch):
         connection, sleeps, uniforms = self._failing_connection(monkeypatch)
-        assert connection.opts.retry_wait_jitter is True
         with pytest.raises(ServiceError, match="failed after 3 attempts"):
             connection._call("step")
         # Two retries: draws from uniform(0, wait) with backed-off waits,
         # never the deterministic wait itself.
-        assert uniforms == [(0.0, 0.5), (0.0, 1.0)]
+        assert uniforms == [(0.0, 0.5), (0.0, 0.75)]
         assert len(sleeps) == 2
         assert all(0.0 <= s <= high for s, (_, high) in zip(sleeps, uniforms))
-
-    def test_jitter_off_sleeps_exact_backoff(self, monkeypatch):
-        connection, sleeps, uniforms = self._failing_connection(
-            monkeypatch, retry_wait_jitter=False
-        )
-        with pytest.raises(ServiceError, match="failed after 3 attempts"):
-            connection._call("step")
-        assert uniforms == []
-        assert sleeps == [0.5, 1.0]
 
 
 # -- heartbeat-driven failover (acceptance) -----------------------------------

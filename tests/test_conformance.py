@@ -130,9 +130,9 @@ def _assert_pool_of_two_equals_two_envs(vec):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "worker_wrapper",
-    # A wrapped worker is stepped on its own, so over a socket this is the
-    # per-worker path rather than one step_sessions batch. The episodes never
-    # reach the budget.
+    # A wrapped worker is stepped on its own, so in every deployment this is
+    # the per-worker path rather than one step_sessions batch. The episodes
+    # never reach the budget.
     [None, functools.partial(TimeLimit, max_episode_steps=100)],
     ids=["unwrapped", "time-limit"],
 )

@@ -140,6 +140,23 @@ class _SlowStepSession(_CounterSession):
             cls.max_in_flight = 0
 
 
+class _UnpicklableError(Exception):
+    """An exception that will not pickle: it holds a lambda."""
+
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+class _UnpicklableErrorSession(_CounterSession):
+    """A counter session whose action 2 raises an :class:`_UnpicklableError`."""
+
+    def apply_action(self, action):
+        if int(action) == 2:
+            raise _UnpicklableError()
+        return super().apply_action(action)
+
+
 def _slow_runtime() -> CompilerGymServiceRuntime:
     # Result cache off: these runtimes back the concurrency tests, which
     # assert on apply_action actually executing (sleeping, tracking
@@ -881,8 +898,8 @@ class TestServiceServer:
 
 
 class TestBatchedStepSessions:
-    """The daemon-side batched stepping RPC: a vec pool's whole step in one
-    round trip, concurrent under per-session locks, reaper-safe, and with
+    """The batched stepping RPC: a vec pool's whole step in one round trip,
+    stepped in request order under per-session locks, reaper-safe, and with
     per-session accounting."""
 
     def _server(self, **kwargs) -> ServiceServer:
@@ -892,7 +909,6 @@ class TestBatchedStepSessions:
     def test_batch_matches_individual_steps(self):
         with self._server() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
-                assert connection.supports_step_sessions
                 sessions = [
                     connection.start_session(
                         StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
@@ -918,9 +934,7 @@ class TestBatchedStepSessions:
                 assert [r.reply.observations[0].value() for r in results] == [1, 3, 5]
                 assert server.batched_steps == 1
                 assert server.server_info()["batched_steps"] == 1
-                # A batch of one — every single step a gateway forwards — is
-                # stepped on the dispatch thread: it needs no batch executor.
-                server._batch_executor.shutdown()
+                # A batch of one is every single step a gateway forwards.
                 (alone,) = connection.step_sessions(
                     [
                         StepRequest(
@@ -932,15 +946,23 @@ class TestBatchedStepSessions:
                 )
                 assert alone.ok and alone.unwrap().observations[0].value() == 2
 
-    def test_batched_sub_steps_of_distinct_sessions_overlap(self):
+    def test_batched_sub_steps_run_in_request_order_on_the_serving_thread(self, monkeypatch):
         _SlowStepSession.reset_tracking()
+        stepped = []
+        apply_action = _SlowStepSession.apply_action
+
+        def recording_apply_action(session, action):
+            stepped.append((session.value, threading.current_thread().name))
+            return apply_action(session, action)
+
+        monkeypatch.setattr(_SlowStepSession, "apply_action", recording_apply_action)
         with ServiceServer(_slow_runtime(), session_timeout=None).start() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{start}")
                     )
-                    for _ in range(3)
+                    for start in (30, 10, 20)
                 ]
                 results = connection.step_sessions(
                     [
@@ -949,8 +971,10 @@ class TestBatchedStepSessions:
                     ]
                 )
                 assert all(r.ok for r in results)
-                # Distinct sessions stepped concurrently inside the batch.
-                assert _SlowStepSession.max_in_flight >= 2
+                # One sub-step at a time, in request order, all on one thread.
+                assert _SlowStepSession.max_in_flight == 1
+                assert [value for value, _ in stepped] == [30, 10, 20]
+                assert len({thread for _, thread in stepped}) == 1
 
     def test_per_session_failure_is_reported_not_raised(self):
         with self._server() as server:
@@ -970,6 +994,36 @@ class TestBatchedStepSessions:
                 # The bogus id left no tracking entry behind; the live
                 # session is untouched.
                 assert server.server_info()["active_sessions"] == 1
+
+    def test_an_unpicklable_slot_error_fails_only_its_slot(self):
+        """The codec lowers an exception that will not pickle as a
+        ServiceError naming its type, so the batch's other slots still
+        return their replies."""
+        runtime = CompilerGymServiceRuntime(
+            session_type=_UnpicklableErrorSession, benchmark_resolver=_resolver
+        )
+        with ServiceServer(runtime, session_timeout=None).start() as server:
+            with ServiceConnection(SocketTransport(server.url)) as connection:
+                sessions = [
+                    connection.start_session(
+                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                    )
+                    for i in range(3)
+                ]
+                results = connection.step_sessions(
+                    [
+                        StepRequest(
+                            session_id=session.session_id,
+                            actions=[action],
+                            observation_space_names=["value"],
+                        )
+                        for session, action in zip(sessions, [1, 2, 1])
+                    ]
+                )
+                assert [r.ok for r in results] == [True, False, True]
+                assert [results[i].reply.observations[0].value() for i in (0, 2)] == [1, 3]
+                assert type(results[1].error) is ServiceError
+                assert str(results[1].error) == "_UnpicklableError: holds a lambda"
 
     def test_daemon_side_exception_reads_the_same_alone_and_pooled(self, llvm_daemon):
         """A generic exception inside the daemon (an out-of-range action's

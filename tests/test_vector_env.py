@@ -237,6 +237,24 @@ class TestBatchedApi:
             _, rewards, dones, _ = vec.step([0])
             assert rewards[0] is not None and dones == [False]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_workers_bad_action_ends_only_its_own_episode(self, backend):
+        """An in-process pool steps as one batch, so a generic exception in
+        one worker's step is reported in its own slot: the runtime is not
+        restarted under the sibling, which keeps stepping."""
+        with VecCompilerEnv(_make_root(), n=2, backend=backend) as vec:
+            vec.reset()
+            _, _, dones, infos = vec.step([10_000, 3])
+            assert dones == [True, False]
+            assert "Action out of range: 10000" in infos[0]["error_details"]
+            assert "error_details" not in infos[1]
+            _, rewards, dones, infos = vec.step([None, 4])
+            assert dones[1] is False and rewards[1] is not None
+            assert "error_details" not in infos[1]
+            assert vec[1].actions == [3, 4]
+            assert vec.workers[0].service.restart_count == 0
+            assert vec.connection_stats()["step_sessions"]["calls"] == 2
+
     def test_episode_rewards(self, vec_env):
         vec_env.reset()
         vec_env.multistep([[0, 1], [2], [], [3, 4, 5]])

@@ -90,7 +90,8 @@ class LazyFork:
         forked in and that nobody else touches it meanwhile. Actions applied
         and observations computed inside see the state the fork would be in;
         on exit, however the block ends, the parent is back exactly where it
-        was, caches included.
+        was. Its caches may keep what the block computed about state the
+        parent still has, and nothing else.
         """
         raise NotImplementedError
 

@@ -124,11 +124,9 @@ class ServiceConnection:
     def restart(self) -> None:
         """Tear down and re-establish the backend channel (crash recovery).
 
-        For the in-process transport, restarting destroys every session on
-        the runtime; concurrent calls on sibling sessions will observe
-        ``SessionNotFound`` and terminate their episodes through the
-        environment's fault-tolerance path. For the socket transport only the
-        connection is recreated — the daemon and its sessions live on.
+        Only the connection is recreated — the daemon and its sessions live
+        on. An error a runtime raises, in-process or remote, reaches the
+        caller as a :class:`~repro.errors.ServiceError` and restarts nothing.
         """
         with self._restart_lock:
             self._transport.restart()

@@ -141,9 +141,9 @@ class ServiceTransport:
     def restart(self) -> None:
         """Tear down and re-establish the backend channel (crash recovery).
 
-        For the in-process transport this destroys the runtime — and with
-        it every session it hosted. For the socket transport only
-        the *connection* is recreated; the daemon (and its sessions) live on.
+        For the socket transport only the *connection* is recreated; the
+        daemon (and its sessions) live on. An in-process runtime's own errors
+        never lead here (see :meth:`InProcessTransport.call`).
         """
         raise NotImplementedError
 
@@ -180,9 +180,16 @@ class InProcessTransport(ServiceTransport):
     def call(self, method: str, *args) -> Any:
         if self._runtime is None:
             self.connect(self._connect_attempts)
-        return getattr(self._runtime, method)(*args)
+        try:
+            return getattr(self._runtime, method)(*args)
+        except Exception as error:  # noqa: BLE001 - classified as a daemon's reply is
+            # Whatever the runtime raised, it raised with the runtime still
+            # there: one session's error, never a crash to restart from.
+            raise_remote_error(method, error)
 
     def restart(self) -> None:
+        # Reached only when a wrapper fails the channel itself (a
+        # ChaosTransport's refused connect): a new runtime, no sessions.
         if self._runtime is not None:
             try:
                 self._runtime.shutdown()

@@ -31,17 +31,29 @@ reordered without breaking the wire. Values outside the registry (numpy
 arrays, spaces, exceptions) travel as explicitly-tagged opaque pickles.
 
 The typed layer pins *what* a peer may say to the registered message
-vocabulary plus tagged opaque payloads, but its envelope and the opaque
-payloads are still pickle, so a peer must hold a valid token to be worth
-trusting: tokens gate *who* may speak. Until a connection has authenticated,
-a server reads no frame larger than :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`.
+vocabulary plus tagged opaque payloads. Its envelope and the opaque payloads
+are still pickle, so both are decoded by an unpickler that builds no object
+of a class off an allow-list (:func:`admitted_global`): the spaces, this
+project's errors, the builtin exceptions, a few primitives and numpy's array
+and scalar constructors. Anything else a frame names — a function that would
+run on load, say — fails the decode with :class:`ServiceError`, as does any
+other malformed payload. That holds before authentication, too: tokens gate
+*who* may speak. Until a connection has authenticated, a server reads no
+frame larger than :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`.
 """
 
 import dataclasses
+import importlib
+import io
 import pickle
+import random
 import struct
+import sys
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
+import numpy as np
+
+from repro.core.spaces import Space
 from repro.errors import CompilerGymError, ServiceError
 
 # Wire statuses of the request/reply protocol.
@@ -56,10 +68,10 @@ def raise_remote_error(method: str, error: BaseException):
     of the wire and are raised as they are. Any other exception was raised
     *inside* the service (a compiler crash mid-multistep, say) and reached us
     over a healthy channel: the request may be partially applied to a session
-    that, unlike an in-process runtime, survives the connection's restart().
-    It is wrapped in the non-retryable family so no retry loop can re-apply
-    it; the environment's fault-tolerance path ends the episode instead. An
-    ``error`` reply frame and a failed :class:`SessionStepResult` are both
+    that lives on, as do its siblings. It is wrapped in the non-retryable
+    family so no retry loop can re-apply it; the environment's fault-tolerance
+    path ends the episode instead. An ``error`` reply frame, a failed
+    :class:`SessionStepResult` and an in-process runtime's exception are all
     read by this one rule.
     """
     if isinstance(error, (CompilerGymError, LookupError)):
@@ -142,6 +154,74 @@ def message_registry() -> Dict[str, Type]:
     return dict(_MESSAGE_REGISTRY)
 
 
+# -- what a frame may name ------------------------------------------------------
+
+try:
+    from numpy._core import multiarray as _np_multiarray, numeric as _np_numeric
+except ImportError:  # numpy 1
+    from numpy.core import multiarray as _np_multiarray, numeric as _np_numeric
+
+# The globals no rule below derives: primitives, a space's sampling stream
+# once it has drawn, and what numpy pickles an array (``_frombuffer``) or a
+# scalar (``scalar``: ``np.float64`` is a float, so the codec passes it raw)
+# down to, under numpy 2's module and numpy 1's.
+_ADMITTED: Dict[Tuple[str, str], Any] = {
+    ("builtins", cls.__name__): cls for cls in (int, str, float, bytes)
+}
+_ADMITTED[("random", "Random")] = random.Random
+_ADMITTED[("numpy", "dtype")] = np.dtype
+for _module in ("numpy._core", "numpy.core"):
+    _ADMITTED[(f"{_module}.numeric", "_frombuffer")] = _np_numeric._frombuffer
+    _ADMITTED[(f"{_module}.multiarray", "scalar")] = _np_multiarray.scalar
+
+
+def admitted_global(module: str, name: str) -> Optional[Any]:
+    """The object a frame may name as ``module.name``, or ``None``.
+
+    Beyond the fixed entries above, the rule is by class, so a new space or
+    error needs no edit here: a class defined in ``repro.core.spaces``, a
+    :class:`~repro.core.spaces.Space` subclass (a backend's own space), a
+    :class:`CompilerGymError` subclass, or a builtin exception class. A
+    frame may have one of this project's modules imported to look in (a
+    backend's space, on a client that never loaded the backend), and no
+    other.
+    """
+    found = _ADMITTED.get((module, name))
+    if found is not None:
+        return found
+    owner = sys.modules.get(module)
+    if owner is None and module.startswith("repro."):
+        try:
+            owner = importlib.import_module(module)
+        except Exception:  # noqa: BLE001 - no such module: refused below
+            return None
+    cls = getattr(owner, name, None) if owner is not None else None
+    if not isinstance(cls, type) or cls.__module__ != module:
+        return None
+    if (
+        module == "builtins" and issubclass(cls, BaseException)
+        or issubclass(cls, (CompilerGymError, Space))
+        or module.startswith("repro.core.spaces.")
+    ):
+        _ADMITTED[(module, name)] = cls
+        return cls
+    return None
+
+
+class _FrameUnpickler(pickle.Unpickler):
+    """``pickle.loads`` that refuses every global off the allow-list."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        found = admitted_global(module, name)
+        if found is None:
+            raise ServiceError(f"Refused to decode {module}.{name}: not a wire type")
+        return found
+
+
+def _unpickle(data: bytes) -> Any:
+    return _FrameUnpickler(io.BytesIO(data)).load()
+
+
 # -- codecs -------------------------------------------------------------------
 
 
@@ -185,11 +265,12 @@ class TypedPickleCodec(Codec):
     The message graph is lowered to a primitive structure — primitives raw,
     containers tagged, registered dataclasses as ``("M", tag, field-dict)``,
     anything else as a tagged opaque pickle, except an exception that will
-    not pickle, which is lowered as ``ServiceError("<Type>: <message>")`` —
-    and that structure is then serialized. Decoding validates every message
-    tag against the registry and drops unknown field names, giving one
-    version of schema skew for free (new fields fall back to the dataclass
-    defaults on an old peer).
+    not pickle or that the peer would refuse, which is lowered as
+    ``ServiceError("<Type>: <message>")`` — and that structure is then
+    serialized. Decoding validates every message tag against the registry
+    and drops unknown field names, giving one version of schema skew for
+    free (new fields fall back to the dataclass defaults on an old peer).
+    A payload that does not decode raises :class:`ServiceError`.
     """
 
     version = 2
@@ -199,7 +280,14 @@ class TypedPickleCodec(Codec):
         return pickle.dumps(self._lower(message), protocol=pickle.HIGHEST_PROTOCOL)
 
     def decode(self, data: bytes) -> Any:
-        return self._raise_(pickle.loads(data))
+        try:
+            return self._raise_(_unpickle(data))
+        except ServiceError:
+            raise
+        except Exception as error:  # noqa: BLE001 - arbitrary bytes raise anything
+            raise ServiceError(
+                f"Malformed wire payload: {type(error).__name__}: {error}"
+            ) from error
 
     def _lower(self, value: Any) -> Any:
         if isinstance(value, _PRIMITIVES):
@@ -228,6 +316,11 @@ class TypedPickleCodec(Codec):
         # Everything else — numpy arrays, spaces, exceptions — travels as an
         # explicitly-tagged opaque pickle: the escape hatch is visible on the
         # wire instead of being the whole format.
+        if isinstance(value, BaseException) and admitted_global(
+            cls.__module__, cls.__qualname__
+        ) is None:
+            # The peer would refuse the class: say what went wrong instead.
+            return self._lower(ServiceError(f"{cls.__name__}: {value}"))
         try:
             return (_TAG_OPAQUE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:  # noqa: BLE001 - __reduce__ may raise anything
@@ -265,7 +358,7 @@ class TypedPickleCodec(Codec):
         if tag == _TAG_DICT:
             return {key: self._raise_(item) for key, item in value[1].items()}
         if tag == _TAG_OPAQUE:
-            return pickle.loads(value[1])
+            return _unpickle(value[1])
         raise ServiceError(f"Unknown typed wire tag: {tag!r}")
 
 

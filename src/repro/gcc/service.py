@@ -48,6 +48,14 @@ class GccChoicesSpace(Space):
     def __repr__(self) -> str:
         return f"GccChoicesSpace(n_options={len(self.spec.options)})"
 
+    # The spec is a function of the GCC version, so a pickle carries the
+    # version and the far side rebuilds it: a frame then names no option class.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "spec": self.spec.gcc_version}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, spec=GccSpec(state["spec"]))
+
 
 def _build_categorical_actions(spec: GccSpec) -> Tuple[NamedDiscrete, List[Callable]]:
     """Build the flat categorical action space and the per-action appliers.

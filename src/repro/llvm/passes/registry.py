@@ -112,12 +112,19 @@ always. It may raise; the rollback happens all the same.
 
 *What rollback guarantees*: the module prints as it did; ``version``, every
 ``stamp``, the fresh-name counters, ``attrs`` that print nowhere and the
-orders of ``functions``/``globals``/``metadata`` are what they were, so the
-parent's observation memos (keyed on version and stamps) and every later
-fresh name are those of a module nobody touched; use lists and name sets
+orders of ``functions``/``globals``/``metadata`` are what they were, so every
+later fresh name is that of a module nobody touched; use lists and name sets
 equal a scan (use lists possibly in another order — see the two habits
 above); a function whose CFG was edited has lost its cached analyses, any
 other keeps them.
+
+*What the parent's observation memos keep*: what the candidate computed at or
+below the restored version — a per-function entry whose stamp is at most
+``version``, a whole-module entry at exactly ``version``. Text the candidate's
+pass changed is stamped above the restored version (the stamp contract
+above), so such an entry describes text the parent still has; entries above
+it describe the candidate's own changes and are dropped, so a later pass of
+the parent's that reuses their version never meets them.
 
 *Why nothing may be written behind the surface*: a write the journal did not
 see is not taken back, and the parent goes on — for the rest of its episode,

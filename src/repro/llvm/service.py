@@ -419,18 +419,30 @@ class _LazyLlvmFork(LazyFork):
     @contextlib.contextmanager
     def speculate(self):
         """Run the fork's step on the parent's own module under an undo
-        journal. The memos are keyed on ``module.version`` and the stamps,
-        which the rollback winds back: the step gets the copies a real fork
-        would, and the parent never sees what it cached."""
+        journal. The step gets the memo copies a real fork would. On rollback
+        the parent keeps what they gained at or below the restored version:
+        text changed inside the speculation is stamped above it, so such an
+        entry describes text the parent still has. Entries above it describe
+        the step's own changes and are dropped, so a later pass of the
+        parent's that reuses their version never meets them."""
         parent = self.parent
         journal = Journal(parent.module)
-        memos = parent._obs_memo, parent._function_memo
+        obs_memo, function_memo = parent._obs_memo, parent._function_memo
         try:
             parent._obs_memo, parent._function_memo = parent._memo_copies()
             yield parent
         finally:
             journal.rollback()
-            parent._obs_memo, parent._function_memo = memos
+            version = parent.module.version
+            obs_memo.update(
+                (space, memo) for space, memo in parent._obs_memo.items() if memo[0] == version
+            )
+            for space, entries in parent._function_memo.items():
+                kept = function_memo.setdefault(space, {})
+                kept.update(
+                    (name, entry) for name, entry in entries.items() if entry[0][0] <= version
+                )
+            parent._obs_memo, parent._function_memo = obs_memo, function_memo
 
     def build(self, onto: Optional[LlvmCompilationSession] = None) -> LlvmCompilationSession:
         parent = self.parent

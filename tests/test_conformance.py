@@ -208,6 +208,33 @@ def test_a_failed_step_ends_the_episode_with_error_defaults(deployment):
         assert _trace(env, EPISODES[1]) == _reference(EPISODES[1])
 
 
+def test_a_forks_failed_step_ends_only_the_fork(deployment):
+    """A lookahead candidate's bad action is its own error: the fork's
+    episode ends naming the action, nothing restarts, and the root it was
+    forked from steps on as if the fork had never been."""
+    actions = EPISODES[1]
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        held = deployment.sessions(env)
+        record = []
+
+        def step_root(action):
+            observation, reward, done, info = env.step(action)
+            record.append((_plain(observation), reward, done, info["action_had_no_effect"]))
+
+        step_root(actions[0])
+        with env.fork() as fork:
+            assert not fork.step(actions[2])[2]
+            step_root(actions[1])
+            _, _, done, info = fork.step(10_000)
+            assert done and "Action out of range: 10000" in info["error_details"]
+        assert env.service.restart_count == 0
+        assert deployment.sessions(env) == held
+        for action in actions[2:]:
+            step_root(action)
+        assert record == _reference(actions)[1:1 + len(actions)]
+
+
 def test_caller_errors_are_raised(deployment):
     with deployment(**STEP_SHAPE) as env:
         env.reset()

@@ -223,6 +223,26 @@ def test_observations_alone_are_borrowed_too(env, copies):
     assert copies == ["pristine"]
 
 
+def test_a_candidates_entries_above_the_restored_version_are_dropped(env):
+    """The donor stands at version v. A candidate whose pass changes some
+    functions reads Autophase there, keying their entries v+1; the parent then
+    commits a different pass that changes them too, and so stamps them v+1
+    as well. Its read must be a fresh replay's, not the candidate's entries.
+    What the candidate computed about functions its pass left alone stays."""
+    runtime = env.service.runtime
+    env.reset()
+    env.step(MEM2REG)
+    donor = runtime.sessions[env._session_id].session
+    version = donor.module.version
+    with env.fork() as fork:
+        fork.step(INSTCOMBINE, observation_spaces=["Autophase", "InstCount"])
+        assert runtime.sessions[fork._session_id].session is None
+    kept, functions = dict(donor._function_memo["InstCount"]), len(donor.module.functions)
+    assert _record(env, GVN) == _reference((MEM2REG, GVN))[-1]
+    assert 0 < len(kept) < functions
+    assert all(key[0] <= version for key, _ in kept.values())
+
+
 def _stores(runtime):
     """How many entries the result cache has stored; ``None`` without one."""
     return None if runtime.result_cache is None else runtime.result_cache.stores

@@ -230,17 +230,24 @@ class TestCloneProperties:
 class TestIncrementalObservationProperties:
     """The session recomputes per-function features only for functions whose
     stamp moved. Whatever the episode did and whenever it looked, that must
-    read the same as a session that computes everything from scratch."""
+    read the same as a session that computes everything from scratch — also
+    when, before each step, the root tries lookahead candidates that run on
+    its own module and leave their entries in its memos."""
 
     SPACES = ["Autophase", "InstCount", "Liveness", "ReachingDefs", "DomTreeDepth"]
     # The passes that can change a module (the rest of the action space never fires).
     PASSES = [name for name in ACTION_SPACE_PASSES if isinstance(PASS_REGISTRY[name], StampingPass)]
+    CANDIDATES = st.lists(
+        st.tuples(st.sampled_from(PASSES), st.sets(st.sampled_from(SPACES), min_size=1)),
+        min_size=1,
+        max_size=3,
+    )
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         benchmark=st.sampled_from(["cbench-v1/crc32", "cbench-v1/qsort", "cbench-v1/dijkstra"]),
         steps=st.lists(
-            st.tuples(st.sampled_from(PASSES), st.sets(st.sampled_from(SPACES))),
+            st.tuples(st.sampled_from(PASSES), st.sets(st.sampled_from(SPACES)), CANDIDATES),
             min_size=1,
             max_size=10,
         ),
@@ -254,8 +261,14 @@ class TestIncrementalObservationProperties:
         envs = [repro.make("llvm-v0", benchmark=benchmark, result_cache=False)]
         try:
             envs[0].reset()
-            actions = [envs[0].action_space.names.index(name) for name, _ in steps]
-            for index, (action, (_, reads)) in enumerate(zip(actions, steps)):
+            names = envs[0].action_space.names
+            actions = [names.index(name) for name, _, _ in steps]
+            for index, (action, (_, reads, candidates)) in enumerate(zip(actions, steps)):
+                for candidate, candidate_reads in candidates:
+                    with envs[0].fork() as lookahead:
+                        lookahead.step(
+                            names.index(candidate), observation_spaces=sorted(candidate_reads)
+                        )
                 if index == fork_at:
                     envs.append(envs[0].fork())
                 for env in envs:

@@ -236,12 +236,17 @@ class TestServiceConnection:
             InProcessTransport(_runtime), ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001)
         )
         session = connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
-        # Action 2 always raises inside the backend; the connection restarts
-        # the runtime, and because the session is gone after restart the call
-        # eventually surfaces as a service error rather than a raw crash.
-        with pytest.raises((ServiceError, SessionNotFound)):
+        # Action 2 always raises inside the backend. That is the session's
+        # error, not a crash: nothing is restarted or retried, and the
+        # session steps on.
+        with pytest.raises(ServiceError, match="RuntimeError: simulated compiler crash"):
             connection.step(StepRequest(session_id=session.session_id, actions=[2]))
-        assert connection.restart_count >= 1
+        assert connection.restart_count == 0
+        assert connection.stats["step"].retries == 0
+        reply = connection.step(StepRequest(
+            session_id=session.session_id, actions=[1], observation_space_names=["value"]
+        ))
+        assert reply.observations[0].value() == 1
         connection.close()
 
     def test_closed_connection_rejects_calls(self):

@@ -22,6 +22,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.service import (
@@ -35,6 +37,7 @@ from repro.core.service.proto import (
     EndSessionRequest,
     ForkSessionRequest,
     HelloReply,
+    HelloRequest,
     StartSessionRequest,
     StepRequest,
 )
@@ -48,6 +51,7 @@ from repro.core.service.wire import (
     REPLY_ERROR,
     REPLY_OK,
     WIRE_VERSION,
+    frame_bytes,
     parse_service_url,
     read_frame,
     write_frame,
@@ -247,6 +251,82 @@ class TestFraming:
         assert stream.reads > 1000
 
 
+def _write_sentinel(path):
+    """What a hostile frame would run on load: leave a file behind."""
+    with open(path, "w") as f:
+        f.write("ran")
+
+
+class _RunsOnLoad:
+    """Unpickles by calling :func:`_write_sentinel`."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return _write_sentinel, (self.path,)
+
+
+class _ForeignError(Exception):
+    """Pickles fine, but is no class a peer decodes."""
+
+
+class TestFramesRunNoCode:
+    """The decoder builds only wire types: a frame naming anything else is
+    refused, before and after authentication, and nothing it names runs."""
+
+    def test_a_hostile_frame_is_refused_and_runs_nothing(self, tmp_path):
+        sentinel = tmp_path / "sentinel"
+        server = ServiceServer(_runtime(), session_timeout=None, auth_tokens=["secret"])
+        with server.start():
+            # Before authentication, in the envelope itself.
+            payload = pickle.dumps((1, "heartbeat", (_RunsOnLoad(sentinel),)))
+            _assert_hung_up_on(
+                server.url, bytes([WIRE_VERSION]) + struct.pack(">Q", len(payload)) + payload
+            )
+            # After authentication, in a step request's opaque payload.
+            raw = socket.create_connection(parse_service_url(server.url)[1], timeout=5)
+            rfile = raw.makefile("rb")
+            raw.sendall(frame_bytes((1, "hello", (HelloRequest(token="secret"),))))
+            assert read_frame(rfile)[1] == REPLY_OK
+            step = StepRequest(session_id=0, actions=[_RunsOnLoad(sentinel)])
+            raw.sendall(frame_bytes((2, "step", (step,))))
+            assert raw.recv(1) == b""
+            rfile.close()
+            raw.close()
+            # Refused one client at a time: the daemon serves on.
+            with ServiceConnection(SocketTransport(server.url, auth_token="secret")) as connection:
+                connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/1"))
+        assert not sentinel.exists()
+        with pytest.raises(ServiceError, match="_write_sentinel: not a wire type"):
+            read_frame(io.BytesIO(frame_bytes(_RunsOnLoad(sentinel))))
+        assert not sentinel.exists()
+
+    def test_an_error_the_peer_would_refuse_travels_as_a_service_error(self):
+        frame = frame_bytes((1, REPLY_ERROR, _ForeignError("boom")))
+        request_id, status, error = read_frame(io.BytesIO(frame))
+        assert (request_id, status) == (1, REPLY_ERROR)
+        assert type(error) is ServiceError and str(error) == "_ForeignError: boom"
+
+    def test_arbitrary_bytes_are_a_dropped_client(self):
+        with ServiceServer(_runtime(), session_timeout=None).start() as server:
+
+            @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+            @given(payload=st.binary(max_size=512))
+            def arbitrary_payload(payload):
+                frame = bytes([WIRE_VERSION]) + struct.pack(">Q", len(payload)) + payload
+                try:
+                    read_frame(io.BytesIO(frame))
+                except (ConnectionError, ServiceError):
+                    pass
+                else:  # Bytes that happen to be a value: not a request.
+                    return
+                _assert_hung_up_on(server.url, frame)
+
+            arbitrary_payload()
+            assert server.runtime.stats["step"] == 0
+
+
 # -- transports behind ServiceConnection -------------------------------------
 
 
@@ -275,18 +355,19 @@ class TestTransportConnection:
             assert reply.observations[0].value() == 7
             assert connection.stats["step"].calls == 1
 
-    def test_backend_crash_restarts_and_surfaces_service_error(self, make_transport):
+    def test_backend_error_surfaces_as_service_error_without_restart(self, make_transport):
         connection = ServiceConnection(
             make_transport(), ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001)
         )
         session = connection.start_session(
             StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
         )
-        # Action 2 raises inside the backend; the transport channel is
-        # restarted and the session is gone afterwards.
-        with pytest.raises((ServiceError, SessionNotFound)):
+        # Action 2 raises inside the backend: the transport classifies it as
+        # a daemon's error reply is, so the session survives it.
+        with pytest.raises(ServiceError, match="simulated compiler crash"):
             connection.step(StepRequest(session_id=session.session_id, actions=[2]))
-        assert connection.restart_count >= 1
+        assert connection.restart_count == 0
+        connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         connection.close()
 
     def test_closed_connection_rejects_calls(self, make_transport):

@@ -557,6 +557,10 @@ class SocketTransport(ServiceTransport):
             )
             self._retire(conn, failure)
             raise failure from error.cause
+        except BaseException:
+            # The request did not encode: nothing was sent.
+            conn.discard(request_id)
+            raise
         # Wait for our reply to be routed (by this thread as leader, or by
         # another waiter's). The read side enforces the transport timeout;
         # the slack here is a backstop for a waiter whose reply never comes

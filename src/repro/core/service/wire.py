@@ -39,7 +39,9 @@ and scalar constructors. Anything else a frame names — a function that would
 run on load, say — fails the decode with :class:`ServiceError`, as does any
 other malformed payload. That holds before authentication, too: tokens gate
 *who* may speak. Until a connection has authenticated, a server reads no
-frame larger than :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`.
+frame larger than :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`. The encoder
+decodes each opaque value by the same rule before sending it, so a value the
+peer would refuse fails the one message that held it, not the connection.
 """
 
 import dataclasses
@@ -174,27 +176,31 @@ for _module in ("numpy._core", "numpy.core"):
     _ADMITTED[(f"{_module}.numeric", "_frombuffer")] = _np_numeric._frombuffer
     _ADMITTED[(f"{_module}.multiarray", "scalar")] = _np_multiarray.scalar
 
+# The graph class of the Programl observation, admitted by name: networkx is
+# imported only when a frame holds a graph.
+_PROGRAML_GRAPH = ("networkx.classes.multidigraph", "MultiDiGraph")
+
+# The modules a frame may have imported to find its class in: a backend's own
+# spaces (on a client that never loaded the backend) and the Programl graph.
+# Any other module a frame names must already be loaded, or it is refused.
+IMPORTABLE_MODULES = frozenset({"repro.gcc.service", _PROGRAML_GRAPH[0]})
+
 
 def admitted_global(module: str, name: str) -> Optional[Any]:
     """The object a frame may name as ``module.name``, or ``None``.
 
     Beyond the fixed entries above, the rule is by class, so a new space or
     error needs no edit here: a class defined in ``repro.core.spaces``, a
-    :class:`~repro.core.spaces.Space` subclass (a backend's own space), a
-    :class:`CompilerGymError` subclass, or a builtin exception class. A
-    frame may have one of this project's modules imported to look in (a
-    backend's space, on a client that never loaded the backend), and no
-    other.
+    :class:`~repro.core.spaces.Space` subclass (a backend's own space, whose
+    module must be in :data:`IMPORTABLE_MODULES`), a
+    :class:`CompilerGymError` subclass, or a builtin exception class.
     """
     found = _ADMITTED.get((module, name))
     if found is not None:
         return found
     owner = sys.modules.get(module)
-    if owner is None and module.startswith("repro."):
-        try:
-            owner = importlib.import_module(module)
-        except Exception:  # noqa: BLE001 - no such module: refused below
-            return None
+    if owner is None and module in IMPORTABLE_MODULES:
+        owner = importlib.import_module(module)
     cls = getattr(owner, name, None) if owner is not None else None
     if not isinstance(cls, type) or cls.__module__ != module:
         return None
@@ -202,6 +208,7 @@ def admitted_global(module: str, name: str) -> Optional[Any]:
         module == "builtins" and issubclass(cls, BaseException)
         or issubclass(cls, (CompilerGymError, Space))
         or module.startswith("repro.core.spaces.")
+        or (module, name) == _PROGRAML_GRAPH
     ):
         _ADMITTED[(module, name)] = cls
         return cls
@@ -220,6 +227,23 @@ class _FrameUnpickler(pickle.Unpickler):
 
 def _unpickle(data: bytes) -> Any:
     return _FrameUnpickler(io.BytesIO(data)).load()
+
+
+def _plain_array(value: Any) -> bool:
+    """Whether numpy pickles ``value`` from admitted globals only: a
+    contiguous array of native-order numbers without dtype metadata (what
+    the numeric observations are) is ``_frombuffer`` over its bytes and a
+    ``dtype``. An object or non-contiguous array pickles through
+    ``_reconstruct``, which a peer refuses."""
+    if type(value) is not np.ndarray:
+        return False
+    dtype = value.dtype
+    return (
+        dtype.kind in "biufc"
+        and dtype.isnative
+        and dtype.metadata is None
+        and (value.flags.c_contiguous or value.flags.f_contiguous)
+    )
 
 
 # -- codecs -------------------------------------------------------------------
@@ -264,13 +288,14 @@ class TypedPickleCodec(Codec):
 
     The message graph is lowered to a primitive structure — primitives raw,
     containers tagged, registered dataclasses as ``("M", tag, field-dict)``,
-    anything else as a tagged opaque pickle, except an exception that will
-    not pickle or that the peer would refuse, which is lowered as
-    ``ServiceError("<Type>: <message>")`` — and that structure is then
-    serialized. Decoding validates every message tag against the registry
-    and drops unknown field names, giving one version of schema skew for
-    free (new fields fall back to the dataclass defaults on an old peer).
-    A payload that does not decode raises :class:`ServiceError`.
+    anything else as a tagged opaque pickle — and that structure is then
+    serialized. An opaque value that will not pickle or that the peer would
+    refuse is lowered as ``ServiceError("<Type>: <message>")`` if it is an
+    exception, and otherwise fails the encode with :class:`ServiceError`.
+    Decoding validates every message tag against the registry and drops
+    unknown field names, giving one version of schema skew for free (new
+    fields fall back to the dataclass defaults on an old peer). A payload
+    that does not decode raises :class:`ServiceError`.
     """
 
     version = 2
@@ -315,21 +340,24 @@ class TypedPickleCodec(Codec):
             return (_TAG_DICT, {key: self._lower(item) for key, item in value.items()})
         # Everything else — numpy arrays, spaces, exceptions — travels as an
         # explicitly-tagged opaque pickle: the escape hatch is visible on the
-        # wire instead of being the whole format.
-        if isinstance(value, BaseException) and admitted_global(
-            cls.__module__, cls.__qualname__
-        ) is None:
-            # The peer would refuse the class: say what went wrong instead.
-            return self._lower(ServiceError(f"{cls.__name__}: {value}"))
+        # wire instead of being the whole format. It is decoded here by the
+        # peer's own rule, so what the peer would refuse fails this message
+        # and never the connection it would travel on; a plain array, on
+        # every step's reply, is known to pass.
         try:
-            return (_TAG_OPAQUE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:  # noqa: BLE001 - __reduce__ may raise anything
-            if not isinstance(value, BaseException):
-                raise
-            # An exception that will not pickle (one holding a lambda, say)
-            # still says what went wrong, and fails only its own slot of a
-            # batched reply instead of the whole frame.
-            return self._lower(ServiceError(f"{type(value).__name__}: {value}"))
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            if not _plain_array(value):
+                _unpickle(payload)
+        except Exception as error:  # noqa: BLE001 - __reduce__ may raise anything
+            if isinstance(value, BaseException):
+                # An exception that will not pickle (one holding a lambda,
+                # say) or that the peer would refuse still says what went
+                # wrong, and fails only its own slot of a batched reply.
+                return self._lower(ServiceError(f"{cls.__name__}: {value}"))
+            raise ServiceError(
+                f"Cannot send a {cls.__module__}.{cls.__qualname__}: {error}"
+            ) from error
+        return (_TAG_OPAQUE, payload)
 
     def _raise_(self, value: Any) -> Any:
         if isinstance(value, _PRIMITIVES):
@@ -416,9 +444,9 @@ def write_frame_reply(wfile, request_id: Optional[int], status: str, payload: An
     """
     try:
         frame = frame_bytes((request_id, status, payload))
-    except Exception:  # noqa: BLE001 - degrade, don't drop the connection
+    except Exception as error:  # noqa: BLE001 - degrade, don't drop the connection
         frame = frame_bytes(
-            (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__}: {payload}"))
+            (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__} not sent: {error}"))
         )
     wfile.write(frame)
     wfile.flush()

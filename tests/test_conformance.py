@@ -10,6 +10,7 @@ result cache off.
 import functools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -100,6 +101,23 @@ def test_spaces_and_initial_state_match_in_process(deployment):
         env.reset()
         for space in ("IrSha1", "IrInstructionCount"):
             assert env.observation[space] == local.observation[space]
+
+
+def test_the_programl_graph_arrives_whole(deployment):
+    """The one observation that is neither numbers nor text: a networkx
+    graph travels as itself, and the connection serves on after it."""
+    with repro.make("llvm-v0", **STEP_SHAPE) as local, deployment(**STEP_SHAPE) as env:
+        for each in (local, env):
+            each.reset()
+            each.step(EPISODES[1][0])
+        graph, expected = env.observation["Programl"], local.observation["Programl"]
+        assert type(graph) is type(expected)
+        assert nx.node_link_data(graph, edges="links") == nx.node_link_data(
+            expected, edges="links"
+        )
+        _, _, done, info = env.step(EPISODES[1][1])
+        assert not done and "error_details" not in info
+        assert env.service.restart_count == 0
 
 
 def test_fork_replays_like_its_parent(deployment):

@@ -12,13 +12,17 @@ aggregation.
 import contextlib
 import io
 import multiprocessing
+import os
 import pickle
 import random
 import socket
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from repro.core.service.transport import (
     SocketTransport,
 )
 from repro.core.service.wire import (
+    IMPORTABLE_MODULES,
     REPLY_ERROR,
     REPLY_OK,
     WIRE_VERSION,
@@ -57,7 +62,8 @@ from repro.core.service.wire import (
     write_frame,
     write_frame_reply,
 )
-from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Scalar
+from repro.core.service.wire import _plain_array, _unpickle
+from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Reward, Scalar, Space
 from repro.core.vector import VecCompilerEnv, make_vec_env
 from repro.core.service.connection import CallStats
 from repro.core.wrappers import TimeLimit
@@ -271,6 +277,23 @@ class _ForeignError(Exception):
     """Pickles fine, but is no class a peer decodes."""
 
 
+class _Foreign:
+    """A value that pickles fine, but of no class a peer decodes."""
+
+
+class _ForeignObservationSession(_CounterSession):
+    """A counter session whose ``foreign`` observation is a :class:`_Foreign`."""
+
+    observation_spaces = _CounterSession.observation_spaces + [
+        ObservationSpaceSpec("foreign", 2, Scalar(min=0, max=None, dtype=int), default_value=0)
+    ]
+
+    def get_observation(self, observation_space):
+        if observation_space.id == "foreign":
+            return _Foreign()
+        return super().get_observation(observation_space)
+
+
 class TestFramesRunNoCode:
     """The decoder builds only wire types: a frame naming anything else is
     refused, before and after authentication, and nothing it names runs."""
@@ -289,8 +312,13 @@ class TestFramesRunNoCode:
             rfile = raw.makefile("rb")
             raw.sendall(frame_bytes((1, "hello", (HelloRequest(token="secret"),))))
             assert read_frame(rfile)[1] == REPLY_OK
-            step = StepRequest(session_id=0, actions=[_RunsOnLoad(sentinel)])
-            raw.sendall(frame_bytes((2, "step", (step,))))
+            # Hand-lowered: this codec's own encoder refuses to send it.
+            step = ("M", "StepRequest", {
+                "session_id": 0,
+                "actions": ("l", [("P", pickle.dumps(_RunsOnLoad(sentinel)))]),
+            })
+            payload = pickle.dumps(("t", (2, "step", ("t", (step,)))))
+            raw.sendall(bytes([WIRE_VERSION]) + struct.pack(">Q", len(payload)) + payload)
             assert raw.recv(1) == b""
             rfile.close()
             raw.close()
@@ -307,6 +335,110 @@ class TestFramesRunNoCode:
         request_id, status, error = read_frame(io.BytesIO(frame))
         assert (request_id, status) == (1, REPLY_ERROR)
         assert type(error) is ServiceError and str(error) == "_ForeignError: boom"
+
+    def test_a_value_the_peer_would_refuse_fails_only_its_call(self):
+        """The daemon decodes what it is about to send by the client's rule:
+        a reply the client would refuse becomes that call's ServiceError, and
+        the connection, its other sessions and its later calls live on."""
+        runtime = CompilerGymServiceRuntime(
+            session_type=_ForeignObservationSession, benchmark_resolver=_resolver
+        )
+        with ServiceServer(runtime, session_timeout=None).start() as server:
+            with ServiceConnection(SocketTransport(server.url)) as connection:
+                first, second = (
+                    connection.start_session(
+                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                    ).session_id
+                    for i in (1, 2)
+                )
+                with pytest.raises(ServiceError, match="_Foreign: Refused to decode"):
+                    connection.step(
+                        StepRequest(
+                            session_id=first, actions=[1], observation_space_names=["foreign"]
+                        )
+                    )
+                for session_id, value in ((second, 3), (first, 3)):
+                    reply = connection.step(
+                        StepRequest(
+                            session_id=session_id, actions=[1], observation_space_names=["value"]
+                        )
+                    )
+                    assert reply.observations[0].value() == value
+                # A request the daemon would refuse is never sent, and leaves
+                # no reply slot waiting on the connection.
+                with pytest.raises(ServiceError, match="Cannot send a .*_Foreign"):
+                    connection.step(StepRequest(session_id=first, actions=[_Foreign()]))
+                assert not connection.transport._conn._pending
+                assert connection.restart_count == 0
+                assert server.runtime.stats["step"] == 3
+
+    def test_a_frame_naming_an_unloaded_module_imports_nothing(self):
+        """Only the modules in IMPORTABLE_MODULES are imported to decode a
+        frame; any other module it names must already be loaded. Run in a
+        fresh interpreter, where the named module is surely not loaded."""
+        code = textwrap.dedent(
+            """
+            import io, struct, sys
+            from repro.core.service.wire import WIRE_VERSION, read_frame
+            from repro.errors import ServiceError
+            module = "repro.cost_model.ggnn"
+            assert module not in sys.modules
+            payload = f"c{module}\\nGatedGraphNeuralNetwork\\n.".encode()
+            frame = bytes([WIRE_VERSION]) + struct.pack(">Q", len(payload)) + payload
+            try:
+                read_frame(io.BytesIO(frame))
+            except ServiceError as error:
+                assert "not a wire type" in str(error), error
+            else:
+                raise AssertionError("decoded")
+            assert module not in sys.modules
+            """
+        )
+        source_root = str(Path(repro.__file__).parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+            timeout=60,
+        )
+
+    def test_every_backend_space_is_decodable(self):
+        """A space defined outside ``repro.core.spaces`` is found only if
+        its module is one a frame may have imported. Reward spaces are
+        computed by the client and never travel."""
+        import repro.gcc.service  # noqa: F401
+        import repro.llvm.service  # noqa: F401
+        import repro.loop_tool.service  # noqa: F401
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        backend_spaces = {
+            space.__module__
+            for space in subclasses(Space)
+            if not issubclass(space, Reward)
+            and space.__module__.startswith("repro.")
+            and not space.__module__.startswith("repro.core.spaces")
+        }
+        assert backend_spaces and backend_spaces <= IMPORTABLE_MODULES
+
+    def test_an_array_sent_unchecked_is_one_a_peer_decodes(self):
+        """The encoder skips its check only for arrays numpy pickles from
+        admitted globals: every such array of every builtin dtype decodes,
+        and the numeric observations take the unchecked path."""
+        numbers = "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+        assert all(_plain_array(np.zeros(56, code)) for code in numbers)
+        arrays = []
+        for code in np.typecodes["All"]:
+            for dtype in (np.dtype(code), np.dtype(code).newbyteorder()):
+                arrays += [np.zeros(3, dtype), np.zeros((2, 3), dtype, order="F"),
+                           np.zeros((), dtype), np.zeros(6, dtype)[::2]]
+        arrays += [np.zeros(2, np.dtype(float, metadata={"m": _Foreign()})),
+                   np.zeros(2, [("a", "i4")])]
+        for array in filter(_plain_array, arrays):
+            np.testing.assert_array_equal(_unpickle(pickle.dumps(array, protocol=5)), array)
 
     def test_arbitrary_bytes_are_a_dropped_client(self):
         with ServiceServer(_runtime(), session_timeout=None).start() as server:

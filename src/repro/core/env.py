@@ -119,7 +119,7 @@ class CompilerEnv:
                 auth_token=service_token,
             )
         else:
-            transport = InProcessTransport(self._make_runtime)
+            transport = InProcessTransport(self._make_runtime())
         if self.chaos is not None:
             from repro.core.service.chaos import ChaosTransport
 

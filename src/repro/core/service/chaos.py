@@ -17,7 +17,8 @@ chaos-soak`` command and the CI chaos job assert exactly that).
 Client-side fault kinds (``ChaosTransport``):
 
 * ``refuse_connect`` — the call fails before anything is sent, as a refused
-  TCP connect does. Retryable: the connection's restart/retry loop recovers.
+  TCP connect does. Retryable: the connection's retry loop recovers, on the
+  same runtime or daemon, whose sessions are all still there.
 * ``cut_send`` — the socket dies mid-``send()`` after flushing ``param``
   bytes, driving the transport's bytes-flushed classifier: 0 bytes flushed
   is retried on a fresh connection, a partial flush is non-retryable.
@@ -353,11 +354,7 @@ class ChaosTransport(ServiceTransport):
                 pass
             finally:
                 conn.discard(request_id)
-            inner = self.inner
-            with inner._lock:
-                if inner._conn is conn:
-                    inner._conn = None
-            conn.close(failure)
+            self.inner._retire(conn, failure)
         raise failure
 
     def call(self, method: str, *args) -> Any:
@@ -374,12 +371,6 @@ class ChaosTransport(ServiceTransport):
         return result
 
     # -- transparent delegation --------------------------------------------
-
-    def connect(self, max_attempts: int = 1) -> None:
-        self.inner.connect(max_attempts=max_attempts)
-
-    def restart(self) -> None:
-        self.inner.restart()
 
     def shutdown(self) -> None:
         if self.closed:

@@ -2,15 +2,18 @@
 
 The :class:`ServiceConnection` is the frontend's only way of talking to the
 backend runtime. It reproduces the robustness features the paper calls out:
-call timeouts, bounded retry loops with exponential backoff, graceful error
-translation, crash detection and service restart, and per-operation wall-time
-accounting (used by the Table II efficiency benchmarks).
+call timeouts, one bounded retry loop with jittered exponential backoff,
+graceful error translation, and per-operation wall-time accounting (used by
+the Table II efficiency benchmarks).
 
 *Where* the runtime lives is delegated to a
 :class:`~repro.core.service.transport.ServiceTransport`: in-process (the
 default) or across a socket to a standalone daemon. The fault-tolerance
-policy here is identical for both, and so is start-up: every connection
-connects and asks its service for its spaces, once.
+policy here is identical for both, and so is start-up: every connection asks
+its service for its spaces, once. An error the service answered is raised as
+it is; a call that failed before it could reach the service is retried, and a
+socket transport reopens a lost connection for the retry. Nothing restarts a
+runtime: its sessions live as long as it does.
 """
 
 import random
@@ -29,10 +32,8 @@ from repro.core.service.proto import (
     StepSessionsRequest,
 )
 from repro.core.service.transport import ServiceTransport
-from repro.errors import ServiceError, ServiceIsClosed, ServiceTransportError, SessionNotFound
+from repro.errors import CompilerGymError, ServiceIsClosed, ServiceTransportError
 
-# How many times a connection tries to reach its service at start-up.
-_CONNECT_MAX_ATTEMPTS = 5
 # Each retry waits this many times longer than the one before it.
 _RETRY_BACKOFF = 1.5
 
@@ -76,7 +77,7 @@ class ServiceConnection:
         transport: How to reach the service: a
             :class:`~repro.core.service.transport.ServiceTransport`, e.g. an
             :class:`~repro.core.service.transport.InProcessTransport` around a
-            runtime factory or a
+            runtime or a
             :class:`~repro.core.service.transport.SocketTransport`.
         opts: Retry/timeout configuration.
     """
@@ -85,7 +86,6 @@ class ServiceConnection:
         self.opts = opts or ConnectionOpts()
         self._transport = transport
         self.closed = False
-        self.restart_count = 0
         # Reference count of environments sharing this connection (the
         # creating environment plus any forks). The connection shuts down
         # when the last of them releases it.
@@ -94,12 +94,6 @@ class ServiceConnection:
         # Guards the stats dictionary and the refcount: a thread-backed pool
         # may dispatch calls on this connection from multiple threads at once.
         self._lock = threading.Lock()
-        # Serializes crash recovery so concurrent failing calls cannot race
-        # to tear down and recreate the transport's channel.
-        self._restart_lock = threading.Lock()
-        start = time.perf_counter()
-        self._transport.connect(max_attempts=_CONNECT_MAX_ATTEMPTS)
-        self.startup_wall_time = time.perf_counter() - start
         try:
             self.spaces: GetSpacesReply = self._call("get_spaces")
         except BaseException:
@@ -121,17 +115,6 @@ class ServiceConnection:
         """
         return self._transport.runtime
 
-    def restart(self) -> None:
-        """Tear down and re-establish the backend channel (crash recovery).
-
-        Only the connection is recreated — the daemon and its sessions live
-        on. An error a runtime raises, in-process or remote, reaches the
-        caller as a :class:`~repro.errors.ServiceError` and restarts nothing.
-        """
-        with self._restart_lock:
-            self._transport.restart()
-            self.restart_count += 1
-
     def _call(self, name: str, *args):
         """Invoke a service method with timeout, retry, and error translation."""
         if self.closed:
@@ -145,24 +128,18 @@ class ServiceConnection:
             start = time.perf_counter()
             try:
                 result = self._transport.call(name, *args)
-            except (SessionNotFound, ServiceIsClosed):
-                with self._lock:
-                    stats.errors += 1
-                raise
-            except ServiceError:
-                with self._lock:
-                    stats.errors += 1
-                raise
-            except LookupError:
-                # An unknown benchmark/space is a caller error, not a crash:
-                # no amount of restarting will make it resolvable. Raised
-                # as-is so the environment can translate it (e.g. into
-                # BenchmarkInitError) — identically for local and daemon
+            except (CompilerGymError, LookupError):
+                # The service answered (a session's or the caller's error),
+                # or the transport knows the call may have been applied: no
+                # retry can change the answer, and one could apply a step
+                # twice. An unknown benchmark/space is raised as-is so the
+                # environment can translate it (e.g. into
+                # BenchmarkInitError), identically for local and daemon
                 # services.
                 with self._lock:
                     stats.errors += 1
                 raise
-            except Exception as error:  # noqa: BLE001 - backend crash: retry after restart
+            except Exception as error:  # noqa: BLE001 - nothing was sent: retry
                 with self._lock:
                     stats.errors += 1
                 last_error = error
@@ -174,7 +151,6 @@ class ServiceConnection:
                     # in lockstep and stampede its replacement.
                     time.sleep(random.uniform(0.0, wait))
                     wait *= _RETRY_BACKOFF
-                    self.restart()
                 continue
             # The call SUCCEEDED: its effects are applied on the backend, so
             # it must never be retried — re-executing a non-idempotent call

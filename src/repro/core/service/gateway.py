@@ -164,9 +164,6 @@ class ServiceGateway(SocketRPCServer):
             turn it on. With the monitor running, a SIGKILLed daemon is
             detected and its sessions re-homed within ~2 intervals even
             when no client RPC is in flight.
-        breaker_threshold / breaker_reset_timeout: Circuit-breaker tuning —
-            consecutive failures that trip a daemon's breaker open, and
-            seconds before an open breaker admits a half-open probe.
     """
 
     server_kind = "gateway"
@@ -184,8 +181,6 @@ class ServiceGateway(SocketRPCServer):
         fleet_token: Optional[str] = None,
         daemon_timeout: float = 300.0,
         heartbeat_interval: Optional[float] = None,
-        breaker_threshold: int = 3,
-        breaker_reset_timeout: float = 5.0,
     ):
         if not daemon_urls and not daemons:
             raise ValueError(
@@ -205,8 +200,6 @@ class ServiceGateway(SocketRPCServer):
         self.failovers = 0
         self.rehomed_sessions = 0  # Sessions successfully replayed onto survivors.
         self.heartbeat_interval = heartbeat_interval
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset_timeout = breaker_reset_timeout
         self.health_monitor: Optional[HealthMonitor] = None
         # step_sessions fan-out runs per-daemon batches on this pool (the
         # batch RPC itself may run on the inherited dispatch pool, and tasks
@@ -248,10 +241,6 @@ class ServiceGateway(SocketRPCServer):
             index=next(self._daemon_indexes),
             url=url,
             connection=self._connect_daemon(url),
-            breaker=CircuitBreaker(
-                failure_threshold=self._breaker_threshold,
-                reset_timeout=self._breaker_reset_timeout,
-            ),
         )
         with self._fleet_lock:
             self._daemons.append(handle)

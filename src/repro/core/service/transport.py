@@ -5,8 +5,8 @@ talk to a long-lived compiler *service* over RPC, so one service can host
 many sessions, survive client churn, and live on another machine. A
 :class:`ServiceTransport` is the seam where that split happens: the
 :class:`~repro.core.service.connection.ServiceConnection` owns the
-fault-tolerance policy (timeouts, retries, restart, call accounting) and
-delegates the actual dispatch of each ``(method, *args)`` RPC to a transport.
+fault-tolerance policy (timeouts, retries, call accounting) and delegates the
+actual dispatch of each ``(method, *args)`` RPC to a transport.
 
 Two implementations are provided:
 
@@ -46,12 +46,13 @@ EOF/reset (TCP), which is indistinguishable from a daemon that died *after*
 reading the request and so surfaces as the non-retryable
 :class:`~repro.errors.ServiceTransportError`, exactly as a loss in flight
 does. Either way the connection is retired and the call after that opens a
-fresh one.
+fresh one: reopening on the next call is the transport's only way to
+reconnect, and the connection's retry loop its only retry.
 
-On connect the transport performs the ``hello`` handshake: it presents its
-auth token and learns who answered. A refused token raises
+Every connection opens with the ``hello`` handshake: the transport presents
+its auth token and learns who answered. A refused token raises
 :class:`~repro.errors.PermissionDeniedError`; any other error reply fails
-the connect.
+the call that opened the connection.
 """
 
 import itertools
@@ -59,7 +60,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.service.proto import HelloReply, HelloRequest
 from repro.core.service.wire import (
@@ -83,68 +84,17 @@ class ServiceTransport:
     Transports are deliberately policy-free: no retries, no timeouts, no
     accounting. All of that lives in
     :class:`~repro.core.service.connection.ServiceConnection`, identically
-    for every transport. A transport only knows how to (re)establish its
-    channel and dispatch a call over it.
+    for every transport. A transport only knows how to dispatch a call over
+    its channel.
     """
 
     name = "transport"
-    # Seconds to wait between failed connect attempts (doubled per retry).
-    # Zero for channels whose failures are not time-dependent.
-    _connect_backoff_s = 0.0
 
     def __init__(self):
         self.closed = False
-        self._connect_attempts = 1
-
-    def connect(self, max_attempts: int = 1) -> None:
-        """Establish the channel, retrying up to ``max_attempts`` times.
-
-        The retry policy lives here once; transports implement :meth:`_open`
-        (establish the channel) and optionally :meth:`_on_connect_failure`
-        (clean up a half-open channel before the next attempt).
-        """
-        self._connect_attempts = max(1, max_attempts)
-        wait = self._connect_backoff_s
-        last_error = None
-        for attempt in range(self._connect_attempts):
-            try:
-                self._open()
-                return
-            except PermissionDeniedError:
-                # The channel is fine; the credentials are not. Retrying (or
-                # wrapping in a generic, retryable-looking error) would only
-                # hammer the service with the same rejected token.
-                self._on_connect_failure()
-                raise
-            except Exception as error:  # noqa: BLE001 - retried, then raised
-                last_error = error
-                self._on_connect_failure()
-                if wait and attempt + 1 < self._connect_attempts:
-                    time.sleep(wait)
-                    wait *= 2
-        raise ServiceTransportError(f"{self._connect_error_prefix}: {last_error}")
-
-    def _open(self) -> None:
-        """Establish the channel (one attempt)."""
-
-    def _on_connect_failure(self) -> None:
-        """Tear down whatever :meth:`_open` half-built. No-op by default."""
-
-    @property
-    def _connect_error_prefix(self) -> str:
-        return "Failed to establish the compiler service channel"
 
     def call(self, method: str, *args) -> Any:
         """Dispatch one RPC and return its reply (or raise its error)."""
-        raise NotImplementedError
-
-    def restart(self) -> None:
-        """Tear down and re-establish the backend channel (crash recovery).
-
-        For the socket transport only the *connection* is recreated; the
-        daemon (and its sessions) live on. An in-process runtime's own errors
-        never lead here (see :meth:`InProcessTransport.call`).
-        """
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -165,45 +115,23 @@ class InProcessTransport(ServiceTransport):
 
     name = "in-process"
 
-    def __init__(self, runtime_factory: Callable[[], Any]):
+    def __init__(self, runtime):
         super().__init__()
-        self._runtime_factory = runtime_factory
-        self._runtime = None
-
-    def _open(self) -> None:
-        self._runtime = self._runtime_factory()
-
-    @property
-    def _connect_error_prefix(self) -> str:
-        return "Failed to create compiler service"
+        self._runtime = runtime
 
     def call(self, method: str, *args) -> Any:
-        if self._runtime is None:
-            self.connect(self._connect_attempts)
         try:
             return getattr(self._runtime, method)(*args)
         except Exception as error:  # noqa: BLE001 - classified as a daemon's reply is
             # Whatever the runtime raised, it raised with the runtime still
-            # there: one session's error, never a crash to restart from.
+            # there: one session's error, never a lost channel to retry.
             raise_remote_error(method, error)
-
-    def restart(self) -> None:
-        # Reached only when a wrapper fails the channel itself (a
-        # ChaosTransport's refused connect): a new runtime, no sessions.
-        if self._runtime is not None:
-            try:
-                self._runtime.shutdown()
-            except Exception:  # noqa: BLE001 - the old runtime may be in any state
-                pass
-        self._runtime = None
-        self.connect(self._connect_attempts)
 
     def shutdown(self) -> None:
         if self.closed:
             return
         self.closed = True
-        if self._runtime is not None:
-            self._runtime.shutdown()
+        self._runtime.shutdown()
 
     @property
     def runtime(self):
@@ -441,15 +369,11 @@ class SocketTransport(ServiceTransport):
     and whichever waiting caller holds the reader role routes each reply to
     the caller that issued it, so forked environments and pool workers
     overlap their round trips on the one connection instead of serializing.
-    ``restart()`` reconnects without touching the daemon, so crash recovery
-    on the client never destroys server-side sessions other than the
-    caller's own.
+    A lost connection is reopened by the next call; the daemon's sessions
+    outlive it.
     """
 
     name = "socket"
-    # The daemon may still be binding when the first client arrives; back
-    # off briefly between connect attempts.
-    _connect_backoff_s = 0.05
 
     def __init__(
         self, url: str, timeout: float = 300.0, auth_token: Optional[str] = None
@@ -462,39 +386,9 @@ class SocketTransport(ServiceTransport):
         self._conn: Optional[_MuxSocketConnection] = None
         self._lock = threading.RLock()
 
-    def _open(self) -> None:
-        """Connect and run the hello exchange on the fresh connection."""
-        conn = _MuxSocketConnection(self.url, self.family, self.address, self.timeout)
-        try:
-            pending = self._roundtrip(
-                conn,
-                "hello",
-                (HelloRequest(token=self.auth_token, client=f"repro-client-pid{os.getpid()}"),),
-            )
-            reply = pending.payload
-            if pending.status == REPLY_ERROR:
-                if isinstance(reply, PermissionDeniedError):
-                    raise reply
-                raise ServiceError(
-                    f"{self.url} refused the hello handshake: "
-                    f"{type(reply).__name__}: {reply}"
-                )
-            if not isinstance(reply, HelloReply):
-                raise ServiceError(
-                    f"{self.url} answered hello with a {type(reply).__name__}, "
-                    f"not a HelloReply"
-                )
-        except BaseException:
-            conn.close(ServiceIsClosed("Handshake failed"))
-            raise
-        self._conn = conn
-
-    def _on_connect_failure(self) -> None:
-        self._close_socket()
-
-    @property
-    def _connect_error_prefix(self) -> str:
-        return f"Failed to connect to compiler service at {self.url}"
+    def connect(self) -> None:
+        """Open the connection now rather than on the first call."""
+        self._acquire_connection()
 
     def _close_socket(self, error: Optional[BaseException] = None) -> None:
         conn, self._conn = self._conn, None
@@ -502,15 +396,36 @@ class SocketTransport(ServiceTransport):
             conn.close(error)
 
     def _acquire_connection(self) -> _MuxSocketConnection:
+        """The live connection, opened and greeted if there is none."""
         with self._lock:
             if self.closed:
                 raise ServiceIsClosed("Socket transport is closed")
-            conn = self._conn
-            if conn is None or conn.dead is not None:
-                # Lazily (re)connect, e.g. on the first call after restart().
-                self._conn = None
-                self._open()
-                conn = self._conn
+            if self._conn is not None and self._conn.dead is None:
+                return self._conn
+            conn = _MuxSocketConnection(self.url, self.family, self.address, self.timeout)
+            try:
+                pending = self._roundtrip(
+                    conn,
+                    "hello",
+                    (HelloRequest(token=self.auth_token, client=f"repro-client-pid{os.getpid()}"),),
+                )
+                reply = pending.payload
+                if pending.status == REPLY_ERROR:
+                    if isinstance(reply, PermissionDeniedError):
+                        raise reply
+                    raise ServiceError(
+                        f"{self.url} refused the hello handshake: "
+                        f"{type(reply).__name__}: {reply}"
+                    )
+                if not isinstance(reply, HelloReply):
+                    raise ServiceError(
+                        f"{self.url} answered hello with a {type(reply).__name__}, "
+                        f"not a HelloReply"
+                    )
+            except BaseException:
+                conn.close(ServiceIsClosed("Handshake failed"))
+                raise
+            self._conn = conn
             return conn
 
     def _retire(self, conn: _MuxSocketConnection, failure: BaseException) -> None:
@@ -532,8 +447,8 @@ class SocketTransport(ServiceTransport):
             # WERE fully sent, as non-retryable).
             if error.bytes_flushed == 0:
                 # Nothing reached the wire: the request cannot be applied on
-                # the daemon, so the connection's restart/retry loop may
-                # safely re-send it on a fresh connection.
+                # the daemon, so the connection's retry loop may safely
+                # re-send it on the fresh connection its next call opens.
                 self._retire(
                     conn,
                     ServiceTransportError(
@@ -583,12 +498,6 @@ class SocketTransport(ServiceTransport):
         if pending.status == REPLY_ERROR:
             raise_remote_error(method, pending.payload)
         return pending.payload
-
-    def restart(self) -> None:
-        """Reconnect to the daemon. Server-side sessions are untouched."""
-        with self._lock:
-            self._close_socket()
-            self.connect(self._connect_attempts)
 
     def shutdown(self) -> None:
         """Disconnect. The daemon keeps running — it is a shared service."""

@@ -260,9 +260,8 @@ class LlvmCompilationSession(CompilationSession):
         if self._verify_ir:
             errors = verify_module(self.module, raise_on_error=False)
             if errors:
-                # ServiceError propagates through every transport and ends
-                # only this episode; any other exception type would look like
-                # a backend crash and trigger a service restart.
+                # ServiceError reaches the client as it is, over every
+                # transport, and ends only this episode.
                 detail = "; ".join(errors[:10])
                 raise ServiceError(f"-{pass_name} produced invalid IR: {detail}")
         return False, None, not changed

@@ -112,9 +112,6 @@ class TestFaultPlan:
 class _NeverCalledTransport(ServiceTransport):
     """A stub transport for tests that never reach a real call."""
 
-    def connect(self, max_attempts: int = 1) -> None:
-        pass
-
     def call(self, method, *args):
         raise AssertionError("unexpected call")
 
@@ -244,6 +241,21 @@ class TestChaosTransportInjection:
             assert connection.stats["step"].retries == 0
             assert server.runtime.stats["step"] == steps_before + 1
             connection.close()
+
+    @pytest.mark.parametrize("kind", ["refuse_connect", "cut_send"])
+    def test_a_retryable_fault_in_process_retries_on_the_same_runtime(self, kind):
+        """With no socket to cut, a fault that sends nothing fails the call
+        before it reaches the runtime: the retry goes to that same runtime,
+        and the episode steps on in the session it already had."""
+        with repro.make("llvm-v0", benchmark=BENCHMARK, chaos=_step_fault(kind)) as env:
+            env.reset()
+            runtime = env.service.runtime
+            for action in ACTIONS[:2]:
+                _, _, done, info = env.step(action)
+                assert not done and "error_details" not in info
+            assert env.service.stats["step"].retries == 1
+            assert env.service.runtime is runtime
+            assert [fault[1:] for fault in env.service.transport.injected] == [(kind, "step")]
 
     def test_injection_log_is_deterministic_across_transports(self):
         plan = FaultPlan.generate(
@@ -483,12 +495,6 @@ class _AlwaysFailingTransport(ServiceTransport):
     """Answers get_spaces (so ServiceConnection can bootstrap), then fails
     every call with a generic (retryable) error."""
 
-    def connect(self, max_attempts: int = 1) -> None:
-        pass
-
-    def restart(self) -> None:
-        pass
-
     def call(self, method, *args):
         if method == "get_spaces":
             # ServiceConnection stores the reply opaquely; a sentinel is
@@ -615,9 +621,9 @@ class TestGracefulDegradation:
         fails whole), and the other daemon's tenant keeps stepping; once the
         breaker's cooldown admits a half-open probe, the daemon — which was
         alive all along — serves again."""
-        gateway = ServiceGateway(
-            env_id="llvm-v0", daemons=2, breaker_reset_timeout=0.3
-        ).start()
+        gateway = ServiceGateway(env_id="llvm-v0", daemons=2).start()
+        for daemon in gateway.live_daemons():
+            daemon.breaker.reset_timeout = 0.3
         env_a = _make_env(gateway.url)
         env_b = _make_env(gateway.url)
         try:

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.core.datasets import Benchmark
-from repro.core.service.proto import EndSessionRequest
+from repro.core.service.proto import EndSessionRequest, StartSessionRequest
 from repro.core.vector import BACKENDS, VecCompilerEnv
 from repro.core.wrappers import TimeLimit
 from repro.errors import BenchmarkInitError, SessionNotFound
@@ -117,7 +117,7 @@ def test_the_programl_graph_arrives_whole(deployment):
         )
         _, _, done, info = env.step(EPISODES[1][1])
         assert not done and "error_details" not in info
-        assert env.service.restart_count == 0
+        assert not any(stats.retries for stats in env.service.stats.values())
 
 
 def test_fork_replays_like_its_parent(deployment):
@@ -246,10 +246,34 @@ def test_a_forks_failed_step_ends_only_the_fork(deployment):
             step_root(actions[1])
             _, _, done, info = fork.step(10_000)
             assert done and "Action out of range: 10000" in info["error_details"]
-        assert env.service.restart_count == 0
+        assert not any(stats.retries for stats in env.service.stats.values())
         assert deployment.sessions(env) == held
         for action in actions[2:]:
             step_root(action)
+        assert record == _reference(actions)[1:1 + len(actions)]
+
+
+def test_an_error_the_service_answered_is_raised_once(deployment):
+    """A session the service refuses to start (a dataset URI names no
+    program) is the caller's error, however far away the service is: it is
+    raised once, nothing is retried, and a session already on the connection
+    steps on as if the refusal had never been."""
+    actions = EPISODES[1]
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        record = []
+
+        def step(action):
+            observation, reward, done, info = env.step(action)
+            record.append((_plain(observation), reward, done, info["action_had_no_effect"]))
+
+        step(actions[0])
+        with pytest.raises(BenchmarkInitError):
+            env.service.start_session(StartSessionRequest(benchmark_uri="benchmark://cbench-v1"))
+        stats = env.service.stats["start_session"]
+        assert (stats.errors, stats.retries) == (1, 0)
+        for action in actions[1:]:
+            step(action)
         assert record == _reference(actions)[1:1 + len(actions)]
 
 

@@ -369,7 +369,7 @@ class TestFramesRunNoCode:
                 with pytest.raises(ServiceError, match="Cannot send a .*_Foreign"):
                     connection.step(StepRequest(session_id=first, actions=[_Foreign()]))
                 assert not connection.transport._conn._pending
-                assert connection.restart_count == 0
+                assert not any(stats.retries for stats in connection.stats.values())
                 assert server.runtime.stats["step"] == 3
 
     def test_a_frame_naming_an_unloaded_module_imports_nothing(self):
@@ -465,7 +465,7 @@ class TestFramesRunNoCode:
 # One transport is left to run this class over; it stays a parameter so that
 # the tests keep the ids ("...[in-process]") they are tracked under.
 @pytest.mark.parametrize(
-    "make_transport", [lambda: InProcessTransport(_runtime)], ids=["in-process"]
+    "make_transport", [lambda: InProcessTransport(_runtime())], ids=["in-process"]
 )
 class TestTransportConnection:
     def test_full_session_lifecycle(self, make_transport):
@@ -498,7 +498,7 @@ class TestTransportConnection:
         # a daemon's error reply is, so the session survives it.
         with pytest.raises(ServiceError, match="simulated compiler crash"):
             connection.step(StepRequest(session_id=session.session_id, actions=[2]))
-        assert connection.restart_count == 0
+        assert not any(stats.retries for stats in connection.stats.values())
         connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         connection.close()
 
@@ -530,7 +530,7 @@ class TestSlowSuccessIsNotRetried:
 
     def test_slow_success_raises_without_retry(self):
         connection = ServiceConnection(
-            InProcessTransport(_slow_runtime),
+            InProcessTransport(_slow_runtime()),
             ConnectionOpts(rpc_call_max_seconds=0.02, rpc_max_retries=5, retry_wait_seconds=0.001),
         )
         session = connection.start_session(
@@ -542,7 +542,7 @@ class TestSlowSuccessIsNotRetried:
             connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         # Applied exactly once: no restart, no re-execution.
         assert runtime.stats["step"] == steps_before + 1
-        assert connection.restart_count == 0
+        assert not any(stats.retries for stats in connection.stats.values())
         assert connection.stats["step"].retries == 0
         # The slow success is recorded in the wall-time accounting.
         assert connection.stats["step"].calls == 1
@@ -561,7 +561,7 @@ class TestSlowSuccessIsNotRetried:
 
     def test_fast_success_within_deadline_is_untouched(self):
         connection = ServiceConnection(
-            InProcessTransport(_runtime), ConnectionOpts(rpc_call_max_seconds=5.0)
+            InProcessTransport(_runtime()), ConnectionOpts(rpc_call_max_seconds=5.0)
         )
         session = connection.start_session(
             StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
@@ -718,7 +718,7 @@ class TestSendFailureClassification:
                 )
             # Never retried, never restarted, never re-sent to the daemon.
             assert connection.stats["step"].retries == 0
-            assert connection.restart_count == 0
+            assert not any(stats.retries for stats in connection.stats.values())
             assert server.runtime.stats["step"] == steps_before
             # The daemon session is untouched; a fresh connection epoch
             # carries on where the episode left off.
@@ -813,16 +813,18 @@ class TestServiceServer:
             assert reply.observations[0].value() == 7
             second.close()
 
-    def test_client_restart_preserves_sessions(self):
-        """Transport restart() reconnects without destroying daemon state."""
+    def test_a_dropped_socket_reconnects_on_the_next_call(self):
+        """A socket dropped under an idle client fails the next send before
+        anything leaves; the retry opens a fresh connection, and the daemon's
+        session is still there to step."""
         with self._server() as server:
             transport = SocketTransport(server.url)
             with ServiceConnection(transport) as connection:
                 session = connection.start_session(
                     StartSessionRequest(benchmark_uri="benchmark://t-v0/2")
                 )
-                connection.restart()
-                assert connection.restart_count == 1
+                dropped = transport._conn
+                dropped.sock.shutdown(socket.SHUT_RDWR)
                 reply = connection.step(
                     StepRequest(
                         session_id=session.session_id,
@@ -831,6 +833,53 @@ class TestServiceServer:
                     )
                 )
                 assert reply.observations[0].value() == 2
+                assert connection.stats["step"].retries == 1
+                assert transport._conn is not dropped and dropped.dead is not None
+
+    def test_concurrent_callers_reconnect_on_one_fresh_connection(self):
+        """Callers that all find the shared socket dropped each retry; the
+        first to take the transport's lock opens the fresh connection, and
+        the rest step on it. Five drops, eight callers, threads switched as
+        often as possible."""
+        callers, drops = 8, 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._server() as server:
+                transport = SocketTransport(server.url)
+                with ServiceConnection(transport) as connection:
+                    sessions = [
+                        connection.start_session(
+                            StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                        ).session_id
+                        for i in range(callers)
+                    ]
+                    values = {}
+
+                    def step(session_id):
+                        reply = connection.step(
+                            StepRequest(
+                                session_id=session_id,
+                                actions=[1],
+                                observation_space_names=["value"],
+                            )
+                        )
+                        values[session_id] = reply.observations[0].value()
+
+                    for drop in range(1, drops + 1):
+                        transport._conn.sock.shutdown(socket.SHUT_RDWR)
+                        threads = [
+                            threading.Thread(target=step, args=(sid,)) for sid in sessions
+                        ]
+                        for thread in threads:
+                            thread.start()
+                        for thread in threads:
+                            thread.join(timeout=30)
+                            assert not thread.is_alive()
+                        assert values == {sid: i + drop for i, sid in enumerate(sessions)}
+                    assert server.server_info()["connections_served"] == 1 + drops
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_same_session_calls_serialize_different_sessions_overlap(self):
         _SlowStepSession.reset_tracking()
@@ -886,8 +935,8 @@ class TestServiceServer:
     def test_daemon_crash_is_not_retried_and_not_double_applied(self):
         """A generic exception inside the daemon (compiler crash mid-step)
         must surface as a non-retryable ServiceError: the daemon session
-        survives a client restart(), so a retry would re-apply the request's
-        already-applied prefix."""
+        survives its client's reconnect, so a retry would re-apply the
+        request's already-applied prefix."""
         with self._server() as server:
             connection = ServiceConnection(
                 SocketTransport(server.url),
@@ -901,7 +950,7 @@ class TestServiceServer:
                 connection.step(
                     StepRequest(session_id=session.session_id, actions=[1, 2])
                 )
-            assert connection.restart_count == 0
+            assert not any(stats.retries for stats in connection.stats.values())
             assert connection.stats["step"].retries == 0
             # The prefix was applied exactly once — no silent re-execution.
             reply = connection.step(
@@ -1097,10 +1146,9 @@ class TestServiceServer:
         connection.opts.retry_wait_seconds = 0.001
         with pytest.raises(ServiceError):
             connection.start_session(request)
-        # A fresh daemon at the same address is one restart() away.
+        # A fresh daemon at the same address is reached by the next call.
         where = where or {"port": parse_service_url(server.url)[1][1]}
         with self._server(**where):
-            connection.restart()
             assert connection.start_session(request).session_id == 0
         connection.close()
         # Shutdown is idempotent.
@@ -1461,8 +1509,8 @@ class TestMultiplexedConcurrency:
         # The daemon dying with calls in flight must fail EVERY caller
         # promptly and non-retryably — a lone caller reading its own reply,
         # or one reading and two parked behind it as followers. The daemon
-        # (unlike an in-process runtime, which a restart destroys) survives
-        # with the session live, so a retried step() would be applied twice.
+        # survives with the session live, so a retried step() would be
+        # applied twice.
         requests_seen = []
 
         def swallow_then_die(client):

@@ -252,7 +252,7 @@ class TestBatchedApi:
             assert dones[1] is False and rewards[1] is not None
             assert "error_details" not in infos[1]
             assert vec[1].actions == [3, 4]
-            assert vec.workers[0].service.restart_count == 0
+            assert not any(stats.retries for stats in vec.workers[0].service.stats.values())
             assert vec.connection_stats()["step_sessions"]["calls"] == 2
 
     def test_episode_rewards(self, vec_env):

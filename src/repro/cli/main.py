@@ -165,12 +165,7 @@ def _cmd_gateway(args) -> int:
     finally:
         # Snapshot fleet health before shutdown tears the fleet down.
         fleet_health = [
-            (
-                daemon.index,
-                daemon.breaker.state,
-                daemon.breaker.trips,
-                daemon.last_heartbeat_age_s(),
-            )
+            (daemon.index, daemon.last_heartbeat_age_s())
             for daemon in gateway.live_daemons()
         ]
         gateway.shutdown()
@@ -189,13 +184,9 @@ def _cmd_gateway(args) -> int:
             f"{monitor['deaths_detected']} death(s) detected proactively",
             flush=True,
         )
-    for index, breaker_state, trips, heartbeat_age in fleet_health:
+    for index, heartbeat_age in fleet_health:
         age = "never" if heartbeat_age is None else f"{heartbeat_age:.1f}s ago"
-        print(
-            f"Daemon {index}: breaker {breaker_state} ({trips} trip(s)), "
-            f"last heartbeat {age}",
-            flush=True,
-        )
+        print(f"Daemon {index}: last heartbeat {age}", flush=True)
     return 0
 
 

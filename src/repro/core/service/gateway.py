@@ -19,9 +19,10 @@ daemon, fanned out concurrently, and reassembled in request order.
 **Failover.** Every routed session records its construction recipe and the
 acknowledged action sequence as a :class:`~repro.core.compiler_env_state.
 CompilerEnvState`-backed record. When a daemon dies (detected by a failed
-RPC plus a failed liveness probe), each of its sessions is re-created on a
-surviving daemon by replaying the recorded actions, and the failed call is
-retried once against the new home. Only *acknowledged* actions are
+RPC plus a failed liveness probe, or by the :class:`HealthMonitor`), each
+of its sessions is re-created on a surviving daemon by replaying the
+recorded actions, and the failed call is retried once against the new
+home. Only *acknowledged* actions are
 replayed, so a step lost in flight with the dying daemon is applied at most
 once on the successor. ``server_info()["failovers"]`` counts these events;
 the spaces a gateway serves are its ``env_id``'s and do not change with its
@@ -36,7 +37,9 @@ letting daemons be locked down to gateway-only access.
 **Fleet membership.** Daemons are either *attached* (URLs handed in) or
 *spawned* (local worker processes started from an ``env_id``) when the
 gateway is built. After that the fleet changes only by failover, which
-retires a dead member.
+retires a dead member (and stops it, if the gateway spawned it). A member is
+live or dead, nothing in between: a call that fails at a live member's
+connection is answered :class:`ServiceIsDown` and the member keeps serving.
 """
 
 import itertools
@@ -50,7 +53,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.compiler_env_state import CompilerEnvState
 from repro.core.service.connection import ConnectionOpts, ServiceConnection
-from repro.core.service.health import OPEN, CircuitBreaker, HealthMonitor
+from repro.core.service.health import HealthMonitor
 from repro.core.service.proto import (
     EndSessionReply,
     EndSessionRequest,
@@ -93,24 +96,38 @@ class DaemonHandle:
     connection: ServiceConnection
     spawned: Optional[SpawnedDaemon] = None
     dead: bool = False
-    # Health substrate: the per-daemon circuit breaker sheds load from a
-    # flapping member (closed → open on consecutive failures → half-open
-    # probe), and last_heartbeat timestamps the most recent successful probe.
-    breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
-    last_heartbeat: Optional[float] = None
+    last_heartbeat: Optional[float] = None  # The last answered probe.
 
     @property
     def pid(self) -> Optional[int]:
         return self.spawned.pid if self.spawned is not None else None
 
-    def down_error(self) -> ServiceIsDown:
-        """Graceful degradation: what a call routed to this daemon gets at
-        once, instead of a timeout, while it is dead or circuit-broken."""
+    def down_error(self, error: Optional[BaseException] = None) -> ServiceError:
+        """Graceful degradation: what a call routed to this daemon gets.
+
+        With no ``error`` the daemon is dead, and the call gets
+        :class:`ServiceIsDown` at once instead of a timeout. A call that
+        failed at the connection gets it too: the daemon, not the compile
+        work, is the problem. A :class:`ServiceError` the daemon answered
+        passes through as it is.
+        """
+        if isinstance(error, ServiceError):
+            return error
         return ServiceIsDown(
             f"Gateway daemon {self.index} at {self.url} is "
-            f"{'dead' if self.dead else 'circuit-broken'}; its "
+            f"{'dead' if error is None else f'unreachable: {error}'}; its "
             f"sessions are unavailable until the fleet recovers"
         )
+
+    def stop(self) -> None:
+        """Close the gateway's connection to this member and stop its
+        process if the gateway spawned it. Idempotent."""
+        try:
+            self.connection.close()
+        except Exception:  # noqa: BLE001 - teardown must not raise
+            pass
+        if self.spawned is not None:
+            self.spawned.stop()
 
     def last_heartbeat_age_s(self) -> Optional[float]:
         if self.last_heartbeat is None:
@@ -201,20 +218,27 @@ class ServiceGateway(SocketRPCServer):
         self.rehomed_sessions = 0  # Sessions successfully replayed onto survivors.
         self.heartbeat_interval = heartbeat_interval
         self.health_monitor: Optional[HealthMonitor] = None
+
+        try:
+            for url in daemon_urls or []:
+                self._attach_daemon(url)
+            for _ in range(daemons):
+                self.spawn_daemon()
+            super().__init__(
+                host=host, port=port, unix_path=unix_path, auth_tokens=auth_tokens
+            )
+        except BaseException:
+            # Leave nothing running: a gateway that failed to build is never
+            # shut down.
+            for daemon in self._daemons:
+                daemon.stop()
+            raise
         # step_sessions fan-out runs per-daemon batches on this pool (the
         # batch RPC itself may run on the inherited dispatch pool, and tasks
         # must never wait on their own executor).
         self._fanout_executor = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="repro-gateway-fanout"
         )
-
-        for url in daemon_urls or []:
-            self._attach_daemon(url)
-        for _ in range(daemons):
-            self.spawn_daemon()
-
-        super().__init__(host=host, port=port, unix_path=unix_path, auth_tokens=auth_tokens)
-
         if heartbeat_interval is not None:
             self.health_monitor = HealthMonitor(self, interval=heartbeat_interval)
             self.health_monitor.start()
@@ -268,22 +292,13 @@ class ServiceGateway(SocketRPCServer):
         return handle
 
     def live_daemons(self) -> List[DaemonHandle]:
-        """Fleet members that have not been declared dead (circuit-broken
-        ones included)."""
+        """Fleet members that have not been declared dead."""
         with self._fleet_lock:
             return [d for d in self._daemons if not d.dead]
 
-    def _placement_candidates(self) -> List[DaemonHandle]:
-        candidates = self.live_daemons()
-        # Circuit-broken daemons shed load: new sessions avoid them while
-        # their breaker is open. If that would leave nowhere to place,
-        # fall back to the full set — degraded placement beats refusing.
-        healthy = [d for d in candidates if d.breaker.state != OPEN]
-        return healthy or candidates
-
     def _place_session(self) -> DaemonHandle:
         """Pick the least-loaded live daemon for a new session."""
-        candidates = self._placement_candidates()
+        candidates = self.live_daemons()
         if not candidates:
             raise ServiceError("Gateway has no live daemons to place the session on")
         with self._fleet_lock:
@@ -295,16 +310,18 @@ class ServiceGateway(SocketRPCServer):
 
     # -- failure handling --------------------------------------------------
 
-    def _daemon_alive(self, daemon: DaemonHandle) -> bool:
-        """Liveness probe: can the daemon still answer a heartbeat?"""
+    def probe(self, daemon: DaemonHandle) -> Optional[BaseException]:
+        """Liveness probe: the heartbeat's failure, or None if it answered.
+
+        The one probe of a member, for a failed call and the
+        :class:`HealthMonitor` alike; an answer stamps ``last_heartbeat``.
+        """
         try:
             daemon.connection.transport.heartbeat()
-        except Exception:  # noqa: BLE001 - any failure means "not provably alive"
-            daemon.breaker.record_failure()
-            return False
+        except Exception as error:  # noqa: BLE001 - any failure means "not provably alive"
+            return error
         daemon.last_heartbeat = time.monotonic()
-        daemon.breaker.record_success()
-        return True
+        return None
 
     def _handle_daemon_failure(self, daemon: DaemonHandle, error: BaseException) -> None:
         """Retire a dead daemon and re-home its sessions onto survivors.
@@ -319,7 +336,6 @@ class ServiceGateway(SocketRPCServer):
             if daemon.dead:
                 return
             daemon.dead = True
-            daemon.breaker.force_open()
             self.failovers += 1
             stranded = [r for r in self._sessions.values() if r.daemon is daemon]
         logger.warning(
@@ -330,8 +346,6 @@ class ServiceGateway(SocketRPCServer):
             daemon.connection.close()
         except Exception:  # noqa: BLE001 - it is already dead
             pass
-        if daemon.spawned is not None:
-            daemon.spawned.process.join(timeout=5)
         for record in stranded:
             try:
                 self._replay_session(record)
@@ -343,6 +357,8 @@ class ServiceGateway(SocketRPCServer):
                 )
                 with self._fleet_lock:
                     self._sessions.pop(record.gateway_sid, None)
+        if daemon.spawned is not None:
+            daemon.spawned.stop()  # It may be wedged rather than gone.
 
     def _replay_session(self, record: _RoutedSession) -> None:
         """Re-create one routed session on a live daemon by replaying its
@@ -389,35 +405,30 @@ class ServiceGateway(SocketRPCServer):
         sessions up again — one that could not be replayed is gone — and
         retries once against their new homes.
         """
-        if self._daemon_alive(daemon):
+        if self.probe(daemon) is None:
             return False
         self._handle_daemon_failure(daemon, error)
         return True
 
     def _call_routed(self, record: _RoutedSession, call):
-        """Invoke ``call(daemon, remote_sid)`` through the owning daemon's
-        breaker, failing over once if the daemon died mid-call."""
+        """Invoke ``call(daemon, remote_sid)`` on the owning daemon, failing
+        over once if the daemon died mid-call."""
         for attempt in (0, 1):
             daemon, remote_sid = record.daemon, record.remote_sid
-            if daemon.dead or not daemon.breaker.allow():
+            if daemon.dead:
                 raise daemon.down_error()
             try:
-                result = call(daemon, remote_sid)
-            except (SessionNotFound, PermissionDeniedError):
-                daemon.breaker.record_success()  # It answered.
-                raise
+                return call(daemon, remote_sid)
+            except PermissionDeniedError:
+                raise  # Answered: nothing to fail over.
             except (ServiceError, ConnectionError, OSError) as error:
                 if attempt or not self._failed_over(daemon, error):
-                    daemon.breaker.record_failure()
-                    raise
+                    raise daemon.down_error(error)
                 with self._fleet_lock:
                     if record.gateway_sid not in self._sessions:
                         raise SessionNotFound(
                             f"Session {record.gateway_sid} was lost with its daemon"
                         ) from error
-            else:
-                daemon.breaker.record_success()
-                return result
 
     # -- dispatch ----------------------------------------------------------
 
@@ -572,10 +583,10 @@ class ServiceGateway(SocketRPCServer):
                         for sub in subs:
                             self._sessions.pop(sub.session_id, None)
 
-            # A dead or circuit-broken daemon's sessions get per-session
-            # ServiceIsDown results immediately — the survivors' groups keep
-            # stepping and no timeout is paid per broken session.
-            if daemon.dead or not daemon.breaker.allow():
+            # A dead daemon's sessions get per-session ServiceIsDown results
+            # immediately — the survivors' groups keep stepping and no
+            # timeout is paid per lost session.
+            if daemon.dead:
                 return fail(daemon.down_error())
             translated = [
                 StepRequest(
@@ -592,18 +603,7 @@ class ServiceGateway(SocketRPCServer):
                     for new_daemon, new_positions in bucket_by_home(positions):
                         step_group(new_daemon, new_positions, retry=False)
                     return
-                daemon.breaker.record_failure()
-                # A bare connection-level failure means the daemon (not the
-                # compile work) is the problem: degrade those sessions to
-                # ServiceIsDown so the client sees "fleet member down", not
-                # an opaque socket error.
-                if not isinstance(error, ServiceError):
-                    error = ServiceIsDown(
-                        f"Gateway daemon {daemon.index} at {daemon.url} is "
-                        f"unreachable: {error}"
-                    )
-                return fail(error)
-            daemon.breaker.record_success()
+                return fail(daemon.down_error(error))
             for position, sub, result in zip(positions, subs, batch):
                 if result.error is None:
                     # Acknowledged: these actions are now part of the
@@ -683,8 +683,6 @@ class ServiceGateway(SocketRPCServer):
                     "sessions": sum(
                         1 for r in self._sessions.values() if r.daemon is d
                     ),
-                    "breaker": d.breaker.state,
-                    "breaker_trips": d.breaker.trips,
                     "last_heartbeat_age_s": d.last_heartbeat_age_s(),
                 }
                 for d in self._daemons
@@ -730,12 +728,5 @@ class ServiceGateway(SocketRPCServer):
             self._daemons = []
             self._sessions.clear()
         for daemon in fleet:
-            if daemon.dead:
-                continue
-            try:
-                daemon.connection.close()
-            except Exception:  # noqa: BLE001 - teardown must not raise
-                pass
-            if daemon.spawned is not None:
-                daemon.spawned.stop()
+            daemon.stop()
         logger.info("Compiler service gateway on %s shut down", self.url)

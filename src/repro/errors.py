@@ -61,11 +61,12 @@ class ServiceIsClosed(ServiceError):
 class ServiceIsDown(ServiceError):
     """The service (or the fleet member hosting the session) is unreachable.
 
-    The gateway's answer, per session, to a step — a lone ``step`` and each
-    sub-request of a ``step_sessions`` batch alike — when the fleet is
-    partially down: sessions on surviving daemons keep stepping and only the
-    sessions whose daemon is dead (or circuit-broken) receive this error,
-    instead of the whole batch failing. Non-retryable — the session's episode
+    The gateway's answer, per session, to a session-scoped call — a lone
+    ``step``, each sub-request of a ``step_sessions`` batch, a fork or a
+    session parameter alike — when the fleet is partially down: sessions on
+    surviving daemons keep stepping and only the sessions whose daemon is
+    dead, or failed the call at the connection, receive this error, instead
+    of the whole batch failing. Non-retryable — a stepped session's episode
     ends through the environment's fault-tolerance path, which marks it
     ``info["service_is_down"]``.
     """

@@ -5,17 +5,17 @@ deterministic and reusable; :class:`ChaosTransport` injects each fault kind
 through the transport's *production* classification paths (retryable
 pre-send failures, non-retryable partial flushes, at-most-once reply loss,
 slow-success deadline breaches); daemon-side :class:`ServerChaos` drops,
-corrupts, and delays replies; the pre-auth ``heartbeat`` RPC; the
-:class:`CircuitBreaker` state machine; full-jitter retry desynchronization;
-and the :class:`HealthMonitor` detecting a SIGKILLed daemon within two
-heartbeat intervals with no client RPC in flight.
+corrupts, and delays replies; the pre-auth ``heartbeat`` RPC; full-jitter
+retry desynchronization; the :class:`HealthMonitor` detecting a SIGKILLed
+daemon within two heartbeat intervals with no client RPC in flight; and a
+live member's connection failures shed per session.
 """
 
 import os
 import signal
 import socket
-import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +29,7 @@ from repro.core.service.chaos import (
     resolve_chaos,
 )
 from repro.core.service.gateway import ServiceGateway
-from repro.core.service.health import CircuitBreaker, HealthMonitor
+from repro.core.service.health import HealthMonitor
 from repro.core.service.proto import StartSessionRequest, StepRequest
 from repro.core.service.runtime.server import ServiceServer
 from repro.core.service.transport import ServiceTransport, SocketTransport
@@ -409,85 +409,6 @@ class TestHeartbeat:
                 raw.close()
 
 
-# -- the circuit breaker ------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60.0)
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_admits_one_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.05)
-        breaker.record_failure()
-        assert not breaker.allow()
-        time.sleep(0.06)
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe slot
-        assert not breaker.allow()  # only one probe at a time
-
-    @pytest.mark.parametrize("probe_succeeds", [True, False])
-    def test_a_caller_during_the_probe_gets_its_outcome(self, probe_succeeds):
-        """A pool's workers resetting together reach a recovering daemon at
-        once: the one admitted as the probe decides for the others, who
-        wait for it instead of being shed."""
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.5)
-        breaker.record_failure()
-        breaker._opened_at = time.monotonic() - 1.0
-        assert breaker.allow()  # the probe
-        admitted = []
-        waiter = threading.Thread(target=lambda: admitted.append(breaker.allow()))
-        waiter.start()
-        time.sleep(0.05)
-        assert not admitted  # Waiting on the probe.
-        if probe_succeeds:
-            breaker.record_success()
-        else:
-            breaker.record_failure()
-        waiter.join(timeout=5)
-        assert admitted == [probe_succeeds]
-
-    def test_half_open_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.05)
-        breaker.record_failure()
-        time.sleep(0.06)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
-        breaker.record_failure()
-        # Force the cooldown to elapse without waiting a minute.
-        breaker._opened_at = time.monotonic() - 61.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_force_open(self):
-        breaker = CircuitBreaker(failure_threshold=5, reset_timeout=60.0)
-        breaker.force_open()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-
 # -- retry jitter desynchronization -------------------------------------------
 
 
@@ -539,6 +460,45 @@ class TestRetryJitterDesync:
 
 
 # -- heartbeat-driven failover (acceptance) -----------------------------------
+
+
+class _ScriptedFleet:
+    """A one-member gateway whose probe answers from a script (None: alive)."""
+
+    def __init__(self, outcomes):
+        self.member = SimpleNamespace(index=0, url="tcp://member", dead=False)
+        self._outcomes = iter(outcomes)
+
+    def live_daemons(self):
+        return [] if self.member.dead else [self.member]
+
+    def probe(self, daemon):
+        return next(self._outcomes)
+
+    def _handle_daemon_failure(self, daemon, error):
+        assert isinstance(error, ServiceIsDown)
+        daemon.dead = True
+
+
+@pytest.mark.parametrize(
+    "outcomes, dies_at_sweep",
+    [
+        ([ConnectionRefusedError()], 1),
+        ([TimeoutError(), TimeoutError()], 2),
+        ([TimeoutError(), None, TimeoutError(), None], None),
+        ([None, None, None], None),
+    ],
+    ids=["refused-at-once", "misses-reach-threshold", "misses-are-consecutive", "answers"],
+)
+def test_the_monitor_retires_a_member_by_its_rule(outcomes, dies_at_sweep):
+    fleet = _ScriptedFleet(outcomes)
+    monitor = HealthMonitor(fleet, interval=60, failure_threshold=2)
+    sweeps = 0
+    while not fleet.member.dead and sweeps < len(outcomes):
+        monitor.probe_once()
+        sweeps += 1
+    assert (sweeps if fleet.member.dead else None) == dies_at_sweep
+    assert monitor.deaths_detected == (dies_at_sweep is not None)
 
 
 def _daemon_hosting(gateway, want_sessions=True):
@@ -606,7 +566,6 @@ class TestHealthMonitorFailover:
             assert info["failovers"] == 0
             assert info["rehomed_sessions"] == 0
             for daemon_info in info["daemons"]:
-                assert daemon_info["breaker"] == "closed"
                 assert daemon_info["last_heartbeat_age_s"] is not None
                 assert daemon_info["last_heartbeat_age_s"] < 10.0
         finally:
@@ -615,15 +574,13 @@ class TestHealthMonitorFailover:
 
 class TestGracefulDegradation:
     @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "single-env"])
-    def test_circuit_broken_daemon_degrades_then_recovers(self, pooled):
-        """Sessions on a circuit-broken daemon get per-session ServiceIsDown,
-        whether their step travelled alone or in a pool's batch (which never
-        fails whole), and the other daemon's tenant keeps stepping; once the
-        breaker's cooldown admits a half-open probe, the daemon — which was
-        alive all along — serves again."""
+    def test_a_members_connection_failures_are_shed_per_session(self, pooled, monkeypatch):
+        """Sessions on a live member whose connection fails get per-session
+        ServiceIsDown, whether their step travelled alone or in a pool's batch
+        (which never fails whole), and the other daemon's tenant keeps
+        stepping; the member is not retired, so once its connection heals it
+        serves again."""
         gateway = ServiceGateway(env_id="llvm-v0", daemons=2).start()
-        for daemon in gateway.live_daemons():
-            daemon.breaker.reset_timeout = 0.3
         env_a = _make_env(gateway.url)
         env_b = _make_env(gateway.url)
         try:
@@ -637,6 +594,9 @@ class TestGracefulDegradation:
                 _, reward, done, info = tenant.step(action)
                 return [reward], [done], [info]
 
+            def reset_by_peer(*args):
+                raise ConnectionResetError("connection reset by peer")
+
             with tenant:
                 tenant.reset()
                 # env_b's daemon carries just env_b; a pool's forked sessions
@@ -645,22 +605,19 @@ class TestGracefulDegradation:
                 assert gateway._sessions[env_b._session_id].daemon is not broken
                 rewards, dones, _ = step(ACTIONS[0])
                 assert not any(dones) and all(reward > 0 for reward in rewards)
-                # Trip the breaker by hand (as repeated probe failures
-                # would). The daemon itself stays alive throughout.
-                broken.breaker.force_open()
-                served = broken.connection.stats_summary()
-                # A fork is shed like a step: refused at the gateway.
+                # The daemon stays alive and answers its heartbeat throughout.
+                monkeypatch.setattr(broken.connection, "step_sessions", reset_by_peer)
+                monkeypatch.setattr(broken.connection, "fork_session", reset_by_peer)
+                # A fork is shed like a step.
                 with pytest.raises(ServiceIsDown):
                     env_a.fork()
-                assert broken.connection.stats_summary() == served
                 degraded, dones, infos = step(ACTIONS[1])
                 assert all(dones)
                 assert all(info.get("service_is_down") for info in infos)
                 assert degraded == [
                     env_a.reward_space.reward_on_error(reward) for reward in rewards
                 ]
-                # Shed, not attempted: the broken daemon saw no step.
-                assert broken.connection.stats_summary() == served
+                assert not broken.dead and gateway.failovers == 0
                 # The client forgets a session answered ServiceIsDown without
                 # an end_session, so the gateway drops its route too: the
                 # outage leaves nothing counted against the broken daemon.
@@ -675,13 +632,11 @@ class TestGracefulDegradation:
                 _, reward, done, _ = env_b.step(ACTIONS[0])
                 assert reward is not None and not done
                 crowd = [env_b.fork(), env_b.fork()]
-                # After the cooldown the half-open probe finds the daemon
-                # alive, closes the breaker, and its sessions serve again.
-                time.sleep(0.35)
+                monkeypatch.undo()
                 tenant.reset()
+                assert gateway._sessions[env_a._session_id].daemon is broken
                 _, dones, _ = step(ACTIONS[1])
                 assert not any(dones)
-                assert broken.breaker.state == "closed"
                 for fork in crowd:
                     fork.close()
         finally:

@@ -6,9 +6,11 @@ failover retires a member), and rejects cross-tenant session access and
 version-skewed peers.
 """
 
+import multiprocessing
 import os
 import pickle
 import signal
+import socket
 import struct
 
 import pytest
@@ -236,6 +238,15 @@ class TestFleetMembership:
         with pytest.raises(ValueError, match="requires env_id"):
             ServiceGateway(daemons=2)
 
+    def test_a_gateway_that_fails_to_listen_stops_the_daemons_it_spawned(self):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            before = multiprocessing.active_children()
+            with pytest.raises(OSError):
+                ServiceGateway(env_id="llvm-v0", daemons=2, port=busy.getsockname()[1])
+        assert [p for p in multiprocessing.active_children() if p not in before] == []
+
     def test_attached_daemons_are_the_fleet(self, daemon_servers):
         urls = [server.url for server in daemon_servers]
         gw = ServiceGateway(daemon_urls=urls).start()
@@ -274,10 +285,9 @@ class TestFleetMembership:
         assert _indices(attached_gateway.live_daemons()) == [e["index"] for e in entries]
         for entry in entries:
             assert set(entry) == {
-                "index", "url", "pid", "sessions", "breaker", "breaker_trips",
-                "last_heartbeat_age_s",
+                "index", "url", "pid", "sessions", "last_heartbeat_age_s",
             }
-            assert entry["sessions"] == 0 and entry["breaker"] == "closed"
+            assert entry["sessions"] == 0
 
     def test_a_probe_sweep_leaves_a_healthy_fleet_as_it_is(self, attached_gateway):
         members = _indices(attached_gateway.live_daemons())
@@ -311,81 +321,73 @@ class TestFleetMembership:
         finally:
             env.close()
 
+    @pytest.mark.parametrize("fleet", ["attached_gateway", "gateway"], ids=["attached", "spawned"])
     def test_a_wedged_member_is_retired_after_consecutive_missed_probes(
-        self, attached_gateway, monkeypatch
+        self, request, monkeypatch, fleet
     ):
-        env = _make_env(attached_gateway.url)
+        gateway = request.getfixturevalue(fleet)
+        env = _make_env(gateway.url)
         try:
             env.reset()
             env.step(ACTIONS[0])
-            wedged = _home(attached_gateway, env)
+            wedged = _home(gateway, env)
 
             def no_answer():
                 raise TimeoutError("heartbeat timed out")
 
             monkeypatch.setattr(wedged.connection.transport, "heartbeat", no_answer)
-            monitor = HealthMonitor(attached_gateway, interval=60, failure_threshold=2)
+            monitor = HealthMonitor(gateway, interval=60, failure_threshold=2)
             monitor.probe_once()
             # One missed probe is not a death.
-            assert not wedged.dead and len(attached_gateway.live_daemons()) == 2
+            assert not wedged.dead and len(gateway.live_daemons()) == 2
             monitor.probe_once()
             assert wedged.dead and monitor.deaths_detected == 1
-            (survivor,) = attached_gateway.live_daemons()
-            assert _home(attached_gateway, env) is survivor
+            # A member the gateway spawned is stopped once its sessions moved.
+            assert wedged.spawned is None or not wedged.spawned.process.is_alive()
+            (survivor,) = gateway.live_daemons()
+            assert _home(gateway, env) is survivor
             _, reward, done, _ = env.step(ACTIONS[1])
             assert reward is not None and not done
             assert env.actions == ACTIONS[:2]
         finally:
             env.close()
 
-    def test_new_sessions_avoid_a_circuit_broken_member(self, attached_gateway):
-        broken, healthy = attached_gateway.live_daemons()
-        broken.breaker.force_open()
-        envs = [_make_env(attached_gateway.url) for _ in range(3)]
-        try:
-            for env in envs:
-                env.reset()
-            assert all(_home(attached_gateway, env) is healthy for env in envs)
-            # Circuit-broken is not dead: the member stays in the fleet.
-            assert _indices(attached_gateway.live_daemons()) == [broken.index, healthy.index]
-            (entry,) = [
-                e for e in attached_gateway.server_info()["daemons"]
-                if e["index"] == broken.index
-            ]
-            assert entry["breaker"] == "open" and entry["sessions"] == 0
-        finally:
-            for env in envs:
-                env.close()
-
-    def test_placement_falls_back_to_broken_members_when_none_is_healthy(
-        self, attached_gateway
+    @pytest.mark.parametrize("method", ["fork_session", "handle_session_parameter"])
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (ConnectionResetError("connection reset by peer"), ServiceIsDown),
+            (TimeoutError("timed out"), ServiceIsDown),
+            (ServiceError("compiler crashed"), ServiceError),
+        ],
+        ids=["reset", "timeout", "service-error"],
+    )
+    def test_a_call_failing_at_a_live_member_is_answered_as_a_step_is(
+        self, attached_gateway, monkeypatch, method, error, expected
     ):
-        env = _make_env(attached_gateway.url)
-        try:
-            env.reset()
-            loaded = _home(attached_gateway, env)
-            (idle,) = [d for d in attached_gateway.live_daemons() if d is not loaded]
-            for daemon in attached_gateway.live_daemons():
-                daemon.breaker.force_open()
-            # Degraded placement beats refusing: still the least loaded member.
-            assert attached_gateway._place_session() is idle
-        finally:
-            env.close()
-
-    def test_a_refused_fork_keeps_the_parents_route(self, attached_gateway):
+        """A fork or a session parameter that fails at the connection to a
+        live member gets ServiceIsDown, as a step does; an error the member
+        answered passes through. The parent still holds its session, so its
+        route stays, and once the member is reachable the parent carries on."""
         env = _make_env(attached_gateway.url)
         try:
             env.reset()
             env.step(ACTIONS[0])
             home = _home(attached_gateway, env)
-            home.breaker.force_open()
-            with pytest.raises(ServiceIsDown):
-                env.fork()
-            # The parent still holds its session, so its route stays.
-            assert env._session_id in attached_gateway._sessions
+
+            def fail(*args):
+                raise error
+
+            monkeypatch.setattr(home.connection, method, fail)
+            with pytest.raises(ServiceError, match=str(error)) as raised:
+                if method == "fork_session":
+                    env.fork()
+                else:
+                    env.service.handle_session_parameter(env._session_id, "key", "value")
+            assert type(raised.value) is expected
+            assert not home.dead
             assert _routed_sessions(attached_gateway)[home.index] == 1
-            # Once the member is admitted again, the parent carries on.
-            home.breaker.record_success()
+            monkeypatch.undo()
             _, reward, done, _ = env.step(ACTIONS[1])
             assert reward is not None and not done
             assert env.actions == ACTIONS[:2]

@@ -21,37 +21,46 @@ byte with a :class:`ConnectionError`, never decoded. The byte is the upgrade
 path: a future version is introduced by registering its codec here beside
 the current one, and the frames of both then decode.
 
-**Codec.** Version 2 (:class:`TypedPickleCodec`): the message graph is
-first lowered to a tagged primitive structure in which every registered
-protocol message (see :func:`wire_message`) travels as ``(tag, field-dict)``
-*by registry name*, not by pickle's module path. Decoding looks the tag up
-in the registry and rebuilds the dataclass from its fields, ignoring unknown
-field names — so messages can gain fields, move between modules, or be
-reordered without breaking the wire. Values outside the registry (numpy
-arrays, spaces, exceptions) travel as explicitly-tagged opaque pickles.
+**Codec.** Version 3 (:class:`TypedCodec`): the message graph is first
+lowered, in one pass, to a tagged primitive structure in which every
+registered protocol message (see :func:`wire_message`) travels as
+``(tag, field-dict)`` *by registry name*, not by pickle's module path.
+Decoding looks the tag up in the registry and rebuilds the dataclass from its
+fields, ignoring unknown field names — so messages can gain fields, move
+between modules, or be reordered without breaking the wire. A numeric numpy
+array (bool, integer, float or complex, any byte order or layout) travels
+under its own tag as ``(dtype, shape, order, raw bytes)``: the numeric
+observations are never pickled. Values outside the registry and the array
+tag (spaces, exceptions, the Programl graph, non-numeric arrays) travel as
+explicitly-tagged opaque pickles.
 
 The typed layer pins *what* a peer may say to the registered message
-vocabulary plus tagged opaque payloads. Its envelope and the opaque payloads
-are still pickle, so both are decoded by an unpickler that builds no object
-of a class off an allow-list (:func:`admitted_global`): the spaces, this
-project's errors, the builtin exceptions, a few primitives and numpy's array
-and scalar constructors. Anything else a frame names — a function that would
-run on load, say — fails the decode with :class:`ServiceError`, as does any
-other malformed payload. That holds before authentication, too: tokens gate
-*who* may speak. Until a connection has authenticated, a server reads no
-frame larger than :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`. The encoder
-decodes each opaque value by the same rule before sending it, so a value the
-peer would refuse fails the one message that held it, not the connection.
+vocabulary, raw numeric arrays and tagged opaque payloads. Its envelope and
+the opaque payloads are still pickle, so both are decoded by an unpickler
+that builds no object of a class off an allow-list (:func:`admitted_global`):
+the spaces, this project's errors, the builtin exceptions, a few primitives
+and numpy's array and scalar constructors. Anything else a frame names — a
+function that would run on load, say — fails the decode with
+:class:`ServiceError`, as does any other malformed payload: an unknown tag or
+message name, a container tag whose payload is not that container, or an
+array whose dtype is not numeric or whose byte count does not match its
+shape (checked before anything is allocated). That holds before
+authentication, too: tokens gate *who* may speak. Until a connection has
+authenticated, a server reads no frame larger than
+:data:`UNAUTHENTICATED_MAX_FRAME_BYTES`. The encoder decodes each opaque
+value by the same rule before sending it, so a value the peer would refuse
+fails the one message that held it, not the connection.
 """
 
 import dataclasses
 import importlib
 import io
+import math
 import pickle
 import random
 import struct
 import sys
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Type
 
 import numpy as np
 
@@ -84,10 +93,10 @@ def raise_remote_error(method: str, error: BaseException):
 
 # The wire version this build speaks: the version byte of every frame it
 # writes. Bump when the encoding changes incompatibly.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-# Frame header after the version byte: payload length, big-endian uint64.
-_FRAME_HEADER = struct.Struct(">Q")
+# Frame header: the version byte, then the payload length, big-endian uint64.
+_FRAME_HEADER = struct.Struct(">BQ")
 
 # Upper bound on a single message; a frame header announcing more than this
 # is treated as protocol corruption rather than honored with an allocation.
@@ -102,21 +111,41 @@ UNAUTHENTICATED_MAX_FRAME_BYTES = 1 << 16
 
 # -- typed message registry ---------------------------------------------------
 
-# Registry name -> dataclass, for every message allowed to travel typed.
-_MESSAGE_REGISTRY: Dict[str, Type] = {}
-_MESSAGE_TAGS: Dict[Type, str] = {}
-# Per-class field names, precomputed at registration: dataclasses.fields()
-# is too slow to call once per message on the encode/decode hot path.
-_MESSAGE_FIELDS: Dict[Type, Tuple[str, ...]] = {}
-# Per-class (name, default-singleton) pairs for the encoder. Fields whose
-# value *is* its declared default are omitted from the wire — the decoder
-# already reconstructs missing fields from dataclass defaults (that is the
-# schema-skew mechanism), and most messages are sparse (an Event sets one
-# of its eight slots). Identity, not equality: only default singletons like
-# None/True/False/interned small ints are safely elidable; anything else
-# compares ``is``-false and travels explicitly.
+# Registry name -> (dataclass, its field names), for every message allowed to
+# travel typed: the decode table. Unknown field names are dropped against it.
+_MESSAGE_DECODERS: Dict[str, Tuple[Type, FrozenSet[str]]] = {}
+# Exact type -> the function lowering a value of it: the encode table. Holds
+# a lowerer per registered message class (built once, by wire_message) beside
+# the containers' and the numeric array's.
+_LOWERERS: Dict[Type, Callable[[Any], Any]] = {}
 _NO_DEFAULT = object()
-_MESSAGE_ENCODE_FIELDS: Dict[Type, Tuple[Tuple[str, Any], ...]] = {}
+
+
+def _message_lowerer(tag: str, message_cls: Type) -> Callable[[Any], Any]:
+    """The lowering of one registered class: ``("M", tag, field-dict)``.
+
+    Fields whose value *is* its declared default are omitted from the wire —
+    the decoder rebuilds missing fields from the dataclass defaults (that is
+    the schema-skew mechanism), and most messages are sparse (an Event sets
+    one of its eight slots). Identity, not equality: only default singletons
+    like None/True/False/interned small ints are safely elidable; anything
+    else compares ``is``-false and travels explicitly.
+    """
+    fields = tuple(
+        (f.name, f.default if f.default is not dataclasses.MISSING else _NO_DEFAULT)
+        for f in dataclasses.fields(message_cls)
+    )
+
+    def lower_message(value: Any) -> tuple:
+        lowered = {}
+        for name, default in fields:
+            item = getattr(value, name)
+            if item is default:
+                continue
+            lowered[name] = item if type(item) in _PRIMITIVE_TYPES else _lower(item)
+        return (_TAG_MESSAGE, tag, lowered)
+
+    return lower_message
 
 
 def wire_message(cls=None, *, name: Optional[str] = None):
@@ -125,27 +154,21 @@ def wire_message(cls=None, *, name: Optional[str] = None):
     Registered messages are encoded by *registry name* rather than by
     pickle's module path, which is what makes the typed format stable across
     refactors: the name is the wire contract, the import location is not.
+    The class's encode and decode tables are built here, once.
     """
 
     def register(message_cls):
         if not dataclasses.is_dataclass(message_cls):
             raise TypeError(f"wire_message requires a dataclass, got {message_cls!r}")
         tag = name or message_cls.__name__
-        existing = _MESSAGE_REGISTRY.get(tag)
-        if existing is not None and existing is not message_cls:
+        existing = _MESSAGE_DECODERS.get(tag)
+        if existing is not None and existing[0] is not message_cls:
             raise ValueError(f"Duplicate wire message tag {tag!r}")
-        _MESSAGE_REGISTRY[tag] = message_cls
-        _MESSAGE_TAGS[message_cls] = tag
-        _MESSAGE_FIELDS[message_cls] = tuple(
-            f.name for f in dataclasses.fields(message_cls)
+        _MESSAGE_DECODERS[tag] = (
+            message_cls,
+            frozenset(f.name for f in dataclasses.fields(message_cls)),
         )
-        _MESSAGE_ENCODE_FIELDS[message_cls] = tuple(
-            (
-                f.name,
-                f.default if f.default is not dataclasses.MISSING else _NO_DEFAULT,
-            )
-            for f in dataclasses.fields(message_cls)
-        )
+        _LOWERERS[message_cls] = _message_lowerer(tag, message_cls)
         return message_cls
 
     return register(cls) if cls is not None else register
@@ -153,7 +176,7 @@ def wire_message(cls=None, *, name: Optional[str] = None):
 
 def message_registry() -> Dict[str, Type]:
     """A snapshot of the registered wire message types, by tag."""
-    return dict(_MESSAGE_REGISTRY)
+    return {tag: cls for tag, (cls, _) in _MESSAGE_DECODERS.items()}
 
 
 # -- what a frame may name ------------------------------------------------------
@@ -229,23 +252,6 @@ def _unpickle(data: bytes) -> Any:
     return _FrameUnpickler(io.BytesIO(data)).load()
 
 
-def _plain_array(value: Any) -> bool:
-    """Whether numpy pickles ``value`` from admitted globals only: a
-    contiguous array of native-order numbers without dtype metadata (what
-    the numeric observations are) is ``_frombuffer`` over its bytes and a
-    ``dtype``. An object or non-contiguous array pickles through
-    ``_reconstruct``, which a peer refuses."""
-    if type(value) is not np.ndarray:
-        return False
-    dtype = value.dtype
-    return (
-        dtype.kind in "biufc"
-        and dtype.isnative
-        and dtype.metadata is None
-        and (value.flags.c_contiguous or value.flags.f_contiguous)
-    )
-
-
 # -- codecs -------------------------------------------------------------------
 
 
@@ -269,44 +275,262 @@ class Codec:
 # as themselves; every tuple in the lowered structure is one of these tags,
 # so user tuples (lowered to ("t", ...)) can never be confused with them.
 _TAG_MESSAGE = "M"
+_TAG_ARRAY = "A"
 _TAG_OPAQUE = "P"
 _TAG_LIST = "l"
 _TAG_FLAT_LIST = "F"  # list of primitives only: no per-item lowering needed
 _TAG_TUPLE = "t"
 _TAG_DICT = "d"
 
-_PRIMITIVES = (type(None), bool, int, float, str, bytes)
-# Exact-type set for the flat-list scan: ``set(map(type, ...)) <= this`` runs
-# the whole check in C, where a per-item isinstance() genexpr would dominate
-# encode time for long observation vectors. Exactness is safe: a primitive
-# *subclass* just falls back to the per-item tagged-list path.
-_PRIMITIVE_TYPES = frozenset(_PRIMITIVES)
+# The types that travel as themselves, by exact type: a primitive *subclass*
+# (``np.float64``, an ``IntEnum``) is an opaque value. ``set(map(type, ...))
+# <= this`` checks a whole list in C, where a per-item genexpr would dominate
+# the cost of a long observation vector.
+_PRIMITIVE_TYPES = frozenset((type(None), bool, int, float, str, bytes))
+
+# Every dtype an array may travel raw with, by ``dtype.str``: bool and every
+# builtin integer, float and complex type, in both byte orders. A frame's
+# array names its dtype by one of these strings or is refused; nothing else
+# it names is parsed.
+_ARRAY_DTYPES: Dict[str, np.dtype] = {
+    dtype.str: dtype
+    for code in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+    for dtype in (np.dtype(code), np.dtype(code).newbyteorder())
+}
+# The same table the other way, for the encoder: a dtype is looked up by
+# equality (``dtype.str`` builds a new string on every read).
+_ARRAY_DTYPE_NAMES: Dict[np.dtype, str] = {
+    dtype: name for name, dtype in _ARRAY_DTYPES.items()
+}
+# numpy's own bound on an array's dimensions; it also bounds the work of
+# checking a frame's shape.
+_MAX_ARRAY_DIMS = 64
 
 
-class TypedPickleCodec(Codec):
-    """Wire version 2: registered messages travel as ``(tag, fields)`` pairs.
+def _lower(value: Any) -> Any:
+    """Lower one value: primitives raw, everything else tagged."""
+    cls = type(value)
+    if cls in _PRIMITIVE_TYPES:
+        return value
+    lower = _LOWERERS.get(cls)
+    if lower is not None:
+        return lower(value)
+    # A container subclass travels as its container.
+    if isinstance(value, list):
+        return _lower_list(list(value))
+    if isinstance(value, tuple):
+        return _lower_tuple(value)
+    if isinstance(value, dict):
+        return _lower_dict(value)
+    return _lower_opaque(value)
 
-    The message graph is lowered to a primitive structure — primitives raw,
-    containers tagged, registered dataclasses as ``("M", tag, field-dict)``,
-    anything else as a tagged opaque pickle — and that structure is then
-    serialized. An opaque value that will not pickle or that the peer would
-    refuse is lowered as ``ServiceError("<Type>: <message>")`` if it is an
-    exception, and otherwise fails the encode with :class:`ServiceError`.
-    Decoding validates every message tag against the registry and drops
-    unknown field names, giving one version of schema skew for free (new
-    fields fall back to the dataclass defaults on an old peer). A payload
-    that does not decode raises :class:`ServiceError`.
+
+def _lower_list(value: list) -> tuple:
+    # Observation vectors are long lists of floats; skipping per-item
+    # lowering (and per-item raising on the peer) dominates codec cost.
+    if set(map(type, value)) <= _PRIMITIVE_TYPES:
+        return (_TAG_FLAT_LIST, value)
+    return (_TAG_LIST, [_lower(item) for item in value])
+
+
+def _lower_tuple(value: tuple) -> tuple:
+    return (
+        _TAG_TUPLE,
+        tuple([item if type(item) in _PRIMITIVE_TYPES else _lower(item) for item in value]),
+    )
+
+
+def _lower_dict(value: dict) -> tuple:
+    if not set(map(type, value)) <= _PRIMITIVE_TYPES:
+        # Keys travel as themselves: a dict keyed by anything else is an
+        # opaque value, so its keys are checked by the peer's rule too.
+        return _lower_opaque(value)
+    return (
+        _TAG_DICT,
+        {
+            key: item if type(item) in _PRIMITIVE_TYPES else _lower(item)
+            for key, item in value.items()
+        },
+    )
+
+
+def _lower_array(value: np.ndarray) -> tuple:
+    """A numeric array as ``("A", dtype, shape, order, raw bytes)``: its
+    bytes in C order, or in Fortran order if that is its layout (a strided
+    view is copied to C order). Any other array is an opaque value."""
+    dtype = value.dtype
+    if dtype.kind not in "biufc" or dtype.metadata is not None:
+        return _lower_opaque(value)
+    name = _ARRAY_DTYPE_NAMES.get(dtype)
+    if name is None:  # A number type numpy does not build in.
+        return _lower_opaque(value)
+    flags = value.flags
+    order = "F" if flags.f_contiguous and not flags.c_contiguous else "C"
+    return (_TAG_ARRAY, name, value.shape, order, value.tobytes(order))
+
+
+def _lower_opaque(value: Any) -> tuple:
+    """Spaces, exceptions and the rest travel as an explicitly-tagged opaque
+    pickle: the escape hatch is visible on the wire instead of being the
+    whole format. It is decoded here by the peer's own rule, so what the
+    peer would refuse fails this message and never the connection it would
+    travel on."""
+    try:
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        _unpickle(payload)
+    except Exception as error:  # noqa: BLE001 - __reduce__ may raise anything
+        cls = type(value)
+        if isinstance(value, BaseException):
+            # An exception that will not pickle (one holding a lambda,
+            # say) or that the peer would refuse still says what went
+            # wrong, and fails only its own slot of a batched reply.
+            return _lower(ServiceError(f"{cls.__name__}: {value}"))
+        raise ServiceError(
+            f"Cannot send a {cls.__module__}.{cls.__qualname__}: {error}"
+        ) from error
+    return (_TAG_OPAQUE, payload)
+
+
+_LOWERERS.update({
+    list: _lower_list,
+    tuple: _lower_tuple,
+    dict: _lower_dict,
+    np.ndarray: _lower_array,
+})
+
+
+def _raise_(value: Any) -> Any:
+    """Rebuild one lowered value, checking its tag and its payload's type."""
+    if type(value) in _PRIMITIVE_TYPES:
+        return value
+    if type(value) is not tuple or not value:
+        raise ServiceError(f"Malformed typed wire payload: {type(value).__name__}")
+    raise_tagged = _RAISERS.get(value[0])
+    if raise_tagged is None:
+        raise ServiceError(f"Unknown typed wire tag: {value[0]!r}")
+    return raise_tagged(value)
+
+
+def _malformed(tag: str, payload: Any) -> ServiceError:
+    return ServiceError(f"Malformed {tag!r} payload: {type(payload).__name__}")
+
+
+def _raise_message(value: tuple) -> Any:
+    _, name, fields = value
+    decoder = _MESSAGE_DECODERS.get(name)
+    if decoder is None:
+        raise ServiceError(f"Unknown wire message type: {name!r}")
+    if type(fields) is not dict:
+        raise _malformed(_TAG_MESSAGE, fields)
+    cls, known = decoder
+    return cls(**{
+        key: item if type(item) in _PRIMITIVE_TYPES else _raise_(item)
+        for key, item in fields.items()
+        if key in known
+    })
+
+
+def _raise_array(value: tuple) -> np.ndarray:
+    """A writable copy of a raw array, built only once its dtype, shape and
+    byte count have been checked: nothing is allocated from the shape."""
+    _, name, shape, order, data = value
+    dtype = _ARRAY_DTYPES.get(name) if type(name) is str else None
+    if dtype is None:
+        raise ServiceError(f"Refused array dtype {name!r}: not a number type")
+    if (
+        type(shape) is not tuple
+        or len(shape) > _MAX_ARRAY_DIMS
+        or not all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ServiceError(f"Malformed array shape {shape!r}")
+    if type(order) is not str or order not in ("C", "F"):
+        raise ServiceError(f"Malformed array order {order!r}")
+    if type(data) is not bytes or len(data) != dtype.itemsize * math.prod(shape):
+        raise ServiceError(f"Array data does not fill its shape {shape} of {name}")
+    array = np.frombuffer(data, dtype)
+    if len(shape) != 1:
+        array = array.reshape(shape, order=order)
+    return array.copy(order)
+
+
+def _raise_flat_list(value: tuple) -> list:
+    _, items = value
+    if type(items) is not list or not set(map(type, items)) <= _PRIMITIVE_TYPES:
+        raise _malformed(_TAG_FLAT_LIST, items)
+    return items
+
+
+def _raise_list(value: tuple) -> list:
+    _, items = value
+    if type(items) is not list:
+        raise _malformed(_TAG_LIST, items)
+    return [item if type(item) in _PRIMITIVE_TYPES else _raise_(item) for item in items]
+
+
+def _raise_tuple(value: tuple) -> tuple:
+    _, items = value
+    if type(items) is not tuple:
+        raise _malformed(_TAG_TUPLE, items)
+    return tuple([item if type(item) in _PRIMITIVE_TYPES else _raise_(item) for item in items])
+
+
+def _raise_dict(value: tuple) -> dict:
+    _, items = value
+    if type(items) is not dict:
+        raise _malformed(_TAG_DICT, items)
+    return {
+        key: item if type(item) in _PRIMITIVE_TYPES else _raise_(item)
+        for key, item in items.items()
+    }
+
+
+def _raise_opaque(value: tuple) -> Any:
+    _, payload = value
+    if type(payload) is not bytes:
+        raise _malformed(_TAG_OPAQUE, payload)
+    return _unpickle(payload)
+
+
+_RAISERS: Dict[str, Callable[[tuple], Any]] = {
+    _TAG_MESSAGE: _raise_message,
+    _TAG_ARRAY: _raise_array,
+    _TAG_OPAQUE: _raise_opaque,
+    _TAG_LIST: _raise_list,
+    _TAG_FLAT_LIST: _raise_flat_list,
+    _TAG_TUPLE: _raise_tuple,
+    _TAG_DICT: _raise_dict,
+}
+
+
+class TypedCodec(Codec):
+    """Wire version 3: registered messages travel as ``(tag, fields)`` pairs
+    and numeric arrays as raw buffers.
+
+    The message graph is lowered in one pass, dispatching on each value's
+    exact type — primitives raw, containers tagged, registered dataclasses
+    as ``("M", tag, field-dict)``, numeric arrays as ``("A", dtype, shape,
+    order, bytes)``, anything else as a tagged opaque pickle — and that
+    structure is then serialized. An opaque value that will not pickle or
+    that the peer would refuse is lowered as ``ServiceError("<Type>:
+    <message>")`` if it is an exception, and otherwise fails the encode with
+    :class:`ServiceError`. Decoding validates every message tag against the
+    registry and drops unknown field names, giving one version of schema
+    skew for free (new fields fall back to the dataclass defaults on an old
+    peer); a container tag must hold that container, a flat list only
+    primitives, and an array a numeric dtype, a shape of non-negative ints
+    and exactly the bytes that shape needs. A payload that does not decode
+    raises :class:`ServiceError`.
     """
 
-    version = 2
-    name = "typed-pickle"
+    version = 3
+    name = "typed"
 
     def encode(self, message: Any) -> bytes:
-        return pickle.dumps(self._lower(message), protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(_lower(message), protocol=pickle.HIGHEST_PROTOCOL)
 
     def decode(self, data: bytes) -> Any:
         try:
-            return self._raise_(_unpickle(data))
+            return _raise_(_unpickle(data))
         except ServiceError:
             raise
         except Exception as error:  # noqa: BLE001 - arbitrary bytes raise anything
@@ -314,85 +538,10 @@ class TypedPickleCodec(Codec):
                 f"Malformed wire payload: {type(error).__name__}: {error}"
             ) from error
 
-    def _lower(self, value: Any) -> Any:
-        if isinstance(value, _PRIMITIVES):
-            return value
-        cls = type(value)
-        tag = _MESSAGE_TAGS.get(cls)
-        if tag is not None:
-            lower = self._lower
-            fields = {}
-            for name, default in _MESSAGE_ENCODE_FIELDS[cls]:
-                item = getattr(value, name)
-                if item is default:
-                    continue  # The decoder rebuilds it from the default.
-                fields[name] = lower(item)
-            return (_TAG_MESSAGE, tag, fields)
-        if isinstance(value, list):
-            # Observation vectors are long lists of floats; skipping per-item
-            # lowering (and per-item raising on the peer) dominates codec cost.
-            if cls is list and set(map(type, value)) <= _PRIMITIVE_TYPES:
-                return (_TAG_FLAT_LIST, value)
-            return (_TAG_LIST, [self._lower(item) for item in value])
-        if isinstance(value, tuple):
-            return (_TAG_TUPLE, tuple(self._lower(item) for item in value))
-        if isinstance(value, dict):
-            return (_TAG_DICT, {key: self._lower(item) for key, item in value.items()})
-        # Everything else — numpy arrays, spaces, exceptions — travels as an
-        # explicitly-tagged opaque pickle: the escape hatch is visible on the
-        # wire instead of being the whole format. It is decoded here by the
-        # peer's own rule, so what the peer would refuse fails this message
-        # and never the connection it would travel on; a plain array, on
-        # every step's reply, is known to pass.
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            if not _plain_array(value):
-                _unpickle(payload)
-        except Exception as error:  # noqa: BLE001 - __reduce__ may raise anything
-            if isinstance(value, BaseException):
-                # An exception that will not pickle (one holding a lambda,
-                # say) or that the peer would refuse still says what went
-                # wrong, and fails only its own slot of a batched reply.
-                return self._lower(ServiceError(f"{cls.__name__}: {value}"))
-            raise ServiceError(
-                f"Cannot send a {cls.__module__}.{cls.__qualname__}: {error}"
-            ) from error
-        return (_TAG_OPAQUE, payload)
-
-    def _raise_(self, value: Any) -> Any:
-        if isinstance(value, _PRIMITIVES):
-            return value
-        if not isinstance(value, tuple) or not value:
-            raise ServiceError(f"Malformed typed wire payload: {type(value).__name__}")
-        tag = value[0]
-        if tag == _TAG_MESSAGE:
-            _, name, fields = value
-            cls = _MESSAGE_REGISTRY.get(name)
-            if cls is None:
-                raise ServiceError(f"Unknown wire message type: {name!r}")
-            known = _MESSAGE_FIELDS[cls]
-            raise_ = self._raise_
-            return cls(**{
-                key: raise_(item)
-                for key, item in fields.items()
-                if key in known
-            })
-        if tag == _TAG_FLAT_LIST:
-            return value[1]
-        if tag == _TAG_LIST:
-            return [self._raise_(item) for item in value[1]]
-        if tag == _TAG_TUPLE:
-            return tuple(self._raise_(item) for item in value[1])
-        if tag == _TAG_DICT:
-            return {key: self._raise_(item) for key, item in value[1].items()}
-        if tag == _TAG_OPAQUE:
-            return _unpickle(value[1])
-        raise ServiceError(f"Unknown typed wire tag: {tag!r}")
-
 
 #: Every wire version this build can decode, by version byte. A frame
 #: announcing any other version is refused on its first byte.
-CODECS: Dict[int, Codec] = {WIRE_VERSION: TypedPickleCodec()}
+CODECS: Dict[int, Codec] = {WIRE_VERSION: TypedCodec()}
 
 
 # -- framing ------------------------------------------------------------------
@@ -402,7 +551,7 @@ CODECS: Dict[int, Codec] = {WIRE_VERSION: TypedPickleCodec()}
 #: prefix. Fault injectors that corrupt frames in flight preserve exactly
 #: this many leading bytes so the receiver reads a plausible frame of the
 #: right length and fails in its *decoder*, not on the length prefix.
-FRAME_HEADER_BYTES = 1 + _FRAME_HEADER.size
+FRAME_HEADER_BYTES = _FRAME_HEADER.size
 
 
 def corrupt_frame_payload(frame: bytes) -> bytes:
@@ -422,7 +571,7 @@ def frame_bytes(message: Any) -> bytes:
     """Serialize one message to its on-the-wire frame: version byte,
     length prefix, encoded payload."""
     data = CODECS[WIRE_VERSION].encode(message)
-    return bytes([WIRE_VERSION]) + _FRAME_HEADER.pack(len(data)) + data
+    return _FRAME_HEADER.pack(WIRE_VERSION, len(data)) + data
 
 
 def write_frame(wfile, message: Any) -> None:
@@ -474,13 +623,12 @@ def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
         if not count:
             raise ConnectionError("Truncated frame header")
         filled += count
-    version = header[0]
+    version, length = _FRAME_HEADER.unpack(header)
     if version not in CODECS:
         raise ConnectionError(
             f"Unsupported wire protocol version {version}: this peer speaks "
             f"version {WIRE_VERSION} only"
         )
-    (length,) = _FRAME_HEADER.unpack_from(header, 1)
     if length > max_bytes:
         raise ConnectionError(f"Frame of {length} bytes exceeds protocol maximum")
     data = bytearray(length)

@@ -89,7 +89,7 @@ class TestGatewayRouting:
     def test_server_info_reports_fleet(self, gateway):
         info = gateway.server_info()
         assert info["role"] == "gateway"
-        assert info["protocol_version"] == WIRE_VERSION
+        assert info["protocol_version"] == WIRE_VERSION == 3
         assert len(info["daemons"]) == 2
         assert all(d["pid"] is not None for d in info["daemons"])
 

@@ -10,6 +10,7 @@ aggregation.
 """
 
 import contextlib
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -37,12 +38,16 @@ from repro.core.service import (
     ServiceConnection,
 )
 from repro.core.service.chaos import FlushLimitedSocket
+from repro.core.service import wire
 from repro.core.service.proto import (
     EndSessionRequest,
+    Event,
+    ForkSessionReply,
     ForkSessionRequest,
     HelloReply,
     HelloRequest,
     StartSessionRequest,
+    StepReply,
     StepRequest,
 )
 from repro.core.service.runtime.server import ServiceServer, SpawnedDaemon, make_env_server
@@ -52,17 +57,18 @@ from repro.core.service.transport import (
     SocketTransport,
 )
 from repro.core.service.wire import (
+    FRAME_HEADER_BYTES,
     IMPORTABLE_MODULES,
     REPLY_ERROR,
     REPLY_OK,
     WIRE_VERSION,
     frame_bytes,
+    message_registry,
     parse_service_url,
     read_frame,
     write_frame,
     write_frame_reply,
 )
-from repro.core.service.wire import _plain_array, _unpickle
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Reward, Scalar, Space
 from repro.core.vector import VecCompilerEnv, make_vec_env
 from repro.core.service.connection import CallStats
@@ -424,22 +430,6 @@ class TestFramesRunNoCode:
         }
         assert backend_spaces and backend_spaces <= IMPORTABLE_MODULES
 
-    def test_an_array_sent_unchecked_is_one_a_peer_decodes(self):
-        """The encoder skips its check only for arrays numpy pickles from
-        admitted globals: every such array of every builtin dtype decodes,
-        and the numeric observations take the unchecked path."""
-        numbers = "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
-        assert all(_plain_array(np.zeros(56, code)) for code in numbers)
-        arrays = []
-        for code in np.typecodes["All"]:
-            for dtype in (np.dtype(code), np.dtype(code).newbyteorder()):
-                arrays += [np.zeros(3, dtype), np.zeros((2, 3), dtype, order="F"),
-                           np.zeros((), dtype), np.zeros(6, dtype)[::2]]
-        arrays += [np.zeros(2, np.dtype(float, metadata={"m": _Foreign()})),
-                   np.zeros(2, [("a", "i4")])]
-        for array in filter(_plain_array, arrays):
-            np.testing.assert_array_equal(_unpickle(pickle.dumps(array, protocol=5)), array)
-
     def test_arbitrary_bytes_are_a_dropped_client(self):
         with ServiceServer(_runtime(), session_timeout=None).start() as server:
 
@@ -457,6 +447,225 @@ class TestFramesRunNoCode:
 
             arbitrary_payload()
             assert server.runtime.stats["step"] == 0
+
+
+# -- the codec: arrays raw, containers checked, one version ------------------
+
+
+def _frame_of(lowered) -> bytes:
+    """A frame holding a hand-lowered structure, as a peer could send it."""
+    payload = pickle.dumps(lowered, protocol=pickle.HIGHEST_PROTOCOL)
+    return bytes([WIRE_VERSION]) + struct.pack(">Q", len(payload)) + payload
+
+
+def _decode_lowered(lowered):
+    return read_frame(io.BytesIO(_frame_of(lowered)))
+
+
+def _round_trip(value):
+    return read_frame(io.BytesIO(frame_bytes(value)))
+
+
+# Every number dtype in both byte orders, once each ("l" and "q" are one).
+_NUMBER_DTYPES = list({
+    dtype.str: dtype
+    for code in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+    for dtype in (np.dtype(code), np.dtype(code).newbyteorder())
+}.values())
+
+_LAYOUTS = {
+    "C": lambda dtype: np.arange(6).astype(dtype).reshape(2, 3),
+    "F": lambda dtype: np.asfortranarray(np.arange(6).astype(dtype).reshape(2, 3)),
+    "strided": lambda dtype: np.arange(12).astype(dtype)[::3],
+    "0-d": lambda dtype: np.array(5).astype(dtype),
+    "empty": lambda dtype: np.zeros((0, 3), dtype),
+}
+
+
+def _step_holding(array_tag) -> tuple:
+    """A step request frame, hand-lowered, whose one action is ``array_tag``."""
+    step = ("M", "StepRequest", {"session_id": 0, "actions": ("l", [array_tag])})
+    return ("t", (2, "step", ("t", (step,))))
+
+
+_HOSTILE_ARRAYS = {
+    "object dtype": ("A", "O", (1,), "C", bytes(8)),
+    "void dtype": ("A", "V8", (1,), "C", bytes(8)),
+    "datetime dtype": ("A", "M8[s]", (1,), "C", bytes(8)),
+    "structured dtype": ("A", "i4,i4", (1,), "C", bytes(8)),
+    "dtype not a string": ("A", np.dtype("<i8"), (1,), "C", bytes(8)),
+    "a byte short": ("A", "<i8", (2,), "C", bytes(15)),
+    "a byte over": ("A", "<i8", (2,), "C", bytes(17)),
+    "negative dimension": ("A", "<i8", (-1,), "C", b""),
+    "shape not a tuple": ("A", "<i8", [1], "C", bytes(8)),
+    "shape far past its data": ("A", "<i8", (2**40,), "C", bytes(8)),
+}
+
+
+class TestWireCodec:
+    """Version 3: a numeric array travels as its raw bytes, a container tag
+    holds that container, and every refusal is a ServiceError."""
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("dtype", _NUMBER_DTYPES, ids=lambda dtype: dtype.str)
+    def test_a_numeric_array_round_trips_raw_and_writable(self, dtype, layout):
+        array = _LAYOUTS[layout](dtype)
+        frame = frame_bytes(array)
+        assert pickle.loads(frame[FRAME_HEADER_BYTES:])[:2] == ("A", dtype.str)
+        decoded = read_frame(io.BytesIO(frame))
+        assert type(decoded) is np.ndarray
+        assert decoded.dtype == array.dtype and decoded.shape == array.shape
+        np.testing.assert_array_equal(decoded, array)
+        assert decoded.flags.writeable and decoded.flags.owndata
+        assert decoded.flags.f_contiguous if layout == "F" else decoded.flags.c_contiguous
+
+    @pytest.mark.parametrize("array, refused", [
+        (np.arange(3).astype("M8[s]"), True),
+        (np.arange(3).astype("m8[s]"), True),
+        (np.array([1, "a"], dtype=object), True),
+        (np.zeros(2, np.dtype(float, metadata={"m": _Foreign()})), True),
+        (np.zeros(2, np.dtype(float, metadata={"m": 1})), False),
+        (np.zeros(2, [("a", "<i4")]), False),
+        (np.array(["ab", "c"]), False),
+    ], ids=["datetime64", "timedelta64", "object", "foreign-metadata", "metadata",
+            "structured", "unicode"])
+    def test_a_non_numeric_array_is_an_opaque_value(self, array, refused):
+        """What numpy pickles from admitted globals travels as before, an
+        opaque pickle; what a peer would refuse fails the sender's encode."""
+        if refused:
+            with pytest.raises(ServiceError, match="Cannot send a numpy.ndarray"):
+                frame_bytes(array)
+            return
+        frame = frame_bytes(array)
+        assert pickle.loads(frame[FRAME_HEADER_BYTES:])[0] == "P"
+        decoded = read_frame(io.BytesIO(frame))
+        assert decoded.dtype == array.dtype
+        np.testing.assert_array_equal(decoded, array)
+
+    def test_a_step_reply_with_an_array_names_no_global(self, monkeypatch):
+        looked_up = []
+        admitted = wire.admitted_global
+        monkeypatch.setattr(
+            wire, "admitted_global", lambda *name: looked_up.append(name) or admitted(*name)
+        )
+        reply = StepReply(observations=[Event(opaque=np.arange(56)), Event(int64_value=3)])
+        _, status, decoded = _round_trip((7, REPLY_OK, reply))
+        assert status == REPLY_OK and looked_up == []
+        np.testing.assert_array_equal(decoded.observations[0].opaque, np.arange(56))
+        assert decoded.observations[1] == Event(int64_value=3)
+        # The counter sees what does name a global: a space.
+        _round_trip(Scalar(min=0, max=None, dtype=int))
+        assert looked_up
+
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_ARRAYS))
+    def test_a_hostile_array_fails_the_decode(self, name):
+        with pytest.raises(ServiceError) as raised:
+            _decode_lowered(_HOSTILE_ARRAYS[name])
+        if name == "shape far past its data":  # Refused before any allocation.
+            assert "does not fill its shape" in str(raised.value)
+
+    def test_a_hostile_array_in_a_step_is_a_dropped_client_and_runs_nothing(self):
+        server = ServiceServer(_runtime(), session_timeout=None, auth_tokens=["secret"])
+        with server.start():
+            transport = SocketTransport(server.url, auth_token="secret")
+            with ServiceConnection(transport) as connection:
+                session = connection.start_session(
+                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
+                )
+                connection.step(StepRequest(session_id=session.session_id, actions=[1]))
+                for name, array in _HOSTILE_ARRAYS.items():
+                    raw = socket.create_connection(parse_service_url(server.url)[1], timeout=5)
+                    rfile = raw.makefile("rb")
+                    raw.sendall(frame_bytes((1, "hello", (HelloRequest(token="secret"),))))
+                    assert read_frame(rfile)[1] == REPLY_OK
+                    raw.sendall(_frame_of(_step_holding(array)))
+                    assert raw.recv(1) == b"", name
+                    rfile.close()
+                    raw.close()
+                assert server.runtime.stats["step"] == 1
+                # The daemon serves on.
+                connection.step(StepRequest(session_id=session.session_id, actions=[1]))
+                assert server.runtime.stats["step"] == 2
+
+    @pytest.mark.parametrize("tag, payload", [
+        ("F", {"a": 1}),
+        ("F", "Autophase"),
+        ("F", [("t", (1,))]),
+        ("l", "abc"),
+        ("t", [1, 2]),
+        ("d", [("a", 1)]),
+    ], ids=["F-dict", "F-str", "F-nested", "l-str", "t-list", "d-list"])
+    def test_a_container_tag_must_hold_its_container(self, tag, payload):
+        with pytest.raises(ServiceError, match=f"Malformed {tag!r} payload"):
+            _decode_lowered((tag, payload))
+        # Nor in a message's field, where a runtime would iterate it.
+        step = ("M", "StepRequest", {"session_id": 0, "observation_space_names": (tag, payload)})
+        with pytest.raises(ServiceError, match=f"Malformed {tag!r} payload"):
+            _decode_lowered(step)
+
+    def test_a_dict_key_the_peer_would_refuse_fails_only_its_encode(self):
+        """Keys are not lowered: a dict keyed by anything but primitives
+        travels whole as a checked opaque value."""
+        with pytest.raises(ServiceError, match="Cannot send a builtins.dict"):
+            frame_bytes((1, "handle_session_parameter", ({_Foreign(): 1},)))
+        assert _round_trip({(1, "a"): [2], "b": 3}) == {(1, "a"): [2], "b": 3}
+
+    def test_unknown_tags_names_and_fields(self):
+        with pytest.raises(ServiceError, match="Unknown typed wire tag"):
+            _decode_lowered(("X", 1))
+        with pytest.raises(ServiceError, match="Unknown wire message type"):
+            _decode_lowered(("M", "NoSuchMessage", {}))
+        decoded = _decode_lowered(("M", "ForkSessionReply", {"session_id": 4, "new_field": 1}))
+        assert decoded == ForkSessionReply(session_id=4)
+
+    def test_a_version_2_frame_is_refused_on_its_first_byte(self, tmp_path):
+        """A version 2 peer's frame — here one that would run code if its
+        payload were decoded — is refused before a payload byte is read."""
+        assert WIRE_VERSION == 3 and len(wire.CODECS) == 1
+        sentinel = tmp_path / "sentinel"
+        payload = pickle.dumps((1, "heartbeat", (_RunsOnLoad(sentinel),)))
+        stream = io.BytesIO(bytes([2]) + struct.pack(">Q", len(payload)) + payload)
+        with pytest.raises(ConnectionError, match="version 2"):
+            read_frame(stream)
+        assert stream.tell() == FRAME_HEADER_BYTES
+        assert not sentinel.exists()
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.binary(max_size=6),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=4), children, max_size=3)
+        | st.builds(
+            Event,
+            int64_value=st.none() | st.integers(),
+            double_list=st.none() | st.lists(st.floats(allow_nan=False), max_size=3),
+            event_dict=st.none() | st.dictionaries(
+                st.text(max_size=4), st.builds(Event, opaque=children), max_size=2
+            ),
+            opaque=children,
+        )
+    ),
+    max_leaves=10,
+)
+
+
+def _messages():
+    def build(cls):
+        return st.builds(cls, **{f.name: _VALUES for f in dataclasses.fields(cls)})
+
+    return st.sampled_from(sorted(message_registry().items())).flatmap(
+        lambda item: build(item[1])
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(message=_messages())
+def test_every_registered_message_round_trips(message):
+    codec = wire.CODECS[WIRE_VERSION]
+    assert codec.decode(codec.encode(message)) == message
 
 
 # -- transports behind ServiceConnection -------------------------------------
@@ -1012,8 +1221,8 @@ class TestServiceServer:
     @pytest.mark.parametrize("version", [WIRE_VERSION + 1, WIRE_VERSION - 1])
     def test_version_skewed_client_is_dropped(self, version):
         """A frame announcing any version but the one spoken (a future one;
-        the bare pickle of the deleted version 1) must be rejected on its
-        first byte — dropped cleanly, never unpickled."""
+        a version 2 peer's) must be rejected on its first byte — dropped
+        cleanly, never unpickled."""
         with self._server() as server:
             payload = pickle.dumps((0, "server_info", ()))
             _assert_hung_up_on(
@@ -1022,7 +1231,7 @@ class TestServiceServer:
             # The daemon survives and still speaks the current version.
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 info = connection.transport.server_info()
-                assert info["protocol_version"] == WIRE_VERSION
+                assert info["protocol_version"] == WIRE_VERSION == 3
                 assert info["wire_versions"] == [WIRE_VERSION]
 
     def test_an_unauthenticated_peer_cannot_announce_a_large_frame(self):

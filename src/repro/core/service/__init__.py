@@ -16,7 +16,6 @@ from repro.core.service.proto import (
     ActionSpaceMessage,
     Event,
     ObservationSpaceMessage,
-    SessionState,
     StepReply,
     StepRequest,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ObservationSpaceMessage",
     "ServiceConnection",
     "ServiceTransport",
-    "SessionState",
     "SocketTransport",
     "StepReply",
     "StepRequest",

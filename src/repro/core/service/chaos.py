@@ -47,7 +47,6 @@ import hashlib
 import os
 import random
 import signal
-import socket as socket_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -279,14 +278,10 @@ class ChaosTransport(ServiceTransport):
 
     def _live_socket(self):
         """The wrapped SocketTransport's live mux connection, if any."""
-        inner = self.inner
-        if not isinstance(inner, SocketTransport):
-            return None
-        acquire = getattr(inner, "_acquire_connection", None)
-        if acquire is None:
+        if not isinstance(self.inner, SocketTransport):
             return None
         try:
-            return acquire()
+            return self.inner._acquire_connection()
         except Exception:  # noqa: BLE001 - inject at the simulated layer instead
             return None
 
@@ -336,10 +331,9 @@ class ChaosTransport(ServiceTransport):
         nothing but thread scheduling — which would make chaos runs
         non-reproducible.
         Losing the reply at the transport layer is race-free: the request
-        frame is fully flushed (the daemon receives and executes it), its
-        reply slot is discarded before the reply can possibly be routed, and
-        the connection is retired exactly as the transport's own post-send
-        failure path would retire it.
+        is sent in full (the daemon receives and executes it), nobody waits
+        for its reply, and the connection is closed exactly as the
+        transport's own post-send failure path would close it.
         """
         failure = ServiceTransportError(
             f"chaos: reply to {method}() was lost after execution: the call "
@@ -347,14 +341,11 @@ class ChaosTransport(ServiceTransport):
         )
         conn = self._live_socket()
         if conn is not None:
-            request_id, _pending = conn.register()
             try:
-                conn.send_request(request_id, method, args)
+                self.inner.send(method, *args)
             except Exception:  # noqa: BLE001 - the connection dies either way
                 pass
-            finally:
-                conn.discard(request_id)
-            self.inner._retire(conn, failure)
+            conn.close(failure)
         raise failure
 
     def call(self, method: str, *args) -> Any:

@@ -12,15 +12,18 @@ default) or across a socket to a standalone daemon. The fault-tolerance
 policy here is identical for both, and so is start-up: every connection asks
 its service for its spaces, once. An error the service answered is raised as
 it is; a call that failed before it could reach the service is retried, and a
-socket transport reopens a lost connection for the retry. Nothing restarts a
-runtime: its sessions live as long as it does.
+socket transport reopens a lost connection for the retry. The retry loop
+covers only the send: once a request has left, no failure is retried, and a
+call sent now and collected later (:meth:`ServiceConnection.send_step_sessions`)
+waits for its reply outside the loop. Nothing restarts a runtime: its
+sessions live as long as it does.
 """
 
 import random
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.service.proto import (
     EndSessionRequest,
@@ -62,12 +65,7 @@ class CallStats:
 
     def summary(self) -> Dict[str, float]:
         """A compact, picklable summary of this method's accounting."""
-        return {
-            "calls": self.calls,
-            "errors": self.errors,
-            "retries": self.retries,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 class ServiceConnection:
@@ -115,8 +113,17 @@ class ServiceConnection:
         """
         return self._transport.runtime
 
-    def _call(self, name: str, *args):
-        """Invoke a service method with timeout, retry, and error translation."""
+    def _dispatch(self, name: str, args: tuple, dispatch: Callable) -> tuple:
+        """Run ``dispatch(name, *args)`` — the transport's ``call``, or its
+        ``send`` — under the retry loop; return ``(stats, seconds, outcome)``,
+        ``seconds`` being what the attempt that got through took.
+
+        The loop covers what the transport does before a request has left:
+        that is where every retryable failure comes from, as nothing of the
+        request reached the service. Once it has left, every failure is a
+        non-retryable :class:`CompilerGymError` (the service's answer, or a
+        transport that knows the call may have been applied).
+        """
         if self.closed:
             raise ServiceIsClosed(f"Cannot call {name}() on a closed service")
         with self._lock:
@@ -127,7 +134,8 @@ class ServiceConnection:
         for attempt in range(attempts):
             start = time.perf_counter()
             try:
-                result = self._transport.call(name, *args)
+                outcome = dispatch(name, *args)
+                return stats, time.perf_counter() - start, outcome
             except (CompilerGymError, LookupError):
                 # The service answered (a session's or the caller's error),
                 # or the transport knows the call may have been applied: no
@@ -151,32 +159,60 @@ class ServiceConnection:
                     # in lockstep and stampede its replacement.
                     time.sleep(random.uniform(0.0, wait))
                     wait *= _RETRY_BACKOFF
-                continue
-            # The call SUCCEEDED: its effects are applied on the backend, so
-            # it must never be retried — re-executing a non-idempotent call
-            # like step() would corrupt the session. A call that came back
-            # slower than the deadline is recorded as a (slow) success and
-            # surfaced as a non-retryable transport error.
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                stats.record(elapsed)
-            if elapsed > self.opts.rpc_call_max_seconds:
-                with self._lock:
-                    stats.errors += 1
-                raise ServiceTransportError(
-                    f"Service call {name}() completed after {elapsed:.3f}s, "
-                    f"exceeding the {self.opts.rpc_call_max_seconds}s deadline; "
-                    "the call was applied and will not be retried"
-                )
-            return result
         raise ServiceTransportError(
             f"Service call {name}() failed after {attempts} attempts: {last_error}"
         ) from last_error
 
-    # -- RPC methods ------------------------------------------------------
+    def _account(self, name: str, stats: CallStats, elapsed: float, result: Any):
+        """Record a call that got its reply after ``elapsed`` seconds, and
+        return the reply.
 
-    def get_spaces(self) -> GetSpacesReply:
-        return self._call("get_spaces")
+        A reply means the call SUCCEEDED: its effects are applied on the
+        backend, so it must never be retried — re-executing a non-idempotent
+        call like step() would corrupt the session. A call that came back
+        slower than the deadline is recorded as a (slow) success and surfaced
+        as a non-retryable transport error.
+        """
+        with self._lock:
+            stats.record(elapsed)
+        if elapsed > self.opts.rpc_call_max_seconds:
+            with self._lock:
+                stats.errors += 1
+            raise ServiceTransportError(
+                f"Service call {name}() completed after {elapsed:.3f}s, "
+                f"exceeding the {self.opts.rpc_call_max_seconds}s deadline; "
+                "the call was applied and will not be retried"
+            )
+        return result
+
+    def _call(self, name: str, *args):
+        """Invoke a service method with timeout, retry, and error translation."""
+        return self._account(name, *self._dispatch(name, args, self._transport.call))
+
+    def _send(self, name: str, *args) -> Callable[[], Any]:
+        """:meth:`_call` in two halves: send the request now, under the retry
+        loop, and return the callable that waits for its reply.
+
+        The call's time is its send plus that wait. What the caller does in
+        between (collecting another service's reply first) is not counted: a
+        reply that waited in its socket for its turn is not a slow call. The
+        transport's own read timeout bounds the wait itself.
+        """
+        stats, sent_in, reply = self._dispatch(name, args, self._transport.send)
+
+        def collect():
+            start = time.perf_counter()
+            try:
+                result = reply()
+            except Exception:
+                with self._lock:
+                    stats.errors += 1
+                raise
+            return self._account(name, stats, sent_in + time.perf_counter() - start, result)
+
+        return collect
+
+    # -- RPC methods ------------------------------------------------------
 
     def start_session(self, request: StartSessionRequest):
         return self._call("start_session", request)
@@ -198,18 +234,34 @@ class ServiceConnection:
         pool steps batched or fanned out. The batch round trip itself is
         accounted under ``"step_sessions"`` as usual.
         """
+        return self.send_step_sessions(requests)()
+
+    def send_step_sessions(
+        self, requests: List[StepRequest]
+    ) -> Callable[[], List[SessionStepResult]]:
+        """:meth:`step_sessions` in two halves: send the batch now, and
+        return the callable that waits for its results.
+
+        A caller with batches for several services (the gateway, fanning a
+        pool's step out to its fleet) sends every batch before it waits for
+        any, so the services step theirs at the same time.
+        """
         requests = list(requests)
         if not requests:
-            return []
-        reply = self._call("step_sessions", StepSessionsRequest(requests=requests))
-        results = list(reply.results)
-        with self._lock:
-            stats = self.stats.setdefault("step", CallStats())
-            for result in results:
-                if result.error is None:
-                    stats.record(result.wall_time_s)
-                else:
-                    stats.errors += 1
+            return lambda: []
+        reply = self._send("step_sessions", StepSessionsRequest(requests=requests))
+
+        def results():
+            outcomes = list(reply().results)
+            with self._lock:
+                stats = self.stats.setdefault("step", CallStats())
+                for outcome in outcomes:
+                    if outcome.error is None:
+                        stats.record(outcome.wall_time_s)
+                    else:
+                        stats.errors += 1
+            return outcomes
+
         return results
 
     def fork_session(self, request: ForkSessionRequest):

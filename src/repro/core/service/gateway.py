@@ -13,8 +13,11 @@ and fails sessions over when a daemon dies.
 **Session routing.** The gateway speaks *gateway-scoped* session ids to its
 clients and translates to ``(daemon, remote session id)`` pairs
 internally, so clients never observe which daemon hosts them — or that the
-hosting daemon changed. Batched ``step_sessions`` RPCs are split by owning
-daemon, fanned out concurrently, and reassembled in request order.
+hosting daemon changed. A batched ``step_sessions`` RPC is split by owning
+daemon on the thread that read it, which sends every daemon its share before
+it awaits any reply, then collects the replies in turn and reassembles them in
+request order: the daemons step their shares at the same time, and the gateway
+hands no work to another thread.
 
 **Failover.** Every routed session records its construction recipe and the
 acknowledged action sequence as a :class:`~repro.core.compiler_env_state.
@@ -44,10 +47,9 @@ connection is answered :class:`ServiceIsDown` and the member keeps serving.
 
 import itertools
 import logging
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -69,7 +71,6 @@ from repro.core.service.proto import (
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
 from repro.core.service.runtime.server import SpawnedDaemon
 from repro.core.service.transport import SocketTransport
-from repro.core.service.wire import CODECS, WIRE_VERSION
 from repro.errors import (
     PermissionDeniedError,
     ServiceError,
@@ -149,7 +150,6 @@ class _RoutedSession:
     benchmark_uri: str
     action_space: int = 0
     actions: List[Any] = field(default_factory=list)
-    replayed: int = 0  # Times this session was re-homed by failover.
 
     def env_state(self) -> CompilerEnvState:
         """The session's episode so far, as a portable CompilerEnvState."""
@@ -233,12 +233,6 @@ class ServiceGateway(SocketRPCServer):
             for daemon in self._daemons:
                 daemon.stop()
             raise
-        # step_sessions fan-out runs per-daemon batches on this pool (the
-        # batch RPC itself may run on the inherited dispatch pool, and tasks
-        # must never wait on their own executor).
-        self._fanout_executor = ThreadPoolExecutor(
-            max_workers=16, thread_name_prefix="repro-gateway-fanout"
-        )
         if heartbeat_interval is not None:
             self.health_monitor = HealthMonitor(self, interval=heartbeat_interval)
             self.health_monitor.start()
@@ -302,10 +296,7 @@ class ServiceGateway(SocketRPCServer):
         if not candidates:
             raise ServiceError("Gateway has no live daemons to place the session on")
         with self._fleet_lock:
-            load = {id(d): 0 for d in candidates}
-            for record in self._sessions.values():
-                if id(record.daemon) in load:
-                    load[id(record.daemon)] += 1
+            load = Counter(id(record.daemon) for record in self._sessions.values())
         return min(candidates, key=lambda d: (load[id(d)], d.index))
 
     # -- failure handling --------------------------------------------------
@@ -362,12 +353,11 @@ class ServiceGateway(SocketRPCServer):
 
     def _replay_session(self, record: _RoutedSession) -> None:
         """Re-create one routed session on a live daemon by replaying its
-        :class:`CompilerEnvState` (benchmark + acknowledged actions)."""
-        state = record.env_state()
+        recipe: its benchmark, then its acknowledged actions."""
         target = self._place_session()
         reply = target.connection.start_session(
             StartSessionRequest(
-                benchmark_uri=state.benchmark,
+                benchmark_uri=record.benchmark_uri,
                 action_space=record.action_space,
             )
         )
@@ -378,7 +368,6 @@ class ServiceGateway(SocketRPCServer):
         with self._fleet_lock:
             record.daemon = target
             record.remote_sid = reply.session_id
-            record.replayed += 1
             self.rehomed_sessions += 1
         logger.info(
             "Replayed session %d (%d actions) onto daemon %d at %s",
@@ -525,13 +514,15 @@ class ServiceGateway(SocketRPCServer):
     ) -> List[SessionStepResult]:
         """Step each request's session on its owning daemon; one result each.
 
-        The one route every step takes, alone or in a batch: split by owning
-        daemon, fan out, reassemble in request order. Failures are per
-        session — the batch never fails whole. When a daemon dies mid-batch,
-        its group's sessions are failed over — which may scatter them across
-        *several* survivors — so the retry re-buckets the group's positions by
-        each session's new home rather than replaying the whole group against
-        one daemon.
+        The one route every step takes, alone or in a batch, all of it on the
+        serving thread: split by owning daemon, send every daemon its share,
+        then collect each share's reply in turn and reassemble in request
+        order. Every share is on the wire before any reply is awaited, so the
+        daemons step theirs at the same time. Failures are per session — the
+        batch never fails whole. When a daemon dies mid-batch, its group's
+        sessions are failed over — which may scatter them across *several*
+        survivors — so the retry re-buckets the group's positions by each
+        session's new home and steps those groups the same way, once.
 
         A session answered with :class:`ServiceIsDown` loses its route: the
         client forgets it without an ``end_session``, so a kept route would
@@ -540,6 +531,7 @@ class ServiceGateway(SocketRPCServer):
         """
         results: List[Optional[SessionStepResult]] = [None] * len(requests)
         records: Dict[int, _RoutedSession] = {}
+        started = time.monotonic()
 
         def bucket_by_home(positions) -> List[tuple]:
             """Group positions by their session's current owning daemon, under
@@ -568,66 +560,67 @@ class ServiceGateway(SocketRPCServer):
                     results[position] = SessionStepResult(session_id=sid, error=error)
             return list(by_daemon.values())
 
-        def step_group(daemon: DaemonHandle, positions: List[int], retry: bool = True):
-            started = time.monotonic()
-            subs = [requests[p] for p in positions]
-
-            def fail(error):
-                wall = time.monotonic() - started
-                for position, sub in zip(positions, subs):
-                    results[position] = SessionStepResult(
-                        session_id=sub.session_id, error=error, wall_time_s=wall
-                    )
-                if isinstance(error, ServiceIsDown):
-                    with self._fleet_lock:
-                        for sub in subs:
-                            self._sessions.pop(sub.session_id, None)
-
-            # A dead daemon's sessions get per-session ServiceIsDown results
-            # immediately — the survivors' groups keep stepping and no
-            # timeout is paid per lost session.
-            if daemon.dead:
-                return fail(daemon.down_error())
-            translated = [
-                StepRequest(
-                    session_id=records[sub.session_id].remote_sid,
-                    actions=sub.actions,
-                    observation_space_names=sub.observation_space_names,
+        def fail(positions: List[int], error: BaseException) -> None:
+            wall = time.monotonic() - started
+            for position in positions:
+                results[position] = SessionStepResult(
+                    session_id=requests[position].session_id, error=error, wall_time_s=wall
                 )
-                for sub in subs
-            ]
-            try:
-                batch = daemon.connection.step_sessions(translated)
-            except (ServiceError, ConnectionError, OSError) as error:
-                if retry and self._failed_over(daemon, error):
-                    for new_daemon, new_positions in bucket_by_home(positions):
-                        step_group(new_daemon, new_positions, retry=False)
-                    return
-                return fail(daemon.down_error(error))
-            for position, sub, result in zip(positions, subs, batch):
-                if result.error is None:
-                    # Acknowledged: these actions are now part of the
-                    # session's replay recipe. (A step lost with a dying
-                    # daemon was NOT recorded, so the failover replay plus
-                    # the retry apply it exactly once.)
-                    records[sub.session_id].actions.extend(sub.actions)
-                # The daemon's result object is ours alone (freshly decoded):
-                # translate its session id back in place instead of copying.
-                result.session_id = sub.session_id
-                results[position] = result
+            if isinstance(error, ServiceIsDown):
+                with self._fleet_lock:
+                    for position in positions:
+                        self._sessions.pop(requests[position].session_id, None)
 
-        # The last group runs inline on this serving thread: a batch that
-        # maps to a single daemon (a lone step; a pool, whose forked sessions
-        # co-locate) then pays no executor handoff at all.
-        groups = bucket_by_home(range(len(requests)))
-        futures = [
-            self._fanout_executor.submit(step_group, daemon, positions)
-            for daemon, positions in groups[:-1]
-        ]
-        if groups:
-            step_group(*groups[-1])
-        for future in futures:
-            future.result()
+        def step_groups(groups: List[tuple], retry: bool) -> None:
+            # Send every group's share. A dead daemon's sessions get
+            # per-session ServiceIsDown results immediately — the survivors'
+            # groups keep stepping and no timeout is paid per lost session.
+            # A share that could not be sent keeps its error in place of the
+            # callable that collects its results.
+            sent = []
+            for daemon, positions in groups:
+                if daemon.dead:
+                    fail(positions, daemon.down_error())
+                    continue
+                try:
+                    collect = daemon.connection.send_step_sessions([
+                        StepRequest(
+                            session_id=records[requests[p].session_id].remote_sid,
+                            actions=requests[p].actions,
+                            observation_space_names=requests[p].observation_space_names,
+                        )
+                        for p in positions
+                    ])
+                except (ServiceError, ConnectionError, OSError) as error:
+                    collect = error
+                sent.append((daemon, positions, collect))
+            # Then collect each share's results in turn.
+            for daemon, positions, collect in sent:
+                try:
+                    if isinstance(collect, BaseException):
+                        raise collect
+                    batch = collect()
+                except (ServiceError, ConnectionError, OSError) as error:
+                    if retry and self._failed_over(daemon, error):
+                        step_groups(bucket_by_home(positions), retry=False)
+                    else:
+                        fail(positions, daemon.down_error(error))
+                    continue
+                for position, result in zip(positions, batch):
+                    sub = requests[position]
+                    if result.error is None:
+                        # Acknowledged: these actions are now part of the
+                        # session's replay recipe. (A step lost with a dying
+                        # daemon was NOT recorded, so the failover replay plus
+                        # the retry apply it exactly once.)
+                        records[sub.session_id].actions.extend(sub.actions)
+                    # The daemon's result object is ours alone (freshly
+                    # decoded): translate its session id back in place
+                    # instead of copying.
+                    result.session_id = sub.session_id
+                    results[position] = result
+
+        step_groups(bucket_by_home(range(len(requests))), retry=True)
         return results
 
     def _rpc_server_info(self, state: ClientConnectionState):
@@ -651,7 +644,6 @@ class ServiceGateway(SocketRPCServer):
             "hits": 0, "misses": 0, "stores": 0, "evictions": 0,
             "size": 0, "size_in_bytes": 0,
         }
-        per_daemon: Dict[str, dict] = {}
         caching_daemons = 0
         for daemon in self.live_daemons():
             try:
@@ -662,13 +654,12 @@ class ServiceGateway(SocketRPCServer):
             if not stats:
                 continue
             caching_daemons += 1
-            per_daemon[daemon.url] = stats
             for key in totals:
                 totals[key] += stats.get(key, 0)
         queries = totals["hits"] + totals["misses"]
         totals["hit_rate"] = totals["hits"] / queries if queries else 0.0
         totals["daemons"] = caching_daemons
-        return {"total": totals, "per_daemon": per_daemon}
+        return {"total": totals}
 
     def server_info(self) -> dict:
         with self._fleet_lock:
@@ -680,9 +671,7 @@ class ServiceGateway(SocketRPCServer):
                     "index": d.index,
                     "url": d.url,
                     "pid": d.pid,
-                    "sessions": sum(
-                        1 for r in self._sessions.values() if r.daemon is d
-                    ),
+                    "sessions": sum(r.daemon is d for r in self._sessions.values()),
                     "last_heartbeat_age_s": d.last_heartbeat_age_s(),
                 }
                 for d in self._daemons
@@ -690,17 +679,10 @@ class ServiceGateway(SocketRPCServer):
             ]
         monitor = self.health_monitor
         return {
-            "pid": os.getpid(),
+            **self._server_info(),
             "env_id": self.env_id,
-            "url": self.url,
             "role": "gateway",
-            "protocol_version": WIRE_VERSION,
-            "wire_versions": sorted(CODECS),
-            "uptime_s": time.monotonic() - self.started_at,
             "active_sessions": sessions,
-            "connections_served": self.connections_served,
-            "heartbeats_served": self.heartbeats_served,
-            **self._dispatch_counters(),
             "failovers": failovers,
             "rehomed_sessions": rehomed,
             "health_monitor": None if monitor is None else {
@@ -721,7 +703,6 @@ class ServiceGateway(SocketRPCServer):
             return
         if self.health_monitor is not None:
             self.health_monitor.stop()
-        self._fanout_executor.shutdown(wait=True)
         self._finish_shutdown()
         with self._fleet_lock:
             fleet = list(self._daemons)

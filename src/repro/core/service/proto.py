@@ -200,16 +200,6 @@ class GetSpacesReply:
 
 @wire_message
 @dataclass
-class SessionState:
-    """Snapshot of a compilation session used for checkpoint/restore."""
-
-    benchmark_uri: str
-    actions: List[Any] = field(default_factory=list)
-    metadata: Dict[str, Any] = field(default_factory=dict)
-
-
-@wire_message
-@dataclass
 class HelloRequest:
     """Connection handshake: the first RPC a client sends on every socket.
 

@@ -42,10 +42,12 @@ from typing import Iterable, Optional
 
 from repro.core.service.proto import HelloReply, HelloRequest
 from repro.core.service.wire import (
+    CODECS,
     MAX_FRAME_BYTES,
     REPLY_ERROR,
     REPLY_OK,
     UNAUTHENTICATED_MAX_FRAME_BYTES,
+    WIRE_VERSION,
     corrupt_frame_payload,
     frame_bytes,
     read_frame,
@@ -441,10 +443,21 @@ class SocketRPCServer:
             return REPLY_ERROR, error
         return REPLY_OK, result
 
-    def _dispatch_counters(self) -> dict:
-        """Who ran the requests: for ``server_info``."""
+    def _server_info(self) -> dict:
+        """The ``server_info`` fields every server reports: who it is, how
+        long it has served, and who ran its requests."""
         with self._lock:
-            return {"served_in_place": self.served_in_place, "handed_off": self.handed_off}
+            return {
+                "pid": os.getpid(),
+                "url": self.url,
+                "protocol_version": WIRE_VERSION,
+                "wire_versions": sorted(CODECS),
+                "uptime_s": time.monotonic() - self.started_at,
+                "connections_served": self.connections_served,
+                "heartbeats_served": self.heartbeats_served,
+                "served_in_place": self.served_in_place,
+                "handed_off": self.handed_off,
+            }
 
     def _heartbeat(self) -> dict:
         """The liveness probe reply: pid + uptime, nothing that can block."""

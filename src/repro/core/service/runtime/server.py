@@ -54,14 +54,12 @@ token-holding peers.
 
 import logging
 import multiprocessing
-import os
 import signal
 import threading
 import time
 from typing import Optional
 
 from repro.core.service.rpc_server import ClientConnectionState, SocketRPCServer
-from repro.core.service.wire import CODECS, WIRE_VERSION
 from repro.errors import ServiceError
 
 logger = logging.getLogger(__name__)
@@ -170,23 +168,14 @@ class ServiceServer(SocketRPCServer):
         """Identity and occupancy snapshot, served as the ``server_info`` RPC."""
         with self._lock:
             reaped = self.reaped_sessions
-            connections = self.connections_served
             batched = self.batched_steps
-            heartbeats = self.heartbeats_served
             last_heartbeat = self.last_heartbeat_at
         return {
-            "pid": os.getpid(),
+            **self._server_info(),
             "env_id": self.env_id,
-            "url": self.url,
-            "protocol_version": WIRE_VERSION,
-            "wire_versions": sorted(CODECS),
-            "uptime_s": time.monotonic() - self.started_at,
             "active_sessions": len(self.runtime.sessions),
             "reaped_sessions": reaped,
-            "connections_served": connections,
             "batched_steps": batched,
-            "heartbeats_served": heartbeats,
-            **self._dispatch_counters(),
             "last_heartbeat_age_s": (
                 None if last_heartbeat is None
                 else time.monotonic() - last_heartbeat

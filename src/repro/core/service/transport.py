@@ -6,7 +6,9 @@ many sessions, survive client churn, and live on another machine. A
 :class:`ServiceTransport` is the seam where that split happens: the
 :class:`~repro.core.service.connection.ServiceConnection` owns the
 fault-tolerance policy (timeouts, retries, call accounting) and delegates the
-actual dispatch of each ``(method, *args)`` RPC to a transport.
+actual dispatch of each ``(method, *args)`` RPC to a transport, in two
+halves: :meth:`ServiceTransport.send` sends the request and returns the
+callable that waits for its reply, and ``call`` is the two run back to back.
 
 Two implementations are provided:
 
@@ -60,7 +62,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.service.proto import HelloReply, HelloRequest
 from repro.core.service.wire import (
@@ -96,6 +98,19 @@ class ServiceTransport:
     def call(self, method: str, *args) -> Any:
         """Dispatch one RPC and return its reply (or raise its error)."""
         raise NotImplementedError
+
+    def send(self, method: str, *args) -> Callable[[], Any]:
+        """Send one RPC now; the returned callable waits for its reply.
+
+        ``call`` is ``send`` with the wait run at once. A caller with several
+        requests for different services sends them all, then collects each
+        reply in turn, and the services work on them at the same time. A
+        failure to send raises here; a failure once the request has left
+        raises from the callable. This default runs the whole call here, so a
+        transport with nothing to overlap needs only ``call``.
+        """
+        reply = self.call(method, *args)
+        return lambda: reply
 
     def shutdown(self) -> None:
         """Release the channel. Does not stop a shared remote service."""
@@ -404,11 +419,10 @@ class SocketTransport(ServiceTransport):
                 return self._conn
             conn = _MuxSocketConnection(self.url, self.family, self.address, self.timeout)
             try:
-                pending = self._roundtrip(
-                    conn,
-                    "hello",
-                    (HelloRequest(token=self.auth_token, client=f"repro-client-pid{os.getpid()}"),),
+                hello = HelloRequest(
+                    token=self.auth_token, client=f"repro-client-pid{os.getpid()}"
                 )
+                pending = self._await(conn, *self._post(conn, "hello", (hello,)), "hello")
                 reply = pending.payload
                 if pending.status == REPLY_ERROR:
                     if isinstance(reply, PermissionDeniedError):
@@ -428,33 +442,32 @@ class SocketTransport(ServiceTransport):
             self._conn = conn
             return conn
 
-    def _retire(self, conn: _MuxSocketConnection, failure: BaseException) -> None:
-        """Retire a broken connection epoch, failing its in-flight calls."""
-        with self._lock:
-            if self._conn is conn:
-                self._conn = None
-        conn.close(failure)
+    def _post(
+        self, conn: _MuxSocketConnection, method: str, args: tuple
+    ) -> Tuple[int, _PendingReply]:
+        """Send one request on ``conn``: its request id and reply slot.
 
-    def _roundtrip(self, conn: _MuxSocketConnection, method: str, args: tuple) -> _PendingReply:
-        """Send one request on ``conn`` and return its resolved reply slot."""
+        A broken connection epoch is closed with the failure its in-flight
+        calls get, and the next call opens a fresh one."""
         request_id, pending = conn.register()
         try:
             conn.send_request(request_id, method, args)
-        except _SendError as error:
+        except BaseException as error:
             conn.discard(request_id)
-            # The socket is broken for every caller sharing it; retire this
+            if not isinstance(error, _SendError):
+                raise  # The request did not encode: nothing was sent.
+            # The socket is broken for every caller sharing it; close this
             # connection epoch (failing other in-flight calls, whose frames
             # WERE fully sent, as non-retryable).
             if error.bytes_flushed == 0:
                 # Nothing reached the wire: the request cannot be applied on
                 # the daemon, so the connection's retry loop may safely
                 # re-send it on the fresh connection its next call opens.
-                self._retire(
-                    conn,
+                conn.close(
                     ServiceTransportError(
                         f"Connection to {self.url} was lost: in-flight calls "
                         f"may already be applied and will not be retried"
-                    ),
+                    )
                 )
                 raise ConnectionError(
                     f"Service connection to {self.url} failed before any of "
@@ -470,12 +483,14 @@ class SocketTransport(ServiceTransport):
                 f"call may already be applied on the daemon and will not be "
                 f"retried ({error.cause})"
             )
-            self._retire(conn, failure)
+            conn.close(failure)
             raise failure from error.cause
-        except BaseException:
-            # The request did not encode: nothing was sent.
-            conn.discard(request_id)
-            raise
+        return request_id, pending
+
+    def _await(
+        self, conn: _MuxSocketConnection, request_id: int, pending: _PendingReply, method: str
+    ) -> _PendingReply:
+        """Wait for the reply slot of a request :meth:`_post` sent on ``conn``."""
         # Wait for our reply to be routed (by this thread as leader, or by
         # another waiter's). The read side enforces the transport timeout;
         # the slack here is a backstop for a waiter whose reply never comes
@@ -487,17 +502,29 @@ class SocketTransport(ServiceTransport):
                 f"{self.timeout}s: the call may already be applied on the "
                 f"daemon and will not be retried"
             )
-            self._retire(conn, failure)
+            conn.close(failure)
             raise failure
         if pending.error is not None:
             raise pending.error
         return pending
 
+    def send(self, method: str, *args) -> Callable[[], Any]:
+        """Send one request frame now; the returned callable waits for its
+        reply. Only the send can fail retryably (nothing flushed); whatever
+        the wait raises is non-retryable."""
+        conn = self._acquire_connection()
+        request_id, pending = self._post(conn, method, args)
+
+        def reply():
+            self._await(conn, request_id, pending, method)
+            if pending.status == REPLY_ERROR:
+                raise_remote_error(method, pending.payload)
+            return pending.payload
+
+        return reply
+
     def call(self, method: str, *args) -> Any:
-        pending = self._roundtrip(self._acquire_connection(), method, args)
-        if pending.status == REPLY_ERROR:
-            raise_remote_error(method, pending.payload)
-        return pending.payload
+        return self.send(method, *args)()
 
     def shutdown(self) -> None:
         """Disconnect. The daemon keeps running — it is a shared service."""

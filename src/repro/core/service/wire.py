@@ -590,15 +590,43 @@ def write_frame_reply(wfile, request_id: Optional[int], status: str, payload: An
     serving thread (which would drop the connection after the request was
     already applied, tricking the client into a retry). Only genuine stream
     errors propagate.
+
+    A batch reply degrades slot by slot: each slot that does not encode
+    becomes its own :class:`ServiceError`, and the slots that do still
+    travel, since their steps were applied.
     """
     try:
         frame = frame_bytes((request_id, status, payload))
     except Exception as error:  # noqa: BLE001 - degrade, don't drop the connection
-        frame = frame_bytes(
-            (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__} not sent: {error}"))
-        )
+        try:
+            frame = frame_bytes((request_id, status, _sendable_slots(payload)))
+        except Exception:  # noqa: BLE001 - not a batch, or not the slots' fault
+            frame = frame_bytes(
+                (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__} not sent: {error}"))
+            )
     wfile.write(frame)
     wfile.flush()
+
+
+def _sendable_slots(reply: Any) -> Any:
+    """The batch reply ``reply`` with each slot that does not encode replaced
+    by a failed slot saying why. Raises :class:`TypeError` for anything that
+    is not a batch reply."""
+    # Imported here: the protocol messages register themselves with this
+    # module, and this runs only when a reply did not encode.
+    from repro.core.service.proto import SessionStepResult, StepSessionsReply
+
+    if type(reply) is not StepSessionsReply:
+        raise TypeError(f"{type(reply).__name__} is not a batch reply")
+    for index, result in enumerate(reply.results):
+        try:
+            _lower(result)
+        except Exception as error:  # noqa: BLE001 - __reduce__ may raise anything
+            reply.results[index] = SessionStepResult(
+                session_id=result.session_id, wall_time_s=result.wall_time_s,
+                error=ServiceError(f"{type(result.reply).__name__} not sent: {error}"),
+            )
+    return reply
 
 
 def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:

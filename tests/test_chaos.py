@@ -573,13 +573,20 @@ class TestHealthMonitorFailover:
 
 
 class TestGracefulDegradation:
-    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "single-env"])
-    def test_a_members_connection_failures_are_shed_per_session(self, pooled, monkeypatch):
+    @pytest.mark.parametrize(
+        "pooled, stage",
+        [(True, "send"), (False, "send"), (True, "reply"), (False, "reply")],
+        ids=["pool", "single-env", "pool-awaited", "single-env-awaited"],
+    )
+    def test_a_members_connection_failures_are_shed_per_session(
+        self, pooled, stage, monkeypatch
+    ):
         """Sessions on a live member whose connection fails get per-session
         ServiceIsDown, whether their step travelled alone or in a pool's batch
-        (which never fails whole), and the other daemon's tenant keeps
-        stepping; the member is not retired, so once its connection heals it
-        serves again."""
+        (which never fails whole), and whether the connection failed as the
+        step was sent or as its reply was awaited; the other daemon's tenant
+        keeps stepping; the member is not retired, so once its connection
+        heals it serves again."""
         gateway = ServiceGateway(env_id="llvm-v0", daemons=2).start()
         env_a = _make_env(gateway.url)
         env_b = _make_env(gateway.url)
@@ -597,6 +604,15 @@ class TestGracefulDegradation:
             def reset_by_peer(*args):
                 raise ConnectionResetError("connection reset by peer")
 
+            def reset_awaiting(requests):
+                collect = send(requests)
+
+                def reply():
+                    collect()
+                    reset_by_peer()
+
+                return reply
+
             with tenant:
                 tenant.reset()
                 # env_b's daemon carries just env_b; a pool's forked sessions
@@ -606,7 +622,11 @@ class TestGracefulDegradation:
                 rewards, dones, _ = step(ACTIONS[0])
                 assert not any(dones) and all(reward > 0 for reward in rewards)
                 # The daemon stays alive and answers its heartbeat throughout.
-                monkeypatch.setattr(broken.connection, "step_sessions", reset_by_peer)
+                send = broken.connection.send_step_sessions
+                monkeypatch.setattr(
+                    broken.connection, "send_step_sessions",
+                    reset_by_peer if stage == "send" else reset_awaiting,
+                )
                 monkeypatch.setattr(broken.connection, "fork_session", reset_by_peer)
                 # A fork is shed like a step.
                 with pytest.raises(ServiceIsDown):

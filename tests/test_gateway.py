@@ -12,6 +12,7 @@ import pickle
 import signal
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -19,7 +20,12 @@ import repro
 from repro.core.service.connection import ServiceConnection
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.health import HealthMonitor
-from repro.core.service.proto import StartSessionRequest, StepRequest
+from repro.core.service.proto import (
+    Event,
+    ForkSessionRequest,
+    StartSessionRequest,
+    StepRequest,
+)
 from repro.core.service.runtime.server import make_env_server
 from repro.core.service.transport import SocketTransport
 from repro.core.service.wire import WIRE_VERSION
@@ -394,9 +400,14 @@ class TestFleetMembership:
         finally:
             env.close()
 
-    @pytest.mark.parametrize("failure", ["unreachable", "service-error"])
+    @pytest.mark.parametrize(
+        "failure, stage",
+        [("unreachable", "send"), ("service-error", "send"),
+         ("unreachable", "reply"), ("service-error", "reply")],
+        ids=["unreachable", "service-error", "unreachable-awaited", "service-error-awaited"],
+    )
     def test_a_failed_step_leaves_no_route_behind(
-        self, attached_gateway, daemon_servers, monkeypatch, failure
+        self, attached_gateway, daemon_servers, monkeypatch, failure, stage
     ):
         env = _make_env(attached_gateway.url)
         try:
@@ -411,12 +422,22 @@ class TestFleetMembership:
                 else ServiceError("compiler crashed")
             )
 
+            send = home.connection.send_step_sessions
+
             def fail(requests):
-                raise error
+                if stage == "send":
+                    raise error
+                collect = send(requests)
+
+                def reply():
+                    collect()
+                    raise error
+
+                return reply
 
             # The daemon still answers its heartbeat: no failover, the step
-            # itself fails.
-            monkeypatch.setattr(home.connection, "step_sessions", fail)
+            # itself fails, as it is sent or as its reply is awaited.
+            monkeypatch.setattr(home.connection, "send_step_sessions", fail)
             _, _, done, info = env.step(ACTIONS[1])
             assert done
             assert bool(info.get("service_is_down")) == (failure == "unreachable")
@@ -431,6 +452,146 @@ class TestFleetMembership:
             assert server.server_info()["active_sessions"] == expected
         finally:
             env.close()
+
+
+class TestBatchFanOut:
+    """The gateway steps a batch on the thread that read it: every daemon's
+    share is sent before any reply is awaited."""
+
+    def test_every_share_is_sent_before_a_reply_is_awaited(
+        self, daemon_servers, attached_gateway, monkeypatch
+    ):
+        # Each daemon's step waits for the other's: the batch completes only
+        # if both shares are on the wire before either reply is awaited.
+        barrier = threading.Barrier(2, timeout=10)
+        env = _make_env(attached_gateway.url)
+        with VecCompilerEnv(env, n=2, backend="serial") as vec:
+            vec.reset()
+            vec.reset_worker(1)
+            homes = [attached_gateway._sessions[w._session_id].daemon for w in vec.workers]
+            assert homes[0] is not homes[1]
+            for server in daemon_servers:
+
+                def meeting(request, owner=None, step=server.runtime.step):
+                    barrier.wait()
+                    return step(request, owner=owner)
+
+                monkeypatch.setattr(server.runtime, "step", meeting)
+            _, rewards, dones, _ = vec.step([ACTIONS[0], ACTIONS[1]])
+            assert not any(dones) and None not in rewards
+            assert not barrier.broken
+            monkeypatch.undo()
+        assert not [t.name for t in threading.enumerate() if "fanout" in t.name]
+
+    def test_a_wedged_member_fails_only_its_own_share(self, daemon_servers, monkeypatch):
+        # The first daemon's step blocks past the gateway's daemon timeout;
+        # the second answers at once, and its reply waits in its socket while
+        # the gateway awaits the first. That wait is not the second call's
+        # time: its slot succeeds and keeps its route.
+        gateway = ServiceGateway(
+            daemon_urls=[server.url for server in daemon_servers], daemon_timeout=1.0
+        ).start()
+        released = threading.Event()
+        try:
+            with ServiceConnection(SocketTransport(gateway.url)) as connection:
+                sessions = [
+                    connection.start_session(
+                        StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+                    ).session_id
+                    for _ in range(2)
+                ]
+                homes = [gateway._sessions[sid].daemon for sid in sessions]
+                wedged = next(s for s in daemon_servers if s.url == homes[0].url)
+                assert homes[0] is not homes[1]
+
+                def stuck(request, owner=None, step=wedged.runtime.step):
+                    released.wait(10)
+                    return step(request, owner=owner)
+
+                monkeypatch.setattr(wedged.runtime, "step", stuck)
+                timed_out, stepped = connection.step_sessions(
+                    [StepRequest(session_id=sid, actions=[ACTIONS[0]]) for sid in sessions]
+                )
+                with pytest.raises(ServiceError, match="No reply"):
+                    timed_out.unwrap()
+                assert stepped.error is None
+                assert gateway._sessions[sessions[1]].daemon is homes[1]
+                states = gateway.session_states()
+                assert states[sessions[0]].commandline == ""
+                assert states[sessions[1]].commandline == str(ACTIONS[0])
+                assert gateway.failovers == 0 and not homes[0].dead
+        finally:
+            released.set()
+            monkeypatch.undo()
+            gateway.shutdown()
+
+    def test_a_daemon_dying_mid_batch_is_failed_over_for_its_share_only(self, gateway):
+        with ServiceConnection(SocketTransport(gateway.url)) as connection:
+            sessions = [
+                connection.start_session(
+                    StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+                ).session_id
+                for _ in range(2)
+            ]
+            homes = [gateway._sessions[sid].daemon for sid in sessions]
+            assert homes[0] is not homes[1]
+            connection.step_sessions(
+                [StepRequest(session_id=sid, actions=[ACTIONS[0]]) for sid in sessions]
+            )
+            os.kill(homes[0].pid, signal.SIGKILL)
+            results = connection.step_sessions(
+                [StepRequest(session_id=sid, actions=[ACTIONS[1]]) for sid in sessions]
+            )
+            assert [result.error for result in results] == [None, None]
+            assert [result.session_id for result in results] == sessions
+            assert gateway.failovers == 1 and homes[0].dead
+            states = gateway.session_states()
+            assert [states[sid].commandline for sid in sessions] == [
+                f"{ACTIONS[0]} {ACTIONS[1]}"
+            ] * 2
+            assert all(gateway._sessions[sid].daemon is homes[1] for sid in sessions)
+
+    @pytest.mark.parametrize("cell", ["daemon", "gateway"])
+    def test_an_unsendable_slot_fails_only_itself(
+        self, daemon_servers, request, monkeypatch, cell
+    ):
+        gateway = request.getfixturevalue("attached_gateway") if cell == "gateway" else None
+        url = daemon_servers[0].url if gateway is None else gateway.url
+
+        class Unsendable:
+            pass
+
+        for server in daemon_servers:
+
+            def poisoned(step_request, owner=None, step=server.runtime.step):
+                reply = step(step_request, owner=owner)
+                if step_request.actions == [ACTIONS[1]]:
+                    reply.observations.append(Event(opaque=Unsendable()))
+                return reply
+
+            monkeypatch.setattr(server.runtime, "step", poisoned)
+        with ServiceConnection(SocketTransport(url)) as connection:
+            good = connection.start_session(
+                StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+            ).session_id
+            # A fork shares its parent's daemon: both slots are in one reply.
+            bad = connection.fork_session(ForkSessionRequest(session_id=good)).session_id
+            ok, refused = connection.step_sessions([
+                StepRequest(
+                    session_id=good,
+                    actions=[ACTIONS[0]],
+                    observation_space_names=["IrInstructionCount"],
+                ),
+                StepRequest(session_id=bad, actions=[ACTIONS[1]]),
+            ])
+            (count,) = ok.unwrap().observations
+            assert count.value() > 0
+            with pytest.raises(ServiceError, match="not sent"):
+                refused.unwrap()
+            if gateway is not None:
+                states = gateway.session_states()
+                assert states[good].commandline == str(ACTIONS[0])
+                assert states[bad].commandline == ""
 
 
 class TestGatewayAuth:

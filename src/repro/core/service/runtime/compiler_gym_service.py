@@ -47,7 +47,7 @@ from repro.core.service.proto import (
     StepSessionsRequest,
 )
 from repro.core.service.runtime.benchmark_cache import BenchmarkCache
-from repro.core.service.runtime.result_cache import ResultCache
+from repro.core.service.runtime.result_cache import PrefixNode, PrefixTrie, ResultCache
 from repro.errors import PermissionDeniedError, ServiceError, SessionNotFound
 
 
@@ -65,23 +65,27 @@ def _copy_value(value):
 class _Session:
     """One entry of the runtime's session table.
 
-    ``prefix`` is the canonical action prefix acknowledged to the client.
-    An entry is in one of two states: *unbuilt* (``session is None``, and
-    ``uri``, ``action_space`` and ``prefix`` are all there is, as after a
-    reset that needed no observation computed) or *built* (``session`` is a
-    real session whose module is exactly ``prefix`` applied to the pristine
-    program). An entry stops being ``pure`` for good when its state diverges
-    from an action prefix (session parameters, dynamic action spaces, any
-    error while applying actions): from then on nothing it computes is stored
-    in the result cache, and no fork borrows its state.
+    ``node`` is the interned :class:`PrefixNode` of the action prefix
+    acknowledged to the client: ``node.actions()`` are the actions applied
+    since reset, and two entries stand at the same prefix when their nodes are
+    the same object. The entry holds its node, and with it the node's
+    ancestors, alive. An entry is in one of two states: *unbuilt* (``session
+    is None``, and ``uri``, ``action_space`` and ``node`` are all there is,
+    as after a reset that needed no observation computed) or *built*
+    (``session`` is a real session whose module is exactly ``node``'s actions
+    applied to the pristine program). An entry stops being ``pure`` for good
+    when its state diverges from an action prefix (session parameters,
+    dynamic action spaces, any error while applying actions): from then on
+    nothing it computes is stored in the result cache, and no fork borrows
+    its state.
 
     An unbuilt entry that began as a fork of a pure session whose backend has
     a :meth:`CompilationSession.lazy_fork` also remembers its ``donor`` (that
     session's id) and the ``lazy_fork`` it gave. While the donor stands where
     the fork does, the fork's steps are answered from the donor's own state;
-    when the fork has to be built, it is a copy of the donor if that still
-    leads to the fork's prefix. A donor that was ended or went another way is
-    simply not used. Once built, an entry forgets both.
+    when the fork has to be built, it is a copy of the donor if the donor's
+    node is still an ancestor of the fork's. A donor that was ended or went
+    another way is simply not used. Once built, an entry forgets both.
 
     ``lock`` serialises everything that reads or writes the entry's backend
     state: its build, its own steps and parameters, a fork's step answered
@@ -98,14 +102,14 @@ class _Session:
     what an idle reaper reads.
     """
 
-    __slots__ = ("session", "uri", "action_space", "prefix", "pure", "lock", "donor", "lazy_fork",
+    __slots__ = ("session", "uri", "action_space", "node", "pure", "lock", "donor", "lazy_fork",
                  "owner", "last_used")
 
-    def __init__(self, uri: str, action_space, prefix: tuple = (), pure: bool = True, owner=None):
+    def __init__(self, uri: str, action_space, node: PrefixNode, pure: bool = True, owner=None):
         self.session: Optional[CompilationSession] = None
         self.uri = uri
         self.action_space = action_space
-        self.prefix = prefix
+        self.node = node
         self.pure = pure
         self.lock = threading.Lock()
         self.donor: Optional[int] = None
@@ -183,6 +187,11 @@ class CompilerGymServiceRuntime:
         self.working_dir = working_dir
         self.benchmark_cache = BenchmarkCache()
         self.result_cache: Optional[ResultCache] = ResultCache.coerce(result_cache)
+        # Runtimes that share a cache share its prefixes, so that one's
+        # steps are keyed on the nodes another's sessions walk.
+        self.prefixes = (
+            PrefixTrie() if self.result_cache is None else self.result_cache.prefixes
+        )
         self.sessions: Dict[int, _Session] = {}
         self._next_session_id = 0
         self._lock = threading.Lock()
@@ -256,20 +265,20 @@ class CompilerGymServiceRuntime:
         return None if entry.lazy_fork is None else self.sessions.get(entry.donor)
 
     def _copy_of_donor(self, entry: _Session) -> Tuple[Optional[CompilationSession], int]:
-        """A copy of the fork's donor and the length of the prefix it stands
-        at, if that prefix leads to the fork's; otherwise ``(None, 0)``."""
+        """A copy of the fork's donor and the depth of the node it stands at,
+        if that node is an ancestor of the fork's; otherwise ``(None, 0)``."""
         donor = self._donor(entry)
         if donor is not None:
             with donor.lock:
-                stands_at = donor.prefix
-                if donor.pure and entry.prefix[: len(stands_at)] == stands_at:
-                    return entry.lazy_fork.build(), len(stands_at)
+                stands_at = donor.node
+                if donor.pure and entry.node.ancestor(stands_at.depth) is stands_at:
+                    return entry.lazy_fork.build(), stands_at.depth
         return None, 0
 
     def _built_session(self, entry: _Session) -> CompilationSession:
         """The entry's session, built first if it is unbuilt: a copy of its
-        donor, or failing that of the pristine program, with the rest of
-        ``prefix`` replayed onto it. Called under the entry's ``lock``.
+        donor, or failing that of the pristine program, with the rest of its
+        node's actions replayed onto it. Called under the entry's ``lock``.
 
         The session is published only after the replay succeeded, so a failed
         build leaves the entry unbuilt (and no longer pure) and the next step
@@ -281,7 +290,7 @@ class CompilerGymServiceRuntime:
                 session = self._new_session(entry.action_space, self._resolve_benchmark(entry.uri))
                 if entry.lazy_fork is not None:
                     session = entry.lazy_fork.build(onto=session)
-            self._execute_step(session, entry, entry.prefix[replayed:], ())
+            self._execute_step(session, entry, entry.node.actions(since=replayed), ())
             entry.session = session
             entry.donor = entry.lazy_fork = None
         return entry.session
@@ -297,7 +306,7 @@ class CompilerGymServiceRuntime:
         if donor is None:
             return None
         with donor.lock:
-            if not donor.pure or donor.prefix != entry.prefix:
+            if not donor.pure or donor.node is not entry.node:
                 return None
             with entry.lazy_fork.speculate() as session:
                 return self._execute_step(session, entry, actions, observation_space_names)
@@ -311,8 +320,9 @@ class CompilerGymServiceRuntime:
         # Resolve eagerly (amortized O(1) via the benchmark cache) so an
         # unknown benchmark URI still fails at reset, not at the first step.
         benchmark = self._resolve_benchmark(request.benchmark_uri)
+        uri = str(request.benchmark_uri)
         entry = _Session(
-            str(request.benchmark_uri), self.session_type.action_spaces[request.action_space],
+            uri, self.session_type.action_spaces[request.action_space], self.prefixes.root(uri),
             owner=owner,
         )
         # Session construction (which clones the benchmark's module) waits
@@ -321,7 +331,7 @@ class CompilerGymServiceRuntime:
         for name in request.observation_space_names:
             spec = self._observation_spec(name)
             cache = self.result_cache if spec.deterministic else None
-            value = None if cache is None else cache.get_observation(entry.uri, (), name)
+            value = None if cache is None else cache.get_observation(entry.node, name)
             if value is None:
                 if entry.session is None:
                     entry.session = self._new_session(entry.action_space, benchmark)
@@ -329,7 +339,7 @@ class CompilerGymServiceRuntime:
                 if cache is not None:
                     # Store a private copy: the returned object is handed to
                     # (possibly in-process) callers who may mutate it.
-                    cache.put_observation(entry.uri, (), name, _copy_value(value))
+                    cache.put_observation(entry.node, name, _copy_value(value))
             else:
                 value = _copy_value(value)
             observations.append(Event.from_value(value))
@@ -359,8 +369,8 @@ class CompilerGymServiceRuntime:
                 for name in observation_space_names
             ]
         except Exception:
-            # The module may be ahead of ``prefix`` now: nothing this session
-            # computes from here on may be stored under a prefix key.
+            # The module may be ahead of its node now: nothing this session
+            # computes from here on may be stored under a prefix.
             entry.pure = False
             raise
         return StepReply(
@@ -389,19 +399,19 @@ class CompilerGymServiceRuntime:
 
         specs = [self._observation_spec(name) for name in names]
         deterministic = all(spec.deterministic for spec in specs)
-        actions = tuple(int(action) for action in request.actions)
-        candidate = entry.prefix + actions
+        candidate = self.prefixes.walk(entry.node, request.actions)
+        num_actions = len(request.actions)
 
         reply = None
         if deterministic and self.result_cache is not None:
-            hit = self.result_cache.lookup_step(entry.uri, candidate, len(actions), names)
+            hit = self.result_cache.lookup_step(candidate, num_actions, names)
             if hit is not None:
                 # An unbuilt session only advances its prefix; a built one
                 # runs the step's passes to stay current. Both answer from
                 # the cache entry.
                 if entry.session is not None:
                     self._execute_step(entry.session, entry, request.actions, ())
-                entry.prefix = candidate
+                entry.node = candidate
                 return StepReply(
                     end_of_session=hit.end_of_session,
                     action_had_no_effect=hit.action_had_no_effect,
@@ -420,16 +430,15 @@ class CompilerGymServiceRuntime:
             # A dynamic action-space change breaks prefix canonicality.
             entry.pure = False
             return reply
-        entry.prefix = candidate
+        entry.node = candidate
         if self.result_cache is not None:
             # Populate the cache for the next session to walk this prefix.
             # The flags are deterministic; only deterministic payloads are
             # stored, each as a private copy so callers mutating the reply
             # cannot corrupt the cached entry.
             self.result_cache.store_step(
-                entry.uri,
                 candidate,
-                len(actions),
+                num_actions,
                 reply.end_of_session,
                 reply.action_had_no_effect,
                 {
@@ -480,7 +489,7 @@ class CompilerGymServiceRuntime:
             try:
                 session = self._built_session(parent)
                 child = _Session(
-                    parent.uri, parent.action_space, parent.prefix, parent.pure, parent.owner
+                    parent.uri, parent.action_space, parent.node, parent.pure, parent.owner
                 )
                 lazy_fork = session.lazy_fork() if parent.pure else None
                 if lazy_fork is None:

@@ -290,7 +290,7 @@ def check_sessions_current():
     """``check_sessions_current(runtime)``: the session table's one
     invariant, with the result cache on or off. Every entry of an LLVM
     runtime that is built and pure holds a module that prints identically to
-    its ``prefix`` run on a clone of the pristine program; an unbuilt entry
+    its node's actions run on a clone of the pristine program; an unbuilt entry
     holds nothing to check."""
     from functools import lru_cache
 
@@ -309,6 +309,6 @@ def check_sessions_current():
     def check(runtime) -> None:
         for entry in list(runtime.sessions.values()):
             if entry.session is not None and entry.pure:
-                assert print_module(entry.session.module) == reference(entry.uri, entry.prefix)
+                assert print_module(entry.session.module) == reference(entry.uri, entry.node.actions())
 
     return check

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
+
 from repro.llvm.datasets.generators import generate_module
 from repro.llvm.datasets.suites import make_llvm_datasets
 from repro.llvm.ir.basic_block import BasicBlock
@@ -27,8 +29,15 @@ from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
+from repro.llvm.ir import verifier
 from repro.llvm.ir.values import Value
-from repro.llvm.passes.registry import PASS_REGISTRY, FunctionPass, StampingPass, run_pass
+from repro.llvm.passes.registry import (
+    ACTION_SPACE_PASSES,
+    PASS_REGISTRY,
+    FunctionPass,
+    StampingPass,
+    run_pass,
+)
 from repro.llvm.passes.utils import make_unconditional
 from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES, journaled_state, validate_rollback
 
@@ -315,6 +324,45 @@ class TestRollback:
         monkeypatch.setitem(PASS_REGISTRY, "tailcallelim", FunctionPass(tail_call_elimination))
         (failure,) = validate_rollback(module, "tailcallelim")
         assert failure.kind == "rollback" and "differs after rollback" in failure.detail
+
+
+
+class TestTheVerifyAction:
+    """The ``-verify`` action checks the program. The bookkeeping audit is
+    an oracle for the passes: it runs where a test or ``verify_ir`` asks."""
+
+    def test_the_action_never_runs_the_bookkeeping_audit(self, monkeypatch):
+        def audit(function, module):
+            raise AssertionError("the -verify action ran the bookkeeping audit")
+
+        monkeypatch.setattr(verifier, "_bookkeeping_errors", audit)
+        module = generate_module(seed=3, size_scale=3)
+        before = print_module(module)
+        assert run_pass(module, "verify") is False
+        assert print_module(module) == before
+        with repro.make("llvm-v0", benchmark="cbench-v1/crc32", result_cache=False,
+                        observation_space="IrInstructionCount") as env:
+            env.reset()
+            _, _, done, info = env.step(ACTION_SPACE_PASSES.index("verify"))
+            assert not done and info["action_had_no_effect"]
+
+    def test_a_use_list_corruption_is_still_caught_under_verify_ir(self, monkeypatch):
+        def forget_a_use(function):
+            for inst in function.instructions():
+                for operand in inst.operands:
+                    if isinstance(operand, Instruction):
+                        operand.uses.remove(inst)
+                        return False
+            return False
+
+        monkeypatch.setitem(PASS_REGISTRY, "dce", FunctionPass(forget_a_use))
+        with repro.make("llvm-v0", benchmark="cbench-v1/crc32", result_cache=False,
+                        observation_space="IrInstructionCount", verify_ir=True) as env:
+            env.reset()
+            _, _, done, info = env.step(ACTION_SPACE_PASSES.index("dce"))
+            assert done
+            assert "-dce produced invalid IR" in info["error_details"]
+            assert "does not match the operand slots" in info["error_details"]
 
 
 # -- the surface itself ---------------------------------------------------------

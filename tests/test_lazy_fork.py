@@ -189,7 +189,7 @@ def test_first_step_borrows_second_step_copies_the_donor_and_replays_the_suffix(
         fork.step(GVN)
         assert pass_runs == ["gvn"] and copies == ["pristine"]
         assert entry.session is None
-        assert entry.prefix == (MEM2REG, GVN) and entry.donor == env._session_id
+        assert entry.node.actions() == (MEM2REG, GVN) and entry.donor == env._session_id
         check_sessions_current(runtime)
         fork.step(INSTCOMBINE)
         # A copy of the donor at (mem2reg,), gvn replayed onto it, then the step.
@@ -280,7 +280,7 @@ def test_a_pass_that_raises_on_the_donors_module_leaves_it_intact(env, monkeypat
     assert (parent._obs_memo, parent._function_memo) == memos
     assert parent._obs_memo is memos[0] and parent._function_memo is memos[1]
     assert entry.session is None
-    assert not entry.pure and entry.prefix == (MEM2REG,)
+    assert not entry.pure and entry.node.actions() == (MEM2REG,)
     assert runtime.sessions[parent_id].pure
     # The next call builds the fork for real, and stores nothing.
     stores = _stores(runtime)

@@ -19,13 +19,18 @@ store shared across sessions. The acceptance criteria covered here:
   per-function stamps are drawn from that one counter.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.service.connection import ServiceConnection
 from repro.core.service.proto import StartSessionRequest, StepRequest
-from repro.core.service.runtime.result_cache import ResultCache
+from repro.core.service.runtime.result_cache import PrefixNode, PrefixTrie, ResultCache
 from repro.core.service.runtime.server import make_env_server
 from repro.core.service.transport import SocketTransport
 from repro.errors import ServiceError
@@ -169,7 +174,7 @@ class TestSessionIsUnbuiltOrCurrent:
                 before = print_module(parent.module)
                 for fork in forks:
                     entry = runtime.sessions[fork._session_id]
-                    assert (entry.donor, entry.prefix) == (env._session_id, tuple(prefix))
+                    assert (entry.donor, entry.node.actions()) == (env._session_id, tuple(prefix))
                     assert _step_record(fork, extra) == reference[-1]
                     # Answered from the parent's module, or from the cache.
                     assert entry.session is None
@@ -219,7 +224,7 @@ class TestSessionIsUnbuiltOrCurrent:
                 with pytest.raises(RuntimeError, match="during replay"):
                     runtime.step(miss)
             assert entry.session is None
-            assert not entry.pure and entry.prefix == tuple(prefix)
+            assert not entry.pure and entry.node.actions() == tuple(prefix)
             stores = runtime.result_cache.stores
             # The session builds again, runs the step, and stores nothing.
             reply = runtime.step(miss)
@@ -277,20 +282,38 @@ class TestFailedStepLeavesTheCacheProtocol:
 class TestLruEviction:
     def test_evicts_oldest_to_byte_budget(self):
         cache = ResultCache(max_size_in_bytes=2000)
+        root = cache.prefixes.root("b://x")
         payload = {"obs": b"x" * 200}
         for i in range(20):
-            cache.store_step("b://x", tuple(range(i + 1)), 1, False, False, payload)
+            cache.store_step(cache.prefixes.walk(root, range(i + 1)), 1, False, False, payload)
         assert cache.evictions > 0
         assert cache.size_in_bytes <= 2000
         # Oldest prefixes are gone, the newest survives.
-        assert cache.lookup_step("b://x", (0,), 1, ["obs"]) is None
-        assert cache.lookup_step("b://x", tuple(range(20)), 1, ["obs"]) is not None
+        assert cache.lookup_step(cache.prefixes.walk(root, (0,)), 1, ["obs"]) is None
+        assert cache.lookup_step(cache.prefixes.walk(root, range(20)), 1, ["obs"]) is not None
 
     def test_oversized_entry_still_kept_alone(self):
         cache = ResultCache(max_size_in_bytes=64)
-        cache.put_observation("b://x", (), "obs", b"y" * 500)
-        assert cache.get_observation("b://x", (), "obs") == b"y" * 500
+        root = cache.prefixes.root("b://x")
+        cache.put_observation(root, "obs", b"y" * 500)
+        assert cache.get_observation(root, "obs") == b"y" * 500
         assert cache.size == 1
+
+    def test_one_record_per_node_holds_flags_by_step_length_and_payloads_by_space(self):
+        cache = ResultCache()
+        root = cache.prefixes.root("b://x")
+        node = cache.prefixes.walk(root, (3, 4))
+        cache.store_step(node, 2, False, True, {"a": 1})
+        cache.store_step(node, 1, True, False, {"b": np.arange(4)})
+        assert cache.size == 1
+        two, one = (cache.lookup_step(node, n, ["a", "b"]) for n in (2, 1))
+        assert (two.end_of_session, two.action_had_no_effect) == (False, True)
+        assert (one.end_of_session, one.action_had_no_effect) == (True, False)
+        assert two.observations["a"] == 1 and one.observations["b"].tolist() == [0, 1, 2, 3]
+        # A step length never stored, or a space never stored, is a miss.
+        assert cache.lookup_step(node, 3, ["a"]) is None
+        assert cache.lookup_step(node, 1, ["c"]) is None
+        assert (cache.hits, cache.misses, cache.stores) == (2, 2, 2)
 
     def test_disabled_and_coerced_budgets(self):
         assert ResultCache.coerce(False) is None
@@ -300,6 +323,151 @@ class TestLruEviction:
         assert default is not None
         shared = ResultCache()
         assert ResultCache.coerce(shared) is shared
+
+
+class TestPrefixTrie:
+    """A prefix is an interned node: equal prefixes are one object, and a
+    node lives only while a session, a cache record or a descendant holds it."""
+
+    @staticmethod
+    def _chain(nodes):
+        """Every node on the way from a root to any of ``nodes``."""
+        chain = {}
+        for node in nodes:
+            while node is not None and id(node) not in chain:
+                chain[id(node)] = node
+                node = node.parent
+        return chain
+
+    @staticmethod
+    def _live_nodes(root):
+        """The ids of every live node that descends from ``root``."""
+        gc.collect()
+        live = set()
+        for node in gc.get_objects():
+            if isinstance(node, PrefixNode) and node.ancestor(0) is root:
+                live.add(id(node))
+        return live
+
+    def test_equal_prefixes_are_one_node_and_a_node_knows_its_actions(self):
+        trie = PrefixTrie()
+        root = trie.root("b://x")
+        node = trie.walk(root, (3, 1, 4))
+        assert trie.walk(trie.walk(root, (3,)), (1, 4)) is node
+        assert trie.root("b://x") is root and trie.root("b://y") is not root
+        assert (node.depth, node.actions(), node.actions(since=1)) == (3, (3, 1, 4), (1, 4))
+        assert node.ancestor(1) is trie.walk(root, (3,)) and node.ancestor(4) is None
+
+    def test_a_node_dies_with_its_last_session_and_record(self):
+        cache = ResultCache()
+        env = _make_env(result_cache=cache)
+        try:
+            env.reset()
+            for action in range(50):
+                env.step(action % 7)
+            node = env.service.runtime.sessions[env._session_id].node
+            assert node.depth == 50 and cache.size == 51
+            deepest = weakref.ref(node)
+            del node
+        finally:
+            env.close()
+        # The cache's records still hold the whole episode.
+        assert deepest() is not None and len(cache.prefixes._roots) == 1
+        cache.clear()
+        assert deepest() is None
+        assert len(cache.prefixes._roots) == 0
+
+    def test_live_nodes_are_the_records_and_the_sessions_chains_under_a_tiny_budget(self):
+        cache = ResultCache(max_size_in_bytes=4000)
+        env = _make_env(result_cache=cache)
+        forks = []
+        try:
+            runtime = env.service.runtime
+            root = cache.prefixes.root(f"benchmark://{BENCHMARK}")
+            for episode in range(3):
+                env.reset()
+                for depth, action in enumerate(SEQUENCES[episode % 2] * 4):
+                    env.step(action)
+                    if depth % 5 == 0:
+                        forks.append(env.fork())
+                        forks[-1].step((action + 1) % 7)
+                    held = [entry.node for entry in runtime.sessions.values()]
+                    assert cache.evictions == 0 or cache.size_in_bytes <= 4000
+                    assert self._live_nodes(root) == set(self._chain(held + list(cache._records)))
+                for fork in forks:
+                    fork.close()
+                forks.clear()
+            assert cache.evictions > 0
+        finally:
+            for fork in forks:
+                fork.close()
+            env.close()
+
+    def test_runtimes_sharing_a_cache_share_nodes_and_hit_each_others_steps(self):
+        cache = ResultCache()
+        first, second = _make_env(result_cache=cache), _make_env(result_cache=cache)
+        try:
+            assert first.service.runtime is not second.service.runtime
+            assert first.service.runtime.prefixes is second.service.runtime.prefixes
+            expected = _trace(first, SEQUENCES[0])
+            hits = cache.hits
+            assert _trace(second, SEQUENCES[0]) == expected
+            # The reset's two observations and every step, all from the cache.
+            assert cache.hits == hits + 2 + len(SEQUENCES[0])
+            nodes = [env.service.runtime.sessions[env._session_id].node
+                     for env in (first, second)]
+            assert nodes[0] is nodes[1]
+            assert nodes[0].actions() == tuple(SEQUENCES[0])
+        finally:
+            first.close()
+            second.close()
+
+
+class TestEvictionMidEpisode:
+    """A budget that holds a few records evicts in the middle of every
+    episode: what the client sees stays what an uncached environment shows,
+    and every built session stays current."""
+
+    ACTIONS = st.sampled_from([0, 3, 11, 23])
+    OPERATIONS = st.one_of(
+        st.tuples(st.just("step"), ACTIONS),
+        st.tuples(st.just("multistep"), st.lists(ACTIONS, min_size=2, max_size=3)),
+        st.tuples(st.just("fork-and-step"), ACTIONS),
+        st.tuples(st.just("reset"), st.none()),
+    )
+
+    @staticmethod
+    def _run(program, check, **kwargs):
+        env = _make_env(**kwargs)
+        try:
+            trace = [np.asarray(env.reset()).tolist()]
+            for operation, argument in program:
+                if operation == "step":
+                    trace.append(_step_record(env, argument))
+                elif operation == "multistep":
+                    observation, reward, done, info = env.multistep(argument)
+                    trace.append((np.asarray(observation).tolist(), reward, done,
+                                  info["action_had_no_effect"]))
+                elif operation == "fork-and-step":
+                    with env.fork() as fork:
+                        trace.append(_step_record(fork, argument))
+                        check(env.service.runtime)
+                else:
+                    trace.append(np.asarray(env.reset()).tolist())
+                check(env.service.runtime)
+            return trace
+        finally:
+            env.close()
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(programs=st.lists(st.lists(OPERATIONS, min_size=1, max_size=12), min_size=1, max_size=3))
+    def test_cached_traces_equal_uncached_under_a_budget_that_evicts(
+        self, check_sessions_current, programs
+    ):
+        cache = ResultCache(max_size_in_bytes=3000)
+        for program in programs:
+            expected = self._run(program, lambda runtime: None, result_cache=False)
+            assert self._run(program, check_sessions_current, result_cache=cache) == expected
 
 
 class TestVersionCounterContract:

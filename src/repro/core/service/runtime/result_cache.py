@@ -31,8 +31,8 @@ Records and eviction:
   and the observation payloads by space, so that requests for different
   observation subsets compose.
 - Records are evicted LRU under a byte budget. A payload is sized from its
-  shape (``nbytes``, a length, or a constant for ints and flags), never by
-  walking its elements. An evicted record frees its node unless a session
+  shape (``nbytes``, a length, a constant for ints and flags, or a list's
+  length times its first element's size), never by walking its elements. An evicted record frees its node unless a session
   or a descendant still holds it.
 
 Only *deterministic* observation spaces may be stored: nondeterministic
@@ -43,6 +43,7 @@ spaces are fine — the cache never leaves the machine that computed them.
 import sys
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -58,7 +59,12 @@ _SCALAR_BYTES = 32
 
 
 def _payload_size(value) -> int:
-    """A payload's estimated size in bytes, from its shape alone."""
+    """A payload's estimated size in bytes, from its shape alone.
+
+    A sequence is charged its length times its first element's size (a list
+    of embedding vectors costs as many vectors), a mapping its length times
+    its first item's size, so no payload is walked element by element.
+    """
     if value is None or isinstance(value, (int, float)):
         return _SCALAR_BYTES
     nbytes = getattr(value, "nbytes", None)
@@ -66,8 +72,13 @@ def _payload_size(value) -> int:
         return int(nbytes) + 96
     if isinstance(value, (bytes, bytearray, str)):
         return len(value) + 48
-    if isinstance(value, (list, tuple, dict)):
-        return 64 + len(value) * _SCALAR_BYTES
+    if isinstance(value, (list, tuple)):
+        return 64 + (len(value) * _payload_size(value[0]) if value else 0)
+    if isinstance(value, dict):
+        if not value:
+            return 64
+        key, item = next(iter(value.items()))
+        return 64 + len(value) * (_payload_size(key) + _payload_size(item))
     return sys.getsizeof(value)
 
 
@@ -79,10 +90,11 @@ class _ChildLink(weakref.ref):
 
 
 def _unlink(link: _ChildLink) -> None:
-    children = link.parent.children
-    # A newer child interned under the same action keeps its own link.
-    if children.get(link.action) is link:
-        del children[link.action]
+    # Runs on whichever thread drops the child, without the trie's lock, so
+    # the test and the delete are one atomic step: the entry goes only if it
+    # is still a dead link, and a live child that a concurrent walk interned
+    # under the same action keeps its own.
+    _remove_dead_weakref(link.parent.children, link.action)
 
 
 class PrefixNode:

@@ -333,14 +333,10 @@ def _bookkeeping_errors(function: Function, module: Module) -> List[str]:
     return errors
 
 
-def verify_function(
-    function: Function, module: Module, semantic: bool = True, bookkeeping: bool = True
-) -> List[str]:
+def verify_function(function: Function, module: Module, semantic: bool = True) -> List[str]:
     errors: List[str] = []
     if function.is_declaration:
         return errors
-    if bookkeeping:
-        errors.extend(_bookkeeping_errors(function, module))
 
     block_set = set(function.blocks)
     defined_values = set(function.args)
@@ -427,7 +423,13 @@ def verify_module(
     """
     errors: List[str] = []
     for function in module.functions.values():
-        errors.extend(verify_function(function, module, semantic, bookkeeping))
+        audit = []
+        if bookkeeping and not function.is_declaration:
+            audit = _bookkeeping_errors(function, module)
+            errors.extend(audit)
+        # Stale CFG caches can mislead the dominance check, so a failed audit
+        # is reported with the structural errors only.
+        errors.extend(verify_function(function, module, semantic=semantic and not audit))
     if errors and raise_on_error:
         raise VerificationError(errors)
     return errors

@@ -30,7 +30,13 @@ from hypothesis import strategies as st
 import repro
 from repro.core.service.connection import ServiceConnection
 from repro.core.service.proto import StartSessionRequest, StepRequest
-from repro.core.service.runtime.result_cache import PrefixNode, PrefixTrie, ResultCache
+from repro.core.service.runtime.result_cache import (
+    PrefixNode,
+    PrefixTrie,
+    ResultCache,
+    _ChildLink,
+    _unlink,
+)
 from repro.core.service.runtime.server import make_env_server
 from repro.core.service.transport import SocketTransport
 from repro.errors import ServiceError
@@ -299,6 +305,24 @@ class TestLruEviction:
         assert cache.get_observation(root, "obs") == b"y" * 500
         assert cache.size == 1
 
+    def test_a_list_of_vectors_is_charged_for_every_vector(self):
+        # Inst2vec's payload: one 200-D float32 embedding per instruction.
+        embeddings = [np.ones(200, dtype=np.float32) for _ in range(300)]
+        text = ["%x = add i32 %y, %z"] * 300
+        cache = ResultCache()
+        root = cache.prefixes.root("b://x")
+        cache.put_observation(root, "Inst2vec", embeddings)
+        assert cache.size_in_bytes >= sum(vector.nbytes for vector in embeddings)
+        before = cache.size_in_bytes
+        cache.put_observation(root, "Inst2vecPreprocessedText", text)
+        assert cache.size_in_bytes - before >= sum(map(len, text))
+        # A budget that holds one such payload evicts the other.
+        small = ResultCache(max_size_in_bytes=400_000)
+        small.put_observation(small.prefixes.walk(root, (1,)), "Inst2vec", embeddings)
+        small.put_observation(small.prefixes.walk(root, (2,)), "Inst2vec", embeddings)
+        assert small.evictions == 1 and small.size == 1
+        assert small.size_in_bytes <= small.max_size_in_bytes
+
     def test_one_record_per_node_holds_flags_by_step_length_and_payloads_by_space(self):
         cache = ResultCache()
         root = cache.prefixes.root("b://x")
@@ -357,6 +381,29 @@ class TestPrefixTrie:
         assert trie.root("b://x") is root and trie.root("b://y") is not root
         assert (node.depth, node.actions(), node.actions(since=1)) == (3, (3, 1, 4), (1, 4))
         assert node.ancestor(1) is trie.walk(root, (3,)) and node.ancestor(4) is None
+
+    def test_unlinking_a_dead_child_never_drops_a_live_one(self):
+        # A child's link is removed by whichever thread drops the child, and
+        # a walk on another thread may intern a new child under the same
+        # action first. A link without a callback stands for one whose
+        # callback has not run yet.
+        trie = PrefixTrie()
+        root = trie.root("b://x")
+        doomed = PrefixNode(root, 5)
+        dead_link = _ChildLink(doomed)
+        dead_link.parent, dead_link.action = root, 5
+        root.children[5] = dead_link
+        del doomed
+        assert dead_link() is None
+        live = trie.walk(root, (5,))
+        assert root.children[5] is not dead_link
+        _unlink(dead_link)
+        assert trie.walk(root, (5,)) is live
+        # A dead link is removed, and a missing one is no error.
+        root.children[5] = dead_link
+        _unlink(dead_link)
+        assert 5 not in root.children
+        _unlink(dead_link)
 
     def test_a_node_dies_with_its_last_session_and_record(self):
         cache = ResultCache()

@@ -192,14 +192,14 @@ def _cmd_gateway(args) -> int:
 
 def _chaos_soak_once(args, run_index: int):
     """One seeded chaos-soak run: a fresh 2-daemon gateway, a fresh env
-    wrapped in a fresh ChaosTransport over the same FaultPlan, the same
+    talking through a fresh ChaosTransport over the same FaultPlan, the same
     seeded action workload. Returns (traces, injected, digest)."""
     import hashlib
     import random as random_module
 
-    from repro.core.service.chaos import FaultEvent, FaultPlan
     from repro.core.service.gateway import ServiceGateway
     from repro.errors import ServiceError
+    from repro.testing.chaos import FaultEvent, FaultPlan, inject
 
     gateway = ServiceGateway(
         env_id=args.env,
@@ -231,14 +231,13 @@ def _chaos_soak_once(args, run_index: int):
         )
         kill_pids = [d.pid for d in gateway.live_daemons() if d.pid is not None]
 
-        env = repro.make(
-            args.env,
-            benchmark=args.benchmark,
-            reward_space="IrInstructionCount",
-            service_url=gateway.url,
-            chaos=plan,
-        )
-        env.service.transport.kill_targets = kill_pids
+        with inject(plan, kill_targets=kill_pids):
+            env = repro.make(
+                args.env,
+                benchmark=args.benchmark,
+                reward_space="IrInstructionCount",
+                service_url=gateway.url,
+            )
         rng = random_module.Random(args.seed)
         num_actions = env.action_space.n
         traces = []
@@ -285,15 +284,15 @@ def _chaos_soak_once(args, run_index: int):
 def _cmd_chaos_soak(args) -> int:
     """Deterministic chaos soak: seeded faults over a 2-daemon gateway.
 
-    Runs a random-action workload through ``make(..., chaos=FaultPlan)``
-    against an in-process gateway fleet with the heartbeat monitor on, under
-    a seeded schedule of frame cuts, refused connects, and a whole-daemon
-    SIGKILL. Asserts completion, prints the injected fault log, and (with
+    Runs a random-action workload through an env made under
+    ``repro.testing.chaos.inject(plan)`` against an in-process gateway fleet
+    with the heartbeat monitor on, under a seeded schedule of frame cuts,
+    refused connects, and a whole-daemon SIGKILL. Asserts completion, prints the injected fault log, and (with
     ``--runs`` > 1) asserts the soak is deterministic: the same seed must
     yield the same injected fault sequence and identical final action
     traces.
     """
-    from repro.core.service.chaos import FaultPlan
+    from repro.testing.chaos import FaultPlan
 
     plan_preview = FaultPlan.generate(
         seed=args.seed, calls=args.fault_calls, rate=args.fault_rate,

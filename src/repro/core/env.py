@@ -20,7 +20,7 @@ from repro.core.registration import make, register, registered_env_ids  # noqa: 
 from repro.core.reward_view import RewardView
 from repro.core.service.compilation_session import CompilationSession
 from repro.core.service.connection import ConnectionOpts, ServiceConnection
-from repro.core.service.transport import InProcessTransport, SocketTransport
+from repro.core.service.transport import InProcessTransport, ServiceTransport, SocketTransport
 from repro.core.service.proto import (
     EndSessionRequest,
     ForkSessionRequest,
@@ -66,7 +66,6 @@ class CompilerEnv:
         service_token: Optional[str] = None,
         verify_ir: Optional[bool] = None,
         result_cache=None,
-        chaos=None,
     ):
         self.session_type = session_type
         self.datasets = datasets
@@ -80,13 +79,6 @@ class CompilerEnv:
         # --result-cache-mb`); the setting only applies when this env hosts
         # its runtime in-process.
         self.result_cache = result_cache
-        # Deterministic fault injection: a FaultPlan (or an int seed) wraps
-        # this env's transport in a ChaosTransport so scheduled faults —
-        # refused connects, mid-frame cuts, lost replies, daemon kills —
-        # fire at exact call indices. None (production) injects nothing.
-        from repro.core.service.chaos import resolve_chaos
-
-        self.chaos = resolve_chaos(chaos)
         # Verify-after-every-pass debug mode: the backend re-verifies the IR
         # after each applied action and fails the step on corruption. Off by
         # default (it adds a dominator-tree construction per function per
@@ -104,27 +96,7 @@ class CompilerEnv:
         self._custom_benchmarks = {}
         self._daemon_checked_uris = set()
 
-        if service_url is not None:
-            # Attach to a running compiler service daemon (`repro serve`)
-            # instead of hosting a runtime in-process: sessions live on
-            # the daemon and survive this client. The socket-level timeout
-            # must exceed the connection's call deadline: a call that comes
-            # back between the two is classified as a slow *success*
-            # (recorded, not retried) rather than a transport failure —
-            # retrying an applied step() would re-execute it on the daemon.
-            deadline = self.connection_opts.rpc_call_max_seconds
-            transport = SocketTransport(
-                service_url,
-                timeout=deadline + max(deadline, 5.0),
-                auth_token=service_token,
-            )
-        else:
-            transport = InProcessTransport(self._make_runtime())
-        if self.chaos is not None:
-            from repro.core.service.chaos import ChaosTransport
-
-            transport = ChaosTransport(transport, self.chaos)
-        self.service = ServiceConnection(transport, opts=self.connection_opts)
+        self.service = ServiceConnection(self._make_transport(), opts=self.connection_opts)
         self._owns_service = True
 
         spaces = self.service.spaces
@@ -161,6 +133,23 @@ class CompilerEnv:
             self.reward_space = reward_space
 
     # -- construction helpers ---------------------------------------------
+
+    def _make_transport(self) -> ServiceTransport:
+        if self.service_url is None:
+            return InProcessTransport(self._make_runtime())
+        # Attach to a running compiler service daemon (`repro serve`) instead
+        # of hosting a runtime in-process: sessions live on the daemon and
+        # survive this client. The socket-level timeout must exceed the
+        # connection's call deadline: a call that comes back between the two
+        # is classified as a slow *success* (recorded, not retried) rather
+        # than a transport failure — retrying an applied step() would
+        # re-execute it on the daemon.
+        deadline = self.connection_opts.rpc_call_max_seconds
+        return SocketTransport(
+            self.service_url,
+            timeout=deadline + max(deadline, 5.0),
+            auth_token=self.service_token,
+        )
 
     def _make_runtime(self) -> CompilerGymServiceRuntime:
         return CompilerGymServiceRuntime(

@@ -48,8 +48,6 @@ from repro.core.service.wire import (
     REPLY_OK,
     UNAUTHENTICATED_MAX_FRAME_BYTES,
     WIRE_VERSION,
-    corrupt_frame_payload,
-    frame_bytes,
     read_frame,
     write_frame_reply,
 )
@@ -132,10 +130,6 @@ class SocketRPCServer:
         # reader handed to the dispatch pool.
         self.served_in_place = 0
         self.handed_off = 0
-        # Optional fault-injection hooks (a ``repro.core.service.chaos.
-        # ServerChaos``): consulted once per executed request before its
-        # reply is written. None in production.
-        self.chaos = None
         self.closed = False
         self._lock = threading.Lock()
         self._shutdown_event = threading.Event()
@@ -396,29 +390,22 @@ class SocketRPCServer:
 
         ``watched``: the request runs on the thread that read it, with the
         socket watched; the watch is dropped before the reply is written,
-        whatever the reply (or its absence) turns out to be.
+        whatever the reply turns out to be.
         """
-        fault = None
         try:
             status, payload = self._execute(conn.state, method, args)
-            if self.chaos is not None and method != "hello":
-                fault = self.chaos.on_reply(method)
-                if fault is not None and fault[0] == "delay":
-                    time.sleep(fault[1])
         finally:
             if watched:
                 self._release(conn)
-        if fault is not None:
-            if fault[0] == "drop":
-                return  # Executed, but the reply never leaves the server.
-            if fault[0] == "corrupt":
-                self._write_corrupted_reply(conn, request_id, status, payload)
-                return
+        self._write_reply(conn, request_id, status, payload)
+
+    def _write_reply(self, conn: _ClientConnection, request_id, status, payload) -> None:
+        """Write one reply frame; a client that is gone gets nothing."""
         try:
             with conn.write_lock:
                 write_frame_reply(conn.wfile, request_id, status, payload)
         except (OSError, ConnectionError, ValueError):
-            pass  # Reply write failed: the client is gone.
+            pass
 
     def _execute(self, state: ClientConnectionState, method, args):
         """Run one request: its ``(status, payload)`` reply, never a raise."""
@@ -469,21 +456,6 @@ class SocketRPCServer:
             "kind": self.server_kind,
             "uptime_s": time.monotonic() - self.started_at,
         }
-
-    def _write_corrupted_reply(self, conn, request_id, status, payload) -> None:
-        """Write a reply frame whose payload bytes are garbage (chaos only).
-
-        The header (version byte + length) is kept intact so the client
-        reads a plausible frame and fails in its decoder — the same shape as
-        bit rot or a version-skewed peer.
-        """
-        frame = corrupt_frame_payload(frame_bytes((request_id, status, payload)))
-        try:
-            with conn.write_lock:
-                conn.wfile.write(frame)
-                conn.wfile.flush()
-        except (OSError, ConnectionError, ValueError):
-            pass
 
     # -- handshake ---------------------------------------------------------
 

@@ -174,6 +174,7 @@ class CompilerGymServiceRuntime:
     ):
         self.session_type = session_type
         self.benchmark_resolver = benchmark_resolver
+        self._observation_specs = {spec.id: spec for spec in session_type.observation_spaces}
         # A directory the runtime made is the runtime's to remove at shutdown,
         # and is named after its pid so a later runtime can remove it if the
         # process is killed before it does.
@@ -220,10 +221,10 @@ class CompilerGymServiceRuntime:
         )
 
     def _observation_spec(self, name: str):
-        for spec in self.session_type.observation_spaces:
-            if spec.id == name:
-                return spec
-        raise ServiceError(f"Unknown observation space: {name!r}")
+        spec = self._observation_specs.get(name)
+        if spec is None:
+            raise ServiceError(f"Unknown observation space: {name!r}")
+        return spec
 
     def _resolve_benchmark(self, uri: str) -> Benchmark:
         benchmark = self.benchmark_cache.get(uri)
@@ -295,9 +296,10 @@ class CompilerGymServiceRuntime:
             entry.donor = entry.lazy_fork = None
         return entry.session
 
-    def _step_on_donor(self, entry: _Session, actions, observation_space_names) -> Optional[StepReply]:
+    def _step_on_donor(self, entry: _Session, actions, specs) -> Optional[Tuple[StepReply, list]]:
         """Answer an unbuilt fork's step from its donor's state, which is put
-        back afterwards; ``None`` if the donor is not where the fork is.
+        back afterwards, as :meth:`_execute_step` does; ``None`` if the donor
+        is not where the fork is.
 
         An error leaves the donor intact all the same, and the fork impure:
         its next call builds it for real.
@@ -309,7 +311,7 @@ class CompilerGymServiceRuntime:
             if not donor.pure or donor.node is not entry.node:
                 return None
             with entry.lazy_fork.speculate() as session:
-                return self._execute_step(session, entry, actions, observation_space_names)
+                return self._execute_step(session, entry, actions, specs)
 
     # -- session lifecycle ------------------------------------------------
 
@@ -346,9 +348,10 @@ class CompilerGymServiceRuntime:
         return StartSessionReply(session_id=self._add(entry), observations=observations)
 
     def _execute_step(
-        self, session: CompilationSession, entry: _Session, actions, observation_space_names
-    ) -> StepReply:
-        """Apply ``actions`` to a built session, then read the observations."""
+        self, session: CompilationSession, entry: _Session, actions, specs
+    ) -> Tuple[StepReply, list]:
+        """Apply ``actions`` to a built session, then read the observations of
+        ``specs``: the reply, and the raw values it wraps."""
         end_of_session = False
         action_had_no_effect = True
         new_action_space = None
@@ -364,10 +367,7 @@ class CompilerGymServiceRuntime:
                 if end:
                     end_of_session = True
                     break
-            observations = [
-                Event.from_value(session.get_observation(self._observation_spec(name)))
-                for name in observation_space_names
-            ]
+            values = [session.get_observation(spec) for spec in specs]
         except Exception:
             # The module may be ahead of its node now: nothing this session
             # computes from here on may be stored under a prefix.
@@ -377,8 +377,8 @@ class CompilerGymServiceRuntime:
             end_of_session=end_of_session,
             action_had_no_effect=action_had_no_effect,
             new_action_space=new_action_space,
-            observations=observations,
-        )
+            observations=[Event.from_value(value) for value in values],
+        ), values
 
     def step(self, request: StepRequest, owner=None) -> StepReply:
         self.stats["step"] += 1
@@ -392,17 +392,17 @@ class CompilerGymServiceRuntime:
 
     def _step(self, entry: _Session, request: StepRequest) -> StepReply:
         names = request.observation_space_names
+        specs = [self._observation_spec(name) for name in names]
         if not entry.pure:
             # Unbuilt here means an earlier build failed: build again so the
             # error (or the session) is not lost.
-            return self._execute_step(self._built_session(entry), entry, request.actions, names)
+            return self._execute_step(self._built_session(entry), entry, request.actions, specs)[0]
 
-        specs = [self._observation_spec(name) for name in names]
         deterministic = all(spec.deterministic for spec in specs)
         candidate = self.prefixes.walk(entry.node, request.actions)
         num_actions = len(request.actions)
 
-        reply = None
+        executed = None
         if deterministic and self.result_cache is not None:
             hit = self.result_cache.lookup_step(candidate, num_actions, names)
             if hit is not None:
@@ -422,10 +422,11 @@ class CompilerGymServiceRuntime:
                 )
         if deterministic and entry.session is None:
             # A fork's first step (a search's candidate): no copy is made.
-            reply = self._step_on_donor(entry, request.actions, names)
+            executed = self._step_on_donor(entry, request.actions, specs)
 
-        if reply is None:
-            reply = self._execute_step(self._built_session(entry), entry, request.actions, names)
+        if executed is None:
+            executed = self._execute_step(self._built_session(entry), entry, request.actions, specs)
+        reply, values = executed
         if reply.new_action_space is not None:
             # A dynamic action-space change breaks prefix canonicality.
             entry.pure = False
@@ -442,8 +443,8 @@ class CompilerGymServiceRuntime:
                 reply.end_of_session,
                 reply.action_had_no_effect,
                 {
-                    name: _copy_value(observation.value())
-                    for name, spec, observation in zip(names, specs, reply.observations)
+                    name: _copy_value(value)
+                    for name, spec, value in zip(names, specs, values)
                     if spec.deterministic
                 },
             )

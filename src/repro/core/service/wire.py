@@ -554,19 +554,6 @@ CODECS: Dict[int, Codec] = {WIRE_VERSION: TypedCodec()}
 FRAME_HEADER_BYTES = _FRAME_HEADER.size
 
 
-def corrupt_frame_payload(frame: bytes) -> bytes:
-    """Flip every payload byte of a complete frame, preserving the header.
-
-    Chaos-testing helper: the returned frame is structurally valid (version
-    byte and length prefix intact) but its payload no longer decodes,
-    modelling bit rot or a version-skewed peer on the wire.
-    """
-    corrupted = bytearray(frame)
-    for i in range(FRAME_HEADER_BYTES, len(corrupted)):
-        corrupted[i] ^= 0xA5
-    return bytes(corrupted)
-
-
 def frame_bytes(message: Any) -> bytes:
     """Serialize one message to its on-the-wire frame: version byte,
     length prefix, encoded payload."""

@@ -36,13 +36,24 @@ Client-side fault kinds (``ChaosTransport``):
   ``kill_targets`` hook), the whole-daemon crash that gateway failover and
   the health monitor exist to absorb.
 
-Server-side hooks (:class:`ServerChaos`, consulted by
-:class:`~repro.core.service.rpc_server.SocketRPCServer` before each reply)
-cover the faults only the daemon can produce: dropping a reply *after* the
-request executed, corrupting the reply frame, delaying it, or SIGKILLing the
-whole process mid-request.
+Server-side faults (:class:`ServerChaos`) are the ones only a server can
+produce: dropping a reply *after* the request executed, corrupting the reply
+frame, or delaying it.
+
+Production code does not know about any of this. The harness reaches it
+through two plain methods: :func:`inject` patches
+``CompilerEnv._make_transport`` while it is open, so every environment made
+meanwhile talks through a :class:`ChaosTransport`, and
+:meth:`ServerChaos.attach` wraps one server instance's
+``SocketRPCServer._write_reply``::
+
+    with inject(plan) as made:
+        env = repro.make("llvm-v0", service_url=url)
+    ServerChaos(drop_reply_at={0}).attach(server)
 """
 
+import contextlib
+import functools
 import hashlib
 import os
 import random
@@ -50,10 +61,12 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core.env import CompilerEnv
+from repro.core.service.proto import HelloReply
 from repro.core.service.transport import ServiceTransport, SocketTransport
-from repro.core.service.wire import FRAME_HEADER_BYTES
+from repro.core.service.wire import FRAME_HEADER_BYTES, frame_bytes
 from repro.errors import ServiceTransportError
 
 # The client-side fault vocabulary. ``FaultPlan.generate`` draws from these;
@@ -92,26 +105,25 @@ class FlushLimitedSocket:
         return getattr(self._sock, name)
 
 
-class CorruptingSocket:
-    """Fault injector: flips payload bytes of the next frame sent.
+def _flipped(data: bytes, offset: int = 0) -> bytes:
+    """``data``, which starts ``offset`` bytes into a frame, with every byte
+    past the frame header flipped. The header (version byte and length
+    prefix) stays intact, so the receiver reads a plausible frame of the
+    right length and fails in its *decoder*: bit rot, or a version-skewed
+    peer."""
+    start = max(0, FRAME_HEADER_BYTES - offset)
+    return bytes(data[:start]) + bytes(byte ^ 0xA5 for byte in data[start:])
 
-    The 9-byte frame header (version byte + length prefix) is preserved so
-    the receiver reads a plausible frame of the right length and fails in its
-    *decoder* — the malformed-frame guard — rather than on the length prefix.
-    """
+
+class CorruptingSocket:
+    """Fault injector: flips the payload bytes of the next frame sent."""
 
     def __init__(self, sock):
         self._sock = sock
         self._offset = 0
 
     def send(self, data):
-        data = bytes(data)
-        start = self._offset
-        corrupted = bytearray(data)
-        for i in range(len(corrupted)):
-            if start + i >= FRAME_HEADER_BYTES:
-                corrupted[i] ^= 0xA5
-        sent = self._sock.send(bytes(corrupted))
+        sent = self._sock.send(_flipped(data, self._offset))
         self._offset += sent
         return sent
 
@@ -383,65 +395,88 @@ class ChaosTransport(ServiceTransport):
         )
 
 
-def resolve_chaos(chaos) -> Optional[FaultPlan]:
-    """Coerce a ``make(..., chaos=...)`` argument to a :class:`FaultPlan`.
-
-    Accepts a plan, an int (shorthand for ``FaultPlan.generate(seed=chaos,
-    calls=256)``), or ``None``.
-    """
-    if chaos is None:
-        return None
-    if isinstance(chaos, FaultPlan):
-        return chaos
-    if isinstance(chaos, int) and not isinstance(chaos, bool):
-        return FaultPlan.generate(seed=chaos, calls=256)
-    raise TypeError(f"chaos must be a FaultPlan, an int seed, or None; got {chaos!r}")
-
-
 @dataclass
 class ServerChaos:
-    """Daemon-side fault hooks, consulted by the RPC server per request.
+    """Reply faults of one :class:`~repro.core.service.rpc_server.
+    SocketRPCServer` (a daemon or a gateway).
 
-    Attach to any :class:`~repro.core.service.rpc_server.SocketRPCServer`
-    (``server.chaos = ServerChaos(...)``). Request indices count every
-    dispatched RPC except the ``hello`` handshake, in arrival order on the
-    serving side. Faults:
+    :meth:`attach` wraps that server's ``_write_reply``, so every reply it
+    writes passes through :meth:`write_reply`. Request indices count the
+    replies written since attaching, in order, except those to the ``hello``
+    handshake. Faults:
 
-    * ``drop_reply_at`` — execute the request, write no reply (the client
-      observes reply loss *after* execution: the at-most-once path).
-    * ``corrupt_reply_at`` — execute, then answer with a corrupted frame.
-    * ``delay_reply`` — ``{index: seconds}`` holds the reply past deadlines.
-    * ``die_at`` — SIGKILL the whole server process mid-request.
+    * ``drop_reply_at`` — the request executed, but no reply is written (the
+      client observes reply loss *after* execution: the at-most-once path).
+    * ``corrupt_reply_at`` — the reply frame's payload bytes are flipped.
+    * ``delay_reply`` — ``{index: seconds}`` holds the reply that long.
     """
 
     drop_reply_at: frozenset = frozenset()
     corrupt_reply_at: frozenset = frozenset()
     delay_reply: Dict[int, float] = field(default_factory=dict)
-    die_at: frozenset = frozenset()
 
     def __post_init__(self):
         self.drop_reply_at = frozenset(self.drop_reply_at)
         self.corrupt_reply_at = frozenset(self.corrupt_reply_at)
-        self.die_at = frozenset(self.die_at)
         self._counter_lock = threading.Lock()
-        self._served = 0
+        self.served = 0
+        self._server = None
 
-    def on_reply(self, method: str) -> Optional[Tuple[str, float]]:
-        """Called after a request executed, before its reply is written.
+    def attach(self, server) -> "ServerChaos":
+        """Fault ``server``'s replies from now on (until :meth:`detach`)."""
+        self._server = server
+        server._write_reply = functools.partial(self.write_reply, server._write_reply)
+        return self
 
-        Returns ``None`` (reply normally) or ``(action, param)`` with action
-        one of ``"drop"``, ``"corrupt"``, ``"delay"``. ``die_at`` never
-        returns: the process is SIGKILLed here.
-        """
+    def detach(self) -> None:
+        """Give the server its own ``_write_reply`` back."""
+        if self._server is not None:
+            del self._server._write_reply
+            self._server = None
+
+    def write_reply(self, write, conn, request_id, status, payload) -> None:
+        """Write one reply through ``write``, or fault it."""
+        if isinstance(payload, HelloReply):
+            write(conn, request_id, status, payload)
+            return
         with self._counter_lock:
-            index = self._served
-            self._served += 1
-        if index in self.die_at:
-            os.kill(os.getpid(), signal.SIGKILL)
+            index = self.served
+            self.served += 1
         if index in self.drop_reply_at:
-            return ("drop", 0.0)
+            return
         if index in self.corrupt_reply_at:
-            return ("corrupt", 0.0)
-        if index in self.delay_reply:
-            return ("delay", self.delay_reply[index])
-        return None
+            try:
+                with conn.write_lock:
+                    conn.wfile.write(_flipped(frame_bytes((request_id, status, payload))))
+                    conn.wfile.flush()
+            except (OSError, ConnectionError, ValueError):
+                pass
+            return
+        time.sleep(self.delay_reply.get(index, 0.0))
+        write(conn, request_id, status, payload)
+
+
+@contextlib.contextmanager
+def inject(
+    plan: FaultPlan,
+    kill_targets: Optional[Union[Sequence[int], Callable[[int], Optional[int]]]] = None,
+) -> Iterator[List[ChaosTransport]]:
+    """While open, every :class:`~repro.core.env.CompilerEnv` made talks to
+    its service through a fresh :class:`ChaosTransport` over ``plan``.
+
+    Yields the list of transports made so far. The wrapping happens before
+    the environment's first call, so its ``get_spaces`` is call 0.
+    """
+    made: List[ChaosTransport] = []
+    original = CompilerEnv._make_transport
+
+    def make_transport(env):
+        transport = ChaosTransport(original(env), plan, kill_targets)
+        made.append(transport)
+        return transport
+
+    CompilerEnv._make_transport = make_transport
+    try:
+        yield made
+    finally:
+        CompilerEnv._make_transport = original

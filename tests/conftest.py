@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
 from collections import Counter
 
 import pytest
@@ -67,6 +68,17 @@ class Deployment:
             return len(env.service.runtime.sessions)
         return self.server.server_info()["active_sessions"]
 
+    def steps_executed(self, env) -> int:
+        """How many steps the service behind ``env`` has executed so far."""
+        if self.server is None:
+            return env.service.runtime.stats["step"]
+        if self.kind == "daemon":
+            return self.server.runtime.stats["step"]
+        return sum(
+            daemon.connection.transport.server_info()["runtime_stats"]["step"]
+            for daemon in self.server.live_daemons()
+        )
+
     def result_cache_stats(self, env):
         """The (benchmark, action-prefix) cache counters behind ``env`` as the
         service reports them, summed over a fleet; ``None`` where the
@@ -102,6 +114,64 @@ def deployment(request):
         )
     with server.start():
         yield Deployment(kind, cache, server)
+
+
+class Fault:
+    """One fault on one call of an environment's connection.
+
+    A client-side fault is a ``ChaosTransport`` event, and every deployment
+    has it. A server-side fault is a ``ServerChaos`` reply fault of the
+    daemon or gateway the client talks to, so only a socket deployment has
+    it. ``retryable``: the connection's retry loop recovers the call, which
+    is then applied once; otherwise the call's episode ends.
+    """
+
+    #: The call deadline of an environment under a fault: a reply this late
+    #: is a slow success, and a dropped reply is given up on after the
+    #: socket timeout the deadline sets (5 s more).
+    DEADLINE = 0.5
+
+    def __init__(self, name: str, kind: str, param: float = 0.0, server=False, retryable=False):
+        self.name, self.kind, self.param = name, kind, param
+        self.server, self.retryable = server, retryable
+
+    @contextlib.contextmanager
+    def injected(self, deployment, call_index: int):
+        """While open, the fault lands on call ``call_index`` of the first
+        environment made (counted from its ``get_spaces``, which is 0)."""
+        from repro.testing.chaos import FaultEvent, FaultPlan, ServerChaos, inject
+
+        if not self.server:
+            event = FaultEvent(call_index, self.kind, method="step", param=self.param)
+            with inject(FaultPlan(events=(event,))) as made:
+                yield made
+            return
+        if deployment.server is None:
+            pytest.skip("no server in-process")
+        chaos = ServerChaos(**{self.kind: {call_index: self.param}}).attach(deployment.server)
+        try:
+            yield chaos
+        finally:
+            chaos.detach()
+
+
+FAULTS = [
+    Fault("refuse_connect", "refuse_connect", retryable=True),
+    Fault("cut_send-unsent", "cut_send", 0.0, retryable=True),
+    Fault("cut_send-partial", "cut_send", 5.0),
+    Fault("cut_recv", "cut_recv"),
+    Fault("delay", "delay", 1.5 * Fault.DEADLINE),
+    Fault("server-drop", "drop_reply_at", server=True),
+    Fault("server-corrupt", "corrupt_reply_at", server=True),
+    Fault("server-delay", "delay_reply", 1.5 * Fault.DEADLINE, server=True),
+]
+
+
+@pytest.fixture(params=FAULTS, ids=lambda fault: fault.name)
+def fault(request):
+    """The fault axis: every fault the harness injects into a step, client
+    side in any deployment and server side in a socket one."""
+    return request.param
 
 
 @pytest.fixture

@@ -1,17 +1,18 @@
 """Tests for the chaos harness and the proactive health layer.
 
-Covers the PR's acceptance criteria: a seeded :class:`FaultPlan` is
-deterministic and reusable; :class:`ChaosTransport` injects each fault kind
-through the transport's *production* classification paths (retryable
-pre-send failures, non-retryable partial flushes, at-most-once reply loss,
-slow-success deadline breaches); daemon-side :class:`ServerChaos` drops,
-corrupts, and delays replies; the pre-auth ``heartbeat`` RPC; full-jitter
-retry desynchronization; the :class:`HealthMonitor` detecting a SIGKILLed
-daemon within two heartbeat intervals with no client RPC in flight; and a
-live member's connection failures shed per session.
+What each fault does to an episode, in every deployment, is
+``test_conformance.py``'s fault axis. Here: a seeded :class:`FaultPlan` is
+deterministic and reusable; :func:`inject` reaches only the environments made
+while it is open; production code never imports the harness; the pre-auth
+``heartbeat`` RPC; full-jitter retry desynchronization; the
+:class:`HealthMonitor` detecting a SIGKILLed daemon within two heartbeat
+intervals with no client RPC in flight; and a live member's connection
+failures shed per session.
 """
 
+import ast
 import os
+import pathlib
 import signal
 import socket
 import time
@@ -21,13 +22,6 @@ import pytest
 
 import repro
 from repro.core.service import ConnectionOpts, ServiceConnection
-from repro.core.service.chaos import (
-    ChaosTransport,
-    FaultEvent,
-    FaultPlan,
-    ServerChaos,
-    resolve_chaos,
-)
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.health import HealthMonitor
 from repro.core.service.proto import StartSessionRequest, StepRequest
@@ -35,12 +29,8 @@ from repro.core.service.runtime.server import ServiceServer
 from repro.core.service.transport import ServiceTransport, SocketTransport
 from repro.core.service.wire import REPLY_OK, read_frame, write_frame
 from repro.core.vector import VecCompilerEnv
-from repro.errors import (
-    PermissionDeniedError,
-    ServiceError,
-    ServiceIsDown,
-    ServiceTransportError,
-)
+from repro.errors import PermissionDeniedError, ServiceError, ServiceIsDown
+from repro.testing.chaos import ChaosTransport, FaultEvent, FaultPlan, inject
 from tests.test_service import _runtime
 
 BENCHMARK = "cbench-v1/qsort"
@@ -95,19 +85,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="Unknown fault kind"):
             FaultEvent(call_index=0, kind="bogus")
 
-    def test_resolve_chaos_coercions(self):
-        assert resolve_chaos(None) is None
-        plan = FaultPlan(events=())
-        assert resolve_chaos(plan) is plan
-        generated = resolve_chaos(42)
-        assert isinstance(generated, FaultPlan)
-        assert generated.seed == 42
-        assert generated.events == FaultPlan.generate(seed=42, calls=256).events
-        with pytest.raises(TypeError, match="chaos must be"):
-            resolve_chaos("0.5")
-        with pytest.raises(TypeError, match="chaos must be"):
-            resolve_chaos(True)
-
 
 class _NeverCalledTransport(ServiceTransport):
     """A stub transport for tests that never reach a real call."""
@@ -116,183 +93,58 @@ class _NeverCalledTransport(ServiceTransport):
         raise AssertionError("unexpected call")
 
 
-# -- client-side fault injection ----------------------------------------------
+# -- reaching environments ----------------------------------------------------
 
 
-def _step_fault(kind, param=0.0):
-    """A plan with one fault on the first step() RPC of the connection.
+def test_inject_wraps_the_envs_made_while_it_is_open_and_no_other():
+    plan = FaultPlan(events=())
+    with inject(plan) as made:
+        env = repro.make("llvm-v0")
+    with env, repro.make("llvm-v0") as plain:
+        assert made == [env.service.transport]
+        assert made[0].plan is plan
+        assert made[0].calls == 1  # get_spaces, in the constructor.
+        assert not isinstance(plain.service.transport, ChaosTransport)
 
-    Method-restricted events slide forward from index 0 until the first
-    matching call, so the schedule is independent of how many bootstrap
-    RPCs (get_spaces, start_session) precede the step.
-    """
-    return FaultPlan(
-        events=(FaultEvent(call_index=0, kind=kind, method="step", param=param),)
-    )
+
+def test_production_code_never_imports_the_harness():
+    src = pathlib.Path(repro.__file__).parent
+    importers = []
+    for path in src.rglob("*.py"):
+        if path.relative_to(src).parts[0] in ("testing", "cli"):
+            continue
+        text = path.read_text()
+        if "testing" not in text:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if any(name == "repro.testing" or name.startswith("repro.testing.") for name in names):
+                importers.append(str(path.relative_to(src)))
+    assert importers == []
 
 
-class TestChaosTransportInjection:
-    """Each fault kind must flow through the transport's own classifier —
-    the same code paths production failures take — not a simulation."""
-
-    def _connect(self, server, plan, **opts):
-        transport = ChaosTransport(SocketTransport(server.url, timeout=5.0), plan)
-        connection = ServiceConnection(
-            transport,
-            ConnectionOpts(
-                rpc_max_retries=3, retry_wait_seconds=0.001, **opts
-            ),
-        )
-        session = connection.start_session(
-            StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
-        )
-        return transport, connection, session
-
-    def test_refused_connect_is_retried_and_applied_exactly_once(self):
+def test_injection_log_is_deterministic_across_transports():
+    plan = FaultPlan.generate(seed=2, calls=12, rate=0.4, kinds=("refuse_connect",))
+    assert plan.events, "seed 2 must schedule at least one event"
+    logs = []
+    for _ in range(2):
         with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            transport, connection, session = self._connect(
-                server, _step_fault("refuse_connect")
+            transport = ChaosTransport(SocketTransport(server.url, timeout=5.0), plan)
+            connection = ServiceConnection(
+                transport, ConnectionOpts(rpc_max_retries=4, retry_wait_seconds=0.001)
             )
-            steps_before = server.runtime.stats["step"]
-            reply = connection.step(
-                StepRequest(
-                    session_id=session.session_id,
-                    actions=[1],
-                    observation_space_names=["value"],
-                )
+            session = connection.start_session(
+                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
             )
-            assert reply.observations[0].value() == 1
-            assert connection.stats["step"].retries == 1
-            assert server.runtime.stats["step"] == steps_before + 1
-            assert transport.injected == [(2, "refuse_connect", "step")]
+            for action in (1, 3, 1, 4):
+                connection.step(StepRequest(session_id=session.session_id, actions=[action]))
+            logs.append(list(transport.injected))
             connection.close()
-
-    def test_presend_cut_is_retried_and_applied_exactly_once(self):
-        with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            transport, connection, session = self._connect(
-                server, _step_fault("cut_send", param=0.0)
-            )
-            steps_before = server.runtime.stats["step"]
-            reply = connection.step(
-                StepRequest(
-                    session_id=session.session_id,
-                    actions=[1],
-                    observation_space_names=["value"],
-                )
-            )
-            assert reply.observations[0].value() == 1
-            assert connection.stats["step"].retries == 1
-            assert server.runtime.stats["step"] == steps_before + 1
-            connection.close()
-
-    def test_partial_flush_cut_is_never_retried(self):
-        with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            transport, connection, session = self._connect(
-                server, _step_fault("cut_send", param=5.0)
-            )
-            steps_before = server.runtime.stats["step"]
-            with pytest.raises(ServiceTransportError, match="will not be retried"):
-                connection.step(
-                    StepRequest(session_id=session.session_id, actions=[1])
-                )
-            assert connection.stats["step"].retries == 0
-            assert server.runtime.stats["step"] == steps_before
-            connection.close()
-
-    def test_reply_loss_is_at_most_once(self):
-        """cut_recv: the daemon executes the request, the client never sees
-        the reply — and must NOT retry, or the step would apply twice."""
-        with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            transport, connection, session = self._connect(
-                server, _step_fault("cut_recv")
-            )
-            steps_before = server.runtime.stats["step"]
-            with pytest.raises(ServiceTransportError, match="will not be retried"):
-                connection.step(
-                    StepRequest(session_id=session.session_id, actions=[1])
-                )
-            assert connection.stats["step"].retries == 0
-            # The daemon DID apply the step (the request was flushed whole).
-            _wait_until(lambda: server.runtime.stats["step"] == steps_before + 1)
-            # The daemon session carries the applied action; a fresh
-            # connection epoch observes it rather than re-applying it.
-            reply = connection.step(
-                StepRequest(
-                    session_id=session.session_id,
-                    actions=[],
-                    observation_space_names=["value"],
-                )
-            )
-            assert reply.observations[0].value() == 1
-            connection.close()
-
-    def test_delayed_reply_past_deadline_is_not_retried(self):
-        with ServiceServer(_runtime(), session_timeout=None).start() as server:
-            transport, connection, session = self._connect(
-                server,
-                _step_fault("delay", param=0.2),
-                rpc_call_max_seconds=0.05,
-            )
-            steps_before = server.runtime.stats["step"]
-            with pytest.raises(ServiceTransportError, match="will not be retried"):
-                connection.step(
-                    StepRequest(session_id=session.session_id, actions=[1])
-                )
-            assert connection.stats["step"].retries == 0
-            assert server.runtime.stats["step"] == steps_before + 1
-            connection.close()
-
-    @pytest.mark.parametrize("kind", ["refuse_connect", "cut_send"])
-    def test_a_retryable_fault_in_process_retries_on_the_same_runtime(self, kind):
-        """With no socket to cut, a fault that sends nothing fails the call
-        before it reaches the runtime: the retry goes to that same runtime,
-        and the episode steps on in the session it already had."""
-        with repro.make("llvm-v0", benchmark=BENCHMARK, chaos=_step_fault(kind)) as env:
-            env.reset()
-            runtime = env.service.runtime
-            for action in ACTIONS[:2]:
-                _, _, done, info = env.step(action)
-                assert not done and "error_details" not in info
-            assert env.service.stats["step"].retries == 1
-            assert env.service.runtime is runtime
-            assert [fault[1:] for fault in env.service.transport.injected] == [(kind, "step")]
-
-    def test_injection_log_is_deterministic_across_transports(self):
-        plan = FaultPlan.generate(
-            seed=2, calls=12, rate=0.4, kinds=("refuse_connect",)
-        )
-        assert plan.events, "seed 3 must schedule at least one event"
-        logs = []
-        for _ in range(2):
-            with ServiceServer(_runtime(), session_timeout=None).start() as server:
-                transport = ChaosTransport(
-                    SocketTransport(server.url, timeout=5.0), plan
-                )
-                connection = ServiceConnection(
-                    transport,
-                    ConnectionOpts(rpc_max_retries=4, retry_wait_seconds=0.001),
-                )
-                session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
-                )
-                for action in (1, 3, 1, 4):
-                    connection.step(
-                        StepRequest(session_id=session.session_id, actions=[action])
-                    )
-                logs.append(list(transport.injected))
-                connection.close()
-        assert logs[0] == logs[1]
-
-    def test_env_level_chaos_wraps_transport(self):
-        """make(..., chaos=...) puts a ChaosTransport between the env and
-        its service, whatever the underlying transport."""
-        plan = FaultPlan(events=())
-        env = repro.make("llvm-v0", chaos=plan)
-        try:
-            assert isinstance(env.service.transport, ChaosTransport)
-            assert env.service.transport.plan is plan
-        finally:
-            env.close()
+    assert logs[0] == logs[1]
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.01):
@@ -302,67 +154,6 @@ def _wait_until(predicate, timeout=5.0, interval=0.01):
             return
         time.sleep(interval)
     assert predicate()
-
-
-# -- daemon-side fault injection ----------------------------------------------
-
-
-class TestServerChaos:
-    def _server(self):
-        return ServiceServer(_runtime(), session_timeout=None).start()
-
-    def test_dropped_reply_after_execution(self):
-        """drop_reply_at exercises the at-most-once path from the daemon
-        side: the request executes, the reply never leaves the server."""
-        with self._server() as server:
-            connection = ServiceConnection(
-                SocketTransport(server.url, timeout=5.0),
-                ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001),
-            )
-            session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
-            )
-            steps_before = server.runtime.stats["step"]
-            # ServerChaos counts non-hello RPCs from the moment it is
-            # attached: the next request — our step — is index 0.
-            server.chaos = ServerChaos(drop_reply_at={0})
-            with pytest.raises(ServiceTransportError, match="will not be retried"):
-                connection.step(
-                    StepRequest(session_id=session.session_id, actions=[1])
-                )
-            assert server.runtime.stats["step"] == steps_before + 1
-            assert connection.stats["step"].retries == 0
-            connection.close()
-
-    def test_corrupted_reply_is_a_service_error_not_a_retry(self):
-        with self._server() as server:
-            connection = ServiceConnection(
-                SocketTransport(server.url, timeout=5.0),
-                ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001),
-            )
-            session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
-            )
-            steps_before = server.runtime.stats["step"]
-            server.chaos = ServerChaos(corrupt_reply_at={0})
-            with pytest.raises((ServiceError, ConnectionError)):
-                connection.step(
-                    StepRequest(session_id=session.session_id, actions=[1])
-                )
-            assert server.runtime.stats["step"] == steps_before + 1
-            connection.close()
-
-    def test_delayed_reply_holds_the_call(self):
-        with self._server() as server:
-            connection = ServiceConnection(SocketTransport(server.url, timeout=5.0))
-            session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
-            )
-            server.chaos = ServerChaos(delay_reply={0: 0.2})
-            started = time.monotonic()
-            connection.step(StepRequest(session_id=session.session_id, actions=[1]))
-            assert time.monotonic() - started >= 0.15
-            connection.close()
 
 
 # -- the heartbeat RPC --------------------------------------------------------

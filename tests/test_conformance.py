@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.core.datasets import Benchmark
+from repro.core.service import ConnectionOpts
 from repro.core.service.proto import EndSessionRequest, StartSessionRequest
 from repro.core.vector import BACKENDS, VecCompilerEnv
 from repro.core.wrappers import TimeLimit
@@ -290,3 +291,61 @@ def test_caller_errors_are_raised(deployment):
         assert _trace(env, EPISODES[2]) == _reference(EPISODES[2])
     with pytest.raises(SessionNotFound, match="closed"):
         env.step(0)
+
+
+def test_a_fault_is_retried_once_or_ends_the_episode_at_its_prefix(deployment, fault):
+    """The third step of an episode meets ``fault``. A retryable fault is
+    retried once, the step is executed once, and the episode equals the
+    reference; any other fault leaves the step executed at most once and ends
+    the episode with error defaults at the two acknowledged steps. The
+    service then replays the whole episode for a fresh client as if no fault
+    had been: a step whose reply was lost (a cache hit, where the service
+    caches, since the first client warmed it) poisons nothing."""
+    actions = EPISODES[1]
+    reference = _reference(actions)
+    with deployment(**STEP_SHAPE) as warm:
+        warm.reset()
+        warm.step(actions[0])
+        warm.step(actions[1])
+        # A second client makes the same calls: its next one is this step.
+        faulted_call = sum(stats.calls for stats in warm.service.stats.values())
+        _trace(warm, actions)
+    opts = ConnectionOpts(rpc_call_max_seconds=fault.DEADLINE, retry_wait_seconds=0.001)
+    with fault.injected(deployment, faulted_call) as injected, deployment(
+        **STEP_SHAPE, connection_opts=opts
+    ) as env:
+        runtime = env.service.runtime
+        record = [_plain(env.reset())]
+
+        def step(action):
+            result = env.step(action)
+            observation, reward, done, info = result
+            record.append((_plain(observation), reward, done, info["action_had_no_effect"]))
+            return result
+
+        step(actions[0])
+        step(actions[1])
+        episode_reward = env.episode_reward
+        executed = deployment.steps_executed(env)
+        result = step(actions[2])
+        executed = deployment.steps_executed(env) - executed
+        if fault.server:
+            assert injected.served > faulted_call
+        else:
+            assert [call for transport in injected for call in transport.injected] == [
+                (faulted_call, fault.kind, "step")
+            ]
+        if fault.retryable:
+            for action in actions[3:]:
+                step(action)
+            assert record == reference[:1 + len(actions)]
+            assert env.service.stats["step"].retries == 1
+            assert executed == 1
+        else:
+            assert record[:3] == reference[:3]
+            assert executed <= 1
+            _assert_ended_with_error_defaults(env, result, episode_reward)
+            assert env.actions == list(actions[:2])
+        assert env.service.runtime is runtime
+    with deployment(**STEP_SHAPE) as fresh:
+        assert _trace(fresh, actions) == reference

@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.core.service.chaos import ServerChaos
 from repro.core.service.connection import ServiceConnection
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.proto import StartSessionRequest, StepRequest
@@ -30,6 +29,7 @@ from repro.core.service.wire import (
     parse_service_url,
     read_frame,
 )
+from repro.testing.chaos import ServerChaos
 from tests.test_transport import _slow_runtime, _SlowStepSession
 
 
@@ -186,12 +186,12 @@ def test_a_dropped_reply_leaves_the_connection_serving_in_place(front):
     with _raw_peer(front.url) as peer:
         (session,) = peer.start_sessions(1)
         handed_off = front.server_info()["handed_off"]
-        front.chaos = chaos = ServerChaos(drop_reply_at={0})
+        chaos = ServerChaos(drop_reply_at={0}).attach(front)
         peer.send(_step(0, session, [1]))
-        _wait_until(lambda: chaos._served == 1)
+        _wait_until(lambda: chaos.served == 1)
         time.sleep(0.05)  # Its thread finishes with the request.
         peer.send(_step(1, session, [1]))
         request_id, payload = peer.reply()
         assert (request_id, _value(payload)) == (1, 2)
-        front.chaos = None
+        chaos.detach()
     assert front.server_info()["handed_off"] == handed_off

@@ -157,11 +157,20 @@ class TestRuntime:
 
     def test_unknown_observation_space(self):
         runtime = _runtime()
-        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
-        with pytest.raises(ServiceError):
-            runtime.step(
-                StepRequest(session_id=session.session_id, actions=[], observation_space_names=["nope"])
+        with pytest.raises(ServiceError, match="Unknown observation space: 'nope'"):
+            runtime.start_session(
+                StartSessionRequest(benchmark_uri="benchmark://t-v0/0", observation_space_names=["nope"])
             )
+        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        with pytest.raises(ServiceError, match="Unknown observation space: 'nope'"):
+            runtime.step(
+                StepRequest(session_id=session.session_id, actions=[1], observation_space_names=["nope"])
+            )
+        # The request was refused whole: its action was not applied.
+        reply = runtime.step(
+            StepRequest(session_id=session.session_id, actions=[], observation_space_names=["value"])
+        )
+        assert reply.observations[0].value() == 0
 
 
 class TestRuntimeWorkingDirectory:

@@ -14,6 +14,8 @@ gives a further improvement, and environment initialization is amortized O(1)
 thanks to the benchmark cache.
 """
 
+import contextlib
+import gc
 import random
 import time
 
@@ -42,45 +44,76 @@ def _summary(times):
     }
 
 
-def _measure_compilergym(num_steps: int, batched: bool):
-    rng = random.Random(0)
-    start = time.perf_counter()
+@contextlib.contextmanager
+def _collector_paused():
+    """Time without the cyclic garbage collector, as :mod:`timeit` does.
+
+    A full collection scans the whole heap the earlier tests in this process
+    left behind and takes 50-170 ms, while all 120 batched steps take about
+    12 ms: one collection landing in a timed window would measure the heap,
+    not the operation.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _make_compilergym_env():
     # Table 2 measures raw incremental-step cost against recompile-per-step
     # baselines; the result cache would serve repeated reset prefixes from
     # memory and defer session construction into the first timed step,
     # distorting exactly the ratios this table reports.
-    env = repro.make(
+    return repro.make(
         "llvm-v0",
         observation_space="Autophase",
         reward_space="IrInstructionCount",
         result_cache=False,
     )
+
+
+def _measure_compilergym(num_steps: int):
+    """Time the same episodes stepped one action at a time and as one
+    multistep each, on two environments that take turns episode by episode,
+    so a slow stretch of the machine falls on both. Returns the service
+    startup time and the ``(init_times, step_times)`` of each way."""
+    rng = random.Random(0)
+    start = time.perf_counter()
+    env = _make_compilergym_env()
     startup = time.perf_counter() - start
-    init_times, step_times = [], []
+    batched_env = _make_compilergym_env()
+    times = {False: ([], []), True: ([], [])}
     try:
         steps_done = 0
         while steps_done < num_steps:
             benchmark = BENCHMARKS[steps_done % len(BENCHMARKS)]
-            start = time.perf_counter()
-            env.reset(benchmark=benchmark)
-            init_times.append(time.perf_counter() - start)
             episode = min(20, num_steps - steps_done)
-            if batched:
-                actions = [rng.randrange(env.action_space.n) for _ in range(episode)]
+            actions = [rng.randrange(env.action_space.n) for _ in range(episode)]
+            # Alternate which way goes first.
+            order = (False, True) if (steps_done // 20) % 2 == 0 else (True, False)
+            for batched in order:
+                target = batched_env if batched else env
+                init_times, step_times = times[batched]
                 start = time.perf_counter()
-                env.multistep(actions)
-                elapsed = time.perf_counter() - start
-                step_times.extend([elapsed / episode] * episode)
-            else:
-                for _ in range(episode):
-                    action = rng.randrange(env.action_space.n)
+                target.reset(benchmark=benchmark)
+                init_times.append(time.perf_counter() - start)
+                if batched:
                     start = time.perf_counter()
-                    env.step(action)
-                    step_times.append(time.perf_counter() - start)
+                    target.multistep(actions)
+                    elapsed = time.perf_counter() - start
+                    step_times.extend([elapsed / episode] * episode)
+                else:
+                    for action in actions:
+                        start = time.perf_counter()
+                        target.step(action)
+                        step_times.append(time.perf_counter() - start)
             steps_done += episode
     finally:
         env.close()
-    return startup, init_times, step_times
+        batched_env.close()
+    return startup, times[False], times[True]
 
 
 def _measure_baseline(env_class, num_steps: int):
@@ -111,13 +144,15 @@ def test_table2_operation_costs(benchmark):
 
     def run_experiment():
         results = {}
-        startup, init_times, step_times = _measure_compilergym(num_steps, batched=False)
+        with _collector_paused():
+            startup, (init_times, step_times), (batched_init, batched_steps) = (
+                _measure_compilergym(num_steps)
+            )
         results["CompilerGym"] = {
             "service_startup_ms": startup * 1e3,
             "environment_init": _summary(init_times),
             "environment_step": _summary(step_times),
         }
-        _, batched_init, batched_steps = _measure_compilergym(num_steps, batched=True)
         results["CompilerGym-batched"] = {
             "environment_init": _summary(batched_init),
             "environment_step": _summary(batched_steps),
@@ -126,7 +161,8 @@ def test_table2_operation_costs(benchmark):
             ("Autophase", AutophaseStyleEnvironment),
             ("OpenTuner", OpenTunerStyleEnvironment),
         ):
-            init_times, step_times = _measure_baseline(env_class, num_steps)
+            with _collector_paused():
+                init_times, step_times = _measure_baseline(env_class, num_steps)
             results[name] = {
                 "environment_init": _summary(init_times),
                 "environment_step": _summary(step_times),

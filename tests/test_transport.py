@@ -12,7 +12,6 @@ aggregation.
 import contextlib
 import dataclasses
 import io
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -507,19 +506,18 @@ class TestWireCodec:
     """Version 3: a numeric array travels as its raw bytes, a container tag
     holds that container, and every refusal is a ServiceError."""
 
-    def test_a_numeric_array_round_trips_raw_and_writable(self):
-        for dtype, layout in itertools.product(_NUMBER_DTYPES, sorted(_LAYOUTS)):
-            case = f"{dtype.str} {layout}"
-            array = _LAYOUTS[layout](dtype)
-            frame = frame_bytes(array)
-            assert pickle.loads(frame[FRAME_HEADER_BYTES:])[:2] == ("A", dtype.str), case
-            decoded = read_frame(io.BytesIO(frame))
-            assert type(decoded) is np.ndarray, case
-            assert decoded.dtype == array.dtype and decoded.shape == array.shape, case
-            np.testing.assert_array_equal(decoded, array, err_msg=case)
-            assert decoded.flags.writeable and decoded.flags.owndata, case
-            contiguous = decoded.flags.f_contiguous if layout == "F" else decoded.flags.c_contiguous
-            assert contiguous, case
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("dtype", _NUMBER_DTYPES, ids=lambda dtype: dtype.str)
+    def test_a_numeric_array_round_trips_raw_and_writable(self, dtype, layout):
+        array = _LAYOUTS[layout](dtype)
+        frame = frame_bytes(array)
+        assert pickle.loads(frame[FRAME_HEADER_BYTES:])[:2] == ("A", dtype.str)
+        decoded = read_frame(io.BytesIO(frame))
+        assert type(decoded) is np.ndarray
+        assert decoded.dtype == array.dtype and decoded.shape == array.shape
+        np.testing.assert_array_equal(decoded, array)
+        assert decoded.flags.writeable and decoded.flags.owndata
+        assert decoded.flags.f_contiguous if layout == "F" else decoded.flags.c_contiguous
 
     @pytest.mark.parametrize("array, refused", [
         (np.arange(3).astype("M8[s]"), True),

@@ -122,8 +122,9 @@ class Fault:
     A client-side fault is a ``ChaosTransport`` event, and every deployment
     has it. A server-side fault is a ``ServerChaos`` reply fault of the
     daemon or gateway the client talks to, so only a socket deployment has
-    it. ``retryable``: the connection's retry loop recovers the call, which
-    is then applied once; otherwise the call's episode ends.
+    it. ``retryable``: the connection's retry loop recovers the call;
+    otherwise the call's episode ends. Either way the service executes the
+    call :meth:`executions` times.
     """
 
     #: The call deadline of an environment under a fault: a reply this late
@@ -131,9 +132,19 @@ class Fault:
     #: socket timeout the deadline sets (5 s more).
     DEADLINE = 0.5
 
-    def __init__(self, name: str, kind: str, param: float = 0.0, server=False, retryable=False):
+    def __init__(
+        self, name: str, kind: str, param: float = 0.0, server=False, retryable=False, executes=1
+    ):
         self.name, self.kind, self.param = name, kind, param
-        self.server, self.retryable = server, retryable
+        self.server, self.retryable, self.executes = server, retryable, executes
+
+    def executions(self, deployment) -> int:
+        """How many times the service executes the faulted call."""
+        if self.kind == "cut_recv" and deployment.server is None:
+            # The request goes out whole before its reply is lost, but only
+            # over a socket: in-process there is nothing to send it on.
+            return 0
+        return self.executes
 
     @contextlib.contextmanager
     def injected(self, deployment, call_index: int):
@@ -158,7 +169,7 @@ class Fault:
 FAULTS = [
     Fault("refuse_connect", "refuse_connect", retryable=True),
     Fault("cut_send-unsent", "cut_send", 0.0, retryable=True),
-    Fault("cut_send-partial", "cut_send", 5.0),
+    Fault("cut_send-partial", "cut_send", 5.0, executes=0),
     Fault("cut_recv", "cut_recv"),
     Fault("delay", "delay", 1.5 * Fault.DEADLINE),
     Fault("server-drop", "drop_reply_at", server=True),

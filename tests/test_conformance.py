@@ -9,6 +9,7 @@ result cache off.
 
 import functools
 import random
+import time
 
 import networkx as nx
 import numpy as np
@@ -17,10 +18,11 @@ import pytest
 import repro
 from repro.core.datasets import Benchmark
 from repro.core.service import ConnectionOpts
-from repro.core.service.proto import EndSessionRequest, StartSessionRequest
+from repro.core.service.proto import EndSessionRequest, StartSessionRequest, StepRequest
 from repro.core.vector import BACKENDS, VecCompilerEnv
 from repro.core.wrappers import TimeLimit
 from repro.errors import BenchmarkInitError, SessionNotFound
+from tests.test_chaos import _wait_until
 from tests.test_fork_equivalence import _assert_fork_replays_like_parent
 
 STEP_SHAPE = dict(
@@ -294,14 +296,16 @@ def test_caller_errors_are_raised(deployment):
 
 
 def test_a_fault_is_retried_once_or_ends_the_episode_at_its_prefix(deployment, fault):
-    """The third step of an episode meets ``fault``. A retryable fault is
-    retried once, the step is executed once, and the episode equals the
-    reference; any other fault leaves the step executed at most once and ends
-    the episode with error defaults at the two acknowledged steps. The
+    """The third step of an episode meets ``fault``. The service executes
+    that step exactly as often as the fault lets it: once if the request
+    went out whole, never if it did not. A retryable fault is retried once
+    and the episode equals the reference; any other fault is not retried and
+    ends the episode with error defaults at the two acknowledged steps. The
     service then replays the whole episode for a fresh client as if no fault
     had been: a step whose reply was lost (a cache hit, where the service
     caches, since the first client warmed it) poisons nothing."""
-    actions = EPISODES[1]
+    # The third action changes the IR, so the state shows whether it ran.
+    actions = EPISODES[2]
     reference = _reference(actions)
     with deployment(**STEP_SHAPE) as warm:
         warm.reset()
@@ -326,9 +330,15 @@ def test_a_fault_is_retried_once_or_ends_the_episode_at_its_prefix(deployment, f
         step(actions[0])
         step(actions[1])
         episode_reward = env.episode_reward
-        executed = deployment.steps_executed(env)
+        session_id = env._session_id
+        executed = deployment.steps_executed(env) + fault.executions(deployment)
         result = step(actions[2])
-        executed = deployment.steps_executed(env) - executed
+        # A daemon may still be executing a request whose reply was lost; a
+        # request cut short must stay unexecuted however long it is given.
+        _wait_until(lambda: deployment.steps_executed(env) == executed)
+        if deployment.server is not None:
+            time.sleep(0.1)
+            assert deployment.steps_executed(env) == executed
         if fault.server:
             assert injected.served > faulted_call
         else:
@@ -340,12 +350,17 @@ def test_a_fault_is_retried_once_or_ends_the_episode_at_its_prefix(deployment, f
                 step(action)
             assert record == reference[:1 + len(actions)]
             assert env.service.stats["step"].retries == 1
-            assert executed == 1
         else:
             assert record[:3] == reference[:3]
-            assert executed <= 1
+            assert env.service.stats["step"].retries == 0
             _assert_ended_with_error_defaults(env, result, episode_reward)
             assert env.actions == list(actions[:2])
+            # The service still holds the session the episode ended in, and
+            # it carries the faulted step as often as the step was executed.
+            request = StepRequest(session_id, actions=[], observation_space_names=["Autophase"])
+            held = env.service.step(request)
+            observation = reference[2 + fault.executions(deployment)][0]
+            assert _plain(held.observations[0].value()) == observation
         assert env.service.runtime is runtime
     with deployment(**STEP_SHAPE) as fresh:
         assert _trace(fresh, actions) == reference

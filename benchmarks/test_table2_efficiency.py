@@ -34,6 +34,8 @@ BENCHMARKS = [
     "benchmark://cbench-v1/dijkstra",
     "benchmark://cbench-v1/adpcm",
 ]
+# Every episode but the last is this long; episode n runs BENCHMARKS[n % 5].
+EPISODE_STEPS = 20
 
 
 def _summary(times):
@@ -88,11 +90,12 @@ def _measure_compilergym(num_steps: int):
     try:
         steps_done = 0
         while steps_done < num_steps:
-            benchmark = BENCHMARKS[steps_done % len(BENCHMARKS)]
-            episode = min(20, num_steps - steps_done)
+            number = steps_done // EPISODE_STEPS
+            benchmark = BENCHMARKS[number % len(BENCHMARKS)]
+            episode = min(EPISODE_STEPS, num_steps - steps_done)
             actions = [rng.randrange(env.action_space.n) for _ in range(episode)]
             # Alternate which way goes first.
-            order = (False, True) if (steps_done // 20) % 2 == 0 else (True, False)
+            order = (False, True) if number % 2 == 0 else (True, False)
             for batched in order:
                 target = batched_env if batched else env
                 init_times, step_times = times[batched]
@@ -121,13 +124,13 @@ def _measure_baseline(env_class, num_steps: int):
     init_times, step_times = [], []
     steps_done = 0
     while steps_done < num_steps:
-        benchmark = BENCHMARKS[steps_done % len(BENCHMARKS)]
+        benchmark = BENCHMARKS[(steps_done // EPISODE_STEPS) % len(BENCHMARKS)]
         env = env_class(benchmark=benchmark)
         try:
             start = time.perf_counter()
             env.reset()
             init_times.append(time.perf_counter() - start)
-            episode = min(20, num_steps - steps_done)
+            episode = min(EPISODE_STEPS, num_steps - steps_done)
             for _ in range(episode):
                 action = rng.randrange(env.num_actions)
                 start = time.perf_counter()

@@ -114,6 +114,10 @@ class CompilerEnv:
         # Episode state.
         self._closed = False
         self._session_id: Optional[int] = None
+        # A session whose episode is over but which the service may still
+        # hold (the episode ended on a transport error, or a reset did not get
+        # through): the next reset's start_session ends it, or close() does.
+        self._unended_session_id: Optional[int] = None
         self._benchmark_in_use: Optional[Benchmark] = None
         self._next_benchmark: Optional[Benchmark] = None
         self.actions: List[Any] = []
@@ -315,7 +319,9 @@ class CompilerEnv:
         if benchmark is not None:
             self.benchmark = benchmark
 
-        self._end_session()
+        if self._session_id is not None:
+            # The episode is over: the start_session below ends its session.
+            self._unended_session_id, self._session_id = self._session_id, None
 
         if self._next_benchmark is not None:
             self._benchmark_in_use = self._next_benchmark
@@ -352,20 +358,35 @@ class CompilerEnv:
                 uri,
             )
 
-        action_space_index = self.action_spaces.index(self.action_space)
-        observation_names = (
-            [self.observation.raw_space_id(self._observation_space_spec.id)]
-            if self._observation_space_spec
-            else []
+        # One round trip: the start ends the old session, and answers the
+        # observation space and everything the reward's reset and first
+        # update read.
+        names = []
+        if self._observation_space_spec:
+            names.append(self._observation_space_spec.id)
+        if self._reward_space:
+            names += self._reward_space.observation_spaces
+            names += self._reward_space.reset_observation_spaces
+        observation_names = list(
+            dict.fromkeys(self.observation.raw_space_id(name) for name in names)
         )
+        ended, self._unended_session_id = self._unended_session_id, None
         try:
             reply = self.service.start_session(
                 StartSessionRequest(
                     benchmark_uri=str(self._benchmark_in_use.uri),
-                    action_space=action_space_index,
+                    action_space=self.action_spaces.index(self.action_space),
                     observation_space_names=observation_names,
+                    end_session_id=ended,
                 )
             )
+        except ServiceTransportError as error:
+            # Either the request may not have reached the service, which may
+            # then still hold the old session, or the start came back late and
+            # ended it, opening one this env will not use.
+            late = getattr(error, "late_reply", None)
+            self._unended_session_id = ended if late is None else late.session_id
+            raise
         except LookupError as error:
             raise BenchmarkInitError(str(error)) from error
 
@@ -379,14 +400,14 @@ class CompilerEnv:
         self.episode_reward = 0 if self._reward_space else None
         self.episode_start_time = time.time()
         self.reward.reset(str(self._benchmark_in_use.uri))
+        raw_values = {
+            name: event.value() for name, event in zip(observation_names, reply.observations)
+        }
         if self._reward_space:
             # Prime the reward baseline on the initial state.
-            self.reward[self._reward_space.name]
-
-        if self._observation_space_spec and reply.observations:
-            return self._observation_space_spec.translate(reply.observations[0].value())
+            self.reward.prime(self._reward_space.name, raw_values)
         if self._observation_space_spec:
-            return self.observation[self._observation_space_spec.id]
+            return self._observation_space_spec.translate(raw_values[observation_names[0]])
         return None
 
     def step(
@@ -425,15 +446,18 @@ class CompilerEnv:
         return self._finish_multistep(context, lambda: self.service.step(request))
 
     def _end_session(self) -> None:
-        """End the current session, if there is one: best effort, one try.
-        Safe on an environment whose construction failed partway."""
-        session_id, self._session_id = getattr(self, "_session_id", None), None
+        """End the current session and an unended one, if there are any: best
+        effort, one try each. Safe on an environment whose construction failed
+        partway."""
         service = getattr(self, "service", None)
-        if session_id is not None and service is not None:
-            try:
-                service.end_session(EndSessionRequest(session_id=session_id))
-            except (ServiceError, SessionNotFound):
-                pass
+        for attribute in ("_session_id", "_unended_session_id"):
+            session_id = getattr(self, attribute, None)
+            setattr(self, attribute, None)
+            if session_id is not None and service is not None:
+                try:
+                    service.end_session(EndSessionRequest(session_id=session_id))
+                except (ServiceError, SessionNotFound):
+                    pass
 
     def _prepare_multistep(
         self,
@@ -514,8 +538,12 @@ class CompilerEnv:
                 reward.reward_on_error(self.episode_reward or 0)
                 for reward in context["reward_space_objects"]
             ]
-            if isinstance(error, (ServiceIsDown, ServiceTransportError, SessionNotFound)):
-                # The session is gone, or nothing can be told so: forget it.
+            if isinstance(error, ServiceTransportError):
+                # The service may still hold the session (after a slow
+                # success it does): the next reset or close() ends it.
+                self._unended_session_id, self._session_id = self._session_id, None
+            elif isinstance(error, (ServiceIsDown, SessionNotFound)):
+                # The session is gone: forget it.
                 self._session_id = None
             else:
                 # The service answered, so it is there to be told that this

@@ -2,7 +2,7 @@
 
 import copy
 from collections import ChainMap
-from typing import Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from repro.core.observation_view import ObservationView
 from repro.core.spaces.reward import Reward
@@ -32,6 +32,21 @@ class _ForkedSpaces(ChainMap):
         return reward
 
 
+class _Fetched:
+    """An observation view over values already fetched: a space is
+    translated from its raw value, as ``ObservationView`` translates a reply,
+    or read from ``view`` if it was not fetched."""
+
+    def __init__(self, view: ObservationView, raw_values: Dict[str, Any]):
+        self.view, self.raw_values = view, raw_values
+
+    def __getitem__(self, space: str) -> Any:
+        raw_id = self.view.raw_space_id(space)
+        if raw_id not in self.raw_values:
+            return self.view[space]
+        return self.view.spaces[space].translate(self.raw_values[raw_id])
+
+
 class RewardView:
     """Provides named access to an environment's reward spaces.
 
@@ -51,16 +66,24 @@ class RewardView:
         self._benchmark = benchmark
         self._reset_spaces.clear()
 
-    def _ensure_reset(self, reward: Reward) -> None:
+    def _ensure_reset(self, reward: Reward, observation=None) -> None:
         if reward.name not in self._reset_spaces:
-            reward.reset(self._benchmark, self.observation)
+            reward.reset(self._benchmark, observation or self.observation)
             self._reset_spaces.add(reward.name)
 
     def __getitem__(self, space: str) -> float:
-        reward = self.spaces[space]
-        self._ensure_reset(reward)
-        observations = [self.observation[obs] for obs in reward.observation_spaces]
-        return reward.update([], observations, self.observation)
+        return self._evaluate(self.spaces[space], self.observation)
+
+    def prime(self, space: str, raw_values: Dict[str, Any]) -> float:
+        """``self[space]``, answered from ``raw_values``: the raw observations
+        of the current state by backend space, as the reply that started the
+        episode carried them. A space missing there is fetched as usual."""
+        return self._evaluate(self.spaces[space], _Fetched(self.observation, raw_values))
+
+    def _evaluate(self, reward: Reward, observation) -> float:
+        self._ensure_reset(reward, observation)
+        observations = [observation[obs] for obs in reward.observation_spaces]
+        return reward.update([], observations, observation)
 
     def add_space(self, reward: Reward) -> None:
         """Register a new reward space (used by wrapper classes)."""

@@ -171,18 +171,21 @@ class ServiceConnection:
         backend, so it must never be retried — re-executing a non-idempotent
         call like step() would corrupt the session. A call that came back
         slower than the deadline is recorded as a (slow) success and surfaced
-        as a non-retryable transport error.
+        as a non-retryable transport error, whose ``late_reply`` is the reply
+        (a caller whose late ``start_session`` opened a session ends it).
         """
         with self._lock:
             stats.record(elapsed)
         if elapsed > self.opts.rpc_call_max_seconds:
             with self._lock:
                 stats.errors += 1
-            raise ServiceTransportError(
+            error = ServiceTransportError(
                 f"Service call {name}() completed after {elapsed:.3f}s, "
                 f"exceeding the {self.opts.rpc_call_max_seconds}s deadline; "
                 "the call was applied and will not be retried"
             )
+            error.late_reply = result
+            raise error
         return result
 
     def _call(self, name: str, *args):
@@ -271,6 +274,12 @@ class ServiceConnection:
         if self.closed:
             return None
         return self._call("end_session", request)
+
+    def send_end_session(self, request: EndSessionRequest) -> Callable[[], Any]:
+        """:meth:`end_session` in two halves, as :meth:`send_step_sessions`:
+        a gateway that moves a reset to another member ends the old session
+        there while the new one starts."""
+        return self._send("end_session", request)
 
     def handle_session_parameter(self, session_id: int, key: str, value: str):
         return self._call("handle_session_parameter", session_id, key, value)

@@ -434,8 +434,46 @@ class ServiceGateway(SocketRPCServer):
         return candidates[0].connection.spaces
 
     def _rpc_start_session(self, state: ClientConnectionState, request: StartSessionRequest):
+        """Place a new session, ending the one it replaces on the way.
+
+        The replaced route goes first, so placement decides what it would
+        after an ``end_session``. Where the new session lands on the member
+        that held the old one, that member ends it inside the same
+        ``start_session``; otherwise the old member's ``end_session`` is sent
+        before the new member's start, and awaited after it. Like the
+        runtime, the gateway skips an unknown or foreign id, and nothing
+        about the replaced session fails the start.
+        """
+        with self._fleet_lock:
+            replaced = self._sessions.get(request.end_session_id)
+            if replaced is not None and replaced.owner == state.token:
+                del self._sessions[replaced.gateway_sid]
+            else:
+                replaced = None
         daemon = self._place_session()
-        reply = daemon.connection.start_session(request)
+        forwarded = StartSessionRequest(
+            benchmark_uri=request.benchmark_uri,
+            action_space=request.action_space,
+            observation_space_names=request.observation_space_names,
+        )
+        ended = None
+        if replaced is not None and replaced.daemon is daemon:
+            forwarded.end_session_id = replaced.remote_sid
+        elif replaced is not None and not replaced.daemon.dead:
+            try:
+                ended = replaced.daemon.connection.send_end_session(
+                    EndSessionRequest(session_id=replaced.remote_sid)
+                )
+            except (ServiceError, ConnectionError, OSError):
+                pass  # As for end_session: the member is gone either way.
+        try:
+            reply = daemon.connection.start_session(forwarded)
+        finally:
+            if ended is not None:
+                try:
+                    ended()
+                except (ServiceError, ConnectionError, OSError, SessionNotFound):
+                    pass
         with self._fleet_lock:
             gateway_sid = next(self._session_ids)
             self._sessions[gateway_sid] = _RoutedSession(

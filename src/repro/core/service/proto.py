@@ -88,9 +88,16 @@ class ObservationSpaceMessage:
 @wire_message
 @dataclass
 class StartSessionRequest:
+    """Start a session, answering ``observation_space_names`` on its initial
+    state. ``end_session_id`` names a session of the caller's to end first, as
+    ``end_session`` would, but on a best-effort basis: an unknown or foreign id
+    is skipped, and nothing about it fails the start. A reset is then one
+    round trip."""
+
     benchmark_uri: str
     action_space: int = 0
     observation_space_names: List[str] = field(default_factory=list)
+    end_session_id: Optional[int] = None
 
 
 @wire_message

@@ -319,6 +319,12 @@ class CompilerGymServiceRuntime:
         if self.closed:
             raise ServiceError("Service is closed")
         self.stats["start_session"] += 1
+        # The session this one replaces ends first, so a start that fails
+        # has ended it all the same. Only the owner's own session is ended.
+        replaced = self.sessions.get(request.end_session_id)
+        if replaced is not None and replaced.owner == owner:
+            self.stats["end_session"] += 1
+            self._end(request.end_session_id)
         # Resolve eagerly (amortized O(1) via the benchmark cache) so an
         # unknown benchmark URI still fails at reset, not at the first step.
         benchmark = self._resolve_benchmark(request.benchmark_uri)
@@ -506,14 +512,18 @@ class CompilerGymServiceRuntime:
         # Ending an unknown session is a no-op; ending another tenant's is not.
         if request.session_id in self.sessions:
             self._entry(request.session_id, owner)
+        self._end(request.session_id)
+        return EndSessionReply(remaining_sessions=len(self.sessions))
+
+    def _end(self, session_id: int) -> None:
+        """End a session whose tenant the caller has checked."""
         # Out of the table at once, so a call already waiting on the entry's
         # lock finds the session ended; closed under the lock, so never in
         # the middle of a call.
-        entry = self.sessions.pop(request.session_id, None)
+        entry = self.sessions.pop(session_id, None)
         if entry is not None:
             with entry.lock:
                 self._close(entry)
-        return EndSessionReply(remaining_sessions=len(self.sessions))
 
     def end_idle_sessions(self, idle_seconds: float) -> int:
         """End every session whose last call finished more than

@@ -17,6 +17,9 @@ class Reward(Scalar):
     Subclasses override :meth:`reset` and :meth:`update`. ``update`` is called
     after every environment step with the actions applied and the observations
     that the reward depends on, and returns the reward value for the step.
+    A subclass whose :meth:`reset` reads its observation view names what it
+    reads in ``reset_observation_spaces``: the environment fetches those, with
+    the ``observation_spaces``, in the one call that starts an episode.
     """
 
     def __init__(
@@ -33,6 +36,7 @@ class Reward(Scalar):
     ):
         super().__init__(min=min, max=max, dtype=float, name=name)
         self.observation_spaces = list(observation_spaces or [])
+        self.reset_observation_spaces: List[str] = []
         self.default_value = default_value
         self.default_negates_returns = default_negates_returns
         self.success_threshold = success_threshold

@@ -164,12 +164,13 @@ class VecCompilerEnv:
                 f"Cannot call {operation}() on a closed VecCompilerEnv"
             )
 
-    def _run(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+    def _run(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Apply ``fn`` to every item, returning results in input order.
 
-        The first exception in input order propagates to the caller.
+        The first exception in input order propagates to the caller. A lone
+        item runs on the calling thread: there is nothing to overlap it with.
         """
-        if self._executor is None:
+        if self._executor is None or len(items) == 1:
             return [fn(item) for item in items]
         futures = [self._executor.submit(fn, item) for item in items]
         return [future.result() for future in futures]
@@ -210,9 +211,9 @@ class VecCompilerEnv:
     def reset_worker(self, index: int, benchmark=None, **kwargs) -> Any:
         """Reset a single worker, returning its initial observation.
 
-        Dispatched like every batched operation. Used by rollout collectors to
-        re-assign one worker's benchmark mid-run without touching the rest of
-        the pool.
+        A batch of one, so it runs on the calling thread. Used by rollout
+        collectors to re-assign one worker's benchmark mid-run without
+        touching the rest of the pool.
         """
         self._check_open("reset_worker")
         worker = self.workers[index]

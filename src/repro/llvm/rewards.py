@@ -66,6 +66,7 @@ class BaselineScaledReward(DeltaReward):
         )
         self.unoptimized_observation = unoptimized_observation
         self.baseline_observation = baseline_observation
+        self.reset_observation_spaces = [unoptimized_observation, baseline_observation]
         self.scale: float = 1.0
 
     def reset(self, benchmark: str, observation_view) -> None:
@@ -94,6 +95,7 @@ class NormalizedReward(DeltaReward):
             platform_dependent=platform_dependent,
         )
         self.unoptimized_observation = unoptimized_observation
+        self.reset_observation_spaces = [unoptimized_observation]
         self.scale: float = 1.0
 
     def reset(self, benchmark: str, observation_view) -> None:

@@ -107,6 +107,56 @@ def test_inject_wraps_the_envs_made_while_it_is_open_and_no_other():
         assert not isinstance(plain.service.transport, ChaosTransport)
 
 
+def test_the_session_of_a_slow_success_is_ended_by_the_next_reset_or_by_close():
+    """A step that came back past its deadline ends the episode, but the
+    service did run it and still holds its session: the next reset ends that
+    session in its one ``start_session``, and ``close()`` ends one that no
+    reset came for."""
+    opts = ConnectionOpts(rpc_call_max_seconds=0.1, retry_wait_seconds=0.001)
+    # Calls: get_spaces, start_session, step (faulted), start_session,
+    # fork_session, the fork's step (faulted).
+    plan = FaultPlan(events=tuple(
+        FaultEvent(call_index=index, kind="delay", method="step", param=0.15)
+        for index in (2, 5)
+    ))
+    with inject(plan):
+        env = _make_env(None, connection_opts=opts)
+    with env:
+        runtime = env.service.runtime
+        env.reset()
+        _, _, done, info = env.step(ACTIONS[0])
+        assert done and "deadline" in info["error_details"]
+        assert not env.in_episode and len(runtime.sessions) == 1
+        env.reset()
+        assert len(runtime.sessions) == 1 and "end_session" not in env.service.stats
+        fork = env.fork()
+        _, _, done, _ = fork.step(ACTIONS[1])
+        assert done and len(runtime.sessions) == 2
+        fork.close()
+        assert len(runtime.sessions) == 1
+        _, _, done, _ = env.step(ACTIONS[1])
+        assert not done
+
+
+def test_a_start_that_came_back_late_leaves_no_session_behind():
+    """A reset whose ``start_session`` came back past its deadline raises,
+    but the service started the session (and ended the old one): the next
+    reset ends it, so the service holds one session, not two."""
+    opts = ConnectionOpts(rpc_call_max_seconds=0.1, retry_wait_seconds=0.001)
+    # Calls: get_spaces, start_session, start_session (faulted).
+    event = FaultEvent(call_index=2, kind="delay", method="start_session", param=0.15)
+    with inject(FaultPlan(events=(event,))):
+        env = _make_env(None, connection_opts=opts)
+    with env:
+        runtime = env.service.runtime
+        env.reset()
+        with pytest.raises(ServiceError, match="deadline"):
+            env.reset()
+        assert not env.in_episode and len(runtime.sessions) == 1
+        env.reset()
+        assert len(runtime.sessions) == 1
+
+
 def test_production_code_never_imports_the_harness():
     src = pathlib.Path(repro.__file__).parent
     importers = []

@@ -7,6 +7,8 @@ compared bit for bit with a reference computed once, in-process, with the
 result cache off.
 """
 
+import contextlib
+import dataclasses
 import functools
 import random
 import time
@@ -172,12 +174,109 @@ def test_a_forked_pool_asks_for_its_spaces_once(deployment):
     with VecCompilerEnv(deployment(**STEP_SHAPE), n=3, backend="thread") as vec:
         calls = {method: stats["calls"] for method, stats in vec.connection_stats().items()}
         verifying = vec.workers[0].verify_ir
-    expected = {"get_spaces": 1, "start_session": 1, "step": 1, "fork_session": 2}
+    expected = {"get_spaces": 1, "start_session": 1, "fork_session": 2}
     if verifying:
         # Verify-after-every-pass is a session parameter: the root is handed
         # it once, and the forks inherit it.
         expected["handle_session_parameter"] = 1
     assert calls == expected
+
+
+def _member_sessions(deployment, env):
+    """The sessions each runtime behind ``env`` holds: one count in-process
+    and on a daemon, one per member behind a gateway (not its routes)."""
+    if deployment.kind != "gateway":
+        return [deployment.sessions(env)]
+    return [
+        daemon.connection.transport.server_info()["active_sessions"]
+        for daemon in deployment.server.live_daemons()
+    ]
+
+
+def _calls(env):
+    calls = {method: stats.calls for method, stats in env.service.stats.items() if stats.calls}
+    if env.verify_ir:
+        # Verify-after-every-pass is a session parameter, one call per session.
+        assert calls.pop("handle_session_parameter") == calls.get("start_session")
+    return calls
+
+
+@pytest.mark.parametrize("reward_space", ["IrInstructionCount", "IrInstructionCountOz"])
+def test_a_reset_is_one_round_trip(deployment, reward_space):
+    """A reset is one ``start_session``: it ends the session it replaces,
+    answers the observation space and everything the reward reads to prime
+    its baseline, and leaves the service holding only the new session."""
+    with deployment(**dict(STEP_SHAPE, reward_space=reward_space)) as env:
+        env.reset()
+        held, members = deployment.sessions(env), _member_sessions(deployment, env)
+        replaced = env._session_id
+        env.service.stats.clear()
+        observation = env.reset()
+        assert _calls(env) == {"start_session": 1}
+        assert deployment.sessions(env) == held
+        assert sum(_member_sessions(deployment, env)) == sum(members)
+        with pytest.raises(SessionNotFound):
+            env.service.step(StepRequest(session_id=replaced))
+        assert _plain(observation) == _reference(EPISODES[1])[0]
+
+        # The reward was primed on the reply's values: a step's reward is
+        # the scaled drop in the instruction count.
+        count = env.observation["IrInstructionCount"]
+        scale = 1.0
+        if reward_space == "IrInstructionCountOz":
+            scale = 1.0 / (
+                env.observation["IrInstructionCountO0"] - env.observation["IrInstructionCountOz"]
+            )
+        _, reward, _, _ = env.step(EPISODES[1][1])
+        assert reward == pytest.approx((count - env.observation["IrInstructionCount"]) * scale)
+
+        # A reset the service refuses has still ended the old session.
+        env.service.stats.clear()
+        env._next_benchmark = Benchmark("benchmark://cbench-v1/not-a-benchmark")
+        with pytest.raises(BenchmarkInitError):
+            env.reset()
+        attempts = [(name, stats.calls, stats.errors) for name, stats in env.service.stats.items()]
+        assert attempts == [("start_session", 0, 1)]
+        assert not env.in_episode
+        assert deployment.sessions(env) == held - 1
+        assert sum(_member_sessions(deployment, env)) == sum(members) - 1
+        env.benchmark = STEP_SHAPE["benchmark"]
+        env.reset()
+        assert env._unended_session_id is None
+
+
+def test_a_stale_or_foreign_session_to_end_is_skipped_in_one_round_trip(deployment):
+    """``end_session_id`` is best effort: an id already ended, or another
+    tenant's, neither fails the start nor ends anyone's session."""
+    start = StartSessionRequest(benchmark_uri=f"benchmark://{STEP_SHAPE['benchmark']}")
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        stale = env._session_id
+        env.reset()
+        if deployment.server is None:
+            # In-process there is one tenant: start another's on the runtime.
+            other = contextlib.nullcontext()
+            runtime = env.service.runtime
+            foreign = runtime.start_session(start, owner="another-tenant").session_id
+            foreign_step = functools.partial(
+                runtime.step, StepRequest(session_id=foreign), owner="another-tenant"
+            )
+        else:
+            other = deployment(**STEP_SHAPE, service_token="another-tenant")
+            other.reset()
+            foreign = other._session_id
+            foreign_step = functools.partial(other.service.step, StepRequest(session_id=foreign))
+        with other:
+            held = deployment.sessions(env)
+            for end_session_id in (stale, foreign, 10**9):
+                reply = env.service.start_session(
+                    dataclasses.replace(start, end_session_id=end_session_id)
+                )
+                assert deployment.sessions(env) == held + 1
+                foreign_step()
+                _, _, done, _ = env.step(EPISODES[1][0])
+                assert not done
+                env.service.end_session(EndSessionRequest(session_id=reply.session_id))
 
 
 def test_a_pool_that_fails_to_populate_leaves_only_the_roots_session(deployment):

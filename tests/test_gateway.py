@@ -454,6 +454,57 @@ class TestFleetMembership:
             env.close()
 
 
+class TestResetRoute:
+    """A reset is one ``start_session`` at the gateway too, and placement
+    decides where it lands as if the old session had been ended first."""
+
+    def test_a_reset_that_moves_ends_the_old_session_while_the_new_one_starts(
+        self, daemon_servers, attached_gateway, monkeypatch
+    ):
+        gateway = attached_gateway
+        moving, leaving, staying = envs = [_make_env(gateway.url) for _ in range(3)]
+        try:
+            for env in envs:
+                env.reset()
+            assert _home(gateway, moving) is _home(gateway, staying)
+            assert _home(gateway, leaving) is not _home(gateway, moving)
+            leaving.close()
+            # The old home still holds ``staying``: the reset moves.
+            old_home = _home(gateway, moving)
+            old_remote = gateway._sessions[moving._session_id].remote_sid
+            servers = {server.url: server for server in daemon_servers}
+            # The old home's end and the new home's start wait for each other:
+            # the reset completes only if both are sent before either reply
+            # is awaited.
+            barrier = threading.Barrier(2, timeout=10)
+            for server in daemon_servers:
+                method = "end_session" if server.url == old_home.url else "start_session"
+
+                def meeting(request, owner=None, call=getattr(server.runtime, method)):
+                    barrier.wait()
+                    return call(request, owner=owner)
+
+                monkeypatch.setattr(server.runtime, method, meeting)
+            moving.service.stats.clear()
+            moving.reset()
+            monkeypatch.undo()
+            assert not barrier.broken
+            calls = {name: stats.calls for name, stats in moving.service.stats.items()}
+            if moving.verify_ir:
+                # Verify-after-every-pass is a session parameter: one more call.
+                assert calls.pop("handle_session_parameter") == 1
+            assert calls == {"start_session": 1}
+            assert _home(gateway, moving) is not old_home
+            assert old_remote not in servers[old_home.url].runtime.sessions
+            assert sorted(_routed_sessions(gateway).values()) == [1, 1]
+            _, _, done, _ = moving.step(ACTIONS[0])
+            assert not done
+        finally:
+            monkeypatch.undo()
+            for env in envs:
+                env.close()
+
+
 class TestBatchFanOut:
     """The gateway steps a batch on the thread that read it: every daemon's
     share is sent before any reply is awaited."""

@@ -332,9 +332,10 @@ class TestAutoReset:
 
 
 class TestResetWorker:
-    def test_reset_worker_runs_where_a_batch_runs(self):
-        """``reset_worker`` is dispatched like every batched operation: under
-        ``backend="thread"``, on the pool's own threads."""
+    def test_reset_worker_runs_on_the_calling_thread(self):
+        """``reset_worker`` is a batch of one: under ``backend="thread"`` it
+        runs on the calling thread, with no hand-off to the pool's threads,
+        and returns what a serial pool's does."""
         caller = threading.current_thread()
         threads = []
 
@@ -347,12 +348,23 @@ class TestResetWorker:
             _make_root(), n=2, backend="thread", worker_wrapper=Recording
         ) as vec:
             vec.reset()
+            assert caller not in threads
             observation = vec.reset_worker(1, benchmark="cbench-v1/qsort")
-            assert len(threads) == 3 and caller not in threads
-            assert observation is not None
+            assert len(threads) == 3 and threads[2] is caller
             assert str(vec.workers[1].benchmark.uri) == "benchmark://cbench-v1/qsort"
             # The other worker is untouched.
             assert str(vec.workers[0].benchmark.uri) == f"benchmark://{BENCHMARK}"
+        with VecCompilerEnv(_make_root(), n=2, backend="serial") as serial:
+            serial.reset()
+            expected = serial.reset_worker(1, benchmark="cbench-v1/qsort")
+        np.testing.assert_array_equal(np.asarray(observation), np.asarray(expected))
+
+    def test_a_lone_item_raises_on_the_calling_thread(self):
+        """Errors propagate from a batch of one as from any batch."""
+        with VecCompilerEnv(_make_root(), n=2, backend="thread") as vec:
+            vec.reset()
+            with pytest.raises(LookupError):
+                vec.reset_worker(1, benchmark="cbench-v1/not-a-benchmark")
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_reset_worker_matches_direct_reset(self, backend):

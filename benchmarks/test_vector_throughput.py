@@ -6,9 +6,9 @@ grows, under both values of ``backend``, on an in-process root.
 Recorded, not gated — see :func:`run_sweep`.
 It also records the steps/sec of IMPALA and Ape-X training end-to-end
 through ``train_agent_vec`` on auto-reset rollouts of a serial pool, and of
-distributed actor/learner training (``DistributedTrainer``, the real
-Ape-X/IMPALA topology: actor subprocesses feeding a central learner) next
-to those single-process numbers.
+IMPALA's distributed actor/learner training (``DistributedTrainer``: actor
+subprocesses feeding a central learner) next to those single-process
+numbers.
 
 Run as a script for a quick smoke reading::
 
@@ -147,13 +147,11 @@ def _measure_rl_throughput(agent_name: str, backend: str, n: int, episodes: int,
     }
 
 
-def _measure_distributed_throughput(agent_name: str, actors: int, episodes: int,
-                                    episode_length: int = 5):
-    """Steps/sec of multi-process actor/learner training (DistributedTrainer)."""
+def _measure_distributed_throughput(actors: int, episodes: int, episode_length: int = 5):
+    """Steps/sec of IMPALA's multi-process actor/learner training."""
     from repro.rl.distributed import DistributedTrainer
 
     trainer = DistributedTrainer(
-        agent=agent_name,
         env_id="llvm-v0",
         make_kwargs={"benchmark": BENCHMARK, "reward_space": "IrInstructionCountNorm"},
         num_actors=actors,
@@ -166,7 +164,7 @@ def _measure_distributed_throughput(agent_name: str, actors: int, episodes: int,
     elapsed = time.perf_counter() - start
     steps = trainer.stats["total_env_steps"]
     return {
-        "agent": agent_name,
+        "agent": trainer.learner.name,
         "actors": actors,
         "envs_per_actor": trainer.stats["envs_per_actor"],
         "episodes": len(result.episode_rewards),
@@ -595,10 +593,7 @@ def run_all(n: int, rounds: int, rl_episodes: int, steps: int, pool_rounds: int)
         _measure_rl_throughput(agent, "serial", n=2, episodes=rl_episodes)
         for agent in ("impala", "apex")
     ]
-    distributed_results = [
-        _measure_distributed_throughput(agent, actors=2, episodes=rl_episodes)
-        for agent in ("impala", "apex")
-    ]
+    distributed_results = [_measure_distributed_throughput(actors=2, episodes=rl_episodes)]
     transport_latency = _measure_transport_latency(steps, pool_rounds)
     verifier_overhead = _measure_verifier_overhead(steps)
     result_cache = _measure_result_cache()

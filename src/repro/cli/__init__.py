@@ -1,5 +1,1 @@
 """Command-line tools."""
-
-from repro.cli.main import main
-
-__all__ = ["main"]

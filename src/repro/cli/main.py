@@ -190,147 +190,6 @@ def _cmd_gateway(args) -> int:
     return 0
 
 
-def _chaos_soak_once(args, run_index: int):
-    """One seeded chaos-soak run: a fresh 2-daemon gateway, a fresh env
-    talking through a fresh ChaosTransport over the same FaultPlan, the same
-    seeded action workload. Returns (traces, injected, digest)."""
-    import hashlib
-    import random as random_module
-
-    from repro.core.service.gateway import ServiceGateway
-    from repro.errors import ServiceError
-    from repro.testing.chaos import FaultEvent, FaultPlan, inject
-
-    gateway = ServiceGateway(
-        env_id=args.env,
-        daemons=args.daemons,
-        heartbeat_interval=args.heartbeat_interval,
-    ).start()
-    env = None
-    try:
-        events = list(
-            FaultPlan.generate(
-                seed=args.seed,
-                calls=args.fault_calls,
-                rate=args.fault_rate,
-                kinds=("cut_send", "cut_recv", "refuse_connect"),
-            ).events
-        )
-        if args.kill_call >= 0:
-            # SIGKILL daemon 0 at the first step() call at or after the
-            # index: the step path carries the gateway's failover retry, so
-            # the kill is absorbed transparently whatever the monitor/client
-            # race — the action trace is identical either way.
-            events.append(
-                FaultEvent(call_index=args.kill_call, kind="kill_daemon",
-                           method="step", param=0.0)
-            )
-        plan = FaultPlan(
-            events=tuple(sorted(events, key=lambda e: e.call_index)),
-            seed=args.seed,
-        )
-        kill_pids = [d.pid for d in gateway.live_daemons() if d.pid is not None]
-
-        with inject(plan, kill_targets=kill_pids):
-            env = repro.make(
-                args.env,
-                benchmark=args.benchmark,
-                reward_space="IrInstructionCount",
-                service_url=gateway.url,
-            )
-        rng = random_module.Random(args.seed)
-        num_actions = env.action_space.n
-        traces = []
-        failed_episodes = 0
-        for _ in range(args.episodes):
-            try:
-                env.reset()
-                for _ in range(args.steps):
-                    _, _, done, step_info = env.step(rng.randrange(num_actions))
-                    if done:
-                        # The env's fault-tolerance path ends the episode
-                        # (done=True + error_details) on a non-retryable
-                        # injected fault instead of raising: that is the
-                        # at-most-once contract working, not a soak failure.
-                        # The truncated (acknowledged-only) trace is part of
-                        # the deterministic fingerprint.
-                        if "error_details" in step_info:
-                            failed_episodes += 1
-                        break
-            except (ServiceError, ConnectionError, OSError):
-                # reset() itself can die on an injected fault (e.g. the
-                # retry budget exhausted by scheduled refusals).
-                failed_episodes += 1
-            traces.append(list(env.actions))
-        injected = list(env.service.transport.injected)
-        digest = hashlib.sha256(repr(traces).encode()).hexdigest()[:32]
-        print(
-            f"Run {run_index}: {len(traces)}/{args.episodes} episode(s) "
-            f"completed ({failed_episodes} truncated by faults), "
-            f"{len(injected)} fault(s) injected, "
-            f"{gateway.failovers} failover(s), "
-            f"{gateway.rehomed_sessions} session(s) re-homed"
-        )
-        return traces, injected, digest
-    finally:
-        if env is not None:
-            try:
-                env.close()
-            except Exception:  # noqa: BLE001 - chaos may break close() too
-                pass
-        gateway.shutdown()
-
-
-def _cmd_chaos_soak(args) -> int:
-    """Deterministic chaos soak: seeded faults over a 2-daemon gateway.
-
-    Runs a random-action workload through an env made under
-    ``repro.testing.chaos.inject(plan)`` against an in-process gateway fleet
-    with the heartbeat monitor on, under a seeded schedule of frame cuts,
-    refused connects, and a whole-daemon SIGKILL. Asserts completion, prints the injected fault log, and (with
-    ``--runs`` > 1) asserts the soak is deterministic: the same seed must
-    yield the same injected fault sequence and identical final action
-    traces.
-    """
-    from repro.testing.chaos import FaultPlan
-
-    plan_preview = FaultPlan.generate(
-        seed=args.seed, calls=args.fault_calls, rate=args.fault_rate,
-        kinds=("cut_send", "cut_recv", "refuse_connect"),
-    )
-    print(
-        f"Chaos soak: seed {args.seed}, {args.episodes} episode(s) x "
-        f"{args.steps} step(s) over {args.daemons} daemon(s), "
-        f"heartbeat every {args.heartbeat_interval:g}s"
-    )
-    print(f"Fault plan: {plan_preview.describe()}"
-          + (f" + SIGKILL at step call >= {args.kill_call}" if args.kill_call >= 0 else ""))
-    digests = []
-    injected_logs = []
-    for run_index in range(max(1, args.runs)):
-        traces, injected, digest = _chaos_soak_once(args, run_index)
-        if not any(traces):
-            print("FAIL: no episode produced any actions", file=sys.stderr)
-            return 1
-        digests.append(digest)
-        injected_logs.append(injected)
-        print(f"Injected fault sequence: {injected}")
-        print(f"Action trace digest: {digest}", flush=True)
-    if len(digests) > 1:
-        if len(set(digests)) != 1 or any(
-            log != injected_logs[0] for log in injected_logs
-        ):
-            print(
-                f"FAIL: chaos soak is NOT deterministic across {args.runs} "
-                f"runs: digests {digests}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"Deterministic: {args.runs} run(s) produced identical fault "
-              f"sequences and action traces")
-    return 0
-
-
 def _random_search_worker(
     env_id: str,
     benchmark: str,
@@ -405,12 +264,8 @@ def _train_distributed(args, benchmarks):
     """Multi-process actor/learner training (``train --actors N``)."""
     from repro.rl.distributed import DistributedTrainer
 
-    if args.agent not in ("apex", "impala"):
-        print(
-            f"train --actors requires an off-policy agent (apex, impala); "
-            f"got {args.agent!r}",
-            file=sys.stderr,
-        )
+    if args.agent != "impala":
+        print(f"train --actors requires --agent impala; got {args.agent!r}", file=sys.stderr)
         return None, None
     if args.no_auto_reset:
         print(
@@ -422,14 +277,9 @@ def _train_distributed(args, benchmarks):
     if args.resume and not args.checkpoint_dir:
         print("train --resume requires --checkpoint-dir", file=sys.stderr)
         return None, None
-    agent_kwargs = {}
-    if args.agent == "apex" and args.learner_batch:
-        agent_kwargs["batch_size"] = args.learner_batch
     make_kwargs = {"benchmark": benchmarks[0], "reward_space": "IrInstructionCountNorm"}
     try:
         trainer = DistributedTrainer(
-            agent=args.agent,
-            agent_kwargs=agent_kwargs,
             env_id=args.env,
             make_kwargs=make_kwargs,
             service_url=args.service_url,
@@ -695,44 +545,6 @@ def make_parser() -> argparse.ArgumentParser:
                               "client call needed (<= 0 disables the monitor)")
     gateway.set_defaults(func=_cmd_gateway)
 
-    chaos_soak = sub.add_parser(
-        "chaos-soak",
-        help="Deterministic fault-injection soak: a seeded FaultPlan (frame "
-             "cuts, refused connects, daemon SIGKILL) over a 2-daemon "
-             "gateway, asserting completion and reproducible action traces",
-        description="Run a random-action workload through a fault-injecting "
-                    "ChaosTransport against an in-process gateway fleet with "
-                    "the heartbeat health monitor on. The fault schedule is "
-                    "fully determined by --seed; with --runs 2 the command "
-                    "fails unless both runs inject the identical fault "
-                    "sequence and produce identical final action traces.",
-    )
-    chaos_soak.add_argument("--env", default="llvm-v0")
-    chaos_soak.add_argument("--benchmark", default="benchmark://cbench-v1/qsort")
-    chaos_soak.add_argument("--seed", type=int, default=0,
-                            help="Seed of the fault schedule and the action "
-                                 "workload (same seed -> same run)")
-    chaos_soak.add_argument("--episodes", type=int, default=4)
-    chaos_soak.add_argument("--steps", type=int, default=6,
-                            help="Actions attempted per episode")
-    chaos_soak.add_argument("--daemons", type=int, default=2,
-                            help="Gateway fleet size")
-    chaos_soak.add_argument("--heartbeat-interval", type=float, default=0.25)
-    chaos_soak.add_argument("--fault-calls", type=int, default=40,
-                            help="Call-index range the seeded faults are "
-                                 "drawn over")
-    chaos_soak.add_argument("--fault-rate", type=float, default=0.15,
-                            help="Per-call fault probability in the seeded "
-                                 "schedule")
-    chaos_soak.add_argument("--kill-call", type=int, default=12,
-                            help="SIGKILL gateway daemon 0 at the first "
-                                 "step() call at or after this call index "
-                                 "(-1 disables the kill)")
-    chaos_soak.add_argument("--runs", type=int, default=1,
-                            help="Repeat the identical soak N times and fail "
-                                 "unless every run matches (determinism gate)")
-    chaos_soak.set_defaults(func=_cmd_chaos_soak)
-
     search = sub.add_parser("random-search", help="Run (parallel) random search")
     search.add_argument("--env", default="llvm-ic-v0")
     search.add_argument("--benchmark", action="append", help="Benchmark URI (repeatable)")
@@ -766,13 +578,10 @@ def make_parser() -> argparse.ArgumentParser:
                             "a thread pool ('thread'). For several cores, use "
                             "--actors or point --service-url at a gateway fleet")
     train.add_argument("--actors", type=int, default=0,
-                       help="Distributed actor/learner training (apex/impala only): "
+                       help="Distributed actor/learner training (impala only): "
                             "N actor processes collect experience into a central "
                             "learner that broadcasts weights back. 0 (default) "
                             "trains single-process via train_agent_vec")
-    train.add_argument("--learner-batch", type=int, default=0,
-                       help="Learner replay sample size per update (apex only; "
-                            "0 keeps the agent default)")
     train.add_argument("--broadcast-interval", type=int, default=8,
                        help="Min experience items between learner weight "
                             "broadcasts (multi-actor async mode)")

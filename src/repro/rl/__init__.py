@@ -25,7 +25,7 @@ from repro.rl.trainer import (
     train_agent,
     train_agent_vec,
 )
-from repro.rl.distributed import DistributedTrainer, train_agent_distributed
+from repro.rl.distributed import DistributedTrainer
 
 __all__ = [
     "A2CAgent",
@@ -46,6 +46,5 @@ __all__ = [
     "run_vec_episode",
     "run_vec_rollouts",
     "train_agent",
-    "train_agent_distributed",
     "train_agent_vec",
 ]

@@ -2,16 +2,14 @@
 
 The learning machinery — epsilon-greedy exploration, a prioritized replay
 buffer with importance-sampling corrections, a periodically synced target
-network, and n-step returns (n=1 here) — follows the original Ape-X. A
-single agent instance plays both roles in the single-process harness;
-:mod:`repro.rl.distributed` splits the roles across processes via the
-actor/learner protocol (:meth:`ApexDQNAgent.collect_batch` on actors,
-:meth:`ApexDQNAgent.learn_items` on the learner, weights flowing back
-through :meth:`get_weights`/:meth:`set_weights`), restoring the paper
-agents' real topology: an actor fleet feeding one central replay.
+network, and n-step returns (n=1 here) — follows the original Ape-X. One
+agent instance plays both roles: its vectorized rollout workers feed the one
+replay buffer, the single-process analogue of Ape-X's actor fleet. It trains
+in one process only; :mod:`repro.rl.distributed` runs IMPALA, because Ape-X
+gained nothing from actor processes at equal env count (README,
+"Distributed RL").
 """
-
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -115,17 +113,20 @@ class ApexDQNAgent:
         self._last_batch = batch
         return actions
 
-    def _assemble_transitions(
+    def observe_batch(
         self,
         rewards: Sequence[Optional[float]],
         dones: Sequence[bool],
-        observations: Optional[Sequence],
-    ) -> List[Tuple]:
-        """Build the transition tuples of the preceding :meth:`act_batch`.
+        observations: Optional[Sequence] = None,
+    ) -> None:
+        """Store one transition per worker from the preceding :meth:`act_batch`.
 
         ``observations`` carries the post-step observation of each worker —
         the bootstrap state s' of the stored transition — and is therefore
-        *required* (unlike for the on-policy agents, which ignore it).
+        *required* (unlike for the on-policy agents, which ignore it). All
+        workers share the one prioritized replay buffer and learner, the
+        single-process analogue of Ape-X's actor fleet feeding a central
+        replay.
         """
         if observations is None:
             raise ValueError(
@@ -133,7 +134,6 @@ class ApexDQNAgent:
                 "batch to bootstrap its TD targets; without it every target "
                 "would silently bootstrap from the pre-step state"
             )
-        items: List[Tuple] = []
         for last, reward, done, observation in zip(
             self._last_batch, rewards, dones, observations
         ):
@@ -143,76 +143,12 @@ class ApexDQNAgent:
             next_features = (
                 features if observation is None else self.scaler(observation, update=False)
             )
-            items.append((features, action, float(reward or 0.0), next_features, bool(done)))
+            self._store(features, action, float(reward or 0.0), next_features, bool(done))
         self._last_batch = []
-        return items
-
-    def observe_batch(
-        self,
-        rewards: Sequence[Optional[float]],
-        dones: Sequence[bool],
-        observations: Optional[Sequence] = None,
-    ) -> None:
-        """Store one transition per worker from the preceding :meth:`act_batch`.
-
-        All workers share the one prioritized replay buffer and learner, the
-        single-process analogue of Ape-X's actor fleet feeding a central
-        replay.
-        """
-        for features, action, reward, next_features, done in self._assemble_transitions(
-            rewards, dones, observations
-        ):
-            self._store(features, action, reward, next_features, done)
 
     def end_episode_batch(self) -> None:
         """DQN learns online from the replay buffer; nothing to flush."""
         self._last_batch = []
-
-    # -- distributed actor/learner protocol --------------------------------
-
-    def get_weights(self) -> Dict[str, Any]:
-        """The acting-relevant parameters: the online Q network.
-
-        The target network and replay buffer are learner-only state and are
-        never shipped to actors.
-        """
-        return {"q": self.q.get_weights()}
-
-    def set_weights(self, weights: Dict[str, Any]) -> None:
-        self.q.set_weights(weights["q"])
-
-    def collect_batch(
-        self,
-        rewards: Sequence[Optional[float]],
-        dones: Sequence[bool],
-        observations: Optional[Sequence] = None,
-    ) -> List[Tuple]:
-        """Actor-side :meth:`observe_batch`: assemble transitions, don't learn.
-
-        Returns the picklable transition tuples to ship to the learner, in
-        worker-slot order — the same order :meth:`observe_batch` stores them,
-        so a synchronous one-actor run replays the single-process learning
-        sequence exactly. Advances ``total_steps`` (the actor's epsilon
-        schedule); the learner counts its own steps in :meth:`_store`.
-        """
-        items = self._assemble_transitions(rewards, dones, observations)
-        self.total_steps += len(items)
-        return items
-
-    def collect_flush(self) -> List[Tuple]:
-        """Actor-side :meth:`end_episode_batch`: nothing buffered between steps."""
-        self._last_batch = []
-        return []
-
-    def learn_items(self, items: Sequence[Tuple]) -> Optional[Dict[str, Any]]:
-        """Learner-side counterpart: store and learn from shipped transitions.
-
-        Returns the updated acting weights (Q learns on every stored
-        transition, so every batch is broadcast-worthy).
-        """
-        for features, action, reward, next_features, done in items:
-            self._store(features, action, reward, next_features, done)
-        return self.get_weights()
 
     def _learn(self) -> None:
         if len(self.replay) < self.batch_size:

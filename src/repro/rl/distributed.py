@@ -1,9 +1,8 @@
-"""Distributed actor/learner training: the real Ape-X / IMPALA topology.
+"""Distributed actor/learner training: the real IMPALA topology.
 
-The paper trains its RL agents on RLlib's distributed runtimes: Ape-X runs a
-fleet of epsilon-greedy actors feeding one central prioritized replay, IMPALA
-runs actors with stale behaviour policies whose trajectories the learner
-corrects with V-trace importance ratios. The single-process harness
+The paper trains its RL agents on RLlib's distributed runtimes; IMPALA runs
+actors with stale behaviour policies whose trajectories the learner corrects
+with V-trace importance ratios. The single-process harness
 (:func:`repro.rl.trainer.train_agent_vec`) collapses both roles into one
 agent; this module splits them back apart:
 
@@ -12,30 +11,30 @@ agent; this module splits them back apart:
   (in-process, or sessions on a shared daemon with ``service_url``)
   and drives it with a *local copy* of the policy through the exact rollout
   loop of the single-process path (:func:`repro.rl.trainer.run_vec_rollouts`).
-  Experience — Ape-X transition tuples, IMPALA trajectories with behaviour
-  log-probs — is shipped to the learner over a ``multiprocessing`` queue via
-  the agents' ``collect_batch``/``collect_flush`` protocol.
-* **The learner** runs in the calling process. It owns the learning state
-  (the prioritized replay buffer and Q/target networks for Ape-X; the policy,
-  value function, and V-trace machinery for IMPALA), consumes the experience
-  queue through ``learn_items``, and periodically broadcasts refreshed
-  ``get_weights()`` snapshots back to every actor's weight queue.
+  Trajectories with their behaviour log-probs are shipped to the learner over
+  a ``multiprocessing`` queue via the agent's ``collect_batch``/
+  ``collect_flush`` protocol.
+* **The learner** runs in the calling process. It owns the policy, value
+  function and V-trace machinery, consumes the experience queue through
+  ``learn_items``, and broadcasts refreshed ``get_weights()`` snapshots back
+  to every actor's weight queue.
 
-With one actor the trainer defaults to a *synchronous* barrier — the actor
-blocks after each shipped batch until the learner replies with (possibly
-updated) weights — which makes distributed training bit-for-bit equivalent to
-``train_agent_vec`` on the same seeds: the actor's acting RNG, feature scaler
-and epsilon schedule consume exactly the single-process sequence, and the
-learner's replay/update sequence is replayed in the same order. With several
-actors the topology runs asynchronously: actors act on stale weights between
-broadcasts, which is precisely the staleness IMPALA's importance ratios (and
-Ape-X's off-policy replay) are built to absorb.
+With one actor the trainer runs a *synchronous* barrier — the actor blocks
+after each shipped batch until the learner replies with (possibly updated)
+weights — which makes distributed training bit-for-bit equivalent to
+``train_agent_vec`` on the same seeds: the actor's acting RNG and feature
+scaler consume exactly the single-process sequence, and the learner's update
+sequence is replayed in the same order. With several actors the topology
+runs asynchronously: actors act on stale weights between broadcasts, which
+is precisely the staleness IMPALA's importance ratios are built to absorb.
+
+Only IMPALA runs here: at equal env count its actors beat one process
+running the same envs, and Ape-X's did not (README, "Distributed RL").
 
 :class:`DistributedTrainer` keeps the :class:`~repro.rl.trainer.TrainingResult`
 contract of ``train_agent_vec``, so evaluation and plotting code downstream
 of either path is identical.
 """
-
 import logging
 import multiprocessing
 import os
@@ -48,11 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.vector import check_backend
-from repro.rl.a2c import A2CAgent
-from repro.rl.apex import ApexDQNAgent
 from repro.rl.impala import ImpalaAgent
 from repro.rl.policies import FeatureScaler
-from repro.rl.ppo import PPOAgent
 from repro.rl.trainer import (
     AUTOPHASE_ACTION_SUBSET,
     EPISODE_LENGTH,
@@ -64,13 +60,6 @@ from repro.rl.trainer import (
 
 logger = logging.getLogger(__name__)
 
-AGENT_TYPES = {
-    "a2c": A2CAgent,
-    "apex": ApexDQNAgent,
-    "impala": ImpalaAgent,
-    "ppo": PPOAgent,
-}
-
 # Seed stride between actors: every actor explores with its own RNG stream
 # while actor 0 keeps the caller's seed (the single-process equivalence
 # anchor).
@@ -78,7 +67,7 @@ _ACTOR_SEED_STRIDE = 9973
 
 # Learner checkpoint file name inside --checkpoint-dir, and its format tag.
 CHECKPOINT_FILENAME = "learner.ckpt"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def checkpoint_path(checkpoint_dir: str) -> str:
@@ -124,25 +113,6 @@ def load_learner_checkpoint(checkpoint_dir: str) -> Optional[Dict[str, Any]]:
     return state
 
 
-def _build_agent(agent_name: str, agent_kwargs: Dict[str, Any]):
-    try:
-        agent_type = AGENT_TYPES[agent_name]
-    except KeyError:
-        raise ValueError(
-            f"Unknown agent {agent_name!r}; expected one of {sorted(AGENT_TYPES)}"
-        ) from None
-    agent = agent_type(**agent_kwargs)
-    for method in ("collect_batch", "collect_flush", "learn_items", "get_weights", "set_weights"):
-        if not hasattr(agent, method):
-            raise ValueError(
-                f"{type(agent).__name__} does not implement the distributed "
-                f"actor/learner protocol ({method}); distributed training "
-                "supports the off-policy agents ('apex', 'impala') — use "
-                "train_agent_vec() for A2C/PPO"
-            )
-    return agent
-
-
 @dataclass(frozen=True)
 class ActorSpec:
     """A picklable recipe for one actor process.
@@ -152,19 +122,14 @@ class ActorSpec:
     """
 
     actor_id: int
-    agent_name: str
     agent_kwargs: Dict[str, Any]
     env_id: str
     make_kwargs: Dict[str, Any]
     envs_per_actor: int
     env_backend: str
-    observation_space: str
-    use_action_histogram: bool
     episode_length: int
-    action_subset: Optional[Tuple[str, ...]]
     benchmarks: Tuple[str, ...]
     episodes: int
-    synchronous: bool
     timeout: float
 
 
@@ -180,9 +145,12 @@ class _ActorAgent:
     from; broadcast weights are installed before each acting step.
     """
 
-    def __init__(self, agent, spec: ActorSpec, experience_queue, weight_queue):
+    def __init__(
+        self, agent, spec: ActorSpec, synchronous: bool, experience_queue, weight_queue
+    ):
         self.agent = agent
         self.spec = spec
+        self.synchronous = synchronous
         self._experience = experience_queue
         self._weights = weight_queue
         self.steps = 0
@@ -205,7 +173,7 @@ class _ActorAgent:
 
     def _ship(self, items: List[Any]) -> None:
         self._experience.put(("experience", self.spec.actor_id, items))
-        if self.spec.synchronous:
+        if self.synchronous:
             # Barrier mode: wait for the learner to consume this batch and
             # reply with (possibly unchanged) weights before acting again —
             # the lockstep that makes one-actor runs replay the
@@ -222,7 +190,7 @@ class _ActorAgent:
     # -- the rollout API run_vec_rollouts() drives --------------------------
 
     def act_batch(self, observations: Sequence, greedy: bool = False) -> List[Optional[int]]:
-        if not self.spec.synchronous:
+        if not self.synchronous:
             self._drain_weights()
         return self.agent.act_batch(observations, greedy=greedy)
 
@@ -238,32 +206,28 @@ class _ActorAgent:
             self._ship(items)
 
 
-def _actor_main(spec: ActorSpec, experience_queue, weight_queue) -> None:
+def _actor_main(spec: ActorSpec, synchronous: bool, experience_queue, weight_queue) -> None:
     """Actor subprocess entry point: build pool + agent, collect, report."""
     try:
         import repro
 
-        agent = _build_agent(spec.agent_name, dict(spec.agent_kwargs))
+        agent = ImpalaAgent(**spec.agent_kwargs)
         env = repro.make(spec.env_id, **spec.make_kwargs)
         # make_vec_rl_environment closes env for us if pool construction fails.
         vec = make_vec_rl_environment(
             env,
             n=spec.envs_per_actor,
             backend=spec.env_backend,
-            observation_space=spec.observation_space,
-            use_action_histogram=spec.use_action_histogram,
             episode_length=spec.episode_length,
-            action_subset=list(spec.action_subset) if spec.action_subset else None,
             auto_reset=True,
         )
-        actor = _ActorAgent(agent, spec, experience_queue, weight_queue)
+        actor = _ActorAgent(agent, spec, synchronous, experience_queue, weight_queue)
         try:
             rewards = run_vec_rollouts(
                 vec, actor, spec.episodes, benchmarks=list(spec.benchmarks), train=True
             )
         finally:
             vec.close()
-        scaler = getattr(agent, "scaler", None)
         experience_queue.put(
             (
                 "done",
@@ -276,7 +240,7 @@ def _actor_main(spec: ActorSpec, experience_queue, weight_queue) -> None:
                     # FeatureScaler and ship pre-scaled features; the learner
                     # needs the statistics to act on raw observations later
                     # (greedy evaluation of the trained learner).
-                    "scaler": scaler.get_state() if scaler is not None else None,
+                    "scaler": agent.scaler.get_state(),
                 },
             )
         )
@@ -295,23 +259,27 @@ def _actor_main(spec: ActorSpec, experience_queue, weight_queue) -> None:
 
 @dataclass
 class DistributedTrainer:
-    """Multi-process actor/learner training over vectorized environment pools.
+    """Multi-process IMPALA actor/learner training over vectorized pools.
 
     The learner runs in the calling process; ``num_actors`` subprocesses each
     drive an ``envs_per_actor``-worker auto-reset pool. Construction is by
-    recipe (environment ID + kwargs, agent name + kwargs) because every actor
-    rebuilds both from scratch in its own process.
+    recipe (environment ID + kwargs, agent kwargs) because every actor
+    rebuilds both from scratch in its own process. Actors act on the
+    Autophase observation with its action histogram over the Autophase
+    action subset, as :func:`~repro.rl.trainer.make_vec_rl_environment` does
+    by default.
 
     Args:
-        agent: ``"apex"`` or ``"impala"`` (the off-policy agents whose
-            algorithms define this topology). A2C/PPO are rejected.
-        agent_kwargs: Constructor kwargs for the agent. ``obs_dim``,
-            ``num_actions`` and ``seed`` are filled in from the environment
-            configuration and ``seed`` when absent.
+        agent_kwargs: :class:`~repro.rl.impala.ImpalaAgent` constructor
+            kwargs. ``obs_dim``, ``num_actions`` and ``seed`` are filled in
+            from the environment configuration and ``seed`` when absent.
         env_id: ``repro.make`` environment ID for the actors' pools.
         make_kwargs: ``repro.make`` kwargs (benchmark, reward space, ...);
             must be picklable.
-        num_actors: Number of actor subprocesses.
+        num_actors: Number of actor subprocesses. With one, the actor runs
+            a synchronous barrier (it blocks for a learner reply after every
+            shipped batch), which makes the run seed-for-seed equivalent to
+            :func:`~repro.rl.trainer.train_agent_vec`.
         envs_per_actor: Pool size inside each actor.
         env_backend: ``backend`` of each actor's pool (``"serial"`` or
             ``"thread"``), checked here rather than inside every actor. The
@@ -321,20 +289,14 @@ class DistributedTrainer:
             compiler service inside each actor. The daemon multiplexes all
             actors' sessions over one shared runtime (and benchmark cache) and
             may live on another machine — the paper's scale-out topology.
-        broadcast_interval: Asynchronous mode only — minimum number of
+        broadcast_interval: Several actors only — minimum number of
             experience items the learner consumes between weight broadcasts.
-        synchronous: Barrier mode (actor blocks for a learner reply after
-            every shipped batch). Defaults to ``num_actors == 1``, which is
-            what makes one-actor runs seed-for-seed equivalent to
-            :func:`~repro.rl.trainer.train_agent_vec`.
         seed: Learner seed; actor ``i`` uses ``seed + i * 9973``.
-        start_method: ``multiprocessing`` start method (default: ``fork``
-            where available, else ``spawn``).
         timeout: Seconds either side waits on its queue before declaring the
             other side dead.
         checkpoint_dir: Directory for periodic learner checkpoints (weights,
-            FeatureScaler statistics, replay-buffer priority seed, episode
-            accounting). ``None`` disables checkpointing.
+            FeatureScaler statistics, episode accounting). ``None`` disables
+            checkpointing.
         checkpoint_interval: Learn items consumed between periodic
             checkpoints (a final checkpoint is always written when a
             checkpointed run completes).
@@ -346,7 +308,6 @@ class DistributedTrainer:
             exactly ``episodes`` entries (the crash-resume contract).
     """
 
-    agent: str = "apex"
     agent_kwargs: Dict[str, Any] = field(default_factory=dict)
     env_id: str = "llvm-v0"
     make_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -354,14 +315,9 @@ class DistributedTrainer:
     envs_per_actor: int = 1
     env_backend: str = "serial"
     service_url: Optional[str] = None
-    observation_space: str = "Autophase"
-    use_action_histogram: bool = True
     episode_length: int = EPISODE_LENGTH
-    action_subset: Optional[Sequence[str]] = None
     broadcast_interval: int = 8
-    synchronous: Optional[bool] = None
     seed: int = 0
-    start_method: Optional[str] = None
     timeout: float = 300.0
     checkpoint_dir: Optional[str] = None
     checkpoint_interval: int = 512
@@ -378,17 +334,12 @@ class DistributedTrainer:
         if self.service_url:
             self.make_kwargs = dict(self.make_kwargs)
             self.make_kwargs.setdefault("service_url", self.service_url)
-        actions = self.action_subset or AUTOPHASE_ACTION_SUBSET
+        num_actions = len(AUTOPHASE_ACTION_SUBSET)
         self.agent_kwargs = dict(self.agent_kwargs)
-        self.agent_kwargs.setdefault(
-            "obs_dim",
-            observation_dim(self.observation_space, self.use_action_histogram, len(actions)),
-        )
-        self.agent_kwargs.setdefault("num_actions", len(actions))
+        self.agent_kwargs.setdefault("obs_dim", observation_dim("Autophase", True, num_actions))
+        self.agent_kwargs.setdefault("num_actions", num_actions)
         self.agent_kwargs.setdefault("seed", self.seed)
-        # Validates the agent name and its distributed protocol support up
-        # front (rather than inside N subprocesses), and becomes the learner.
-        self.learner = _build_agent(self.agent, self.agent_kwargs)
+        self.learner = ImpalaAgent(**self.agent_kwargs)
         self.stats: Dict[str, Any] = {}
         # Episode accounting carried over from a resumed checkpoint: the
         # rewards already earned before the crash, and the learn-item count.
@@ -404,42 +355,23 @@ class DistributedTrainer:
     # -- checkpointing -------------------------------------------------------
 
     def _apply_checkpoint(self, state: Dict[str, Any]) -> None:
-        if state.get("agent") != self.agent:
-            raise ValueError(
-                f"Checkpoint in {self.checkpoint_dir} was written by agent "
-                f"{state.get('agent')!r}, not {self.agent!r}"
-            )
         self.learner.set_weights(state["weights"])
-        scaler = getattr(self.learner, "scaler", None)
-        if scaler is not None and state.get("scaler") is not None:
-            scaler.set_state(state["scaler"])
-        # The replay buffer's *contents* die with the process (they are
-        # regenerated by fresh experience) but its priority scale survives:
-        # restoring max_priority keeps new experience sampled with the same
-        # initial priority it would have had in the uninterrupted run.
-        replay = getattr(self.learner, "replay", None)
-        if replay is not None and state.get("replay_max_priority") is not None:
-            replay._max_priority = state["replay_max_priority"]
+        self.learner.scaler.set_state(state["scaler"])
         self._resume_rewards = list(state.get("episode_rewards", []))
         self._resume_items = int(state.get("items_learned", 0))
         logger.info(
-            "Resumed %s learner from %s: %d episode(s), %d learn item(s)",
-            self.agent, self.checkpoint_dir, len(self._resume_rewards),
-            self._resume_items,
+            "Resumed learner from %s: %d episode(s), %d learn item(s)",
+            self.checkpoint_dir, len(self._resume_rewards), self._resume_items,
         )
 
     def _checkpoint_state(
         self, episode_rewards: List[float], items_learned: int
     ) -> Dict[str, Any]:
-        scaler = getattr(self.learner, "scaler", None)
-        replay = getattr(self.learner, "replay", None)
         return {
             "version": _CHECKPOINT_VERSION,
-            "agent": self.agent,
             "seed": self.seed,
             "weights": self.learner.get_weights(),
-            "scaler": scaler.get_state() if scaler is not None else None,
-            "replay_max_priority": getattr(replay, "_max_priority", None),
+            "scaler": self.learner.scaler.get_state(),
             "episodes_done": len(episode_rewards),
             "episode_rewards": list(episode_rewards),
             "items_learned": items_learned,
@@ -461,7 +393,7 @@ class DistributedTrainer:
 
     # -- topology ------------------------------------------------------------
 
-    def _actor_specs(self, benchmarks: Sequence[str], episodes: int, synchronous: bool):
+    def _actor_specs(self, benchmarks: Sequence[str], episodes: int):
         """One spec per actor, splitting the episode budget evenly.
 
         Actors beyond the episode count get a zero quota and are not spawned.
@@ -480,19 +412,14 @@ class DistributedTrainer:
             specs.append(
                 ActorSpec(
                     actor_id=actor_id,
-                    agent_name=self.agent,
                     agent_kwargs=agent_kwargs,
                     env_id=self.env_id,
                     make_kwargs=dict(self.make_kwargs),
                     envs_per_actor=self.envs_per_actor,
                     env_backend=self.env_backend,
-                    observation_space=self.observation_space,
-                    use_action_histogram=self.use_action_histogram,
                     episode_length=self.episode_length,
-                    action_subset=tuple(self.action_subset) if self.action_subset else None,
                     benchmarks=tuple(benchmarks),
                     episodes=quota,
-                    synchronous=synchronous,
                     timeout=self.timeout,
                 )
             )
@@ -517,28 +444,21 @@ class DistributedTrainer:
         # length as the uninterrupted run.
         remaining = episodes - len(self._resume_rewards)
         if remaining <= 0:
-            result = TrainingResult(
-                agent_name=getattr(self.learner, "name", type(self.learner).__name__),
-                episodes=episodes,
-            )
+            result = TrainingResult(agent_name=self.learner.name, episodes=episodes)
             result.episode_rewards = list(self._resume_rewards[:episodes])
             self.stats = {"resumed_episodes": len(result.episode_rewards), "actors": 0}
             return result
-        synchronous = self.synchronous if self.synchronous is not None else self.num_actors == 1
-        specs = self._actor_specs(benchmarks, remaining, synchronous)
+        synchronous = self.num_actors == 1
+        specs = self._actor_specs(benchmarks, remaining)
 
-        if self.start_method is not None:
-            start_method = self.start_method
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         experience_queue = ctx.Queue()
         weight_queues = {spec.actor_id: ctx.Queue() for spec in specs}
         processes = {
             spec.actor_id: ctx.Process(
                 target=_actor_main,
-                args=(spec, experience_queue, weight_queues[spec.actor_id]),
+                args=(spec, synchronous, experience_queue, weight_queues[spec.actor_id]),
                 daemon=True,
                 name=f"rl-actor-{spec.actor_id}",
             )
@@ -621,9 +541,7 @@ class DistributedTrainer:
                 weight_queue.cancel_join_thread()
             experience_queue.cancel_join_thread()
 
-        result = TrainingResult(
-            agent_name=getattr(learner, "name", type(learner).__name__), episodes=episodes
-        )
+        result = TrainingResult(agent_name=learner.name, episodes=episodes)
         result.episode_rewards.extend(self._resume_rewards)
         for spec in specs:
             report = actor_reports.get(spec.actor_id, {})
@@ -633,14 +551,9 @@ class DistributedTrainer:
         # adopt the actors' (merged) scaler statistics so the trained
         # learner evaluates raw observations with the transform it was
         # trained under.
-        scaler_states = [
-            actor_reports[spec.actor_id]["scaler"]
-            for spec in specs
-            if actor_reports.get(spec.actor_id, {}).get("scaler") is not None
-        ]
-        learner_scaler = getattr(learner, "scaler", None)
-        if scaler_states and learner_scaler is not None:
-            learner_scaler.set_state(FeatureScaler.merge_states(scaler_states))
+        learner.scaler.set_state(
+            FeatureScaler.merge_states([actor_reports[spec.actor_id]["scaler"] for spec in specs])
+        )
         self._write_checkpoint(
             result.episode_rewards, self._resume_items + items_learned
         )
@@ -660,9 +573,8 @@ class DistributedTrainer:
             "walltime_s": time.monotonic() - start,
         }
         logger.info(
-            "Distributed %s training: %d episodes from %d actor(s), %d env steps, "
+            "Distributed training: %d episodes from %d actor(s), %d env steps, "
             "%d learn items, %d broadcast(s) in %.2fs",
-            self.agent,
             len(result.episode_rewards),
             len(specs),
             self.stats["total_env_steps"],
@@ -674,14 +586,3 @@ class DistributedTrainer:
         )
         return result
 
-
-def train_agent_distributed(
-    agent: str,
-    training_benchmarks: Sequence[str],
-    episodes: int,
-    num_actors: int = 2,
-    **trainer_kwargs,
-) -> TrainingResult:
-    """One-call convenience wrapper around :class:`DistributedTrainer`."""
-    trainer = DistributedTrainer(agent=agent, num_actors=num_actors, **trainer_kwargs)
-    return trainer.train(training_benchmarks, episodes)

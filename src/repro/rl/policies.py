@@ -67,20 +67,6 @@ class FeatureScaler:
         return merged
 
 
-def _assign_weights(model, weights: Tuple[np.ndarray, np.ndarray]) -> None:
-    """Install a ``(weights, bias)`` pair onto a linear model, shape-checked."""
-    new_weights, new_bias = weights
-    new_weights = np.array(new_weights, dtype=np.float64)
-    new_bias = np.array(new_bias, dtype=np.float64)
-    if new_weights.shape != model.weights.shape or new_bias.shape != model.bias.shape:
-        raise ValueError(
-            f"Weight shapes {new_weights.shape}/{new_bias.shape} do not match "
-            f"the model's {model.weights.shape}/{model.bias.shape}"
-        )
-    model.weights = new_weights
-    model.bias = new_bias
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
     exps = np.exp(shifted)
@@ -106,7 +92,14 @@ class LinearPolicy:
 
     def set_weights(self, weights: Tuple[np.ndarray, np.ndarray]) -> None:
         """Install a ``(weights, bias)`` pair produced by :meth:`get_weights`."""
-        _assign_weights(self, weights)
+        new_weights, new_bias = (np.array(w, dtype=np.float64) for w in weights)
+        if new_weights.shape != self.weights.shape or new_bias.shape != self.bias.shape:
+            raise ValueError(
+                f"Weight shapes {new_weights.shape}/{new_bias.shape} do not match "
+                f"the model's {self.weights.shape}/{self.bias.shape}"
+            )
+        self.weights = new_weights
+        self.bias = new_bias
 
     def probabilities(self, observation: np.ndarray) -> np.ndarray:
         return softmax(self.logits(observation))
@@ -163,14 +156,6 @@ class LinearValueFunction:
 
     def __call__(self, observation: np.ndarray) -> np.ndarray:
         return self.weights @ observation + self.bias
-
-    def get_weights(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of ``(weights, bias)`` — the broadcastable learner state."""
-        return self.weights.copy(), self.bias.copy()
-
-    def set_weights(self, weights: Tuple[np.ndarray, np.ndarray]) -> None:
-        """Install a ``(weights, bias)`` pair produced by :meth:`get_weights`."""
-        _assign_weights(self, weights)
 
     def value(self, observation: np.ndarray) -> float:
         return float(self(observation)[0])

@@ -1,2 +1,3 @@
 """Test harnesses for the service tier. Production code never imports this
-package; tests and the ``repro-compilergym chaos-soak`` command do."""
+package; tests and the seeded soak (``python -m repro.testing.chaos soak``)
+do."""

@@ -11,8 +11,8 @@ replies go missing. This module makes those events *reproducible*: a
 :class:`ChaosTransport` wraps any :class:`~repro.core.service.transport.
 ServiceTransport` and injects each scheduled fault at its exact call index.
 The same seed always yields the same fault sequence, so a chaos run's final
-action traces are byte-for-byte repeatable (the ``repro-compilergym
-chaos-soak`` command and the CI chaos job assert exactly that).
+action traces are byte-for-byte repeatable (the soak at the end of this
+module, ``python -m repro.testing.chaos soak``, asserts exactly that).
 
 Client-side fault kinds (``ChaosTransport``):
 
@@ -52,22 +52,26 @@ meanwhile talks through a :class:`ChaosTransport`, and
     ServerChaos(drop_reply_at={0}).attach(server)
 """
 
+import argparse
 import contextlib
 import functools
 import hashlib
 import os
 import random
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import repro
 from repro.core.env import CompilerEnv
+from repro.core.service.gateway import ServiceGateway
 from repro.core.service.proto import HelloReply
 from repro.core.service.transport import ServiceTransport, SocketTransport
 from repro.core.service.wire import FRAME_HEADER_BYTES, frame_bytes
-from repro.errors import ServiceTransportError
+from repro.errors import ServiceError, ServiceTransportError
 
 # The client-side fault vocabulary. ``FaultPlan.generate`` draws from these;
 # explicit plans may also schedule ``kill_daemon`` (which needs a target).
@@ -248,7 +252,7 @@ class ChaosTransport(ServiceTransport):
         self.kill_targets = kill_targets
         self.calls = 0
         # (call_index, kind, method) log of every fault actually injected, in
-        # order — the determinism witness chaos-soak digests.
+        # order — the determinism witness the soak compares across runs.
         self.injected: List[Tuple[int, str, str]] = []
         self._chaos_lock = threading.Lock()
         self._pending: Dict[int, List[FaultEvent]] = {}
@@ -480,3 +484,149 @@ def inject(
         yield made
     finally:
         CompilerEnv._make_transport = original
+
+
+# -- the seeded soak: ``python -m repro.testing.chaos soak`` -----------------
+
+# The soak's fixed workload and fault schedule; only the seed varies.
+SOAK_ENV = "llvm-v0"
+SOAK_BENCHMARK = "benchmark://cbench-v1/qsort"
+SOAK_EPISODES = 4
+SOAK_STEPS = 6  # Actions attempted per episode.
+SOAK_DAEMONS = 2  # Gateway fleet size.
+SOAK_HEARTBEAT_INTERVAL = 0.25
+SOAK_FAULT_CALLS = 40  # Call-index range the seeded faults are drawn over.
+SOAK_FAULT_RATE = 0.15
+# SIGKILL daemon 0 at the first step() call at or after this index: the step
+# path carries the gateway's failover retry, so the kill is absorbed
+# transparently whatever the monitor/client race.
+SOAK_KILL_CALL = 12
+
+
+def soak_plan(seed: int) -> FaultPlan:
+    """The soak's schedule: seeded frame cuts and refused connects, plus a
+    SIGKILL of gateway daemon 0."""
+    events = FaultPlan.generate(seed=seed, calls=SOAK_FAULT_CALLS, rate=SOAK_FAULT_RATE).events
+    kill = FaultEvent(call_index=SOAK_KILL_CALL, kind="kill_daemon", method="step")
+    return FaultPlan(
+        events=tuple(sorted(events + (kill,), key=lambda e: e.call_index)), seed=seed
+    )
+
+
+def soak_once(seed: int, run_index: int = 0):
+    """One soak run: a fresh gateway fleet with its heartbeat monitor on, a
+    fresh env talking through a :class:`ChaosTransport` over
+    :func:`soak_plan`, and the seeded random-action workload.
+
+    Returns ``(traces, injected, digest)``: each episode's action trace,
+    the injected fault log, and a digest of the traces.
+    """
+    gateway = ServiceGateway(
+        env_id=SOAK_ENV, daemons=SOAK_DAEMONS, heartbeat_interval=SOAK_HEARTBEAT_INTERVAL
+    ).start()
+    env = None
+    try:
+        kill_pids = [d.pid for d in gateway.live_daemons() if d.pid is not None]
+        with inject(soak_plan(seed), kill_targets=kill_pids):
+            env = repro.make(
+                SOAK_ENV,
+                benchmark=SOAK_BENCHMARK,
+                reward_space="IrInstructionCount",
+                service_url=gateway.url,
+            )
+        rng = random.Random(seed)
+        num_actions = env.action_space.n
+        traces = []
+        failed_episodes = 0
+        for _ in range(SOAK_EPISODES):
+            try:
+                env.reset()
+                for _ in range(SOAK_STEPS):
+                    _, _, done, step_info = env.step(rng.randrange(num_actions))
+                    if done:
+                        # A non-retryable injected fault ends the episode
+                        # (done=True + error_details) instead of raising: the
+                        # at-most-once contract working, not a soak failure.
+                        # The truncated (acknowledged-only) trace is part of
+                        # the deterministic fingerprint.
+                        if "error_details" in step_info:
+                            failed_episodes += 1
+                        break
+            except (ServiceError, ConnectionError, OSError):
+                # reset() itself can die on an injected fault (e.g. the
+                # retry budget exhausted by scheduled refusals).
+                failed_episodes += 1
+            traces.append(list(env.actions))
+        injected = list(env.service.transport.injected)
+        digest = hashlib.sha256(repr(traces).encode()).hexdigest()[:32]
+        print(
+            f"Run {run_index}: {len(traces)}/{SOAK_EPISODES} episode(s) "
+            f"completed ({failed_episodes} truncated by faults), "
+            f"{len(injected)} fault(s) injected, "
+            f"{gateway.failovers} failover(s), "
+            f"{gateway.rehomed_sessions} session(s) re-homed"
+        )
+        return traces, injected, digest
+    finally:
+        if env is not None:
+            try:
+                env.close()
+            except Exception:  # noqa: BLE001 - chaos may break close() too
+                pass
+        gateway.shutdown()
+
+
+def soak(seed: int, runs: int = 1) -> int:
+    """Run the soak ``runs`` times; 0 if every run produced actions and all
+    runs injected the same faults and produced the same traces, else 1."""
+    print(
+        f"Chaos soak: seed {seed}, {SOAK_EPISODES} episode(s) x {SOAK_STEPS} "
+        f"step(s) over {SOAK_DAEMONS} daemon(s), heartbeat every "
+        f"{SOAK_HEARTBEAT_INTERVAL:g}s"
+    )
+    print(f"Fault plan: {soak_plan(seed).describe()}")
+    digests = []
+    injected_logs = []
+    for run_index in range(max(1, runs)):
+        traces, injected, digest = soak_once(seed, run_index)
+        if not any(traces):
+            print("FAIL: no episode produced any actions", file=sys.stderr)
+            return 1
+        digests.append(digest)
+        injected_logs.append(injected)
+        print(f"Injected fault sequence: {injected}")
+        print(f"Action trace digest: {digest}", flush=True)
+    if len(digests) > 1:
+        if len(set(digests)) != 1 or any(log != injected_logs[0] for log in injected_logs):
+            print(
+                f"FAIL: chaos soak is NOT deterministic across {runs} runs: "
+                f"digests {digests}",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"Deterministic: {runs} run(s) produced identical fault "
+              f"sequences and action traces")
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m repro.testing.chaos")
+    commands = parser.add_subparsers(dest="command", required=True)
+    soak_parser = commands.add_parser(
+        "soak",
+        help="Seeded frame cuts, refused connects and a daemon SIGKILL over "
+             "a 2-daemon gateway, asserting completion and reproducible "
+             "action traces",
+    )
+    soak_parser.add_argument("--seed", type=int, default=0,
+                             help="Seed of the fault schedule and the action "
+                                  "workload (same seed -> same run)")
+    soak_parser.add_argument("--runs", type=int, default=1,
+                             help="Repeat the identical soak N times and fail "
+                                  "unless every run matches (determinism gate)")
+    args = parser.parse_args(argv)
+    return soak(args.seed, args.runs)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

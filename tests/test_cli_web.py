@@ -85,11 +85,19 @@ class TestCli:
         """``--backend`` offers serial and thread, with or without actors."""
         for actors in ([], ["--actors", "2"]):
             with pytest.raises(SystemExit) as exit_info:
-                main(["train", "--agent", "apex", *actors, "--backend", "process"])
+                main(["train", "--agent", "impala", *actors, "--backend", "process"])
             assert exit_info.value.code == 2
             captured = capsys.readouterr()
             assert "invalid choice: 'process'" in captured.err
             assert "mean episode reward" not in captured.out
+
+    @pytest.mark.parametrize("agent", ["apex", "ppo"])
+    def test_train_actors_requires_impala(self, capsys, agent):
+        """Actor processes run IMPALA only; any other agent trains in one process."""
+        assert main(["train", "--agent", agent, "--actors", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"train --actors requires --agent impala; got {agent!r}\n"
+        assert captured.out == ""
 
 
 class TestExplorerApi:

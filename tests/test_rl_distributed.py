@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.rl import ApexDQNAgent, DistributedTrainer, ImpalaAgent
-from repro.rl.distributed import (
-    ActorSpec,
-    _build_agent,
-    checkpoint_path,
-    load_learner_checkpoint,
-    train_agent_distributed,
-)
-from repro.rl.policies import LinearPolicy, LinearValueFunction
+from repro.rl import DistributedTrainer, ImpalaAgent
+from repro.rl.distributed import ActorSpec, checkpoint_path, load_learner_checkpoint
+from repro.rl.policies import LinearPolicy
 from repro.rl.trainer import (
     AUTOPHASE_ACTION_SUBSET,
     make_vec_rl_environment,
@@ -41,13 +35,12 @@ def _single_process_reference(agent, episodes):
         vec.close()
 
 
-def _distributed_trainer(agent_name, agent_kwargs, num_actors, **kwargs):
+def _distributed_trainer(agent_kwargs, num_actors, **kwargs):
     kwargs.setdefault(
         "make_kwargs",
         {"benchmark": BENCHMARKS[0], "reward_space": "IrInstructionCountNorm"},
     )
     return DistributedTrainer(
-        agent=agent_name,
         agent_kwargs=agent_kwargs,
         env_id="llvm-v0",
         num_actors=num_actors,
@@ -58,10 +51,9 @@ def _distributed_trainer(agent_name, agent_kwargs, num_actors, **kwargs):
 
 
 class TestWeightTransfer:
-    @pytest.mark.parametrize("model_type", [LinearPolicy, LinearValueFunction])
-    def test_policy_weight_roundtrip(self, model_type):
-        source = model_type(6, 3, seed=1)
-        target = model_type(6, 3, seed=2)
+    def test_policy_weight_roundtrip(self):
+        source = LinearPolicy(6, 3, seed=1)
+        target = LinearPolicy(6, 3, seed=2)
         target.set_weights(source.get_weights())
         np.testing.assert_array_equal(target.weights, source.weights)
         np.testing.assert_array_equal(target.bias, source.bias)
@@ -97,13 +89,6 @@ class TestWeightTransfer:
         with pytest.raises(ValueError, match="do not match"):
             policy.set_weights(other.get_weights())
 
-    def test_apex_weights_cover_the_online_q(self):
-        learner = ApexDQNAgent(obs_dim=4, num_actions=3, seed=0)
-        actor = ApexDQNAgent(obs_dim=4, num_actions=3, seed=7)
-        actor.set_weights(learner.get_weights())
-        observation = np.ones(4)
-        np.testing.assert_array_equal(actor.q(observation), learner.q(observation))
-
     def test_impala_weights_install_as_behaviour(self):
         learner = ImpalaAgent(obs_dim=4, num_actions=3, seed=0)
         learner.policy.policy_gradient_step(np.ones(4), action=1, scale=1.0)
@@ -114,40 +99,6 @@ class TestWeightTransfer:
 
 
 class TestActorLearnerProtocol:
-    def test_apex_collect_batch_does_not_learn(self):
-        agent = ApexDQNAgent(obs_dim=4, num_actions=3, seed=0, batch_size=2)
-        before = agent.q.weights.copy()
-        observation = np.ones(4)
-        for _ in range(4):
-            agent.act_batch([observation, observation])
-            items = agent.collect_batch(
-                [0.1, 0.2], [False, False], [observation, observation]
-            )
-            assert len(items) == 2
-        np.testing.assert_array_equal(agent.q.weights, before)
-        assert len(agent.replay) == 0
-        assert agent.total_steps == 8  # The actor-side epsilon schedule advances.
-
-    def test_apex_learn_items_matches_observe_batch(self):
-        """A learner fed collected items replays the single-process update."""
-        reference = ApexDQNAgent(obs_dim=4, num_actions=3, seed=0, batch_size=2)
-        actor = ApexDQNAgent(obs_dim=4, num_actions=3, seed=0, batch_size=2)
-        learner = ApexDQNAgent(obs_dim=4, num_actions=3, seed=0, batch_size=2)
-        rng = np.random.default_rng(5)
-        for _ in range(6):
-            observation = rng.uniform(size=4)
-            next_observation = rng.uniform(size=4)
-            reference.act_batch([observation])
-            reference.observe_batch([0.5], [False], [next_observation])
-            actor.set_weights(learner.get_weights())
-            actor.act_batch([observation])
-            weights = learner.learn_items(
-                actor.collect_batch([0.5], [False], [next_observation])
-            )
-            assert weights is not None
-        np.testing.assert_allclose(learner.q.weights, reference.q.weights)
-        assert len(learner.replay) == len(reference.replay)
-
     def test_impala_collect_batch_ships_completed_trajectories(self):
         agent = ImpalaAgent(obs_dim=4, num_actions=3, seed=0)
         observation = np.ones(4)
@@ -169,56 +120,33 @@ class TestActorLearnerProtocol:
         assert weights is not None
         np.testing.assert_array_equal(weights["policy"][0], agent.policy.weights)
 
-    def test_rejects_on_policy_agents(self):
-        with pytest.raises(ValueError, match="does not implement the distributed"):
-            _build_agent("a2c", {"obs_dim": 4, "num_actions": 3})
-        with pytest.raises(ValueError, match="Unknown agent"):
-            _build_agent("dreamer", {})
-
     def test_actor_spec_is_picklable(self):
         import pickle
 
         spec = ActorSpec(
             actor_id=0,
-            agent_name="apex",
             agent_kwargs={"obs_dim": 4, "num_actions": 3, "seed": 0},
             env_id="llvm-v0",
             make_kwargs={"benchmark": BENCHMARKS[0]},
             envs_per_actor=1,
             env_backend="serial",
-            observation_space="Autophase",
-            use_action_histogram=True,
             episode_length=5,
-            action_subset=None,
             benchmarks=tuple(BENCHMARKS),
             episodes=2,
-            synchronous=True,
             timeout=60.0,
         )
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestDistributedTraining:
-    @pytest.mark.parametrize(
-        "agent_name,agent_kwargs",
-        [("apex", {"batch_size": 8}), ("impala", {})],
-        ids=["apex", "impala"],
-    )
-    def test_one_actor_matches_single_process_seed_for_seed(
-        self, agent_name, agent_kwargs
-    ):
+    def test_one_actor_matches_single_process_seed_for_seed(self):
         """The acceptance criterion: with one (synchronous) actor, the
         distributed topology replays the exact single-process learning
         sequence — same acting RNG stream, same scaler statistics, same
-        replay/update order — so the learning curves are identical."""
-        agent_type = {"apex": ApexDQNAgent, "impala": ImpalaAgent}[agent_name]
-        reference_agent = agent_type(
-            obs_dim=OBS_DIM, num_actions=NUM_ACTIONS, seed=3, **agent_kwargs
-        )
+        update order — so the learning curves are identical."""
+        reference_agent = ImpalaAgent(obs_dim=OBS_DIM, num_actions=NUM_ACTIONS, seed=3)
         reference = _single_process_reference(reference_agent, episodes=6)
-        trainer = _distributed_trainer(
-            agent_name, {"seed": 3, **agent_kwargs}, num_actors=1, envs_per_actor=2, seed=3
-        )
+        trainer = _distributed_trainer({"seed": 3}, num_actors=1, envs_per_actor=2, seed=3)
         result = trainer.train(BENCHMARKS, episodes=6)
         assert result.agent_name == reference.agent_name
         assert result.episodes == reference.episodes
@@ -230,86 +158,52 @@ class TestDistributedTraining:
         # and the (actor-transferred) feature scaler statistics both match,
         # so greedy evaluation of trainer.learner is equivalent too.
         learner = trainer.learner
-        if agent_name == "apex":
-            np.testing.assert_array_equal(learner.q.weights, reference_agent.q.weights)
-        else:
-            np.testing.assert_array_equal(
-                learner.policy.weights, reference_agent.policy.weights
-            )
+        np.testing.assert_array_equal(learner.policy.weights, reference_agent.policy.weights)
         np.testing.assert_allclose(learner.scaler.mean, reference_agent.scaler.mean)
         np.testing.assert_allclose(learner.scaler.m2, reference_agent.scaler.m2)
         assert learner.scaler.count == pytest.approx(reference_agent.scaler.count)
 
-    def test_two_actor_smoke_broadcasts_weights_and_grows_shared_replay(self):
+    def test_two_actor_smoke_broadcasts_weights(self):
         trainer = _distributed_trainer(
-            "apex",
-            {"batch_size": 8},
-            num_actors=2,
-            envs_per_actor=1,
-            broadcast_interval=1,
+            {"sync_interval": 1}, num_actors=2, envs_per_actor=1, broadcast_interval=1
         )
         result = trainer.train([BENCHMARKS[0]], episodes=6)
+        assert result.agent_name == "impala"
         assert len(result.episode_rewards) == 6
         assert all(np.isfinite(r) for r in result.episode_rewards)
         stats = trainer.stats
         assert stats["actors"] == 2
         assert stats["synchronous"] is False
-        # Both actors fed the one central replay buffer...
-        assert len(trainer.learner.replay) == stats["items_learned"] > 0
+        # Both actors fed the one learner...
+        assert stats["items_learned"] > 0
         assert all(steps > 0 for steps in stats["actor_steps"].values())
-        # ...and received weight broadcasts back from the learner.
+        # ...and received weight broadcasts back from it.
         assert stats["broadcasts"] >= 1
         assert sum(stats["actor_weight_updates"].values()) >= 1
 
-    def test_two_actor_impala_smoke(self):
-        trainer = _distributed_trainer(
-            "impala",
-            {"sync_interval": 1},
-            num_actors=2,
-            envs_per_actor=1,
-            broadcast_interval=1,
-        )
-        result = trainer.train([BENCHMARKS[0]], episodes=4)
-        assert len(result.episode_rewards) == 4
-        assert trainer.stats["broadcasts"] >= 1
-
     def test_actor_failure_propagates(self):
         trainer = _distributed_trainer(
-            "apex", {}, num_actors=1, make_kwargs={"benchmark": "benchmark://nope-v0/x"}
+            {}, num_actors=1, make_kwargs={"benchmark": "benchmark://nope-v0/x"}
         )
         with pytest.raises(RuntimeError, match="Actor 0 failed"):
             trainer.train(["benchmark://nope-v0/x"], episodes=2)
 
-    def test_train_agent_distributed_convenience(self):
-        result = train_agent_distributed(
-            "impala",
-            [BENCHMARKS[0]],
-            episodes=2,
-            num_actors=2,
-            env_id="llvm-v0",
-            make_kwargs={"benchmark": BENCHMARKS[0], "reward_space": "IrInstructionCountNorm"},
-            episode_length=EPISODE_LENGTH,
-            timeout=120.0,
-        )
-        assert result.agent_name == "impala"
-        assert len(result.episode_rewards) == 2
-
     def test_episode_quota_never_spawns_idle_actors(self):
-        trainer = _distributed_trainer("apex", {"batch_size": 8}, num_actors=4)
+        trainer = _distributed_trainer({}, num_actors=4)
         result = trainer.train([BENCHMARKS[0]], episodes=2)
         assert len(result.episode_rewards) == 2
         assert trainer.stats["actors"] == 2  # Actors beyond the quota are skipped.
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError, match="num_actors"):
-            DistributedTrainer(agent="apex", num_actors=0)
+            DistributedTrainer(num_actors=0)
         with pytest.raises(ValueError, match="envs_per_actor"):
-            DistributedTrainer(agent="apex", envs_per_actor=0)
+            DistributedTrainer(envs_per_actor=0)
         # Found at construction, not inside N actor subprocesses.
         children = set(multiprocessing.active_children())
         for backend in ("fibers", "process"):
             with pytest.raises(ValueError, match=r"expected one of \('serial', 'thread'\)"):
-                DistributedTrainer(agent="apex", num_actors=2, env_backend=backend)
+                DistributedTrainer(num_actors=2, env_backend=backend)
         assert set(multiprocessing.active_children()) == children
 
 
@@ -318,14 +212,8 @@ class TestLearnerCheckpoints:
 
     def _trainer(self, **kwargs):
         return _distributed_trainer(
-            "apex",
-            {"batch_size": 8, "seed": 3},
-            num_actors=1,
-            envs_per_actor=2,
-            seed=3,
-            **kwargs,
+            {"seed": 3}, num_actors=1, envs_per_actor=2, seed=3, **kwargs
         )
-
     def test_kill_and_resume_reaches_total_episode_target(self, tmp_path):
         """The crash-resume contract: train 3 of 6 episodes, 'crash' (drop
         the trainer), resume in a fresh trainer, and ask for the same total.
@@ -358,10 +246,9 @@ class TestLearnerCheckpoints:
         first.train(BENCHMARKS, episodes=2)
         resumed = self._trainer(checkpoint_dir=checkpoint_dir, resume=True)
         np.testing.assert_array_equal(
-            resumed.learner.q.weights, first.learner.q.weights
+            resumed.learner.policy.weights, first.learner.policy.weights
         )
         np.testing.assert_allclose(resumed.learner.scaler.mean, first.learner.scaler.mean)
-        assert resumed.learner.replay._max_priority == first.learner.replay._max_priority
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="requires checkpoint_dir"):
@@ -384,12 +271,17 @@ class TestLearnerCheckpoints:
         with pytest.raises(ValueError, match="checkpoint version"):
             load_learner_checkpoint(checkpoint_dir)
 
-    def test_agent_mismatch_rejected(self, tmp_path):
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        """A checkpoint from the build that also ran Ape-X actors (version 1,
+        with its ``agent`` and ``replay_max_priority`` fields) is refused on
+        resume rather than half-applied."""
+        import pickle
+
         checkpoint_dir = str(tmp_path / "ckpt")
-        first = self._trainer(checkpoint_dir=checkpoint_dir)
-        first.train([BENCHMARKS[0]], episodes=2)
-        with pytest.raises(ValueError, match="was written by agent"):
-            _distributed_trainer(
-                "impala", {"seed": 3}, num_actors=1,
-                checkpoint_dir=checkpoint_dir, resume=True,
-            )
+        self._trainer(checkpoint_dir=checkpoint_dir).train([BENCHMARKS[0]], episodes=2)
+        state = load_learner_checkpoint(checkpoint_dir)
+        state.update(version=1, agent="impala", replay_max_priority=None)
+        with open(checkpoint_path(checkpoint_dir), "wb") as f:
+            pickle.dump(state, f)
+        with pytest.raises(ValueError, match="checkpoint version"):
+            self._trainer(checkpoint_dir=checkpoint_dir, resume=True)

@@ -491,11 +491,13 @@ def inject(
 # The soak's fixed workload and fault schedule; only the seed varies.
 SOAK_ENV = "llvm-v0"
 SOAK_BENCHMARK = "benchmark://cbench-v1/qsort"
-SOAK_EPISODES = 4
 SOAK_STEPS = 6  # Actions attempted per episode.
+# The calls the soak's env makes: it runs episodes until it has made this
+# many, and the seeded faults are drawn over the same call indices, so every
+# scheduled fault lands on a call the soak makes.
+SOAK_CALLS = 40
 SOAK_DAEMONS = 2  # Gateway fleet size.
 SOAK_HEARTBEAT_INTERVAL = 0.25
-SOAK_FAULT_CALLS = 40  # Call-index range the seeded faults are drawn over.
 SOAK_FAULT_RATE = 0.15
 # SIGKILL daemon 0 at the first step() call at or after this index: the step
 # path carries the gateway's failover retry, so the kill is absorbed
@@ -506,7 +508,7 @@ SOAK_KILL_CALL = 12
 def soak_plan(seed: int) -> FaultPlan:
     """The soak's schedule: seeded frame cuts and refused connects, plus a
     SIGKILL of gateway daemon 0."""
-    events = FaultPlan.generate(seed=seed, calls=SOAK_FAULT_CALLS, rate=SOAK_FAULT_RATE).events
+    events = FaultPlan.generate(seed=seed, calls=SOAK_CALLS, rate=SOAK_FAULT_RATE).events
     kill = FaultEvent(call_index=SOAK_KILL_CALL, kind="kill_daemon", method="step")
     return FaultPlan(
         events=tuple(sorted(events + (kill,), key=lambda e: e.call_index)), seed=seed
@@ -516,7 +518,8 @@ def soak_plan(seed: int) -> FaultPlan:
 def soak_once(seed: int, run_index: int = 0):
     """One soak run: a fresh gateway fleet with its heartbeat monitor on, a
     fresh env talking through a :class:`ChaosTransport` over
-    :func:`soak_plan`, and the seeded random-action workload.
+    :func:`soak_plan`, and the seeded random-action workload: episodes of up
+    to ``SOAK_STEPS`` actions until the env has made ``SOAK_CALLS`` calls.
 
     Returns ``(traces, injected, digest)``: each episode's action trace,
     the injected fault log, and a digest of the traces.
@@ -534,14 +537,17 @@ def soak_once(seed: int, run_index: int = 0):
                 reward_space="IrInstructionCount",
                 service_url=gateway.url,
             )
+        transport = env.service.transport
         rng = random.Random(seed)
         num_actions = env.action_space.n
         traces = []
         failed_episodes = 0
-        for _ in range(SOAK_EPISODES):
+        while transport.calls < SOAK_CALLS:
             try:
                 env.reset()
                 for _ in range(SOAK_STEPS):
+                    if transport.calls >= SOAK_CALLS:
+                        break
                     _, _, done, step_info = env.step(rng.randrange(num_actions))
                     if done:
                         # A non-retryable injected fault ends the episode
@@ -557,11 +563,11 @@ def soak_once(seed: int, run_index: int = 0):
                 # retry budget exhausted by scheduled refusals).
                 failed_episodes += 1
             traces.append(list(env.actions))
-        injected = list(env.service.transport.injected)
+        injected = list(transport.injected)
         digest = hashlib.sha256(repr(traces).encode()).hexdigest()[:32]
         print(
-            f"Run {run_index}: {len(traces)}/{SOAK_EPISODES} episode(s) "
-            f"completed ({failed_episodes} truncated by faults), "
+            f"Run {run_index}: {len(traces)} episode(s) in {transport.calls} "
+            f"call(s) ({failed_episodes} truncated by faults), "
             f"{len(injected)} fault(s) injected, "
             f"{gateway.failovers} failover(s), "
             f"{gateway.rehomed_sessions} session(s) re-homed"
@@ -577,25 +583,33 @@ def soak_once(seed: int, run_index: int = 0):
 
 
 def soak(seed: int, runs: int = 1) -> int:
-    """Run the soak ``runs`` times; 0 if every run produced actions and all
-    runs injected the same faults and produced the same traces, else 1."""
+    """Run the soak ``runs`` times; 0 if every run produced actions and
+    injected every scheduled fault, and all runs injected the same faults and
+    produced the same traces, else 1."""
     print(
-        f"Chaos soak: seed {seed}, {SOAK_EPISODES} episode(s) x {SOAK_STEPS} "
-        f"step(s) over {SOAK_DAEMONS} daemon(s), heartbeat every "
+        f"Chaos soak: seed {seed}, {SOAK_CALLS} call(s) in episodes of up to "
+        f"{SOAK_STEPS} step(s) over {SOAK_DAEMONS} daemon(s), heartbeat every "
         f"{SOAK_HEARTBEAT_INTERVAL:g}s"
     )
-    print(f"Fault plan: {soak_plan(seed).describe()}")
+    plan = soak_plan(seed)
+    print(f"Fault plan: {plan.describe()}")
     digests = []
     injected_logs = []
     for run_index in range(max(1, runs)):
         traces, injected, digest = soak_once(seed, run_index)
+        print(f"Injected fault sequence: {injected}")
+        print(f"Action trace digest: {digest}", flush=True)
         if not any(traces):
             print("FAIL: no episode produced any actions", file=sys.stderr)
             return 1
+        if len(injected) != len(plan.events):
+            print(
+                f"FAIL: {len(injected)} of {len(plan.events)} scheduled fault(s) injected",
+                file=sys.stderr,
+            )
+            return 1
         digests.append(digest)
         injected_logs.append(injected)
-        print(f"Injected fault sequence: {injected}")
-        print(f"Action trace digest: {digest}", flush=True)
     if len(digests) > 1:
         if len(set(digests)) != 1 or any(log != injected_logs[0] for log in injected_logs):
             print(

@@ -3,7 +3,8 @@
 What each fault does to an episode, in every deployment, is
 ``test_conformance.py``'s fault axis. Here: a seeded :class:`FaultPlan` is
 deterministic and reusable; :func:`inject` reaches only the environments made
-while it is open; production code never imports the harness; the pre-auth
+while it is open; the seeded soak injects every fault it schedules;
+production code never imports the harness; the pre-auth
 ``heartbeat`` RPC; full-jitter retry desynchronization; the
 :class:`HealthMonitor` detecting a SIGKILLed daemon within two heartbeat
 intervals with no client RPC in flight; and a live member's connection
@@ -30,7 +31,14 @@ from repro.core.service.transport import ServiceTransport, SocketTransport
 from repro.core.service.wire import REPLY_OK, read_frame, write_frame
 from repro.core.vector import VecCompilerEnv
 from repro.errors import PermissionDeniedError, ServiceError, ServiceIsDown
-from repro.testing.chaos import ChaosTransport, FaultEvent, FaultPlan, inject
+from repro.testing.chaos import (
+    ChaosTransport,
+    FaultEvent,
+    FaultPlan,
+    inject,
+    soak_once,
+    soak_plan,
+)
 from tests.test_service import _runtime
 
 BENCHMARK = "cbench-v1/qsort"
@@ -195,6 +203,18 @@ def test_injection_log_is_deterministic_across_transports():
             logs.append(list(transport.injected))
             connection.close()
     assert logs[0] == logs[1]
+
+
+def test_the_soak_injects_every_fault_it_schedules():
+    """One seeded soak over a 2-daemon gateway: each scheduled fault fires at
+    its own call index, so none falls past the soak's last call."""
+    plan = soak_plan(seed=0)
+    assert len({event.kind for event in plan.events}) >= 3
+    traces, injected, _ = soak_once(seed=0)
+    assert any(traces)
+    assert [(index, kind) for index, kind, _ in injected] == [
+        (event.call_index, event.kind) for event in plan.events
+    ]
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.01):

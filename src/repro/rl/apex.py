@@ -5,10 +5,10 @@ buffer with importance-sampling corrections, a periodically synced target
 network, and n-step returns (n=1 here) — follows the original Ape-X. One
 agent instance plays both roles: its vectorized rollout workers feed the one
 replay buffer, the single-process analogue of Ape-X's actor fleet. It trains
-in one process only; :mod:`repro.rl.distributed` runs IMPALA, because Ape-X
-gained nothing from actor processes at equal env count (README,
-"Distributed RL").
+in one process (:func:`~repro.rl.trainer.train_agent_vec`); distributed
+training is IMPALA's (:mod:`repro.rl.distributed`).
 """
+
 from typing import List, Optional, Sequence
 
 import numpy as np

@@ -29,12 +29,13 @@ runs asynchronously: actors act on stale weights between broadcasts, which
 is precisely the staleness IMPALA's importance ratios are built to absorb.
 
 Only IMPALA runs here: at equal env count its actors beat one process
-running the same envs, and Ape-X's did not (README, "Distributed RL").
+running the same envs (README, "Distributed RL").
 
 :class:`DistributedTrainer` keeps the :class:`~repro.rl.trainer.TrainingResult`
 contract of ``train_agent_vec``, so evaluation and plotting code downstream
 of either path is identical.
 """
+
 import logging
 import multiprocessing
 import os

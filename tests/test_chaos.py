@@ -31,6 +31,7 @@ from repro.core.service.transport import ServiceTransport, SocketTransport
 from repro.core.service.wire import REPLY_OK, read_frame, write_frame
 from repro.core.vector import VecCompilerEnv
 from repro.errors import PermissionDeniedError, ServiceError, ServiceIsDown
+from repro.testing import chaos
 from repro.testing.chaos import (
     ChaosTransport,
     FaultEvent,
@@ -215,6 +216,68 @@ def test_the_soak_injects_every_fault_it_schedules():
     assert [(index, kind) for index, kind, _ in injected] == [
         (event.call_index, event.kind) for event in plan.events
     ]
+
+
+def test_soak_plan_is_seeded_and_fits_the_soak():
+    """Same seed, same schedule; every event falls on a call the soak makes,
+    and the one SIGKILL waits for the first step() at ``SOAK_KILL_CALL``."""
+    for seed in range(3):
+        plan = chaos.soak_plan(seed)
+        assert plan.signature() == chaos.soak_plan(seed).signature()
+        assert all(0 <= event.call_index < chaos.SOAK_CALLS for event in plan.events)
+        kills = [event for event in plan.events if event.kind == "kill_daemon"]
+        assert [(k.call_index, k.method) for k in kills] == [(chaos.SOAK_KILL_CALL, "step")]
+    assert chaos.soak_plan(0).signature() != chaos.soak_plan(1).signature()
+
+
+def _fake_soak_once(injected_per_run, digests):
+    """A stand-in for :func:`soak_once` that replays canned run results."""
+    def soak_once(seed, run_index=0):
+        return [[0, 1]], injected_per_run(seed, run_index), digests[run_index]
+    return soak_once
+
+
+def _scheduled(seed, run_index):
+    return [(e.call_index, e.kind, e.method) for e in chaos.soak_plan(seed).events]
+
+
+def test_soak_fails_unless_every_scheduled_fault_is_injected(monkeypatch, capsys):
+    monkeypatch.setattr(
+        chaos, "soak_once",
+        _fake_soak_once(lambda seed, run: _scheduled(seed, run)[:-1], ["d0"]),
+    )
+    assert chaos.soak(0) == 1
+    scheduled = len(chaos.soak_plan(0).events)
+    assert f"{scheduled - 1} of {scheduled} scheduled fault(s) injected" in (
+        capsys.readouterr().err
+    )
+
+
+def test_soak_fails_when_runs_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(chaos, "soak_once", _fake_soak_once(_scheduled, ["d0", "d1"]))
+    assert chaos.soak(0, runs=2) == 1
+    assert "NOT deterministic across 2 runs" in capsys.readouterr().err
+
+
+def test_soak_passes_identical_runs(monkeypatch, capsys):
+    monkeypatch.setattr(chaos, "soak_once", _fake_soak_once(_scheduled, ["d0", "d0"]))
+    assert chaos.soak(0, runs=2) == 0
+    captured = capsys.readouterr()
+    assert "Deterministic: 2 run(s)" in captured.out
+    assert captured.err == ""
+
+
+def test_soak_command_takes_only_seed_and_runs(monkeypatch, capsys):
+    """Everything but the seed and the repeat count is a module constant."""
+    calls = []
+    monkeypatch.setattr(chaos, "soak", lambda seed, runs: calls.append((seed, runs)) or 0)
+    assert chaos.main(["soak", "--seed", "3", "--runs", "2"]) == 0
+    assert calls == [(3, 2)]
+    with pytest.raises(SystemExit) as exit_info:
+        chaos.main(["soak", "--daemons", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --daemons" in capsys.readouterr().err
+    assert calls == [(3, 2)]
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.01):

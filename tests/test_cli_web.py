@@ -1,6 +1,9 @@
 """Tests for the command-line tools and the Explorer REST API."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"train --actors requires --agent impala; got {agent!r}\n"
         assert captured.out == ""
+
+    def test_train_has_no_learner_batch_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--agent", "impala", "--actors", "2", "--learner-batch", "8"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --learner-batch" in capsys.readouterr().err
+
+    def test_module_runs_without_a_runtime_warning(self):
+        """``python -m repro.cli.main`` runs a module that the package
+        ``repro.cli`` has not already imported, so runpy has nothing to warn
+        about."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.main", "envs"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "RuntimeWarning" not in completed.stderr
+        assert "llvm-v0" in completed.stdout
 
 
 class TestExplorerApi:

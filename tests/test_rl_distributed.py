@@ -214,6 +214,7 @@ class TestLearnerCheckpoints:
         return _distributed_trainer(
             {"seed": 3}, num_actors=1, envs_per_actor=2, seed=3, **kwargs
         )
+
     def test_kill_and_resume_reaches_total_episode_target(self, tmp_path):
         """The crash-resume contract: train 3 of 6 episodes, 'crash' (drop
         the trainer), resume in a fresh trainer, and ask for the same total.
@@ -270,6 +271,18 @@ class TestLearnerCheckpoints:
             pickle.dump({"version": 999}, f)
         with pytest.raises(ValueError, match="checkpoint version"):
             load_learner_checkpoint(checkpoint_dir)
+
+    def test_checkpoint_holds_only_the_impala_learner_state(self):
+        """Version 2 drops version 1's ``agent`` tag and Ape-X replay priority:
+        the learner is always IMPALA, so its weights and scaler are the state."""
+        state = self._trainer()._checkpoint_state([0.5, 0.25], items_learned=7)
+        assert state["version"] == 2
+        assert set(state) == {
+            "version", "seed", "weights", "scaler",
+            "episodes_done", "episode_rewards", "items_learned",
+        }
+        assert state["episodes_done"] == 2
+        assert state["items_learned"] == 7
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         """A checkpoint from the build that also ran Ape-X actors (version 1,

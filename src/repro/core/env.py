@@ -378,6 +378,7 @@ class CompilerEnv:
                     action_space=self.action_spaces.index(self.action_space),
                     observation_space_names=observation_names,
                     end_session_id=ended,
+                    verify_ir=self.verify_ir,
                 )
             )
         except ServiceTransportError as error:
@@ -392,10 +393,6 @@ class CompilerEnv:
 
         self._closed = False
         self._session_id = reply.session_id
-        if self.verify_ir:
-            self.service.handle_session_parameter(
-                self._session_id, "llvm.set_verify_ir", "1"
-            )
         self.actions = []
         self.episode_reward = 0 if self._reward_space else None
         self.episode_start_time = time.time()

@@ -21,11 +21,18 @@ class CompilationSession:
         compiler_version: Human-readable version string of the compiler.
         action_spaces: The action spaces this compiler exposes.
         observation_spaces: The observation spaces this compiler exposes.
+
+    Attributes:
+        verify_ir: Check the program after every action and fail the action
+            if it is invalid (a debug mode, set by the runtime when the
+            session is made, and carried into forks). A backend without a
+            verifier ignores it.
     """
 
     compiler_version: str = ""
     action_spaces: List[Space] = []
     observation_spaces: List[ObservationSpaceSpec] = []
+    verify_ir: bool = False
 
     def __init__(self, working_dir: str, action_space: Space, benchmark: Benchmark):
         self.working_dir = working_dir

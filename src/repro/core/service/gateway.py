@@ -141,7 +141,8 @@ class _RoutedSession:
     """Gateway-side record of one client session: where it lives and how to
     rebuild it. ``state`` carries the replay recipe (benchmark + acknowledged
     actions) in :class:`CompilerEnvState` form; only acknowledged actions are
-    replayed on failover, preserving at-most-once step application."""
+    replayed on failover, preserving at-most-once step application. The
+    replayed session verifies its IR if the original did (``verify_ir``)."""
 
     gateway_sid: int
     daemon: DaemonHandle
@@ -150,6 +151,7 @@ class _RoutedSession:
     benchmark_uri: str
     action_space: int = 0
     actions: List[Any] = field(default_factory=list)
+    verify_ir: bool = False
 
     def env_state(self) -> CompilerEnvState:
         """The session's episode so far, as a portable CompilerEnvState."""
@@ -359,6 +361,7 @@ class ServiceGateway(SocketRPCServer):
             StartSessionRequest(
                 benchmark_uri=record.benchmark_uri,
                 action_space=record.action_space,
+                verify_ir=record.verify_ir,
             )
         )
         if record.actions:
@@ -455,6 +458,7 @@ class ServiceGateway(SocketRPCServer):
             benchmark_uri=request.benchmark_uri,
             action_space=request.action_space,
             observation_space_names=request.observation_space_names,
+            verify_ir=request.verify_ir,
         )
         ended = None
         if replaced is not None and replaced.daemon is daemon:
@@ -483,6 +487,7 @@ class ServiceGateway(SocketRPCServer):
                 owner=state.token,
                 benchmark_uri=request.benchmark_uri,
                 action_space=request.action_space,
+                verify_ir=request.verify_ir,
             )
         return StartSessionReply(
             session_id=gateway_sid,
@@ -513,6 +518,7 @@ class ServiceGateway(SocketRPCServer):
                 benchmark_uri=record.benchmark_uri,
                 action_space=record.action_space,
                 actions=list(record.actions),
+                verify_ir=record.verify_ir,
             )
         return ForkSessionReply(session_id=gateway_sid)
 

@@ -92,12 +92,14 @@ class StartSessionRequest:
     state. ``end_session_id`` names a session of the caller's to end first, as
     ``end_session`` would, but on a best-effort basis: an unknown or foreign id
     is skipped, and nothing about it fails the start. A reset is then one
-    round trip."""
+    round trip. ``verify_ir`` has the session check its program after every
+    action (see :attr:`CompilationSession.verify_ir`), and its forks with it."""
 
     benchmark_uri: str
     action_space: int = 0
     observation_space_names: List[str] = field(default_factory=list)
     end_session_id: Optional[int] = None
+    verify_ir: bool = False
 
 
 @wire_message

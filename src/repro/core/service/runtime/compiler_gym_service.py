@@ -79,6 +79,13 @@ class _Session:
     nothing it computes is stored in the result cache, and no fork borrows
     its state.
 
+    ``verify_ir`` is the start's :attr:`StartSessionRequest.verify_ir`,
+    inherited by forks and handed to every session built for the entry. It
+    keeps the entry pure, so what it computes is cached and forks borrow its
+    state; but its steps run every pass themselves (no step is answered from
+    the result cache, where it may have been stored by a session that did not
+    verify).
+
     An unbuilt entry that began as a fork of a pure session whose backend has
     a :meth:`CompilationSession.lazy_fork` also remembers its ``donor`` (that
     session's id) and the ``lazy_fork`` it gave. While the donor stands where
@@ -102,15 +109,19 @@ class _Session:
     what an idle reaper reads.
     """
 
-    __slots__ = ("session", "uri", "action_space", "node", "pure", "lock", "donor", "lazy_fork",
-                 "owner", "last_used")
+    __slots__ = ("session", "uri", "action_space", "node", "pure", "verify_ir", "lock", "donor",
+                 "lazy_fork", "owner", "last_used")
 
-    def __init__(self, uri: str, action_space, node: PrefixNode, pure: bool = True, owner=None):
+    def __init__(
+        self, uri: str, action_space, node: PrefixNode, pure: bool = True, owner=None,
+        verify_ir: bool = False,
+    ):
         self.session: Optional[CompilationSession] = None
         self.uri = uri
         self.action_space = action_space
         self.node = node
         self.pure = pure
+        self.verify_ir = verify_ir
         self.lock = threading.Lock()
         self.donor: Optional[int] = None
         self.lazy_fork: Optional[LazyFork] = None
@@ -254,10 +265,12 @@ class CompilerGymServiceRuntime:
             self.sessions[session_id] = entry
         return session_id
 
-    def _new_session(self, action_space, benchmark: Benchmark) -> CompilationSession:
-        return self.session_type(
-            working_dir=self.working_dir, action_space=action_space, benchmark=benchmark
+    def _new_session(self, entry: _Session, benchmark: Benchmark) -> CompilationSession:
+        session = self.session_type(
+            working_dir=self.working_dir, action_space=entry.action_space, benchmark=benchmark
         )
+        session.verify_ir = entry.verify_ir
+        return session
 
     def _donor(self, entry: _Session) -> Optional[_Session]:
         """The entry an unbuilt fork may borrow from, if the runtime still
@@ -288,7 +301,7 @@ class CompilerGymServiceRuntime:
         if entry.session is None:
             session, replayed = self._copy_of_donor(entry)
             if session is None:
-                session = self._new_session(entry.action_space, self._resolve_benchmark(entry.uri))
+                session = self._new_session(entry, self._resolve_benchmark(entry.uri))
                 if entry.lazy_fork is not None:
                     session = entry.lazy_fork.build(onto=session)
             self._execute_step(session, entry, entry.node.actions(since=replayed), ())
@@ -331,7 +344,7 @@ class CompilerGymServiceRuntime:
         uri = str(request.benchmark_uri)
         entry = _Session(
             uri, self.session_type.action_spaces[request.action_space], self.prefixes.root(uri),
-            owner=owner,
+            owner=owner, verify_ir=request.verify_ir,
         )
         # Session construction (which clones the benchmark's module) waits
         # for an observation the result cache cannot answer, a step or a fork.
@@ -342,7 +355,7 @@ class CompilerGymServiceRuntime:
             value = None if cache is None else cache.get_observation(entry.node, name)
             if value is None:
                 if entry.session is None:
-                    entry.session = self._new_session(entry.action_space, benchmark)
+                    entry.session = self._new_session(entry, benchmark)
                 value = entry.session.get_observation(spec)
                 if cache is not None:
                     # Store a private copy: the returned object is handed to
@@ -409,7 +422,7 @@ class CompilerGymServiceRuntime:
         num_actions = len(request.actions)
 
         executed = None
-        if deterministic and self.result_cache is not None:
+        if deterministic and self.result_cache is not None and not entry.verify_ir:
             hit = self.result_cache.lookup_step(candidate, num_actions, names)
             if hit is not None:
                 # An unbuilt session only advances its prefix; a built one
@@ -496,7 +509,8 @@ class CompilerGymServiceRuntime:
             try:
                 session = self._built_session(parent)
                 child = _Session(
-                    parent.uri, parent.action_space, parent.node, parent.pure, parent.owner
+                    parent.uri, parent.action_space, parent.node, parent.pure, parent.owner,
+                    parent.verify_ir,
                 )
                 lazy_fork = session.lazy_fork() if parent.pure else None
                 if lazy_fork is None:

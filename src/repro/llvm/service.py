@@ -203,7 +203,6 @@ class LlvmCompilationSession(CompilationSession):
         self.module: Module = benchmark.program.clone()
         self._runtime_rng = random.Random(0xC0FFEE)
         self._runtimes_per_observation = 1
-        self._verify_ir = False
         # Session-incremental observation cache: memoizes deterministic
         # observations per (space_id, module.version), so a no-op step serves
         # every observation with zero recompute. Invalidation is the version
@@ -257,7 +256,7 @@ class LlvmCompilationSession(CompilationSession):
             raise ValueError(f"Action out of range: {index}")
         pass_name = self.action_space.names[index] if hasattr(self.action_space, "names") else ACTION_SPACE_PASSES[index]
         changed = run_pass(self.module, pass_name)
-        if self._verify_ir:
+        if self.verify_ir:
             errors = verify_module(self.module, raise_on_error=False)
             if errors:
                 # ServiceError reaches the client as it is, over every
@@ -393,10 +392,10 @@ class LlvmCompilationSession(CompilationSession):
         if key == "llvm.get_runtimes_per_observation_count":
             return str(self._runtimes_per_observation)
         if key == "llvm.set_verify_ir":
-            self._verify_ir = value not in ("", "0", "false", "False")
+            self.verify_ir = value not in ("", "0", "false", "False")
             return value
         if key == "llvm.get_verify_ir":
-            return "1" if self._verify_ir else "0"
+            return "1" if self.verify_ir else "0"
         if key == "llvm.apply_baseline_pipeline":
             pipeline = OZ_PIPELINE if value == "-Oz" else O3_PIPELINE
             run_pipeline(self.module, pipeline)
@@ -453,7 +452,7 @@ class _LazyLlvmFork(LazyFork):
             )
             forked.module = parent.module.clone()
             forked._runtimes_per_observation = parent._runtimes_per_observation
-            forked._verify_ir = parent._verify_ir
+            forked.verify_ir = parent.verify_ir
             # The clone describes identical IR at the same version, so the
             # fork inherits the parent's warm observation caches.
             forked._obs_memo, forked._function_memo = parent._memo_copies()

@@ -71,8 +71,8 @@ def test_traces_equal_the_reference_cold_and_warm(deployment):
     if not deployment.result_cache:
         assert stats is None
     elif not verifying:
-        # (Verify-after-every-pass is a session parameter, and a session that
-        # was handed one is no longer a pure action prefix: it is not cached.)
+        # (A session that verifies after every pass runs every pass itself:
+        # it reads no step from the result cache.)
         assert stats["hits"] > 0
     if deployment.kind == "gateway":
         # Placement is least-loaded-first, so a second tenant lands on the
@@ -173,13 +173,7 @@ def test_a_forked_pool_asks_for_its_spaces_once(deployment):
     spaces and opens a session; every other worker is a ``fork_session``."""
     with VecCompilerEnv(deployment(**STEP_SHAPE), n=3, backend="thread") as vec:
         calls = {method: stats["calls"] for method, stats in vec.connection_stats().items()}
-        verifying = vec.workers[0].verify_ir
-    expected = {"get_spaces": 1, "start_session": 1, "fork_session": 2}
-    if verifying:
-        # Verify-after-every-pass is a session parameter: the root is handed
-        # it once, and the forks inherit it.
-        expected["handle_session_parameter"] = 1
-    assert calls == expected
+    assert calls == {"get_spaces": 1, "start_session": 1, "fork_session": 2}
 
 
 def _member_sessions(deployment, env):
@@ -194,11 +188,7 @@ def _member_sessions(deployment, env):
 
 
 def _calls(env):
-    calls = {method: stats.calls for method, stats in env.service.stats.items() if stats.calls}
-    if env.verify_ir:
-        # Verify-after-every-pass is a session parameter, one call per session.
-        assert calls.pop("handle_session_parameter") == calls.get("start_session")
-    return calls
+    return {method: stats.calls for method, stats in env.service.stats.items() if stats.calls}
 
 
 @pytest.mark.parametrize("reward_space", ["IrInstructionCount", "IrInstructionCountOz"])

@@ -297,9 +297,8 @@ def test_a_miscompile_caught_by_verify_ir_on_the_donors_module_is_rolled_back(en
     runtime = env.service.runtime
     parent_id = _started(runtime, MEM2REG)
     parent = runtime.sessions[parent_id].session
-    # Behind the runtime's back: as a session parameter it would take the
-    # parent impure, and its forks would be copies.
-    parent._verify_ir = True
+    # Behind the runtime's back, so that only the donor verifies.
+    parent.verify_ir = True
     fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id)).session_id
     before = print_module(parent.module)
 

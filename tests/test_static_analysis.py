@@ -427,6 +427,20 @@ class TestVerifyIrEnvWiring:
         finally:
             env.close()
 
+    def test_a_reset_is_one_round_trip_and_the_session_stays_cacheable(self):
+        with repro.make("llvm-v0", benchmark="cbench-v1/qsort", verify_ir=True) as env:
+            for _ in range(2):
+                env.reset()
+                env.step(env.action_space.names.index("mem2reg"))
+            calls = {name: stats.calls for name, stats in env.service.stats.items() if stats.calls}
+            assert calls == {"get_spaces": 1, "start_session": 2, "step": 2}
+            runtime = env.service.runtime
+            entry = runtime.sessions[env._session_id]
+            assert entry.pure and entry.verify_ir and entry.session.verify_ir
+            # What it computes is stored; its own steps are not answered from the cache.
+            stats = runtime.result_cache.stats()
+            assert stats["stores"] > 0 and stats["hits"] == 0
+
     def test_fork_inherits_verification(self):
         env = repro.make("llvm-v0", benchmark="cbench-v1/qsort", verify_ir=True)
         fork = None

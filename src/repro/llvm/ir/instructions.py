@@ -66,7 +66,8 @@ class Instruction(Value):
     :meth:`replace_successor` on top of them), :meth:`erase`, and
     ``Value.replace_all_uses_with``. Those keep every operand's ``uses`` list
     current and drop the function's cached CFG analyses when a terminator's
-    successors change. Where the instruction *sits* is the block's business:
+    successors change; a constant operand keeps no use list and gets no
+    entry. Where the instruction *sits* is the block's business:
     ``BasicBlock.append``/``insert``/``remove``.
     """
 
@@ -93,7 +94,9 @@ class Instruction(Value):
                 # A new instruction is a new user of values that were there before it.
                 undo.append((_restore_operands, self, []))
             for operand in self.operands:
-                operand.uses.append(self)
+                uses = operand.uses
+                if uses is not NO_USES:
+                    uses.append(self)
         self.attrs: Dict = dict(attrs or {})
         self.parent = None  # Set when appended to a BasicBlock.
 
@@ -108,8 +111,12 @@ class Instruction(Value):
         undo = RECORDING.undo
         if undo is not None:
             undo.append((_restore_operand, self, index, old))
-        old.uses.remove(self)
-        value.uses.append(self)
+        uses = old.uses
+        if uses is not NO_USES:
+            uses.remove(self)
+        uses = value.uses
+        if uses is not NO_USES:
+            uses.append(self)
         operands[index] = value
         if value.type is LABEL and self.opcode in TERMINATOR_OPCODES:
             self._cfg_changed()
@@ -120,10 +127,14 @@ class Instruction(Value):
         if undo is not None:
             undo.append((_restore_operands, self, self.operands))
         for old in self.operands:
-            old.uses.remove(self)
+            uses = old.uses
+            if uses is not NO_USES:
+                uses.remove(self)
         self.operands = operands = list(values)
         for value in operands:
-            value.uses.append(self)
+            uses = value.uses
+            if uses is not NO_USES:
+                uses.append(self)
         if self.opcode in TERMINATOR_OPCODES:
             self._cfg_changed()
 
@@ -142,7 +153,9 @@ class Instruction(Value):
         if undo is not None:
             undo.append((_restore_operands, self, self.operands))
         for operand in self.operands:
-            operand.uses.remove(self)
+            uses = operand.uses
+            if uses is not NO_USES:
+                uses.remove(self)
         self.operands = []
 
     def set_attr(self, key: str, value) -> None:
@@ -276,11 +289,25 @@ class Instruction(Value):
         return f"<{result}{self.opcode}>"
 
 
+def _use(value: Value, user: Instruction) -> None:
+    """Register one more operand slot of ``user`` holding ``value``."""
+    uses = value.uses
+    if uses is not NO_USES:
+        uses.append(user)
+
+
+def _unuse(value: Value, user: Instruction) -> None:
+    """Unregister one operand slot of ``user`` holding ``value``."""
+    uses = value.uses
+    if uses is not NO_USES:
+        uses.remove(user)
+
+
 def _restore_operand(instruction: Instruction, index: int, old: Value) -> None:
     """Undo ``instruction.set_operand(index, ...)``."""
     operands = instruction.operands
-    operands[index].uses.remove(instruction)
-    old.uses.append(instruction)
+    _unuse(operands[index], instruction)
+    _use(old, instruction)
     operands[index] = old
 
 
@@ -288,7 +315,7 @@ def _restore_operands(instruction: Instruction, old: List[Value]) -> None:
     """Undo ``set_operands`` or the operand half of ``erase``: the list object
     itself comes back, so an index recorded earlier still means its slot."""
     for value in instruction.operands:
-        value.uses.remove(instruction)
+        _unuse(value, instruction)
     instruction.operands = old
     for value in old:
-        value.uses.append(instruction)
+        _use(value, instruction)

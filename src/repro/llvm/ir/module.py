@@ -66,8 +66,8 @@ class Module:
         return global_var
 
     def remove_function(self, name: str) -> None:
-        """Delete a function and erase its body, so that the globals, functions
-        and shared constants it used stop listing its instructions as users."""
+        """Delete a function and erase its body, so that the globals and
+        functions it used stop listing its instructions as users."""
         function = self.functions.pop(name, None)
         if function is not None:
             for block in list(function.blocks):
@@ -120,18 +120,20 @@ class Module:
         the module, its ``globals``/``functions``/``metadata`` dicts, every
         :class:`GlobalVariable`, :class:`Function` (with its ``args`` and
         ``attributes``), :class:`BasicBlock` and :class:`Instruction` (with
-        its ``operands`` list and ``attrs`` dict), and every operand the
-        module does not own — constants, ``undef``, a value detached from its
-        block — once per clone, however many instructions reference it.
-        ``parent`` links and operands point at the clone's own objects, and
-        so does every ``uses`` list: it is rebuilt from the clone's operands,
-        names only the clone's instructions, and the source's are untouched.
-        Each function gets its own copy of the name sets and an empty
-        analysis cache.
+        its ``operands`` list and ``attrs`` dict), and every other operand the
+        module does not own — ``undef``, a value detached from its block —
+        once per clone, however many instructions reference it. ``parent``
+        links and operands point at the clone's own objects, and so does
+        every ``uses`` list: it is rebuilt from the clone's operands, names
+        only the clone's instructions, and the source's are untouched. Each
+        function gets its own copy of the name sets and an empty analysis
+        cache.
 
-        *Shared* — only immutable things: interned :class:`Type` singletons
-        (identity comparisons keep working), names, opcodes, and the scalar
-        values held in ``attrs``, ``metadata`` and global initializers.
+        *Shared* — only immutable things: each interned :class:`Constant`
+        (one object per type and value; it keeps no use list), interned
+        :class:`Type` singletons (identity comparisons keep working), names,
+        opcodes, and the scalar values held in ``attrs``, ``metadata`` and
+        global initializers.
 
         *Carried over unchanged* — ``version`` and each function's ``stamp``
         (the clone describes identical IR, so caches keyed on either stay
@@ -161,7 +163,7 @@ def _shell(source):
     replaces every mutable field and every reference to another IR object. A
     value's use list starts empty and fills as the clone's operands are
     written. This is the general copy, for the few objects a module has few
-    of; instructions, blocks and constants are copied field by field below.
+    of; instructions and blocks are copied field by field below.
     """
     cls = type(source)
     shell = cls.__new__(cls)
@@ -174,24 +176,26 @@ def _shell(source):
     return shell
 
 
-class _Cloner:
-    """One :meth:`Module.clone` call: an identity map from source objects to
-    their copies, filled in two passes.
+class _Cloner(dict):
+    """One :meth:`Module.clone` call: the map (this dict) from source objects
+    to their copies, filled in two passes. IR values hash and compare by
+    identity, so the source objects themselves are the keys.
 
     The first pass walks the ownership tree (module -> functions -> arguments,
     blocks -> instructions) allocating a shell per object and pointing
     ``parent`` at the new owner. Operands may refer to anything — a later
     instruction, a block of a later function, a function, a global — so they
     are rewritten in a second pass, once every owned object has its copy.
+    A constant is shared, not copied: it maps to itself.
     """
 
+    __slots__ = ("pending",)
+
     def __init__(self):
-        # Keyed by id(): Constant defines value equality, and two equal
-        # constants must stay two objects exactly when they were two before.
-        # Every key's object is kept alive by the source module for the
-        # duration of the call.
-        self.copies: Dict[int, Value] = {}
-        self.instructions: List[tuple] = []
+        super().__init__()
+        # (source, copy) instruction pairs whose operands are still to be
+        # remapped.
+        self.pending: List[tuple] = []
 
     def clone_module(self, source: "Module") -> "Module":
         module = _shell(source)
@@ -203,7 +207,7 @@ class _Cloner:
 
     def function(self, source: Function) -> Function:
         function = _shell(source)
-        self.copies[id(source)] = function
+        self[source] = function
         function.attributes = list(source.attributes)
         function._value_names = set(source._value_names)
         function._block_names = set(source._block_names)
@@ -214,37 +218,45 @@ class _Cloner:
 
     def block(self, source: BasicBlock, parent) -> BasicBlock:
         block = BasicBlock.__new__(BasicBlock)
-        self.copies[id(source)] = block
+        self[source] = block
         block.type = source.type
         block.name = source.name
         block.uses = []
         block.parent = parent
-        block.instructions = [self.instruction(inst, block) for inst in source.instructions]
+        block.instructions = self.instructions(source.instructions, block)
         return block
 
-    def instruction(self, source: Instruction, parent) -> Instruction:
-        instruction = Instruction.__new__(Instruction)
-        self.copies[id(source)] = instruction
-        instruction.type = source.type
-        instruction.name = source.name
-        # A void instruction is never an operand and keeps sharing NO_USES.
-        instruction.uses = NO_USES if source.uses is NO_USES else []
-        instruction.opcode = source.opcode
-        instruction.attrs = dict(source.attrs)
-        instruction.parent = parent
-        self.instructions.append((source, instruction))
-        return instruction
+    def instructions(self, sources: List[Instruction], parent) -> List[Instruction]:
+        """Shells of ``sources`` (a block's instructions, or one detached
+        instruction) in ``parent``, queued for :meth:`remap_operands`."""
+        copies = []
+        pending = self.pending
+        new = Instruction.__new__
+        for source in sources:
+            instruction = new(Instruction)
+            self[source] = instruction
+            instruction.type = source.type
+            instruction.name = source.name
+            # A void instruction is never an operand and keeps sharing NO_USES.
+            uses = source.uses
+            instruction.uses = uses if uses is NO_USES else []
+            instruction.opcode = source.opcode
+            instruction.attrs = source.attrs.copy()
+            instruction.parent = parent
+            copies.append(instruction)
+            pending.append((source, instruction))
+        return copies
 
     def value(self, source):
         """The copy of ``source``, made now if this is its first sighting.
 
         Called for what the module's dicts and argument lists hold and for
         operands (or ``parent`` links) that turn out not to be owned by the
-        module: leaves (constants, ``undef``, arguments, globals) are a single
-        shell; a detached instruction, block or function is copied with
-        whatever hangs off it, through the same map.
+        module: a constant is itself; other leaves (``undef``, arguments,
+        globals) are a single shell; a detached instruction, block or
+        function is copied with whatever hangs off it, through the same map.
         """
-        copy = self.copies.get(id(source))
+        copy = self.get(source)
         if copy is not None or source is None:
             return copy
         if isinstance(source, Function):
@@ -252,34 +264,28 @@ class _Cloner:
         if isinstance(source, (BasicBlock, Instruction)):
             # Copying the owner first may copy ``source`` along with it.
             parent = self.value(source.parent)
-            copy = self.copies.get(id(source))
+            copy = self.get(source)
             if copy is None:
-                make = self.block if isinstance(source, BasicBlock) else self.instruction
-                copy = make(source, parent)
+                if isinstance(source, BasicBlock):
+                    copy = self.block(source, parent)
+                else:
+                    (copy,) = self.instructions([source], parent)
             return copy
-        if type(source) is Constant:
-            copy = Constant.__new__(Constant)
-            copy.type = source.type
-            copy.name = source.name
-            copy.value = source.value
-            copy.uses = []
-        else:
-            copy = _shell(source)
-        self.copies[id(source)] = copy
+        copy = source if type(source) is Constant else _shell(source)
+        self[source] = copy
         return copy
 
+    __missing__ = value
+
     def remap_operands(self) -> None:
-        copies = self.copies
+        # A miss is an operand met for the first time (``__missing__``).
+        copy_of = self.__getitem__
         # The list grows while it is walked: copying a detached operand
         # queues the instructions that come with it.
-        for source, instruction in self.instructions:
-            operands = []
-            for operand in source.operands:
-                # ``is None``, not truthiness: an empty block or a
-                # declaration has ``len() == 0``.
-                copy = copies.get(id(operand))
-                if copy is None:
-                    copy = self.value(operand)
-                operands.append(copy)
-                copy.uses.append(instruction)
-            instruction.operands = operands
+        for source, instruction in self.pending:
+            instruction.operands = operands = list(map(copy_of, source.operands))
+            for copy in operands:
+                uses = copy.uses
+                if uses is not NO_USES:
+                    uses.append(instruction)
+

@@ -3,15 +3,23 @@
 Every operand of an instruction is a :class:`Value`. Instructions themselves
 are values (they produce a result that other instructions use), as are
 function arguments, constants, global variables, and functions.
+
+A :class:`Constant` is interned, as LLVM uniques its constants per context:
+there is one object per (type, value), immutable and shared by every module,
+clone and pass, so ``is`` is its equality. It keeps no use list.
 """
 
+import threading
+import weakref
 from typing import List
 
 from repro.llvm.ir.journal import RECORDING
 from repro.llvm.ir.types import I32, PTR, Type
 
-# What a void instruction (``store``, ``br``, ``ret``, ...) has for ``uses``:
-# it can never be an operand, so it needs no list of its own.
+# What a value that keeps no use list has for ``uses``: a void instruction
+# (``store``, ``br``, ``ret``, ...), which can never be an operand, and every
+# constant, which is shared by too many instructions in too many modules for
+# a list of them to mean anything. Read-only, so nothing can write into it.
 NO_USES: tuple = ()
 
 
@@ -27,6 +35,10 @@ class Value:
             written nowhere else; there is no "unbuilt" state. An instruction
             unlinked with ``BasicBlock.remove`` still uses its operands (it is
             about to be re-inserted); one that was ``erase``d does not.
+            A value that keeps no use list — a constant, a void
+            instruction — has the shared, empty, read-only ``NO_USES``, and
+            the mutation surface writes nothing into it: which slots hold a
+            constant cannot be found through ``uses``.
 
     The classes a module holds by the thousand declare ``__slots__``: an
     instruction is then one object the collector tracks instead of two, a
@@ -70,7 +82,8 @@ class Value:
                     operands[index] = new
                     if slots is not None:
                         slots.append((user, index))
-        new.uses.extend(uses)
+        if new.uses is not NO_USES:
+            new.uses.extend(uses)
         self.uses = []
         return len(uses)
 
@@ -82,19 +95,76 @@ def _restore_uses(value: Value, new: Value, uses: List, slots: List[tuple]) -> N
     """Undo ``value.replace_all_uses_with(new)``."""
     for user, index in slots:
         user.operands[index] = value
-    for user in uses:
-        new.uses.remove(user)
+    if new.uses is not NO_USES:
+        for user in uses:
+            new.uses.remove(user)
     value.uses = uses
 
 
-class Constant(Value):
-    """A compile-time constant scalar."""
+def _pool_key(type: Type, value) -> tuple:  # noqa: A002
+    """What tells two constants apart: everything that prints differently.
 
-    __slots__ = ("value",)
+    ``0``, ``0.0`` and ``False`` compare equal but are of different classes;
+    ``0.0`` and ``-0.0`` compare equal and NaN equals nothing, so a float is
+    keyed by its ``repr``.
+    """
+    cls = value.__class__
+    return (type, cls, repr(value) if cls is float else value)
+
+
+class Constant(Value):
+    """A compile-time constant scalar: interned, immutable and shared.
+
+    ``Constant(type, value)`` returns the one object for that key (see
+    :func:`_pool_key`), making it on first sight; every module, clone and
+    pass shares it, and ``copy``, ``deepcopy`` and pickle return it too, so
+    two constants are equal exactly when they are the same object. The pool
+    holds its constants weakly: one that no module holds goes away. A miss
+    takes the pool's lock, so two threads that miss on the same key still
+    get one object.
+
+    A constant registers no users: its ``uses`` is ``NO_USES``, and no field
+    can be assigned.
+    """
+
+    __slots__ = ("value", "__weakref__")
+
+    uses = NO_USES
+
+    _pool: "weakref.WeakValueDictionary[tuple, Constant]" = weakref.WeakValueDictionary()
+    _pool_lock = threading.Lock()
+
+    def __new__(cls, type: Type, value):  # noqa: A002
+        key = _pool_key(type, value)
+        constant = cls._pool.get(key)
+        if constant is None:
+            with cls._pool_lock:
+                constant = cls._pool.get(key)
+                if constant is None:
+                    constant = object.__new__(cls)
+                    object.__setattr__(constant, "type", type)
+                    object.__setattr__(constant, "name", str(value))
+                    object.__setattr__(constant, "value", value)
+                    cls._pool[key] = constant
+        return constant
 
     def __init__(self, type: Type, value):  # noqa: A002
-        super().__init__(type, name=str(value))
-        self.value = value
+        """Everything was set by ``__new__``, once per key."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{self!r} is a shared constant: {name!r} cannot be assigned")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self!r} is a shared constant: {name!r} cannot be deleted")
+
+    def __copy__(self) -> "Constant":
+        return self
+
+    def __deepcopy__(self, memo) -> "Constant":
+        return self
+
+    def __reduce__(self):
+        return (Constant, (self.type, self.value))
 
     @property
     def is_constant(self) -> bool:
@@ -102,14 +172,6 @@ class Constant(Value):
 
     def short(self) -> str:
         return str(self.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Constant):
-            return NotImplemented
-        return self.type is other.type and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.type.name, self.value))
 
 
 class Argument(Value):

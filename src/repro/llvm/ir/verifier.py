@@ -18,7 +18,8 @@ The structural mode also audits the bookkeeping that the IR mutation surface
 maintains (see "Mutating the IR" in ``passes.registry``), so a pass that wrote
 ``inst.operands[i]`` or ``block.instructions`` behind its back is caught here
 rather than by whatever later reads the stale state: every operand slot is
-registered exactly once in its operand's ``uses``, no use list names an erased
+registered exactly once in its operand's ``uses`` (a constant keeps none, so
+its slots are not audited), no use list names an erased
 or foreign instruction, the function's name sets equal the names in it, and
 the cached CFG analyses equal freshly computed ones. That audit is a test
 oracle for the passes, not a check of the program: ``bookkeeping=False``
@@ -41,7 +42,7 @@ from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import I1, Type
-from repro.llvm.ir.values import Argument, Constant, GlobalVariable, UndefValue
+from repro.llvm.ir.values import NO_USES, Argument, Constant, GlobalVariable, UndefValue
 from repro.llvm.ir.cfg import dominator_tree, predecessors, reachable_blocks, stale_analyses
 
 
@@ -286,8 +287,8 @@ def _bookkeeping_errors(function: Function, module: Module) -> List[str]:
     where = f"@{function.name}"
     instructions = list(function.instructions())
     attached = set(instructions)
-    # Who holds each value in an operand slot here. Keyed by id(): constants
-    # compare by value, and the slots keep every operand alive meanwhile.
+    # Who holds each value in an operand slot here. Keyed by id(): the slots
+    # keep every operand alive meanwhile.
     holders: Dict[int, tuple] = {
         id(value): (value, []) for value in (*function.args, *function.blocks, *instructions)
     }
@@ -298,6 +299,8 @@ def _bookkeeping_errors(function: Function, module: Module) -> List[str]:
                 holder = holders[id(operand)] = (operand, [])
             holder[1].append(inst)
     for value, users in holders.values():
+        if value.uses is NO_USES:
+            continue  # A constant keeps no use list.
         local = isinstance(value, (Argument, BasicBlock, Instruction))
         listed = []
         for user in value.uses:

@@ -5,19 +5,15 @@ from typing import Dict, Tuple
 from repro.llvm.ir.cfg import dominator_tree, predecessors, reverse_postorder
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
-from repro.llvm.ir.values import Constant, Value
 from repro.llvm.passes.utils import is_pure
 
 
-def _operand_key(value: Value):
-    if isinstance(value, Constant):
-        return ("const", value.type.name, value.value)
-    return ("val", id(value))
-
-
 def _value_key(inst: Instruction) -> Tuple:
-    """A hashable key identifying the computation an instruction performs."""
-    operands = tuple(_operand_key(op) for op in inst.operands)
+    """A hashable key identifying the computation an instruction performs.
+
+    Operands are keyed by identity: constants are interned, so two equal
+    constants are one object."""
+    operands = tuple(map(id, inst.operands))
     if inst.is_commutative and len(operands) == 2:
         operands = tuple(sorted(operands))
     return (

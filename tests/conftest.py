@@ -11,7 +11,7 @@ from repro.llvm.ir.builder import IRBuilder
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import I32
-from repro.llvm.ir.values import Constant
+from repro.llvm.ir.values import NO_USES, Constant
 
 
 @pytest.fixture(scope="session")
@@ -254,11 +254,12 @@ def generated_module() -> Module:
 
 def _owned_objects(module: Module) -> dict:
     """Every mutable IR object reachable from ``module``, by id: what its dicts
-    and lists own, plus whatever operands and ``parent`` links point at."""
+    and lists own, plus whatever operands and ``parent`` links point at.
+    Constants are interned and immutable: every module shares them."""
     seen = {}
 
     def visit(value):
-        if value is None or id(value) in seen:
+        if value is None or id(value) in seen or type(value) is Constant:
             return
         seen[id(value)] = value
         # ``Function.instructions`` is a method; a block's is its list.
@@ -294,11 +295,15 @@ def _assert_clone_is_exact_and_independent(source: Module, clone: Module) -> Non
 
     # One copy per source object, wherever it is referenced from: a second
     # copy of anything (an operand duplicated instead of remapped) breaks the
-    # one-to-one correspondence.
+    # one-to-one correspondence. A constant is not copied at all: both sides
+    # hold the one interned object.
     forward, backward = {}, {}
 
     def pair(original, copy):
         assert type(copy) is type(original)
+        if type(original) is Constant:
+            assert copy is original
+            return
         assert forward.setdefault(id(original), copy) is copy
         assert backward.setdefault(id(copy), original) is original
         assert copy.type is original.type and copy.name == original.name
@@ -345,10 +350,10 @@ def _assert_clone_is_exact_and_independent(source: Module, clone: Module) -> Non
 
     # Use lists: a copy is used by the copies of the original's users (the
     # order is the clone's own) and by nothing of the source's, whose lists
-    # still name only source objects.
+    # still name only source objects. A void instruction shares NO_USES.
     for key, copy in forward.items():
         original = backward[id(copy)]
-        assert copy.uses is not original.uses or not hasattr(copy.uses, "append")
+        assert copy.uses is not original.uses or copy.uses is NO_USES
         assert all(id(user) in clone_objects for user in copy.uses)
         assert not any(id(user) in clone_objects for user in original.uses)
         assert Counter(id(user) for user in copy.uses) == Counter(

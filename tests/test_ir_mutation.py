@@ -30,7 +30,7 @@ from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir import verifier
-from repro.llvm.ir.values import Value
+from repro.llvm.ir.values import NO_USES, Value
 from repro.llvm.passes.registry import (
     ACTION_SPACE_PASSES,
     PASS_REGISTRY,
@@ -82,9 +82,10 @@ def assert_bookkeeping_matches_a_scan(module) -> None:
         id(inst): function for function in module.functions.values() for inst in function.instructions()
     }
     for function in module.defined_functions():
-        scanned = collect_uses(function)
-        # The oracle's dict merges constants that compare equal; merge the
-        # maintained lists the same way, one contribution per operand object.
+        # A value that keeps no use list (a constant) has nothing to compare.
+        scanned = {
+            value: slots for value, slots in collect_uses(function).items() if value.uses is not NO_USES
+        }
         maintained: Dict[Value, List[Instruction]] = {}
         seen = set()
         local = [*function.args, *function.blocks, *function.instructions()]
@@ -504,7 +505,14 @@ class TestNothingElseWritesTheIR:
         r"|(?<!\bself)\.name\s*=(?!=)"
         r"|del\s+\S+\.globals\[|\.globals\.pop\("
         r"|\.metadata\s*\[[^\]]*\]\s*(?:[-+*|&]?=)(?!=)|\.metadata\.(?:pop|update|clear|setdefault)\("
+        # Use lists are the mutation surface's alone (``self.uses`` outside
+        # ir/ is some analysis's own field).
+        r"|(?<!\bself)\.uses\s*\[[^\]]*\]\s*(?:[-+*|&]?=)(?!=)|(?<!\bself)\.uses\s*(?:[-+*|&]?=)(?!=)"
+        r"|\.uses\.(?:append|extend|insert|pop|remove|clear|sort|reverse)\("
     )
+    # A constant comes from its pool, which only ``Constant(type, value)``
+    # reaches; one made behind it is a second object for the same key.
+    BYPASSES_THE_POOL = re.compile(r"\bConstant\.__new__\b|__new__\(\s*Constant\b")
     # The seeded miscompiles that must be rejected *because* they do this.
     ALLOWED = {
         ("passes/validate.py", '_named(module, "z").operands[1] = _named(module, "p")'),
@@ -524,6 +532,33 @@ class TestNothingElseWritesTheIR:
                 if self.WRITES.search(code) and (relative, code.strip()) not in self.ALLOWED:
                     offenders.append(f"{relative}:{number}: {code.strip()}")
         assert offenders == [], "IR written behind the mutation surface:\n" + "\n".join(offenders)
+
+    def test_no_constant_is_made_outside_the_pool(self):
+        offenders = []
+        package = SRC.parent
+        for path in sorted(package.rglob("*.py")):
+            relative = path.relative_to(package).as_posix()
+            if relative == "llvm/ir/values.py":
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                code = line.split("#", 1)[0]
+                if self.BYPASSES_THE_POOL.search(code):
+                    offenders.append(f"{relative}:{number}: {code.strip()}")
+        assert offenders == [], "Constant made behind its pool:\n" + "\n".join(offenders)
+
+    @pytest.mark.parametrize(
+        "line, bypasses",
+        [
+            ("copy = Constant.__new__(Constant)", True),
+            ("constant = object.__new__(Constant)", True),
+            ("shell = cls.__new__( Constant )", True),
+            ("return Constant(type, value)", False),
+            ("if type(source) is Constant:", False),
+            ("ConstantFolder.__new__(cls)", False),
+        ],
+    )
+    def test_the_pool_scan_sees_what_it_is_for(self, line, bypasses):
+        assert bool(self.BYPASSES_THE_POOL.search(line)) is bypasses
 
     @pytest.mark.parametrize(
         "line",
@@ -549,6 +584,12 @@ class TestNothingElseWritesTheIR:
             "module.globals.pop(name)",
             'module.metadata["generator"] = "llvm-stress"',
             "module.metadata.clear()",
+            "copy.uses = []",
+            "user.uses[0] = other",
+            "value.uses += [inst]",
+            "operand.uses.append(inst)",
+            "new.uses.extend(uses)",
+            "old.uses.remove(self)",
         ],
     )
     def test_the_scan_sees_what_it_is_for(self, line):
@@ -570,6 +611,11 @@ class TestNothingElseWritesTheIR:
             "run.__name__ = f\"noop_{name}\"",
             "for name in list(module.globals):",
             "if module.metadata:",
+            "for user in value.uses:",
+            "if not inst.uses:",
+            "users = set(inst.uses)",
+            "if value.uses is NO_USES:",
+            "self.uses[block] = frozenset(upward_exposed)",
         ],
     )
     def test_the_scan_leaves_reads_alone(self, line):

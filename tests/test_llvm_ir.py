@@ -1,8 +1,15 @@
 """Unit tests for the simulated LLVM IR data structures."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.llvm.ir import (
+    DOUBLE,
     I1,
     I32,
     I64,
@@ -18,7 +25,9 @@ from repro.llvm.ir import (
 )
 from repro.llvm.datasets.generators import generate_module, llvm_stress_module
 from repro.llvm.ir.cfg import dominator_tree, loop_depths, natural_loops, predecessors, reachable_blocks
-from repro.llvm.ir.values import Argument, GlobalVariable, UndefValue
+from repro.llvm.ir.journal import Journal
+from repro.llvm.ir.parser import parse_module
+from repro.llvm.ir.values import NO_USES, Argument, GlobalVariable, UndefValue
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import VerificationError, verify_module
 from repro.llvm.passes.registry import OZ_PIPELINE, run_pipeline
@@ -43,16 +52,16 @@ class TestTypes:
         assert VOID.is_void
 
     def test_deepcopy_preserves_identity(self):
-        import copy
-
         assert copy.deepcopy(I32) is I32
 
 
 class TestValues:
     def test_constant_equality(self):
-        assert Constant(I32, 5) == Constant(I32, 5)
+        # Constants are interned: equal is the same object.
+        assert Constant(I32, 5) is Constant(I32, 5)
+        assert Constant(I32, 5) is not Constant(I32, 6)
+        assert Constant(I32, 5) is not Constant(I64, 5)
         assert Constant(I32, 5) != Constant(I32, 6)
-        assert Constant(I32, 5) != Constant(I64, 5)
 
     def test_constant_rendering(self):
         assert Constant(I32, 42).short() == "42"
@@ -68,6 +77,118 @@ class TestValues:
 
     def test_undef(self):
         assert UndefValue(I32).short() == "undef"
+
+
+def _constants(module: Module) -> list:
+    """The constant operands of ``module``, in program order."""
+    return [operand for inst in module.instructions() for operand in inst.operands
+            if type(operand) is Constant]
+
+
+class TestInternedConstants:
+    """A constant is one object per (type, value), shared by every module,
+    clone and pass, immutable and without a use list."""
+
+    def test_clones_and_parses_share_every_constant(self, generated_module):
+        first, second = generated_module.clone(), generated_module.clone()
+        text = print_module(generated_module)
+        parsed, reparsed = parse_module(text), parse_module(text)
+        expected = _constants(generated_module)
+        assert expected
+        for module in (first, second, parsed, reparsed):
+            found = _constants(module)
+            assert len(found) == len(expected)
+            assert all(a is b for a, b in zip(found, expected))
+
+    def test_the_key_separates_what_prints_differently(self):
+        zero, real, false = Constant(I32, 0), Constant(I32, 0.0), Constant(I32, False)
+        assert len({id(zero), id(real), id(false)}) == 3
+        assert (zero.short(), real.short(), false.short()) == ("0", "0.0", "False")
+        positive, negative = Constant(DOUBLE, 0.0), Constant(DOUBLE, -0.0)
+        assert positive is not negative
+        assert (positive.short(), negative.short()) == ("0.0", "-0.0")
+        # NaN equals nothing, itself included, but one NaN constant is one object.
+        nan = Constant(DOUBLE, float("nan"))
+        assert nan is Constant(DOUBLE, float("nan")) and nan.short() == "nan"
+
+        module = Module("keys")
+        function = module.add_function(Function("f", arg_types=[DOUBLE], return_type=DOUBLE))
+        builder = IRBuilder(function, function.add_block("entry"))
+        x = function.args[0]
+        builder.ret(builder.binary("fadd", builder.binary("fadd", x, positive, name="p"),
+                                   negative, name="n"))
+        text = print_module(module)
+        assert "fadd double %arg0, 0.0" in text and "fadd double %p, -0.0" in text
+        assert print_module(parse_module(text)) == text
+
+    def test_the_pool_lets_go_of_what_no_module_holds(self):
+        gc.collect()
+        before = len(Constant._pool)
+        made = [Constant(I64, 10**15 + i) for i in range(10_000)]
+        assert len(Constant._pool) >= before + 10_000
+        del made
+        gc.collect()
+        assert len(Constant._pool) <= before
+
+    def test_threads_that_miss_together_get_one_object(self):
+        value = 10**15 - 1
+        barrier = threading.Barrier(8, timeout=10)
+        made = []
+
+        def construct():
+            barrier.wait()
+            made.append(Constant(I64, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=construct) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(made) == 8 and all(constant is made[0] for constant in made)
+
+    def test_copies_and_pickles_are_the_pooled_object(self):
+        constant = Constant(I32, 12345)
+        assert copy.copy(constant) is constant
+        assert copy.deepcopy(constant) is constant
+        assert pickle.loads(pickle.dumps(constant)) is constant
+        assert copy.deepcopy([constant, constant]) == [constant, constant]
+
+    def test_no_use_list_is_kept_or_written(self, small_module):
+        constant = Constant(I32, 7)
+        with pytest.raises(AttributeError):
+            constant.uses = []
+        with pytest.raises(AttributeError):
+            constant.value = 8
+        assert constant.uses is NO_USES
+
+        function = small_module.function("main")
+        x = function.args[0]
+        before = print_module(small_module)
+        journal = Journal(small_module)
+        block = function.blocks[0]
+        made = block.insert(0, Instruction("add", [x, constant], type=I32, name="made"))
+        made.set_operand(0, constant)
+        made.set_operand(1, x)
+        made.set_operands([constant, constant])
+        assert constant.uses is NO_USES
+        # A constant as the new value: every slot is rewritten, none registered.
+        used = made.clone(operands=[made, x], name="user")
+        block.insert(1, used)
+        assert made.replace_all_uses_with(constant) == 1
+        assert used.operands == [constant, x] and made.uses == []
+        used.erase()
+        made.erase()
+        assert constant.uses is NO_USES and constant.uses == ()
+        journal.rollback()
+        assert print_module(small_module) == before
+        assert constant.uses is NO_USES and constant.uses == ()
+        assert verify_module(small_module, raise_on_error=False) == []
 
 
 class TestInstructions:
@@ -215,11 +336,10 @@ class TestModuleClone:
         clone = module.clone()
         a, b, c = clone.function("main").blocks[1].instructions[:3]
         # One object in the source is one object in the clone ...
-        assert a.operands[0] is b.operands[0] and a.operands[0] is not shared
         assert b.operands[1] is c.operands[1] and b.operands[1] is not undef
-        # ... and two equal constants stay two.
-        assert a.operands[1] == a.operands[0] and a.operands[1] is not a.operands[0]
-        assert a.operands[1] is not first.operands[1]
+        # ... except a constant, which is interned: both sides hold the one object.
+        assert first.operands[1] is shared
+        assert a.operands[0] is b.operands[0] is shared and a.operands[1] is shared
         # A value detached from its block comes along, pointing into the clone.
         gone = c.operands[0]
         assert gone is not detached and gone.name == "gone" and gone.parent is None

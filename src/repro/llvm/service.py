@@ -391,9 +391,6 @@ class LlvmCompilationSession(CompilationSession):
             return value
         if key == "llvm.get_runtimes_per_observation_count":
             return str(self._runtimes_per_observation)
-        if key == "llvm.set_verify_ir":
-            self.verify_ir = value not in ("", "0", "false", "False")
-            return value
         if key == "llvm.get_verify_ir":
             return "1" if self.verify_ir else "0"
         if key == "llvm.apply_baseline_pipeline":

@@ -424,6 +424,13 @@ class TestVerifyIrEnvWiring:
                 env._session_id, "llvm.get_verify_ir", ""
             )
             assert value == "1"
+            # The start request is the only way in: no parameter turns it off.
+            assert env.service.handle_session_parameter(
+                env._session_id, "llvm.set_verify_ir", "0"
+            ) is None
+            assert env.service.handle_session_parameter(
+                env._session_id, "llvm.get_verify_ir", ""
+            ) == "1"
         finally:
             env.close()
 

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 
 from repro.llvm.ir.journal import RECORDING
 from repro.llvm.ir.types import LABEL, VOID, Type
-from repro.llvm.ir.values import NO_USES, Value
+from repro.llvm.ir.values import NO_USES, Value, _unuse, _use
 
 # Opcode categories. These drive the generic logic in passes, the printer,
 # the verifier, and the feature extractors.
@@ -94,9 +94,7 @@ class Instruction(Value):
                 # A new instruction is a new user of values that were there before it.
                 undo.append((_restore_operands, self, []))
             for operand in self.operands:
-                uses = operand.uses
-                if uses is not NO_USES:
-                    uses.append(self)
+                _use(operand, self)
         self.attrs: Dict = dict(attrs or {})
         self.parent = None  # Set when appended to a BasicBlock.
 
@@ -108,15 +106,11 @@ class Instruction(Value):
         old = operands[index]
         if old is value:
             return
+        _use(value, self)  # First: a value that cannot be an operand changes nothing.
         undo = RECORDING.undo
         if undo is not None:
             undo.append((_restore_operand, self, index, old))
-        uses = old.uses
-        if uses is not NO_USES:
-            uses.remove(self)
-        uses = value.uses
-        if uses is not NO_USES:
-            uses.append(self)
+        _unuse(old, self)
         operands[index] = value
         if value.type is LABEL and self.opcode in TERMINATOR_OPCODES:
             self._cfg_changed()
@@ -127,14 +121,10 @@ class Instruction(Value):
         if undo is not None:
             undo.append((_restore_operands, self, self.operands))
         for old in self.operands:
-            uses = old.uses
-            if uses is not NO_USES:
-                uses.remove(self)
+            _unuse(old, self)
         self.operands = operands = list(values)
         for value in operands:
-            uses = value.uses
-            if uses is not NO_USES:
-                uses.append(self)
+            _use(value, self)
         if self.opcode in TERMINATOR_OPCODES:
             self._cfg_changed()
 
@@ -153,9 +143,7 @@ class Instruction(Value):
         if undo is not None:
             undo.append((_restore_operands, self, self.operands))
         for operand in self.operands:
-            uses = operand.uses
-            if uses is not NO_USES:
-                uses.remove(self)
+            _unuse(operand, self)
         self.operands = []
 
     def set_attr(self, key: str, value) -> None:
@@ -287,20 +275,6 @@ class Instruction(Value):
     def __repr__(self) -> str:
         result = f"%{self.name} = " if self.has_result and self.name else ""
         return f"<{result}{self.opcode}>"
-
-
-def _use(value: Value, user: Instruction) -> None:
-    """Register one more operand slot of ``user`` holding ``value``."""
-    uses = value.uses
-    if uses is not NO_USES:
-        uses.append(user)
-
-
-def _unuse(value: Value, user: Instruction) -> None:
-    """Unregister one operand slot of ``user`` holding ``value``."""
-    uses = value.uses
-    if uses is not NO_USES:
-        uses.remove(user)
 
 
 def _restore_operand(instruction: Instruction, index: int, old: Value) -> None:

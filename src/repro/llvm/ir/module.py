@@ -7,7 +7,7 @@ from repro.llvm.ir.basic_block import BasicBlock
 from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.journal import RECORDING
-from repro.llvm.ir.values import NO_USES, Constant, GlobalVariable, Value
+from repro.llvm.ir.values import NO_USES, Constant, GlobalVariable, Value, _use
 
 
 class Module:
@@ -285,7 +285,5 @@ class _Cloner(dict):
         for source, instruction in self.pending:
             instruction.operands = operands = list(map(copy_of, source.operands))
             for copy in operands:
-                uses = copy.uses
-                if uses is not NO_USES:
-                    uses.append(instruction)
+                _use(copy, instruction)
 

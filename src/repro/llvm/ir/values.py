@@ -23,6 +23,23 @@ from repro.llvm.ir.types import I32, PTR, Type
 NO_USES: tuple = ()
 
 
+def _use(value: "Value", user) -> None:
+    """Register one more operand slot of ``user`` holding ``value``.
+
+    A constant registers nothing. Every other value has a use list, except a
+    void instruction, which may not be an operand: its ``NO_USES`` refuses
+    the write.
+    """
+    if type(value) is not Constant:
+        value.uses.append(user)
+
+
+def _unuse(value: "Value", user) -> None:
+    """Unregister one operand slot of ``user`` holding ``value``."""
+    if type(value) is not Constant:
+        value.uses.remove(user)
+
+
 class Value:
     """Base class for everything that can appear as an instruction operand.
 
@@ -36,9 +53,10 @@ class Value:
             unlinked with ``BasicBlock.remove`` still uses its operands (it is
             about to be re-inserted); one that was ``erase``d does not.
             A value that keeps no use list — a constant, a void
-            instruction — has the shared, empty, read-only ``NO_USES``, and
-            the mutation surface writes nothing into it: which slots hold a
-            constant cannot be found through ``uses``.
+            instruction — has the shared, empty, read-only ``NO_USES``. The
+            mutation surface registers nothing for a constant, so which
+            slots hold one cannot be found through ``uses``; a void
+            instruction is never an operand.
 
     The classes a module holds by the thousand declare ``__slots__``: an
     instruction is then one object the collector tracks instead of two, a
@@ -65,8 +83,11 @@ class Value:
         """Rewrite every operand slot that holds this value to hold ``new``.
 
         Returns the number of slots rewritten. Costs this value's use count,
-        not the size of the function.
+        not the size of the function. A constant keeps no use list, so it
+        cannot be replaced this way (``TypeError``): scan the operands.
         """
+        if type(self) is Constant:
+            raise TypeError(f"{self!r} keeps no use list: scan the operands for its slots")
         uses = self.uses
         if not uses or new is self:
             return 0
@@ -76,14 +97,13 @@ class Value:
             slots = []
             undo.append((_restore_uses, self, new, uses, slots))
         for user in uses:
+            _use(new, user)
             operands = user.operands
             for index, operand in enumerate(operands):
                 if operand is self:
                     operands[index] = new
                     if slots is not None:
                         slots.append((user, index))
-        if new.uses is not NO_USES:
-            new.uses.extend(uses)
         self.uses = []
         return len(uses)
 
@@ -95,9 +115,8 @@ def _restore_uses(value: Value, new: Value, uses: List, slots: List[tuple]) -> N
     """Undo ``value.replace_all_uses_with(new)``."""
     for user, index in slots:
         user.operands[index] = value
-    if new.uses is not NO_USES:
-        for user in uses:
-            new.uses.remove(user)
+    for user in uses:
+        _unuse(new, user)
     value.uses = uses
 
 

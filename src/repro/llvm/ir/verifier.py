@@ -42,7 +42,7 @@ from repro.llvm.ir.function import Function
 from repro.llvm.ir.instructions import Instruction
 from repro.llvm.ir.module import Module
 from repro.llvm.ir.types import I1, Type
-from repro.llvm.ir.values import NO_USES, Argument, Constant, GlobalVariable, UndefValue
+from repro.llvm.ir.values import Argument, Constant, GlobalVariable, UndefValue
 from repro.llvm.ir.cfg import dominator_tree, predecessors, reachable_blocks, stale_analyses
 
 
@@ -299,7 +299,7 @@ def _bookkeeping_errors(function: Function, module: Module) -> List[str]:
                 holder = holders[id(operand)] = (operand, [])
             holder[1].append(inst)
     for value, users in holders.values():
-        if value.uses is NO_USES:
+        if type(value) is Constant:
             continue  # A constant keeps no use list.
         local = isinstance(value, (Argument, BasicBlock, Instruction))
         listed = []

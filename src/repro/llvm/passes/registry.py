@@ -51,8 +51,9 @@ and so that what it changed can be taken back (see "Running under a journal"):
   with ``value.replace_all_uses_with(new)``. A constant keeps no use list:
   it is interned, one object per type and value shared by every module, so
   its ``uses`` is always the empty ``NO_USES``, and the slots that hold a
-  constant cannot be found through ``uses`` — scan the operands for them.
-  ``new`` may be a constant all the same.
+  constant cannot be found through ``uses`` — scan the operands for them
+  (``replace_all_uses_with`` on a constant raises ``TypeError``). ``new``
+  may be a constant all the same.
 * the function's sets of value and block names, which make
   ``new_value_name``/``new_block_name`` a set probe. A name is reserved while
   its instruction or block is attached to the function, not before.

@@ -30,7 +30,7 @@ from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.parser import parse_module
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir import verifier
-from repro.llvm.ir.values import NO_USES, Value
+from repro.llvm.ir.values import Constant, Value
 from repro.llvm.passes.registry import (
     ACTION_SPACE_PASSES,
     PASS_REGISTRY,
@@ -82,9 +82,9 @@ def assert_bookkeeping_matches_a_scan(module) -> None:
         id(inst): function for function in module.functions.values() for inst in function.instructions()
     }
     for function in module.defined_functions():
-        # A value that keeps no use list (a constant) has nothing to compare.
+        # A constant keeps no use list: it has nothing to compare.
         scanned = {
-            value: slots for value, slots in collect_uses(function).items() if value.uses is not NO_USES
+            value: slots for value, slots in collect_uses(function).items() if type(value) is not Constant
         }
         maintained: Dict[Value, List[Instruction]] = {}
         seen = set()
@@ -364,6 +364,28 @@ class TestTheVerifyAction:
             assert done
             assert "-dce produced invalid IR" in info["error_details"]
             assert "does not match the operand slots" in info["error_details"]
+
+    def test_a_void_instruction_written_into_a_slot_is_caught(self):
+        """A void instruction keeps the empty ``NO_USES`` as a constant does,
+        but it is never an operand: the audit skips constants only."""
+        module = parse_module(DIAMOND)
+        function = module.function("main")
+        store = Instruction("store", [function.args[0], function.args[1]])
+        function.blocks[-1].insert(1, store)  # After the phi.
+        assert verifier.verify_module(module, raise_on_error=False, semantic=False) == []
+        user = next(inst for inst in function.instructions() if inst.opcode == "icmp")
+        # The surface refuses it, and changes nothing: NO_USES cannot be appended to.
+        with pytest.raises(AttributeError):
+            user.set_operand(0, store)
+        assert user.operands[0] is function.args[0]
+        assert verifier.verify_module(module, raise_on_error=False, semantic=False) == []
+        user.operands[0] = store  # Behind the surface, as a buggy pass would.
+        errors = verifier.verify_module(module, raise_on_error=False, semantic=False)
+        mismatched = [error for error in errors if "does not match the operand slots" in error]
+        # One for %a, which lost the slot, and one for the store, which got it.
+        assert len(mismatched) == 2 and any("of %a " in error for error in mismatched), errors
+        with pytest.raises(AssertionError, match="<store> disagrees with the scan"):
+            assert_bookkeeping_matches_a_scan(module)
 
 
 # -- the surface itself ---------------------------------------------------------

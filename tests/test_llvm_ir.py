@@ -182,6 +182,10 @@ class TestInternedConstants:
         block.insert(1, used)
         assert made.replace_all_uses_with(constant) == 1
         assert used.operands == [constant, x] and made.uses == []
+        # Nor can a constant's slots be found through it.
+        with pytest.raises(TypeError, match="keeps no use list"):
+            constant.replace_all_uses_with(x)
+        assert used.operands == [constant, x] and x.uses.count(used) == 1
         used.erase()
         made.erase()
         assert constant.uses is NO_USES and constant.uses == ()

@@ -10,15 +10,23 @@ one rule for which thread runs a request, reply framing (every reply at
 implement :meth:`_dispatch` to say what the RPC methods *mean*.
 
 **Which thread runs a request.** Each connection has a thread that reads it
-and runs every request it reads itself, so a client that waits for each
-reply before it sends again pays no thread hand-off. While it runs one, the
-connection's socket is *watched*: registered, readable, in one selector per
-server that a single watcher thread waits on. Only when a second frame
-arrives in that time does a dispatch-pool thread stand in as the reader; it
-hands each frame it reads to the pool, so requests multiplexed onto one
-connection run concurrently and reply in completion order, and it gives the
-read side back once nothing more has arrived. The watch is dropped before a
-reply is written, so a closed-loop client never wakes the watcher.
+with ``recv_into`` and runs every request it reads itself, so a client that
+waits for each reply before it sends again pays no thread hand-off. An
+authenticated connection's socket is registered once, for its life, in one
+``epoll`` set per server that a single watcher thread waits on. It is
+registered ``EPOLLONESHOT`` and *disarmed*: nothing but a hang-up can wake
+the watcher, and that at most once. While the connection's thread runs a
+request, the socket is *armed* — one ``epoll_ctl`` asking for readability.
+Only when a second frame arrives in that time does the watcher wake, and a
+dispatch-pool thread stands in as the reader; it hands each frame it reads
+to the pool, so requests multiplexed onto one connection run concurrently
+and reply in completion order, and it gives the read side back once nothing
+more has arrived. The socket is disarmed (one more ``epoll_ctl``) before a
+reply is written with ``sendall``, so a closed-loop client never wakes the
+watcher. A connection leaves the set before its socket closes, so a later
+connection that reuses the descriptor starts with a registration of its own;
+a stale event for the old one at worst starts a stand-in that finds nothing
+to read.
 
 Authentication is opt-in: constructed with ``auth_tokens``, a server rejects
 every RPC on a connection until a ``hello`` presenting one of the accepted
@@ -26,19 +34,19 @@ tokens has succeeded, and hands the verified token to :meth:`_dispatch` so
 subclasses can enforce per-tenant session ownership. Without ``auth_tokens``
 all connections are implicitly authenticated as the anonymous tenant — the
 behaviour every pre-gateway deployment had. A connection that has not
-authenticated is not watched while its thread serves it, and may send only
-small frames (:data:`~repro.core.service.wire.UNAUTHENTICATED_MAX_FRAME_BYTES`):
-it can occupy neither the dispatch pool nor memory.
+authenticated is not in the watch set, and may send only small frames
+(:data:`~repro.core.service.wire.UNAUTHENTICATED_MAX_FRAME_BYTES`): it can
+occupy neither the dispatch pool nor memory.
 """
 
 import logging
 import os
-import selectors
+import select
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait as wait_futures
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.core.service.proto import HelloReply, HelloRequest
 from repro.core.service.wire import (
@@ -48,12 +56,18 @@ from repro.core.service.wire import (
     REPLY_OK,
     UNAUTHENTICATED_MAX_FRAME_BYTES,
     WIRE_VERSION,
-    read_frame,
-    write_frame_reply,
+    recv_frame,
+    reply_frame,
 )
 from repro.errors import PermissionDeniedError, ServiceError
 
 logger = logging.getLogger(__name__)
+
+# The two states of a registered socket. A hang-up is reported whatever the
+# mask, so a disarmed socket can still wake the watcher: once, because the
+# one-shot event then disables it until it is next armed.
+_ARMED = select.EPOLLIN | select.EPOLLONESHOT
+_DISARMED = select.EPOLLONESHOT
 
 
 class ClientConnectionState:
@@ -70,34 +84,33 @@ class ClientConnectionState:
 
 
 class _ClientConnection:
-    """One client socket, its streams, and who holds its read side.
+    """One client socket, who holds its read side, and what it has served.
 
     ``serving``: the connection's own thread is running a request it read.
-    ``watched``: the socket is registered with the server's selector.
-    ``stand_in``: a pool thread holds the read side. ``dropped``: the stand-in
-    read an end of stream or a malformed frame. All four change under
-    ``lock``; the connection's thread waits on ``read_side_back`` for a
-    stand-in to finish.
+    ``watched``: the socket is armed. ``stand_in``: a pool thread holds the
+    read side. ``dropped``: the stand-in read an end of stream or a malformed
+    frame. All four change under ``lock``; the connection's thread waits on
+    ``read_side_back`` for a stand-in to finish.
+
+    ``served_in_place`` is counted by the connection's thread and
+    ``handed_off`` by its stand-ins, one at a time, so neither takes a lock.
     """
 
     __slots__ = (
-        "sock", "fd", "rfile", "wfile", "write_lock", "state", "lock",
-        "read_side_back", "serving", "watched", "stand_in", "dropped", "in_flight",
+        "sock", "fd", "write_lock", "state", "lock", "read_side_back", "serving",
+        "watched", "stand_in", "dropped", "in_flight", "served_in_place", "handed_off",
     )
 
     def __init__(self, sock: socket.socket, authenticated: bool):
         self.sock = sock
         self.fd = sock.fileno()
-        # Unbuffered: no byte of a next frame may wait in user space, where
-        # the selector cannot see it.
-        self.rfile = sock.makefile("rb", buffering=0)
-        self.wfile = sock.makefile("wb")
         self.write_lock = threading.Lock()
         self.state = ClientConnectionState(authenticated=authenticated)
         self.lock = threading.Lock()
         self.read_side_back = threading.Condition(self.lock)
         self.serving = self.watched = self.stand_in = self.dropped = False
         self.in_flight = []  # The stand-ins' pool futures.
+        self.served_in_place = self.handed_off = 0
 
 
 class SocketRPCServer:
@@ -126,14 +139,15 @@ class SocketRPCServer:
         self.connections_served = 0
         self.heartbeats_served = 0
         self.last_heartbeat_at: Optional[float] = None
-        # Requests run by the thread that read them, and requests a stand-in
-        # reader handed to the dispatch pool.
-        self.served_in_place = 0
-        self.handed_off = 0
+        # What the connections that have closed served: requests run by the
+        # thread that read them, and requests a stand-in reader handed to
+        # the dispatch pool. Live connections count their own.
+        self._served_in_place = 0
+        self._handed_off = 0
         self.closed = False
         self._lock = threading.Lock()
         self._shutdown_event = threading.Event()
-        self._client_sockets = set()
+        self._clients = set()
         self._handler_threads = []
         self._accept_thread: Optional[threading.Thread] = None
         # Runs what stand-in readers hand over, and the stand-ins themselves.
@@ -154,11 +168,12 @@ class SocketRPCServer:
             self.url = f"tcp://{bound_host}:{bound_port}"
             self._unix_path = None
         self._listener.listen(128)
-        # The sockets of connections busy serving in place; closing the
+        # Every authenticated connection's socket, by descriptor; closing the
         # write end of the wake pair stops the watcher.
-        self._selector = selectors.DefaultSelector()
+        self._epoll = select.epoll()
+        self._registered: Dict[int, _ClientConnection] = {}
         self._wake, self._wake_writer = socket.socketpair()
-        self._selector.register(self._wake, selectors.EVENT_READ, None)
+        self._epoll.register(self._wake.fileno(), select.EPOLLIN)
         self._watcher = threading.Thread(
             target=self._watch_loop, name=f"repro-{self.server_kind}-watcher", daemon=True
         )
@@ -192,14 +207,15 @@ class SocketRPCServer:
                     client.close()
                     break
                 self.connections_served += 1
-                self._client_sockets.add(client)
+                conn = _ClientConnection(client, authenticated=self.auth_tokens is None)
+                self._clients.add(conn)
                 # Opportunistically forget threads that already finished, so
                 # a long-lived server does not accumulate one record per
                 # client ever served.
                 self._handler_threads = [t for t in self._handler_threads if t.is_alive()]
                 thread = threading.Thread(
                     target=self._handle_client,
-                    args=(client,),
+                    args=(conn,),
                     name=f"repro-{self.server_kind}-client",
                     daemon=True,
                 )
@@ -208,11 +224,11 @@ class SocketRPCServer:
                 # joins every entry — joining a not-yet-started thread raises.
                 thread.start()
 
-    def _handle_client(self, client: socket.socket) -> None:
+    def _handle_client(self, conn: _ClientConnection) -> None:
         """Serve one client connection until it disconnects.
 
         This thread reads each request and runs it itself, with the socket
-        watched until just before the reply is written. A frame that arrives
+        armed until just before the reply is written. A frame that arrives
         meanwhile wakes the watcher, and a pool thread stands in as the reader
         (:meth:`_stand_in`); this thread then waits, after writing its reply,
         until the stand-in gives the read side back. Reply writes are
@@ -222,19 +238,21 @@ class SocketRPCServer:
         ``heartbeat``, or a refusal) are served here unwatched and its frames
         are held to the small pre-auth limit: the limit for the next frame is
         then always read from a settled ``state``, and a peer without a token
-        reaches neither the dispatch pool nor a large buffer.
+        reaches neither the dispatch pool nor a large buffer. The request
+        that authenticates it registers its socket.
         """
         try:
-            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # Unix sockets have no TCP options.
-        conn = _ClientConnection(client, authenticated=self.auth_tokens is None)
         try:
+            if conn.state.authenticated:
+                self._register(conn)
             while not self._shutdown_event.is_set():
                 watched = conn.state.authenticated
                 try:
-                    request_id, method, args = read_frame(
-                        conn.rfile,
+                    request_id, method, args = recv_frame(
+                        conn.sock,
                         MAX_FRAME_BYTES if watched else UNAUTHENTICATED_MAX_FRAME_BYTES,
                     )
                 except (EOFError, ConnectionError, OSError):
@@ -249,13 +267,16 @@ class SocketRPCServer:
                         exc_info=True,
                     )
                     break
-                with self._lock:
-                    self.served_in_place += 1
+                conn.served_in_place += 1
                 if watched:
                     with conn.lock:
                         conn.serving = True
-                        self._watch(conn)
+                        self._arm(conn)
                 self._serve_request(conn, request_id, method, args, watched)
+                if not watched:
+                    if conn.state.authenticated:
+                        self._register(conn)
+                    continue
                 if conn.stand_in:
                     with conn.lock:
                         while conn.stand_in:
@@ -263,49 +284,75 @@ class SocketRPCServer:
                 if conn.dropped:
                     break
         finally:
-            # Let in-flight requests finish before tearing the streams down:
+            # Let in-flight requests finish before tearing the socket down:
             # their session work completes either way, but an orderly drain
             # lets final replies reach a client that is still listening.
             if conn.in_flight:
                 wait_futures(conn.in_flight, timeout=5)
-            self._hang_up(conn)
+            self._unregister(conn)
             with self._lock:
-                self._client_sockets.discard(client)
+                self._clients.discard(conn)
+                self._served_in_place += conn.served_in_place
+                self._handed_off += conn.handed_off
+            self._hang_up(conn.sock)
 
-    def _watch(self, conn: _ClientConnection) -> None:
-        """Register ``conn``'s socket with the watcher (``conn.lock`` held)."""
+    def _register(self, conn: _ClientConnection) -> None:
+        """Add ``conn``'s socket to the epoll set, disarmed, for its life."""
+        with self._lock:
+            if self.closed:
+                return
+            self._registered[conn.fd] = conn
+            try:
+                self._epoll.register(conn.fd, _DISARMED)
+            except (OSError, ValueError):
+                del self._registered[conn.fd]
+
+    def _unregister(self, conn: _ClientConnection) -> None:
+        """Take ``conn``'s socket out of the epoll set, before it closes."""
+        with self._lock:
+            if self._registered.get(conn.fd) is not conn:
+                return
+            del self._registered[conn.fd]
+            try:
+                self._epoll.unregister(conn.fd)
+            except (OSError, ValueError):
+                pass  # Closed under us by shutdown().
+
+    def _arm(self, conn: _ClientConnection) -> None:
+        """Wake the watcher when ``conn`` turns readable (``conn.lock`` held)."""
         try:
-            self._selector.register(conn.fd, selectors.EVENT_READ, conn)
-        except (KeyError, OSError, ValueError):
-            return  # Closed under us by shutdown(): nothing left to read.
+            self._epoll.modify(conn.fd, _ARMED)
+        except (OSError, ValueError):
+            return  # Not registered, or closed under us by shutdown().
         conn.watched = True
-
-    def _unwatch(self, conn: _ClientConnection) -> None:
-        """Drop ``conn``'s socket from the watcher (``conn.lock`` held)."""
-        conn.watched = False
-        try:
-            self._selector.unregister(conn.fd)
-        except (KeyError, ValueError):
-            pass
 
     def _release(self, conn: _ClientConnection) -> None:
         """The connection's thread is done running its request in place."""
         with conn.lock:
             conn.serving = False
             if conn.watched:
-                self._unwatch(conn)
+                conn.watched = False
+                try:
+                    self._epoll.modify(conn.fd, _DISARMED)
+                except (OSError, ValueError):
+                    pass  # Closed under us by shutdown().
 
     def _watch_loop(self) -> None:
-        """Start a stand-in reader for each watched socket that turns readable."""
+        """Start a stand-in reader for each armed socket that turns readable."""
+        wake = self._wake.fileno()
         while True:
-            for key, _ in self._selector.select():
-                conn = key.data
-                if conn is None:
+            for fd, _ in self._epoll.poll():
+                if fd == wake:
                     return  # Woken by shutdown.
+                conn = self._registered.get(fd)
+                if conn is None:
+                    continue  # Left the set since.
                 with conn.lock:
                     if not conn.watched:
-                        continue  # Released first: its thread reads on.
-                    self._unwatch(conn)
+                        # Released first (its thread reads on), or a hang-up
+                        # while disarmed: the one-shot event disabled it.
+                        continue
+                    conn.watched = False  # The one-shot event disarmed it.
                     conn.stand_in = True
                 try:
                     self._dispatch_executor.submit(self._stand_in, conn)
@@ -316,9 +363,10 @@ class SocketRPCServer:
         """Read ``conn`` for its busy thread, handing each frame to the pool.
 
         A frame is read only once its first byte has arrived, so a stand-in
-        never waits on an idle connection. When nothing more has arrived, the
-        read side goes back: to the watcher if the connection's thread is
-        still serving, otherwise to that thread.
+        never waits on an idle connection, and one started by a stale event
+        reads nothing. When nothing more has arrived, the read side goes
+        back: to the watcher if the connection's thread is still serving,
+        otherwise to that thread.
         """
         dropped = False
         try:
@@ -327,15 +375,14 @@ class SocketRPCServer:
                     conn.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
                 except BlockingIOError:
                     break  # Nothing more has started arriving.
-                request_id, method, args = read_frame(conn.rfile)
+                request_id, method, args = recv_frame(conn.sock)
                 conn.in_flight = [f for f in conn.in_flight if not f.done()]
+                conn.handed_off += 1
                 conn.in_flight.append(
                     self._dispatch_executor.submit(
                         self._serve_request, conn, request_id, method, args, False
                     )
                 )
-                with self._lock:
-                    self.handed_off += 1
         except (EOFError, ConnectionError, OSError, RuntimeError):
             dropped = True  # Client gone, rejected version, or server stopping.
         except Exception:  # noqa: BLE001 - corrupt/hostile frame
@@ -344,7 +391,7 @@ class SocketRPCServer:
         self._give_back(conn, dropped)
 
     def _give_back(self, conn: _ClientConnection, dropped: bool) -> None:
-        """End a stand-in: watch again for a thread still serving, and wake a
+        """End a stand-in: arm again for a thread still serving, and wake a
         thread waiting to read."""
         with conn.lock:
             # ``dropped`` first: the connection's thread reads ``stand_in``
@@ -352,11 +399,11 @@ class SocketRPCServer:
             conn.dropped = conn.dropped or dropped
             conn.stand_in = False
             if conn.serving and not conn.dropped:
-                self._watch(conn)
+                self._arm(conn)
             conn.read_side_back.notify()
 
     @staticmethod
-    def _hang_up(conn: _ClientConnection) -> None:
+    def _hang_up(sock: socket.socket) -> None:
         """Close a connection so that its peer reads an end of stream.
 
         Closing a socket with unread bytes makes the kernel answer with a
@@ -364,7 +411,6 @@ class SocketRPCServer:
         end of stream is sent first, and what has already arrived is
         discarded before the close.
         """
-        sock = conn.sock
         try:
             sock.shutdown(socket.SHUT_WR)
             for _ in range(16):
@@ -372,11 +418,7 @@ class SocketRPCServer:
                     break
         except OSError:
             pass  # Nothing more to discard, or already closed.
-        for closeable in (conn.rfile, conn.wfile, sock):
-            try:
-                closeable.close()
-            except Exception:  # noqa: BLE001
-                pass
+        sock.close()
 
     def _serve_request(
         self,
@@ -389,8 +431,8 @@ class SocketRPCServer:
         """Execute one request and write its reply.
 
         ``watched``: the request runs on the thread that read it, with the
-        socket watched; the watch is dropped before the reply is written,
-        whatever the reply turns out to be.
+        socket armed; it is disarmed before the reply is written, whatever
+        the reply turns out to be.
         """
         try:
             status, payload = self._execute(conn.state, method, args)
@@ -401,10 +443,11 @@ class SocketRPCServer:
 
     def _write_reply(self, conn: _ClientConnection, request_id, status, payload) -> None:
         """Write one reply frame; a client that is gone gets nothing."""
+        frame = reply_frame(request_id, status, payload)
         try:
             with conn.write_lock:
-                write_frame_reply(conn.wfile, request_id, status, payload)
-        except (OSError, ConnectionError, ValueError):
+                conn.sock.sendall(frame)
+        except OSError:
             pass
 
     def _execute(self, state: ClientConnectionState, method, args):
@@ -434,6 +477,7 @@ class SocketRPCServer:
         """The ``server_info`` fields every server reports: who it is, how
         long it has served, and who ran its requests."""
         with self._lock:
+            live = list(self._clients)
             return {
                 "pid": os.getpid(),
                 "url": self.url,
@@ -442,8 +486,9 @@ class SocketRPCServer:
                 "uptime_s": time.monotonic() - self.started_at,
                 "connections_served": self.connections_served,
                 "heartbeats_served": self.heartbeats_served,
-                "served_in_place": self.served_in_place,
-                "handed_off": self.handed_off,
+                "served_in_place": self._served_in_place
+                + sum(conn.served_in_place for conn in live),
+                "handed_off": self._handed_off + sum(conn.handed_off for conn in live),
             }
 
     def _heartbeat(self) -> dict:
@@ -517,19 +562,17 @@ class SocketRPCServer:
             if self.closed:
                 return False
             self.closed = True
-            clients = list(self._client_sockets)
+            clients = list(self._clients)
             threads = list(self._handler_threads)
         self._shutdown_event.set()
         self._close_listener()
-        for client in clients:
+        for conn in clients:
+            self._unregister(conn)
             try:
-                client.shutdown(socket.SHUT_RDWR)
+                conn.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                client.close()
-            except OSError:
-                pass
+            conn.sock.close()
         for thread in threads:
             thread.join(timeout=5)
         return True
@@ -539,7 +582,7 @@ class SocketRPCServer:
         unix path."""
         self._wake_writer.close()
         self._watcher.join(timeout=5)
-        self._selector.close()
+        self._epoll.close()
         self._wake.close()
         self._dispatch_executor.shutdown(wait=True)
         if self._accept_thread is not None:

@@ -37,7 +37,10 @@ reply share the read side *leader/follower*: one of them at a time reads the
 socket on its own thread and routes each frame to the slot of the caller
 that issued the request, and hands the role on when its own reply has
 arrived. A lone caller — by far the common case — therefore pays no
-cross-thread hand-off per round trip, and a connection costs no thread.
+cross-thread hand-off per round trip, and a connection costs no thread. The
+socket is blocking once connected, and the transport timeout is kept by the
+kernel (``SO_RCVTIMEO`` / ``SO_SNDTIMEO``), so no send or receive polls
+first.
 
 The price is that nobody reads an idle connection, so a peer that goes away
 while no call is in flight is not noticed until the next call. That call
@@ -60,6 +63,7 @@ the call that opened the connection.
 import itertools
 import os
 import socket
+import struct
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -70,7 +74,7 @@ from repro.core.service.wire import (
     frame_bytes,
     parse_service_url,
     raise_remote_error,
-    read_frame,
+    recv_frame,
 )
 from repro.errors import (
     PermissionDeniedError,
@@ -153,6 +157,37 @@ class InProcessTransport(ServiceTransport):
         return self._runtime
 
 
+def _connect(family: str, address, timeout: float) -> socket.socket:
+    """A connected, blocking socket whose sends and receives time out in the
+    kernel.
+
+    A Python-level timeout (``settimeout``) makes CPython ``poll()`` before
+    every send and every receive, so it bounds the connect only. After that
+    the deadline is ``SO_SNDTIMEO`` / ``SO_RCVTIMEO``: a send or receive that
+    outlives it fails with :class:`BlockingIOError`.
+    """
+    if family == "unix":
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    else:
+        inet = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
+        sock = socket.socket(inet, socket.SOCK_STREAM)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(address)
+        sock.settimeout(None)
+        seconds = int(timeout)
+        # A zero timeval would mean no deadline at all.
+        micros = max(int((timeout - seconds) * 1e6), 0 if seconds else 1)
+        timeval = struct.pack("ll", seconds, micros)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 class _SendError(Exception):
     """Internal: a socket send failed after ``bytes_flushed`` bytes left."""
 
@@ -200,16 +235,7 @@ class _MuxSocketConnection:
     def __init__(self, url: str, family: str, address, timeout: float):
         self.url = url
         self.timeout = timeout
-        if family == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        else:
-            inet = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
-            sock = socket.socket(inet, socket.SOCK_STREAM)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(timeout)
-        sock.connect(address)
-        self.sock = sock
-        self._rfile = sock.makefile("rb")
+        self.sock = _connect(family, address, timeout)
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: Dict[int, _PendingReply] = {}
@@ -264,10 +290,10 @@ class _MuxSocketConnection:
     def _read_one(self) -> None:
         """Read and route one reply frame; on failure, kill the connection."""
         try:
-            message = read_frame(self._rfile)
-        except socket.timeout:
-            # Only a waiter reads, so a read timeout always means a request
-            # overran the transport timeout.
+            message = recv_frame(self.sock)
+        except BlockingIOError:
+            # Only a waiter reads, so a receive timeout always means a
+            # request overran the transport timeout.
             self._fail_pending(
                 ServiceTransportError(
                     f"No reply from {self.url} within {self.timeout}s: the "
@@ -275,11 +301,11 @@ class _MuxSocketConnection:
                     f"not be retried"
                 )
             )
-            self._close_streams()
+            self._close_socket()
             return
         except Exception as error:  # noqa: BLE001 - EOF, reset, corruption
             self._fail_pending(self._death_error(error))
-            self._close_streams()
+            self._close_socket()
             return
         try:
             request_id, status, payload = message
@@ -290,7 +316,7 @@ class _MuxSocketConnection:
                     f"calls may already be applied and will not be retried"
                 )
             )
-            self._close_streams()
+            self._close_socket()
             return
         with self._pending_lock:
             pending = self._pending.pop(request_id, None)
@@ -358,12 +384,11 @@ class _MuxSocketConnection:
 
     # -- teardown ----------------------------------------------------------
 
-    def _close_streams(self) -> None:
-        for stream in (self._rfile, self.sock):
-            try:
-                stream.close()
-            except Exception:  # noqa: BLE001
-                pass
+    def _close_socket(self) -> None:
+        try:
+            self.sock.close()
+        except Exception:  # noqa: BLE001
+            pass
 
     def close(self, error: Optional[BaseException] = None) -> None:
         """Deliberate local teardown: fail in-flight calls, wake the leader."""
@@ -373,7 +398,7 @@ class _MuxSocketConnection:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._close_streams()
+        self._close_socket()
 
 
 class SocketTransport(ServiceTransport):

@@ -6,9 +6,9 @@ module. It is the single source of truth for the wire conventions:
 
 * the ``(status, payload)`` reply convention (:data:`REPLY_OK` /
   :data:`REPLY_ERROR`) and its degrade-on-unpicklable fallback
-  (:func:`write_frame_reply`);
+  (:func:`reply_frame`);
 * the socket frame layout — one version byte, a big-endian uint64 length
-  prefix, then the encoded payload (:func:`frame_bytes`, :func:`read_frame`);
+  prefix, then the encoded payload (:func:`frame_bytes`, :func:`recv_frame`);
 * service URL parsing (:func:`parse_service_url`).
 
 **Versioning.** Frames are self-describing: the leading byte names the
@@ -567,32 +567,28 @@ def write_frame(wfile, message: Any) -> None:
     wfile.flush()
 
 
-def write_frame_reply(wfile, request_id: Optional[int], status: str, payload: Any) -> None:
-    """Write a ``(request_id, status, payload)`` reply frame, degrading an
+def reply_frame(request_id: Optional[int], status: str, payload: Any) -> bytes:
+    """The frame of a ``(request_id, status, payload)`` reply, degrading an
     unencodable payload to a :class:`ServiceError`.
 
-    Encoding happens before any bytes hit the stream, and *any* encoding
-    failure — ``__reduce__`` of an exotic payload can raise anything —
-    degrades to an encodable :class:`ServiceError` instead of killing the
-    serving thread (which would drop the connection after the request was
-    already applied, tricking the client into a retry). Only genuine stream
-    errors propagate.
+    *Any* encoding failure — ``__reduce__`` of an exotic payload can raise
+    anything — degrades to an encodable :class:`ServiceError` instead of
+    killing the serving thread (which would drop the connection after the
+    request was already applied, tricking the client into a retry).
 
     A batch reply degrades slot by slot: each slot that does not encode
     becomes its own :class:`ServiceError`, and the slots that do still
     travel, since their steps were applied.
     """
     try:
-        frame = frame_bytes((request_id, status, payload))
+        return frame_bytes((request_id, status, payload))
     except Exception as error:  # noqa: BLE001 - degrade, don't drop the connection
         try:
-            frame = frame_bytes((request_id, status, _sendable_slots(payload)))
+            return frame_bytes((request_id, status, _sendable_slots(payload)))
         except Exception:  # noqa: BLE001 - not a batch, or not the slots' fault
-            frame = frame_bytes(
+            return frame_bytes(
                 (request_id, REPLY_ERROR, ServiceError(f"{type(payload).__name__} not sent: {error}"))
             )
-    wfile.write(frame)
-    wfile.flush()
 
 
 def _sendable_slots(reply: Any) -> Any:
@@ -616,8 +612,8 @@ def _sendable_slots(reply: Any) -> Any:
     return reply
 
 
-def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
-    """Read one framed message from a binary stream.
+def recv_frame(sock, max_bytes: int = MAX_FRAME_BYTES) -> Any:
+    """Read one framed message off a socket with ``recv_into``.
 
     Raises ``EOFError`` on a cleanly closed stream and ``ConnectionError``
     on a version-skewed, truncated, or oversized frame. A frame whose
@@ -625,16 +621,24 @@ def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
     payload byte is read; one whose header announces more than
     ``max_bytes`` is refused before its payload is allocated or read.
 
-    Only ``readinto`` is called, and never for a byte past the frame's end,
-    so over an unbuffered socket stream every byte of the next frame is
-    still in the kernel, where a readiness check can see it.
+    No byte past the frame's end is read, so every byte of the next frame
+    is still in the kernel, where a readiness check can see it.
     """
+    return _read_frame(sock.recv_into, max_bytes)
+
+
+def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
+    """:func:`recv_frame` from a binary stream, with ``readinto``."""
+    return _read_frame(rfile.readinto, max_bytes)
+
+
+def _read_frame(readinto: Callable[[memoryview], int], max_bytes: int) -> Any:
     header = bytearray(FRAME_HEADER_BYTES)
-    filled = rfile.readinto(header)
+    filled = readinto(header)
     if not filled:
         raise EOFError("Connection closed")
     while filled < FRAME_HEADER_BYTES:
-        count = rfile.readinto(memoryview(header)[filled:])
+        count = readinto(memoryview(header)[filled:])
         if not count:
             raise ConnectionError("Truncated frame header")
         filled += count
@@ -649,7 +653,7 @@ def read_frame(rfile, max_bytes: int = MAX_FRAME_BYTES) -> Any:
     data = bytearray(length)
     unfilled = memoryview(data)
     while unfilled:
-        count = rfile.readinto(unfilled)
+        count = readinto(unfilled)
         if not count:
             raise ConnectionError("Truncated frame payload")
         unfilled = unfilled[count:]

@@ -10,8 +10,9 @@ clone and pass, so ``is`` is its equality. It keeps no use list.
 """
 
 import threading
-import weakref
-from typing import List
+from typing import Dict, List
+from weakref import KeyedRef
+from _weakref import _remove_dead_weakref
 
 from repro.llvm.ir.journal import RECORDING
 from repro.llvm.ir.types import I32, PTR, Type
@@ -150,21 +151,27 @@ class Constant(Value):
 
     uses = NO_USES
 
-    _pool: "weakref.WeakValueDictionary[tuple, Constant]" = weakref.WeakValueDictionary()
+    # Key -> a weak reference to the constant. A dead reference's callback
+    # removes its entry, unless a new constant has taken the key since.
+    _pool: Dict[tuple, KeyedRef] = {}
     _pool_lock = threading.Lock()
 
     def __new__(cls, type: Type, value):  # noqa: A002
         key = _pool_key(type, value)
-        constant = cls._pool.get(key)
-        if constant is None:
-            with cls._pool_lock:
-                constant = cls._pool.get(key)
-                if constant is None:
-                    constant = object.__new__(cls)
-                    object.__setattr__(constant, "type", type)
-                    object.__setattr__(constant, "name", str(value))
-                    object.__setattr__(constant, "value", value)
-                    cls._pool[key] = constant
+        ref = cls._pool.get(key)
+        if ref is not None:
+            constant = ref()
+            if constant is not None:
+                return constant
+        with cls._pool_lock:
+            ref = cls._pool.get(key)
+            constant = None if ref is None else ref()
+            if constant is None:
+                constant = object.__new__(cls)
+                object.__setattr__(constant, "type", type)
+                object.__setattr__(constant, "name", str(value))
+                object.__setattr__(constant, "value", value)
+                cls._pool[key] = KeyedRef(constant, _forget, key)
         return constant
 
     def __init__(self, type: Type, value):  # noqa: A002
@@ -191,6 +198,11 @@ class Constant(Value):
 
     def short(self) -> str:
         return str(self.value)
+
+
+def _forget(ref: KeyedRef, pool: Dict[tuple, KeyedRef] = Constant._pool) -> None:
+    """Drop a dead constant's pool entry (its reference's callback)."""
+    _remove_dead_weakref(pool, ref.key)
 
 
 class Argument(Value):

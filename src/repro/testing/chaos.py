@@ -449,11 +449,11 @@ class ServerChaos:
         if index in self.drop_reply_at:
             return
         if index in self.corrupt_reply_at:
+            frame = _flipped(frame_bytes((request_id, status, payload)))
             try:
                 with conn.write_lock:
-                    conn.wfile.write(_flipped(frame_bytes((request_id, status, payload))))
-                    conn.wfile.flush()
-            except (OSError, ConnectionError, ValueError):
+                    conn.sock.sendall(frame)
+            except OSError:
                 pass
             return
         time.sleep(self.delay_reply.get(index, 0.0))

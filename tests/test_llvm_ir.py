@@ -27,7 +27,7 @@ from repro.llvm.datasets.generators import generate_module, llvm_stress_module
 from repro.llvm.ir.cfg import dominator_tree, loop_depths, natural_loops, predecessors, reachable_blocks
 from repro.llvm.ir.journal import Journal
 from repro.llvm.ir.parser import parse_module
-from repro.llvm.ir.values import NO_USES, Argument, GlobalVariable, UndefValue
+from repro.llvm.ir.values import NO_USES, Argument, GlobalVariable, UndefValue, _forget, _pool_key
 from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.verifier import VerificationError, verify_module
 from repro.llvm.passes.registry import OZ_PIPELINE, run_pipeline
@@ -129,6 +129,21 @@ class TestInternedConstants:
         del made
         gc.collect()
         assert len(Constant._pool) <= before
+
+    def test_a_dropped_constant_leaves_the_pool(self):
+        value = 10**15 - 7
+        key = _pool_key(I64, value)
+        constant = Constant(I64, value)
+        dead = Constant._pool[key]
+        assert dead() is constant
+        del constant
+        assert key not in Constant._pool
+        # A late callback of the dead reference leaves the key's new
+        # constant in the pool.
+        again = Constant(I64, value)
+        _forget(dead)
+        assert Constant._pool[key]() is again
+        assert Constant(I64, value) is again
 
     def test_threads_that_miss_together_get_one_object(self):
         value = 10**15 - 1

@@ -9,6 +9,7 @@ the connection's thread and a stand-in reader is exercised mid-protocol.
 """
 
 import contextlib
+import select
 import socket
 import struct
 import sys
@@ -55,7 +56,13 @@ class _RawPeer:
     """A client that writes frames as it likes and reads replies itself."""
 
     def __init__(self, url: str):
-        self.sock = socket.create_connection(parse_service_url(url)[1], timeout=10)
+        family, address = parse_service_url(url)
+        if family == "unix":
+            self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self.sock.settimeout(10)
+            self.sock.connect(address)
+        else:
+            self.sock = socket.create_connection(address, timeout=10)
         self.rfile = self.sock.makefile("rb")
 
     def send(self, *requests):
@@ -195,3 +202,100 @@ def test_a_dropped_reply_leaves_the_connection_serving_in_place(front):
         assert (request_id, _value(payload)) == (1, 2)
         chaos.detach()
     assert front.server_info()["handed_off"] == handed_off
+
+
+# -- the watch: one epoll set per server, one registration per connection -----
+
+
+class _CountingEpoll:
+    """``select.epoll`` that logs every ``(fd, events)`` its ``poll`` returns."""
+
+    def __init__(self, real):
+        self._epoll = real()
+        self.woken = []
+
+    def poll(self, *args):
+        events = self._epoll.poll(*args)
+        self.woken.extend(events)
+        return events
+
+    def __getattr__(self, name):
+        return getattr(self._epoll, name)
+
+
+@pytest.mark.parametrize("family", ["unix", "tcp"])
+def test_a_hang_up_of_an_idle_connection_wakes_the_watcher_at_most_once(
+    family, tmp_path, monkeypatch
+):
+    """A hang-up is reported whatever a socket's mask is; the one-shot
+    registration reports it once, not until the connection has left the set.
+    Leaving is held back here to give a spinning watcher time to spin."""
+    real = select.epoll
+    monkeypatch.setattr(select, "epoll", lambda: _CountingEpoll(real))
+    where = {"unix_path": str(tmp_path / "daemon.sock")} if family == "unix" else {}
+    server = ServiceServer(_slow_runtime(), session_timeout=None, **where)
+    monkeypatch.undo()
+    unregister = server._unregister
+
+    def unregister_late(conn):
+        time.sleep(0.2)
+        unregister(conn)
+
+    server._unregister = unregister_late
+    with server.start():
+        with _raw_peer(server.url) as peer:
+            peer.send((0, "heartbeat", ()))
+            peer.reply()
+            (conn,) = server._clients
+            assert server._registered == {conn.fd: conn}
+        _wait_until(lambda: not server._clients)
+        assert not server._registered
+        woken = [fd for fd, _ in server._epoll.woken]
+        assert woken.count(conn.fd) <= 1 and len(woken) <= 1
+
+
+def test_reconnects_that_reuse_descriptors_answer_every_overlapped_frame(front, monkeypatch):
+    """A connection leaves the epoll set before its socket closes, so the
+    next one on the same descriptor is watched afresh: each of 200
+    connections sends a step and a heartbeat in one write, and the
+    heartbeat, arriving while the step runs, is handed off and answered."""
+    monkeypatch.setattr(_SlowStepSession, "sleep_seconds", 0.002)
+    with _raw_peer(front.url) as owner:
+        (session,) = owner.start_sessions(1)
+    handed_off = front.server_info()["handed_off"]
+    for i in range(200):
+        with _raw_peer(front.url) as peer:
+            peer.send(_step(0, session, [1]), (1, "heartbeat", ()))
+            replies = dict(peer.reply() for _ in range(2))
+        assert _value(replies[0]) == i + 1
+        assert replies[1]["kind"] == front.server_kind
+    assert front.server_info()["handed_off"] > handed_off
+
+
+def test_every_request_is_counted_once_without_a_server_lock(front):
+    """``served_in_place + handed_off`` is every request K connections sent,
+    whichever thread ran each: the counters are per connection, and a
+    closed connection's are folded into the server's."""
+
+    def total():
+        info = front.server_info()
+        return info["served_in_place"] + info["handed_off"]
+
+    before = total()
+    connections, pairs = 4, 25
+
+    def run():
+        with _raw_peer(front.url) as peer:
+            for i in range(pairs):
+                peer.send((2 * i, "heartbeat", ()), (2 * i + 1, "heartbeat", ()))
+                assert sorted(peer.reply()[0] for _ in range(2)) == [2 * i, 2 * i + 1]
+
+    threads = [threading.Thread(target=run) for _ in range(connections)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    after = total()
+    assert after - before == connections * 2 * pairs
+    _wait_until(lambda: not front._clients)
+    assert total() == after

@@ -1,5 +1,9 @@
 """Tests for the static-analysis layer: dominators, dataflow, the semantic
-verifier, the pass-validation harness, and the verify_ir env wiring."""
+verifier, the pass-validation harness, and the verify_ir env wiring; and
+source scans of the service tier."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,3 +568,70 @@ class TestLintCli:
         )
         assert exit_code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+# -- source scans of the service tier -----------------------------------------
+
+SERVICE = Path(repro.__file__).resolve().parent / "core" / "service"
+
+
+def _calls_by_function(source: str, attr: str) -> list:
+    """The function (``Class.method`` or ``function``) around each call of a
+    method named ``attr`` in ``source``; ``<module>`` outside any."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+class TestServiceSocketsPollNothing:
+    """A socket with a Python-level timeout makes CPython ``poll()`` before
+    every send and receive, and a selector costs a register and an
+    unregister around every request served in place. The service tier
+    watches with one epoll set and keeps deadlines in the kernel."""
+
+    def test_no_module_imports_selectors(self):
+        importers = []
+        for path in sorted(SERVICE.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "selectors" for name in names):
+                    importers.append(path.relative_to(SERVICE).as_posix())
+        assert importers == []
+
+    def test_settimeout_is_called_only_on_the_connect_path(self):
+        callers = {
+            (path.relative_to(SERVICE).as_posix(), function)
+            for path in sorted(SERVICE.rglob("*.py"))
+            for function in _calls_by_function(path.read_text(), "settimeout")
+        }
+        assert callers == {("transport.py", "_connect")}
+
+    def test_the_scan_finds_calls_in_methods_and_at_module_level(self):
+        source = (
+            "sock.settimeout(1)\n"
+            "class Conn:\n"
+            "    def read(self):\n"
+            "        return [self.sock.settimeout(None) for _ in ()]\n"
+            "def _connect():\n"
+            "    settimeout(2)\n"
+        )
+        assert _calls_by_function(source, "settimeout") == ["<module>", "Conn.read"]

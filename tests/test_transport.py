@@ -66,8 +66,8 @@ from repro.core.service.wire import (
     message_registry,
     parse_service_url,
     read_frame,
+    reply_frame,
     write_frame,
-    write_frame_reply,
 )
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Reward, Scalar, Space
 from repro.core.vector import VecCompilerEnv, make_vec_env
@@ -95,9 +95,7 @@ def _serve_handshake(client: socket.socket, status=REPLY_OK, payload=None):
     rfile = client.makefile("rb")
     request_id, method, _args = read_frame(rfile)
     assert method == "hello"
-    write_frame_reply(
-        client.makefile("wb"), request_id, status, payload or HelloReply()
-    )
+    client.sendall(reply_frame(request_id, status, payload or HelloReply()))
     return rfile
 
 
@@ -1762,6 +1760,38 @@ class TestMultiplexedConcurrency:
 
 
 # -- full environments over the socket transport ------------------------------
+
+
+    def test_a_call_with_no_reply_fails_at_the_transport_timeout(self):
+        """The receive deadline is the kernel's (``SO_RCVTIMEO``), not a
+        poll before each receive: a request the daemon swallows fails once
+        the transport timeout has passed, as a non-retryable error that
+        retires the connection."""
+        swallowed = threading.Event()
+        release = threading.Event()
+
+        def swallow(client):
+            rfile = _serve_handshake(client)
+            read_frame(rfile)
+            swallowed.set()
+            release.wait(10)
+            client.close()
+
+        with _fake_daemon(swallow, timeout=0.3) as (transport, daemon):
+            transport.connect()
+            dead = transport._conn
+            assert dead.sock.gettimeout() is None
+            started = time.monotonic()
+            with pytest.raises(
+                ServiceTransportError,
+                match=r"No reply from tcp://127\.0\.0\.1:\d+ within 0\.3s: the call "
+                r"may already be applied on the daemon and will not be retried",
+            ):
+                transport.call("step", StepRequest(session_id=0, actions=[1]))
+            assert 0.3 <= time.monotonic() - started < 5
+            assert swallowed.is_set() and dead.dead is not None
+            release.set()
+            daemon.join(timeout=5)
 
 
 class TestSocketEnvEquivalence:

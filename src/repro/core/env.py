@@ -85,7 +85,8 @@ class CompilerEnv:
         # step); enable with make(..., verify_ir=True) or REPRO_VERIFY_IR=1.
         if verify_ir is None:
             verify_ir = os.environ.get("REPRO_VERIFY_IR", "") not in ("", "0", "false", "False")
-        self.verify_ir = verify_ir
+        # A bool: it travels in StartSessionRequest.verify_ir, a bool field.
+        self.verify_ir = bool(verify_ir)
         # Benchmark *objects* assigned by the user, by URI — and only those:
         # dataset URIs resolve through ``self.datasets`` and are retained by
         # the runtime's byte-bounded BenchmarkCache, not here. A remote daemon
@@ -295,7 +296,7 @@ class CompilerEnv:
                 session_id=self._session_id, actions=[], observation_space_names=space_names
             )
         )
-        return [event.value() for event in reply.observations]
+        return reply.observations
 
     # -- Gym API -------------------------------------------------------------
 
@@ -397,9 +398,7 @@ class CompilerEnv:
         self.episode_reward = 0 if self._reward_space else None
         self.episode_start_time = time.time()
         self.reward.reset(str(self._benchmark_in_use.uri))
-        raw_values = {
-            name: event.value() for name, event in zip(observation_names, reply.observations)
-        }
+        raw_values = dict(zip(observation_names, reply.observations))
         if self._reward_space:
             # Prime the reward baseline on the initial state.
             self.reward.prime(self._reward_space.name, raw_values)
@@ -569,7 +568,7 @@ class CompilerEnv:
             self.action_space = reply.new_action_space.space
             info["new_action_space"] = True
 
-        raw_values = {name: event.value() for name, event in zip(request_names, reply.observations)}
+        raw_values = dict(zip(request_names, reply.observations))
 
         observation = [
             spec.translate(raw_values[self.observation.raw_space_id(spec.id)])

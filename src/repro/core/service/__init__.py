@@ -14,7 +14,6 @@ from repro.core.service.compilation_session import CompilationSession
 from repro.core.service.connection import ConnectionOpts, ServiceConnection
 from repro.core.service.proto import (
     ActionSpaceMessage,
-    Event,
     ObservationSpaceMessage,
     StepReply,
     StepRequest,
@@ -32,7 +31,6 @@ __all__ = [
     "CompilationSession",
     "CompilerGymServiceRuntime",
     "ConnectionOpts",
-    "Event",
     "InProcessTransport",
     "ObservationSpaceMessage",
     "ServiceConnection",

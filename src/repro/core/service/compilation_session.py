@@ -48,7 +48,11 @@ class CompilationSession:
         raise NotImplementedError
 
     def get_observation(self, observation_space: ObservationSpaceSpec):
-        """Compute an observation of the current compilation state."""
+        """Compute an observation of the current compilation state.
+
+        The value reaches the client as it is (in-process, the same object),
+        so it must be one the session does not keep and mutate later.
+        """
         raise NotImplementedError
 
     def fork(self) -> "CompilationSession":

@@ -4,64 +4,21 @@ The upstream project defines these messages as protocol buffers; here they are
 plain dataclasses with the same field names so the rest of the code reads
 identically. Keeping an explicit message layer (rather than passing Python
 objects around freely) preserves the serialization discipline of the original
-design and lets the socket transport encode them.
+design and lets the socket transport encode them. Each field's annotation is
+its wire kind (see :func:`~repro.core.service.wire.wire_message`): a primitive
+or a list of primitives travels raw and is checked by exact type on both ends.
+
+Observations are raw values, in the order of the request's
+``observation_space_names``: whatever the session's ``get_observation``
+returned, each one a private copy. Upstream's protobuf ``Event`` union, which
+wraps each observation in one of a set of typed slots, is not reproduced: the
+codec carries the value's own type instead.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.core.service.wire import raise_remote_error, wire_message
-
-
-@wire_message
-@dataclass
-class Event:
-    """A tagged union value used for observations and action payloads."""
-
-    int64_value: Optional[int] = None
-    double_value: Optional[float] = None
-    string_value: Optional[str] = None
-    bytes_value: Optional[bytes] = None
-    int64_list: Optional[List[int]] = None
-    double_list: Optional[List[float]] = None
-    event_dict: Optional[Dict[str, "Event"]] = None
-    opaque: Any = None
-
-    def value(self) -> Any:
-        """Return whichever payload field is set."""
-        for attr in (
-            "int64_value",
-            "double_value",
-            "string_value",
-            "bytes_value",
-            "int64_list",
-            "double_list",
-            "event_dict",
-            "opaque",
-        ):
-            value = getattr(self, attr)
-            if value is not None:
-                return value
-        return None
-
-    @classmethod
-    def from_value(cls, value: Any) -> "Event":
-        """Wrap an arbitrary Python value in the appropriate payload field."""
-        if isinstance(value, bool):
-            return cls(int64_value=int(value))
-        if isinstance(value, int):
-            return cls(int64_value=value)
-        if isinstance(value, float):
-            return cls(double_value=value)
-        if isinstance(value, str):
-            return cls(string_value=value)
-        if isinstance(value, (bytes, bytearray)):
-            return cls(bytes_value=bytes(value))
-        if isinstance(value, (list, tuple)) and value and all(isinstance(v, int) for v in value):
-            return cls(int64_list=list(value))
-        if isinstance(value, (list, tuple)) and value and all(isinstance(v, (int, float)) for v in value):
-            return cls(double_list=[float(v) for v in value])
-        return cls(opaque=value)
 
 
 @wire_message
@@ -106,7 +63,7 @@ class StartSessionRequest:
 @dataclass
 class StartSessionReply:
     session_id: int
-    observations: List[Event] = field(default_factory=list)
+    observations: List[Any] = field(default_factory=list)
     new_action_space: Optional[ActionSpaceMessage] = None
 
 
@@ -124,7 +81,7 @@ class StepReply:
     end_of_session: bool = False
     action_had_no_effect: bool = False
     new_action_space: Optional[ActionSpaceMessage] = None
-    observations: List[Event] = field(default_factory=list)
+    observations: List[Any] = field(default_factory=list)
 
 
 @wire_message

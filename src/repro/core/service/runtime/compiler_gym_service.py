@@ -33,7 +33,6 @@ from repro.core.service.proto import (
     ActionSpaceMessage,
     EndSessionReply,
     EndSessionRequest,
-    Event,
     ForkSessionReply,
     ForkSessionRequest,
     GetSpacesReply,
@@ -309,7 +308,7 @@ class CompilerGymServiceRuntime:
             entry.donor = entry.lazy_fork = None
         return entry.session
 
-    def _step_on_donor(self, entry: _Session, actions, specs) -> Optional[Tuple[StepReply, list]]:
+    def _step_on_donor(self, entry: _Session, actions, specs) -> Optional[StepReply]:
         """Answer an unbuilt fork's step from its donor's state, which is put
         back afterwards, as :meth:`_execute_step` does; ``None`` if the donor
         is not where the fork is.
@@ -363,21 +362,22 @@ class CompilerGymServiceRuntime:
                     cache.put_observation(entry.node, name, _copy_value(value))
             else:
                 value = _copy_value(value)
-            observations.append(Event.from_value(value))
+            observations.append(value)
         return StartSessionReply(session_id=self._add(entry), observations=observations)
 
     def _execute_step(
         self, session: CompilationSession, entry: _Session, actions, specs
-    ) -> Tuple[StepReply, list]:
+    ) -> StepReply:
         """Apply ``actions`` to a built session, then read the observations of
-        ``specs``: the reply, and the raw values it wraps."""
+        ``specs`` into the reply."""
         end_of_session = False
         action_had_no_effect = True
         new_action_space = None
         try:
             for action in actions:
                 end, new_space, no_effect = session.apply_action(action)
-                action_had_no_effect = action_had_no_effect and no_effect
+                # A backend's numpy bool would not fit the reply's bool field.
+                action_had_no_effect = action_had_no_effect and bool(no_effect)
                 if new_space is not None:
                     new_action_space = ActionSpaceMessage(
                         name=new_space.name or "", space=new_space
@@ -396,8 +396,8 @@ class CompilerGymServiceRuntime:
             end_of_session=end_of_session,
             action_had_no_effect=action_had_no_effect,
             new_action_space=new_action_space,
-            observations=[Event.from_value(value) for value in values],
-        ), values
+            observations=values,
+        )
 
     def step(self, request: StepRequest, owner=None) -> StepReply:
         self.stats["step"] += 1
@@ -415,13 +415,13 @@ class CompilerGymServiceRuntime:
         if not entry.pure:
             # Unbuilt here means an earlier build failed: build again so the
             # error (or the session) is not lost.
-            return self._execute_step(self._built_session(entry), entry, request.actions, specs)[0]
+            return self._execute_step(self._built_session(entry), entry, request.actions, specs)
 
         deterministic = all(spec.deterministic for spec in specs)
         candidate = self.prefixes.walk(entry.node, request.actions)
         num_actions = len(request.actions)
 
-        executed = None
+        reply = None
         if deterministic and self.result_cache is not None and not entry.verify_ir:
             hit = self.result_cache.lookup_step(candidate, num_actions, names)
             if hit is not None:
@@ -435,17 +435,14 @@ class CompilerGymServiceRuntime:
                     end_of_session=hit.end_of_session,
                     action_had_no_effect=hit.action_had_no_effect,
                     new_action_space=None,
-                    observations=[
-                        Event.from_value(_copy_value(hit.observations[name])) for name in names
-                    ],
+                    observations=[_copy_value(hit.observations[name]) for name in names],
                 )
         if deterministic and entry.session is None:
             # A fork's first step (a search's candidate): no copy is made.
-            executed = self._step_on_donor(entry, request.actions, specs)
+            reply = self._step_on_donor(entry, request.actions, specs)
 
-        if executed is None:
-            executed = self._execute_step(self._built_session(entry), entry, request.actions, specs)
-        reply, values = executed
+        if reply is None:
+            reply = self._execute_step(self._built_session(entry), entry, request.actions, specs)
         if reply.new_action_space is not None:
             # A dynamic action-space change breaks prefix canonicality.
             entry.pure = False
@@ -463,7 +460,7 @@ class CompilerGymServiceRuntime:
                 reply.action_had_no_effect,
                 {
                     name: _copy_value(value)
-                    for name, spec, value in zip(names, specs, values)
+                    for name, spec, value in zip(names, specs, reply.observations)
                     if spec.deterministic
                 },
             )

@@ -290,7 +290,8 @@ class _MuxSocketConnection:
     def _read_one(self) -> None:
         """Read and route one reply frame; on failure, kill the connection."""
         try:
-            message = recv_frame(self.sock)
+            # The decoder checks the envelope: a malformed one is corruption.
+            request_id, status, payload = recv_frame(self.sock)
         except BlockingIOError:
             # Only a waiter reads, so a receive timeout always means a
             # request overran the transport timeout.
@@ -305,17 +306,6 @@ class _MuxSocketConnection:
             return
         except Exception as error:  # noqa: BLE001 - EOF, reset, corruption
             self._fail_pending(self._death_error(error))
-            self._close_socket()
-            return
-        try:
-            request_id, status, payload = message
-        except (TypeError, ValueError):
-            self._fail_pending(
-                ServiceTransportError(
-                    f"Malformed reply frame from {self.url}: in-flight "
-                    f"calls may already be applied and will not be retried"
-                )
-            )
             self._close_socket()
             return
         with self._pending_lock:

@@ -21,32 +21,47 @@ byte with a :class:`ConnectionError`, never decoded. The byte is the upgrade
 path: a future version is introduced by registering its codec here beside
 the current one, and the frames of both then decode.
 
-**Codec.** Version 3 (:class:`TypedCodec`): the message graph is first
-lowered, in one pass, to a tagged primitive structure in which every
-registered protocol message (see :func:`wire_message`) travels as
-``(tag, field-dict)`` *by registry name*, not by pickle's module path.
-Decoding looks the tag up in the registry and rebuilds the dataclass from its
-fields, ignoring unknown field names — so messages can gain fields, move
-between modules, or be reordered without breaking the wire. A numeric numpy
-array (bool, integer, float or complex, any byte order or layout) travels
-under its own tag as ``(dtype, shape, order, raw bytes)``: the numeric
-observations are never pickled. Values outside the registry and the array
-tag (spaces, exceptions, the Programl graph, non-numeric arrays) travel as
-explicitly-tagged opaque pickles.
+**Codec.** Version 4 (:class:`TypedCodec`). A frame's payload is one fixed
+envelope, pickled as a plain 3-tuple: a request is ``(request_id, method,
+args)`` and a reply ``(request_id, status, payload)``, the id an ``int`` and
+the method or status a ``str``. The decoder checks that shape before
+anything else. The third item is first lowered, in one pass, to a tagged
+primitive structure in which every registered protocol message (see
+:func:`wire_message`) travels *by registry name*, not by pickle's module
+path, as a positional tuple ``("M", tag, v0, v1, ...)``: its fields in
+declaration order, the trailing ones that equal their defaults dropped. It
+is rebuilt as ``cls(v0, v1, ...)``, a missing trailing field taking its
+default; a value count outside the class's required and total field counts
+is refused.
 
-The typed layer pins *what* a peer may say to the registered message
-vocabulary, raw numeric arrays and tagged opaque payloads. Its envelope and
-the opaque payloads are still pickle, so both are decoded by an unpickler
-that builds no object of a class off an allow-list (:func:`admitted_global`):
-the spaces, this project's errors, the builtin exceptions, a few primitives
-and numpy's array and scalar constructors. Anything else a frame names — a
-function that would run on load, say — fails the decode with
-:class:`ServiceError`, as does any other malformed payload: an unknown tag or
-message name, a container tag whose payload is not that container, or an
-array whose dtype is not numeric or whose byte count does not match its
-shape (checked before anything is allocated). That holds before
-authentication, too: tokens gate *who* may speak. Until a connection has
-authenticated, a server reads no frame larger than
+Each field has a *kind*, derived once from its annotation: a primitive
+(``int``, ``str``, ``bool``, ``float``, ``bytes``, or an ``Optional`` of
+one), a list of primitives, or anything else (a string forward reference
+included). Primitives and primitive lists travel raw, without a tag or a
+per-item lowering, and a value whose exact type does not match its field's
+kind is refused with :class:`ServiceError` on both ends: the encoder fails
+that one message, the decoder builds nothing. A field of any other kind is
+lowered generically: containers under their own tags, a numeric numpy array
+(bool, integer, float or complex, any byte order or layout) as ``(dtype,
+shape, order, raw bytes)``, so the numeric observations are never pickled.
+Values outside the registry and the array tag (spaces, exceptions, the
+Programl graph, non-numeric arrays) travel as explicitly-tagged opaque
+pickles. Observations travel as their raw values.
+
+The typed layer pins *what* a peer may say to the envelope, the registered
+message vocabulary, raw numeric arrays and tagged opaque payloads. The
+envelope and the opaque payloads are still pickle, so both are decoded by an
+unpickler that builds no object of a class off an allow-list
+(:func:`admitted_global`): the spaces, this project's errors, the builtin
+exceptions, a few primitives and numpy's array and scalar constructors.
+Anything else a frame names — a function that would run on load, say —
+fails the decode with :class:`ServiceError`, as does any other malformed
+payload: an envelope of another shape, an unknown tag or message name, a
+field value off its kind, a container tag whose payload is not that
+container, or an array whose dtype is not numeric or whose byte count does
+not match its shape (checked before anything is allocated). That holds
+before authentication, too: tokens gate *who* may speak. Until a connection
+has authenticated, a server reads no frame larger than
 :data:`UNAUTHENTICATED_MAX_FRAME_BYTES`. The encoder decodes each opaque
 value by the same rule before sending it, so a value the peer would refuse
 fails the one message that held it, not the connection.
@@ -60,7 +75,8 @@ import pickle
 import random
 import struct
 import sys
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Type
+import types
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Type, Union, get_args, get_origin
 
 import numpy as np
 
@@ -93,7 +109,7 @@ def raise_remote_error(method: str, error: BaseException):
 
 # The wire version this build speaks: the version byte of every frame it
 # writes. Bump when the encoding changes incompatibly.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 # Frame header: the version byte, then the payload length, big-endian uint64.
 _FRAME_HEADER = struct.Struct(">BQ")
@@ -111,41 +127,163 @@ UNAUTHENTICATED_MAX_FRAME_BYTES = 1 << 16
 
 # -- typed message registry ---------------------------------------------------
 
-# Registry name -> (dataclass, its field names), for every message allowed to
-# travel typed: the decode table. Unknown field names are dropped against it.
-_MESSAGE_DECODERS: Dict[str, Tuple[Type, FrozenSet[str]]] = {}
+# The kinds of a message field, derived once from its annotation (see
+# field_kinds). A primitive field or a primitive list travels raw, checked by
+# exact type on both ends; a field of any other kind is lowered generically.
+KIND_PRIMITIVE = "primitive"
+KIND_PRIMITIVE_LIST = "primitive list"
+KIND_ANY = "any"
+
+# The annotations a primitive field may have, alone or as an Optional.
+_WIRE_PRIMITIVES = (int, str, bool, float, bytes)
+_UNION_ORIGINS = (Union,) + ((types.UnionType,) if hasattr(types, "UnionType") else ())
+
+# Registry name -> registered class.
+_REGISTERED: Dict[str, Type] = {}
+# Registry name -> the function rebuilding a message from its lowered tuple:
+# the decode table.
+_MESSAGE_RAISERS: Dict[str, Callable[[tuple], Any]] = {}
 # Exact type -> the function lowering a value of it: the encode table. Holds
 # a lowerer per registered message class (built once, by wire_message) beside
 # the containers' and the numeric array's.
 _LOWERERS: Dict[Type, Callable[[Any], Any]] = {}
-_NO_DEFAULT = object()
 
 
-def _message_lowerer(tag: str, message_cls: Type) -> Callable[[Any], Any]:
-    """The lowering of one registered class: ``("M", tag, field-dict)``.
+def _primitive_types(annotation: Any) -> FrozenSet[type]:
+    """The exact types a value annotated ``annotation`` may have if it is a
+    primitive, or an ``Optional`` of one; empty for anything else."""
+    if annotation in _WIRE_PRIMITIVES:
+        return frozenset((annotation,))
+    if get_origin(annotation) in _UNION_ORIGINS:
+        args = get_args(annotation)
+        if len(args) == 2 and type(None) in args:
+            (other,) = [arg for arg in args if arg is not type(None)]
+            if other in _WIRE_PRIMITIVES:
+                return frozenset((other, type(None)))
+    return frozenset()
 
-    Fields whose value *is* its declared default are omitted from the wire —
-    the decoder rebuilds missing fields from the dataclass defaults (that is
-    the schema-skew mechanism), and most messages are sparse (an Event sets
-    one of its eight slots). Identity, not equality: only default singletons
-    like None/True/False/interned small ints are safely elidable; anything
-    else compares ``is``-false and travels explicitly.
-    """
-    fields = tuple(
-        (f.name, f.default if f.default is not dataclasses.MISSING else _NO_DEFAULT)
-        for f in dataclasses.fields(message_cls)
+
+def _field_kind(annotation: Any) -> Tuple[str, FrozenSet[type]]:
+    """``(kind, types)`` of a field: for a primitive the types its value may
+    have, for a primitive list the types each item may have. A string
+    (forward) reference is of kind "any"."""
+    types_ = _primitive_types(annotation)
+    if types_:
+        return KIND_PRIMITIVE, types_
+    if get_origin(annotation) is list:
+        types_ = _primitive_types((get_args(annotation) or (Any,))[0])
+        if types_:
+            return KIND_PRIMITIVE_LIST, types_
+    return KIND_ANY, frozenset()
+
+
+def _describe_kind(kind: str, types_: FrozenSet[type]) -> str:
+    names = " or ".join(sorted("None" if cls is type(None) else cls.__name__ for cls in types_))
+    return f"a list of {names}" if kind == KIND_PRIMITIVE_LIST else names
+
+
+def _kind_error(tag: str, name: str, kind: str, types_: FrozenSet[type], value: Any) -> ServiceError:
+    got = type(value).__name__
+    if kind == KIND_PRIMITIVE_LIST and type(value) is list:
+        strays = {type(item).__name__ for item in value if type(item) not in types_}
+        got = f"a list holding {' and '.join(sorted(strays))}"
+    return ServiceError(f"{tag}.{name} must be {_describe_kind(kind, types_)}, not {got}")
+
+
+def _elision_test(field: dataclasses.Field, var: str, const: str, namespace: dict) -> Optional[str]:
+    """Source testing whether ``var`` equals the field's default, or ``None``
+    if a value of this field is never dropped. Only a primitive default
+    (compared by type and value, ``None`` and the bools by identity) or an
+    empty list from ``default_factory=list`` is dropped."""
+    if field.default is not dataclasses.MISSING:
+        default = field.default
+        if default is None or type(default) is bool:
+            namespace[const] = default
+            return f"{var} is {const}"
+        if type(default) in _PRIMITIVE_TYPES:
+            namespace[const] = default
+            return f"type({var}) is type({const}) and {var} == {const}"
+    elif field.default_factory is list:
+        return f"type({var}) is list and not {var}"
+    return None
+
+
+def _compile_message(tag: str, cls: Type, kinds: Dict[str, Tuple[str, FrozenSet[type]]]):
+    """The lowerer and the raiser of one registered class, generated once as
+    straight-line code (as :mod:`dataclasses` generates ``__init__``): one
+    read, one kind check and at most one lowering per field, no loop and no
+    dict. A message travels as ``("M", tag, v0, v1, ...)`` in declaration
+    order, its trailing default-valued fields dropped; it is rebuilt as
+    ``cls(v0, v1, ...)``, the dropped fields taking their defaults."""
+    fields = dataclasses.fields(cls)
+    count = len(fields)
+    required = sum(
+        field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING
+        for field in fields
     )
 
-    def lower_message(value: Any) -> tuple:
-        lowered = {}
-        for name, default in fields:
-            item = getattr(value, name)
-            if item is default:
-                continue
-            lowered[name] = item if type(item) in _PRIMITIVE_TYPES else _lower(item)
-        return (_TAG_MESSAGE, tag, lowered)
+    def refuse(index: int, value: Any):
+        name = fields[index].name
+        raise _kind_error(tag, name, *kinds[name], value)
 
-    return lower_message
+    def refuse_count(got: int):
+        span = f"{required} to {count}" if required < count else f"{count}"
+        raise ServiceError(f"{tag} carries {span} field values, not {got}")
+
+    namespace = {
+        "cls": cls, "tag": tag, "M": _TAG_MESSAGE, "PRIMITIVE": _PRIMITIVE_TYPES,
+        "lower_any": _lower, "raise_any": _raise_, "refuse": refuse,
+        "refuse_count": refuse_count,
+    }
+    checks, lowered, raised = [], [], []
+    for index, field in enumerate(fields):
+        kind, types_ = kinds[field.name]
+        var = f"v{index}"
+        namespace[f"T{index}"] = types_
+        if kind == KIND_PRIMITIVE and len(types_) == 1:
+            (namespace[f"T{index}"],) = types_
+            test = f"type({var}) is not T{index}"
+        elif kind == KIND_PRIMITIVE:
+            test = f"type({var}) not in T{index}"
+        elif kind == KIND_PRIMITIVE_LIST:
+            test = f"type({var}) is not list or not set(map(type, {var})) <= T{index}"
+        else:
+            test = None
+        if test is None:
+            lowered.append(f"({var} if type({var}) in PRIMITIVE else lower_any({var}))")
+            raised.append(f"    if type({var}) not in PRIMITIVE: {var} = raise_any({var})")
+        else:
+            checks.append(f"    if {test}: refuse({index}, {var})")
+            lowered.append(var)
+            raised.append(f"    if {test}: refuse({index}, {var})")
+
+    def as_tuple(items):
+        return "(M, tag" + "".join(", " + item for item in items) + ")"
+
+    lower = [f"def lower_{cls.__name__}(message):"]
+    lower += [f"    v{index} = message.{field.name}" for index, field in enumerate(fields)]
+    lower += checks
+    end = count
+    while end > required:
+        test = _elision_test(fields[end - 1], f"v{end - 1}", f"D{end - 1}", namespace)
+        if test is None:
+            break
+        lower.append(f"    if not ({test}): return {as_tuple(lowered[:end])}")
+        end -= 1
+    lower.append(f"    return {as_tuple(lowered[:end])}")
+
+    raise_ = [f"def raise_{cls.__name__}(value):", "    n = len(value) - 2"]
+    raise_.append(f"    if n < {required} or n > {count}: refuse_count(n)")
+    for index in range(count):
+        if index >= required:
+            raise_.append(f"    if n == {index}: return cls({', '.join(f'v{i}' for i in range(index))})")
+        raise_.append(f"    v{index} = value[{index + 2}]")
+        raise_.append(raised[index])
+    raise_.append(f"    return cls({', '.join(f'v{i}' for i in range(count))})")
+
+    source = "\n".join(lower + [""] + raise_) + "\n"
+    exec(compile(source, f"<wire message {tag}>", "exec"), namespace)
+    return namespace[f"lower_{cls.__name__}"], namespace[f"raise_{cls.__name__}"]
 
 
 def wire_message(cls=None, *, name: Optional[str] = None):
@@ -154,21 +292,21 @@ def wire_message(cls=None, *, name: Optional[str] = None):
     Registered messages are encoded by *registry name* rather than by
     pickle's module path, which is what makes the typed format stable across
     refactors: the name is the wire contract, the import location is not.
-    The class's encode and decode tables are built here, once.
+    Each field's kind is derived here from its annotation, and the class's
+    lowerer and raiser are built here, once.
     """
 
     def register(message_cls):
         if not dataclasses.is_dataclass(message_cls):
             raise TypeError(f"wire_message requires a dataclass, got {message_cls!r}")
         tag = name or message_cls.__name__
-        existing = _MESSAGE_DECODERS.get(tag)
-        if existing is not None and existing[0] is not message_cls:
+        existing = _REGISTERED.get(tag)
+        if existing is not None and existing is not message_cls:
             raise ValueError(f"Duplicate wire message tag {tag!r}")
-        _MESSAGE_DECODERS[tag] = (
-            message_cls,
-            frozenset(f.name for f in dataclasses.fields(message_cls)),
-        )
-        _LOWERERS[message_cls] = _message_lowerer(tag, message_cls)
+        lower, raise_message = _compile_message(tag, message_cls, field_kinds(message_cls))
+        _MESSAGE_RAISERS[tag] = raise_message
+        _LOWERERS[message_cls] = lower
+        _REGISTERED[tag] = message_cls
         return message_cls
 
     return register(cls) if cls is not None else register
@@ -176,7 +314,14 @@ def wire_message(cls=None, *, name: Optional[str] = None):
 
 def message_registry() -> Dict[str, Type]:
     """A snapshot of the registered wire message types, by tag."""
-    return {tag: cls for tag, (cls, _) in _MESSAGE_DECODERS.items()}
+    return dict(_REGISTERED)
+
+
+def field_kinds(message_cls: Type) -> Dict[str, Tuple[str, FrozenSet[type]]]:
+    """The kind of each field of a message class, in declaration order, as
+    its codec is built: ``(KIND_PRIMITIVE, types)``, ``(KIND_PRIMITIVE_LIST,
+    item types)`` or ``(KIND_ANY, frozenset())``."""
+    return {field.name: _field_kind(field.type) for field in dataclasses.fields(message_cls)}
 
 
 # -- what a frame may name ------------------------------------------------------
@@ -272,8 +417,9 @@ class Codec:
 
 
 # Structure tags of the typed codec's lowered form. Raw primitives travel
-# as themselves; every tuple in the lowered structure is one of these tags,
-# so user tuples (lowered to ("t", ...)) can never be confused with them.
+# as themselves; every tuple in the lowered structure below the envelope
+# starts with one of these tags, so user tuples (lowered to ("t", ...)) can
+# never be confused with them.
 _TAG_MESSAGE = "M"
 _TAG_ARRAY = "A"
 _TAG_OPAQUE = "P"
@@ -416,18 +562,11 @@ def _malformed(tag: str, payload: Any) -> ServiceError:
 
 
 def _raise_message(value: tuple) -> Any:
-    _, name, fields = value
-    decoder = _MESSAGE_DECODERS.get(name)
-    if decoder is None:
+    name = value[1] if len(value) > 1 else None
+    raise_fields = _MESSAGE_RAISERS.get(name) if type(name) is str else None
+    if raise_fields is None:
         raise ServiceError(f"Unknown wire message type: {name!r}")
-    if type(fields) is not dict:
-        raise _malformed(_TAG_MESSAGE, fields)
-    cls, known = decoder
-    return cls(**{
-        key: item if type(item) in _PRIMITIVE_TYPES else _raise_(item)
-        for key, item in fields.items()
-        if key in known
-    })
+    return raise_fields(value)
 
 
 def _raise_array(value: tuple) -> np.ndarray:
@@ -502,35 +641,68 @@ _RAISERS: Dict[str, Callable[[tuple], Any]] = {
 }
 
 
-class TypedCodec(Codec):
-    """Wire version 3: registered messages travel as ``(tag, fields)`` pairs
-    and numeric arrays as raw buffers.
+def _envelope_shape(envelope: Any) -> str:
+    if type(envelope) is not tuple:
+        return type(envelope).__name__
+    names = [type(item).__name__ for item in envelope[:4]]
+    return "(" + ", ".join(names + ["..."] * (len(envelope) > 4)) + ")"
 
-    The message graph is lowered in one pass, dispatching on each value's
-    exact type — primitives raw, containers tagged, registered dataclasses
-    as ``("M", tag, field-dict)``, numeric arrays as ``("A", dtype, shape,
-    order, bytes)``, anything else as a tagged opaque pickle — and that
-    structure is then serialized. An opaque value that will not pickle or
+
+class TypedCodec(Codec):
+    """Wire version 4: a frame is one fixed envelope, registered messages
+    travel as positional tuples and numeric arrays as raw buffers.
+
+    A request is ``(request_id, method, args)`` and a reply ``(request_id,
+    status, payload)``: a plain 3-tuple whose first item is an ``int`` and
+    second a ``str``, checked by the decoder before anything else. Its third
+    item is lowered in one pass, dispatching on each value's exact type —
+    primitives raw, containers tagged, registered dataclasses by their own
+    lowerer (see :func:`wire_message`), numeric arrays as ``("A", dtype,
+    shape, order, bytes)``, anything else as a tagged opaque pickle — and the
+    envelope is then serialized. An opaque value that will not pickle or
     that the peer would refuse is lowered as ``ServiceError("<Type>:
     <message>")`` if it is an exception, and otherwise fails the encode with
-    :class:`ServiceError`. Decoding validates every message tag against the
-    registry and drops unknown field names, giving one version of schema
-    skew for free (new fields fall back to the dataclass defaults on an old
-    peer); a container tag must hold that container, a flat list only
-    primitives, and an array a numeric dtype, a shape of non-negative ints
-    and exactly the bytes that shape needs. A payload that does not decode
-    raises :class:`ServiceError`.
+    :class:`ServiceError`; so does a field value that does not match its
+    field's kind, and a message that is not an envelope. Decoding checks the
+    same kinds before a message is built, and a message's value count
+    against its fields; a container tag must hold that container, a flat
+    list only primitives, and an array a numeric dtype, a shape of
+    non-negative ints and exactly the bytes that shape needs. A payload that
+    does not decode raises :class:`ServiceError`.
     """
 
-    version = 3
+    version = 4
     name = "typed"
 
     def encode(self, message: Any) -> bytes:
-        return pickle.dumps(_lower(message), protocol=pickle.HIGHEST_PROTOCOL)
+        if type(message) is tuple and len(message) == 3:
+            request_id, head, body = message
+            if type(request_id) is int and type(head) is str:
+                if type(body) not in _PRIMITIVE_TYPES:
+                    body = _lower(body)
+                return pickle.dumps((request_id, head, body), protocol=pickle.HIGHEST_PROTOCOL)
+        # Lowered all the same, so that a value that cannot travel says why,
+        # as it would inside an envelope.
+        _lower(message)
+        raise ServiceError(f"Not a wire envelope: {_envelope_shape(message)}")
 
     def decode(self, data: bytes) -> Any:
         try:
-            return _raise_(_unpickle(data))
+            envelope = _unpickle(data)
+            if (
+                type(envelope) is not tuple
+                or len(envelope) != 3
+                or type(envelope[0]) is not int
+                or type(envelope[1]) is not str
+            ):
+                raise ServiceError(
+                    f"Malformed wire envelope: {_envelope_shape(envelope)}, "
+                    "not (int, str, payload)"
+                )
+            request_id, head, body = envelope
+            if type(body) not in _PRIMITIVE_TYPES:
+                body = _raise_(body)
+            return request_id, head, body
         except ServiceError:
             raise
         except Exception as error:  # noqa: BLE001 - arbitrary bytes raise anything

@@ -449,7 +449,7 @@ def test_a_fault_is_retried_once_or_ends_the_episode_at_its_prefix(deployment, f
             request = StepRequest(session_id, actions=[], observation_space_names=["Autophase"])
             held = env.service.step(request)
             observation = reference[2 + fault.executions(deployment)][0]
-            assert _plain(held.observations[0].value()) == observation
+            assert _plain(held.observations[0]) == observation
         assert env.service.runtime is runtime
     with deployment(**STEP_SHAPE) as fresh:
         assert _trace(fresh, actions) == reference

@@ -20,12 +20,7 @@ import repro
 from repro.core.service.connection import ServiceConnection
 from repro.core.service.gateway import ServiceGateway
 from repro.core.service.health import HealthMonitor
-from repro.core.service.proto import (
-    Event,
-    ForkSessionRequest,
-    StartSessionRequest,
-    StepRequest,
-)
+from repro.core.service.proto import ForkSessionRequest, StartSessionRequest, StepRequest
 from repro.core.service.runtime.server import make_env_server
 from repro.core.service.transport import SocketTransport
 from repro.core.service.wire import WIRE_VERSION
@@ -95,7 +90,7 @@ class TestGatewayRouting:
     def test_server_info_reports_fleet(self, gateway):
         info = gateway.server_info()
         assert info["role"] == "gateway"
-        assert info["protocol_version"] == WIRE_VERSION == 3
+        assert info["protocol_version"] == WIRE_VERSION == 4
         assert len(info["daemons"]) == 2
         assert all(d["pid"] is not None for d in info["daemons"])
 
@@ -614,7 +609,7 @@ class TestBatchFanOut:
             def poisoned(step_request, owner=None, step=server.runtime.step):
                 reply = step(step_request, owner=owner)
                 if step_request.actions == [ACTIONS[1]]:
-                    reply.observations.append(Event(opaque=Unsendable()))
+                    reply.observations.append(Unsendable())
                 return reply
 
             monkeypatch.setattr(server.runtime, "step", poisoned)
@@ -633,7 +628,7 @@ class TestBatchFanOut:
                 StepRequest(session_id=bad, actions=[ACTIONS[1]]),
             ])
             (count,) = ok.unwrap().observations
-            assert count.value() > 0
+            assert count > 0
             with pytest.raises(ServiceError, match="not sent"):
                 refused.unwrap()
             if gateway is not None:

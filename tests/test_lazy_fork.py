@@ -171,7 +171,7 @@ def _step(runtime, session_id, *actions, names=NAMES):
 
 
 def _plain(reply):
-    autophase, count = (event.value() for event in reply.observations)
+    autophase, count = reply.observations
     return np.asarray(autophase).tolist(), count, reply.action_had_no_effect
 
 

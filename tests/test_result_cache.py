@@ -236,7 +236,7 @@ class TestSessionIsUnbuiltOrCurrent:
             reply = runtime.step(miss)
             assert entry.session is not None
             assert runtime.result_cache.stores == stores
-            autophase, count = (event.value() for event in reply.observations)
+            autophase, count = reply.observations
             assert np.asarray(autophase).tolist() == reference[-1][0]
             assert reply.action_had_no_effect == reference[-1][3]
             check_sessions_current(runtime)
@@ -261,7 +261,7 @@ class TestFailedStepLeavesTheCacheProtocol:
             reply = connection.step(StepRequest(
                 session_id=session_id, actions=actions, observation_space_names=names,
             ))
-            return reply.observations[0].value()
+            return reply.observations[0]
 
         uncached = repro.make("llvm-v0", benchmark="cbench-v1/qsort", result_cache=False)
         try:

@@ -106,7 +106,7 @@ def _step(request_id, session_id, actions):
 
 
 def _value(step_reply):
-    return step_reply.observations[0].value()
+    return step_reply.observations[0]
 
 
 def _wait_until(predicate, timeout=5.0):

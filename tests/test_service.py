@@ -108,7 +108,7 @@ class TestRuntime:
         reply = runtime.start_session(
             StartSessionRequest(benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"])
         )
-        assert reply.observations[0].value() == 5
+        assert reply.observations[0] == 5
 
     def test_step_applies_actions_in_batch(self):
         runtime = _runtime()
@@ -116,7 +116,7 @@ class TestRuntime:
         reply = runtime.step(
             StepRequest(session_id=session.session_id, actions=[1, 1, 1], observation_space_names=["value"])
         )
-        assert reply.observations[0].value() == 3
+        assert reply.observations[0] == 3
         assert not reply.action_had_no_effect
 
     def test_action_had_no_effect(self):
@@ -137,8 +137,8 @@ class TestRuntime:
         forked = runtime.step(
             StepRequest(session_id=fork.session_id, actions=[], observation_space_names=["value"])
         )
-        assert original.observations[0].value() == 2
-        assert forked.observations[0].value() == 1
+        assert original.observations[0] == 2
+        assert forked.observations[0] == 1
 
     def test_end_session(self):
         runtime = _runtime()
@@ -170,7 +170,7 @@ class TestRuntime:
         reply = runtime.step(
             StepRequest(session_id=session.session_id, actions=[], observation_space_names=["value"])
         )
-        assert reply.observations[0].value() == 0
+        assert reply.observations[0] == 0
 
 
 class TestRuntimeWorkingDirectory:
@@ -245,7 +245,7 @@ class TestServiceConnection:
         reply = connection.step(StepRequest(
             session_id=session.session_id, actions=[1], observation_space_names=["value"]
         ))
-        assert reply.observations[0].value() == 1
+        assert reply.observations[0] == 1
         connection.close()
 
     def test_closed_connection_rejects_calls(self):

@@ -23,6 +23,7 @@ import sys
 import textwrap
 import threading
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +42,17 @@ from repro.testing.chaos import FlushLimitedSocket
 from repro.core.service import wire
 from repro.core.service.proto import (
     EndSessionRequest,
-    Event,
     ForkSessionReply,
     ForkSessionRequest,
     HelloReply,
     HelloRequest,
+    SessionStepResult,
+    StartSessionReply,
     StartSessionRequest,
     StepReply,
     StepRequest,
+    StepSessionsReply,
+    StepSessionsRequest,
 )
 from repro.core.service.runtime.server import ServiceServer, SpawnedDaemon, make_env_server
 from repro.core.service.transport import (
@@ -62,6 +66,10 @@ from repro.core.service.wire import (
     REPLY_ERROR,
     REPLY_OK,
     WIRE_VERSION,
+    KIND_ANY,
+    KIND_PRIMITIVE,
+    KIND_PRIMITIVE_LIST,
+    field_kinds,
     frame_bytes,
     message_registry,
     parse_service_url,
@@ -224,18 +232,18 @@ class TestFraming:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "frames.bin"
         with open(path, "wb") as f:
-            write_frame(f, ("step", (1, [2, 3])))
-            write_frame(f, {"nested": np.arange(4)})
+            write_frame(f, (1, "step", (1, [2, 3])))
+            write_frame(f, (1, REPLY_OK, {"nested": np.arange(4)}))
         with open(path, "rb") as f:
-            assert read_frame(f) == ("step", (1, [2, 3]))
-            np.testing.assert_array_equal(read_frame(f)["nested"], np.arange(4))
+            assert read_frame(f) == (1, "step", (1, [2, 3]))
+            np.testing.assert_array_equal(read_frame(f)[2]["nested"], np.arange(4))
             with pytest.raises(EOFError):
                 read_frame(f)
 
     def test_truncated_frame(self, tmp_path):
         path = tmp_path / "frames.bin"
         with open(path, "wb") as f:
-            write_frame(f, "payload")
+            write_frame(f, (1, REPLY_OK, "payload"))
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with open(path, "rb") as f:
@@ -255,9 +263,9 @@ class TestFraming:
 
         payload = np.arange(1 << 19, dtype=np.int64)  # 4 MiB
         stream = _Trickle()
-        write_frame(stream, {"payload": payload})
+        write_frame(stream, (1, REPLY_OK, payload))
         stream.seek(0)
-        np.testing.assert_array_equal(read_frame(stream)["payload"], payload)
+        np.testing.assert_array_equal(read_frame(stream)[2], payload)
         assert stream.reads > 1000
 
 
@@ -367,7 +375,7 @@ class TestFramesRunNoCode:
                             session_id=session_id, actions=[1], observation_space_names=["value"]
                         )
                     )
-                    assert reply.observations[0].value() == value
+                    assert reply.observations[0] == value
                 # A request the daemon would refuse is never sent, and leaves
                 # no reply slot waiting on the connection.
                 with pytest.raises(ServiceError, match="Cannot send a .*_Foreign"):
@@ -375,6 +383,36 @@ class TestFramesRunNoCode:
                 assert not connection.transport._conn._pending
                 assert not any(stats.retries for stats in connection.stats.values())
                 assert server.runtime.stats["step"] == 3
+
+    def test_a_reply_field_off_its_kind_fails_only_its_call(self, monkeypatch):
+        """A reply whose field does not match its kind (an int where the
+        field is a bool) is refused by the daemon's encoder: the call gets a
+        ServiceError reply, and the connection serves on."""
+        runtime = _runtime()
+        step = runtime.step
+
+        def off_kind(request, owner=None):
+            reply = step(request, owner=owner)
+            if request.actions == [3]:
+                reply.end_of_session = 1
+            return reply
+
+        monkeypatch.setattr(runtime, "step", off_kind)
+        with ServiceServer(runtime, session_timeout=None).start() as server:
+            with ServiceConnection(SocketTransport(server.url)) as connection:
+                session_id = connection.start_session(
+                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
+                ).session_id
+                with pytest.raises(
+                    ServiceError, match="StepReply.end_of_session must be bool, not int"
+                ):
+                    connection.step(StepRequest(session_id=session_id, actions=[3]))
+                reply = connection.step(StepRequest(
+                    session_id=session_id, actions=[1], observation_space_names=["value"]
+                ))
+                assert reply.observations == [5]
+                assert not any(stats.retries for stats in connection.stats.values())
+                assert server.runtime.stats["step"] == 2
 
     def test_a_frame_naming_an_unloaded_module_imports_nothing(self):
         """Only the modules in IMPORTABLE_MODULES are imported to decode a
@@ -447,7 +485,7 @@ class TestFramesRunNoCode:
             assert server.runtime.stats["step"] == 0
 
 
-# -- the codec: arrays raw, containers checked, one version ------------------
+# -- the codec: arrays raw, messages positional, one version -----------------
 
 
 def _frame_of(lowered) -> bytes:
@@ -457,11 +495,17 @@ def _frame_of(lowered) -> bytes:
 
 
 def _decode_lowered(lowered):
-    return read_frame(io.BytesIO(_frame_of(lowered)))
+    """Decode ``lowered`` as the payload of a reply envelope."""
+    return read_frame(io.BytesIO(_frame_of((1, REPLY_OK, lowered))))[2]
 
 
 def _round_trip(value):
-    return read_frame(io.BytesIO(frame_bytes(value)))
+    return read_frame(io.BytesIO(frame_bytes((1, REPLY_OK, value))))[2]
+
+
+def _lowered_payload(value):
+    """The lowered payload of a reply envelope holding ``value``."""
+    return pickle.loads(frame_bytes((1, REPLY_OK, value))[FRAME_HEADER_BYTES:])[2]
 
 
 # Every number dtype in both byte orders, once each ("l" and "q" are one).
@@ -481,9 +525,9 @@ _LAYOUTS = {
 
 
 def _step_holding(array_tag) -> tuple:
-    """A step request frame, hand-lowered, whose one action is ``array_tag``."""
-    step = ("M", "StepRequest", {"session_id": 0, "actions": ("l", [array_tag])})
-    return ("t", (2, "step", ("t", (step,))))
+    """A step request envelope, hand-lowered, whose one action is ``array_tag``."""
+    step = ("M", "StepRequest", 0, ("l", [array_tag]))
+    return (2, "step", ("t", (step,)))
 
 
 _HOSTILE_ARRAYS = {
@@ -500,17 +544,47 @@ _HOSTILE_ARRAYS = {
 }
 
 
+def _request(*lowered_args) -> tuple:
+    return (1, "step", ("t", lowered_args))
+
+
+# Each a whole hand-lowered envelope, and what its refusal says.
+_HOSTILE_PAYLOADS = {
+    "int field holding a list": (
+        _request(("M", "ForkSessionRequest", [1])),
+        "ForkSessionRequest.session_id must be int, not list",
+    ),
+    "str list holding a non-string": (
+        _request(("M", "StepRequest", 0, ("F", [1]), ["Autophase", 3])),
+        "StepRequest.observation_space_names must be a list of str, not a list holding int",
+    ),
+    "envelope of 2": ((1, "heartbeat"), r"Malformed wire envelope: \(int, str\)"),
+    "envelope of 4": ((1, "heartbeat", ("t", ()), 0), "Malformed wire envelope"),
+    "envelope not a tuple": ([1, "heartbeat", ("t", ())], "Malformed wire envelope: list"),
+    "request id not an int": (("1", "heartbeat", ("t", ())), r"envelope: \(str, str, tuple\)"),
+    "request id a bool": ((True, "heartbeat", ("t", ())), r"envelope: \(bool, str, tuple\)"),
+    "more values than fields": (
+        _request(("M", "ForkSessionRequest", 4, 1)), "ForkSessionRequest carries 1 field values, not 2",
+    ),
+    "missing required field": (
+        _request(("M", "StepRequest")), "StepRequest carries 1 to 3 field values, not 0",
+    ),
+    "unknown tag": (_request(("X", 1)), "Unknown typed wire tag: 'X'"),
+    "unknown message": (_request(("M", "NoSuchMessage")), "Unknown wire message type"),
+}
+
+
 class TestWireCodec:
-    """Version 3: a numeric array travels as its raw bytes, a container tag
-    holds that container, and every refusal is a ServiceError."""
+    """Version 4: a numeric array travels as its raw bytes, a message as a
+    positional tuple whose fields are checked by kind, and every refusal is a
+    ServiceError."""
 
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     @pytest.mark.parametrize("dtype", _NUMBER_DTYPES, ids=lambda dtype: dtype.str)
     def test_a_numeric_array_round_trips_raw_and_writable(self, dtype, layout):
         array = _LAYOUTS[layout](dtype)
-        frame = frame_bytes(array)
-        assert pickle.loads(frame[FRAME_HEADER_BYTES:])[:2] == ("A", dtype.str)
-        decoded = read_frame(io.BytesIO(frame))
+        assert _lowered_payload(array)[:2] == ("A", dtype.str)
+        decoded = _round_trip(array)
         assert type(decoded) is np.ndarray
         assert decoded.dtype == array.dtype and decoded.shape == array.shape
         np.testing.assert_array_equal(decoded, array)
@@ -532,11 +606,10 @@ class TestWireCodec:
         opaque pickle; what a peer would refuse fails the sender's encode."""
         if refused:
             with pytest.raises(ServiceError, match="Cannot send a numpy.ndarray"):
-                frame_bytes(array)
+                frame_bytes((1, REPLY_OK, array))
             return
-        frame = frame_bytes(array)
-        assert pickle.loads(frame[FRAME_HEADER_BYTES:])[0] == "P"
-        decoded = read_frame(io.BytesIO(frame))
+        assert _lowered_payload(array)[0] == "P"
+        decoded = _round_trip(array)
         assert decoded.dtype == array.dtype
         np.testing.assert_array_equal(decoded, array)
 
@@ -546,11 +619,11 @@ class TestWireCodec:
         monkeypatch.setattr(
             wire, "admitted_global", lambda *name: looked_up.append(name) or admitted(*name)
         )
-        reply = StepReply(observations=[Event(opaque=np.arange(56)), Event(int64_value=3)])
-        _, status, decoded = _round_trip((7, REPLY_OK, reply))
-        assert status == REPLY_OK and looked_up == []
-        np.testing.assert_array_equal(decoded.observations[0].opaque, np.arange(56))
-        assert decoded.observations[1] == Event(int64_value=3)
+        reply = StepReply(observations=[np.arange(56), 3])
+        decoded = _round_trip(reply)
+        assert looked_up == []
+        np.testing.assert_array_equal(decoded.observations[0], np.arange(56))
+        assert decoded.observations[1] == 3
         # The counter sees what does name a global: a space.
         _round_trip(Scalar(min=0, max=None, dtype=int))
         assert looked_up
@@ -596,10 +669,30 @@ class TestWireCodec:
     def test_a_container_tag_must_hold_its_container(self, tag, payload):
         with pytest.raises(ServiceError, match=f"Malformed {tag!r} payload"):
             _decode_lowered((tag, payload))
-        # Nor in a message's field, where a runtime would iterate it.
-        step = ("M", "StepRequest", {"session_id": 0, "observation_space_names": (tag, payload)})
+        # Nor in a message's field of kind "any", where a runtime would
+        # iterate it.
+        step = ("M", "StepRequest", 0, (tag, payload))
         with pytest.raises(ServiceError, match=f"Malformed {tag!r} payload"):
             _decode_lowered(step)
+
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_PAYLOADS))
+    def test_a_hostile_payload_fails_the_decode_and_builds_nothing(self, name, monkeypatch):
+        well_formed = frame_bytes((1, "fork_session", (ForkSessionRequest(4),)))
+        built = []
+        for cls in message_registry().values():
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *args, _init=cls.__init__, **kwargs: (
+                    built.append(self), _init(self, *args, **kwargs)
+                )[1],
+            )
+        envelope, refusal = _HOSTILE_PAYLOADS[name]
+        with pytest.raises(ServiceError, match=refusal):
+            read_frame(io.BytesIO(_frame_of(envelope)))
+        assert built == []
+        # A well-formed message builds (so the count above is live).
+        read_frame(io.BytesIO(well_formed))
+        assert len(built) == 1
 
     def test_a_dict_key_the_peer_would_refuse_fails_only_its_encode(self):
         """Keys are not lowered: a dict keyed by anything but primitives
@@ -608,51 +701,147 @@ class TestWireCodec:
             frame_bytes((1, "handle_session_parameter", ({_Foreign(): 1},)))
         assert _round_trip({(1, "a"): [2], "b": 3}) == {(1, "a"): [2], "b": 3}
 
-    def test_unknown_tags_names_and_fields(self):
-        with pytest.raises(ServiceError, match="Unknown typed wire tag"):
-            _decode_lowered(("X", 1))
-        with pytest.raises(ServiceError, match="Unknown wire message type"):
-            _decode_lowered(("M", "NoSuchMessage", {}))
-        decoded = _decode_lowered(("M", "ForkSessionReply", {"session_id": 4, "new_field": 1}))
-        assert decoded == ForkSessionReply(session_id=4)
-
-    def test_a_version_2_frame_is_refused_on_its_first_byte(self, tmp_path):
-        """A version 2 peer's frame — here one that would run code if its
-        payload were decoded — is refused before a payload byte is read."""
-        assert WIRE_VERSION == 3 and len(wire.CODECS) == 1
+    def test_an_older_version_frame_is_refused_on_its_first_byte(self, tmp_path):
+        """A version 2 or 3 peer's frame — here one that would run code if
+        its payload were decoded — is refused before a payload byte is read."""
+        assert WIRE_VERSION == 4 and len(wire.CODECS) == 1
         sentinel = tmp_path / "sentinel"
         payload = pickle.dumps((1, "heartbeat", (_RunsOnLoad(sentinel),)))
-        stream = io.BytesIO(bytes([2]) + struct.pack(">Q", len(payload)) + payload)
-        with pytest.raises(ConnectionError, match="version 2"):
-            read_frame(stream)
-        assert stream.tell() == FRAME_HEADER_BYTES
+        for version in (2, 3):
+            stream = io.BytesIO(bytes([version]) + struct.pack(">Q", len(payload)) + payload)
+            with pytest.raises(ConnectionError, match=f"version {version}"):
+                read_frame(stream)
+            assert stream.tell() == FRAME_HEADER_BYTES
         assert not sentinel.exists()
 
+    def test_a_message_travels_positionally_without_its_trailing_defaults(self):
+        assert _lowered_payload(StepRequest(session_id=3, actions=[1])) == (
+            "M", "StepRequest", 3, ("F", [1]),
+        )
+        assert _lowered_payload(StartSessionRequest("benchmark://t-v0/1", verify_ir=True)) == (
+            "M", "StartSessionRequest", "benchmark://t-v0/1", 0, [], None, True,
+        )
+        assert _lowered_payload(HelloReply()) == ("M", "HelloReply")
+        assert _decode_lowered(("M", "StartSessionRequest", "u")) == StartSessionRequest("u")
+
+    def test_an_envelope_is_a_plain_triple(self):
+        request = (7, "fork_session", (ForkSessionRequest(session_id=2),))
+        frame = frame_bytes(request)
+        assert pickle.loads(frame[FRAME_HEADER_BYTES:]) == (
+            7, "fork_session", ("t", (("M", "ForkSessionRequest", 2),)),
+        )
+        assert read_frame(io.BytesIO(frame)) == request
+        for value in ((7, "step"), ("7", "step", ()), [7, "step", ()], "payload"):
+            with pytest.raises(ServiceError, match="Not a wire envelope"):
+                frame_bytes(value)
+
+
+# The fields of the hot messages, by the kind their codec was built with. An
+# annotation edit that moves one of them to another kind fails here first.
+_HOT_FIELD_KINDS = {
+    StepRequest: {
+        "session_id": (KIND_PRIMITIVE, {int}),
+        "actions": (KIND_ANY, set()),
+        "observation_space_names": (KIND_PRIMITIVE_LIST, {str}),
+    },
+    StepReply: {
+        "end_of_session": (KIND_PRIMITIVE, {bool}),
+        "action_had_no_effect": (KIND_PRIMITIVE, {bool}),
+        "new_action_space": (KIND_ANY, set()),
+        "observations": (KIND_ANY, set()),
+    },
+    StepSessionsRequest: {"requests": (KIND_ANY, set())},
+    StepSessionsReply: {"results": (KIND_ANY, set())},
+    SessionStepResult: {
+        "session_id": (KIND_PRIMITIVE, {int}),
+        "reply": (KIND_ANY, set()),
+        "error": (KIND_ANY, set()),
+        "wall_time_s": (KIND_PRIMITIVE, {float}),
+    },
+    StartSessionRequest: {
+        "benchmark_uri": (KIND_PRIMITIVE, {str}),
+        "action_space": (KIND_PRIMITIVE, {int}),
+        "observation_space_names": (KIND_PRIMITIVE_LIST, {str}),
+        "end_session_id": (KIND_PRIMITIVE, {int, type(None)}),
+        "verify_ir": (KIND_PRIMITIVE, {bool}),
+    },
+    StartSessionReply: {
+        "session_id": (KIND_PRIMITIVE, {int}),
+        "observations": (KIND_ANY, set()),
+        "new_action_space": (KIND_ANY, set()),
+    },
+}
+
+
+@pytest.mark.parametrize("cls", list(_HOT_FIELD_KINDS), ids=lambda cls: cls.__name__)
+def test_the_hot_messages_keep_their_field_kinds(cls):
+    assert field_kinds(cls) == _HOT_FIELD_KINDS[cls]
+
+
+def test_field_kinds_are_derived_from_annotations(monkeypatch):
+    for table in ("_REGISTERED", "_MESSAGE_RAISERS", "_LOWERERS"):
+        monkeypatch.setattr(wire, table, dict(getattr(wire, table)))  # Registered here only.
+
+    @wire.wire_message(name="test_transport.Kinds")
+    @dataclasses.dataclass
+    class Kinds:
+        a: int
+        b: "int"
+        c: "Optional[str]" = None  # noqa: F821 - a forward reference is "any"
+        d: typing.Optional[bytes] = None
+        e: typing.List[typing.Optional[float]] = dataclasses.field(default_factory=list)
+        f: typing.List[typing.Any] = dataclasses.field(default_factory=list)
+        g: typing.Union[int, str] = 0
+        h: typing.Optional[typing.List[int]] = None
+
+    assert field_kinds(Kinds) == {
+        "a": (KIND_PRIMITIVE, {int}),
+        "b": (KIND_ANY, set()),
+        "c": (KIND_ANY, set()),
+        "d": (KIND_PRIMITIVE, {bytes, type(None)}),
+        "e": (KIND_PRIMITIVE_LIST, {float, type(None)}),
+        "f": (KIND_ANY, set()),
+        "g": (KIND_ANY, set()),
+        "h": (KIND_ANY, set()),
+    }
+    assert _round_trip(Kinds(1, [2], e=[None, 0.5], h=[3])) == Kinds(1, [2], e=[None, 0.5], h=[3])
+
+
+_PRIMITIVE_VALUES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False),
+    str: st.text(max_size=6),
+    bytes: st.binary(max_size=6),
+}
 
 _VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=6) | st.binary(max_size=6),
+    st.one_of(*_PRIMITIVE_VALUES.values()),
     lambda children: (
         st.lists(children, max_size=3)
         | st.tuples(children, children)
         | st.dictionaries(st.text(max_size=4), children, max_size=3)
-        | st.builds(
-            Event,
-            int64_value=st.none() | st.integers(),
-            double_list=st.none() | st.lists(st.floats(allow_nan=False), max_size=3),
-            event_dict=st.none() | st.dictionaries(
-                st.text(max_size=4), st.builds(Event, opaque=children), max_size=2
-            ),
-            opaque=children,
-        )
+        | st.builds(ForkSessionReply, session_id=st.integers())
     ),
     max_leaves=10,
 )
 
 
+def _of_kind(kind, types_):
+    values = st.one_of(*(_PRIMITIVE_VALUES[cls] for cls in sorted(types_, key=str)))
+    if kind == KIND_PRIMITIVE:
+        return values
+    if kind == KIND_PRIMITIVE_LIST:
+        return st.lists(values, max_size=3)
+    return _VALUES
+
+
 def _messages():
     def build(cls):
-        return st.builds(cls, **{f.name: _VALUES for f in dataclasses.fields(cls)})
+        return st.builds(cls, **{
+            name: _of_kind(*kind) for name, kind in field_kinds(cls).items()
+        })
 
     return st.sampled_from(sorted(message_registry().items())).flatmap(
         lambda item: build(item[1])
@@ -663,7 +852,43 @@ def _messages():
 @given(message=_messages())
 def test_every_registered_message_round_trips(message):
     codec = wire.CODECS[WIRE_VERSION]
-    assert codec.decode(codec.encode(message)) == message
+    assert codec.decode(codec.encode((1, REPLY_OK, message))) == (1, REPLY_OK, message)
+
+
+def _not_of_kind(kind, types_):
+    """Values a field of this kind refuses: another type, or for a list of
+    primitives also a list holding one."""
+    strays = _VALUES.filter(lambda value: type(value) not in types_)
+    if kind == KIND_PRIMITIVE:
+        return strays
+    return (
+        _VALUES.filter(lambda value: type(value) is not list)
+        | st.lists(_VALUES, max_size=2).flatmap(
+            lambda items: strays.map(lambda stray: items + [stray])
+        )
+    )
+
+
+@st.composite
+def _mismatched_messages(draw):
+    cls = draw(st.sampled_from([
+        cls for _, cls in sorted(message_registry().items())
+        if any(kind != KIND_ANY for kind, _ in field_kinds(cls).values())
+    ]))
+    message = draw(_messages().filter(lambda message: type(message) is cls))
+    name, kind = draw(st.sampled_from([
+        (name, kind) for name, kind in field_kinds(cls).items() if kind[0] != KIND_ANY
+    ]))
+    setattr(message, name, draw(_not_of_kind(*kind)))
+    return message, name
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+@given(case=_mismatched_messages())
+def test_a_value_off_its_fields_kind_fails_the_encode(case):
+    message, name = case
+    with pytest.raises(ServiceError, match=rf"{type(message).__name__}\.{name} must be"):
+        wire.CODECS[WIRE_VERSION].encode((1, REPLY_OK, message))
 
 
 # -- transports behind ServiceConnection -------------------------------------
@@ -683,7 +908,7 @@ class TestTransportConnection:
                     benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"]
                 )
             )
-            assert session.observations[0].value() == 5
+            assert session.observations[0] == 5
             reply = connection.step(
                 StepRequest(
                     session_id=session.session_id,
@@ -691,7 +916,7 @@ class TestTransportConnection:
                     observation_space_names=["value"],
                 )
             )
-            assert reply.observations[0].value() == 7
+            assert reply.observations[0] == 7
             assert connection.stats["step"].calls == 1
 
     def test_backend_error_surfaces_as_service_error_without_restart(self, make_transport):
@@ -763,7 +988,7 @@ class TestSlowSuccessIsNotRetried:
                 observation_space_names=["value"],
             )
         )
-        assert reply.observations[0].value() == 1
+        assert reply.observations[0] == 1
         connection.close()
 
     def test_fast_success_within_deadline_is_untouched(self):
@@ -900,7 +1125,7 @@ class TestSendFailureClassification:
                 )
             )
             # The retry transparently reconnected and applied the step once.
-            assert reply.observations[0].value() == 1
+            assert reply.observations[0] == 1
             assert connection.stats["step"].retries == 1
             assert server.runtime.stats["step"] == steps_before + 1
             connection.close()
@@ -936,7 +1161,7 @@ class TestSendFailureClassification:
                     observation_space_names=["value"],
                 )
             )
-            assert reply.observations[0].value() == 0
+            assert reply.observations[0] == 0
             connection.close()
 
 
@@ -958,7 +1183,7 @@ class TestServiceServer:
                         observation_space_names=["value"],
                     )
                 )
-                assert session.observations[0].value() == 4
+                assert session.observations[0] == 4
                 reply = connection.step(
                     StepRequest(
                         session_id=session.session_id,
@@ -966,7 +1191,7 @@ class TestServiceServer:
                         observation_space_names=["value"],
                     )
                 )
-                assert reply.observations[0].value() == 7
+                assert reply.observations[0] == 7
 
     def test_multiplexes_concurrent_clients(self):
         """Many clients, one runtime: all sessions land on the same backend."""
@@ -991,7 +1216,7 @@ class TestServiceServer:
                             observation_space_names=["value"],
                         )
                     )
-                    assert reply.observations[0].value() == i + 1
+                    assert reply.observations[0] == i + 1
                 assert server.runtime.stats["start_session"] == 4
             finally:
                 for connection in connections:
@@ -1017,7 +1242,7 @@ class TestServiceServer:
                     observation_space_names=["value"],
                 )
             )
-            assert reply.observations[0].value() == 7
+            assert reply.observations[0] == 7
             second.close()
 
     def test_a_dropped_socket_reconnects_on_the_next_call(self):
@@ -1039,7 +1264,7 @@ class TestServiceServer:
                         observation_space_names=["value"],
                     )
                 )
-                assert reply.observations[0].value() == 2
+                assert reply.observations[0] == 2
                 assert connection.stats["step"].retries == 1
                 assert transport._conn is not dropped and dropped.dead is not None
 
@@ -1071,7 +1296,7 @@ class TestServiceServer:
                                 observation_space_names=["value"],
                             )
                         )
-                        values[session_id] = reply.observations[0].value()
+                        values[session_id] = reply.observations[0]
 
                     for drop in range(1, drops + 1):
                         transport._conn.sock.shutdown(socket.SHUT_RDWR)
@@ -1119,7 +1344,7 @@ class TestServiceServer:
                         observation_space_names=["value"],
                     )
                 )
-                assert reply.observations[0].value() == 6
+                assert reply.observations[0] == 6
 
                 # Two clients on DIFFERENT sessions: their steps overlap.
                 _SlowStepSession.reset_tracking()
@@ -1167,7 +1392,7 @@ class TestServiceServer:
                     observation_space_names=["value"],
                 )
             )
-            assert reply.observations[0].value() == 1
+            assert reply.observations[0] == 1
             connection.close()
 
     def test_idle_sessions_are_reaped(self):
@@ -1229,7 +1454,7 @@ class TestServiceServer:
             # The daemon survives and still speaks the current version.
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 info = connection.transport.server_info()
-                assert info["protocol_version"] == WIRE_VERSION == 3
+                assert info["protocol_version"] == WIRE_VERSION == 4
                 assert info["wire_versions"] == [WIRE_VERSION]
 
     def test_an_unauthenticated_peer_cannot_announce_a_large_frame(self):
@@ -1307,7 +1532,7 @@ class TestServiceServer:
                             observation_space_names=["value"],
                         )
                     )
-                    assert reply.observations[0].value() == 3
+                    assert reply.observations[0] == 3
             finally:
                 alice.close()
                 bob.close()
@@ -1399,7 +1624,7 @@ class TestBatchedStepSessions:
                 assert all(r.ok for r in results)
                 # Counter i stepped (i + 1) times: same values as individual
                 # step() calls would produce.
-                assert [r.reply.observations[0].value() for r in results] == [1, 3, 5]
+                assert [r.reply.observations[0] for r in results] == [1, 3, 5]
                 assert server.batched_steps == 1
                 assert server.server_info()["batched_steps"] == 1
                 # A batch of one is every single step a gateway forwards.
@@ -1412,7 +1637,7 @@ class TestBatchedStepSessions:
                         )
                     ]
                 )
-                assert alone.ok and alone.unwrap().observations[0].value() == 2
+                assert alone.ok and alone.unwrap().observations[0] == 2
 
     def test_batched_sub_steps_run_in_request_order_on_the_serving_thread(self, monkeypatch):
         _SlowStepSession.reset_tracking()
@@ -1489,7 +1714,7 @@ class TestBatchedStepSessions:
                     ]
                 )
                 assert [r.ok for r in results] == [True, False, True]
-                assert [results[i].reply.observations[0].value() for i in (0, 2)] == [1, 3]
+                assert [results[i].reply.observations[0] for i in (0, 2)] == [1, 3]
                 assert type(results[1].error) is ServiceError
                 assert str(results[1].error) == "_UnpicklableError: holds a lambda"
 
@@ -1604,7 +1829,7 @@ class TestBatchedStepSessions:
                             observation_space_names=["value"],
                         )
                     )
-                    assert reply.observations[0].value() == 4
+                    assert reply.observations[0] == 4
 
 
 class TestMultiplexedConcurrency:
@@ -1639,7 +1864,7 @@ class TestMultiplexedConcurrency:
                             observation_space_names=["value"],
                         )
                     )
-                    trace.append(reply.observations[0].value())
+                    trace.append(reply.observations[0])
                 traces[i] = trace
 
             threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]

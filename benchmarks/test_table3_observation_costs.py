@@ -70,6 +70,8 @@ def test_table3_observation_and_reward_space_costs(benchmark):
     assert summary["observation_space_range"] > 5
     assert summary["Inst2vec"]["mean_ms"] > summary["InstCount"]["mean_ms"]
     assert summary["Programl"]["mean_ms"] > summary["InstCount"]["mean_ms"]
-    assert summary["IrInstructionCount"]["mean_ms"] <= min(
-        summary["ObjectTextSizeBytes"]["mean_ms"], summary["Runtime"]["mean_ms"]
+    # Medians: IrInstructionCount's samples are memo hits, whose mean one
+    # slow sample can move past the bound.
+    assert summary["IrInstructionCount"]["p50_ms"] <= min(
+        summary["ObjectTextSizeBytes"]["p50_ms"], summary["Runtime"]["p50_ms"]
     ) * 1.5

@@ -112,13 +112,15 @@ class CompilerEnv:
         self.reward = RewardView(rewards or [], self.observation)
         self.reward_range: Tuple[float, float] = (float("-inf"), float("inf"))
 
-        # Episode state.
+        # Episode state. The env names its session: every reset starts one
+        # under this id, replacing what the service holds under it, so a
+        # call lost in flight leaves nothing this env does not know to end.
         self._closed = False
-        self._session_id: Optional[int] = None
-        # A session whose episode is over but which the service may still
-        # hold (the episode ended on a transport error, or a reset did not get
-        # through): the next reset's start_session ends it, or close() does.
-        self._unended_session_id: Optional[int] = None
+        self._session_id: int = self.service.new_session_id()
+        self._in_episode = False
+        # Whether the service may hold a session under the id: a start or
+        # fork under it may have reached the service, and none was ended since.
+        self._held = False
         self._benchmark_in_use: Optional[Benchmark] = None
         self._next_benchmark: Optional[Benchmark] = None
         self.actions: List[Any] = []
@@ -250,7 +252,7 @@ class CompilerEnv:
     @property
     def in_episode(self) -> bool:
         """Whether a compilation session is active."""
-        return self._session_id is not None
+        return self._in_episode
 
     @property
     def episode_walltime(self) -> float:
@@ -289,7 +291,7 @@ class CompilerEnv:
 
     def _raw_observations(self, space_names: List[str]) -> List[Any]:
         """Fetch raw observations of the current state from the service."""
-        if self._session_id is None:
+        if not self._in_episode:
             raise SessionNotFound("Cannot compute observations before reset()")
         reply = self.service.step(
             StepRequest(
@@ -320,9 +322,8 @@ class CompilerEnv:
         if benchmark is not None:
             self.benchmark = benchmark
 
-        if self._session_id is not None:
-            # The episode is over: the start_session below ends its session.
-            self._unended_session_id, self._session_id = self._session_id, None
+        # The episode is over: the start_session below replaces its session.
+        self._in_episode = False
 
         if self._next_benchmark is not None:
             self._benchmark_in_use = self._next_benchmark
@@ -359,7 +360,7 @@ class CompilerEnv:
                 uri,
             )
 
-        # One round trip: the start ends the old session, and answers the
+        # One round trip: the start replaces the old session, and answers the
         # observation space and everything the reward's reset and first
         # update read.
         names = []
@@ -371,29 +372,22 @@ class CompilerEnv:
         observation_names = list(
             dict.fromkeys(self.observation.raw_space_id(name) for name in names)
         )
-        ended, self._unended_session_id = self._unended_session_id, None
+        self._held = True
         try:
             reply = self.service.start_session(
                 StartSessionRequest(
+                    session_id=self._session_id,
                     benchmark_uri=str(self._benchmark_in_use.uri),
                     action_space=self.action_spaces.index(self.action_space),
                     observation_space_names=observation_names,
-                    end_session_id=ended,
                     verify_ir=self.verify_ir,
                 )
             )
-        except ServiceTransportError as error:
-            # Either the request may not have reached the service, which may
-            # then still hold the old session, or the start came back late and
-            # ended it, opening one this env will not use.
-            late = getattr(error, "late_reply", None)
-            self._unended_session_id = ended if late is None else late.session_id
-            raise
         except LookupError as error:
             raise BenchmarkInitError(str(error)) from error
 
         self._closed = False
-        self._session_id = reply.session_id
+        self._in_episode = True
         self.actions = []
         self.episode_reward = 0 if self._reward_space else None
         self.episode_start_time = time.time()
@@ -442,18 +436,16 @@ class CompilerEnv:
         return self._finish_multistep(context, lambda: self.service.step(request))
 
     def _end_session(self) -> None:
-        """End the current session and an unended one, if there are any: best
-        effort, one try each. Safe on an environment whose construction failed
-        partway."""
-        service = getattr(self, "service", None)
-        for attribute in ("_session_id", "_unended_session_id"):
-            session_id = getattr(self, attribute, None)
-            setattr(self, attribute, None)
-            if session_id is not None and service is not None:
-                try:
-                    service.end_session(EndSessionRequest(session_id=session_id))
-                except (ServiceError, SessionNotFound):
-                    pass
+        """End the episode, and the session the service may hold under this
+        env's id: best effort, one try. Safe on an environment whose
+        construction failed partway."""
+        self._in_episode = False
+        if getattr(self, "_held", False):
+            self._held = False
+            try:
+                self.service.end_session(EndSessionRequest(session_id=self._session_id))
+            except (ServiceError, SessionNotFound):
+                pass
 
     def _prepare_multistep(
         self,
@@ -462,7 +454,7 @@ class CompilerEnv:
         reward_spaces: Optional[List[Union[str, Reward]]] = None,
     ) -> Tuple[StepRequest, dict]:
         """Build the service request (and client-side context) for one step."""
-        if self._session_id is None:
+        if not self._in_episode:
             if self._closed:
                 raise SessionNotFound(
                     "Cannot call step() on a closed environment: "
@@ -536,11 +528,12 @@ class CompilerEnv:
             ]
             if isinstance(error, ServiceTransportError):
                 # The service may still hold the session (after a slow
-                # success it does): the next reset or close() ends it.
-                self._unended_session_id, self._session_id = self._session_id, None
+                # success it does): the next reset replaces it, or close()
+                # ends it.
+                self._in_episode = False
             elif isinstance(error, (ServiceIsDown, SessionNotFound)):
                 # The session is gone: forget it.
-                self._session_id = None
+                self._in_episode = self._held = False
             else:
                 # The service answered, so it is there to be told that this
                 # episode is over: a session it is left holding is counted in
@@ -631,9 +624,8 @@ class CompilerEnv:
         this environment's. Forking is much cheaper than replaying the action
         history, enabling efficient backtracking searches.
         """
-        if self._session_id is None:
+        if not self._in_episode:
             self.reset()
-        reply = self.service.fork_session(ForkSessionRequest(session_id=self._session_id))
         forked = type(self).__new__(type(self))
         forked.__dict__.update(
             {
@@ -651,7 +643,15 @@ class CompilerEnv:
         # RPCs on the shared connection too.
         forked._owns_service = True
         self.service.acquire()
-        forked._session_id = reply.session_id
+        forked._session_id = self.service.new_session_id()
+        try:
+            self.service.fork_session(
+                ForkSessionRequest(session_id=self._session_id, fork_id=forked._session_id)
+            )
+        except BaseException:
+            # The fork may have reached the service: end it there.
+            forked.close()
+            raise
         forked.actions = list(self.actions)
         forked.episode_reward = self.episode_reward
         forked.episode_start_time = self.episode_start_time

@@ -20,6 +20,7 @@ sessions live as long as it does.
 """
 
 import random
+import secrets
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -171,21 +172,20 @@ class ServiceConnection:
         backend, so it must never be retried — re-executing a non-idempotent
         call like step() would corrupt the session. A call that came back
         slower than the deadline is recorded as a (slow) success and surfaced
-        as a non-retryable transport error, whose ``late_reply`` is the reply
-        (a caller whose late ``start_session`` opened a session ends it).
+        as a non-retryable transport error. A late ``start_session`` or
+        ``fork_session`` opened a session under the id its caller named, so
+        the caller knows what to end without the reply.
         """
         with self._lock:
             stats.record(elapsed)
         if elapsed > self.opts.rpc_call_max_seconds:
             with self._lock:
                 stats.errors += 1
-            error = ServiceTransportError(
+            raise ServiceTransportError(
                 f"Service call {name}() completed after {elapsed:.3f}s, "
                 f"exceeding the {self.opts.rpc_call_max_seconds}s deadline; "
                 "the call was applied and will not be retried"
             )
-            error.late_reply = result
-            raise error
         return result
 
     def _call(self, name: str, *args):
@@ -214,6 +214,13 @@ class ServiceConnection:
             return self._account(name, stats, sent_in + time.perf_counter() - start, result)
 
         return collect
+
+    @staticmethod
+    def new_session_id() -> int:
+        """An id for a session to start or fork: 63 random bits, from the OS
+        rather than a seeded generator, so that clients which share a seed
+        and a token do not collide on one service."""
+        return secrets.randbits(63)
 
     # -- RPC methods ------------------------------------------------------
 

@@ -10,22 +10,24 @@ changes), places each new session on the least-loaded live daemon, proxies
 session-scoped RPCs to the owning daemon over the multiplexed transport,
 and fails sessions over when a daemon dies.
 
-**Session routing.** The gateway speaks *gateway-scoped* session ids to its
-clients and translates to ``(daemon, remote session id)`` pairs
-internally, so clients never observe which daemon hosts them — or that the
-hosting daemon changed. A batched ``step_sessions`` RPC is split by owning
-daemon on the thread that read it, which sends every daemon its share before
-it awaits any reply, then collects the replies in turn and reassembles them in
-request order: the daemons step their shares at the same time, and the gateway
-hands no work to another thread.
+**Session routing.** A session keeps the id its client named on every
+member that ever hosts it, so the gateway forwards requests as they came and
+routes each id to its daemon: clients never observe which daemon hosts them
+— or that the hosting daemon changed. Ids are unique across the gateway: a
+start or fork under another tenant's id is refused. A batched
+``step_sessions`` RPC is split by owning daemon on the thread that read it,
+which sends every daemon its share before it awaits any reply, then collects
+the replies in turn and reassembles them in request order: the daemons step
+their shares at the same time, and the gateway hands no work to another
+thread.
 
 **Failover.** Every routed session records its construction recipe and the
 acknowledged action sequence as a :class:`~repro.core.compiler_env_state.
 CompilerEnvState`-backed record. When a daemon dies (detected by a failed
 RPC plus a failed liveness probe, or by the :class:`HealthMonitor`), each
-of its sessions is re-created on a surviving daemon by replaying the
-recorded actions, and the failed call is retried once against the new
-home. Only *acknowledged* actions are
+of its sessions is re-created on a surviving daemon, under its id, by
+replaying the recorded actions, and the failed call is retried once against
+the new home. Only *acknowledged* actions are
 replayed, so a step lost in flight with the dying daemon is applied at most
 once on the successor. ``server_info()["failovers"]`` counts these events;
 the spaces a gateway serves are its ``env_id``'s and do not change with its
@@ -59,10 +61,8 @@ from repro.core.service.health import HealthMonitor
 from repro.core.service.proto import (
     EndSessionReply,
     EndSessionRequest,
-    ForkSessionReply,
     ForkSessionRequest,
     SessionStepResult,
-    StartSessionReply,
     StartSessionRequest,
     StepRequest,
     StepSessionsReply,
@@ -144,9 +144,8 @@ class _RoutedSession:
     replayed on failover, preserving at-most-once step application. The
     replayed session verifies its IR if the original did (``verify_ir``)."""
 
-    gateway_sid: int
+    session_id: int
     daemon: DaemonHandle
-    remote_sid: int
     owner: Optional[str]
     benchmark_uri: str
     action_space: int = 0
@@ -215,7 +214,6 @@ class ServiceGateway(SocketRPCServer):
         self._daemons: List[DaemonHandle] = []
         self._daemon_indexes = itertools.count()
         self._sessions: Dict[int, _RoutedSession] = {}
-        self._session_ids = itertools.count()
         self.failovers = 0
         self.rehomed_sessions = 0  # Sessions successfully replayed onto survivors.
         self.heartbeat_interval = heartbeat_interval
@@ -345,11 +343,10 @@ class ServiceGateway(SocketRPCServer):
             except Exception as replay_error:  # noqa: BLE001 - drop, don't wedge
                 logger.warning(
                     "Gateway could not replay session %d (%s after %d actions): %s",
-                    record.gateway_sid, record.benchmark_uri, len(record.actions),
+                    record.session_id, record.benchmark_uri, len(record.actions),
                     replay_error,
                 )
-                with self._fleet_lock:
-                    self._sessions.pop(record.gateway_sid, None)
+                self._drop(record)
         if daemon.spawned is not None:
             daemon.spawned.stop()  # It may be wedged rather than gone.
 
@@ -357,8 +354,9 @@ class ServiceGateway(SocketRPCServer):
         """Re-create one routed session on a live daemon by replaying its
         recipe: its benchmark, then its acknowledged actions."""
         target = self._place_session()
-        reply = target.connection.start_session(
+        target.connection.start_session(
             StartSessionRequest(
+                session_id=record.session_id,
                 benchmark_uri=record.benchmark_uri,
                 action_space=record.action_space,
                 verify_ir=record.verify_ir,
@@ -366,27 +364,46 @@ class ServiceGateway(SocketRPCServer):
         )
         if record.actions:
             target.connection.step(
-                StepRequest(session_id=reply.session_id, actions=list(record.actions))
+                StepRequest(session_id=record.session_id, actions=list(record.actions))
             )
         with self._fleet_lock:
             record.daemon = target
-            record.remote_sid = reply.session_id
             self.rehomed_sessions += 1
         logger.info(
             "Replayed session %d (%d actions) onto daemon %d at %s",
-            record.gateway_sid, len(record.actions), target.index, target.url,
+            record.session_id, len(record.actions), target.index, target.url,
         )
 
-    def _routed(self, state: ClientConnectionState, gateway_sid: int) -> _RoutedSession:
+    def _own(self, state: ClientConnectionState, session_id: int) -> Optional[_RoutedSession]:
+        """The caller's route under ``session_id``, or ``None`` if there is
+        none; another tenant's is refused."""
         with self._fleet_lock:
-            record = self._sessions.get(gateway_sid)
-        if record is None:
-            raise SessionNotFound(f"Session not found: {gateway_sid}")
-        if record.owner != state.token:
-            raise PermissionDeniedError(
-                f"Session {gateway_sid} belongs to another tenant"
-            )
+            record = self._sessions.get(session_id)
+        if record is not None and record.owner != state.token:
+            raise PermissionDeniedError(f"Session {session_id} belongs to another tenant")
         return record
+
+    def _routed(self, state: ClientConnectionState, session_id: int) -> _RoutedSession:
+        record = self._own(state, session_id)
+        if record is None:
+            raise SessionNotFound(f"Session not found: {session_id}")
+        return record
+
+    def _drop(self, record: _RoutedSession) -> None:
+        """Take ``record`` out of the table, unless its id routes elsewhere
+        by now."""
+        with self._fleet_lock:
+            if self._sessions.get(record.session_id) is record:
+                del self._sessions[record.session_id]
+
+    @staticmethod
+    def _end_on(daemon: DaemonHandle, session_id: int) -> None:
+        """End a session on ``daemon``, best effort: the daemon (or the
+        session) may be gone already."""
+        try:
+            daemon.connection.end_session(EndSessionRequest(session_id=session_id))
+        except (ServiceError, ConnectionError, OSError, SessionNotFound):
+            pass
 
     def _failed_over(self, daemon: DaemonHandle, error: BaseException) -> bool:
         """Decide what a failed call to ``daemon`` means, and act on it.
@@ -403,23 +420,23 @@ class ServiceGateway(SocketRPCServer):
         return True
 
     def _call_routed(self, record: _RoutedSession, call):
-        """Invoke ``call(daemon, remote_sid)`` on the owning daemon, failing
-        over once if the daemon died mid-call."""
+        """Invoke ``call(daemon)`` on the owning daemon, failing over once if
+        the daemon died mid-call."""
         for attempt in (0, 1):
-            daemon, remote_sid = record.daemon, record.remote_sid
+            daemon = record.daemon
             if daemon.dead:
                 raise daemon.down_error()
             try:
-                return call(daemon, remote_sid)
+                return call(daemon)
             except PermissionDeniedError:
                 raise  # Answered: nothing to fail over.
             except (ServiceError, ConnectionError, OSError) as error:
                 if attempt or not self._failed_over(daemon, error):
                     raise daemon.down_error(error)
                 with self._fleet_lock:
-                    if record.gateway_sid not in self._sessions:
+                    if self._sessions.get(record.session_id) is not record:
                         raise SessionNotFound(
-                            f"Session {record.gateway_sid} was lost with its daemon"
+                            f"Session {record.session_id} was lost with its daemon"
                         ) from error
 
     # -- dispatch ----------------------------------------------------------
@@ -437,41 +454,30 @@ class ServiceGateway(SocketRPCServer):
         return candidates[0].connection.spaces
 
     def _rpc_start_session(self, state: ClientConnectionState, request: StartSessionRequest):
-        """Place a new session, ending the one it replaces on the way.
+        """Place a new session under the caller's id, ending the one it
+        replaces on the way.
 
         The replaced route goes first, so placement decides what it would
         after an ``end_session``. Where the new session lands on the member
-        that held the old one, that member ends it inside the same
+        that held the old one, that member replaces it inside the same
         ``start_session``; otherwise the old member's ``end_session`` is sent
-        before the new member's start, and awaited after it. Like the
-        runtime, the gateway skips an unknown or foreign id, and nothing
-        about the replaced session fails the start.
+        before the new member's start, and awaited after it. Nothing about
+        the replaced session fails the start.
         """
-        with self._fleet_lock:
-            replaced = self._sessions.get(request.end_session_id)
-            if replaced is not None and replaced.owner == state.token:
-                del self._sessions[replaced.gateway_sid]
-            else:
-                replaced = None
+        replaced = self._own(state, request.session_id)
+        if replaced is not None:
+            self._drop(replaced)
         daemon = self._place_session()
-        forwarded = StartSessionRequest(
-            benchmark_uri=request.benchmark_uri,
-            action_space=request.action_space,
-            observation_space_names=request.observation_space_names,
-            verify_ir=request.verify_ir,
-        )
         ended = None
-        if replaced is not None and replaced.daemon is daemon:
-            forwarded.end_session_id = replaced.remote_sid
-        elif replaced is not None and not replaced.daemon.dead:
+        if replaced is not None and replaced.daemon is not daemon and not replaced.daemon.dead:
             try:
                 ended = replaced.daemon.connection.send_end_session(
-                    EndSessionRequest(session_id=replaced.remote_sid)
+                    EndSessionRequest(session_id=request.session_id)
                 )
             except (ServiceError, ConnectionError, OSError):
                 pass  # As for end_session: the member is gone either way.
         try:
-            reply = daemon.connection.start_session(forwarded)
+            reply = daemon.connection.start_session(request)
         finally:
             if ended is not None:
                 try:
@@ -479,71 +485,55 @@ class ServiceGateway(SocketRPCServer):
                 except (ServiceError, ConnectionError, OSError, SessionNotFound):
                     pass
         with self._fleet_lock:
-            gateway_sid = next(self._session_ids)
-            self._sessions[gateway_sid] = _RoutedSession(
-                gateway_sid=gateway_sid,
+            self._sessions[request.session_id] = _RoutedSession(
+                session_id=request.session_id,
                 daemon=daemon,
-                remote_sid=reply.session_id,
                 owner=state.token,
                 benchmark_uri=request.benchmark_uri,
                 action_space=request.action_space,
                 verify_ir=request.verify_ir,
             )
-        return StartSessionReply(
-            session_id=gateway_sid,
-            observations=reply.observations,
-            new_action_space=reply.new_action_space,
-        )
+        return reply
 
     def _rpc_step(self, state: ClientConnectionState, request: StepRequest):
         """A step is a batch of one, raised or returned as ``step`` does."""
         return self._step_routed(state, [request])[0].unwrap()
 
     def _rpc_fork_session(self, state: ClientConnectionState, request: ForkSessionRequest):
+        """Fork on the parent's member, under the caller's id for the fork.
+        A session of the caller's that held that id on another member is
+        ended there; on the parent's, the member replaced it itself."""
         record = self._routed(state, request.session_id)
-
-        def do_fork(daemon, remote_sid):
-            return daemon.connection.fork_session(
-                ForkSessionRequest(session_id=remote_sid)
-            )
-
-        reply = self._call_routed(record, do_fork)
+        replaced = self._own(state, request.fork_id)
+        reply = self._call_routed(record, lambda daemon: daemon.connection.fork_session(request))
         with self._fleet_lock:
-            gateway_sid = next(self._session_ids)
-            self._sessions[gateway_sid] = _RoutedSession(
-                gateway_sid=gateway_sid,
+            self._sessions[request.fork_id] = _RoutedSession(
+                session_id=request.fork_id,
                 daemon=record.daemon,
-                remote_sid=reply.session_id,
                 owner=state.token,
                 benchmark_uri=record.benchmark_uri,
                 action_space=record.action_space,
                 actions=list(record.actions),
                 verify_ir=record.verify_ir,
             )
-        return ForkSessionReply(session_id=gateway_sid)
+        if replaced is not None and replaced.daemon is not record.daemon:
+            self._end_on(replaced.daemon, request.fork_id)
+        return reply
 
     def _rpc_end_session(self, state: ClientConnectionState, request: EndSessionRequest):
         record = self._routed(state, request.session_id)
-        with self._fleet_lock:
-            self._sessions.pop(record.gateway_sid, None)
-            remaining = len(self._sessions)
-        try:
-            record.daemon.connection.end_session(
-                EndSessionRequest(session_id=record.remote_sid)
-            )
-        except (ServiceError, ConnectionError, OSError, SessionNotFound):
-            pass  # The daemon (or the session) is already gone either way.
-        return EndSessionReply(remaining_sessions=remaining)
+        self._drop(record)
+        self._end_on(record.daemon, request.session_id)
+        return EndSessionReply(remaining_sessions=len(self._sessions))
 
     def _rpc_handle_session_parameter(
         self, state: ClientConnectionState, session_id: int, key: str, value: str
     ):
         record = self._routed(state, session_id)
-
-        def do_param(daemon, remote_sid):
-            return daemon.connection.handle_session_parameter(remote_sid, key, value)
-
-        return self._call_routed(record, do_param)
+        return self._call_routed(
+            record,
+            lambda daemon: daemon.connection.handle_session_parameter(session_id, key, value),
+        )
 
     def _rpc_step_sessions(self, state: ClientConnectionState, request: StepSessionsRequest):
         if not isinstance(request, StepSessionsRequest):
@@ -601,19 +591,15 @@ class ServiceGateway(SocketRPCServer):
                             record.daemon.index, (record.daemon, [])
                         )[1].append(position)
                         continue
-                    results[position] = SessionStepResult(session_id=sid, error=error)
+                    results[position] = SessionStepResult(error=error)
             return list(by_daemon.values())
 
         def fail(positions: List[int], error: BaseException) -> None:
             wall = time.monotonic() - started
             for position in positions:
-                results[position] = SessionStepResult(
-                    session_id=requests[position].session_id, error=error, wall_time_s=wall
-                )
-            if isinstance(error, ServiceIsDown):
-                with self._fleet_lock:
-                    for position in positions:
-                        self._sessions.pop(requests[position].session_id, None)
+                results[position] = SessionStepResult(error=error, wall_time_s=wall)
+                if isinstance(error, ServiceIsDown):
+                    self._drop(records[requests[position].session_id])
 
         def step_groups(groups: List[tuple], retry: bool) -> None:
             # Send every group's share. A dead daemon's sessions get
@@ -627,14 +613,9 @@ class ServiceGateway(SocketRPCServer):
                     fail(positions, daemon.down_error())
                     continue
                 try:
-                    collect = daemon.connection.send_step_sessions([
-                        StepRequest(
-                            session_id=records[requests[p].session_id].remote_sid,
-                            actions=requests[p].actions,
-                            observation_space_names=requests[p].observation_space_names,
-                        )
-                        for p in positions
-                    ])
+                    collect = daemon.connection.send_step_sessions(
+                        [requests[p] for p in positions]
+                    )
                 except (ServiceError, ConnectionError, OSError) as error:
                     collect = error
                 sent.append((daemon, positions, collect))
@@ -658,10 +639,6 @@ class ServiceGateway(SocketRPCServer):
                         # daemon was NOT recorded, so the failover replay plus
                         # the retry apply it exactly once.)
                         records[sub.session_id].actions.extend(sub.actions)
-                    # The daemon's result object is ours alone (freshly
-                    # decoded): translate its session id back in place
-                    # instead of copying.
-                    result.session_id = sub.session_id
                     results[position] = result
 
         step_groups(bucket_by_home(range(len(requests))), retry=True)

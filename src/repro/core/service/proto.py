@@ -45,23 +45,28 @@ class ObservationSpaceMessage:
 @wire_message
 @dataclass
 class StartSessionRequest:
-    """Start a session, answering ``observation_space_names`` on its initial
-    state. ``end_session_id`` names a session of the caller's to end first, as
-    ``end_session`` would, but on a best-effort basis: an unknown or foreign id
-    is skipped, and nothing about it fails the start. A reset is then one
-    round trip. ``verify_ir`` has the session check its program after every
-    action (see :attr:`CompilationSession.verify_ir`), and its forks with it."""
+    """Start a session under ``session_id``, answering
+    ``observation_space_names`` on its initial state.
 
+    The caller names the session: an id in ``[0, 2**63)`` that no other
+    tenant holds. A start under an id the caller already holds ends that
+    session first, as ``end_session`` would, so a reset is one round trip,
+    and the caller always knows the one id it may have to end. ``verify_ir``
+    has the session check its program after every action (see
+    :attr:`CompilationSession.verify_ir`), and its forks with it."""
+
+    session_id: int
     benchmark_uri: str
     action_space: int = 0
     observation_space_names: List[str] = field(default_factory=list)
-    end_session_id: Optional[int] = None
     verify_ir: bool = False
 
 
 @wire_message
 @dataclass
 class StartSessionReply:
+    """``session_id`` echoes the request's."""
+
     session_id: int
     observations: List[Any] = field(default_factory=list)
     new_action_space: Optional[ActionSpaceMessage] = None
@@ -101,7 +106,8 @@ class StepSessionsRequest:
 @wire_message
 @dataclass
 class SessionStepResult:
-    """Outcome of one sub-request of a :class:`StepSessionsRequest`.
+    """Outcome of one sub-request of a :class:`StepSessionsRequest`, in the
+    request's position in the batch.
 
     ``wall_time_s`` is the runtime-measured service time of this sub-step
     (including any wait on the session lock), letting the client attribute
@@ -109,7 +115,6 @@ class SessionStepResult:
     traveled as one call.
     """
 
-    session_id: int
     reply: Optional[StepReply] = None
     error: Optional[Any] = None
     wall_time_s: float = 0.0
@@ -136,12 +141,19 @@ class StepSessionsReply:
 @wire_message
 @dataclass
 class ForkSessionRequest:
+    """Fork the caller's session ``session_id`` into a new one under
+    ``fork_id``, which the caller names as it names a start's (see
+    :class:`StartSessionRequest`) and which must not be the parent's."""
+
     session_id: int
+    fork_id: int
 
 
 @wire_message
 @dataclass
 class ForkSessionReply:
+    """``session_id`` echoes the request's ``fork_id``."""
+
     session_id: int
 
 

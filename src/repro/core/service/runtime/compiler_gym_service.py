@@ -14,9 +14,12 @@ for observations, and before and after a step.
 Every transport reaches the same methods, so what they decide holds for an
 in-process caller and a daemon's clients alike. A session-scoped call names
 its tenant (``owner``, ``None`` for in-process and anonymous callers) and is
-refused on another tenant's session. ``step_sessions`` steps a batch of
-sessions, one after another on the calling thread, and reports each slot's
-outcome in the reply: one failing session never fails its siblings.
+refused on another tenant's session. The caller names each session it starts
+or forks: a start or fork under an id the caller holds replaces that
+session, and one under another tenant's id is refused. ``step_sessions``
+steps a batch of sessions, one after another on the calling thread, and
+reports each slot's outcome in the reply: one failing session never fails
+its siblings.
 """
 
 import os
@@ -87,18 +90,20 @@ class _Session:
 
     An unbuilt entry that began as a fork of a pure session whose backend has
     a :meth:`CompilationSession.lazy_fork` also remembers its ``donor`` (that
-    session's id) and the ``lazy_fork`` it gave. While the donor stands where
-    the fork does, the fork's steps are answered from the donor's own state;
-    when the fork has to be built, it is a copy of the donor if the donor's
-    node is still an ancestor of the fork's. A donor that was ended or went
-    another way is simply not used. Once built, an entry forgets both.
+    session's entry) and the ``lazy_fork`` it gave. While the donor stands
+    where the fork does, the fork's steps are answered from the donor's own
+    state; when the fork has to be built, it is a copy of the donor if the
+    donor's node is still an ancestor of the fork's. A donor that was ended
+    (which leaves it impure) or went another way is simply not used. Once
+    built, an entry forgets both.
 
     ``lock`` serialises everything that reads or writes the entry's backend
     state: its build, its own steps and parameters, a fork's step answered
     from it, a copy taken of it, and its end. It is taken before the donor's
     lock, and nothing is called while holding it that takes a lock of the
-    runtime's. A call that waited for it first checks that the session was
-    not ended meanwhile.
+    runtime's but the table's own, which is held for a lookup. A call that
+    waited for it first checks that its id still maps to this entry: the
+    session may have been ended, or replaced under the same id, meanwhile.
 
     ``owner`` is the tenant the session belongs to (a daemon client's auth
     token, inherited by forks; ``None`` for anonymous and in-process
@@ -122,11 +127,14 @@ class _Session:
         self.pure = pure
         self.verify_ir = verify_ir
         self.lock = threading.Lock()
-        self.donor: Optional[int] = None
+        self.donor: Optional[_Session] = None
         self.lazy_fork: Optional[LazyFork] = None
         self.owner = owner
         self.last_used = time.monotonic()
 
+
+# Session ids are named by the caller: a non-negative int below this.
+_SESSION_ID_LIMIT = 1 << 63
 
 _WORKING_DIR_PREFIX = "repro-compiler-service-"
 _WORKING_DIR_PID = re.compile(re.escape(_WORKING_DIR_PREFIX) + r"(\d+)-")
@@ -204,7 +212,6 @@ class CompilerGymServiceRuntime:
             PrefixTrie() if self.result_cache is None else self.result_cache.prefixes
         )
         self.sessions: Dict[int, _Session] = {}
-        self._next_session_id = 0
         self._lock = threading.Lock()
         self.closed = False
         # Operation counters, exposed for the efficiency benchmarks.
@@ -257,12 +264,31 @@ class CompilerGymServiceRuntime:
             raise PermissionDeniedError(f"Session {session_id} belongs to another tenant")
         return entry
 
-    def _add(self, entry: _Session) -> int:
+    def _current(self, session_id: int, entry: _Session) -> None:
+        """Check, after waiting for ``entry``'s lock, that ``session_id``
+        still maps to it: not ended, nor replaced under the same id."""
+        if self.sessions.get(session_id) is not entry:
+            raise SessionNotFound(f"Session not found: {session_id}")
+
+    def _add(self, session_id: int, entry: Optional[_Session], owner) -> None:
+        """Put ``entry`` in the table under the caller's ``session_id`` (with
+        ``None``, only take out what is there), ending the caller's own
+        session that held the id. An id outside ``[0, 2**63)`` or another
+        tenant's is refused, and nothing changes."""
+        if type(session_id) is not int or not 0 <= session_id < _SESSION_ID_LIMIT:
+            raise ServiceError(f"Session id must be an int in [0, 2**63), not {session_id!r}")
         with self._lock:
-            session_id = self._next_session_id
-            self._next_session_id += 1
-            self.sessions[session_id] = entry
-        return session_id
+            replaced = self.sessions.get(session_id)
+            if replaced is not None and replaced.owner != owner:
+                raise PermissionDeniedError(f"Session {session_id} belongs to another tenant")
+            if entry is None:
+                self.sessions.pop(session_id, None)
+            else:
+                self.sessions[session_id] = entry
+        if replaced is not None:
+            self.stats["end_session"] += 1
+            with replaced.lock:
+                self._close(replaced)
 
     def _new_session(self, entry: _Session, benchmark: Benchmark) -> CompilationSession:
         session = self.session_type(
@@ -271,16 +297,10 @@ class CompilerGymServiceRuntime:
         session.verify_ir = entry.verify_ir
         return session
 
-    def _donor(self, entry: _Session) -> Optional[_Session]:
-        """The entry an unbuilt fork may borrow from, if the runtime still
-        holds it. Where it stands is the caller's to check, under its
-        ``lock``."""
-        return None if entry.lazy_fork is None else self.sessions.get(entry.donor)
-
     def _copy_of_donor(self, entry: _Session) -> Tuple[Optional[CompilationSession], int]:
         """A copy of the fork's donor and the depth of the node it stands at,
         if that node is an ancestor of the fork's; otherwise ``(None, 0)``."""
-        donor = self._donor(entry)
+        donor = entry.donor
         if donor is not None:
             with donor.lock:
                 stands_at = donor.node
@@ -316,7 +336,7 @@ class CompilerGymServiceRuntime:
         An error leaves the donor intact all the same, and the fork impure:
         its next call builds it for real.
         """
-        donor = self._donor(entry)
+        donor = entry.donor
         if donor is None:
             return None
         with donor.lock:
@@ -332,11 +352,8 @@ class CompilerGymServiceRuntime:
             raise ServiceError("Service is closed")
         self.stats["start_session"] += 1
         # The session this one replaces ends first, so a start that fails
-        # has ended it all the same. Only the owner's own session is ended.
-        replaced = self.sessions.get(request.end_session_id)
-        if replaced is not None and replaced.owner == owner:
-            self.stats["end_session"] += 1
-            self._end(request.end_session_id)
+        # has ended it all the same.
+        self._add(request.session_id, None, owner)
         # Resolve eagerly (amortized O(1) via the benchmark cache) so an
         # unknown benchmark URI still fails at reset, not at the first step.
         benchmark = self._resolve_benchmark(request.benchmark_uri)
@@ -363,7 +380,8 @@ class CompilerGymServiceRuntime:
             else:
                 value = _copy_value(value)
             observations.append(value)
-        return StartSessionReply(session_id=self._add(entry), observations=observations)
+        self._add(request.session_id, entry, owner)
+        return StartSessionReply(session_id=request.session_id, observations=observations)
 
     def _execute_step(
         self, session: CompilationSession, entry: _Session, actions, specs
@@ -403,7 +421,7 @@ class CompilerGymServiceRuntime:
         self.stats["step"] += 1
         entry = self._entry(request.session_id, owner)
         with entry.lock:
-            self._entry(request.session_id, owner)  # Not ended while this call waited.
+            self._current(request.session_id, entry)
             try:
                 return self._step(entry, request)
             finally:
@@ -488,21 +506,23 @@ class CompilerGymServiceRuntime:
             except Exception as failure:  # noqa: BLE001 - reported in its slot
                 error = failure
             results.append(SessionStepResult(
-                session_id=sub.session_id, reply=reply, error=error,
-                wall_time_s=time.monotonic() - started,
+                reply=reply, error=error, wall_time_s=time.monotonic() - started,
             ))
         return StepSessionsReply(results=results)
 
     def fork_session(self, request: ForkSessionRequest, owner=None) -> ForkSessionReply:
         self.stats["fork_session"] += 1
         parent = self._entry(request.session_id, owner)
+        if request.fork_id == request.session_id:
+            raise ServiceError(f"A fork cannot take its parent's id {request.session_id}")
+        self._add(request.fork_id, None, owner)
         # A fork is of a current parent: an unbuilt parent is built here,
         # once. Where the backend can, the fork of a pure parent starts
         # unbuilt at the parent's prefix (so it inherits every warm cache
         # entry along it) and borrows the parent's state for as long as that
         # will do; any other fork is a copy made now.
         with parent.lock:
-            self._entry(request.session_id, owner)
+            self._current(request.session_id, parent)
             try:
                 session = self._built_session(parent)
                 child = _Session(
@@ -513,10 +533,11 @@ class CompilerGymServiceRuntime:
                 if lazy_fork is None:
                     child.session = session.fork()
                 else:
-                    child.donor, child.lazy_fork = request.session_id, lazy_fork
+                    child.donor, child.lazy_fork = parent, lazy_fork
             finally:
                 parent.last_used = time.monotonic()
-        return ForkSessionReply(session_id=self._add(child))
+        self._add(request.fork_id, child, owner)
+        return ForkSessionReply(session_id=request.fork_id)
 
     def end_session(self, request: EndSessionRequest, owner=None) -> EndSessionReply:
         self.stats["end_session"] += 1
@@ -549,8 +570,11 @@ class CompilerGymServiceRuntime:
         ended = 0
         for session_id, entry in idle:
             with entry.lock:
-                if entry.last_used >= deadline or self.sessions.pop(session_id, None) is None:
-                    continue
+                # The id may have been taken by a replacement meanwhile.
+                with self._lock:
+                    if entry.last_used >= deadline or self.sessions.get(session_id) is not entry:
+                        continue
+                    del self.sessions[session_id]
                 self._close(entry)
             ended += 1
         self.stats["end_session"] += ended
@@ -569,7 +593,7 @@ class CompilerGymServiceRuntime:
     ) -> Optional[str]:
         entry = self._entry(session_id, owner)
         with entry.lock:
-            self._entry(session_id, owner)
+            self._current(session_id, entry)
             try:
                 session = self._built_session(entry)
                 # Parameters may read or mutate backend state (e.g. baseline

@@ -21,7 +21,7 @@ byte with a :class:`ConnectionError`, never decoded. The byte is the upgrade
 path: a future version is introduced by registering its codec here beside
 the current one, and the frames of both then decode.
 
-**Codec.** Version 4 (:class:`TypedCodec`). A frame's payload is one fixed
+**Codec.** Version 5 (:class:`TypedCodec`). A frame's payload is one fixed
 envelope, pickled as a plain 3-tuple: a request is ``(request_id, method,
 args)`` and a reply ``(request_id, status, payload)``, the id an ``int`` and
 the method or status a ``str``. The decoder checks that shape before
@@ -109,7 +109,7 @@ def raise_remote_error(method: str, error: BaseException):
 
 # The wire version this build speaks: the version byte of every frame it
 # writes. Bump when the encoding changes incompatibly.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 # Frame header: the version byte, then the payload length, big-endian uint64.
 _FRAME_HEADER = struct.Struct(">BQ")
@@ -649,7 +649,7 @@ def _envelope_shape(envelope: Any) -> str:
 
 
 class TypedCodec(Codec):
-    """Wire version 4: a frame is one fixed envelope, registered messages
+    """Wire version 5: a frame is one fixed envelope, registered messages
     travel as positional tuples and numeric arrays as raw buffers.
 
     A request is ``(request_id, method, args)`` and a reply ``(request_id,
@@ -671,7 +671,7 @@ class TypedCodec(Codec):
     does not decode raises :class:`ServiceError`.
     """
 
-    version = 4
+    version = 5
     name = "typed"
 
     def encode(self, message: Any) -> bytes:
@@ -778,8 +778,8 @@ def _sendable_slots(reply: Any) -> Any:
             _lower(result)
         except Exception as error:  # noqa: BLE001 - __reduce__ may raise anything
             reply.results[index] = SessionStepResult(
-                session_id=result.session_id, wall_time_s=result.wall_time_s,
                 error=ServiceError(f"{type(result.reply).__name__} not sent: {error}"),
+                wall_time_s=result.wall_time_s,
             )
     return reply
 

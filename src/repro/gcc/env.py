@@ -75,7 +75,7 @@ class GccEnv(CompilerEnv):
 
     @choices.setter
     def choices(self, choices: List[int]) -> None:
-        if self._session_id is None:
+        if not self.in_episode:
             self.reset()
         self.service.handle_session_parameter(
             self._session_id, "gcc.set_choices", ",".join(str(int(v)) for v in choices)

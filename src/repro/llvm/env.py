@@ -89,7 +89,7 @@ class LlvmEnv(CompilerEnv):
     @property
     def runtime_observation_count(self) -> int:
         """Number of runtime measurements returned by the Runtime observation."""
-        if self._session_id is None:
+        if not self.in_episode:
             return 1
         value = self.service.handle_session_parameter(
             self._session_id, "llvm.get_runtimes_per_observation_count", ""
@@ -98,7 +98,7 @@ class LlvmEnv(CompilerEnv):
 
     @runtime_observation_count.setter
     def runtime_observation_count(self, count: int) -> None:
-        if self._session_id is None:
+        if not self.in_episode:
             self.reset()
         self.service.handle_session_parameter(
             self._session_id, "llvm.set_runtimes_per_observation_count", str(count)
@@ -106,7 +106,7 @@ class LlvmEnv(CompilerEnv):
 
     def apply_baseline_pipeline(self, pipeline: str = "-Oz") -> None:
         """Apply the -Oz or -O3 reference pipeline to the current state."""
-        if self._session_id is None:
+        if not self.in_episode:
             self.reset()
         self.service.handle_session_parameter(
             self._session_id, "llvm.apply_baseline_pipeline", pipeline

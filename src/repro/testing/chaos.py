@@ -340,15 +340,15 @@ class ChaosTransport(ServiceTransport):
             )
 
     def _lose_reply(self, method: str, args: tuple) -> None:
-        """Deliver the request, abandon its reply, and kill the connection.
+        """Deliver the request, drop its reply, and kill the connection.
 
         A socket-level read cut races whichever caller is reading the shared
         connection: the reply is either lost or routed first, depending on
         nothing but thread scheduling — which would make chaos runs
         non-reproducible.
         Losing the reply at the transport layer is race-free: the request
-        is sent in full (the daemon receives and executes it), nobody waits
-        for its reply, and the connection is closed exactly as the
+        is sent in full, its reply is awaited (so the service has run the
+        call) and dropped, and the connection is closed exactly as the
         transport's own post-send failure path would close it.
         """
         failure = ServiceTransportError(
@@ -358,7 +358,7 @@ class ChaosTransport(ServiceTransport):
         conn = self._live_socket()
         if conn is not None:
             try:
-                self.inner.send(method, *args)
+                self.inner.send(method, *args)()
             except Exception:  # noqa: BLE001 - the connection dies either way
                 pass
             conn.close(failure)
@@ -521,8 +521,10 @@ def soak_once(seed: int, run_index: int = 0):
     :func:`soak_plan`, and the seeded random-action workload: episodes of up
     to ``SOAK_STEPS`` actions until the env has made ``SOAK_CALLS`` calls.
 
-    Returns ``(traces, injected, digest)``: each episode's action trace,
-    the injected fault log, and a digest of the traces.
+    Returns ``(traces, injected, digest, left)``: each episode's action
+    trace, the injected fault log, a digest of the traces, and how many
+    routes the gateway and sessions its live daemons still hold once the env
+    is closed.
     """
     gateway = ServiceGateway(
         env_id=SOAK_ENV, daemons=SOAK_DAEMONS, heartbeat_interval=SOAK_HEARTBEAT_INTERVAL
@@ -565,14 +567,20 @@ def soak_once(seed: int, run_index: int = 0):
             traces.append(list(env.actions))
         injected = list(transport.injected)
         digest = hashlib.sha256(repr(traces).encode()).hexdigest()[:32]
+        env.close()
+        left = gateway.server_info()["active_sessions"] + sum(
+            daemon.connection.transport.server_info()["active_sessions"]
+            for daemon in gateway.live_daemons()
+        )
         print(
             f"Run {run_index}: {len(traces)} episode(s) in {transport.calls} "
             f"call(s) ({failed_episodes} truncated by faults), "
             f"{len(injected)} fault(s) injected, "
             f"{gateway.failovers} failover(s), "
-            f"{gateway.rehomed_sessions} session(s) re-homed"
+            f"{gateway.rehomed_sessions} session(s) re-homed, "
+            f"{left} session(s) and route(s) left after close"
         )
-        return traces, injected, digest
+        return traces, injected, digest, left
     finally:
         if env is not None:
             try:
@@ -583,9 +591,10 @@ def soak_once(seed: int, run_index: int = 0):
 
 
 def soak(seed: int, runs: int = 1) -> int:
-    """Run the soak ``runs`` times; 0 if every run produced actions and
-    injected every scheduled fault, and all runs injected the same faults and
-    produced the same traces, else 1."""
+    """Run the soak ``runs`` times; 0 if every run produced actions,
+    injected every scheduled fault and left no session or route once its env
+    was closed, and all runs injected the same faults and produced the same
+    traces, else 1."""
     print(
         f"Chaos soak: seed {seed}, {SOAK_CALLS} call(s) in episodes of up to "
         f"{SOAK_STEPS} step(s) over {SOAK_DAEMONS} daemon(s), heartbeat every "
@@ -596,7 +605,7 @@ def soak(seed: int, runs: int = 1) -> int:
     digests = []
     injected_logs = []
     for run_index in range(max(1, runs)):
-        traces, injected, digest = soak_once(seed, run_index)
+        traces, injected, digest, left = soak_once(seed, run_index)
         print(f"Injected fault sequence: {injected}")
         print(f"Action trace digest: {digest}", flush=True)
         if not any(traces):
@@ -607,6 +616,9 @@ def soak(seed: int, runs: int = 1) -> int:
                 f"FAIL: {len(injected)} of {len(plan.events)} scheduled fault(s) injected",
                 file=sys.stderr,
             )
+            return 1
+        if left:
+            print(f"FAIL: {left} session(s) and route(s) left after close", file=sys.stderr)
             return 1
         digests.append(digest)
         injected_logs.append(injected)

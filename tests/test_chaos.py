@@ -42,6 +42,8 @@ from repro.testing.chaos import (
 )
 from tests.test_service import _runtime
 
+new_session_id = ServiceConnection.new_session_id
+
 BENCHMARK = "cbench-v1/qsort"
 ACTIONS = [0, 11, 3, 7, 1, 23, 5]
 
@@ -126,9 +128,9 @@ def test_inject_wraps_the_envs_made_while_it_is_open_and_no_other():
 
 def test_the_session_of_a_slow_success_is_ended_by_the_next_reset_or_by_close():
     """A step that came back past its deadline ends the episode, but the
-    service did run it and still holds its session: the next reset ends that
-    session in its one ``start_session``, and ``close()`` ends one that no
-    reset came for."""
+    service did run it and still holds its session: the next reset replaces
+    that session in its one ``start_session``, and ``close()`` ends one that
+    no reset came for."""
     _warm_benchmark()
     opts = ConnectionOpts(rpc_call_max_seconds=0.1, retry_wait_seconds=0.001)
     # Calls: get_spaces, start_session, step (faulted), start_session,
@@ -159,7 +161,7 @@ def test_the_session_of_a_slow_success_is_ended_by_the_next_reset_or_by_close():
 def test_a_start_that_came_back_late_leaves_no_session_behind():
     """A reset whose ``start_session`` came back past its deadline raises,
     but the service started the session (and ended the old one): the next
-    reset ends it, so the service holds one session, not two."""
+    reset replaces it, so the service holds one session, not two."""
     _warm_benchmark()
     opts = ConnectionOpts(rpc_call_max_seconds=0.1, retry_wait_seconds=0.001)
     # Calls: get_spaces, start_session, start_session (faulted).
@@ -207,7 +209,7 @@ def test_injection_log_is_deterministic_across_transports():
                 transport, ConnectionOpts(rpc_max_retries=4, retry_wait_seconds=0.001)
             )
             session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
             )
             for action in (1, 3, 1, 4):
                 connection.step(StepRequest(session_id=session.session_id, actions=[action]))
@@ -221,8 +223,8 @@ def test_the_soak_injects_every_fault_it_schedules():
     its own call index, so none falls past the soak's last call."""
     plan = soak_plan(seed=0)
     assert len({event.kind for event in plan.events}) >= 3
-    traces, injected, _ = soak_once(seed=0)
-    assert any(traces)
+    traces, injected, _, left = soak_once(seed=0)
+    assert any(traces) and left == 0
     assert [(index, kind) for index, kind, _ in injected] == [
         (event.call_index, event.kind) for event in plan.events
     ]
@@ -240,10 +242,10 @@ def test_soak_plan_is_seeded_and_fits_the_soak():
     assert chaos.soak_plan(0).signature() != chaos.soak_plan(1).signature()
 
 
-def _fake_soak_once(injected_per_run, digests):
+def _fake_soak_once(injected_per_run, digests, left=0):
     """A stand-in for :func:`soak_once` that replays canned run results."""
     def soak_once(seed, run_index=0):
-        return [[0, 1]], injected_per_run(seed, run_index), digests[run_index]
+        return [[0, 1]], injected_per_run(seed, run_index), digests[run_index], left
     return soak_once
 
 
@@ -261,6 +263,12 @@ def test_soak_fails_unless_every_scheduled_fault_is_injected(monkeypatch, capsys
     assert f"{scheduled - 1} of {scheduled} scheduled fault(s) injected" in (
         capsys.readouterr().err
     )
+
+
+def test_soak_fails_when_a_session_is_left_after_close(monkeypatch, capsys):
+    monkeypatch.setattr(chaos, "soak_once", _fake_soak_once(_scheduled, ["d0"], left=1))
+    assert chaos.soak(0) == 1
+    assert "1 session(s) and route(s) left after close" in capsys.readouterr().err
 
 
 def test_soak_fails_when_runs_disagree(monkeypatch, capsys):

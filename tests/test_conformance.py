@@ -8,7 +8,6 @@ result cache off.
 """
 
 import contextlib
-import dataclasses
 import functools
 import random
 import time
@@ -19,13 +18,27 @@ import pytest
 
 import repro
 from repro.core.datasets import Benchmark
-from repro.core.service import ConnectionOpts
-from repro.core.service.proto import EndSessionRequest, StartSessionRequest, StepRequest
+from repro.core.service import ConnectionOpts, ServiceConnection
+from repro.core.service.proto import (
+    EndSessionRequest,
+    ForkSessionRequest,
+    StartSessionRequest,
+    StepRequest,
+)
 from repro.core.vector import BACKENDS, VecCompilerEnv
 from repro.core.wrappers import TimeLimit
-from repro.errors import BenchmarkInitError, SessionNotFound
+from repro.errors import (
+    BenchmarkInitError,
+    PermissionDeniedError,
+    ServiceError,
+    ServiceTransportError,
+    SessionNotFound,
+)
+from repro.testing.chaos import FaultEvent, FaultPlan, inject
 from tests.test_chaos import _wait_until
 from tests.test_fork_equivalence import _assert_fork_replays_like_parent
+
+new_session_id = ServiceConnection.new_session_id
 
 STEP_SHAPE = dict(
     benchmark="cbench-v1/crc32", observation_space="Autophase", reward_space="IrInstructionCount"
@@ -193,20 +206,19 @@ def _calls(env):
 
 @pytest.mark.parametrize("reward_space", ["IrInstructionCount", "IrInstructionCountOz"])
 def test_a_reset_is_one_round_trip(deployment, reward_space):
-    """A reset is one ``start_session``: it ends the session it replaces,
-    answers the observation space and everything the reward reads to prime
-    its baseline, and leaves the service holding only the new session."""
+    """A reset is one ``start_session``: it replaces the session under the
+    env's id, answers the observation space and everything the reward reads
+    to prime its baseline, and leaves the service holding only the new
+    session."""
     with deployment(**dict(STEP_SHAPE, reward_space=reward_space)) as env:
         env.reset()
+        env.step(EPISODES[1][0])  # The session to replace is one action in.
         held, members = deployment.sessions(env), _member_sessions(deployment, env)
-        replaced = env._session_id
         env.service.stats.clear()
         observation = env.reset()
         assert _calls(env) == {"start_session": 1}
         assert deployment.sessions(env) == held
         assert sum(_member_sessions(deployment, env)) == sum(members)
-        with pytest.raises(SessionNotFound):
-            env.service.step(StepRequest(session_id=replaced))
         assert _plain(observation) == _reference(EPISODES[1])[0]
 
         # The reward was primed on the reply's values: a step's reward is
@@ -232,41 +244,103 @@ def test_a_reset_is_one_round_trip(deployment, reward_space):
         assert sum(_member_sessions(deployment, env)) == sum(members) - 1
         env.benchmark = STEP_SHAPE["benchmark"]
         env.reset()
-        assert env._unended_session_id is None
+        assert deployment.sessions(env) == held
+        assert sum(_member_sessions(deployment, env)) == sum(members)
 
 
-def test_a_stale_or_foreign_session_to_end_is_skipped_in_one_round_trip(deployment):
-    """``end_session_id`` is best effort: an id already ended, or another
-    tenant's, neither fails the start nor ends anyone's session."""
-    start = StartSessionRequest(benchmark_uri=f"benchmark://{STEP_SHAPE['benchmark']}")
+def _start_request(session_id):
+    return StartSessionRequest(
+        session_id=session_id, benchmark_uri=f"benchmark://{STEP_SHAPE['benchmark']}"
+    )
+
+
+def test_a_start_or_fork_under_another_tenants_id_is_refused(deployment):
+    """A caller names its sessions, but never with another tenant's id: a
+    start or fork under one is refused, and the session under it steps on."""
     with deployment(**STEP_SHAPE) as env:
-        env.reset()
-        stale = env._session_id
         env.reset()
         if deployment.server is None:
             # In-process there is one tenant: start another's on the runtime.
             other = contextlib.nullcontext()
             runtime = env.service.runtime
-            foreign = runtime.start_session(start, owner="another-tenant").session_id
-            foreign_step = functools.partial(
-                runtime.step, StepRequest(session_id=foreign), owner="another-tenant"
-            )
+            foreign = new_session_id()
+            runtime.start_session(_start_request(foreign), owner="another-tenant")
+            foreign_step = functools.partial(runtime.step, owner="another-tenant")
         else:
             other = deployment(**STEP_SHAPE, service_token="another-tenant")
             other.reset()
             foreign = other._session_id
-            foreign_step = functools.partial(other.service.step, StepRequest(session_id=foreign))
+            foreign_step = other.service.step
         with other:
-            held = deployment.sessions(env)
-            for end_session_id in (stale, foreign, 10**9):
-                reply = env.service.start_session(
-                    dataclasses.replace(start, end_session_id=end_session_id)
-                )
-                assert deployment.sessions(env) == held + 1
-                foreign_step()
-                _, _, done, _ = env.step(EPISODES[1][0])
-                assert not done
-                env.service.end_session(EndSessionRequest(session_id=reply.session_id))
+            held, members = deployment.sessions(env), _member_sessions(deployment, env)
+            refused = [
+                functools.partial(env.service.start_session, _start_request(foreign)),
+                functools.partial(
+                    env.service.fork_session,
+                    ForkSessionRequest(session_id=env._session_id, fork_id=foreign),
+                ),
+            ]
+            for call in refused:
+                with pytest.raises(PermissionDeniedError, match="another tenant"):
+                    call()
+            assert deployment.sessions(env) == held
+            assert _member_sessions(deployment, env) == members
+            reply = foreign_step(StepRequest(
+                session_id=foreign, actions=[EPISODES[1][0]],
+                observation_space_names=["Autophase"],
+            ))
+            assert _plain(reply.observations[0]) == _reference(EPISODES[1])[1][0]
+            _, _, done, _ = env.step(EPISODES[1][0])
+            assert not done
+
+
+@pytest.mark.parametrize("session_id", [-1, 2**63, True], ids=["negative", "2**63", "bool"])
+def test_an_id_that_is_not_a_63_bit_int_is_refused_and_builds_nothing(deployment, session_id):
+    with deployment(**STEP_SHAPE) as env:
+        env.reset()
+        held, members = deployment.sessions(env), _member_sessions(deployment, env)
+        with pytest.raises(ServiceError, match="session_id must be int|Session id must be"):
+            env.service.start_session(_start_request(session_id))
+        with pytest.raises(ServiceError, match="fork_id must be int|Session id must be"):
+            env.service.fork_session(
+                ForkSessionRequest(session_id=env._session_id, fork_id=session_id)
+            )
+        assert deployment.sessions(env) == held
+        assert _member_sessions(deployment, env) == members
+        assert not any(stats.retries for stats in env.service.stats.values())
+        _, _, done, _ = env.step(EPISODES[1][0])
+        assert not done
+
+
+@pytest.mark.parametrize("method", ["start_session", "fork_session"])
+def test_a_lost_start_or_fork_reply_leaves_nothing_once_the_env_is_closed(deployment, method):
+    """The reply to a reset's ``start_session`` or to a ``fork_session`` is
+    lost after the service ran it. The env named that session, so it still
+    knows what to end: a reset replaces a lost start's session, a failed
+    fork ends its own, and once the env is closed the service holds what it
+    held before."""
+    with deployment(**STEP_SHAPE) as env:
+        before = deployment.sessions(env), _member_sessions(deployment, env)
+    # Calls: get_spaces, start_session, then the fork_session.
+    event = FaultEvent(call_index=1, kind="cut_recv", method=method)
+    with inject(FaultPlan(events=(event,))) as made:
+        env = deployment(**STEP_SHAPE)
+    with env:
+        if method == "start_session":
+            with pytest.raises(ServiceTransportError):
+                env.reset()
+        env.reset()
+        if method == "fork_session":
+            with pytest.raises(ServiceTransportError):
+                env.fork()
+        assert [call for transport in made for call in transport.injected] == [
+            (1 + (method == "fork_session"), "cut_recv", method)
+        ]
+        # The env's one session, whatever the service ran.
+        assert deployment.sessions(env) == before[0] + 1
+        assert sum(_member_sessions(deployment, env)) == sum(before[1]) + 1
+        assert _trace(env, EPISODES[1]) == _reference(EPISODES[1])
+    assert (deployment.sessions(env), _member_sessions(deployment, env)) == before
 
 
 def test_a_pool_that_fails_to_populate_leaves_only_the_roots_session(deployment):
@@ -361,7 +435,7 @@ def test_an_error_the_service_answered_is_raised_once(deployment):
 
         step(actions[0])
         with pytest.raises(BenchmarkInitError):
-            env.service.start_session(StartSessionRequest(benchmark_uri="benchmark://cbench-v1"))
+            env.service.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://cbench-v1"))
         stats = env.service.stats["start_session"]
         assert (stats.errors, stats.retries) == (1, 0)
         for action in actions[1:]:

@@ -28,6 +28,8 @@ from repro.core.vector import VecCompilerEnv
 from repro.errors import PermissionDeniedError, ServiceError, ServiceIsDown
 from tests.test_transport import _assert_hung_up_on
 
+new_session_id = ServiceConnection.new_session_id
+
 BENCHMARK = "cbench-v1/qsort"
 ACTIONS = [0, 11, 3, 7, 1, 23, 5]
 
@@ -90,7 +92,7 @@ class TestGatewayRouting:
     def test_server_info_reports_fleet(self, gateway):
         info = gateway.server_info()
         assert info["role"] == "gateway"
-        assert info["protocol_version"] == WIRE_VERSION == 4
+        assert info["protocol_version"] == WIRE_VERSION == 5
         assert len(info["daemons"]) == 2
         assert all(d["pid"] is not None for d in info["daemons"])
 
@@ -466,7 +468,6 @@ class TestResetRoute:
             leaving.close()
             # The old home still holds ``staying``: the reset moves.
             old_home = _home(gateway, moving)
-            old_remote = gateway._sessions[moving._session_id].remote_sid
             servers = {server.url: server for server in daemon_servers}
             # The old home's end and the new home's start wait for each other:
             # the reset completes only if both are sent before either reply
@@ -487,7 +488,7 @@ class TestResetRoute:
             calls = {name: stats.calls for name, stats in moving.service.stats.items()}
             assert calls == {"start_session": 1}
             assert _home(gateway, moving) is not old_home
-            assert old_remote not in servers[old_home.url].runtime.sessions
+            assert moving._session_id not in servers[old_home.url].runtime.sessions
             assert sorted(_routed_sessions(gateway).values()) == [1, 1]
             _, _, done, _ = moving.step(ACTIONS[0])
             assert not done
@@ -539,7 +540,7 @@ class TestBatchFanOut:
             with ServiceConnection(SocketTransport(gateway.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://{BENCHMARK}")
                     ).session_id
                     for _ in range(2)
                 ]
@@ -572,7 +573,7 @@ class TestBatchFanOut:
         with ServiceConnection(SocketTransport(gateway.url)) as connection:
             sessions = [
                 connection.start_session(
-                    StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://{BENCHMARK}")
                 ).session_id
                 for _ in range(2)
             ]
@@ -586,7 +587,6 @@ class TestBatchFanOut:
                 [StepRequest(session_id=sid, actions=[ACTIONS[1]]) for sid in sessions]
             )
             assert [result.error for result in results] == [None, None]
-            assert [result.session_id for result in results] == sessions
             assert gateway.failovers == 1 and homes[0].dead
             states = gateway.session_states()
             assert [states[sid].commandline for sid in sessions] == [
@@ -615,10 +615,10 @@ class TestBatchFanOut:
             monkeypatch.setattr(server.runtime, "step", poisoned)
         with ServiceConnection(SocketTransport(url)) as connection:
             good = connection.start_session(
-                StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://{BENCHMARK}")
             ).session_id
             # A fork shares its parent's daemon: both slots are in one reply.
-            bad = connection.fork_session(ForkSessionRequest(session_id=good)).session_id
+            bad = connection.fork_session(ForkSessionRequest(session_id=good, fork_id=new_session_id())).session_id
             ok, refused = connection.step_sessions([
                 StepRequest(
                     session_id=good,
@@ -670,7 +670,7 @@ class TestGatewayAuth:
             bob = ServiceConnection(SocketTransport(gw.url, auth_token="bob"))
             try:
                 reply = alice.start_session(
-                    StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://{BENCHMARK}")
                 )
                 with pytest.raises(PermissionDeniedError, match="another tenant"):
                     bob.step(StepRequest(session_id=reply.session_id, actions=[0]))

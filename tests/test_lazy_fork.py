@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.service.connection import ServiceConnection
 from repro.core.service.proto import ForkSessionRequest, StartSessionRequest, StepRequest
 from repro.core.wrappers import ForkOnStep
 from repro.errors import ServiceError
@@ -27,6 +28,8 @@ from repro.llvm.ir.printer import print_module
 from repro.llvm.ir.types import I64
 from repro.llvm.ir.values import Constant
 from repro.llvm.passes.registry import ACTION_SPACE_PASSES, PASS_REGISTRY, FunctionPass, run_pass
+
+new_session_id = ServiceConnection.new_session_id
 
 BENCHMARK = "cbench-v1/crc32"
 STEP_SHAPE = dict(
@@ -189,7 +192,8 @@ def test_first_step_borrows_second_step_copies_the_donor_and_replays_the_suffix(
         fork.step(GVN)
         assert pass_runs == ["gvn"] and copies == ["pristine"]
         assert entry.session is None
-        assert entry.node.actions() == (MEM2REG, GVN) and entry.donor == env._session_id
+        assert entry.node.actions() == (MEM2REG, GVN)
+        assert entry.donor is runtime.sessions[env._session_id]
         check_sessions_current(runtime)
         fork.step(INSTCOMBINE)
         # A copy of the donor at (mem2reg,), gvn replayed onto it, then the step.
@@ -250,18 +254,39 @@ def _stores(runtime):
 
 def _started(runtime, *prefix):
     session_id = runtime.start_session(
-        StartSessionRequest(benchmark_uri=f"benchmark://{BENCHMARK}", observation_space_names=NAMES)
+        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://{BENCHMARK}", observation_space_names=NAMES)
     ).session_id
     for action in prefix:
         _step(runtime, session_id, action)
     return session_id
 
 
+def test_a_fork_never_borrows_the_session_that_replaced_its_donor(env):
+    """A fork holds its donor's entry, not its id: once a start under the
+    donor's id replaced it, even with the same program at the same prefix,
+    the fork's first step builds the fork instead of borrowing."""
+    runtime = env.service.runtime
+    parent_id = _started(runtime)
+    fork_id = runtime.fork_session(
+        ForkSessionRequest(session_id=parent_id, fork_id=new_session_id())
+    ).session_id
+    runtime.start_session(StartSessionRequest(
+        session_id=parent_id, benchmark_uri=f"benchmark://{BENCHMARK}",
+        observation_space_names=NAMES,
+    ))
+    entry = runtime.sessions[fork_id]
+    assert entry.node is runtime.sessions[parent_id].node
+    reply = _step(runtime, fork_id, INSTCOMBINE)
+    assert entry.session is not None
+    expected = _reference((INSTCOMBINE,))[-1]
+    assert _plain(reply)[0] == expected[0] and _plain(reply)[2] == expected[3]
+
+
 def test_a_pass_that_raises_on_the_donors_module_leaves_it_intact(env, monkeypatch):
     runtime = env.service.runtime  # Only for its runtime: CompilerEnv ends the episode on an error.
     parent_id = _started(runtime, MEM2REG)
     parent = runtime.sessions[parent_id].session
-    fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id)).session_id
+    fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id, fork_id=new_session_id())).session_id
     entry = runtime.sessions[fork_id]
     before = print_module(parent.module), parent.module.version, dict(parent._obs_memo)
     memos = parent._obs_memo, parent._function_memo
@@ -299,7 +324,7 @@ def test_a_miscompile_caught_by_verify_ir_on_the_donors_module_is_rolled_back(en
     parent = runtime.sessions[parent_id].session
     # Behind the runtime's back, so that only the donor verifies.
     parent.verify_ir = True
-    fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id)).session_id
+    fork_id = runtime.fork_session(ForkSessionRequest(session_id=parent_id, fork_id=new_session_id())).session_id
     before = print_module(parent.module)
 
     def mistype_an_operand(function):

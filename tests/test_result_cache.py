@@ -49,6 +49,8 @@ from repro.llvm.passes.registry import ACTION_SPACE_PASSES, PASS_REGISTRY, Modul
 from repro.llvm.passes.validate import LINT_EXCLUDED_PASSES
 from repro.llvm.service import LlvmCompilationSession
 
+new_session_id = ServiceConnection.new_session_id
+
 BENCHMARK = "cbench-v1/crc32"
 SEQUENCES = [
     [0, 11, 3, 7, 1],
@@ -180,7 +182,8 @@ class TestSessionIsUnbuiltOrCurrent:
                 before = print_module(parent.module)
                 for fork in forks:
                     entry = runtime.sessions[fork._session_id]
-                    assert (entry.donor, entry.node.actions()) == (env._session_id, tuple(prefix))
+                    donor = runtime.sessions[env._session_id]
+                    assert entry.donor is donor and entry.node.actions() == tuple(prefix)
                     assert _step_record(fork, extra) == reference[-1]
                     # Answered from the parent's module, or from the cache.
                     assert entry.session is None
@@ -206,7 +209,7 @@ class TestSessionIsUnbuiltOrCurrent:
 
             def walk():
                 session_id = runtime.start_session(StartSessionRequest(
-                    benchmark_uri=f"benchmark://{BENCHMARK}", observation_space_names=names,
+                    session_id=new_session_id(), benchmark_uri=f"benchmark://{BENCHMARK}", observation_space_names=names,
                 )).session_id
                 for action in prefix:
                     runtime.step(StepRequest(
@@ -254,7 +257,7 @@ class TestFailedStepLeavesTheCacheProtocol:
 
         def start(connection):
             return connection.start_session(
-                StartSessionRequest(benchmark_uri=uri, observation_space_names=names)
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri=uri, observation_space_names=names)
             ).session_id
 
         def step(connection, session_id, actions):

@@ -33,6 +33,8 @@ from repro.core.service.wire import (
 from repro.testing.chaos import ServerChaos
 from tests.test_transport import _slow_runtime, _SlowStepSession
 
+new_session_id = ServiceConnection.new_session_id
+
 
 @pytest.fixture(params=["daemon", "gateway"])
 def front(request):
@@ -78,7 +80,7 @@ class _RawPeer:
         """n sessions, one at a time; session i's counter starts at 100 * i."""
         ids = []
         for i in range(n):
-            request = StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{100 * i}")
+            request = StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{100 * i}")
             self.send((1000 + i, "start_session", (request,)))
             ids.append(self.reply()[1].session_id)
         return ids
@@ -123,7 +125,7 @@ def test_concurrent_callers_overlap_at_the_front(front):
     _SlowStepSession.reset_tracking()
     with ServiceConnection(SocketTransport(front.url)) as connection:
         sessions = [
-            connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+            connection.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
             for _ in range(3)
         ]
         threads = [
@@ -171,7 +173,7 @@ def test_a_short_request_after_a_long_one_is_answered_first(front):
 def test_a_malformed_frame_during_a_hand_over_drops_only_its_client(front):
     with _raw_peer(front.url) as peer, ServiceConnection(SocketTransport(front.url)) as other:
         (session,) = peer.start_sessions(1)
-        bystander = other.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/7"))
+        bystander = other.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/7"))
         peer.send(_step(0, session, [1] * 3))
         time.sleep(0.05)
         garbage = b"not a pickle at all"

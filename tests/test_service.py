@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.core.service.runtime.benchmark_cache import BenchmarkCache
 from repro.core.service.transport import InProcessTransport
 from repro.core.spaces import NamedDiscrete, ObservationSpaceSpec, Scalar
 from repro.errors import ServiceError, SessionNotFound
+
+new_session_id = ServiceConnection.new_session_id
 
 
 class _CounterSession(CompilationSession):
@@ -106,13 +109,13 @@ class TestRuntime:
     def test_start_session_and_observation(self):
         runtime = _runtime()
         reply = runtime.start_session(
-            StartSessionRequest(benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"])
+            StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"])
         )
         assert reply.observations[0] == 5
 
     def test_step_applies_actions_in_batch(self):
         runtime = _runtime()
-        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = runtime.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         reply = runtime.step(
             StepRequest(session_id=session.session_id, actions=[1, 1, 1], observation_space_names=["value"])
         )
@@ -121,15 +124,15 @@ class TestRuntime:
 
     def test_action_had_no_effect(self):
         runtime = _runtime()
-        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = runtime.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         reply = runtime.step(StepRequest(session_id=session.session_id, actions=[0]))
         assert reply.action_had_no_effect
 
     def test_fork_session_is_independent(self):
         runtime = _runtime()
-        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = runtime.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         runtime.step(StepRequest(session_id=session.session_id, actions=[1]))
-        fork = runtime.fork_session(ForkSessionRequest(session_id=session.session_id))
+        fork = runtime.fork_session(ForkSessionRequest(session_id=session.session_id, fork_id=new_session_id()))
         runtime.step(StepRequest(session_id=session.session_id, actions=[1]))
         original = runtime.step(
             StepRequest(session_id=session.session_id, actions=[], observation_space_names=["value"])
@@ -142,7 +145,7 @@ class TestRuntime:
 
     def test_end_session(self):
         runtime = _runtime()
-        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = runtime.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         reply = runtime.end_session(EndSessionRequest(session_id=session.session_id))
         assert reply.remaining_sessions == 0
         with pytest.raises(SessionNotFound):
@@ -151,7 +154,7 @@ class TestRuntime:
     def test_benchmark_cache_amortizes_resolution(self):
         runtime = _runtime()
         for _ in range(3):
-            runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/9"))
+            runtime.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/9"))
         assert runtime.benchmark_cache.hits == 2
         assert runtime.benchmark_cache.misses >= 1
 
@@ -159,9 +162,9 @@ class TestRuntime:
         runtime = _runtime()
         with pytest.raises(ServiceError, match="Unknown observation space: 'nope'"):
             runtime.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0", observation_space_names=["nope"])
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0", observation_space_names=["nope"])
             )
-        session = runtime.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = runtime.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         with pytest.raises(ServiceError, match="Unknown observation space: 'nope'"):
             runtime.step(
                 StepRequest(session_id=session.session_id, actions=[1], observation_space_names=["nope"])
@@ -171,6 +174,88 @@ class TestRuntime:
             StepRequest(session_id=session.session_id, actions=[], observation_space_names=["value"])
         )
         assert reply.observations[0] == 0
+
+
+class _GatedLock:
+    """A session lock that holds the calls of one thread at its door until
+    ``opened`` is set: ``waiting`` is set once that thread has asked."""
+
+    def __init__(self, thread_name: str):
+        self._lock = threading.Lock()
+        self._thread_name = thread_name
+        self.waiting, self.opened = threading.Event(), threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread().name == self._thread_name:
+            self.waiting.set()
+            assert self.opened.wait(10)
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class TestSessionIdReuse:
+    """A start under an id the caller holds replaces that session, so ids are
+    reused: a call that waited for an entry's lock must find its id still
+    mapping to that entry, not merely to an entry."""
+
+    def _replace_while_held(self, runtime, call):
+        """Run ``call`` on another thread, hold it at session 7's lock, and
+        replace session 7 meanwhile. Returns what ``call`` returned or
+        raised, and the replaced entry."""
+        old = runtime.sessions[7]
+        old.lock = gate = _GatedLock("held")
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(call())
+            except Exception as error:  # noqa: BLE001 - the outcome under test
+                outcome.append(error)
+
+        thread = threading.Thread(target=run, name="held")
+        thread.start()
+        assert gate.waiting.wait(10)
+        runtime.start_session(StartSessionRequest(
+            session_id=7, benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"]
+        ))
+        gate.opened.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        return outcome[0], old
+
+    def _value(self, runtime):
+        reply = runtime.step(StepRequest(session_id=7, observation_space_names=["value"]))
+        return reply.observations[0]
+
+    def test_a_step_that_waited_on_a_replaced_session_runs_nowhere(self):
+        runtime = _runtime()
+        runtime.start_session(StartSessionRequest(
+            session_id=7, benchmark_uri="benchmark://t-v0/0", observation_space_names=["value"]
+        ))
+        outcome, old = self._replace_while_held(
+            runtime, lambda: runtime.step(StepRequest(session_id=7, actions=[1]))
+        )
+        assert isinstance(outcome, SessionNotFound)
+        assert old.session.value == 0 and not old.pure
+        assert self._value(runtime) == 5
+
+    def test_the_reaper_leaves_a_replacement_in_the_table(self):
+        runtime = _runtime()
+        runtime.start_session(StartSessionRequest(session_id=7, benchmark_uri="benchmark://t-v0/0"))
+        runtime.sessions[7].last_used -= 100
+        outcome, old = self._replace_while_held(runtime, lambda: runtime.end_idle_sessions(10))
+        assert outcome == 0
+        assert runtime.sessions[7] is not old and self._value(runtime) == 5
+
+    def test_a_fork_cannot_take_its_parents_id(self):
+        runtime = _runtime()
+        runtime.start_session(StartSessionRequest(session_id=7, benchmark_uri="benchmark://t-v0/0"))
+        entry = runtime.sessions[7]
+        with pytest.raises(ServiceError, match="parent's id"):
+            runtime.fork_session(ForkSessionRequest(session_id=7, fork_id=7))
+        assert runtime.sessions == {7: entry}
 
 
 class TestRuntimeWorkingDirectory:
@@ -225,7 +310,7 @@ class TestServiceConnection:
 
     def test_call_statistics(self):
         connection = ServiceConnection(InProcessTransport(_runtime()))
-        session = connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = connection.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         assert connection.stats["start_session"].calls == 1
         assert connection.stats["step"].calls == 1
@@ -235,7 +320,7 @@ class TestServiceConnection:
         connection = ServiceConnection(
             InProcessTransport(_runtime()), ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001)
         )
-        session = connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+        session = connection.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
         # Action 2 always raises inside the backend. That is the session's
         # error, not a crash: nothing is restarted or retried, and the
         # session steps on.
@@ -254,7 +339,7 @@ class TestServiceConnection:
         from repro.errors import ServiceIsClosed
 
         with pytest.raises(ServiceIsClosed):
-            connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+            connection.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
 
     def test_context_manager(self):
         with ServiceConnection(InProcessTransport(_runtime())) as connection:

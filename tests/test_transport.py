@@ -90,6 +90,8 @@ from repro.errors import (
 )
 from tests.test_service import _CounterSession, _resolver, _runtime
 
+new_session_id = ServiceConnection.new_session_id
+
 BENCHMARK = "cbench-v1/crc32"
 
 
@@ -336,7 +338,7 @@ class TestFramesRunNoCode:
             raw.close()
             # Refused one client at a time: the daemon serves on.
             with ServiceConnection(SocketTransport(server.url, auth_token="secret")) as connection:
-                connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/1"))
+                connection.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/1"))
         assert not sentinel.exists()
         with pytest.raises(ServiceError, match="_write_sentinel: not a wire type"):
             read_frame(io.BytesIO(frame_bytes(_RunsOnLoad(sentinel))))
@@ -359,7 +361,7 @@ class TestFramesRunNoCode:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 first, second = (
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{i}")
                     ).session_id
                     for i in (1, 2)
                 )
@@ -401,7 +403,7 @@ class TestFramesRunNoCode:
         with ServiceServer(runtime, session_timeout=None).start() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session_id = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/1")
                 ).session_id
                 with pytest.raises(
                     ServiceError, match="StepReply.end_of_session must be bool, not int"
@@ -551,7 +553,7 @@ def _request(*lowered_args) -> tuple:
 # Each a whole hand-lowered envelope, and what its refusal says.
 _HOSTILE_PAYLOADS = {
     "int field holding a list": (
-        _request(("M", "ForkSessionRequest", [1])),
+        _request(("M", "ForkSessionRequest", [1], 2)),
         "ForkSessionRequest.session_id must be int, not list",
     ),
     "str list holding a non-string": (
@@ -564,7 +566,8 @@ _HOSTILE_PAYLOADS = {
     "request id not an int": (("1", "heartbeat", ("t", ())), r"envelope: \(str, str, tuple\)"),
     "request id a bool": ((True, "heartbeat", ("t", ())), r"envelope: \(bool, str, tuple\)"),
     "more values than fields": (
-        _request(("M", "ForkSessionRequest", 4, 1)), "ForkSessionRequest carries 1 field values, not 2",
+        _request(("M", "ForkSessionRequest", 4, 1, 2)),
+        "ForkSessionRequest carries 2 field values, not 3",
     ),
     "missing required field": (
         _request(("M", "StepRequest")), "StepRequest carries 1 to 3 field values, not 0",
@@ -575,7 +578,7 @@ _HOSTILE_PAYLOADS = {
 
 
 class TestWireCodec:
-    """Version 4: a numeric array travels as its raw bytes, a message as a
+    """Version 5: a numeric array travels as its raw bytes, a message as a
     positional tuple whose fields are checked by kind, and every refusal is a
     ServiceError."""
 
@@ -641,7 +644,7 @@ class TestWireCodec:
             transport = SocketTransport(server.url, auth_token="secret")
             with ServiceConnection(transport) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/1")
                 )
                 connection.step(StepRequest(session_id=session.session_id, actions=[1]))
                 for name, array in _HOSTILE_ARRAYS.items():
@@ -677,7 +680,7 @@ class TestWireCodec:
 
     @pytest.mark.parametrize("name", sorted(_HOSTILE_PAYLOADS))
     def test_a_hostile_payload_fails_the_decode_and_builds_nothing(self, name, monkeypatch):
-        well_formed = frame_bytes((1, "fork_session", (ForkSessionRequest(4),)))
+        well_formed = frame_bytes((1, "fork_session", (ForkSessionRequest(4, 5),)))
         built = []
         for cls in message_registry().values():
             monkeypatch.setattr(
@@ -702,12 +705,12 @@ class TestWireCodec:
         assert _round_trip({(1, "a"): [2], "b": 3}) == {(1, "a"): [2], "b": 3}
 
     def test_an_older_version_frame_is_refused_on_its_first_byte(self, tmp_path):
-        """A version 2 or 3 peer's frame — here one that would run code if
+        """A version 2, 3 or 4 peer's frame — here one that would run code if
         its payload were decoded — is refused before a payload byte is read."""
-        assert WIRE_VERSION == 4 and len(wire.CODECS) == 1
+        assert WIRE_VERSION == 5 and len(wire.CODECS) == 1
         sentinel = tmp_path / "sentinel"
         payload = pickle.dumps((1, "heartbeat", (_RunsOnLoad(sentinel),)))
-        for version in (2, 3):
+        for version in (2, 3, 4):
             stream = io.BytesIO(bytes([version]) + struct.pack(">Q", len(payload)) + payload)
             with pytest.raises(ConnectionError, match=f"version {version}"):
                 read_frame(stream)
@@ -718,17 +721,17 @@ class TestWireCodec:
         assert _lowered_payload(StepRequest(session_id=3, actions=[1])) == (
             "M", "StepRequest", 3, ("F", [1]),
         )
-        assert _lowered_payload(StartSessionRequest("benchmark://t-v0/1", verify_ir=True)) == (
-            "M", "StartSessionRequest", "benchmark://t-v0/1", 0, [], None, True,
+        assert _lowered_payload(StartSessionRequest(4, "benchmark://t-v0/1", verify_ir=True)) == (
+            "M", "StartSessionRequest", 4, "benchmark://t-v0/1", 0, [], True,
         )
         assert _lowered_payload(HelloReply()) == ("M", "HelloReply")
-        assert _decode_lowered(("M", "StartSessionRequest", "u")) == StartSessionRequest("u")
+        assert _decode_lowered(("M", "StartSessionRequest", 4, "u")) == StartSessionRequest(4, "u")
 
     def test_an_envelope_is_a_plain_triple(self):
-        request = (7, "fork_session", (ForkSessionRequest(session_id=2),))
+        request = (7, "fork_session", (ForkSessionRequest(session_id=2, fork_id=3),))
         frame = frame_bytes(request)
         assert pickle.loads(frame[FRAME_HEADER_BYTES:]) == (
-            7, "fork_session", ("t", (("M", "ForkSessionRequest", 2),)),
+            7, "fork_session", ("t", (("M", "ForkSessionRequest", 2, 3),)),
         )
         assert read_frame(io.BytesIO(frame)) == request
         for value in ((7, "step"), ("7", "step", ()), [7, "step", ()], "payload"):
@@ -753,16 +756,15 @@ _HOT_FIELD_KINDS = {
     StepSessionsRequest: {"requests": (KIND_ANY, set())},
     StepSessionsReply: {"results": (KIND_ANY, set())},
     SessionStepResult: {
-        "session_id": (KIND_PRIMITIVE, {int}),
         "reply": (KIND_ANY, set()),
         "error": (KIND_ANY, set()),
         "wall_time_s": (KIND_PRIMITIVE, {float}),
     },
     StartSessionRequest: {
+        "session_id": (KIND_PRIMITIVE, {int}),
         "benchmark_uri": (KIND_PRIMITIVE, {str}),
         "action_space": (KIND_PRIMITIVE, {int}),
         "observation_space_names": (KIND_PRIMITIVE_LIST, {str}),
-        "end_session_id": (KIND_PRIMITIVE, {int, type(None)}),
         "verify_ir": (KIND_PRIMITIVE, {bool}),
     },
     StartSessionReply: {
@@ -905,7 +907,7 @@ class TestTransportConnection:
             assert [s.name for s in connection.spaces.action_spaces] == ["counter"]
             session = connection.start_session(
                 StartSessionRequest(
-                    benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"]
+                    session_id=new_session_id(), benchmark_uri="benchmark://t-v0/5", observation_space_names=["value"]
                 )
             )
             assert session.observations[0] == 5
@@ -924,7 +926,7 @@ class TestTransportConnection:
             make_transport(), ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001)
         )
         session = connection.start_session(
-            StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+            StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
         )
         # Action 2 raises inside the backend: the transport classifies it as
         # a daemon's error reply is, so the session survives it.
@@ -938,7 +940,7 @@ class TestTransportConnection:
         connection = ServiceConnection(make_transport())
         connection.close()
         with pytest.raises(ServiceIsClosed):
-            connection.start_session(StartSessionRequest(benchmark_uri="benchmark://t-v0/0"))
+            connection.start_session(StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0"))
 
 
 class TestCallStatsIsBounded:
@@ -966,7 +968,7 @@ class TestSlowSuccessIsNotRetried:
             ConnectionOpts(rpc_call_max_seconds=0.02, rpc_max_retries=5, retry_wait_seconds=0.001),
         )
         session = connection.start_session(
-            StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+            StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
         )
         runtime = connection.runtime
         steps_before = runtime.stats["step"]
@@ -996,7 +998,7 @@ class TestSlowSuccessIsNotRetried:
             InProcessTransport(_runtime()), ConnectionOpts(rpc_call_max_seconds=5.0)
         )
         session = connection.start_session(
-            StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+            StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
         )
         connection.step(StepRequest(session_id=session.session_id, actions=[1]))
         assert connection.stats["step"].errors == 0
@@ -1029,7 +1031,7 @@ class TestEndSessionRacesACall:
         )
         runtime = _slow_runtime()
         session_id = runtime.start_session(
-            StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+            StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
         ).session_id
         outcomes = {}
 
@@ -1112,7 +1114,7 @@ class TestSendFailureClassification:
                 ConnectionOpts(rpc_max_retries=3, retry_wait_seconds=0.001),
             )
             session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
             )
             steps_before = server.runtime.stats["step"]
             conn = connection.transport._conn
@@ -1137,7 +1139,7 @@ class TestSendFailureClassification:
                 ConnectionOpts(rpc_max_retries=5, retry_wait_seconds=0.001),
             )
             session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
             )
             steps_before = server.runtime.stats["step"]
             conn = connection.transport._conn
@@ -1179,7 +1181,7 @@ class TestServiceServer:
                 assert connection.runtime is None
                 session = connection.start_session(
                     StartSessionRequest(
-                        benchmark_uri="benchmark://t-v0/4",
+                        session_id=new_session_id(), benchmark_uri="benchmark://t-v0/4",
                         observation_space_names=["value"],
                     )
                 )
@@ -1202,12 +1204,12 @@ class TestServiceServer:
             try:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{i}")
                     )
                     for i, connection in enumerate(connections)
                 ]
-                # Session ids are allocated by the one shared runtime.
-                assert sorted(s.session_id for s in sessions) == [0, 1, 2, 3]
+                # Every client's session is in the one shared runtime.
+                assert sorted(server.runtime.sessions) == sorted(s.session_id for s in sessions)
                 for i, (connection, session) in enumerate(zip(connections, sessions)):
                     reply = connection.step(
                         StepRequest(
@@ -1227,7 +1229,7 @@ class TestServiceServer:
         with self._server() as server:
             first = ServiceConnection(SocketTransport(server.url))
             session = first.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/5")
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/5")
             )
             first.step(StepRequest(session_id=session.session_id, actions=[1]))
             # Simulate a client crash: drop the socket without end_session.
@@ -1253,7 +1255,7 @@ class TestServiceServer:
             transport = SocketTransport(server.url)
             with ServiceConnection(transport) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/2")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/2")
                 )
                 dropped = transport._conn
                 dropped.sock.shutdown(socket.SHUT_RDWR)
@@ -1282,7 +1284,7 @@ class TestServiceServer:
                 with ServiceConnection(transport) as connection:
                     sessions = [
                         connection.start_session(
-                            StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                            StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{i}")
                         ).session_id
                         for i in range(callers)
                     ]
@@ -1320,7 +1322,7 @@ class TestServiceServer:
             b = ServiceConnection(SocketTransport(server.url))
             try:
                 shared = a.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                 )
 
                 def hammer(connection, session_id, actions):
@@ -1349,7 +1351,7 @@ class TestServiceServer:
                 # Two clients on DIFFERENT sessions: their steps overlap.
                 _SlowStepSession.reset_tracking()
                 other = b.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                 )
                 threads = [
                     threading.Thread(target=hammer, args=(a, shared.session_id, [1] * 3)),
@@ -1375,7 +1377,7 @@ class TestServiceServer:
                 ConnectionOpts(rpc_max_retries=5, retry_wait_seconds=0.001),
             )
             session = connection.start_session(
-                StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
             )
             # Action 1 applies, then action 2 raises RuntimeError server-side.
             with pytest.raises(ServiceError, match="simulated compiler crash"):
@@ -1401,7 +1403,7 @@ class TestServiceServer:
         ).start() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                 )
                 deadline = time.time() + 5
                 while server.reaped_sessions == 0 and time.time() < deadline:
@@ -1418,7 +1420,7 @@ class TestServiceServer:
         ).start() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                 )
                 # Keep touching the session for longer than the timeout.
                 for _ in range(6):
@@ -1437,9 +1439,9 @@ class TestServiceServer:
             # And keeps serving well-formed clients.
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/1")
                 )
-                assert session.session_id == 0
+                assert list(server.runtime.sessions) == [session.session_id]
 
     @pytest.mark.parametrize("version", [WIRE_VERSION + 1, WIRE_VERSION - 1])
     def test_version_skewed_client_is_dropped(self, version):
@@ -1454,7 +1456,7 @@ class TestServiceServer:
             # The daemon survives and still speaks the current version.
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 info = connection.transport.server_info()
-                assert info["protocol_version"] == WIRE_VERSION == 4
+                assert info["protocol_version"] == WIRE_VERSION == 5
                 assert info["wire_versions"] == [WIRE_VERSION]
 
     def test_an_unauthenticated_peer_cannot_announce_a_large_frame(self):
@@ -1468,7 +1470,7 @@ class TestServiceServer:
             transport = SocketTransport(server.url, auth_token="secret")
             with ServiceConnection(transport) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/1")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/1")
                 )
                 value = "x" * (4 << 20)
                 assert connection.handle_session_parameter(session.session_id, "k", value) is None
@@ -1490,7 +1492,7 @@ class TestServiceServer:
                     with pytest.raises(SessionNotFound):
                         connection.step(StepRequest(session_id=bogus_id, actions=[1]))
                     with pytest.raises(SessionNotFound):
-                        connection.fork_session(ForkSessionRequest(session_id=bogus_id))
+                        connection.fork_session(ForkSessionRequest(session_id=bogus_id, fork_id=new_session_id()))
                     with pytest.raises(SessionNotFound):
                         connection.handle_session_parameter(bogus_id, "k", "v")
                     connection.end_session(EndSessionRequest(session_id=bogus_id))
@@ -1505,13 +1507,13 @@ class TestServiceServer:
             bob = ServiceConnection(SocketTransport(server.url, auth_token="bob"))
             try:
                 session = alice.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/3")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/3")
                 )
-                fork = alice.fork_session(ForkSessionRequest(session_id=session.session_id))
+                fork = alice.fork_session(ForkSessionRequest(session_id=session.session_id, fork_id=new_session_id()))
                 for session_id in (session.session_id, fork.session_id):
                     calls = [
                         lambda: bob.step(StepRequest(session_id=session_id, actions=[1])),
-                        lambda: bob.fork_session(ForkSessionRequest(session_id=session_id)),
+                        lambda: bob.fork_session(ForkSessionRequest(session_id=session_id, fork_id=new_session_id())),
                         lambda: bob.end_session(EndSessionRequest(session_id=session_id)),
                         lambda: bob.handle_session_parameter(session_id, "k", "v"),
                     ]
@@ -1523,7 +1525,7 @@ class TestServiceServer:
                     )
                     assert isinstance(result.error, PermissionDeniedError)
                     assert "another tenant" in str(result.error)
-                assert sorted(server.runtime.sessions) == [session.session_id, fork.session_id]
+                assert sorted(server.runtime.sessions) == sorted([session.session_id, fork.session_id])
                 for session_id in (session.session_id, fork.session_id):
                     reply = alice.step(
                         StepRequest(
@@ -1566,7 +1568,7 @@ class TestServiceServer:
         assert server.url.startswith(f"{family}://")
         assert server.url.endswith(where.get("unix_path", ""))
         connection = ServiceConnection(SocketTransport(server.url))
-        request = StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+        request = StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
         connection.start_session(request)
         server.shutdown()
         assert server.closed
@@ -1580,8 +1582,9 @@ class TestServiceServer:
             connection.start_session(request)
         # A fresh daemon at the same address is reached by the next call.
         where = where or {"port": parse_service_url(server.url)[1][1]}
-        with self._server(**where):
-            assert connection.start_session(request).session_id == 0
+        with self._server(**where) as fresh:
+            connection.start_session(request)
+            assert list(fresh.runtime.sessions) == [request.session_id]
         connection.close()
         # Shutdown is idempotent.
         server.shutdown()
@@ -1604,7 +1607,7 @@ class TestBatchedStepSessions:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{i}")
                     )
                     for i in range(3)
                 ]
@@ -1618,9 +1621,6 @@ class TestBatchedStepSessions:
                         for i, session in enumerate(sessions)
                     ]
                 )
-                assert [r.session_id for r in results] == [
-                    s.session_id for s in sessions
-                ]
                 assert all(r.ok for r in results)
                 # Counter i stepped (i + 1) times: same values as individual
                 # step() calls would produce.
@@ -1653,7 +1653,7 @@ class TestBatchedStepSessions:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{start}")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{start}")
                     )
                     for start in (30, 10, 20)
                 ]
@@ -1673,7 +1673,7 @@ class TestBatchedStepSessions:
         with self._server() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                 )
                 results = connection.step_sessions(
                     [
@@ -1699,7 +1699,7 @@ class TestBatchedStepSessions:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{i}")
                     )
                     for i in range(3)
                 ]
@@ -1749,7 +1749,7 @@ class TestBatchedStepSessions:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                     )
                     for _ in range(4)
                 ]
@@ -1775,7 +1775,7 @@ class TestBatchedStepSessions:
         with self._server() as server:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 session = connection.start_session(
-                    StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                 )
                 # An empty batch is no round trip at all.
                 assert connection.step_sessions([]) == []
@@ -1804,7 +1804,7 @@ class TestBatchedStepSessions:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                     )
                     for _ in range(2)
                 ]
@@ -1849,7 +1849,7 @@ class TestMultiplexedConcurrency:
         try:
             sessions = [
                 connections[i].start_session(
-                    StartSessionRequest(benchmark_uri=f"benchmark://t-v0/{i}")
+                    StartSessionRequest(session_id=new_session_id(), benchmark_uri=f"benchmark://t-v0/{i}")
                 )
                 for i in range(n)
             ]
@@ -1917,7 +1917,7 @@ class TestMultiplexedConcurrency:
             with ServiceConnection(SocketTransport(server.url)) as connection:
                 sessions = [
                     connection.start_session(
-                        StartSessionRequest(benchmark_uri="benchmark://t-v0/0")
+                        StartSessionRequest(session_id=new_session_id(), benchmark_uri="benchmark://t-v0/0")
                     )
                     for _ in range(3)
                 ]

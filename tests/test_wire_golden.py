@@ -55,17 +55,17 @@ def golden_messages() -> dict:
         "ActionSpaceMessage": ActionSpaceMessage("passes", ["-dce", "-gvn"]),
         "ObservationSpaceMessage": ObservationSpaceMessage("IrInstructionCount", [0, None], True, True, 0),
         "StartSessionRequest": StartSessionRequest(
-            "benchmark://cbench-v1/crc32", 1, ["Autophase", "IrInstructionCount"], 7, True
+            9, "benchmark://cbench-v1/crc32", 1, ["Autophase", "IrInstructionCount"], True
         ),
         "StartSessionReply": StartSessionReply(9, [_autophase(1, 2), 42]),
         "StepRequest": step,
         "StepReply": reply,
         "StepSessionsRequest": StepSessionsRequest([step, StepRequest(9, [1])]),
-        "SessionStepResult": SessionStepResult(9, StepReply(observations=[121]), None, 0.25),
+        "SessionStepResult": SessionStepResult(StepReply(observations=[121]), None, 0.25),
         "StepSessionsReply": StepSessionsReply([
-            SessionStepResult(8, reply, None, 0.5), SessionStepResult(9, None, "failed", 0.125),
+            SessionStepResult(reply, None, 0.5), SessionStepResult(None, "failed", 0.125),
         ]),
-        "ForkSessionRequest": ForkSessionRequest(8),
+        "ForkSessionRequest": ForkSessionRequest(8, 10),
         "ForkSessionReply": ForkSessionReply(10),
         "EndSessionRequest": EndSessionRequest(10),
         "EndSessionReply": EndSessionReply(2),

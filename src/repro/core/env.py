@@ -526,14 +526,11 @@ class CompilerEnv:
                 reward.reward_on_error(self.episode_reward or 0)
                 for reward in context["reward_space_objects"]
             ]
-            if isinstance(error, ServiceTransportError):
-                # The service may still hold the session (after a slow
-                # success it does): the next reset replaces it, or close()
-                # ends it.
+            if isinstance(error, (ServiceTransportError, ServiceIsDown, SessionNotFound)):
+                # The service may still hold a session under this env's id
+                # (after a slow success it does): the next reset replaces
+                # it, or close() ends it.
                 self._in_episode = False
-            elif isinstance(error, (ServiceIsDown, SessionNotFound)):
-                # The session is gone: forget it.
-                self._in_episode = self._held = False
             else:
                 # The service answered, so it is there to be told that this
                 # episode is over: a session it is left holding is counted in

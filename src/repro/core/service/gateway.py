@@ -47,13 +47,14 @@ live or dead, nothing in between: a call that fails at a live member's
 connection is answered :class:`ServiceIsDown` and the member keeps serving.
 """
 
+import contextlib
 import itertools
 import logging
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.compiler_env_state import CompilerEnvState
 from repro.core.service.connection import ConnectionOpts, ServiceConnection
@@ -214,6 +215,9 @@ class ServiceGateway(SocketRPCServer):
         self._daemons: List[DaemonHandle] = []
         self._daemon_indexes = itertools.count()
         self._sessions: Dict[int, _RoutedSession] = {}
+        # The ids a start, fork, end or replay is changing right now.
+        self._claimed_ids = set()
+        self._claims = threading.Condition(threading.Lock())
         self.failovers = 0
         self.rehomed_sessions = 0  # Sessions successfully replayed onto survivors.
         self.heartbeat_interval = heartbeat_interval
@@ -338,15 +342,19 @@ class ServiceGateway(SocketRPCServer):
         except Exception:  # noqa: BLE001 - it is already dead
             pass
         for record in stranded:
-            try:
-                self._replay_session(record)
-            except Exception as replay_error:  # noqa: BLE001 - drop, don't wedge
-                logger.warning(
-                    "Gateway could not replay session %d (%s after %d actions): %s",
-                    record.session_id, record.benchmark_uri, len(record.actions),
-                    replay_error,
-                )
-                self._drop(record)
+            with self._claimed(record.session_id):
+                with self._fleet_lock:
+                    if self._sessions.get(record.session_id) is not record:
+                        continue  # Ended or replaced since.
+                try:
+                    self._replay_session(record)
+                except Exception as replay_error:  # noqa: BLE001 - drop, don't wedge
+                    logger.warning(
+                        "Gateway could not replay session %d (%s after %d actions): %s",
+                        record.session_id, record.benchmark_uri, len(record.actions),
+                        replay_error,
+                    )
+                    self._drop(record)
         if daemon.spawned is not None:
             daemon.spawned.stop()  # It may be wedged rather than gone.
 
@@ -354,18 +362,12 @@ class ServiceGateway(SocketRPCServer):
         """Re-create one routed session on a live daemon by replaying its
         recipe: its benchmark, then its acknowledged actions."""
         target = self._place_session()
-        target.connection.start_session(
-            StartSessionRequest(
-                session_id=record.session_id,
-                benchmark_uri=record.benchmark_uri,
-                action_space=record.action_space,
-                verify_ir=record.verify_ir,
-            )
-        )
+        target.connection.start_session(StartSessionRequest(
+            record.session_id, record.benchmark_uri, record.action_space,
+            verify_ir=record.verify_ir,
+        ))
         if record.actions:
-            target.connection.step(
-                StepRequest(session_id=record.session_id, actions=list(record.actions))
-            )
+            target.connection.step(StepRequest(record.session_id, list(record.actions)))
         with self._fleet_lock:
             record.daemon = target
             self.rehomed_sessions += 1
@@ -373,6 +375,27 @@ class ServiceGateway(SocketRPCServer):
             "Replayed session %d (%d actions) onto daemon %d at %s",
             record.session_id, len(record.actions), target.index, target.url,
         )
+
+    @contextlib.contextmanager
+    def _claimed(self, session_id: int) -> Iterator[None]:
+        """Hold ``session_id`` while a start, fork, end or failover replay
+        changes the session it names.
+
+        Such calls under one id run one at a time, each until its member has
+        answered, so members see them in the order the gateway ran them. A
+        start the client gave up on but the gateway still forwards is
+        therefore finished, and routed, before the client's next start under
+        the id replaces it; it never overtakes that start.
+        """
+        with self._claims:
+            self._claims.wait_for(lambda: session_id not in self._claimed_ids)
+            self._claimed_ids.add(session_id)
+        try:
+            yield
+        finally:
+            with self._claims:
+                self._claimed_ids.discard(session_id)
+                self._claims.notify_all()
 
     def _own(self, state: ClientConnectionState, session_id: int) -> Optional[_RoutedSession]:
         """The caller's route under ``session_id``, or ``None`` if there is
@@ -395,15 +418,6 @@ class ServiceGateway(SocketRPCServer):
         with self._fleet_lock:
             if self._sessions.get(record.session_id) is record:
                 del self._sessions[record.session_id]
-
-    @staticmethod
-    def _end_on(daemon: DaemonHandle, session_id: int) -> None:
-        """End a session on ``daemon``, best effort: the daemon (or the
-        session) may be gone already."""
-        try:
-            daemon.connection.end_session(EndSessionRequest(session_id=session_id))
-        except (ServiceError, ConnectionError, OSError, SessionNotFound):
-            pass
 
     def _failed_over(self, daemon: DaemonHandle, error: BaseException) -> bool:
         """Decide what a failed call to ``daemon`` means, and act on it.
@@ -453,77 +467,75 @@ class ServiceGateway(SocketRPCServer):
             raise ServiceError("Gateway has no live daemons")
         return candidates[0].connection.spaces
 
-    def _rpc_start_session(self, state: ClientConnectionState, request: StartSessionRequest):
-        """Place a new session under the caller's id, ending the one it
-        replaces on the way.
+    def _start_routed(self, state: ClientConnectionState, session_id: int, home, start):
+        """Start or fork a session of the caller's under ``session_id``,
+        with the id claimed: ``start(daemon)`` makes it on the member
+        ``home()`` names and returns the reply and the new route.
 
-        The replaced route goes first, so placement decides what it would
-        after an ``end_session``. Where the new session lands on the member
-        that held the old one, that member replaces it inside the same
-        ``start_session``; otherwise the old member's ``end_session`` is sent
-        before the new member's start, and awaited after it. Nothing about
-        the replaced session fails the start.
+        The caller's route under the id goes first, so placement decides
+        what it would after an ``end_session``. Where the new session lands
+        on the member that held the old one, that member replaces it inside
+        the same call; otherwise the old member's ``end_session`` is sent
+        before the call, and awaited after it. Nothing about the replaced
+        session fails the call.
         """
-        replaced = self._own(state, request.session_id)
-        if replaced is not None:
-            self._drop(replaced)
-        daemon = self._place_session()
-        ended = None
-        if replaced is not None and replaced.daemon is not daemon and not replaced.daemon.dead:
-            try:
-                ended = replaced.daemon.connection.send_end_session(
-                    EndSessionRequest(session_id=request.session_id)
-                )
-            except (ServiceError, ConnectionError, OSError):
-                pass  # As for end_session: the member is gone either way.
-        try:
-            reply = daemon.connection.start_session(request)
-        finally:
-            if ended is not None:
+        with self._claimed(session_id):
+            replaced = self._own(state, session_id)
+            if replaced is not None:
+                self._drop(replaced)
+            daemon = home()
+            ended = None
+            if replaced is not None and replaced.daemon is not daemon and not replaced.daemon.dead:
                 try:
-                    ended()
+                    ended = replaced.daemon.connection.send_end_session(
+                        EndSessionRequest(session_id)
+                    )
+                except (ServiceError, ConnectionError, OSError):
+                    pass  # As for end_session: the member is gone either way.
+            try:
+                reply, route = start(daemon)
+            finally:
+                try:
+                    if ended is not None:
+                        ended()
                 except (ServiceError, ConnectionError, OSError, SessionNotFound):
                     pass
-        with self._fleet_lock:
-            self._sessions[request.session_id] = _RoutedSession(
-                session_id=request.session_id,
-                daemon=daemon,
-                owner=state.token,
-                benchmark_uri=request.benchmark_uri,
-                action_space=request.action_space,
-                verify_ir=request.verify_ir,
-            )
+            with self._fleet_lock:
+                self._sessions[session_id] = route
         return reply
+
+    def _rpc_start_session(self, state: ClientConnectionState, request: StartSessionRequest):
+        def start(daemon):
+            return daemon.connection.start_session(request), _RoutedSession(
+                request.session_id, daemon, state.token, request.benchmark_uri,
+                request.action_space, verify_ir=request.verify_ir,
+            )
+
+        return self._start_routed(state, request.session_id, self._place_session, start)
 
     def _rpc_step(self, state: ClientConnectionState, request: StepRequest):
         """A step is a batch of one, raised or returned as ``step`` does."""
         return self._step_routed(state, [request])[0].unwrap()
 
     def _rpc_fork_session(self, state: ClientConnectionState, request: ForkSessionRequest):
-        """Fork on the parent's member, under the caller's id for the fork.
-        A session of the caller's that held that id on another member is
-        ended there; on the parent's, the member replaced it itself."""
+        """Fork on the parent's member, under the caller's id for the fork."""
         record = self._routed(state, request.session_id)
-        replaced = self._own(state, request.fork_id)
-        reply = self._call_routed(record, lambda daemon: daemon.connection.fork_session(request))
-        with self._fleet_lock:
-            self._sessions[request.fork_id] = _RoutedSession(
-                session_id=request.fork_id,
-                daemon=record.daemon,
-                owner=state.token,
-                benchmark_uri=record.benchmark_uri,
-                action_space=record.action_space,
-                actions=list(record.actions),
-                verify_ir=record.verify_ir,
-            )
-        if replaced is not None and replaced.daemon is not record.daemon:
-            self._end_on(replaced.daemon, request.fork_id)
-        return reply
+
+        def fork(_):
+            reply = self._call_routed(record, lambda d: d.connection.fork_session(request))
+            # The parent's route (its member now), with its own copy of the actions.
+            return reply, replace(record, session_id=request.fork_id, actions=list(record.actions))
+
+        return self._start_routed(state, request.fork_id, lambda: record.daemon, fork)
 
     def _rpc_end_session(self, state: ClientConnectionState, request: EndSessionRequest):
-        record = self._routed(state, request.session_id)
-        self._drop(record)
-        self._end_on(record.daemon, request.session_id)
+        with self._claimed(request.session_id):
+            record = self._routed(state, request.session_id)
+            self._drop(record)
+            try:
+                record.daemon.connection.end_session(request)
+            except (ServiceError, ConnectionError, OSError, SessionNotFound):
+                pass  # The member, or the session on it, may be gone already.
         return EndSessionReply(remaining_sessions=len(self._sessions))
 
     def _rpc_handle_session_parameter(

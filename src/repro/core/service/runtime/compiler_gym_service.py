@@ -28,7 +28,7 @@ import shutil
 import tempfile
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.core.datasets.benchmark import Benchmark
 from repro.core.service.compilation_session import CompilationSession, LazyFork
@@ -104,6 +104,8 @@ class _Session:
     runtime's but the table's own, which is held for a lookup. A call that
     waited for it first checks that its id still maps to this entry: the
     session may have been ended, or replaced under the same id, meanwhile.
+    A start or fork puts its entry in the table before it builds it, and
+    holds the entry's lock until the build is done.
 
     ``owner`` is the tenant the session belongs to (a daemon client's auth
     token, inherited by forks; ``None`` for anonymous and in-process
@@ -270,25 +272,39 @@ class CompilerGymServiceRuntime:
         if self.sessions.get(session_id) is not entry:
             raise SessionNotFound(f"Session not found: {session_id}")
 
-    def _add(self, session_id: int, entry: Optional[_Session], owner) -> None:
-        """Put ``entry`` in the table under the caller's ``session_id`` (with
-        ``None``, only take out what is there), ending the caller's own
-        session that held the id. An id outside ``[0, 2**63)`` or another
-        tenant's is refused, and nothing changes."""
+    def _build(self, session_id: int, entry: _Session, build: Callable[[], Any]) -> Any:
+        """Put ``entry`` in the table under its tenant's ``session_id``, and
+        return what ``build()`` returns, run under the entry's lock.
+
+        An id outside ``[0, 2**63)`` or another tenant's is refused, and
+        nothing changes. The tenant's own session under the id is ended
+        first, even if the build fails. A later start, fork or end under the
+        id waits for the build and wins over it: the build is then refused,
+        and whoever took the entry out closes it. A build that fails takes
+        its entry out again.
+        """
         if type(session_id) is not int or not 0 <= session_id < _SESSION_ID_LIMIT:
             raise ServiceError(f"Session id must be an int in [0, 2**63), not {session_id!r}")
-        with self._lock:
-            replaced = self.sessions.get(session_id)
-            if replaced is not None and replaced.owner != owner:
-                raise PermissionDeniedError(f"Session {session_id} belongs to another tenant")
-            if entry is None:
-                self.sessions.pop(session_id, None)
-            else:
+        with entry.lock:
+            with self._lock:
+                replaced = self.sessions.get(session_id)
+                if replaced is not None and replaced.owner != entry.owner:
+                    raise PermissionDeniedError(f"Session {session_id} belongs to another tenant")
                 self.sessions[session_id] = entry
-        if replaced is not None:
-            self.stats["end_session"] += 1
-            with replaced.lock:
-                self._close(replaced)
+            if replaced is not None:
+                self.stats["end_session"] += 1
+                with replaced.lock:
+                    self._close(replaced)
+            try:
+                built = build()
+                self._current(session_id, entry)
+                return built
+            except BaseException:
+                with self._lock:
+                    if self.sessions.get(session_id) is entry:
+                        del self.sessions[session_id]
+                        self._close(entry)
+                raise
 
     def _new_session(self, entry: _Session, benchmark: Benchmark) -> CompilationSession:
         session = self.session_type(
@@ -351,36 +367,36 @@ class CompilerGymServiceRuntime:
         if self.closed:
             raise ServiceError("Service is closed")
         self.stats["start_session"] += 1
-        # The session this one replaces ends first, so a start that fails
-        # has ended it all the same.
-        self._add(request.session_id, None, owner)
-        # Resolve eagerly (amortized O(1) via the benchmark cache) so an
-        # unknown benchmark URI still fails at reset, not at the first step.
-        benchmark = self._resolve_benchmark(request.benchmark_uri)
         uri = str(request.benchmark_uri)
-        entry = _Session(
-            uri, self.session_type.action_spaces[request.action_space], self.prefixes.root(uri),
-            owner=owner, verify_ir=request.verify_ir,
-        )
-        # Session construction (which clones the benchmark's module) waits
-        # for an observation the result cache cannot answer, a step or a fork.
-        observations = []
-        for name in request.observation_space_names:
-            spec = self._observation_spec(name)
-            cache = self.result_cache if spec.deterministic else None
-            value = None if cache is None else cache.get_observation(entry.node, name)
-            if value is None:
-                if entry.session is None:
-                    entry.session = self._new_session(entry, benchmark)
-                value = entry.session.get_observation(spec)
-                if cache is not None:
-                    # Store a private copy: the returned object is handed to
-                    # (possibly in-process) callers who may mutate it.
-                    cache.put_observation(entry.node, name, _copy_value(value))
-            else:
-                value = _copy_value(value)
-            observations.append(value)
-        self._add(request.session_id, entry, owner)
+        action_space = self.session_type.action_spaces[request.action_space]
+        entry = _Session(uri, action_space, None, owner=owner, verify_ir=request.verify_ir)
+
+        def build():
+            # Resolve eagerly (amortized O(1) via the benchmark cache) so an
+            # unknown benchmark URI still fails at reset, not at the first step.
+            benchmark = self._resolve_benchmark(request.benchmark_uri)
+            entry.node = self.prefixes.root(uri)
+            # Session construction (which clones the benchmark's module) waits
+            # for an observation the result cache cannot answer, a step or a fork.
+            values = []
+            for name in request.observation_space_names:
+                spec = self._observation_spec(name)
+                cache = self.result_cache if spec.deterministic else None
+                value = None if cache is None else cache.get_observation(entry.node, name)
+                if value is None:
+                    if entry.session is None:
+                        entry.session = self._new_session(entry, benchmark)
+                    value = entry.session.get_observation(spec)
+                    if cache is not None:
+                        # Store a private copy: the returned object is handed to
+                        # (possibly in-process) callers who may mutate it.
+                        cache.put_observation(entry.node, name, _copy_value(value))
+                else:
+                    value = _copy_value(value)
+                values.append(value)
+            return values
+
+        observations = self._build(request.session_id, entry, build)
         return StartSessionReply(session_id=request.session_id, observations=observations)
 
     def _execute_step(
@@ -515,28 +531,27 @@ class CompilerGymServiceRuntime:
         parent = self._entry(request.session_id, owner)
         if request.fork_id == request.session_id:
             raise ServiceError(f"A fork cannot take its parent's id {request.session_id}")
-        self._add(request.fork_id, None, owner)
+        child = _Session(parent.uri, parent.action_space, None, True, owner, parent.verify_ir)
         # A fork is of a current parent: an unbuilt parent is built here,
         # once. Where the backend can, the fork of a pure parent starts
         # unbuilt at the parent's prefix (so it inherits every warm cache
         # entry along it) and borrows the parent's state for as long as that
         # will do; any other fork is a copy made now.
-        with parent.lock:
-            self._current(request.session_id, parent)
-            try:
-                session = self._built_session(parent)
-                child = _Session(
-                    parent.uri, parent.action_space, parent.node, parent.pure, parent.owner,
-                    parent.verify_ir,
-                )
-                lazy_fork = session.lazy_fork() if parent.pure else None
-                if lazy_fork is None:
-                    child.session = session.fork()
-                else:
-                    child.donor, child.lazy_fork = parent, lazy_fork
-            finally:
-                parent.last_used = time.monotonic()
-        self._add(request.fork_id, child, owner)
+        def fork():
+            with parent.lock:
+                self._current(request.session_id, parent)
+                try:
+                    session = self._built_session(parent)
+                    child.node, child.pure = parent.node, parent.pure
+                    lazy_fork = session.lazy_fork() if parent.pure else None
+                    if lazy_fork is None:
+                        child.session = session.fork()
+                    else:
+                        child.donor, child.lazy_fork = parent, lazy_fork
+                finally:
+                    parent.last_used = time.monotonic()
+
+        self._build(request.fork_id, child, fork)
         return ForkSessionReply(session_id=request.fork_id)
 
     def end_session(self, request: EndSessionRequest, owner=None) -> EndSessionReply:
@@ -544,18 +559,14 @@ class CompilerGymServiceRuntime:
         # Ending an unknown session is a no-op; ending another tenant's is not.
         if request.session_id in self.sessions:
             self._entry(request.session_id, owner)
-        self._end(request.session_id)
-        return EndSessionReply(remaining_sessions=len(self.sessions))
-
-    def _end(self, session_id: int) -> None:
-        """End a session whose tenant the caller has checked."""
         # Out of the table at once, so a call already waiting on the entry's
         # lock finds the session ended; closed under the lock, so never in
         # the middle of a call.
-        entry = self.sessions.pop(session_id, None)
+        entry = self.sessions.pop(request.session_id, None)
         if entry is not None:
             with entry.lock:
                 self._close(entry)
+        return EndSessionReply(remaining_sessions=len(self.sessions))
 
     def end_idle_sessions(self, idle_seconds: float) -> int:
         """End every session whose last call finished more than

@@ -25,7 +25,9 @@ Client-side fault kinds (``ChaosTransport``):
 * ``cut_recv`` — the request is delivered and executes on the daemon, but
   its reply is abandoned and the connection torn down, exercising the
   at-most-once path (non-retryable; the episode ends, the step is never
-  re-applied).
+  re-applied). A nonzero ``param`` awaits the reply before the cut, so the
+  call has run by the time the client's next call is sent; with 0 the two
+  may overlap on the service.
 * ``delay`` — the reply is held for ``param`` seconds, overrunning the RPC
   deadline so the connection classifies a *slow success* (recorded, never
   retried).
@@ -147,7 +149,8 @@ class FaultEvent:
         method: Restrict the fault to calls of this RPC method; ``None``
             matches any method at the index.
         param: Fault parameter — flushed-byte budget for ``cut_send``, delay
-            seconds for ``delay``, kill-target index for ``kill_daemon``.
+            seconds for ``delay``, kill-target index for ``kill_daemon``,
+            whether ``cut_recv`` awaits the reply it loses (nonzero).
     """
 
     call_index: int
@@ -339,17 +342,19 @@ class ChaosTransport(ServiceTransport):
                 f"already be applied and will not be retried"
             )
 
-    def _lose_reply(self, method: str, args: tuple) -> None:
-        """Deliver the request, drop its reply, and kill the connection.
+    def _lose_reply(self, event: FaultEvent, method: str, args: tuple) -> None:
+        """Deliver the request, lose its reply, and kill the connection.
 
         A socket-level read cut races whichever caller is reading the shared
         connection: the reply is either lost or routed first, depending on
         nothing but thread scheduling — which would make chaos runs
         non-reproducible.
         Losing the reply at the transport layer is race-free: the request
-        is sent in full, its reply is awaited (so the service has run the
-        call) and dropped, and the connection is closed exactly as the
-        transport's own post-send failure path would close it.
+        is sent in full, nobody reads its reply, and the connection is
+        closed exactly as the transport's own post-send failure path would
+        close it. With a nonzero ``param`` the reply is awaited first, so the
+        service has run the call before the connection dies; otherwise it
+        may still be running it when the client's next call arrives.
         """
         failure = ServiceTransportError(
             f"chaos: reply to {method}() was lost after execution: the call "
@@ -358,7 +363,9 @@ class ChaosTransport(ServiceTransport):
         conn = self._live_socket()
         if conn is not None:
             try:
-                self.inner.send(method, *args)()
+                collect = self.inner.send(method, *args)
+                if event.param:
+                    collect()
             except Exception:  # noqa: BLE001 - the connection dies either way
                 pass
             conn.close(failure)
@@ -367,7 +374,7 @@ class ChaosTransport(ServiceTransport):
     def call(self, method: str, *args) -> Any:
         event = self._next_fault(method)
         if event is not None and event.kind == "cut_recv":
-            self._lose_reply(method, args)
+            self._lose_reply(event, method, args)
         if event is not None and event.kind != "delay":
             self._inject(event, method)
         result = self.inner.call(method, *args)

@@ -10,7 +10,9 @@ result cache off.
 import contextlib
 import functools
 import random
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 
 import networkx as nx
 import numpy as np
@@ -321,8 +323,9 @@ def test_a_lost_start_or_fork_reply_leaves_nothing_once_the_env_is_closed(deploy
     held before."""
     with deployment(**STEP_SHAPE) as env:
         before = deployment.sessions(env), _member_sessions(deployment, env)
-    # Calls: get_spaces, start_session, then the fork_session.
-    event = FaultEvent(call_index=1, kind="cut_recv", method=method)
+    # Calls: get_spaces, start_session, then the fork_session. The lost
+    # reply is awaited first, so the service has run the call.
+    event = FaultEvent(call_index=1, kind="cut_recv", method=method, param=1)
     with inject(FaultPlan(events=(event,))) as made:
         env = deployment(**STEP_SHAPE)
     with env:
@@ -340,6 +343,71 @@ def test_a_lost_start_or_fork_reply_leaves_nothing_once_the_env_is_closed(deploy
         assert deployment.sessions(env) == before[0] + 1
         assert sum(_member_sessions(deployment, env)) == sum(before[1]) + 1
         assert _trace(env, EPISODES[1]) == _reference(EPISODES[1])
+    assert (deployment.sessions(env), _member_sessions(deployment, env)) == before
+
+
+def test_a_start_the_env_gave_up_on_never_overtakes_its_next_reset(deployment, monkeypatch):
+    """A start under the env's id is still running in the service (the env
+    gave up on its reply) when the env's next reset arrives. Whichever of
+    the two would finish last, the env steps the session of its reset, and
+    the service holds that one session."""
+    stale_uri = "benchmark://cbench-v1/qsort"
+    with deployment(**STEP_SHAPE) as env:
+        before = deployment.sessions(env), _member_sessions(deployment, env)
+    opened, held = threading.Event(), threading.Event()
+
+    def hold(uri):
+        if str(uri) == stale_uri:
+            held.set()
+            assert opened.wait(10)
+
+    with deployment(**STEP_SHAPE) as env, ThreadPoolExecutor(max_workers=2) as pool:
+        env.reset()
+        # The stale start is held where the service takes it in: at its
+        # benchmark in a runtime, before it goes to a member in a gateway.
+        if deployment.kind == "gateway":
+            for daemon in deployment.server.live_daemons():
+                start = daemon.connection.start_session
+                monkeypatch.setattr(daemon.connection, "start_session", (
+                    lambda request, start=start: hold(request.benchmark_uri) or start(request)
+                ))
+            info = deployment.server.server_info
+            requests_read = lambda: info()["served_in_place"] + info()["handed_off"]  # noqa: E731
+        else:
+            runtime = deployment.server.runtime if deployment.server else env.service.runtime
+            resolve = runtime._resolve_benchmark
+            monkeypatch.setattr(
+                runtime, "_resolve_benchmark", lambda uri: hold(uri) or resolve(uri)
+            )
+        stale = pool.submit(env.service.start_session, StartSessionRequest(
+            session_id=env._session_id, benchmark_uri=stale_uri,
+            observation_space_names=["Autophase"],
+        ))
+        assert held.wait(10)
+        if deployment.kind == "gateway":
+            read = requests_read()
+            reset = pool.submit(env.reset)
+            _wait_until(lambda: requests_read() > read)
+        else:
+            reset = pool.submit(env.reset)
+            _wait_until(lambda: getattr(
+                runtime.sessions.get(env._session_id), "uri", None
+            ) == f"benchmark://{STEP_SHAPE['benchmark']}" or reset.done())
+        # Time for the reset to finish first, if the service would let it.
+        futures_wait([reset], timeout=0.25)
+        opened.set()
+        reference = _reference(EPISODES[1])
+        assert _plain(reset.result(10)) == reference[0]
+        if deployment.kind == "gateway":
+            # It was routed before the reset, which then replaced it.
+            assert stale.result(10).session_id == env._session_id
+        else:
+            with pytest.raises(SessionNotFound):
+                stale.result(10)
+        observation, reward, done, _ = env.step(EPISODES[1][0])
+        assert (_plain(observation), reward, done) == reference[1][:3]
+        assert deployment.sessions(env) == before[0] + 1
+        assert sum(_member_sessions(deployment, env)) == sum(before[1]) + 1
     assert (deployment.sessions(env), _member_sessions(deployment, env)) == before
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -248,6 +249,81 @@ class TestSessionIdReuse:
         outcome, old = self._replace_while_held(runtime, lambda: runtime.end_idle_sessions(10))
         assert outcome == 0
         assert runtime.sessions[7] is not old and self._value(runtime) == 5
+
+    def _overtake(self, runtime, call, gate):
+        """Run ``call`` on a thread until it stops at ``gate``, start session
+        7 (benchmark 5) on another thread meanwhile, and open the gate once
+        that start holds the id. Returns what each of the two returned or
+        raised."""
+        outcomes = {}
+
+        def run(name, call):
+            try:
+                outcomes[name] = call()
+            except Exception as error:  # noqa: BLE001 - the outcome under test
+                outcomes[name] = error
+
+        threads = [
+            threading.Thread(target=run, args=("held", call), name="held"),
+            threading.Thread(target=run, name="start", args=("start", lambda: runtime.start_session(
+                StartSessionRequest(
+                    session_id=7, benchmark_uri="benchmark://t-v0/5",
+                    observation_space_names=["value"],
+                )
+            ))),
+        ]
+        threads[0].start()
+        assert gate.waiting.wait(10)
+        threads[1].start()
+        deadline = time.monotonic() + 10
+        while getattr(runtime.sessions.get(7), "uri", None) != "benchmark://t-v0/5":
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        gate.opened.set()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        return outcomes["held"], outcomes["start"]
+
+    def test_a_start_overtaken_by_a_later_start_under_its_id_is_refused(self):
+        """Two starts under one id overlap: the one that took the id last
+        wins whichever finishes last, and the other one is refused."""
+        runtime = _runtime()
+        gate = _GatedLock("held")
+        resolve = runtime._resolve_benchmark
+
+        def gated_resolve(uri):
+            with gate:
+                return resolve(uri)
+
+        runtime._resolve_benchmark = gated_resolve
+        held, start = self._overtake(runtime, lambda: runtime.start_session(StartSessionRequest(
+            session_id=7, benchmark_uri="benchmark://t-v0/3", observation_space_names=["value"]
+        )), gate)
+        assert isinstance(held, SessionNotFound)
+        assert start.observations == [5]
+        assert list(runtime.sessions) == [7] and self._value(runtime) == 5
+
+    def test_a_fork_overtaken_by_a_start_under_its_id_is_refused(self):
+        runtime = _runtime()
+        runtime.start_session(StartSessionRequest(session_id=8, benchmark_uri="benchmark://t-v0/1"))
+        runtime.sessions[8].lock = gate = _GatedLock("held")
+        held, start = self._overtake(
+            runtime, lambda: runtime.fork_session(ForkSessionRequest(session_id=8, fork_id=7)), gate
+        )
+        assert isinstance(held, SessionNotFound)
+        assert start.observations == [5]
+        assert sorted(runtime.sessions) == [7, 8] and self._value(runtime) == 5
+
+    def test_a_start_that_fails_leaves_its_id_free_and_the_replaced_session_ended(self):
+        runtime = _runtime()
+        runtime.start_session(StartSessionRequest(session_id=7, benchmark_uri="benchmark://t-v0/1"))
+        old = runtime.sessions[7]
+        with pytest.raises(ServiceError, match="Unknown observation space"):
+            runtime.start_session(StartSessionRequest(
+                session_id=7, benchmark_uri="benchmark://t-v0/2", observation_space_names=["nope"]
+            ))
+        assert runtime.sessions == {} and not old.pure
 
     def test_a_fork_cannot_take_its_parents_id(self):
         runtime = _runtime()

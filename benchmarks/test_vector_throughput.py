@@ -248,11 +248,10 @@ def _measure_verifier_overhead(steps: int):
 def _measure_vec_transport_latency(rounds: int, n: int = 4):
     """Per-worker-step wall time of an n-worker pool over a socket daemon.
 
-    Both pools are fork-populated on one shared multiplexed connection. The
-    first steps as one ``step_sessions`` round trip; the second has its
-    workers wrapped in :class:`TimeLimit` (the RL shape), which opts a pool
-    out of batching, so each worker's ``step`` RPC runs on the pool's thread
-    pool and overlaps its siblings' on the shared socket.
+    Both pools are fork-populated on one shared multiplexed connection and
+    step as one ``step_sessions`` round trip per pool step. The second has its
+    workers wrapped in :class:`TimeLimit` (the RL shape), whose hooks run
+    around that same round trip.
 
     The daemon's result cache is off: both pools replay the same seeded
     trajectories against the same daemon, so with the cache on whichever
@@ -262,7 +261,7 @@ def _measure_vec_transport_latency(rounds: int, n: int = 4):
     from repro.core.service.runtime.server import make_env_server
     from repro.core.wrappers import TimeLimit
 
-    def mean_worker_step_seconds(url, worker_wrapper, batch_rpcs):
+    def mean_worker_step_seconds(url, worker_wrapper):
         env = repro.make(
             "llvm-v0",
             benchmark=BENCHMARK,
@@ -273,23 +272,23 @@ def _measure_vec_transport_latency(rounds: int, n: int = 4):
             assert len({id(w.service) for w in vec.workers}) == 1
             seconds = _pool_steps_seconds(vec, rounds) / (rounds * n)
             batches = vec.connection_stats().get("step_sessions", {}).get("calls", 0)
-            assert batches == batch_rpcs, (batches, batch_rpcs)
+            assert batches == rounds, (batches, rounds)
         return seconds
 
     server = make_env_server(
         "llvm-v0", port=0, session_timeout=None, result_cache=False
     ).start()
     try:
-        batched = mean_worker_step_seconds(server.url, None, rounds)
-        fanout = mean_worker_step_seconds(server.url, TimeLimit, 0)
+        batched = mean_worker_step_seconds(server.url, None)
+        wrapped = mean_worker_step_seconds(server.url, TimeLimit)
     finally:
         server.shutdown()
     return {
         "workers": n,
         "rounds": rounds,
         "batched_step_ms": batched * 1e3,
-        "fanout_step_ms": fanout * 1e3,
-        "batched_vs_fanout": batched / fanout if fanout else None,
+        "wrapped_step_ms": wrapped * 1e3,
+        "batched_vs_wrapped": batched / wrapped if wrapped else None,
     }
 
 
@@ -654,7 +653,7 @@ def test_vector_throughput():
     transport_latency = measured["transport_latency"]
     assert transport_latency["socket_step_ms"] > 0
     vec_pool = transport_latency["vec_pool"]
-    assert vec_pool["batched_step_ms"] > 0 and vec_pool["fanout_step_ms"] > 0
+    assert vec_pool["batched_step_ms"] > 0 and vec_pool["wrapped_step_ms"] > 0
     assert all(r["steps_per_sec"] > 0 for r in measured["results"])
     assert all(
         r["steps_per_sec"] > 0 and r["episodes"] >= rl_episodes

@@ -102,8 +102,8 @@ class EpisodeTuner:
         """Evaluate up to ``num_envs`` complete episodes concurrently.
 
         Each action sequence is assigned to one pool worker; all workers are
-        reset and stepped in batched operations, so a pool of unwrapped
-        workers steps a search round in one ``step_sessions`` call.
+        reset and stepped in batched operations, so a pool steps a search
+        round in one ``step_sessions`` call.
         Returns one cumulative episode reward per sequence, in input order.
         """
         sequences = [list(sequence) for sequence in action_sequences]

@@ -428,7 +428,8 @@ class CompilerEnv:
         of its outcome, and :meth:`_finish_multistep` (interpret the outcome).
         Here the fetch is one ``step`` RPC; a vectorized pool prepares many
         environments' requests, carries them all in one ``step_sessions`` RPC
-        and hands each environment its own outcome to finish the same way.
+        and hands each environment its own outcome to finish the same way. A
+        wrapper's hooks run inside the two phases, wherever it is stepped.
         """
         request, context = self._prepare_multistep(
             actions, observation_spaces, reward_spaces
@@ -447,13 +448,8 @@ class CompilerEnv:
             except (ServiceError, SessionNotFound):
                 pass
 
-    def _prepare_multistep(
-        self,
-        actions: Iterable[Any],
-        observation_spaces: Optional[List[Union[str, ObservationSpaceSpec]]] = None,
-        reward_spaces: Optional[List[Union[str, Reward]]] = None,
-    ) -> Tuple[StepRequest, dict]:
-        """Build the service request (and client-side context) for one step."""
+    def _check_in_episode(self) -> None:
+        """Raise what a step outside an episode raises."""
         if not self._in_episode:
             if self._closed:
                 raise SessionNotFound(
@@ -461,6 +457,15 @@ class CompilerEnv:
                     "the compilation session has ended"
                 )
             raise SessionNotFound("Cannot call step() before reset()")
+
+    def _prepare_multistep(
+        self,
+        actions: Iterable[Any],
+        observation_spaces: Optional[List[Union[str, ObservationSpaceSpec]]] = None,
+        reward_spaces: Optional[List[Union[str, Reward]]] = None,
+    ) -> Tuple[StepRequest, dict]:
+        """Build the service request (and client-side context) for one step."""
+        self._check_in_episode()
         actions = list(actions)
 
         explicit_observations = observation_spaces is not None

@@ -240,8 +240,8 @@ class ServiceConnection:
         Accounting is attributed per session, not per batch: each successful
         sub-step is recorded under ``"step"`` with its daemon-measured wall
         time and each failed one as a ``"step"`` error, so
-        ``connection_stats()`` reports per-worker load and latency whether a
-        pool steps batched or fanned out. The batch round trip itself is
+        ``connection_stats()`` reports per-worker load and latency whether an
+        env steps alone or in a pool's batch. The batch round trip itself is
         accounted under ``"step_sessions"`` as usual.
         """
         return self.send_step_sessions(requests)()

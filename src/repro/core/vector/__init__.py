@@ -3,8 +3,8 @@
 This subpackage provides :class:`VecCompilerEnv`, a fixed-size pool of
 compilation sessions driven through a batched ``reset``/``step``/``multistep``
 interface with optional auto-reset rollout semantics. A pool forks its root
-environment and steps its workers in a loop (``"serial"``) or on a thread pool
-of its own (``"thread"``).
+environment and steps all its workers in one ``step_sessions`` call; it resets
+them in a loop (``"serial"``) or on a thread pool of its own (``"thread"``).
 """
 
 from repro.core.vector.vec_env import (

@@ -10,12 +10,13 @@ shared by every worker — the cheap session cloning that the source paper's
 environments-as-a-service architecture is built around. The pool keeps the
 workers it was built with until it is closed.
 
-A pool of unwrapped workers steps as one ``step_sessions`` call on the
-connection they share, in-process or over a socket. A pool with a wrapped
-worker steps its workers one by one, in a loop (``"serial"``) or on a thread
-pool of its own (``"thread"``). For several cores or crash isolation per
-worker, point ``service_url`` at a ``repro-compilergym gateway --daemons N``
-fleet.
+A pool steps as one ``step_sessions`` call on the connection its workers
+share, in-process or over a socket, whether or not its workers are wrapped: a
+wrapper transforms a step through hooks that run around that call. Resets,
+observation fetches and auto-resets are one call per worker, run in a loop
+(``"serial"``) or on a thread pool of its own (``"thread"``). For several
+cores or crash isolation per worker, point ``service_url`` at a
+``repro-compilergym gateway --daemons N`` fleet.
 """
 
 import logging
@@ -27,8 +28,9 @@ from repro.errors import SessionNotFound
 
 logger = logging.getLogger(__name__)
 
-#: How a pool runs the per-worker calls of one batch: one after another in the
-#: calling thread, or on a thread pool it owns.
+#: How a pool runs its per-worker calls (resets, observation fetches and
+#: auto-resets): one after another in the calling thread, or on a thread pool
+#: it owns. A step is one call for the whole pool under either.
 BACKENDS = ("serial", "thread")
 
 # Placeholder result returned for workers whose slot in a batched step was
@@ -62,13 +64,17 @@ class VecCompilerEnv:
             worker 0 and is forked to populate the rest of the pool. Closing
             the pool closes every worker.
         n: The number of workers (must be >= 1), fixed for the pool's life.
-        backend: ``"serial"`` (default) runs a batch's per-worker calls one
-            after another in the calling thread; ``"thread"`` runs them on a
+        backend: ``"serial"`` (default) runs the per-worker calls of a
+            reset, an observation fetch or an auto-reset one after another in
+            the calling thread; ``"thread"`` runs them on a
             ``ThreadPoolExecutor(max_workers=n)`` the pool owns, so round
-            trips to a daemon overlap.
+            trips to a daemon overlap. A step is one ``step_sessions`` call
+            under either.
         worker_wrapper: Optional callable applied to every worker (including
             the root) after forking, e.g. to impose a ``TimeLimit``. The
-            wrapper must preserve the ``CompilerEnv`` interface.
+            wrapper must preserve the ``CompilerEnv`` interface; a
+            :class:`~repro.core.wrappers.CompilerEnvWrapper`'s step hooks run
+            around the pool's batched step.
         auto_reset: When True, a worker whose episode ends is reset *within
             the same batched step*: its slot returns the new episode's
             initial observation, ``done=True``, and the final observation of
@@ -91,6 +97,8 @@ class VecCompilerEnv:
         self.closed = False
         self.workers: List[Any] = []
         self._executor: Optional[ThreadPoolExecutor] = None
+        # Every worker is a fork of the root and shares its connection.
+        self._connection = env.service
         workers: List[Any] = [env]
         wrapped: List[Any] = []
         try:
@@ -154,7 +162,7 @@ class VecCompilerEnv:
     def connection_stats(self) -> Dict[str, Dict[str, float]]:
         """The service-call accounting of the pool's one connection: every
         worker is a fork of the root and shares its ``service``."""
-        return self.workers[0].service.stats_summary()
+        return self._connection.stats_summary()
 
     # -- batched Gym API ----------------------------------------------------
 
@@ -258,98 +266,33 @@ class VecCompilerEnv:
         holds the new episode's initial observation and the terminal
         observation is preserved in ``info["terminal_observation"]``.
 
-        When no stepped worker is wrapped, the whole pool step is a single
-        ``step_sessions`` call, which the runtime answers slot by slot: one
-        worker's failure ends only its own episode. Otherwise each worker's
-        step is its own service call, run in a loop or on the pool's thread
-        pool.
+        The whole pool step is one ``step_sessions`` call, which the runtime
+        answers slot by slot: one worker's failure ends only its own episode.
+        Each worker prepares its own request and reads its own outcome, a
+        wrapped worker through its wrappers' hooks.
         """
         self._check_open("multistep")
         self._check_batch("action_lists", action_lists)
-        action_lists = list(action_lists)
-
-        results = self._batched_multistep(
-            action_lists, observation_spaces, reward_spaces
-        )
-        if results is None:
-            results = self._fanout_multistep(
-                action_lists, observation_spaces, reward_spaces
-            )
-        observations = [result[0] for result in results]
-        rewards = [result[1] for result in results]
-        dones = [result[2] for result in results]
-        infos = [result[3] for result in results]
-        return observations, rewards, dones, infos
-
-    def _fanout_multistep(
-        self,
-        action_lists: Sequence[Optional[Iterable[Any]]],
-        observation_spaces: Optional[List[Any]],
-        reward_spaces: Optional[List[Any]],
-    ) -> List[Tuple[Any, Any, bool, dict]]:
-        """One service call per worker."""
-        auto_reset = self.auto_reset
-
-        def step_one(pair):
-            worker, actions = pair
-            if actions is None:
-                return SKIPPED_STEP
-            result = worker.multistep(
-                list(actions),
-                observation_spaces=observation_spaces,
-                reward_spaces=reward_spaces,
-            )
-            if result[2] and auto_reset:
-                result = self._auto_reset_worker(worker, result, observation_spaces)
-            return result
-
-        return self._run(step_one, list(zip(self.workers, action_lists)))
-
-    def _batched_multistep(
-        self,
-        action_lists: Sequence[Optional[Iterable[Any]]],
-        observation_spaces: Optional[List[Any]],
-        reward_spaces: Optional[List[Any]],
-    ) -> Optional[List[Tuple[Any, Any, bool, dict]]]:
-        """The whole pool step as one ``step_sessions`` call.
-
-        Returns ``None`` when the pool does not qualify — no worker to step,
-        a worker whose ``multistep`` is wrapped or overridden, or a worker
-        outside an episode (the per-worker path owns that error) — in which
-        case the caller falls back to :meth:`_fanout_multistep`.
-        """
-        from repro.core.env import CompilerEnv
-
-        actionable = [
-            (index, worker, actions)
+        stepped = [
+            (index, worker, list(actions))
             for index, (worker, actions) in enumerate(zip(self.workers, action_lists))
             if actions is not None
         ]
-        if not actionable:
-            return None
-        for _, worker, _ in actionable:
-            # An exact-method check: any wrapper/override (TimeLimit, test
-            # doubles) opts the pool out of batching, because only the
-            # unmodified CompilerEnv.multistep splits into the prepare/finish
-            # phases the batch path re-composes.
-            if getattr(type(worker), "multistep", None) is not CompilerEnv.multistep:
-                return None
-            if not worker.in_episode:
-                return None
-        # Every worker is a fork of the root and shares its connection.
-        connection = self.workers[0].service
-
+        # A worker that cannot step fails the pool step before any wrapper's
+        # hook has run on a sibling.
+        for _, worker, _ in stepped:
+            worker._check_in_episode()
         prepared = []
         requests = []
-        for index, worker, actions in actionable:
+        for index, worker, actions in stepped:
             request, context = worker._prepare_multistep(
-                list(actions), observation_spaces, reward_spaces
+                actions, observation_spaces, reward_spaces
             )
             prepared.append((index, worker, context))
             requests.append(request)
 
         try:
-            fetches = [outcome.unwrap for outcome in connection.step_sessions(requests)]
+            fetches = [outcome.unwrap for outcome in self._connection.step_sessions(requests)]
         except Exception as batch_error:  # noqa: BLE001 - read by each worker below
             # The batch RPC itself failed (transport loss, daemon death): that
             # is the outcome of every sub-step it carried.
@@ -375,17 +318,16 @@ class VecCompilerEnv:
 
         if self.auto_reset:
             reset_indices = [index for index, _, _ in prepared if results[index][2]]
-            if reset_indices:
-                def reset_one(index):
-                    return self._auto_reset_worker(
-                        self.workers[index], results[index], observation_spaces
-                    )
 
-                for index, result in zip(
-                    reset_indices, self._run(reset_one, reset_indices)
-                ):
-                    results[index] = result
-        return results
+            def reset_one(index):
+                return self._auto_reset_worker(
+                    self.workers[index], results[index], observation_spaces
+                )
+
+            for index, result in zip(reset_indices, self._run(reset_one, reset_indices)):
+                results[index] = result
+        observations, rewards, dones, infos = (list(column) for column in zip(*results))
+        return observations, rewards, dones, infos
 
     def _auto_reset_worker(
         self, worker, result: Tuple[Any, Any, bool, dict], observation_spaces
@@ -413,8 +355,9 @@ class VecCompilerEnv:
 
         With a single space name, returns one observation per worker. With a
         sequence of names, returns a list per worker, one entry per requested
-        space. Under ``backend="thread"`` the workers' fetches overlap, which
-        matters for the expensive spaces (e.g. Programl) on a daemon.
+        space. Each worker's fetch is its own call; under ``backend="thread"``
+        the fetches overlap, which matters for the expensive spaces (e.g.
+        Programl) on a daemon.
         """
         self._check_open("observations")
         single = isinstance(spaces, str)

@@ -1,6 +1,6 @@
 """Wrappers that modify Commandline action spaces."""
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from repro.core.spaces.commandline import Commandline, CommandlineFlag
 from repro.core.wrappers.core import ActionWrapper, CompilerEnvWrapper
@@ -36,26 +36,18 @@ class CommandlineWithTerminalAction(CompilerEnvWrapper):
     def action_space(self, space):
         self.env.action_space = space
 
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
-        actions = list(actions)
-        terminal_selected = self._terminal_index in actions
-        if terminal_selected:
-            actions = actions[: actions.index(self._terminal_index)]
-        if actions:
-            observation, reward, done, info = self.env.multistep(
-                actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-            )
-        else:
-            # No real action to apply: synthesise a null step result.
-            observation, reward, done, info = (
-                None,
-                [] if reward_spaces is not None else 0.0,
-                False,
-                {"action_had_no_effect": True, "new_action_space": False},
-            )
-        if terminal_selected:
-            done = True
-        return observation, reward, done, info
+    def map_actions(self, actions):
+        # The actions before the terminal one are applied; none may be left,
+        # which makes the step a zero-action step.
+        if self._terminal_index in actions:
+            return actions[: actions.index(self._terminal_index)]
+        return actions
+
+    def finish_step(self, actions, result):
+        if self._terminal_index not in actions:
+            return result
+        observation, reward, _, info = result
+        return observation, reward, True, info
 
     def fork(self):
         forked = CommandlineWithTerminalAction.__new__(CommandlineWithTerminalAction)

@@ -22,11 +22,9 @@ class ForkOnStep(CompilerEnvWrapper):
         self.stack = []
         return self.env.reset(*args, **kwargs)
 
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
+    def map_actions(self, actions):
         self.stack.append(self.env.fork())
-        return self.env.multistep(
-            actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-        )
+        return actions
 
     def undo(self):
         """Restore the environment to the state before the most recent step.

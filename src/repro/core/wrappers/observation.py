@@ -47,15 +47,13 @@ class ConcatActionsHistogram(ObservationWrapper):
         self._histogram = np.zeros(self.env.action_space.n, dtype=np.float64)
         return super().reset(*args, **kwargs)
 
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
+    def finish_step(self, actions, result):
         if self._histogram is None:
             self._histogram = np.zeros(self.env.action_space.n, dtype=np.float64)
         for action in actions:
             if isinstance(action, (int, np.integer)) and 0 <= int(action) < len(self._histogram):
                 self._histogram[int(action)] += 1
-        return super().multistep(
-            actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-        )
+        return super().finish_step(actions, result)
 
     def convert_observation(self, observation):
         if observation is None:
@@ -87,13 +85,10 @@ class CounterWrapper(CompilerEnvWrapper):
         self.counters["reset"] += 1
         return self.env.reset(*args, **kwargs)
 
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
-        actions = list(actions)
+    def map_actions(self, actions):
         self.counters["step"] += 1
         self.counters["actions"] += len(actions)
-        return self.env.multistep(
-            actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-        )
+        return actions
 
     def fork(self):
         forked = CounterWrapper(self.env.fork())

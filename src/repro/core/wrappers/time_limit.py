@@ -24,11 +24,9 @@ class TimeLimit(CompilerEnvWrapper):
         self._elapsed_steps = 0
         return self.env.reset(*args, **kwargs)
 
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
-        observation, reward, done, info = self.env.multistep(
-            actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-        )
-        self._elapsed_steps += len(list(actions))
+    def finish_step(self, actions, result):
+        observation, reward, done, info = result
+        self._elapsed_steps += len(actions)
         if self.max_episode_steps is not None and self._elapsed_steps >= self.max_episode_steps:
             info["TimeLimit.truncated"] = not done
             done = True

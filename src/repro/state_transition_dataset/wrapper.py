@@ -1,6 +1,6 @@
 """Environment wrapper that logs state transitions to the database."""
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.wrappers.core import CompilerEnvWrapper
 from repro.state_transition_dataset.database import StateTransitionDatabase
@@ -49,10 +49,8 @@ class StateTransitionLoggingWrapper(CompilerEnvWrapper):
         self.database.commit()
         return result
 
-    def multistep(self, actions, observation_spaces=None, reward_spaces=None):
-        observation, reward, done, info = self.env.multistep(
-            actions, observation_spaces=observation_spaces, reward_spaces=reward_spaces
-        )
+    def finish_step(self, actions, result):
+        observation, reward, done, info = result
         scalar_reward = reward if isinstance(reward, (int, float)) else 0.0
         self._episode_rewards.append(float(scalar_reward or 0.0))
         self._record_state(rewards=self._episode_rewards, end_of_episode=done)

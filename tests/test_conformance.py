@@ -168,9 +168,8 @@ def _assert_pool_of_two_equals_two_envs(vec):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "worker_wrapper",
-    # A wrapped worker is stepped on its own, so in every deployment this is
-    # the per-worker path rather than one step_sessions batch. The episodes
-    # never reach the budget.
+    # A wrapped worker steps in the pool's one step_sessions batch too, its
+    # wrapper's hooks run around it. The episodes never reach the budget.
     [None, functools.partial(TimeLimit, max_episode_steps=100)],
     ids=["unwrapped", "time-limit"],
 )
@@ -181,6 +180,12 @@ def test_a_pool_of_two_equals_two_envs(deployment, backend, worker_wrapper):
         # Forked from the root onto its connection, which multiplexes them.
         assert len({id(worker.service) for worker in vec.workers}) == 1
         _assert_pool_of_two_equals_two_envs(vec)
+        # Every pool step went out as one batch; the "step" entry counts the
+        # batches' sub-steps, one per worker.
+        calls = {method: stats.calls for method, stats in vec.workers[0].service.stats.items()}
+        pool_steps = len(list(zip(_steps(EPISODES[1]), _steps(EPISODES[2]))))
+        assert calls["step_sessions"] == pool_steps
+        assert calls["step"] == 2 * pool_steps
 
 
 def test_a_forked_pool_asks_for_its_spaces_once(deployment):

@@ -2122,7 +2122,7 @@ class TestSocketStatsAggregation:
             remote.close()
             local.close()
 
-    def test_a_pool_accounts_its_steps_alike_batched_or_fanned_out(self, llvm_daemon):
+    def test_a_wrapped_pool_accounts_its_steps_as_an_unwrapped_one(self, llvm_daemon):
         def calls_made(worker_wrapper):
             with VecCompilerEnv(
                 _make_llvm_env(service_url=llvm_daemon.url),
@@ -2141,11 +2141,11 @@ class TestSocketStatsAggregation:
                 for method in ("step", "step_sessions")
             }
 
-        # Two pool steps of three workers are six worker steps either way.
+        # Two pool steps of three workers are two batches of three worker
+        # steps; a wrapper's hooks run around the same batches.
         assert calls_made(None) == {"step": 6, "step_sessions": 2}
-        # A wrapped worker opts the pool out of batching: one RPC per worker.
-        fanned_out = calls_made(lambda worker: TimeLimit(worker, max_episode_steps=10))
-        assert fanned_out == {"step": 6, "step_sessions": 0}
+        wrapped = calls_made(lambda worker: TimeLimit(worker, max_episode_steps=10))
+        assert wrapped == {"step": 6, "step_sessions": 2}
 
 
 class _RefusesGetSpaces(ServiceTransport):

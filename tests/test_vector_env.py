@@ -34,8 +34,8 @@ class _TimeLimitWrapper:
         return TimeLimit(worker, max_episode_steps=self.max_episode_steps)
 
 
-def _scripted_pool(backend, n, before_step):
-    """A pool whose worker ``i`` calls ``before_step(i)`` on every step and
+def _scripted_pool(backend, n, before_reset):
+    """A pool whose worker ``i`` calls ``before_reset(i)`` on every reset and
     answers with ``i`` as its observation, without touching its session."""
     indices = iter(range(n))
 
@@ -44,9 +44,9 @@ def _scripted_pool(backend, n, before_step):
             super().__init__(env)
             self.index = next(indices)
 
-        def multistep(self, actions, observation_spaces=None, reward_spaces=None):
-            before_step(self.index)
-            return self.index, 0.0, False, {}
+        def reset(self, *args, **kwargs):
+            before_reset(self.index)
+            return self.index
 
     return VecCompilerEnv(_make_root(), n=n, backend=backend, worker_wrapper=Scripted)
 
@@ -212,6 +212,24 @@ class TestBatchedApi:
         assert rewards[1] is None and observations[1] is None
         assert infos[1] == {"skipped": True}
         assert vec_env.workers[1].actions == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_worker_outside_an_episode_fails_the_step_before_any_hook(self, backend):
+        """The pool checks every stepped worker before a wrapper's hook runs
+        on any of them, and raises what a lone step would."""
+        from repro.core.wrappers import CounterWrapper
+
+        with VecCompilerEnv(
+            _make_root(), n=3, backend=backend, worker_wrapper=CounterWrapper
+        ) as vec:
+            vec.reset()
+            vec.workers[2].unwrapped.close()
+            with pytest.raises(SessionNotFound, match="closed environment"):
+                vec.step([0, 1, 2])
+            assert [worker.counters["step"] for worker in vec.workers] == [0, 0, 0]
+            _, _, dones, _ = vec.multistep([[0], [1], None])
+            assert dones == [False, False, True]
+            assert [worker.counters["step"] for worker in vec.workers] == [1, 1, 0]
 
     def test_batched_observations_single_space(self, vec_env):
         vec_env.reset()
@@ -594,29 +612,31 @@ class TestLifecycle:
 
 
 class TestDispatch:
-    """How a pool runs the per-worker calls of one batch."""
+    """How a pool runs the per-worker calls of one batch (a reset's, here)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_first_error_in_input_order_propagates(self, backend):
+        failing = [True]
+
         def fail_odd(index):
             if index == 1:
                 time.sleep(0.02)  # Under threads, worker 3 fails first.
-            if index % 2:
+            if failing[0] and index % 2:
                 raise ValueError(f"bad {index}")
 
         with _scripted_pool(backend, 4, fail_odd) as vec:
             with pytest.raises(ValueError, match="bad 1"):
-                vec.step([0, 0, 0, 0])
+                vec.reset()
             # The pool stays usable.
-            observations, _, _, _ = vec.multistep([[0], None, [0], None])
-            assert observations == [0, None, 2, None]
+            failing[0] = False
+            assert vec.reset() == [0, 1, 2, 3]
 
     def test_serial_runs_in_input_order_on_the_calling_thread(self):
         calls = []
         with _scripted_pool(
             "serial", 3, lambda index: calls.append((index, threading.current_thread()))
         ) as vec:
-            assert vec.step([0, 0, 0])[0] == [0, 1, 2]
+            assert vec.reset() == [0, 1, 2]
         caller = threading.current_thread()
         assert calls == [(0, caller), (1, caller), (2, caller)]
 
@@ -625,20 +645,23 @@ class TestDispatch:
             time.sleep(0.02 * (3 - index))
 
         with _scripted_pool("thread", 3, finish_last_first) as vec:
-            assert vec.step([0, 0, 0])[0] == [0, 1, 2]
+            assert vec.reset() == [0, 1, 2]
 
     def test_thread_pool_runs_every_worker_at_once(self):
         """A thread pool has a thread per worker: all calls of a batch are in
         flight together (with fewer threads the barrier would break)."""
         barrier = threading.Barrier(3, timeout=10)
         with _scripted_pool("thread", 3, lambda index: barrier.wait()) as vec:
-            assert vec.step([0, 0, 0])[0] == [0, 1, 2]
+            assert vec.reset() == [0, 1, 2]
 
     def test_thread_and_serial_pools_step_alike(self):
+        """A reset on the thread pool and one on the calling thread start the
+        same episodes, which then step alike."""
+
         def trace(backend):
             with VecCompilerEnv(_make_root(), n=3, backend=backend) as vec:
-                vec.reset()
-                observations, _, _, _ = vec.step([1, 2, 3])
+                observations = vec.reset([BENCHMARK, "cbench-v1/qsort", BENCHMARK])
+                observations += vec.step([1, 2, 3])[0]
                 observations += vec.step([4, 5, 6])[0]
                 actions = [worker.actions for worker in vec.workers]
             return [np.asarray(o).tolist() for o in observations], actions
@@ -729,6 +752,9 @@ class TestRlIntegration:
             assert len(rewards) == 3
             # The TimeLimit wrapper bounds every worker to 5 steps.
             assert all(len(worker.unwrapped.actions) == 5 for worker in vec.workers)
+            # The wrapped workers stepped together: one batch per pool step.
+            calls = {name: stats["calls"] for name, stats in vec.connection_stats().items()}
+            assert (calls["step_sessions"], calls["step"]) == (5, 15)
         finally:
             vec.close()
 

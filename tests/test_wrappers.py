@@ -19,6 +19,7 @@ from repro.core.wrappers import (
     RewardWrapper,
     TimeLimit,
 )
+from repro.errors import SessionNotFound
 
 
 @pytest.fixture()
@@ -52,6 +53,21 @@ class TestBaseWrapper:
         wrapped = CompilerEnvWrapper(env)
         wrapped.benchmark = "benchmark://cbench-v1/sha"
         assert str(wrapped.benchmark.uri) == "benchmark://cbench-v1/sha"
+
+    def test_a_wrapper_that_defines_multistep_is_refused(self):
+        """A pool steps a wrapped worker through its hooks, never through its
+        ``multistep``, so an override would be skipped there."""
+        with pytest.raises(TypeError, match=r"map_actions\(\) and finish_step\(\)"):
+
+            class Overrides(TimeLimit):
+                def multistep(self, actions, observation_spaces=None, reward_spaces=None):
+                    return super().multistep(actions, observation_spaces, reward_spaces)
+
+    def test_a_step_outside_an_episode_runs_no_hook(self, env):
+        wrapped = ForkOnStep(CounterWrapper(env))
+        with pytest.raises(SessionNotFound, match="before reset"):
+            wrapped.step(0)
+        assert wrapped.stack == [] and wrapped.counters["step"] == 0
 
 
 class TestObservationRewardWrappers:
@@ -160,6 +176,23 @@ class TestCommandlineWrappers:
         assert wrapped.action_space.n == 125
         _, _, done, _ = wrapped.step(wrapped.action_space.n - 1)
         assert done
+
+    def test_a_lone_terminal_action_is_a_zero_action_step_that_ends(self, env):
+        """It answers like ``env.multistep([])``: one observation and one
+        reward per requested space, then ``done``."""
+        wrapped = CommandlineWithTerminalAction(env)
+        wrapped.reset()
+        terminal = wrapped.action_space.n - 1
+        spaces = dict(observation_spaces=["IrInstructionCount"], reward_spaces=["IrInstructionCount"])
+        count = env.observation["IrInstructionCount"]
+        observation, reward, done, info = wrapped.multistep([terminal], **spaces)
+        assert (observation, reward, done) == ([count], [0.0], True)
+        assert info["action_had_no_effect"]
+        assert env.multistep([], **spaces)[:2] == (observation, reward)
+        # With the default spaces, the observation is the Autophase vector.
+        observation, reward, done, _ = wrapped.step(terminal)
+        assert np.asarray(observation).shape == (56,) and reward == 0.0 and done
+        assert env.actions == []
 
     def test_non_terminal_actions_still_work(self, env):
         wrapped = CommandlineWithTerminalAction(env)
